@@ -213,21 +213,14 @@ fn replay_parity() -> Table {
     use pqos_service::protocol::{Request, Response};
     use pqos_service::replay::{replay, ReplayOptions};
     use pqos_service::{FlightRecorder, SharedBuf, TraceRecorder};
-    use pqos_telemetry::reqtrace::{RequestTrace, TraceMeta, TRACE_FORMAT_VERSION};
+    use pqos_telemetry::reqtrace::{RequestTrace, TraceMeta};
 
     let trace_buf = SharedBuf::new();
     let journal_buf = SharedBuf::new();
     let meta = TraceMeta {
-        version: TRACE_FORMAT_VERSION,
-        source: "qosd".into(),
-        cluster_size: 64,
         time_scale: 5_000.0,
         batch_threads: 2,
-        quote_horizon_secs: None,
-        predictor: "null".into(),
-        shards: 1,
-        slo: Vec::new(),
-        slo_window_secs: pqos_telemetry::slo::DEFAULT_WINDOW_SECS,
+        ..TraceMeta::qosd(64)
     };
     let telemetry = Telemetry::builder()
         .flush_every(0)

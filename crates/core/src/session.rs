@@ -418,8 +418,11 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
     /// Runs the parity re-check on every Nth `quote_batch` only (counter-
     /// based, so identical call sequences sample identically). The check
     /// costs a full second negotiation pass — roughly doubling per-tick
-    /// compute — so a serving daemon samples while tests, CI and replay
-    /// keep the default of 1 (every batch). Zero is clamped to 1.
+    /// compute — so a serving daemon samples while tests and CI keep the
+    /// default of 1 (every batch); replay leaves [`verify_parity`] off
+    /// altogether. Zero is clamped to 1.
+    ///
+    /// [`verify_parity`]: Self::verify_parity
     pub fn parity_sample(mut self, every: u64) -> Self {
         self.parity_sample = every.max(1);
         self

@@ -35,7 +35,7 @@
 
 use pqos_service::protocol::{Request, Response};
 use pqos_service::replay::{replay, ReplayOptions};
-use pqos_telemetry::reqtrace::{RequestTrace, TraceEntry, TraceMeta, TRACE_FORMAT_VERSION};
+use pqos_telemetry::reqtrace::{RequestTrace, TraceEntry, TraceMeta};
 use pqos_telemetry::{AlertState, TelemetryEvent};
 use std::path::Path;
 
@@ -45,16 +45,11 @@ fn meta(cluster_size: u32, quote_horizon_secs: Option<u64>) -> TraceMeta {
 
 fn sharded_meta(cluster_size: u32, shards: u64, quote_horizon_secs: Option<u64>) -> TraceMeta {
     TraceMeta {
-        version: TRACE_FORMAT_VERSION,
-        source: "qosd".into(),
-        cluster_size,
         time_scale: 1000.0,
         batch_threads: 2,
         quote_horizon_secs,
-        predictor: "null".into(),
         shards,
-        slo: Vec::new(),
-        slo_window_secs: pqos_telemetry::slo::DEFAULT_WINDOW_SECS,
+        ..TraceMeta::qosd(cluster_size)
     }
 }
 

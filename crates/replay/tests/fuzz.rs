@@ -4,22 +4,10 @@
 //! was recorded).
 
 use pqos_service::replay::{replay, ReplayError, ReplayOptions};
-use pqos_telemetry::reqtrace::{RequestTrace, TraceEntry, TraceMeta, TRACE_FORMAT_VERSION};
+use pqos_telemetry::reqtrace::{RequestTrace, TraceEntry, TraceMeta};
 
 fn meta_line() -> String {
-    TraceMeta {
-        version: TRACE_FORMAT_VERSION,
-        source: "qosd".into(),
-        cluster_size: 8,
-        time_scale: 1.0,
-        batch_threads: 1,
-        quote_horizon_secs: None,
-        predictor: "null".into(),
-        shards: 1,
-        slo: Vec::new(),
-        slo_window_secs: pqos_telemetry::slo::DEFAULT_WINDOW_SECS,
-    }
-    .encode()
+    TraceMeta::qosd(8).encode()
 }
 
 fn entry(seq: u64, epoch: u64, tick: u64, verb: &str, job: Option<u64>) -> TraceEntry {

@@ -41,23 +41,17 @@
 //! sampler folds the registry into a ring of `--history-window-ms`
 //! windows served by the `history` verb and the `/history` route.
 
-use pqos_core::config::SimConfig;
-use pqos_core::session::NegotiationSession;
-use pqos_failures::synthetic::AixLikeTrace;
-use pqos_predict::api::{NullPredictor, Predictor};
-use pqos_predict::oracle::TraceOracle;
 use pqos_service::engine::EngineConfig;
+use pqos_service::replay::ReplayError;
 use pqos_service::server::{
     serve_core, RecordConfig, ServerConfig, DEFAULT_FLIGHT_CAPACITY, DEFAULT_HISTORY_WINDOW_MS,
 };
-use pqos_service::shard::{partition_spans, ShardedCore};
-use pqos_sim_core::time::SimDuration;
-use pqos_telemetry::reqtrace::{TraceMeta, TRACE_FORMAT_VERSION};
-use pqos_telemetry::{SloAccum, SloSink, Telemetry};
+use pqos_service::tick::build_core;
+use pqos_telemetry::reqtrace::TraceMeta;
+use pqos_telemetry::Telemetry;
 use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "usage: pqos-qosd [options]
@@ -75,7 +69,8 @@ const USAGE: &str = "usage: pqos-qosd [options]
                         out; bounds the reservation backlog (default: none)
   --no-verify-parity    skip the live batched-vs-serial quote re-check
   --parity-sample N     re-check only every Nth quote batch (default 16;
-                        1 = every batch, as tests, CI and replay use)
+                        1 = every batch, as tests and CI use; replay
+                        checks recorded responses instead)
   --synthetic-failures  predict from a synthetic AIX-like failure trace
                         instead of the null predictor
   --metrics-addr HOST:PORT  serve Prometheus /metrics here (port 0 = free
@@ -114,13 +109,13 @@ fn main() -> ExitCode {
     let mut shards: u32 = 1;
     let mut journal: Option<String> = None;
     // Serving default: sample the batched-vs-serial parity re-check
-    // 1-in-16. EngineConfig::default() keeps 1 (exhaustive) so tests,
-    // CI and replay re-check every batch; `--parity-sample 1` restores
-    // that here.
+    // 1-in-16. EngineConfig::default() keeps 1 (exhaustive) so tests and
+    // CI re-check every batch; `--parity-sample 1` restores that here.
     let mut engine = EngineConfig {
         parity_sample: 16,
         ..EngineConfig::default()
     };
+    let mut verify_parity = true;
     let mut synthetic_failures = false;
     let mut quote_horizon: Option<u64> = None;
     let mut metrics_addr: Option<String> = None;
@@ -212,7 +207,7 @@ fn main() -> ExitCode {
                     .map_err(|_| "--history-window-ms: not a duration".into())
             }),
             "--no-verify-parity" => {
-                engine.verify_parity = false;
+                verify_parity = false;
                 Ok(())
             }
             "--parity-sample" => value("--parity-sample").and_then(|v| {
@@ -243,125 +238,68 @@ fn main() -> ExitCode {
         return die("--shards: cannot exceed --cluster-size");
     }
 
-    // The SLO plane: one accumulator shared by every journal plane's
-    // event sink and drained by the engine's per-tick evaluator. Rules
-    // were validated during flag parsing, so re-parsing cannot fail.
-    let slo_accum = (!slo_specs.is_empty()).then(|| Arc::new(SloAccum::new(slo_window_secs)));
-    engine.slo_rules = slo_specs
-        .iter()
-        .map(|s| pqos_telemetry::slo::parse_rule(s).expect("validated at flag parse"))
-        .collect();
-    engine.slo_accum = slo_accum.clone();
-
-    // One predictor per engine plane. Shard K predicts over its own
-    // node span from a seed derived from its index, so shard planes
-    // stay deterministic and distinguishable; replay rebuilds the same
-    // predictors from the trace header. The wide-job coordinator (and
-    // the single plane) predicts over the full cluster.
-    let make_predictor = |seed: u64, nodes: u32| -> Box<dyn Predictor + Send + Sync> {
-        if synthetic_failures {
-            let trace = Arc::new(
-                AixLikeTrace::new()
-                    .days(365.0)
-                    .seed(seed)
-                    .nodes(nodes)
-                    .build(),
-            );
-            Box::new(TraceOracle::new(trace, 0.9).expect("accuracy in range"))
+    // The header `--record` writes is also the recipe the core is built
+    // from, so a replay of the recording reconstructs this very daemon.
+    let meta = TraceMeta {
+        time_scale: engine.time_scale,
+        batch_threads: engine.batch_threads as u64,
+        quote_horizon_secs: quote_horizon,
+        predictor: if synthetic_failures {
+            "synthetic-aix".into()
         } else {
-            Box::new(NullPredictor)
-        }
+            "null".into()
+        },
+        shards: u64::from(shards),
+        slo: slo_specs,
+        slo_window_secs,
+        ..TraceMeta::qosd(cluster_size)
     };
-    let open_journal = |path: Option<&str>| -> Result<Telemetry, ExitCode> {
-        // Telemetry is always enabled: the /metrics endpoint and the
-        // stage histograms need a live registry even when no journal is
-        // written. Without a journal or SLO rules there are no event
-        // sinks, so emits stay cheap.
-        let mut builder = match path {
-            None => Telemetry::builder(),
-            Some(path) => match Telemetry::builder().flush_every(1024).jsonl_path(path) {
-                Ok(builder) => builder,
-                Err(e) => {
-                    eprintln!("pqos-qosd: cannot open journal {path}: {e}");
-                    return Err(ExitCode::from(2));
-                }
-            },
-        };
-        if let Some(accum) = &slo_accum {
-            builder = builder.sink(Box::new(SloSink(Arc::clone(accum))));
-        }
-        let telemetry = builder.build();
-        // Flush the journal before unwinding on any panic: an incident
-        // capture that stops mid-event cannot be replayed or trusted.
-        pqos_telemetry::panichook::flush_on_panic(&telemetry);
-        Ok(telemetry)
-    };
-    let make_session = |nodes: u32, base: u32, seed: u64, telemetry: Telemetry| {
-        let config = SimConfig::paper_defaults().cluster_size_nodes(nodes);
-        NegotiationSession::new(config, make_predictor(seed, nodes), telemetry)
-            .verify_parity(engine.verify_parity)
-            .node_base(u64::from(base))
-    };
-    let shard_journals: Vec<(u32, Option<String>)> = partition_spans(cluster_size, shards)
-        .iter()
-        .enumerate()
-        .map(|(k, span)| {
-            (
-                span.width,
-                journal
-                    .as_ref()
-                    .filter(|_| shards > 1)
-                    .map(|p| format!("{p}.shard{k}")),
-            )
-        })
-        .collect();
-    let core = if shards == 1 {
-        let telemetry = match open_journal(journal.as_deref()) {
-            Ok(t) => t,
-            Err(code) => return code,
-        };
-        ShardedCore::single(make_session(cluster_size, 0, 0xD5_2005, telemetry))
-    } else {
-        let mut sessions = Vec::with_capacity(shards as usize);
-        let mut base = 0u32;
-        for (k, (width, path)) in shard_journals.iter().enumerate() {
-            let telemetry = match open_journal(path.as_deref()) {
-                Ok(t) => t,
-                Err(code) => return code,
+    // One journal file per plane: PATH itself for a single plane, else
+    // PATH.shardK and PATH.wide, merged into PATH on drain. Telemetry is
+    // always enabled — the /metrics endpoint and the stage histograms
+    // need a live registry even when no journal is written; without a
+    // journal or SLO rules there are no event sinks, so emits stay cheap.
+    let mut parts: Vec<String> = Vec::new();
+    let built = build_core(
+        &meta,
+        verify_parity,
+        Telemetry::builder().build(),
+        |suffix, mut builder| {
+            if let Some(path) = &journal {
+                let part = format!("{path}{suffix}");
+                builder = builder
+                    .flush_every(1024)
+                    .jsonl_path(&part)
+                    .map_err(|e| format!("cannot open journal {part}: {e}"))?;
+                parts.push(part);
+            }
+            let telemetry = builder.build();
+            // Flush the journal before unwinding on any panic: an incident
+            // capture that stops mid-event cannot be replayed or trusted.
+            pqos_telemetry::panichook::flush_on_panic(&telemetry);
+            Ok(telemetry)
+        },
+    );
+    let core = match built {
+        Ok(core) => core,
+        Err(e) => {
+            let detail = match e {
+                ReplayError::Unsupported(detail) => detail,
+                other => other.to_string(),
             };
-            sessions.push(make_session(*width, base, 0xD5_2005 ^ k as u64, telemetry));
-            base += width;
+            eprintln!("pqos-qosd: {detail}");
+            return ExitCode::from(2);
         }
-        let wide_path = journal.as_ref().map(|p| format!("{p}.wide"));
-        let coordinator = match open_journal(wide_path.as_deref()) {
-            Ok(t) => t,
-            Err(code) => return code,
-        };
-        let core = ShardedCore::sharded(
-            sessions,
-            make_predictor(0xD5_2005, cluster_size),
-            coordinator,
-            Telemetry::builder().build(),
-        );
-        // Even a panicking daemon leaves the merged journal behind: the
-        // per-telemetry flush hooks above run first, then this stitches
-        // the flushed shard files together.
-        if let Some(path) = &journal {
-            let merge_into = path.clone();
-            let parts = shard_part_paths(path, shards);
-            pqos_telemetry::panichook::on_panic(move || {
-                let _ = merge_journal_files(&merge_into, &parts);
-            });
-        }
-        core
     };
-    // On the core, not per session: the wide-job coordinator must refuse
-    // past-horizon starts exactly like every shard does, or a sharded
-    // record→replay stops being byte-identical.
-    let core = match quote_horizon {
-        Some(secs) => core.quote_horizon(SimDuration::from_secs(secs)),
-        None => core,
-    };
+    // Even a panicking daemon leaves the merged journal behind: the
+    // per-plane flush hooks above run first, then this stitches the
+    // flushed shard files together.
+    let merge = journal.filter(|_| shards > 1).map(|path| (path, parts));
+    if let Some((path, parts)) = merge.clone() {
+        pqos_telemetry::panichook::on_panic(move || {
+            let _ = merge_journal_files(&path, &parts);
+        });
+    }
 
     let listener = match TcpListener::bind(&addr) {
         Ok(l) => l,
@@ -404,22 +342,7 @@ fn main() -> ExitCode {
     }
     let record = record.map(|path| RecordConfig {
         path: path.into(),
-        meta: TraceMeta {
-            version: TRACE_FORMAT_VERSION,
-            source: "qosd".into(),
-            cluster_size,
-            time_scale: engine.time_scale,
-            batch_threads: engine.batch_threads as u64,
-            quote_horizon_secs: quote_horizon,
-            predictor: if synthetic_failures {
-                "synthetic-aix".into()
-            } else {
-                "null".into()
-            },
-            shards: u64::from(shards),
-            slo: slo_specs.clone(),
-            slo_window_secs,
-        },
+        meta,
     });
     let config = ServerConfig {
         engine,
@@ -431,12 +354,10 @@ fn main() -> ExitCode {
         history_window_ms,
     };
     let served = serve_core(listener, core, config);
-    if shards > 1 {
-        if let Some(path) = &journal {
-            if let Err(e) = merge_journal_files(path, &shard_part_paths(path, shards)) {
-                eprintln!("pqos-qosd: cannot merge shard journals into {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+    if let Some((path, parts)) = &merge {
+        if let Err(e) = merge_journal_files(path, parts) {
+            eprintln!("pqos-qosd: cannot merge shard journals into {path}: {e}");
+            return ExitCode::FAILURE;
         }
     }
     match served {
@@ -446,14 +367,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// The per-plane journal files behind `path`: one per shard plus the
-/// wide-job coordinator's.
-fn shard_part_paths(path: &str, shards: u32) -> Vec<String> {
-    let mut parts: Vec<String> = (0..shards).map(|k| format!("{path}.shard{k}")).collect();
-    parts.push(format!("{path}.wide"));
-    parts
 }
 
 /// Stitches the per-shard journals into one doctor-clean stream at

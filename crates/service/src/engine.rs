@@ -1,28 +1,31 @@
 //! The single-writer admission engine.
 //!
-//! One OS thread owns the whole mutable service state — the
-//! [`NegotiationSession`] with its reservation book, predictor, virtual
-//! clock, and telemetry journal. Connection threads never share it; they
-//! enqueue ([`EngineHandle::submit`]) onto a *bounded* channel and receive
-//! replies on their own per-connection channel. Backpressure is therefore
+//! One OS thread owns the whole mutable service state — an
+//! [`EngineCore`]: the admission sessions with their reservation books,
+//! predictors, virtual clock and telemetry journals, plus the SLO
+//! evaluator. The net event loop never shares it; it enqueues
+//! ([`EngineHandle::submit`]) onto a *bounded* channel and each
+//! connection receives replies on its own lane. Backpressure is therefore
 //! explicit: a full queue earns the client an `overloaded` response
 //! immediately, instead of unbounded buffering or a lock convoy.
 //!
 //! The engine loop blocks on the queue, then drains everything already
-//! waiting into one *tick*. Within a tick it:
+//! waiting into one *tick*:
 //!
-//! 1. advances virtual time (wall-clock elapsed × `time_scale`), firing
-//!    due job starts/completions into the journal;
-//! 2. expires requests that waited past their deadline (`timeout`);
-//! 3. coalesces every `negotiate` into one
-//!    [`negotiate_batch`](pqos_core::negotiate::negotiate_batch) call
-//!    fanned across threads — quoting is read-only over the book, so the
-//!    batch is exactly what serial calls against the same snapshot would
-//!    produce (re-checked live when [`EngineConfig::verify_parity`] is
-//!    on);
-//! 4. applies accepts/cancels/status in arrival order;
-//! 5. on `shutdown`, drains the queue with `shutting_down` replies,
-//!    flushes the journal, and exits.
+//! 1. requests that waited past their deadline answer `timeout` and go
+//!    no further;
+//! 2. the rest run through [`EngineCore::tick`] at the current virtual
+//!    time (wall-clock elapsed × `time_scale`) — the same epoch code
+//!    replay runs: advance the clock, drain SLO windows, quote every
+//!    `negotiate` in one batch against one book snapshot, apply accepts
+//!    and cancels in arrival order;
+//! 3. each answer is trace-marked, recorded and sent the moment the tick
+//!    produces it; `status`/`dump`/`history` come back unanswered and are
+//!    filled in here from wall-clock state;
+//! 4. on `shutdown`, everything behind it — in the same tick or still in
+//!    the queue — answers `shutting_down`, the journal is flushed, and
+//!    the thread exits. Requests that race the drain after that are
+//!    refused by [`EngineHandle::submit`] itself.
 //!
 //! There is no fixed tick interval: an idle engine wakes per request, a
 //! busy one amortizes whole queue-fulls into one snapshot, which is what
@@ -33,12 +36,10 @@ use crate::flight::{FlightRecorder, TraceCtx};
 use crate::protocol::{ErrorCode, Request, Response, StatusBody};
 use crate::record::TraceRecorder;
 use crate::shard::ShardedCore;
-use pqos_core::session::{AcceptError, CancelError, NegotiationSession, QuoteDecision};
-use pqos_core::session::{AdmissionRequest, SessionStatus};
+use crate::tick::{shutting_down, EngineCore, TickEvent};
+use pqos_core::session::{NegotiationSession, SessionStatus};
 use pqos_predict::api::Predictor;
-use pqos_sim_core::time::{SimDuration, SimTime};
-use pqos_telemetry::{SinkHealth, SloAccum, SloEngine, SloRule, Telemetry, WindowStore};
-use pqos_workload::job::JobId;
+use pqos_telemetry::{SinkHealth, SloEngine, Telemetry, WindowStore};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -127,24 +128,13 @@ pub struct EngineConfig {
     pub request_timeout: Duration,
     /// Most requests coalesced into one tick.
     pub max_batch: usize,
-    /// Re-check every batched quote against a serial negotiation and
-    /// count disagreements (surfaced via `status`).
-    pub verify_parity: bool,
-    /// Re-check only every Nth tick's batch (deterministic 1-in-N
-    /// sampling; 1 = every batch). Tests, CI and replay keep the
-    /// default of 1 so parity stays exhaustive where it matters;
-    /// release serving dials it up to keep the re-check off the hot
-    /// path (`pqos-qosd --parity-sample`).
+    /// Sessions that re-check batched quotes against serial negotiation
+    /// (`NegotiationSession::verify_parity`) do so only on every Nth
+    /// batch (deterministic 1-in-N sampling; 1 = every batch). Tests and
+    /// CI keep the default of 1 so parity stays exhaustive where it
+    /// matters; release serving dials it up to keep the re-check off the
+    /// hot path (`pqos-qosd --parity-sample`).
     pub parity_sample: u64,
-    /// Declarative SLO rules evaluated over virtual-time windows at each
-    /// tick; fire/resolve transitions are journaled as `slo_alert`
-    /// events. Only meaningful together with [`EngineConfig::slo_accum`].
-    pub slo_rules: Vec<SloRule>,
-    /// The window accumulator the SLO evaluator drains. The caller
-    /// attaches a [`pqos_telemetry::SloSink`] over this same accumulator
-    /// to every journal plane, so window counts fill as events are
-    /// journaled; `None` disables SLO evaluation entirely.
-    pub slo_accum: Option<Arc<SloAccum>>,
     /// Wall-clock windowed health history served by the `history` verb
     /// (sampled by the server's history thread, not by the engine).
     /// `None` answers `history` with an empty document.
@@ -159,10 +149,7 @@ impl Default for EngineConfig {
             time_scale: 1.0,
             request_timeout: Duration::from_secs(5),
             max_batch: 256,
-            verify_parity: true,
             parity_sample: 1,
-            slo_rules: Vec::new(),
-            slo_accum: None,
             history: None,
         }
     }
@@ -219,16 +206,9 @@ impl EngineHandle {
         trace: Option<TraceCtx>,
         conn: u64,
     ) -> Result<(), (Response, Option<TraceCtx>)> {
-        let refusal = |code: ErrorCode| Response::Error {
-            id: request.id(),
-            code,
-            detail: match code {
-                ErrorCode::Overloaded => "engine queue full; retry".into(),
-                _ => "daemon is draining".into(),
-            },
-        };
+        let id = request.id();
         if self.shared.draining.load(Ordering::Acquire) {
-            return Err((refusal(ErrorCode::ShuttingDown), trace));
+            return Err((shutting_down(id), trace));
         }
         let item = EngineRequest {
             request,
@@ -244,11 +224,14 @@ impl EngineHandle {
             }
             Err(TrySendError::Full(item)) => {
                 self.shared.overloaded.fetch_add(1, Ordering::Relaxed);
-                Err((refusal(ErrorCode::Overloaded), item.trace))
+                let overloaded = Response::Error {
+                    id,
+                    code: ErrorCode::Overloaded,
+                    detail: "engine queue full; retry".into(),
+                };
+                Err((overloaded, item.trace))
             }
-            Err(TrySendError::Disconnected(item)) => {
-                Err((refusal(ErrorCode::ShuttingDown), item.trace))
-            }
+            Err(TrySendError::Disconnected(item)) => Err((shutting_down(id), item.trace)),
         }
     }
 
@@ -304,12 +287,13 @@ where
     spawn_core(ShardedCore::single(session), config, recorder, trace)
 }
 
-/// Starts the engine thread around a (possibly sharded) admission core.
-/// The classic [`spawn`] is this with a single-plane core; `pqos-qosd
-/// --shards N` builds an N-way core and comes in here directly. The
+/// Starts the engine thread around an admission core: a bare (possibly
+/// sharded) [`ShardedCore`], or the [`EngineCore`] that
+/// [`build_core`](crate::tick::build_core) assembles with its SLO plane
+/// attached. The classic [`spawn`] is this with a single-plane core. The
 /// engine loop is identical either way — the core hides the routing.
 pub fn spawn_core<P>(
-    core: ShardedCore<P>,
+    core: impl Into<EngineCore<P>>,
     config: EngineConfig,
     recorder: FlightRecorder,
     trace: TraceRecorder,
@@ -317,10 +301,13 @@ pub fn spawn_core<P>(
 where
     P: Predictor + Send + Sync + 'static,
 {
-    // The sampling cadence is engine policy, not session construction:
-    // apply it here so every spawn path (daemon, tests, benches) gets
-    // exactly what its EngineConfig says.
-    let core = core.parity_sample(config.parity_sample);
+    // Sampling cadence and fan-out are engine policy, not core
+    // construction: apply them here so every spawn path (daemon, tests,
+    // benches) gets exactly what its EngineConfig says.
+    let core = core
+        .into()
+        .parity_sample(config.parity_sample)
+        .batch_threads(config.batch_threads);
     let (tx, rx) = std::sync::mpsc::sync_channel(config.queue_depth.max(1));
     let shared = Arc::new(EngineShared {
         draining: AtomicBool::new(false),
@@ -331,7 +318,7 @@ where
     let handle = EngineHandle {
         tx,
         shared: Arc::clone(&shared),
-        telemetry: core.telemetry().clone(),
+        telemetry: core.core().telemetry().clone(),
     };
     let join = std::thread::Builder::new()
         .name("pqos-engine".into())
@@ -341,15 +328,14 @@ where
 }
 
 fn run<P: Predictor + Sync>(
-    mut core: ShardedCore<P>,
+    mut core: EngineCore<P>,
     config: EngineConfig,
     rx: Receiver<EngineRequest>,
     shared: Arc<EngineShared>,
     recorder: FlightRecorder,
     trace_rec: TraceRecorder,
 ) {
-    let core = &mut core;
-    let telemetry = core.telemetry().clone();
+    let telemetry = core.core().telemetry().clone();
     let tick_ns = telemetry.histogram("engine.tick_ns");
     let batch_size = telemetry.histogram("engine.batch_size");
     let ticks = telemetry.counter("engine.ticks");
@@ -368,54 +354,41 @@ fn run<P: Predictor + Sync>(
     // Promise-ledger gauges (pqos_promise_*): cumulative accepted-quote
     // and resolution-verdict counts plus the worst per-bucket calibration
     // residual, in milli-units (observed − quoted, ×1000; negative =
-    // overconfident). Refreshed at every tick end and once more on drain
-    // so the final scrape agrees with the flushed journal
-    // (`pqos-doctor crosscheck` holds us to that).
+    // overconfident).
     let promise_made_gauge = telemetry.gauge("promise.made");
     let promise_kept_gauge = telemetry.gauge("promise.kept");
     let promise_broken_gauge = telemetry.gauge("promise.broken");
     let promise_cancelled_gauge = telemetry.gauge("promise.cancelled");
     let promise_residual_gauge = telemetry.gauge("promise.worst_residual_milli");
-    let set_promise_gauges = |p: pqos_core::session::PromiseStats| {
-        promise_made_gauge.set(p.made as i64);
-        promise_kept_gauge.set(p.kept as i64);
-        promise_broken_gauge.set(p.broken as i64);
-        promise_cancelled_gauge.set(p.cancelled as i64);
-        promise_residual_gauge.set(p.worst_residual_milli);
-    };
-    // The SLO plane: per-window counts accumulate via SloSinks on the
-    // journal planes; the evaluator drains closed windows once per tick,
-    // right after virtual time advances — the same point replay drains
-    // at, which is what makes the journaled alerts byte-reproducible.
-    let mut slo: Option<(Arc<SloAccum>, SloEngine)> = config
-        .slo_accum
-        .as_ref()
-        .filter(|_| !config.slo_rules.is_empty())
-        .map(|accum| (Arc::clone(accum), SloEngine::new(config.slo_rules.clone())));
     let slo_rules_gauge = telemetry.gauge("slo.rules");
     let slo_active_gauge = telemetry.gauge("slo.active_alerts");
     let slo_fired_gauge = telemetry.gauge("slo.alerts_fired_total");
     let slo_resolved_gauge = telemetry.gauge("slo.alerts_resolved_total");
     let slo_windows_gauge = telemetry.gauge("slo.windows_closed_total");
-    let set_slo_gauges = |engine: &SloEngine| {
-        slo_rules_gauge.set(engine.rules().len() as i64);
-        slo_active_gauge.set(engine.active_alerts() as i64);
-        slo_fired_gauge.set(engine.fired_total as i64);
-        slo_resolved_gauge.set(engine.resolved_total as i64);
-        slo_windows_gauge.set(engine.windows_closed as i64);
-        let firing = engine.firing();
-        for rule in engine.rules() {
-            let labels = [("rule", rule.name.as_str())];
-            telemetry
-                .gauge(&pqos_telemetry::labeled("slo.rule_firing", &labels))
-                .set(i64::from(firing.contains(&rule.name.as_str())));
+    // Everything a scrape reads off the deterministic core. Published at
+    // every tick end and once more on drain, so the final scrape agrees
+    // with the flushed journal (`pqos-doctor crosscheck` holds us to
+    // that). Publishing never drains SLO windows: those close only inside
+    // a tick, so replay closes exactly the same set.
+    let publish_core = |core: &EngineCore<P>| {
+        let promises = core.core().promise_stats();
+        promise_made_gauge.set(promises.made as i64);
+        promise_kept_gauge.set(promises.kept as i64);
+        promise_broken_gauge.set(promises.broken as i64);
+        promise_cancelled_gauge.set(promises.cancelled as i64);
+        promise_residual_gauge.set(promises.worst_residual_milli);
+        if let Some(slo) = core.slo() {
+            slo_rules_gauge.set(slo.rules().len() as i64);
+            slo_active_gauge.set(slo.active_alerts() as i64);
+            slo_fired_gauge.set(slo.fired_total as i64);
+            slo_resolved_gauge.set(slo.resolved_total as i64);
+            slo_windows_gauge.set(slo.windows_closed as i64);
+            set_slo_rule_gauges(&telemetry, slo);
         }
+        set_shard_gauges(&telemetry, core.core());
     };
-    if let Some((_, engine)) = slo.as_ref() {
-        set_slo_gauges(engine);
-    }
+    publish_core(&core);
     let epoch = shared.epoch;
-    let mut next_job: u64 = 1;
     // Batch-epoch counter for the request trace: one per tick, starting
     // at 1, so replay can reconstruct exactly which requests shared a
     // book snapshot.
@@ -431,34 +404,29 @@ fn run<P: Predictor + Sync>(
             t.mark("queue");
         }
     };
-    'serve: loop {
+    loop {
         let Ok(mut first) = rx.recv() else {
             break; // every handle dropped; nothing more can arrive
         };
         pop(&mut first);
         let tick_timer = tick_ns.start_timer();
-        let mut tick = vec![first];
-        while tick.len() < config.max_batch.max(1) {
+        let mut queued = vec![first];
+        while queued.len() < config.max_batch.max(1) {
             match rx.try_recv() {
                 Ok(mut item) => {
                     pop(&mut item);
-                    tick.push(item);
+                    queued.push(item);
                 }
                 Err(_) => break,
             }
         }
         let virtual_now = (epoch.elapsed().as_secs_f64() * config.time_scale) as u64;
-        core.advance_to(SimTime::from_secs(virtual_now));
         epoch_no += 1;
-        if let Some((accum, slo_engine)) = slo.as_mut() {
-            for alert in slo_engine.drain(accum, virtual_now) {
-                core.alert_telemetry().emit(|| alert.clone());
-            }
-            set_slo_gauges(slo_engine);
-        }
 
-        let mut live = Vec::with_capacity(tick.len());
-        for mut item in tick {
+        // Queue timeouts are a wall-clock fact, so they are settled here
+        // and never enter the tick.
+        let mut live = Vec::with_capacity(queued.len());
+        for mut item in queued {
             if item.enqueued.elapsed() > config.request_timeout {
                 timeouts.inc();
                 let response = Response::Error {
@@ -482,119 +450,37 @@ fn run<P: Predictor + Sync>(
             }
         }
 
-        // Pass 1: coalesce every negotiate into one batched quote call
-        // against this tick's book snapshot.
-        let quote_idx: Vec<usize> = live
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| matches!(i.request, Request::Negotiate { .. }))
-            .map(|(k, _)| k)
-            .collect();
-        if !quote_idx.is_empty() {
-            batch_size.observe(quote_idx.len() as f64);
-            let batch: Vec<(JobId, AdmissionRequest)> = quote_idx
-                .iter()
-                .map(|&k| {
-                    let Request::Negotiate {
-                        size, runtime_secs, ..
-                    } = live[k].request
-                    else {
-                        unreachable!("filtered above");
-                    };
-                    let id = JobId::new(next_job);
-                    next_job += 1;
-                    (
-                        id,
-                        AdmissionRequest {
-                            size,
-                            runtime: SimDuration::from_secs(runtime_secs),
-                        },
-                    )
-                })
-                .collect();
-            for &k in &quote_idx {
-                if let Some(t) = live[k].trace.as_mut() {
-                    t.mark("batch");
-                }
-            }
-            let decisions = core.quote_batch(&batch, config.batch_threads);
-            for ((&k, (job, _)), decision) in quote_idx.iter().zip(&batch).zip(decisions) {
-                let item = &mut live[k];
-                let response = quote_response(item.request.id(), job.as_u64(), decision);
-                if let Some(t) = item.trace.as_mut() {
-                    t.mark("compute");
-                }
-                // Rejected negotiates carry their job id too: they
-                // consumed one, and replay must consume it identically.
-                trace_rec.record(
-                    epoch_no,
-                    virtual_now,
-                    item.conn,
-                    &item.request,
-                    &response,
-                    Some(job.as_u64()),
-                );
-                respond(&item.reply, response, item.trace.take());
-            }
-        }
-
-        // Pass 2: mutations and queries in arrival order.
-        for item in live.iter_mut() {
-            let id = item.request.id();
-            let response = match item.request {
-                Request::Negotiate { .. } => continue, // answered in pass 1
-                Request::Accept { job, .. } => accept_response(core, id, job),
-                Request::Cancel { job, .. } => cancel_response(core, id, job),
-                Request::Status { .. } => Response::Status {
-                    id,
-                    body: status_body(
-                        &core.status(),
-                        &shared,
-                        core.live_jobs() as u64,
-                        core.sink_health(),
-                        core.shard_count() as u64,
-                        core.routed_last().to_vec(),
-                    ),
-                },
-                Request::Dump { .. } => Response::Dump {
-                    id,
-                    trace: recorder.dump_chrome(),
-                },
-                Request::History { .. } => Response::History {
-                    id,
-                    history: match config.history.as_ref() {
-                        Some(store) => store.to_json(),
-                        None => concat!(
-                            r#"{"history":true,"window_ms":0,"#,
-                            r#""windows":0,"families":[]}"#
-                        )
-                        .to_string(),
-                    },
-                },
-                Request::Shutdown { .. } => {
-                    shared.draining.store(true, Ordering::Release);
-                    let response = Response::Ok { id };
-                    trace_rec.record(
-                        epoch_no,
-                        virtual_now,
-                        item.conn,
-                        &item.request,
-                        &response,
-                        None,
-                    );
-                    respond(&item.reply, response, item.trace.take());
-                    while let Ok(mut stale) = rx.try_recv() {
-                        pop(&mut stale);
-                        let refusal = Response::Error {
-                            id: stale.request.id(),
-                            code: ErrorCode::ShuttingDown,
-                            detail: "daemon is draining".into(),
-                        };
-                        respond(&stale.reply, refusal, stale.trace.take());
+        let items: Vec<_> = live.iter().map(|item| (item.request, None)).collect();
+        let mut batched = 0u32;
+        let shutdown = core.tick(virtual_now, &items, |k, event| {
+            let item = &mut live[k];
+            let (response, job) = match event {
+                TickEvent::Batched => {
+                    batched += 1;
+                    if let Some(t) = item.trace.as_mut() {
+                        t.mark("batch");
                     }
-                    break 'serve;
+                    return;
+                }
+                TickEvent::Refused(refusal) => {
+                    respond(&item.reply, refusal, item.trace.take());
+                    return;
+                }
+                TickEvent::Reply { response, job } => (response, job),
+                TickEvent::WallClock(admission) => {
+                    let answer = wall_clock_response(
+                        item.request,
+                        admission,
+                        &shared,
+                        &recorder,
+                        config.history.as_deref(),
+                    );
+                    (answer, None)
                 }
             };
+            if matches!(item.request, Request::Shutdown { .. }) {
+                shared.draining.store(true, Ordering::Release);
+            }
             if let Some(t) = item.trace.as_mut() {
                 t.mark("compute");
             }
@@ -604,45 +490,48 @@ fn run<P: Predictor + Sync>(
                 item.conn,
                 &item.request,
                 &response,
-                None,
+                job,
             );
             respond(&item.reply, response, item.trace.take());
+        });
+        if batched > 0 {
+            batch_size.observe(f64::from(batched));
+        }
+        if shutdown.is_some() {
+            while let Ok(mut stale) = rx.try_recv() {
+                pop(&mut stale);
+                let refusal = shutting_down(stale.request.id());
+                respond(&stale.reply, refusal, stale.trace.take());
+            }
+            break;
         }
         ticks.inc();
         tick_timer.stop();
         queue_gauge.set(shared.queue_len.load(Ordering::Relaxed).max(0));
-        live_jobs_gauge.set(core.live_jobs() as i64);
+        live_jobs_gauge.set(core.core().live_jobs() as i64);
         overloaded_gauge.set(shared.overloaded.load(Ordering::Relaxed) as i64);
         uptime_gauge.set(epoch.elapsed().as_secs() as i64);
-        let cache = core.quote_cache_stats();
+        let cache = core.core().quote_cache_stats();
         cache_hits_gauge.set(cache.hits as i64);
         cache_misses_gauge.set(cache.misses as i64);
         cache_rebuilds_gauge.set(cache.profile_rebuilds as i64);
         cache_invalidated_gauge.set(cache.entries_invalidated as i64);
-        set_promise_gauges(core.promise_stats());
-        set_shard_gauges(&telemetry, core);
+        publish_core(&core);
         if last_flush.elapsed() >= FLUSH_EVERY {
-            core.flush();
+            core.core().flush();
             last_flush = Instant::now();
         }
     }
     uptime_gauge.set(epoch.elapsed().as_secs() as i64);
-    // Shutdown breaks out before the tick-end gauge block; publish the
-    // final promise tallies so the post-drain snapshot reconciles. No
-    // extra SLO drain happens here: windows close only at recorded tick
-    // times, so replay closes exactly the same set.
-    set_promise_gauges(core.promise_stats());
-    if let Some((_, slo_engine)) = slo.as_ref() {
-        set_slo_gauges(slo_engine);
-    }
-    set_shard_gauges(&telemetry, core);
-    core.flush();
+    // Shutdown breaks out before the tick-end gauge block.
+    publish_core(&core);
+    core.core().flush();
     trace_rec.flush();
 }
 
 /// Replies are best-effort: a gone client (dropped receiver) is a clean
 /// disconnect, not an engine error. The trace travels with the response
-/// so the writer thread can mark the `write` stage and finish it.
+/// so the writer can mark the `write` stage and finish it.
 fn respond(reply: &ReplySender, response: Response, trace: Option<TraceCtx>) {
     if let Err((_, Some(t))) = reply.send(response, trace) {
         // Receiver gone: nobody will write the reply or finish the trace,
@@ -651,66 +540,57 @@ fn respond(reply: &ReplySender, response: Response, trace: Option<TraceCtx>) {
     }
 }
 
-// The outcome→response mappings below are shared with `crate::replay`:
-// replay must render a session outcome to the exact bytes the live
-// engine would have sent, or response parity would diverge spuriously.
-
-pub(crate) fn quote_response(id: u64, job: u64, decision: QuoteDecision) -> Response {
-    match decision {
-        QuoteDecision::Quoted(held) => Response::Quote {
-            id,
-            job,
-            start_secs: held.quote.start.as_secs(),
-            promised_secs: held.quote.deadline.as_secs(),
-            deadline_secs: held.deadline.as_secs(),
-            success_probability: held.quote.promised_success(),
-            satisfied_threshold: held.satisfied_threshold,
-        },
-        QuoteDecision::Rejected => Response::Error {
-            id,
-            code: ErrorCode::Rejected,
-            detail: "job cannot fit the cluster".into(),
-        },
-    }
-}
-
-pub(crate) fn accept_outcome_response(
-    id: u64,
-    outcome: &Result<pqos_core::session::HeldQuote, AcceptError>,
+/// Answers a verb the tick handed back: these read wall-clock state
+/// (uptime, queue depth, the flight ring, the sampled history) that only
+/// the live engine has.
+fn wall_clock_response<P: Predictor + Sync>(
+    request: Request,
+    core: &ShardedCore<P>,
+    shared: &EngineShared,
+    recorder: &FlightRecorder,
+    history: Option<&WindowStore>,
 ) -> Response {
-    match outcome {
-        Ok(_) => Response::Ok { id },
-        Err(e) => Response::Error {
+    let id = request.id();
+    match request {
+        Request::Dump { .. } => Response::Dump {
             id,
-            code: match e {
-                AcceptError::UnknownQuote => ErrorCode::UnknownQuote,
-                AcceptError::QuoteExpired => ErrorCode::QuoteExpired,
+            trace: recorder.dump_chrome(),
+        },
+        Request::History { .. } => Response::History {
+            id,
+            history: match history {
+                Some(store) => store.to_json(),
+                None => concat!(
+                    r#"{"history":true,"window_ms":0,"#,
+                    r#""windows":0,"families":[]}"#
+                )
+                .to_string(),
             },
-            detail: e.to_string(),
+        },
+        // `status`, the only other verb the tick hands back.
+        _ => Response::Status {
+            id,
+            body: status_body(
+                &core.status(),
+                shared,
+                core.live_jobs() as u64,
+                core.sink_health(),
+                core.shard_count() as u64,
+                core.routed_last().to_vec(),
+            ),
         },
     }
 }
 
-pub(crate) fn cancel_outcome_response(id: u64, outcome: &Result<(), CancelError>) -> Response {
-    match outcome {
-        Ok(()) => Response::Ok { id },
-        Err(e) => Response::Error {
-            id,
-            code: match e {
-                CancelError::UnknownJob => ErrorCode::UnknownJob,
-                CancelError::AlreadyStarted => ErrorCode::AlreadyStarted,
-            },
-            detail: e.to_string(),
-        },
+/// Publishes one `slo.rule_firing{rule=..}` gauge per declared rule.
+fn set_slo_rule_gauges(telemetry: &Telemetry, slo: &SloEngine) {
+    let firing = slo.firing();
+    for rule in slo.rules() {
+        let labels = [("rule", rule.name.as_str())];
+        telemetry
+            .gauge(&pqos_telemetry::labeled("slo.rule_firing", &labels))
+            .set(i64::from(firing.contains(&rule.name.as_str())));
     }
-}
-
-fn accept_response<P: Predictor + Sync>(core: &mut ShardedCore<P>, id: u64, job: u64) -> Response {
-    accept_outcome_response(id, &core.accept(JobId::new(job)))
-}
-
-fn cancel_response<P: Predictor + Sync>(core: &mut ShardedCore<P>, id: u64, job: u64) -> Response {
-    cancel_outcome_response(id, &core.cancel(JobId::new(job)))
 }
 
 /// Publishes per-shard gauges (`shard="k"` labels on the engine, queue
@@ -826,7 +706,7 @@ mod tests {
             NullPredictor,
             Telemetry::disabled(),
         )
-        .verify_parity(config.verify_parity);
+        .verify_parity(true);
         spawn(
             session,
             config,
@@ -954,6 +834,36 @@ mod tests {
         assert_eq!(body.quoted, 20);
         assert_eq!(body.parity_violations, 0);
         ask(&handle, Request::Shutdown { id: 100 });
+        join.join().unwrap();
+    }
+
+    /// Whatever tick boundaries a burst lands on, every request `submit`
+    /// took gets exactly one reply — including the ones coalesced into
+    /// the shutdown's own tick behind it (`tick::tests` pins that case
+    /// exactly).
+    #[test]
+    fn no_submitted_request_goes_unanswered_across_a_shutdown() {
+        let (handle, join) = engine(32, EngineConfig::default());
+        let (reply, rx) = ReplySender::channel();
+        let mut requests: Vec<Request> = (0..200u64)
+            .map(|id| Request::Negotiate {
+                id,
+                size: 1,
+                runtime_secs: 600,
+            })
+            .collect();
+        requests.push(Request::Shutdown { id: 200 });
+        requests.push(Request::Status { id: 201 });
+        let taken = requests
+            .into_iter()
+            .filter(|request| handle.submit(*request, &reply, None, 0).is_ok())
+            .count();
+        let mut answered: Vec<u64> = (0..taken)
+            .map(|_| rx.recv_timeout(Duration::from_secs(5)).expect("reply").0)
+            .map(|response| response.id())
+            .collect();
+        answered.sort_unstable();
+        assert_eq!(answered, (0..taken as u64).collect::<Vec<_>>());
         join.join().unwrap();
     }
 

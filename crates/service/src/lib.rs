@@ -13,19 +13,20 @@
 //! async runtime:
 //!
 //! 1. **Single-writer state.** One engine thread owns the
-//!    [`NegotiationSession`](pqos_core::session::NegotiationSession) —
-//!    reservation book, predictor, virtual clock, journal. Connections
-//!    never touch shared state; they exchange messages with the engine
-//!    over a bounded channel, so overload is an explicit `overloaded`
-//!    response instead of a lock convoy.
+//!    [`NegotiationSession`](pqos_core::session::NegotiationSession)s —
+//!    reservation book, predictor, virtual clock, journal. The net event
+//!    loop never touches that state; it exchanges messages with the
+//!    engine over a bounded channel, so overload is an explicit
+//!    `overloaded` response instead of a lock convoy.
 //! 2. **Batched quoting.** The engine drains its queue and coalesces all
 //!    pending `negotiate` verbs into one
 //!    [`negotiate_batch`](pqos_core::negotiate::negotiate_batch) call
 //!    fanned out across threads against a single book snapshot. Quoting is
 //!    read-only, so batched quotes are *identical* to serial ones — a
-//!    guarantee the engine can re-check at runtime
-//!    ([`EngineConfig::verify_parity`](engine::EngineConfig)) and the
-//!    property suite checks offline.
+//!    guarantee a session can re-check at runtime
+//!    ([`NegotiationSession::verify_parity`](pqos_core::session::NegotiationSession::verify_parity),
+//!    sampled by [`EngineConfig::parity_sample`](engine::EngineConfig))
+//!    and the property suite checks offline.
 //! 3. **JSON-lines protocol.** One request object per line, one response
 //!    per request, correlated by caller-chosen `id` so clients can
 //!    pipeline. Malformed input gets a `bad_request` response, never a
@@ -59,6 +60,7 @@ pub mod scrape;
 pub mod server;
 pub mod shard;
 pub mod sweep;
+pub mod tick;
 
 pub use engine::{EngineConfig, EngineHandle};
 pub use flight::{FlightRecorder, TraceCtx};
@@ -68,3 +70,4 @@ pub use record::{SharedBuf, TraceRecorder};
 pub use replay::{replay, ReplayOptions, ReplayReport};
 pub use server::{serve, RecordConfig, ServerConfig};
 pub use shard::{partition_spans, MergedAvailabilityView, ShardSpan, ShardedCore};
+pub use tick::{build_core, EngineCore};

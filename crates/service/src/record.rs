@@ -13,8 +13,9 @@
 //!   too — they consume an id and journal `job_submitted`/`job_rejected`);
 //! - queue-timeout refusals are recorded with `job: null` so replay knows
 //!   those requests never reached the session;
-//! - `overloaded`/`shutting_down` refusals are *not* recorded: they are
-//!   answered outside the engine tick and have no state effect;
+//! - `overloaded`/`shutting_down` refusals are *not* recorded: whether
+//!   refused before the queue, while it drains, or behind a `shutdown`
+//!   in the same tick, they have no state effect;
 //! - the final `shutdown` acknowledgement is the last entry.
 //!
 //! Like [`Telemetry`](pqos_telemetry::Telemetry), a disabled recorder (the
@@ -173,18 +174,7 @@ mod tests {
     use pqos_telemetry::reqtrace::RequestTrace;
 
     fn meta() -> TraceMeta {
-        TraceMeta {
-            version: pqos_telemetry::reqtrace::TRACE_FORMAT_VERSION,
-            source: "qosd".into(),
-            cluster_size: 8,
-            time_scale: 1.0,
-            batch_threads: 1,
-            quote_horizon_secs: None,
-            predictor: "null".into(),
-            shards: 1,
-            slo: Vec::new(),
-            slo_window_secs: pqos_telemetry::slo::DEFAULT_WINDOW_SECS,
-        }
+        TraceMeta::qosd(8)
     }
 
     #[test]

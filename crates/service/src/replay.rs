@@ -1,40 +1,35 @@
 //! Deterministic re-execution of recorded request traces.
 //!
 //! [`replay`] feeds a trace captured by the daemon's `--record` flag back
-//! through the *real* [`NegotiationSession`] code path — no sockets, no
-//! wall clock. Virtual time comes from the recorded per-epoch ticks,
-//! batching comes from the recorded epoch grouping, and job ids come from
-//! the recorded engine assignments, so the replayed session makes exactly
-//! the decisions the live engine made and emits a byte-identical journal.
+//! through the *real* engine code — [`build_core`] constructs the core
+//! from the trace header exactly as `pqos-qosd` constructed it from its
+//! flags, and [`EngineCore::tick`](crate::tick::EngineCore::tick) runs
+//! each recorded epoch exactly as the engine thread ran it — with no
+//! sockets and no wall clock. Virtual time comes from the recorded
+//! per-epoch ticks, batching from the recorded epoch grouping, and job
+//! ids from the recorded engine assignments, so the replayed core makes
+//! exactly the decisions the live engine made and emits a byte-identical
+//! journal.
 //!
 //! # Determinism contract
 //!
 //! Replay checks *response parity* for the deterministic verbs —
 //! `negotiate`, `accept`, `cancel`, `shutdown` — whose responses are pure
-//! functions of session state. `status` and `dump` responses carry
-//! wall-clock fields (uptime, queue depth, flight-recorder contents) and
-//! are skipped (counted in
+//! functions of session state. `status`, `dump` and `history` responses
+//! carry wall-clock fields (uptime, queue depth, flight-recorder
+//! contents, sampled windows) and are skipped (counted in
 //! [`ReplayReport::skipped_nondeterministic`]). Queue-timeout refusals
 //! never reached the session when recorded, so replay honors them by
 //! skipping the entry. Journal equality is checked by the caller against
 //! the recorded journal ([`ReplayReport::journal`] holds the replayed
 //! one).
 
-use crate::engine;
 use crate::protocol::{ErrorCode, Request, Response};
 use crate::record::SharedBuf;
-use crate::shard::{partition_spans, ShardedCore};
-use pqos_core::config::SimConfig;
-use pqos_core::session::{AdmissionRequest, NegotiationSession, SessionOp, SessionOpOutcome};
-use pqos_failures::synthetic::AixLikeTrace;
-use pqos_predict::api::{NullPredictor, Predictor};
-use pqos_predict::oracle::TraceOracle;
-use pqos_sim_core::time::{SimDuration, SimTime};
+use crate::tick::{build_core, TickEvent};
 use pqos_telemetry::reqtrace::{RequestTrace, TraceEntry};
-use pqos_telemetry::{SloAccum, SloEngine, SloSink, Telemetry};
-use pqos_workload::job::JobId;
+use pqos_telemetry::Telemetry;
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning for one replay run.
@@ -105,7 +100,7 @@ pub struct ReplayReport {
     pub parity_checked: usize,
     /// The comparisons that diverged.
     pub mismatches: Vec<ParityMismatch>,
-    /// `status`/`dump` entries skipped (wall-clock responses).
+    /// `status`/`dump`/`history` entries skipped (wall-clock responses).
     pub skipped_nondeterministic: usize,
     /// Recorded queue-timeout refusals honored by skipping.
     pub timeouts_honored: usize,
@@ -180,122 +175,19 @@ pub fn replay_with(
             meta.source
         )));
     }
-    // Mirrors pqos-qosd's predictor construction exactly: same seeds,
-    // same traces, same oracle accuracy — per shard and for the wide-job
-    // coordinator.
-    let make_predictor =
-        |seed: u64, nodes: u32| -> Result<Box<dyn Predictor + Send + Sync>, ReplayError> {
-            match meta.predictor.as_str() {
-                "null" => Ok(Box::new(NullPredictor)),
-                "synthetic-aix" => {
-                    let failure_trace = Arc::new(
-                        AixLikeTrace::new()
-                            .days(365.0)
-                            .seed(seed)
-                            .nodes(nodes)
-                            .build(),
-                    );
-                    Ok(Box::new(
-                        TraceOracle::new(failure_trace, 0.9).expect("accuracy in range"),
-                    ))
-                }
-                other => Err(ReplayError::Unsupported(format!(
-                    "unknown predictor {other:?} (this build knows \"null\" and \"synthetic-aix\")"
-                ))),
-            }
-        };
-    // The SLO plane: rebuild the daemon's evaluator from the recorded
-    // rule specs, attach the same window accumulator to every journal
-    // plane, and drain at the same point the engine does (right after
-    // each epoch's AdvanceTo) — the journaled alert lines then replay
-    // byte-identically.
-    let mut slo_rules = Vec::new();
-    for spec in &meta.slo {
-        slo_rules.push(pqos_telemetry::slo::parse_rule(spec).map_err(|e| {
-            ReplayError::Unsupported(format!("bad SLO rule {spec:?} in trace header: {e}"))
-        })?);
-    }
-    let slo_accum = if slo_rules.is_empty() {
-        None
-    } else {
-        Some(Arc::new(SloAccum::new(meta.slo_window_secs)))
-    };
-    let mut slo_engine = slo_accum.as_ref().map(|_| SloEngine::new(slo_rules));
-    let shards = meta.shards.max(1) as u32;
-    if shards > meta.cluster_size {
-        return Err(ReplayError::Unsupported(format!(
-            "trace claims {shards} shards over {} nodes — a shard must own at least one node",
-            meta.cluster_size
-        )));
-    }
-    let make_session = |nodes: u32,
-                        base: u32,
-                        seed: u64|
-     -> Result<
-        (
-            NegotiationSession<Box<dyn Predictor + Send + Sync>>,
-            SharedBuf,
-        ),
-        ReplayError,
-    > {
-        let buf = SharedBuf::new();
-        let mut builder = Telemetry::builder()
-            .flush_every(0)
-            .jsonl_writer(buf.clone());
-        if let Some(accum) = &slo_accum {
-            builder = builder.sink(Box::new(SloSink(Arc::clone(accum))));
-        }
-        let telemetry = builder.build();
-        let session = NegotiationSession::new(
-            SimConfig::paper_defaults().cluster_size_nodes(nodes),
-            make_predictor(seed, nodes)?,
-            telemetry,
-        )
-        .verify_parity(false)
-        .node_base(u64::from(base));
-        Ok((session, buf))
-    };
-    // Per-plane journal buffers, in the same order qosd merges its
-    // per-plane journal files (shard 0..N-1, then the coordinator).
+    // The same constructor the daemon ran, journaling each plane into a
+    // buffer; the buffers come back in the order qosd merges its
+    // per-plane journal files. Sessions skip the batched-vs-serial
+    // re-check: it journals nothing, and response parity is checked here.
     let mut journal_bufs: Vec<SharedBuf> = Vec::new();
-    let mut core = if shards == 1 {
-        let (session, buf) = make_session(meta.cluster_size, 0, 0xD5_2005)?;
-        journal_bufs.push(buf);
-        ShardedCore::single(session)
-    } else {
-        let mut sessions = Vec::with_capacity(shards as usize);
-        for (k, span) in partition_spans(meta.cluster_size, shards)
-            .iter()
-            .enumerate()
-        {
-            let (session, buf) = make_session(span.width, span.base, 0xD5_2005 ^ k as u64)?;
-            journal_bufs.push(buf);
-            sessions.push(session);
-        }
-        let wide_buf = SharedBuf::new();
-        let mut builder = Telemetry::builder()
-            .flush_every(0)
-            .jsonl_writer(wide_buf.clone());
-        if let Some(accum) = &slo_accum {
-            builder = builder.sink(Box::new(SloSink(Arc::clone(accum))));
-        }
-        let coordinator = builder.build();
-        journal_bufs.push(wide_buf);
-        ShardedCore::sharded(
-            sessions,
-            make_predictor(0xD5_2005, meta.cluster_size)?,
-            coordinator,
-            Telemetry::disabled(),
-        )
-    };
-    if let Some(secs) = meta.quote_horizon_secs {
-        core = core.quote_horizon(SimDuration::from_secs(secs));
+    let mut core = build_core(meta, false, Telemetry::disabled(), |_, builder| {
+        let buf = SharedBuf::new();
+        journal_bufs.push(buf.clone());
+        Ok(builder.flush_every(0).jsonl_writer(buf).build())
+    })?;
+    if opts.threads > 0 {
+        core = core.batch_threads(opts.threads);
     }
-    let threads = if opts.threads > 0 {
-        opts.threads
-    } else {
-        (meta.batch_threads as usize).max(1)
-    };
 
     let mut report = ReplayReport {
         entries_total: trace.entries.len(),
@@ -312,7 +204,7 @@ pub fn replay_with(
     };
 
     let mut idx = 0;
-    'epochs: while idx < trace.entries.len() {
+    while idx < trace.entries.len() && !report.shutdown_seen {
         let epoch = trace.entries[idx].epoch;
         if opts.until.is_some_and(|until| epoch > until) {
             break;
@@ -322,17 +214,15 @@ pub fn replay_with(
             end += 1;
         }
         let entries = &trace.entries[idx..end];
-        let tick = entries[0].tick_secs;
-        core.apply(&SessionOp::AdvanceTo(SimTime::from_secs(tick)), threads);
-        if let (Some(accum), Some(slo)) = (&slo_accum, slo_engine.as_mut()) {
-            for alert in slo.drain(accum, tick) {
-                core.alert_telemetry().emit(|| alert.clone());
-            }
-        }
+        let tick_secs = entries[0].tick_secs;
 
-        // Parse payloads and split out recorded queue-timeouts up front.
-        let mut parsed = Vec::with_capacity(entries.len());
-        for entry in entries {
+        // Parse payloads. Recorded queue-timeouts never reached the
+        // session, so they never enter the tick; `ran[k]` is the entry
+        // behind tick item `k`.
+        let mut items = Vec::with_capacity(entries.len());
+        let mut ran = Vec::with_capacity(entries.len());
+        let mut timed_out = Vec::new();
+        for (at, entry) in entries.iter().enumerate() {
             let bad = |detail: String| ReplayError::BadEntry {
                 seq: entry.seq,
                 detail,
@@ -348,134 +238,66 @@ pub fn replay_with(
             }
             let recorded = Response::parse(&entry.response)
                 .ok_or_else(|| bad("response does not parse".to_string()))?;
-            let timed_out = matches!(
-                recorded,
-                Response::Error {
-                    code: ErrorCode::Timeout,
-                    ..
-                }
-            );
-            parsed.push((entry, request, timed_out));
-        }
-
-        // Pass 1: the epoch's executed negotiates, as one batch with the
-        // recorded job ids (rejected negotiates consumed an id too).
-        let mut batch: Vec<(JobId, AdmissionRequest)> = Vec::new();
-        let mut batch_entries: Vec<&TraceEntry> = Vec::new();
-        for (entry, request, timed_out) in &parsed {
-            if *timed_out {
-                continue;
-            }
-            if let Request::Negotiate {
-                size, runtime_secs, ..
-            } = request
+            if let Response::Error {
+                code: ErrorCode::Timeout,
+                ..
+            } = recorded
             {
-                let Some(job) = entry.job else {
-                    return Err(ReplayError::BadEntry {
-                        seq: entry.seq,
-                        detail: "executed negotiate is missing its engine-assigned job id".into(),
-                    });
-                };
-                batch.push((
-                    JobId::new(job),
-                    AdmissionRequest {
-                        size: *size,
-                        runtime: SimDuration::from_secs(*runtime_secs),
-                    },
-                ));
-                batch_entries.push(entry);
-            }
-        }
-        if !batch.is_empty() {
-            let SessionOpOutcome::Quotes(decisions) =
-                core.apply(&SessionOp::QuoteBatch(batch.clone()), threads)
-            else {
-                unreachable!("QuoteBatch yields Quotes");
-            };
-            for ((entry, (job, _)), decision) in batch_entries.iter().zip(&batch).zip(decisions) {
-                let request_id = Request::parse(&entry.request).expect("parsed above").id();
-                let replayed = engine::quote_response(request_id, job.as_u64(), decision);
-                check_parity(opts, entry, &replayed, &mut report);
-            }
-        }
-
-        // Pass 2: everything else in arrival order.
-        for (entry, request, timed_out) in &parsed {
-            if *timed_out {
-                report.timeouts_honored += 1;
+                timed_out.push(at);
                 continue;
             }
-            let id = request.id();
-            let replayed = match request {
-                Request::Negotiate { .. } => continue, // replayed in pass 1
-                Request::Accept { job, .. } => {
-                    let SessionOpOutcome::Accepted(outcome) =
-                        core.apply(&SessionOp::Accept(JobId::new(*job)), threads)
-                    else {
-                        unreachable!("Accept yields Accepted");
-                    };
-                    engine::accept_outcome_response(id, &outcome)
-                }
-                Request::Cancel { job, .. } => {
-                    let SessionOpOutcome::Cancelled(outcome) =
-                        core.apply(&SessionOp::Cancel(JobId::new(*job)), threads)
-                    else {
-                        unreachable!("Cancel yields Cancelled");
-                    };
-                    engine::cancel_outcome_response(id, &outcome)
-                }
-                Request::Status { .. } | Request::Dump { .. } | Request::History { .. } => {
-                    report.skipped_nondeterministic += 1;
-                    continue;
-                }
-                Request::Shutdown { .. } => {
-                    let replayed = Response::Ok { id };
-                    check_parity(opts, entry, &replayed, &mut report);
-                    report.shutdown_seen = true;
-                    report.entries_replayed = parsed
-                        .iter()
-                        .position(|(e, _, _)| e.seq == entry.seq)
-                        .map_or(report.entries_replayed, |pos| {
-                            report.entries_replayed + pos + 1
-                        });
-                    report.epochs_replayed += 1;
-                    on_epoch(&EpochSummary {
-                        epoch,
-                        tick_secs: tick,
-                        entries: entries.len(),
-                        live_jobs: core.live_jobs(),
-                        mismatches: report.mismatches.len(),
-                    });
-                    break 'epochs;
-                }
-            };
-            check_parity(opts, entry, &replayed, &mut report);
+            // Rejected negotiates consumed an id too, so every executed
+            // one carries the id the engine assigned it.
+            if matches!(request, Request::Negotiate { .. }) && entry.job.is_none() {
+                return Err(bad(
+                    "executed negotiate is missing its engine-assigned job id".into(),
+                ));
+            }
+            items.push((request, entry.job));
+            ran.push(at);
         }
-        report.entries_replayed += entries.len();
+
+        let shutdown = core.tick(tick_secs, &items, |k, event| match event {
+            TickEvent::Reply { response, .. } => {
+                check_parity(opts, &entries[ran[k]], &response, &mut report);
+            }
+            TickEvent::WallClock(_) => report.skipped_nondeterministic += 1,
+            TickEvent::Batched | TickEvent::Refused(_) => {}
+        });
+        // A mid-epoch shutdown cuts the epoch (and the replay) short.
+        let stop = shutdown.map_or(entries.len(), |k| ran[k] + 1);
+        report.shutdown_seen = shutdown.is_some();
+        report.timeouts_honored += timed_out.iter().filter(|&&at| at < stop).count();
+        report.entries_replayed += stop;
         report.epochs_replayed += 1;
         on_epoch(&EpochSummary {
             epoch,
-            tick_secs: tick,
+            tick_secs,
             entries: entries.len(),
-            live_jobs: core.live_jobs(),
+            live_jobs: core.core().live_jobs(),
             mismatches: report.mismatches.len(),
         });
         idx = end;
     }
 
-    core.flush();
-    // One plane: its buffer IS the journal. Sharded: merge the per-plane
-    // buffers exactly as qosd merges its per-plane files, so the replayed
-    // journal is byte-comparable against the daemon's merged one.
-    let texts: Vec<String> = journal_bufs.iter().map(SharedBuf::take_string).collect();
-    report.journal = if texts.len() == 1 {
+    core.core().flush();
+    report.journal = merged_journal(&journal_bufs);
+    report.elapsed = started.elapsed();
+    Ok(report)
+}
+
+/// The journal a run's per-plane buffers add up to. One plane: its buffer
+/// IS the journal. Sharded: the planes merged exactly as qosd merges its
+/// per-plane files, so the result is byte-comparable against the daemon's
+/// merged journal.
+fn merged_journal(planes: &[SharedBuf]) -> String {
+    let texts: Vec<String> = planes.iter().map(SharedBuf::take_string).collect();
+    if texts.len() == 1 {
         texts.into_iter().next().unwrap_or_default()
     } else {
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
         pqos_telemetry::merge::merge_journals_to_string(&refs)
-    };
-    report.elapsed = started.elapsed();
-    Ok(report)
+    }
 }
 
 /// Records the replayed response and, when parity checking is on,
@@ -505,63 +327,137 @@ fn check_parity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{self as eng, EngineConfig, ReplySender};
-    use crate::flight::FlightRecorder;
+    use crate::engine::{spawn_core, EngineConfig, EngineHandle, ReplySender};
+    use crate::flight::{FlightRecorder, TraceCtx};
     use crate::record::TraceRecorder;
-    use std::time::Duration as StdDuration;
+    use pqos_telemetry::reqtrace::TraceMeta;
+    use std::sync::mpsc::Receiver;
+    use std::thread::JoinHandle;
+
+    /// One in-process engine run over the core `meta` describes, recorded
+    /// the way `pqos-qosd --record --journal` records a daemon: every
+    /// journal plane into a buffer, every answered request into a trace.
+    struct LiveRun {
+        handle: EngineHandle,
+        reply: ReplySender,
+        rx: Receiver<(Response, Option<TraceCtx>)>,
+        join: JoinHandle<()>,
+        trace: SharedBuf,
+        planes: Vec<SharedBuf>,
+    }
+
+    impl LiveRun {
+        fn start(meta: &TraceMeta) -> LiveRun {
+            let mut planes = Vec::new();
+            let core = build_core(meta, true, Telemetry::disabled(), |_, builder| {
+                let buf = SharedBuf::new();
+                planes.push(buf.clone());
+                Ok(builder.flush_every(0).jsonl_writer(buf).build())
+            })
+            .expect("meta describes a buildable core");
+            let config = EngineConfig {
+                time_scale: meta.time_scale,
+                batch_threads: meta.batch_threads as usize,
+                ..EngineConfig::default()
+            };
+            let trace = SharedBuf::new();
+            let recorder = TraceRecorder::to_writer(trace.clone(), meta).unwrap();
+            let (handle, join) = spawn_core(core, config, FlightRecorder::disabled(), recorder);
+            let (reply, rx) = ReplySender::channel();
+            LiveRun {
+                handle,
+                reply,
+                rx,
+                join,
+                trace,
+                planes,
+            }
+        }
+
+        fn send(&self, request: Request) {
+            self.handle
+                .submit(request, &self.reply, None, 1)
+                .expect("accepts");
+        }
+
+        fn recv(&self) -> Response {
+            self.rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("reply")
+                .0
+        }
+
+        fn ask(&self, request: Request) -> Response {
+            self.send(request);
+            self.recv()
+        }
+
+        /// Shuts the engine down and returns what it recorded: the request
+        /// trace and the journal (planes merged as qosd merges its files).
+        fn finish(self) -> (RequestTrace, String) {
+            assert_eq!(
+                self.ask(Request::Shutdown { id: 9_999 }),
+                Response::Ok { id: 9_999 }
+            );
+            self.join.join().unwrap();
+            let trace = RequestTrace::parse(&self.trace.take_string()).expect("trace parses");
+            (trace, merged_journal(&self.planes))
+        }
+    }
+
+    /// Replays a finished run and asserts the round trip: the shutdown is
+    /// reached, every response matches, the journal is byte-identical.
+    fn assert_round_trip(run: LiveRun) -> (RequestTrace, ReplayReport) {
+        let (trace, recorded_journal) = run.finish();
+        assert!(!recorded_journal.is_empty(), "the run journals");
+        let report = replay(&trace, &ReplayOptions::default()).expect("replayable");
+        assert!(report.shutdown_seen);
+        assert!(
+            report.is_parity_clean(),
+            "parity mismatches: {:#?}",
+            report.mismatches
+        );
+        assert_eq!(
+            report.journal, recorded_journal,
+            "replayed journal must be byte-identical"
+        );
+        (trace, report)
+    }
+
+    fn negotiate(id: u64, size: u32, runtime_secs: u64) -> Request {
+        Request::Negotiate {
+            id,
+            size,
+            runtime_secs,
+        }
+    }
+
+    fn quoted_job(response: Response) -> u64 {
+        match response {
+            Response::Quote { job, .. } => job,
+            other => panic!("expected quote, got {other:?}"),
+        }
+    }
 
     /// Records an in-process engine run, then replays it and asserts the
     /// round trip: byte-identical journal, 100% response parity.
     #[test]
     fn record_then_replay_round_trips() {
-        let trace_buf = SharedBuf::new();
-        let journal_buf = SharedBuf::new();
-        let meta = pqos_telemetry::reqtrace::TraceMeta {
-            version: pqos_telemetry::reqtrace::TRACE_FORMAT_VERSION,
-            source: "qosd".into(),
-            cluster_size: 16,
+        let run = LiveRun::start(&TraceMeta {
             time_scale: 2000.0,
             batch_threads: 2,
-            quote_horizon_secs: None,
-            predictor: "null".into(),
-            shards: 1,
-            slo: Vec::new(),
-            slo_window_secs: pqos_telemetry::slo::DEFAULT_WINDOW_SECS,
-        };
-        let telemetry = Telemetry::builder()
-            .flush_every(0)
-            .jsonl_writer(journal_buf.clone())
-            .build();
-        let session = NegotiationSession::new(
-            SimConfig::paper_defaults().cluster_size_nodes(16),
-            NullPredictor,
-            telemetry,
-        );
-        let config = EngineConfig {
-            time_scale: 2000.0,
-            batch_threads: 2,
-            ..EngineConfig::default()
-        };
-        let recorder = TraceRecorder::to_writer(trace_buf.clone(), &meta).unwrap();
-        let (handle, join) = eng::spawn(session, config, FlightRecorder::disabled(), recorder);
-        let (reply, rx) = ReplySender::channel();
-        let ask = |request: Request| {
-            handle.submit(request, &reply, None, 1).expect("accepts");
-            rx.recv_timeout(StdDuration::from_secs(5)).expect("reply").0
-        };
+            ..TraceMeta::qosd(16)
+        });
         let mut jobs = Vec::new();
         for k in 0..12u64 {
-            match ask(Request::Negotiate {
-                id: k,
-                size: 1 + (k % 5) as u32,
-                runtime_secs: 600 + 60 * k,
-            }) {
-                Response::Quote { job, .. } => jobs.push(job),
-                other => panic!("expected quote, got {other:?}"),
-            }
+            jobs.push(quoted_job(run.ask(negotiate(
+                k,
+                1 + (k % 5) as u32,
+                600 + 60 * k,
+            ))));
             // Spread requests across ticks so several epochs exist.
             if k % 4 == 3 {
-                std::thread::sleep(StdDuration::from_millis(5));
+                std::thread::sleep(Duration::from_millis(5));
             }
         }
         // Some accepts succeed, some lose their slot to an earlier accept
@@ -570,7 +466,7 @@ mod tests {
         let mut accepted_ok = 0;
         for &job in jobs.iter().take(6) {
             if matches!(
-                ask(Request::Accept { id: 100 + job, job }),
+                run.ask(Request::Accept { id: 100 + job, job }),
                 Response::Ok { .. }
             ) {
                 accepted_ok += 1;
@@ -579,43 +475,24 @@ mod tests {
         assert!(accepted_ok >= 1, "at least one accept lands");
         // A cancel on a merely-quoted job is an error reply; that too must
         // round-trip byte-for-byte.
-        ask(Request::Cancel {
+        run.ask(Request::Cancel {
             id: 200,
             job: jobs[6],
         });
         // An unknown job too: error responses must replay identically.
         assert!(matches!(
-            ask(Request::Cancel { id: 201, job: 9999 }),
+            run.ask(Request::Cancel { id: 201, job: 9999 }),
             Response::Error { .. }
         ));
         assert!(matches!(
-            ask(Request::Status { id: 300 }),
+            run.ask(Request::Status { id: 300 }),
             Response::Status { .. }
         ));
-        assert!(matches!(
-            ask(Request::Shutdown { id: 301 }),
-            Response::Ok { .. }
-        ));
-        join.join().unwrap();
-
-        let recorded_journal = journal_buf.take_string();
-        let trace = RequestTrace::parse(&trace_buf.take_string()).expect("recorded trace parses");
+        let (trace, report) = assert_round_trip(run);
         assert!(trace.entries.len() >= 16, "all answered requests recorded");
-
-        let report = replay(&trace, &ReplayOptions::default()).expect("replayable");
-        assert!(report.shutdown_seen);
         assert_eq!(report.skipped_nondeterministic, 1, "the status probe");
-        assert!(
-            report.is_parity_clean(),
-            "parity mismatches: {:#?}",
-            report.mismatches
-        );
         // 12 negotiates + 6 accepts + 2 cancels + 1 shutdown.
         assert_eq!(report.parity_checked, 21);
-        assert_eq!(
-            report.journal, recorded_journal,
-            "replayed journal must be byte-identical"
-        );
     }
 
     /// The SLO plane round trip: a live engine run with a tight
@@ -624,78 +501,33 @@ mod tests {
     /// the exact `slo_alert` lines, byte for byte.
     #[test]
     fn slo_alerts_record_then_replay_byte_identically() {
-        use pqos_telemetry::{AlertState, SloAccum, SloSink, TelemetryEvent};
-        let trace_buf = SharedBuf::new();
-        let journal_buf = SharedBuf::new();
-        let meta = pqos_telemetry::reqtrace::TraceMeta {
-            version: pqos_telemetry::reqtrace::TRACE_FORMAT_VERSION,
-            source: "qosd".into(),
-            cluster_size: 16,
+        use pqos_telemetry::{AlertState, TelemetryEvent};
+        let run = LiveRun::start(&TraceMeta {
             time_scale: 5000.0,
             batch_threads: 2,
-            quote_horizon_secs: None,
-            predictor: "null".into(),
-            shards: 1,
             slo: vec!["tight:rejects<=0@1".into()],
             slo_window_secs: 60,
-        };
-        let accum = Arc::new(SloAccum::new(60));
-        let telemetry = Telemetry::builder()
-            .flush_every(0)
-            .jsonl_writer(journal_buf.clone())
-            .sink(Box::new(SloSink(Arc::clone(&accum))))
-            .build();
-        let session = NegotiationSession::new(
-            SimConfig::paper_defaults().cluster_size_nodes(16),
-            NullPredictor,
-            telemetry,
-        );
-        let config = EngineConfig {
-            time_scale: 5000.0,
-            batch_threads: 2,
-            slo_rules: vec![pqos_telemetry::slo::parse_rule("tight:rejects<=0@1").unwrap()],
-            slo_accum: Some(accum),
-            ..EngineConfig::default()
-        };
-        let recorder = TraceRecorder::to_writer(trace_buf.clone(), &meta).unwrap();
-        let (handle, join) = eng::spawn(session, config, FlightRecorder::disabled(), recorder);
-        let (reply, rx) = ReplySender::channel();
-        let ask = |request: Request| {
-            handle.submit(request, &reply, None, 1).expect("accepts");
-            rx.recv_timeout(StdDuration::from_secs(5)).expect("reply").0
-        };
+            ..TraceMeta::qosd(16)
+        });
         // Wider than the cluster: journals a reject into the live window.
         assert!(matches!(
-            ask(Request::Negotiate {
-                id: 1,
-                size: 32,
-                runtime_secs: 600,
-            }),
+            run.ask(negotiate(1, 32, 600)),
             Response::Error { .. }
         ));
         // 30ms of wall time is 150 virtual seconds at this scale — more
         // than one 60s window, so the next tick must close the reject's
         // window and FIRE, and its own clean quote lands in a later one.
-        std::thread::sleep(StdDuration::from_millis(30));
+        std::thread::sleep(Duration::from_millis(30));
         assert!(matches!(
-            ask(Request::Negotiate {
-                id: 2,
-                size: 2,
-                runtime_secs: 600,
-            }),
+            run.ask(negotiate(2, 2, 600)),
             Response::Quote { .. }
         ));
         // Another window's worth of virtual time: the shutdown tick's
         // drain closes the clean window and RESOLVES before serving.
-        std::thread::sleep(StdDuration::from_millis(30));
-        assert!(matches!(
-            ask(Request::Shutdown { id: 3 }),
-            Response::Ok { .. }
-        ));
-        join.join().unwrap();
-
-        let recorded_journal = journal_buf.take_string();
-        let states: Vec<AlertState> = recorded_journal
+        std::thread::sleep(Duration::from_millis(30));
+        let (_, report) = assert_round_trip(run);
+        let states: Vec<AlertState> = report
+            .journal
             .lines()
             .filter_map(TelemetryEvent::from_jsonl)
             .filter_map(|e| match e {
@@ -708,92 +540,33 @@ mod tests {
             [AlertState::Fire, AlertState::Resolve],
             "the run journals one fire and one resolve"
         );
-
-        let trace = RequestTrace::parse(&trace_buf.take_string()).expect("recorded trace parses");
-        let report = replay(&trace, &ReplayOptions::default()).expect("replayable");
-        assert!(report.shutdown_seen);
-        assert!(
-            report.is_parity_clean(),
-            "parity mismatches: {:#?}",
-            report.mismatches
-        );
-        assert_eq!(
-            report.journal, recorded_journal,
-            "replayed journal (alerts included) must be byte-identical"
-        );
     }
 
-    /// Regression for engine tick coalescing: a cancel and a re-negotiate
-    /// for the same capacity racing into one tick are quoted in pass 1
-    /// (pre-cancel snapshot) and mutated in pass 2, so the fresh job can
-    /// never quote against a hole that no longer exists — and whichever
-    /// tick boundary the pair actually lands on, the accept must succeed
-    /// and the whole interleaving must replay byte-for-byte.
+    /// Engine tick coalescing end to end: a cancel and a re-negotiate for
+    /// the same capacity racing into the engine (one tick or two —
+    /// `tick::tests` pins the one-tick case exactly) always leave an
+    /// honorable quote, and the whole interleaving replays byte-for-byte.
     #[test]
     fn cancel_and_requote_interleaving_replays_clean() {
-        let trace_buf = SharedBuf::new();
-        let journal_buf = SharedBuf::new();
-        let meta = pqos_telemetry::reqtrace::TraceMeta {
-            version: pqos_telemetry::reqtrace::TRACE_FORMAT_VERSION,
-            source: "qosd".into(),
-            cluster_size: 4,
-            time_scale: 0.001,
-            batch_threads: 1,
-            quote_horizon_secs: None,
-            predictor: "null".into(),
-            shards: 1,
-            slo: Vec::new(),
-            slo_window_secs: pqos_telemetry::slo::DEFAULT_WINDOW_SECS,
-        };
-        let telemetry = Telemetry::builder()
-            .flush_every(0)
-            .jsonl_writer(journal_buf.clone())
-            .build();
-        let session = NegotiationSession::new(
-            SimConfig::paper_defaults().cluster_size_nodes(4),
-            NullPredictor,
-            telemetry,
-        );
         // Near-frozen virtual time: accepted-but-queued jobs never start,
         // so every cancel below targets a cancellable reservation.
-        let config = EngineConfig {
+        let run = LiveRun::start(&TraceMeta {
             time_scale: 0.001,
-            batch_threads: 1,
-            ..EngineConfig::default()
-        };
-        let recorder = TraceRecorder::to_writer(trace_buf.clone(), &meta).unwrap();
-        let (handle, join) = eng::spawn(session, config, FlightRecorder::disabled(), recorder);
-        let (reply, rx) = ReplySender::channel();
-        let recv = || rx.recv_timeout(StdDuration::from_secs(5)).expect("reply").0;
-        let ask = |request: Request| {
-            handle.submit(request, &reply, None, 1).expect("accepts");
-            recv()
-        };
+            ..TraceMeta::qosd(4)
+        });
         // C pins the whole cluster from t=0; everything below queues
         // behind it as a future reservation.
-        let Response::Quote { job: pin, .. } = ask(Request::Negotiate {
-            id: 0,
-            size: 4,
-            runtime_secs: 100_000,
-        }) else {
-            panic!("pin job must quote");
-        };
+        let pin = quoted_job(run.ask(negotiate(0, 4, 100_000)));
         assert!(matches!(
-            ask(Request::Accept { id: 1, job: pin }),
+            run.ask(Request::Accept { id: 1, job: pin }),
             Response::Ok { .. }
         ));
         let mut next_id = 10u64;
         for round in 0..8u64 {
             // Accept A behind the pin (and any earlier B backlog).
-            let Response::Quote { job: a, .. } = ask(Request::Negotiate {
-                id: next_id,
-                size: 4,
-                runtime_secs: 3600 + round,
-            }) else {
-                panic!("A must quote in round {round}");
-            };
+            let a = quoted_job(run.ask(negotiate(next_id, 4, 3600 + round)));
             assert!(matches!(
-                ask(Request::Accept {
+                run.ask(Request::Accept {
                     id: next_id + 1,
                     job: a
                 }),
@@ -802,40 +575,21 @@ mod tests {
             // Pipeline cancel(A) + negotiate(B) back-to-back so they tend
             // to coalesce into a single tick; the engine was idle, so both
             // usually drain into one batch.
-            handle
-                .submit(
-                    Request::Cancel {
-                        id: next_id + 2,
-                        job: a,
-                    },
-                    &reply,
-                    None,
-                    1,
-                )
-                .expect("accepts");
-            handle
-                .submit(
-                    Request::Negotiate {
-                        id: next_id + 3,
-                        size: 4,
-                        runtime_secs: 3600 + round,
-                    },
-                    &reply,
-                    None,
-                    1,
-                )
-                .expect("accepts");
-            let (r1, r2) = (recv(), recv());
-            let b = match (&r1, &r2) {
+            run.send(Request::Cancel {
+                id: next_id + 2,
+                job: a,
+            });
+            run.send(negotiate(next_id + 3, 4, 3600 + round));
+            let b = match (run.recv(), run.recv()) {
                 (Response::Ok { .. }, Response::Quote { job, .. })
-                | (Response::Quote { job, .. }, Response::Ok { .. }) => *job,
+                | (Response::Quote { job, .. }, Response::Ok { .. }) => job,
                 other => panic!("round {round}: cancel+requote got {other:?}"),
             };
             // Whether B was quoted against the pre- or post-cancel book,
             // the quote must be honorable once the cancel has landed.
             assert!(
                 matches!(
-                    ask(Request::Accept {
+                    run.ask(Request::Accept {
                         id: next_id + 4,
                         job: b
                     }),
@@ -845,76 +599,47 @@ mod tests {
             );
             next_id += 10;
         }
-        assert!(matches!(
-            ask(Request::Shutdown { id: 999 }),
-            Response::Ok { .. }
-        ));
-        join.join().unwrap();
-
-        let recorded_journal = journal_buf.take_string();
-        let trace = RequestTrace::parse(&trace_buf.take_string()).expect("recorded trace parses");
-        let report = replay(&trace, &ReplayOptions::default()).expect("replayable");
-        assert!(report.shutdown_seen);
+        let (_, report) = assert_round_trip(run);
         assert_eq!(report.skipped_nondeterministic, 0);
-        assert!(
-            report.is_parity_clean(),
-            "parity mismatches: {:#?}",
-            report.mismatches
-        );
         // 17 negotiates + 17 accepts + 8 cancels + 1 shutdown.
         assert_eq!(report.parity_checked, 43);
-        assert_eq!(
-            report.journal, recorded_journal,
-            "replayed journal must be byte-identical"
-        );
     }
 
     #[test]
     fn refuses_loadgen_and_unknown_predictor_traces() {
-        let mut meta = pqos_telemetry::reqtrace::TraceMeta {
-            version: pqos_telemetry::reqtrace::TRACE_FORMAT_VERSION,
+        let refusal = |meta: TraceMeta| {
+            let trace = RequestTrace {
+                meta,
+                entries: vec![],
+            };
+            let err = replay(&trace, &ReplayOptions::default()).unwrap_err();
+            assert!(matches!(err, ReplayError::Unsupported(_)), "{err}");
+            err.to_string()
+        };
+        let err = refusal(TraceMeta {
             source: "loadgen".into(),
-            cluster_size: 4,
-            time_scale: 1.0,
-            batch_threads: 1,
-            quote_horizon_secs: None,
-            predictor: "null".into(),
-            shards: 1,
-            slo: Vec::new(),
-            slo_window_secs: pqos_telemetry::slo::DEFAULT_WINDOW_SECS,
-        };
-        let trace = RequestTrace {
-            meta: meta.clone(),
-            entries: vec![],
-        };
-        let err = replay(&trace, &ReplayOptions::default()).unwrap_err();
-        assert!(matches!(err, ReplayError::Unsupported(_)), "{err}");
-        assert!(err.to_string().contains("qosd"), "{err}");
-
-        meta.source = "qosd".into();
-        meta.predictor = "crystal-ball".into();
-        let trace = RequestTrace {
-            meta,
-            entries: vec![],
-        };
-        let err = replay(&trace, &ReplayOptions::default()).unwrap_err();
-        assert!(err.to_string().contains("unknown predictor"), "{err}");
+            ..TraceMeta::qosd(4)
+        });
+        assert!(err.contains("qosd"), "{err}");
+        let err = refusal(TraceMeta {
+            predictor: "crystal-ball".into(),
+            ..TraceMeta::qosd(4)
+        });
+        assert!(err.contains("unknown predictor"), "{err}");
+        let err = refusal(TraceMeta {
+            shards: 5,
+            ..TraceMeta::qosd(4)
+        });
+        assert!(err.contains("5 shards over 4 nodes"), "{err}");
+        let err = refusal(TraceMeta {
+            slo: vec!["tight:rejects<=0@1".into(), "no-colon".into()],
+            ..TraceMeta::qosd(4)
+        });
+        assert!(err.contains("bad SLO rule \"no-colon\""), "{err}");
     }
 
     #[test]
     fn until_cuts_the_replay_short() {
-        let meta = pqos_telemetry::reqtrace::TraceMeta {
-            version: pqos_telemetry::reqtrace::TRACE_FORMAT_VERSION,
-            source: "qosd".into(),
-            cluster_size: 8,
-            time_scale: 1.0,
-            batch_threads: 1,
-            quote_horizon_secs: None,
-            predictor: "null".into(),
-            shards: 1,
-            slo: Vec::new(),
-            slo_window_secs: pqos_telemetry::slo::DEFAULT_WINDOW_SECS,
-        };
         let entry = |seq, epoch, tick, job: u64| TraceEntry {
             seq,
             epoch,
@@ -922,16 +647,11 @@ mod tests {
             conn: 1,
             verb: "negotiate".into(),
             job: Some(job),
-            request: Request::Negotiate {
-                id: seq,
-                size: 1,
-                runtime_secs: 60,
-            }
-            .encode(),
+            request: negotiate(seq, 1, 60).encode(),
             response: String::from("{\"id\":0,\"ok\":true}"),
         };
         let trace = RequestTrace {
-            meta,
+            meta: TraceMeta::qosd(8),
             entries: vec![entry(1, 1, 0, 1), entry(2, 2, 5, 2), entry(3, 3, 9, 3)],
         };
         let report = replay(
@@ -956,90 +676,31 @@ mod tests {
     /// merge of the live run's per-plane journals.
     #[test]
     fn sharded_record_then_replay_round_trips() {
-        use crate::shard::{partition_spans, ShardedCore};
-
-        let trace_buf = SharedBuf::new();
-        let meta = pqos_telemetry::reqtrace::TraceMeta {
-            version: pqos_telemetry::reqtrace::TRACE_FORMAT_VERSION,
-            source: "qosd".into(),
-            cluster_size: 16,
+        let run = LiveRun::start(&TraceMeta {
             time_scale: 2000.0,
             batch_threads: 2,
-            quote_horizon_secs: None,
-            predictor: "null".into(),
             shards: 4,
-            slo: Vec::new(),
-            slo_window_secs: pqos_telemetry::slo::DEFAULT_WINDOW_SECS,
-        };
-        // Build the live core exactly the way pqos-qosd --shards 4 does,
-        // except each plane journals to a buffer instead of a file.
-        let mut plane_bufs = Vec::new();
-        let mut sessions = Vec::new();
-        for span in partition_spans(16, 4) {
-            let buf = SharedBuf::new();
-            let telemetry = Telemetry::builder()
-                .flush_every(0)
-                .jsonl_writer(buf.clone())
-                .build();
-            plane_bufs.push(buf);
-            sessions.push(
-                NegotiationSession::new(
-                    SimConfig::paper_defaults().cluster_size_nodes(span.width),
-                    NullPredictor,
-                    telemetry,
-                )
-                .node_base(u64::from(span.base)),
-            );
-        }
-        let wide_buf = SharedBuf::new();
-        let coordinator = Telemetry::builder()
-            .flush_every(0)
-            .jsonl_writer(wide_buf.clone())
-            .build();
-        plane_bufs.push(wide_buf);
-        let core =
-            ShardedCore::sharded(sessions, NullPredictor, coordinator, Telemetry::disabled());
-        let config = EngineConfig {
-            time_scale: 2000.0,
-            batch_threads: 2,
-            ..EngineConfig::default()
-        };
-        let recorder = TraceRecorder::to_writer(trace_buf.clone(), &meta).unwrap();
-        let (handle, join) = eng::spawn_core(core, config, FlightRecorder::disabled(), recorder);
-        let (reply, rx) = ReplySender::channel();
-        let ask = |request: Request| {
-            handle.submit(request, &reply, None, 1).expect("accepts");
-            rx.recv_timeout(StdDuration::from_secs(5)).expect("reply").0
-        };
+            ..TraceMeta::qosd(16)
+        });
         let mut jobs = Vec::new();
         for k in 0..10u64 {
-            match ask(Request::Negotiate {
-                id: k,
-                // Each shard owns 4 nodes, so sizes 1-4 route narrow.
-                size: 1 + (k % 4) as u32,
-                runtime_secs: 600 + 60 * k,
-            }) {
-                Response::Quote { job, .. } => jobs.push(job),
-                other => panic!("expected quote, got {other:?}"),
-            }
+            // Each shard owns 4 nodes, so sizes 1-4 route narrow.
+            jobs.push(quoted_job(run.ask(negotiate(
+                k,
+                1 + (k % 4) as u32,
+                600 + 60 * k,
+            ))));
             if k % 3 == 2 {
-                std::thread::sleep(StdDuration::from_millis(5));
+                std::thread::sleep(Duration::from_millis(5));
             }
         }
         // One job wider than any shard: the coordinator negotiates it
         // against the merged view and reserves slices on several shards.
-        let wide = match ask(Request::Negotiate {
-            id: 50,
-            size: 10,
-            runtime_secs: 1200,
-        }) {
-            Response::Quote { job, .. } => job,
-            other => panic!("expected wide quote, got {other:?}"),
-        };
+        let wide = quoted_job(run.ask(negotiate(50, 10, 1200)));
         let mut accepted_ok = 0;
         for &job in jobs.iter().take(5).chain([&wide]) {
             if matches!(
-                ask(Request::Accept { id: 100 + job, job }),
+                run.ask(Request::Accept { id: 100 + job, job }),
                 Response::Ok { .. }
             ) {
                 accepted_ok += 1;
@@ -1047,42 +708,17 @@ mod tests {
         }
         assert!(accepted_ok >= 1, "at least one accept lands");
         // Cancel one narrow and the wide job so slice release journals too.
-        ask(Request::Cancel {
+        run.ask(Request::Cancel {
             id: 200,
             job: jobs[0],
         });
-        ask(Request::Cancel { id: 201, job: wide });
+        run.ask(Request::Cancel { id: 201, job: wide });
         assert!(matches!(
-            ask(Request::Status { id: 300 }),
+            run.ask(Request::Status { id: 300 }),
             Response::Status { .. }
         ));
-        assert!(matches!(
-            ask(Request::Shutdown { id: 301 }),
-            Response::Ok { .. }
-        ));
-        join.join().unwrap();
-
-        let plane_texts: Vec<String> = plane_bufs.iter().map(SharedBuf::take_string).collect();
-        let plane_refs: Vec<&str> = plane_texts.iter().map(String::as_str).collect();
-        let recorded_journal = pqos_telemetry::merge::merge_journals_to_string(&plane_refs);
-        assert!(
-            !recorded_journal.is_empty(),
-            "sharded run journals through its planes"
-        );
-
-        let trace = RequestTrace::parse(&trace_buf.take_string()).expect("recorded trace parses");
-        let report = replay(&trace, &ReplayOptions::default()).expect("replayable");
-        assert!(report.shutdown_seen);
-        assert!(
-            report.is_parity_clean(),
-            "parity mismatches: {:#?}",
-            report.mismatches
-        );
+        let (_, report) = assert_round_trip(run);
         // 11 negotiates + 6 accepts + 2 cancels + 1 shutdown.
         assert_eq!(report.parity_checked, 20);
-        assert_eq!(
-            report.journal, recorded_journal,
-            "replayed merged journal must be byte-identical"
-        );
     }
 }

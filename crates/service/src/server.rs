@@ -31,6 +31,7 @@ use crate::metrics_http;
 use crate::protocol::{ErrorCode, Request, Response};
 use crate::record::TraceRecorder;
 use crate::shard::ShardedCore;
+use crate::tick::EngineCore;
 use pqos_core::session::NegotiationSession;
 use pqos_net::{Ctx, EventLoop, NetConfig, NetEvent, Token};
 use pqos_predict::api::Predictor;
@@ -138,18 +139,20 @@ where
     serve_core(listener, ShardedCore::single(session), config)
 }
 
-/// [`serve`] over a (possibly sharded) admission core — `pqos-qosd
-/// --shards N` comes in here with an N-way core; the front end is
-/// identical either way.
+/// [`serve`] over an admission core — a bare (possibly sharded)
+/// [`ShardedCore`], or the [`EngineCore`] `pqos-qosd` gets from
+/// [`build_core`](crate::tick::build_core); the front end is identical
+/// either way.
 pub fn serve_core<P>(
     listener: TcpListener,
-    core: ShardedCore<P>,
+    core: impl Into<EngineCore<P>>,
     mut config: ServerConfig,
 ) -> std::io::Result<()>
 where
     P: Predictor + Send + Sync + 'static,
 {
-    let telemetry = core.telemetry().clone();
+    let core = core.into();
+    let telemetry = core.core().telemetry().clone();
     // The windowed health history: one store shared by the sampler
     // thread (below), the engine's `history` verb, and the `/history`
     // HTTP route.

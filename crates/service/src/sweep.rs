@@ -2,9 +2,9 @@
 //! daemons at increasing engine shard counts.
 //!
 //! `pqos-loadgen --shards 1,2,4` comes in here. For each count the sweep
-//! binds an ephemeral port, builds an N-way [`ShardedCore`] over the
-//! configured cluster (null predictor, registry-only telemetry — the
-//! point is admission throughput, not journal I/O), serves it on a
+//! binds an ephemeral port, builds an N-way core over the configured
+//! cluster with [`build_core`] (null predictor, registry-only telemetry —
+//! the point is admission throughput, not journal I/O), serves it on a
 //! background thread, and drives it with the caller's client profile,
 //! shutting each daemon down before the next point. Every point sees the
 //! identical request stream (same seed, same model), so the rows differ
@@ -19,10 +19,8 @@
 use crate::engine::EngineConfig;
 use crate::loadgen::{self, LoadgenConfig, LoadgenReport, ShardScalingRow};
 use crate::server::{serve_core, ServerConfig};
-use crate::shard::{partition_spans, ShardedCore};
-use pqos_core::config::SimConfig;
-use pqos_core::session::NegotiationSession;
-use pqos_predict::api::NullPredictor;
+use crate::tick::build_core;
+use pqos_telemetry::reqtrace::TraceMeta;
 use pqos_telemetry::Telemetry;
 use std::net::TcpListener;
 
@@ -59,8 +57,8 @@ impl Default for SweepConfig {
 /// # Errors
 ///
 /// Socket-level failures binding a daemon or running the client surface
-/// as `Err`; an individual daemon panicking surfaces as the client's
-/// connection error.
+/// as `Err`, as does a shard count the cluster cannot carry; an
+/// individual daemon panicking surfaces as the client's connection error.
 pub fn shard_sweep(client: &LoadgenConfig, sweep: &SweepConfig) -> std::io::Result<LoadgenReport> {
     assert!(
         !sweep.shard_counts.is_empty(),
@@ -71,7 +69,16 @@ pub fn shard_sweep(client: &LoadgenConfig, sweep: &SweepConfig) -> std::io::Resu
     for &shards in &sweep.shard_counts {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let core = build_core(sweep.cluster_size, shards);
+        // Null predictor, registry-only telemetry (no journal sinks) and
+        // no parity re-check: the sweep measures admission work, not disk.
+        let meta = TraceMeta {
+            shards: u64::from(shards),
+            ..TraceMeta::qosd(sweep.cluster_size)
+        };
+        let core = build_core(&meta, false, Telemetry::builder().build(), |_, plane| {
+            Ok(plane.build())
+        })
+        .map_err(std::io::Error::other)?;
         let engine = sweep.engine.clone();
         let server =
             std::thread::spawn(move || serve_core(listener, core, ServerConfig::from(engine)));
@@ -107,34 +114,6 @@ pub fn shard_sweep(client: &LoadgenConfig, sweep: &SweepConfig) -> std::io::Resu
     let mut report = base_report.expect("at least one sweep point ran");
     report.shard_scaling = rows;
     Ok(report)
-}
-
-/// Builds the admission core for one sweep point: `shards` single-writer
-/// planes carving up `cluster` nodes, or the plain single plane when
-/// `shards` is 1. Telemetry is registry-only — no journal sinks — so the
-/// sweep measures admission work, not disk.
-fn build_core(cluster: u32, shards: u32) -> ShardedCore<NullPredictor> {
-    let session = |nodes: u32, base: u32| {
-        NegotiationSession::new(
-            SimConfig::paper_defaults().cluster_size_nodes(nodes),
-            NullPredictor,
-            Telemetry::builder().build(),
-        )
-        .node_base(u64::from(base))
-    };
-    if shards <= 1 {
-        return ShardedCore::single(session(cluster, 0));
-    }
-    let sessions = partition_spans(cluster, shards)
-        .into_iter()
-        .map(|span| session(span.width, span.base))
-        .collect();
-    ShardedCore::sharded(
-        sessions,
-        NullPredictor,
-        Telemetry::builder().build(),
-        Telemetry::builder().build(),
-    )
 }
 
 #[cfg(test)]

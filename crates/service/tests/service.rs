@@ -67,7 +67,6 @@ fn start_daemon_full(
     let config = ServerConfig {
         engine: EngineConfig {
             time_scale,
-            verify_parity: true,
             ..EngineConfig::default()
         },
         metrics,

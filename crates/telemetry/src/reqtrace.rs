@@ -62,6 +62,25 @@ pub struct TraceMeta {
 }
 
 impl TraceMeta {
+    /// The header of a plain engine-side recording over `cluster_size`
+    /// nodes: one shard, null predictor, real-time clock, serial quoting,
+    /// no horizon, no SLO rules. Callers override what differs with
+    /// struct-update syntax.
+    pub fn qosd(cluster_size: u32) -> Self {
+        TraceMeta {
+            version: TRACE_FORMAT_VERSION,
+            source: "qosd".into(),
+            cluster_size,
+            time_scale: 1.0,
+            batch_threads: 1,
+            quote_horizon_secs: None,
+            predictor: "null".into(),
+            shards: 1,
+            slo: Vec::new(),
+            slo_window_secs: crate::slo::DEFAULT_WINDOW_SECS,
+        }
+    }
+
     /// Encodes the meta header as one JSON line (no trailing newline).
     pub fn encode(&self) -> String {
         let mut w = ObjWriter::new();
@@ -367,16 +386,10 @@ mod tests {
 
     fn meta() -> TraceMeta {
         TraceMeta {
-            version: TRACE_FORMAT_VERSION,
-            source: "qosd".into(),
-            cluster_size: 64,
             time_scale: 50_000.0,
             batch_threads: 4,
             quote_horizon_secs: Some(14_400),
-            predictor: "null".into(),
-            shards: 1,
-            slo: Vec::new(),
-            slo_window_secs: crate::slo::DEFAULT_WINDOW_SECS,
+            ..TraceMeta::qosd(64)
         }
     }
 
