@@ -21,8 +21,13 @@
 //!
 //! let cluster = Cluster::new(128);
 //! let free = cluster.free_nodes();
-//! let candidates = Topology::Flat.candidate_partitions(&free, 32);
-//! assert_eq!(candidates.len(), 128 - 32 + 1);
+//! // Candidates are walked lazily, as windows borrowed from the free list;
+//! // a scheduler that takes the first one builds nothing for the rest.
+//! let mut candidates = Topology::Flat.candidates(&free, 32);
+//! assert_eq!(&*candidates.next().unwrap(), &free[..32]);
+//! assert_eq!(candidates.count(), 128 - 32);
+//! // The eager form collects the same walk into partitions.
+//! assert_eq!(Topology::Flat.candidate_partitions(&free, 32).len(), 128 - 32 + 1);
 //! ```
 
 #![forbid(unsafe_code)]

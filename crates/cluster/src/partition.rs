@@ -56,6 +56,36 @@ impl Partition {
         }
     }
 
+    /// Wraps nodes that are already strictly ascending (sorted and
+    /// duplicate-free) without re-sorting them — the placement hot path
+    /// hands over a window of a sorted free list, which is already both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is empty; debug builds also panic if it is not
+    /// strictly ascending. Use [`Partition::new`] for arbitrary input.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pqos_cluster::node::NodeId;
+    /// use pqos_cluster::partition::Partition;
+    ///
+    /// let nodes = vec![NodeId::new(1), NodeId::new(4)];
+    /// assert_eq!(
+    ///     Partition::from_sorted(nodes.clone()),
+    ///     Partition::new(nodes).unwrap()
+    /// );
+    /// ```
+    pub fn from_sorted(nodes: Vec<NodeId>) -> Self {
+        assert!(!nodes.is_empty(), "partition must be non-empty");
+        debug_assert!(
+            nodes.windows(2).all(|w| w[0] < w[1]),
+            "from_sorted needs strictly ascending nodes"
+        );
+        Partition { nodes }
+    }
+
     /// A partition covering the contiguous index range `[start, start + len)`.
     ///
     /// # Panics
@@ -156,6 +186,37 @@ mod tests {
     fn empty_is_an_error() {
         assert_eq!(Partition::new([]), Err(EmptyPartitionError));
         assert!(!EmptyPartitionError.to_string().is_empty());
+    }
+
+    #[test]
+    fn from_sorted_equals_new_on_sorted_input() {
+        for nodes in [vec![7], vec![0, 1, 2], vec![3, 9, 4000]] {
+            let nodes: Vec<NodeId> = nodes.into_iter().map(NodeId::new).collect();
+            assert_eq!(
+                Partition::from_sorted(nodes.clone()),
+                Partition::new(nodes).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty")]
+    fn from_sorted_rejects_empty_input() {
+        let _ = Partition::from_sorted(Vec::new());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_sorted_rejects_unsorted_input() {
+        let _ = Partition::from_sorted(vec![NodeId::new(2), NodeId::new(1)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_sorted_rejects_duplicated_input() {
+        let _ = Partition::from_sorted(vec![NodeId::new(1), NodeId::new(1)]);
     }
 
     #[test]

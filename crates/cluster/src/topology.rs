@@ -7,6 +7,7 @@
 
 use crate::node::NodeId;
 use crate::partition::Partition;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Connectivity model of the cluster.
@@ -96,42 +97,105 @@ impl Topology {
         }
     }
 
-    /// Enumerates candidate partitions of `size` nodes drawn from the sorted
-    /// free list, respecting the topology constraint.
+    /// Walks the candidate node sets of `size` nodes drawn from the sorted
+    /// free list, respecting the topology constraint, without building
+    /// them: a caller that stops at the first acceptable candidate pays
+    /// only for the candidates it looked at.
     ///
     /// For [`Topology::Flat`] the candidates are sliding windows over the
     /// sorted free list — a linear-size candidate set that still offers the
-    /// scheduler genuinely different failure exposures to choose among. For
-    /// [`Topology::Line`] only windows that are contiguous in node index are
-    /// returned.
+    /// scheduler genuinely different failure exposures to choose among —
+    /// borrowed straight from `free_sorted`. For [`Topology::Line`] only
+    /// windows that are contiguous in node index are yielded. For
+    /// [`Topology::Torus3d`] every all-free axis-aligned box is yielded as
+    /// an owned node list (the boxes are enumerated up front; there is no
+    /// free list to borrow them from). Every candidate is strictly
+    /// ascending.
     ///
-    /// Returns an empty vector when fewer than `size` nodes are free or
-    /// `size == 0`.
-    pub fn candidate_partitions(self, free_sorted: &[NodeId], size: usize) -> Vec<Partition> {
+    /// Yields nothing when fewer than `size` nodes are free or `size == 0`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pqos_cluster::node::NodeId;
+    /// use pqos_cluster::topology::Topology;
+    ///
+    /// let free: Vec<NodeId> = [0, 1, 3, 4].into_iter().map(NodeId::new).collect();
+    /// let first = Topology::Line.candidates(&free, 2).next().unwrap();
+    /// assert_eq!(&*first, &free[..2]);
+    /// assert_eq!(Topology::Line.candidates(&free, 2).count(), 2); // (1,3) has a gap
+    /// ```
+    pub fn candidates(self, free_sorted: &[NodeId], size: usize) -> Candidates<'_> {
         if size == 0 || free_sorted.len() < size {
-            return Vec::new();
+            return Candidates(Walk::Windows {
+                windows: [].windows(1),
+                contiguous_only: false,
+            });
         }
         debug_assert!(
             free_sorted.windows(2).all(|w| w[0] < w[1]),
             "free list must be sorted"
         );
-        if let Topology::Torus3d { x, y, z } = self {
-            return torus_boxes(free_sorted, size, u32::from(x), u32::from(y), u32::from(z));
-        }
-        let mut out = Vec::new();
-        for window in free_sorted.windows(size) {
-            let contiguous = window[size - 1].as_u32() - window[0].as_u32() == (size - 1) as u32;
-            if matches!(self, Topology::Line) && !contiguous {
-                continue;
-            }
-            out.push(Partition::new(window.iter().copied()).expect("window is non-empty"));
-        }
-        out
+        Candidates(match self {
+            Topology::Flat | Topology::Line => Walk::Windows {
+                windows: free_sorted.windows(size),
+                contiguous_only: matches!(self, Topology::Line),
+            },
+            Topology::Torus3d { x, y, z } => Walk::Boxes(
+                torus_boxes(free_sorted, size, u32::from(x), u32::from(y), u32::from(z))
+                    .into_iter(),
+            ),
+        })
+    }
+
+    /// [`Topology::candidates`] collected into partitions, in the same
+    /// order.
+    ///
+    /// Returns an empty vector when fewer than `size` nodes are free or
+    /// `size == 0`.
+    pub fn candidate_partitions(self, free_sorted: &[NodeId], size: usize) -> Vec<Partition> {
+        self.candidates(free_sorted, size)
+            .map(|nodes| Partition::from_sorted(nodes.into_owned()))
+            .collect()
     }
 }
 
-/// Enumerates every all-free axis-aligned box of exactly `size` nodes.
-fn torus_boxes(free_sorted: &[NodeId], size: usize, x: u32, y: u32, z: u32) -> Vec<Partition> {
+/// Lazy walk over a topology's candidate node sets; see
+/// [`Topology::candidates`].
+#[derive(Debug)]
+pub struct Candidates<'a>(Walk<'a>);
+
+#[derive(Debug)]
+enum Walk<'a> {
+    Windows {
+        windows: std::slice::Windows<'a, NodeId>,
+        contiguous_only: bool,
+    },
+    Boxes(std::vec::IntoIter<Vec<NodeId>>),
+}
+
+impl<'a> Iterator for Candidates<'a> {
+    type Item = Cow<'a, [NodeId]>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match &mut self.0 {
+            Walk::Windows {
+                windows,
+                contiguous_only,
+            } => windows
+                .find(|w| {
+                    !*contiguous_only
+                        || (w[w.len() - 1].as_u32() - w[0].as_u32()) as usize == w.len() - 1
+                })
+                .map(Cow::Borrowed),
+            Walk::Boxes(boxes) => boxes.next().map(Cow::Owned),
+        }
+    }
+}
+
+/// Enumerates every all-free axis-aligned box of exactly `size` nodes,
+/// each as a strictly ascending node list.
+fn torus_boxes(free_sorted: &[NodeId], size: usize, x: u32, y: u32, z: u32) -> Vec<Vec<NodeId>> {
     let machine = (x * y * z) as usize;
     let mut free = vec![false; machine];
     for n in free_sorted {
@@ -169,7 +233,7 @@ fn torus_boxes(free_sorted: &[NodeId], size: usize, x: u32, y: u32, z: u32) -> V
                                 }
                             }
                         }
-                        out.push(Partition::new(nodes).expect("box is non-empty"));
+                        out.push(nodes);
                     }
                 }
             }
@@ -226,6 +290,16 @@ mod tests {
         assert_eq!(cands.len(), 3);
         for c in &cands {
             assert!(Topology::Line.is_valid_partition(c));
+        }
+    }
+
+    #[test]
+    fn window_candidates_borrow_from_the_free_list() {
+        let free = ids(&[0, 1, 3, 4, 5]);
+        for topology in [Topology::Flat, Topology::Line] {
+            let mut walk = topology.candidates(&free, 2);
+            assert!(matches!(walk.next(), Some(Cow::Borrowed(w)) if w == &free[..2]));
+            assert!(walk.all(|c| matches!(c, Cow::Borrowed(_))));
         }
     }
 

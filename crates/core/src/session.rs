@@ -363,6 +363,10 @@ pub struct NegotiationSession<P> {
     telemetry: Telemetry,
     now: SimTime,
     jobs: HashMap<JobId, SessionJob>,
+    /// How many of `jobs` are quoted, accepted or running, kept in step at
+    /// every phase transition so [`Self::live_jobs`] need not walk a table
+    /// that never forgets a job.
+    live: usize,
     /// Pending lifecycle instants: (time, order-class, job). Order-class 0
     /// = completion, 1 = start, so completions at an instant free their
     /// nodes before same-instant starts claim theirs (the journal
@@ -394,6 +398,7 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
             telemetry,
             now: SimTime::ZERO,
             jobs: HashMap::new(),
+            live: 0,
             timers: BTreeSet::new(),
             stats: SessionStats::default(),
             promises: PromiseTally::default(),
@@ -500,15 +505,20 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
     /// jobs are excluded; expired quotes were dropped entirely (they show
     /// up in [`SessionStats::expired`]).
     pub fn live_jobs(&self) -> usize {
-        self.jobs
-            .values()
-            .filter(|j| {
-                matches!(
-                    j.phase,
-                    JobPhase::Quoted | JobPhase::Accepted | JobPhase::Running
-                )
-            })
-            .count()
+        debug_assert_eq!(
+            self.live,
+            self.jobs
+                .values()
+                .filter(|j| {
+                    matches!(
+                        j.phase,
+                        JobPhase::Quoted | JobPhase::Accepted | JobPhase::Running
+                    )
+                })
+                .count(),
+            "live counter drifted from the job table"
+        );
+        self.live
     }
 
     /// Advances virtual time to `to` (monotone; earlier instants are
@@ -730,6 +740,7 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
         let held = job.quote.clone();
         if self.now >= held.quote.deadline {
             self.jobs.remove(&id);
+            self.live -= 1;
             self.stats.expired += 1;
             return Err(AcceptError::QuoteExpired);
         }
@@ -738,6 +749,7 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
             Ok(r) => r,
             Err(_) => {
                 self.jobs.remove(&id);
+                self.live -= 1;
                 self.stats.expired += 1;
                 return Err(AcceptError::QuoteExpired);
             }
@@ -793,6 +805,7 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
         let job = self.jobs.get_mut(&id).expect("present");
         let was_accepted = job.phase == JobPhase::Accepted;
         job.phase = JobPhase::Cancelled;
+        self.live -= 1;
         if let Some(reservation) = job.reservation.take() {
             self.book.remove(reservation);
         }
@@ -937,7 +950,7 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
             self.stats.rejected += 1;
             return QuoteDecision::Rejected;
         }
-        self.jobs.insert(
+        let requoted = self.jobs.insert(
             id,
             SessionJob {
                 phase: JobPhase::Quoted,
@@ -945,6 +958,10 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
                 reservation: None,
             },
         );
+        // A re-quote replaces a held quote that was already counted.
+        if requoted.is_none() {
+            self.live += 1;
+        }
         self.stats.quoted += 1;
         QuoteDecision::Quoted(held)
     }
@@ -1032,6 +1049,7 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
             return;
         }
         job.phase = JobPhase::Done;
+        self.live -= 1;
         let met_deadline = at <= job.quote.deadline;
         if let Some(reservation) = job.reservation.take() {
             self.book.remove(reservation);
@@ -1181,6 +1199,7 @@ mod tests {
         s.accept(JobId::new(1)).unwrap();
         assert_eq!(s.accept(JobId::new(2)), Err(AcceptError::QuoteExpired));
         assert_eq!(s.status().stats.expired, 1);
+        assert_eq!(s.live_jobs(), 1, "the expired quote is no longer live");
         // The loser renegotiates and lands behind the winner.
         let QuoteDecision::Quoted(held) = quote_one(&mut s, 2, 4, 3600) else {
             panic!("renegotiation must quote");
@@ -1287,7 +1306,9 @@ mod tests {
             panic!();
         };
         s.advance_to(held.quote.deadline + SimDuration::from_secs(1));
+        assert_eq!(s.live_jobs(), 1, "a held quote is live until it is refused");
         assert_eq!(s.accept(JobId::new(1)), Err(AcceptError::QuoteExpired));
+        assert_eq!(s.live_jobs(), 0);
     }
 
     #[test]
@@ -1381,6 +1402,8 @@ mod tests {
             1,
         );
         assert_eq!(s.live_jobs(), 2, "held quotes are live");
+        s.quote_batch(&[(JobId::new(2), req(2, 900))], 1);
+        assert_eq!(s.live_jobs(), 2, "a re-quote replaces, it does not add");
         s.accept(JobId::new(1)).unwrap();
         s.cancel(JobId::new(2)).unwrap();
         assert_eq!(s.live_jobs(), 1, "cancellation retires a job");

@@ -59,7 +59,7 @@ fn priority(event: &Event) -> u8 {
         Event::NodeFailure { .. } => 1,
         Event::CheckpointFinish { .. } => 2,
         Event::NodeRecovery { .. } => 3,
-        Event::Arrival(_) => 4,
+        Event::Arrival { .. } => 4,
         Event::CheckpointRequest { .. } => 5,
         Event::Start { .. } => 6,
     }
@@ -82,7 +82,7 @@ pub struct SimOutput {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    Arrival(JobId),
+    Arrival { index: usize },
     Start { job: JobId, epoch: u32 },
     CheckpointRequest { job: JobId, epoch: u32 },
     CheckpointFinish { job: JobId, epoch: u32 },
@@ -127,7 +127,7 @@ impl DispatchProfiler {
     /// histogram when dropped (i.e. when the dispatch returns).
     fn timer(&self, event: &Event) -> Timer {
         let hist = match event {
-            Event::Arrival(_) => &self.arrival,
+            Event::Arrival { .. } => &self.arrival,
             Event::Start { .. } => &self.start,
             Event::CheckpointRequest { .. } => &self.ckpt_request,
             Event::CheckpointFinish { .. } => &self.ckpt_finish,
@@ -334,8 +334,9 @@ impl QosSimulator {
         for (time, index) in failure_schedule {
             self.push_event(time, Event::NodeFailure { index });
         }
-        for job in self.arrival_order.clone() {
-            self.push_event(job.arrival(), Event::Arrival(job.id()));
+        for index in 0..self.arrival_order.len() {
+            let arrival = self.arrival_order[index].arrival();
+            self.push_event(arrival, Event::Arrival { index });
         }
         while let Some((now, event)) = self.events.pop() {
             let timer = self.profiler.timer(&event);
@@ -354,7 +355,7 @@ impl QosSimulator {
 
     fn dispatch(&mut self, now: SimTime, event: Event) {
         match event {
-            Event::Arrival(job) => self.on_arrival(now, job),
+            Event::Arrival { index } => self.on_arrival(now, index),
             Event::Start { job, epoch } => self.on_start(now, job, epoch),
             Event::CheckpointRequest { job, epoch } => self.on_ckpt_request(now, job, epoch),
             Event::CheckpointFinish { job, epoch } => self.on_ckpt_finish(now, job, epoch),
@@ -380,12 +381,12 @@ impl QosSimulator {
         (down, horizon)
     }
 
-    fn on_arrival(&mut self, now: SimTime, id: JobId) {
+    fn on_arrival(&mut self, now: SimTime, index: usize) {
         let job = *self
             .arrival_order
-            .iter()
-            .find(|j| j.id() == id)
+            .get(index)
             .expect("arrival for unknown job");
+        let id = job.id();
         self.telemetry.counter("jobs.submitted").inc();
         self.telemetry.emit(|| TelemetryEvent::JobSubmitted {
             at: now,

@@ -6,6 +6,12 @@
 //! the topology's sliding windows over the free list plus a greedy
 //! "safest-nodes" candidate (flat topology only), ranked by per-node
 //! predicted failure probability.
+//!
+//! The windows are walked lazily and borrowed from the free list; the
+//! walk stops at the first one that predicts clean, the greedy candidate
+//! is built only when none did, and one [`Partition`] is materialised, for
+//! the winner. Cost is therefore proportional to the candidates actually
+//! scored, not to the candidates that exist.
 
 use pqos_cluster::node::NodeId;
 use pqos_cluster::partition::Partition;
@@ -143,66 +149,61 @@ fn choose_partition_inner<P: Predictor>(
     strategy: PlacementStrategy,
 ) -> (Option<PlacementChoice>, PlacementProbe) {
     let mut probe = PlacementProbe::default();
-    if size == 0 || free.len() < size as usize {
-        return (None, probe);
-    }
-    let mut candidates = topology.candidate_partitions(free, size as usize);
-    if candidates.is_empty() {
-        return (None, probe);
-    }
-    match strategy {
-        PlacementStrategy::FirstFit => {
-            let partition = candidates.swap_remove(0);
-            let pf = predictor.failure_probability(partition.as_slice(), window);
-            probe.candidates_examined = 1;
-            (
-                Some(PlacementChoice {
-                    partition,
-                    failure_probability: pf,
-                }),
-                probe,
-            )
-        }
-        PlacementStrategy::MinFailureProbability => {
-            if matches!(topology, Topology::Flat) {
-                if let Some(greedy) = greedy_safest(free, size as usize, window, predictor) {
-                    candidates.push(greedy);
-                }
+    let size = size as usize;
+    let fault_aware = strategy == PlacementStrategy::MinFailureProbability;
+    // First fit scores the first candidate only; the fault-aware walk
+    // scores candidates until one predicts clean. Either way the windows
+    // are borrowed from `free`: no `Partition` is built for the losers.
+    let walk_limit = if fault_aware { usize::MAX } else { 1 };
+    let mut best = None;
+    for nodes in topology.candidates(free, size).take(walk_limit) {
+        let pf = predictor.failure_probability(&nodes, window);
+        probe.candidates_examined += 1;
+        if best.as_ref().is_none_or(|&(_, least)| pf < least) {
+            best = Some((nodes, pf));
+            if pf == 0.0 {
+                // Cannot do better than a clean partition; earlier
+                // candidates (lower node ids) win ties.
+                break;
             }
-            let mut best: Option<PlacementChoice> = None;
-            for partition in candidates {
-                let pf = predictor.failure_probability(partition.as_slice(), window);
-                probe.candidates_examined += 1;
-                let better = match &best {
-                    None => true,
-                    Some(b) => pf < b.failure_probability,
-                };
-                if better {
-                    let done = pf == 0.0;
-                    best = Some(PlacementChoice {
-                        partition,
-                        failure_probability: pf,
-                    });
-                    if done {
-                        // Cannot do better than a clean partition; earlier
-                        // candidates (lower node ids) win ties.
-                        break;
-                    }
-                }
-            }
-            probe.clean_tie_break = best.as_ref().is_some_and(|b| b.failure_probability == 0.0);
-            (best, probe)
         }
     }
+    let Some((nodes, mut pf)) = best else {
+        return (None, probe);
+    };
+    // The greedy candidate is scored last and only when no window was
+    // clean; strict `<` keeps the windows winning ties against it.
+    let mut greedy_winner = None;
+    if fault_aware && pf != 0.0 && matches!(topology, Topology::Flat) {
+        let greedy = greedy_safest(free, size, window, predictor);
+        let greedy_pf = predictor.failure_probability(greedy.as_slice(), window);
+        probe.candidates_examined += 1;
+        if greedy_pf < pf {
+            pf = greedy_pf;
+            greedy_winner = Some(greedy);
+        }
+    }
+    probe.clean_tie_break = fault_aware && pf == 0.0;
+    let partition = greedy_winner.unwrap_or_else(|| Partition::from_sorted(nodes.into_owned()));
+    (
+        Some(PlacementChoice {
+            partition,
+            failure_probability: pf,
+        }),
+        probe,
+    )
 }
 
 /// The `size` individually-safest free nodes (flat topology only).
+///
+/// `size` is at least 1 and at most `free.len()`: the caller has already
+/// found a window of that many nodes.
 fn greedy_safest<P: Predictor>(
     free: &[NodeId],
     size: usize,
     window: TimeWindow,
     predictor: &P,
-) -> Option<Partition> {
+) -> Partition {
     let mut scored: Vec<(f64, NodeId)> = free
         .iter()
         .map(|&n| (predictor.node_failure_probability(n, window), n))
@@ -213,7 +214,8 @@ fn greedy_safest<P: Predictor>(
             .expect("probability is not NaN")
             .then(a.1.cmp(&b.1))
     });
-    Partition::new(scored.into_iter().take(size).map(|(_, n)| n)).ok()
+    Partition::new(scored.into_iter().take(size).map(|(_, n)| n))
+        .expect("a window of `size` >= 1 nodes was found")
 }
 
 #[cfg(test)]
@@ -222,7 +224,10 @@ mod tests {
     use pqos_failures::trace::{Failure, FailureTrace};
     use pqos_predict::api::NullPredictor;
     use pqos_predict::oracle::TraceOracle;
+    use pqos_sim_core::rng::DetRng;
     use pqos_sim_core::time::SimTime;
+    use std::cell::Cell;
+    use std::cmp::Ordering;
     use std::sync::Arc;
 
     fn ids(v: &[u32]) -> Vec<NodeId> {
@@ -458,5 +463,218 @@ mod tests {
         .unwrap();
         assert_eq!(choice.partition.as_slice(), &ids(&[0, 1])[..]);
         assert_eq!(choice.failure_probability, 0.0);
+    }
+
+    /// The eager algorithm the lazy walk replaced, kept as its oracle:
+    /// materialise every candidate as a `Partition`, append the greedy
+    /// one, then scan. Also reports how the greedy candidate compared
+    /// with the best window when the scan reached it.
+    fn eager_reference<P: Predictor>(
+        topology: Topology,
+        free: &[NodeId],
+        size: u32,
+        window: TimeWindow,
+        predictor: &P,
+        strategy: PlacementStrategy,
+    ) -> (Option<PlacementChoice>, PlacementProbe, Option<Ordering>) {
+        let mut probe = PlacementProbe::default();
+        if size == 0 || free.len() < size as usize {
+            return (None, probe, None);
+        }
+        let mut candidates = topology.candidate_partitions(free, size as usize);
+        if candidates.is_empty() {
+            return (None, probe, None);
+        }
+        if strategy == PlacementStrategy::FirstFit {
+            let partition = candidates.swap_remove(0);
+            let failure_probability = predictor.failure_probability(partition.as_slice(), window);
+            probe.candidates_examined = 1;
+            let choice = PlacementChoice {
+                partition,
+                failure_probability,
+            };
+            return (Some(choice), probe, None);
+        }
+        let windows = candidates.len();
+        if matches!(topology, Topology::Flat) {
+            candidates.push(greedy_safest(free, size as usize, window, predictor));
+        }
+        let mut best: Option<PlacementChoice> = None;
+        let mut greedy_vs_windows = None;
+        for (i, partition) in candidates.into_iter().enumerate() {
+            let pf = predictor.failure_probability(partition.as_slice(), window);
+            probe.candidates_examined += 1;
+            if i == windows {
+                let least = best.as_ref().expect("a window was scored");
+                greedy_vs_windows = pf.partial_cmp(&least.failure_probability);
+            }
+            if best.as_ref().is_none_or(|b| pf < b.failure_probability) {
+                best = Some(PlacementChoice {
+                    partition,
+                    failure_probability: pf,
+                });
+                if pf == 0.0 {
+                    break;
+                }
+            }
+        }
+        probe.clean_tie_break = best.as_ref().is_some_and(|b| b.failure_probability == 0.0);
+        (best, probe, greedy_vs_windows)
+    }
+
+    /// A 64-node world: a fragmented free list and a failure trace whose
+    /// density ranges from empty to several failures per node, so that on
+    /// many draws no window at all is clean.
+    struct World {
+        free: Vec<NodeId>,
+        oracle: TraceOracle,
+        window: TimeWindow,
+    }
+
+    fn draw_world(rng: &mut DetRng) -> World {
+        let density = rng.unit();
+        let mut free: Vec<NodeId> = (0..64)
+            .filter(|_| rng.chance(density))
+            .map(NodeId::new)
+            .collect();
+        if free.is_empty() {
+            free.push(NodeId::new(rng.uniform_u64(0, 63) as u32));
+        }
+        let failures = rng.uniform_u64(0, 256);
+        let trace = FailureTrace::new(
+            (0..failures)
+                .map(|_| Failure {
+                    time: SimTime::from_secs(rng.uniform_u64(0, 199)),
+                    node: NodeId::new(rng.uniform_u64(0, 63) as u32),
+                    detectability: rng.unit(),
+                })
+                .collect(),
+        )
+        .unwrap();
+        let accuracy = if rng.chance(0.5) { 1.0 } else { rng.unit() };
+        let start = rng.uniform_u64(0, 150);
+        World {
+            free,
+            oracle: TraceOracle::new(Arc::new(trace), accuracy).unwrap(),
+            window: w(start, start + rng.uniform_u64(1, 50)),
+        }
+    }
+
+    /// Asserts that lazy and eager agree on one placement and returns the
+    /// eager side's answer.
+    fn assert_lazy_matches_eager<P: Predictor>(
+        world: &World,
+        topology: Topology,
+        strategy: PlacementStrategy,
+        size: u32,
+        predictor: &P,
+        case: usize,
+    ) -> (Option<PlacementChoice>, Option<Ordering>) {
+        let (free, window) = (&world.free[..], world.window);
+        let (choice, probe, greedy_vs_windows) =
+            eager_reference(topology, free, size, window, predictor, strategy);
+        assert_eq!(
+            choose_partition_inner(topology, free, size, window, predictor, strategy),
+            (choice.clone(), probe),
+            "case {case}: {topology} {strategy} size {size} under {}",
+            std::any::type_name::<P>()
+        );
+        (choice, greedy_vs_windows)
+    }
+
+    #[test]
+    fn lazy_walk_matches_the_eager_reference() {
+        const CASES: usize = 2048;
+        let mut rng = DetRng::seed_from(0xD5_2005).fork("placement-lazy-vs-eager");
+        // How often the greedy candidate beat, tied with, and lost to the
+        // best window, and how often no candidate at all was clean.
+        let (mut wins, mut ties, mut losses, mut none_clean) = (0, 0, 0, 0);
+        for case in 0..CASES {
+            let world = draw_world(&mut rng);
+            let len = world.free.len() as u32;
+            let mut sizes = vec![0, 1, len, len + 1];
+            sizes.extend((0..3).map(|_| rng.uniform_u64(1, u64::from(len)) as u32));
+            for topology in [
+                Topology::Flat,
+                Topology::Line,
+                Topology::Torus3d { x: 4, y: 4, z: 4 },
+            ] {
+                for strategy in [
+                    PlacementStrategy::FirstFit,
+                    PlacementStrategy::MinFailureProbability,
+                ] {
+                    for &size in &sizes {
+                        assert_lazy_matches_eager(
+                            &world,
+                            topology,
+                            strategy,
+                            size,
+                            &NullPredictor,
+                            case,
+                        );
+                        let (choice, greedy_vs_windows) = assert_lazy_matches_eager(
+                            &world,
+                            topology,
+                            strategy,
+                            size,
+                            &world.oracle,
+                            case,
+                        );
+                        match greedy_vs_windows {
+                            Some(Ordering::Less) => wins += 1,
+                            Some(Ordering::Equal) => ties += 1,
+                            Some(Ordering::Greater) => losses += 1,
+                            None => {}
+                        }
+                        if choice.is_some_and(|c| c.failure_probability > 0.0) {
+                            none_clean += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            wins > 0 && ties > 0 && losses > 0 && none_clean > 0,
+            "the draw must exercise every greedy outcome: \
+             {wins} wins, {ties} ties, {losses} losses, {none_clean} with no clean candidate"
+        );
+    }
+
+    /// Counts partition queries and single-node queries separately.
+    #[derive(Default)]
+    struct CountingPredictor {
+        partition_queries: Cell<usize>,
+        node_queries: Cell<usize>,
+    }
+
+    impl Predictor for CountingPredictor {
+        fn failure_probability(&self, _nodes: &[NodeId], _window: TimeWindow) -> f64 {
+            self.partition_queries.set(self.partition_queries.get() + 1);
+            0.0
+        }
+
+        fn node_failure_probability(&self, _node: NodeId, _window: TimeWindow) -> f64 {
+            self.node_queries.set(self.node_queries.get() + 1);
+            0.0
+        }
+    }
+
+    #[test]
+    fn a_clean_first_window_costs_one_query() {
+        let free: Vec<NodeId> = (0..4096).map(NodeId::new).collect();
+        let predictor = CountingPredictor::default();
+        let (choice, probe) = choose_partition_inner(
+            Topology::Flat,
+            &free,
+            2048,
+            w(0, 100),
+            &predictor,
+            PlacementStrategy::MinFailureProbability,
+        );
+        assert_eq!(choice.unwrap().partition.as_slice(), &free[..2048]);
+        assert_eq!(probe.candidates_examined, 1);
+        assert!(probe.clean_tie_break);
+        assert_eq!(predictor.partition_queries.get(), 1);
+        assert_eq!(predictor.node_queries.get(), 0);
     }
 }

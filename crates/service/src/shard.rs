@@ -233,6 +233,9 @@ struct Wide<P> {
     /// machine; wide negotiation parameters come from here.
     config: SimConfig,
     jobs: HashMap<JobId, WideJob>,
+    /// How many of `jobs` are quoted, accepted or running; kept in step at
+    /// every phase transition, like the session's counter.
+    live: usize,
     /// (instant, class, job): class 0 = completion, 1 = start, matching
     /// the session's release-before-claim ordering at an instant.
     timers: BTreeSet<(SimTime, u8, JobId)>,
@@ -328,6 +331,7 @@ impl<P: Predictor + Sync> ShardedCore<P> {
                     telemetry: coordinator,
                     config,
                     jobs: HashMap::new(),
+                    live: 0,
                     timers: BTreeSet::new(),
                     stats: SessionStats::default(),
                     promises: PromiseLedger::default(),
@@ -551,18 +555,22 @@ impl<P: Predictor + Sync> ShardedCore<P> {
             Plane::Single(s) => s.live_jobs(),
             Plane::Sharded(inner) => {
                 let shard_live: usize = inner.shards.iter().map(|s| s.session.live_jobs()).sum();
-                let wide_live = inner
-                    .wide
-                    .jobs
-                    .values()
-                    .filter(|j| {
-                        matches!(
-                            j.phase,
-                            WidePhase::Quoted | WidePhase::Accepted | WidePhase::Running
-                        )
-                    })
-                    .count();
-                shard_live + wide_live
+                debug_assert_eq!(
+                    inner.wide.live,
+                    inner
+                        .wide
+                        .jobs
+                        .values()
+                        .filter(|j| {
+                            matches!(
+                                j.phase,
+                                WidePhase::Quoted | WidePhase::Accepted | WidePhase::Running
+                            )
+                        })
+                        .count(),
+                    "wide live counter drifted from the job table"
+                );
+                shard_live + inner.wide.live
             }
         }
     }
@@ -929,6 +937,7 @@ impl<P: Predictor + Sync> Sharded<P> {
         let held = job.held.clone();
         if self.wide.now >= held.quote.deadline {
             self.wide.jobs.remove(&id);
+            self.wide.live -= 1;
             self.wide.stats.expired += 1;
             return Err(AcceptError::QuoteExpired);
         }
@@ -967,6 +976,7 @@ impl<P: Predictor + Sync> Sharded<P> {
                 self.shards[taken].session.release_slice(reservation);
             }
             self.wide.jobs.remove(&id);
+            self.wide.live -= 1;
             self.wide.stats.expired += 1;
             return Err(AcceptError::QuoteExpired);
         }
@@ -1019,6 +1029,7 @@ impl<P: Predictor + Sync> Sharded<P> {
         let job = wide.jobs.get_mut(&id).expect("present");
         let was_accepted = job.phase == WidePhase::Accepted;
         job.phase = WidePhase::Cancelled;
+        wide.live -= 1;
         let slices = std::mem::take(&mut job.slices);
         for (k, reservation) in slices {
             self.shards[k].session.release_slice(reservation);
@@ -1075,6 +1086,7 @@ impl<P: Predictor + Sync> Sharded<P> {
             return;
         }
         job.phase = WidePhase::Done;
+        wide.live -= 1;
         let met_deadline = at <= job.held.deadline;
         let slices = std::mem::take(&mut job.slices);
         for (k, reservation) in slices {
@@ -1175,7 +1187,7 @@ fn record_wide_decision<P>(
         wide.stats.rejected += 1;
         return QuoteDecision::Rejected;
     }
-    wide.jobs.insert(
+    let requoted = wide.jobs.insert(
         id,
         WideJob {
             phase: WidePhase::Quoted,
@@ -1183,6 +1195,10 @@ fn record_wide_decision<P>(
             slices: Vec::new(),
         },
     );
+    // A re-quote replaces a held quote that was already counted.
+    if requoted.is_none() {
+        wide.live += 1;
+    }
     wide.stats.quoted += 1;
     QuoteDecision::Quoted(held)
 }
@@ -1304,6 +1320,7 @@ mod tests {
         assert_eq!(core.status().reservations, 2, "one slice per shard");
         assert_eq!(core.live_jobs(), 1);
         core.advance_to(held.quote.deadline);
+        assert_eq!(core.live_jobs(), 0, "a completed wide job is not live");
         let status = core.status();
         assert_eq!(status.stats.started, 1);
         assert_eq!(status.stats.completed, 1);
@@ -1334,9 +1351,11 @@ mod tests {
         let d = core.quote_batch(&[(JobId::new(3), req(4, 3600))], 1);
         assert!(matches!(d[0], QuoteDecision::Quoted(_)));
         core.accept(JobId::new(3)).unwrap();
+        assert_eq!(core.live_jobs(), 3, "the held wide quote is live");
         // The wide quote's hole is gone; phase 1 must fail and release
         // whatever it briefly took.
         assert_eq!(core.accept(JobId::new(1)), Err(AcceptError::QuoteExpired));
+        assert_eq!(core.live_jobs(), 2, "the expired wide quote is dropped");
         let status = core.status();
         assert_eq!(status.occupied_nodes, 8, "only the narrow jobs");
         assert_eq!(status.reservations, 2, "no leaked wide slices");
@@ -1347,9 +1366,16 @@ mod tests {
     fn wide_cancel_releases_every_slice() {
         let (mut core, _, _) = sharded(8, 2);
         core.quote_batch(&[(JobId::new(1), req(6, 3600))], 1);
+        core.quote_batch(&[(JobId::new(1), req(6, 3600))], 1);
+        assert_eq!(
+            core.live_jobs(),
+            1,
+            "a wide re-quote replaces, it does not add"
+        );
         core.accept(JobId::new(1)).unwrap();
         assert_eq!(core.status().reservations, 2);
         core.cancel(JobId::new(1)).unwrap();
+        assert_eq!(core.live_jobs(), 0);
         let status = core.status();
         assert_eq!(status.reservations, 0);
         assert_eq!(status.stats.cancelled, 1);
