@@ -174,23 +174,7 @@ impl NodeMask {
 
     /// Nodes *not* in the set, sorted ascending.
     pub fn complement_nodes(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.count_zeros() as usize);
-        for (wi, &word) in self.words.iter().enumerate() {
-            let base = wi as u32 * 64;
-            let tail = self.width.saturating_sub(base).min(64);
-            let valid = if tail == 64 {
-                u64::MAX
-            } else {
-                (1 << tail) - 1
-            };
-            out.extend(
-                BitIter {
-                    word: !word & valid,
-                }
-                .map(|bit| NodeId::new(base + bit)),
-            );
-        }
-        out
+        NodeMask::complement_nodes_words(self.width, &self.words)
     }
 
     /// Converts the set to a [`Partition`], or `None` if it is empty.
@@ -224,9 +208,9 @@ impl NodeMask {
 
     /// Word-parallel union on raw packed slices: `dst |= src`.
     ///
-    /// The word-slice helpers exist so hot walks (the scheduler's quote
-    /// cache) can slide a union window over a flat arena of profile rows
-    /// without materializing a `NodeMask` per segment.
+    /// The word-slice helpers exist so the reservation book can keep its
+    /// timeline as one flat arena of rows and slide a union window over it
+    /// without materializing a `NodeMask` per row.
     ///
     /// # Panics
     ///
@@ -241,6 +225,39 @@ impl NodeMask {
     /// Population count of a raw packed slice.
     pub fn count_ones_words(words: &[u64]) -> u32 {
         words.iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// Nodes *not* set in a raw packed slice covering `width` nodes, sorted
+    /// ascending — [`complement_nodes`](NodeMask::complement_nodes) without
+    /// owning the words. Bits at or beyond `width` are ignored, set or not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len()` is not exactly `width.div_ceil(64)`.
+    pub fn complement_nodes_words(width: u32, words: &[u64]) -> Vec<NodeId> {
+        assert_eq!(
+            words.len(),
+            width.div_ceil(64) as usize,
+            "word count must match width"
+        );
+        let ones = NodeMask::count_ones_words(words);
+        let mut out = Vec::with_capacity(width.saturating_sub(ones) as usize);
+        for (wi, &word) in words.iter().enumerate() {
+            let base = wi as u32 * 64;
+            let tail = (width - base).min(64);
+            let valid = if tail == 64 {
+                u64::MAX
+            } else {
+                (1 << tail) - 1
+            };
+            out.extend(
+                BitIter {
+                    word: !word & valid,
+                }
+                .map(|bit| NodeId::new(base + bit)),
+            );
+        }
+        out
     }
 
     /// Zeroes any bits at or beyond the width in the last word.
@@ -396,6 +413,37 @@ mod tests {
         let mut dst = vec![0b0011u64, 0];
         NodeMask::or_words(&mut dst, &[0b0110, 1 << 40]);
         assert_eq!(dst, vec![0b0111, 1 << 40]);
+    }
+
+    #[test]
+    fn borrowed_complement_matches_owned_complement() {
+        for width in [1u32, 3, 63, 64, 65, 100, 128, 130] {
+            let m = NodeMask::from_nodes((0..width).step_by(3).map(NodeId::new), width);
+            assert_eq!(
+                NodeMask::complement_nodes_words(width, m.words()),
+                m.complement_nodes(),
+                "width {width}"
+            );
+            // Set padding bits are not nodes: they neither hide a free node
+            // nor invent one beyond the width.
+            let mut dirty = m.words().to_vec();
+            if width % 64 != 0 {
+                *dirty.last_mut().unwrap() |= u64::MAX << (width % 64);
+            }
+            assert_eq!(
+                NodeMask::complement_nodes_words(width, &dirty),
+                m.complement_nodes(),
+                "width {width}, dirty padding"
+            );
+        }
+        assert!(NodeMask::complement_nodes_words(100, &[u64::MAX, u64::MAX]).is_empty());
+        assert_eq!(NodeMask::complement_nodes_words(70, &[0, 0]).len(), 70);
+    }
+
+    #[test]
+    #[should_panic(expected = "word count must match width")]
+    fn complement_words_rejects_wrong_length() {
+        let _ = NodeMask::complement_nodes_words(100, &[0]);
     }
 
     #[test]

@@ -355,9 +355,9 @@ pub enum SessionOpOutcome {
 #[derive(Debug)]
 pub struct NegotiationSession<P> {
     config: SimConfig,
-    /// The reservation book behind the incremental quote cache: every
-    /// `quote_batch` probes through memoized, delta-invalidated
-    /// `earliest_slots` walks (see `pqos_sched::cache`).
+    /// The reservation book behind the quote memo: every `quote_batch`
+    /// probes through memoized, delta-invalidated `earliest_slots` walks
+    /// of the book's own timeline (see `pqos_sched::cache`).
     book: CachedReservationBook,
     predictor: P,
     telemetry: Telemetry,
@@ -854,9 +854,9 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
         self.promises.stats()
     }
 
-    /// Cumulative quote-cache counters (hits, misses, profile rebuilds,
-    /// invalidations). The service exports these as `pqos_quote_cache_*`
-    /// gauges on `/metrics`.
+    /// Cumulative quote-cache counters (hits, misses, invalidations, and
+    /// the retired `profile_rebuilds`, constant 0). The service exports
+    /// these as `pqos_quote_cache_*` gauges on `/metrics`.
     pub fn quote_cache_stats(&self) -> QuoteCacheStats {
         self.book.stats()
     }

@@ -1,29 +1,21 @@
-//! The quote cache: incremental `earliest_slots` across negotiations.
+//! The quote cache: memoized `earliest_slots` across negotiations.
 //!
-//! PR 5's service benchmarks showed the `quote_batch` probe walk (the
-//! `compute` stage) dominating end-to-end latency: every negotiation
-//! re-materialized the availability profile out of the `BTreeMap` timeline
-//! and re-ran the sliding-union walk with a heap-allocated mask clone per
-//! segment. [`CachedReservationBook`] wraps [`ReservationBook`] and makes
-//! the walk incremental along three axes:
+//! Consecutive quotes against a saturated backlog ask nearly the same
+//! questions, and a single admission only perturbs the timeline near the
+//! reservation it adds. [`CachedReservationBook`] wraps [`ReservationBook`]
+//! and memoizes each `(size, duration, from, exclude, max_slots)` probe
+//! result together with the time range the walk actually examined
+//! (`[from, coverage_end)`). `add`/`remove`/`truncate` delta-invalidate
+//! only the entries whose examined range intersects the mutated interval —
+//! a quote for next week survives an accept that books nodes this afternoon
+//! untouched.
 //!
-//! 1. **Flattened profile snapshot.** The piecewise-constant timeline is
-//!    lazily flattened into a generation-stamped [`Profile`] — change
-//!    points, busy-mask words, and per-segment free counts in flat arrays —
-//!    shared (`Arc`) by every probe until the next mutation. One rebuild
-//!    amortizes across all the probes of a `quote_batch` tick.
-//! 2. **Memoized walks with span invalidation.** Each `(size, duration,
-//!    from, exclude, max_slots)` probe result is memoized together with the
-//!    time range the walk actually examined (`[from, coverage_end)`).
-//!    `add`/`remove`/`truncate` delta-invalidate only the entries whose
-//!    examined range intersects the mutated interval — a quote for next
-//!    week survives an accept that books nodes this afternoon untouched.
-//! 3. **Width-indexed skip tables + arena walk.** Per-segment free counts
-//!    are bucketed by power of two, and a probe for a `k`-node job jumps
-//!    straight over runs of segments that provably cannot fit it. The
-//!    sliding union itself runs word-parallel over the flat arena with
-//!    thread-local scratch buffers, so a probe allocates nothing but its
-//!    output slots.
+//! That is all the cache owns. The timeline it answers from is the book's
+//! own — flat rows patched in place by every mutation, walked with the
+//! book's skip index and thread-local scratch (see
+//! [`reservation`](crate::reservation)) — so there is no snapshot to
+//! rebuild after a mutation, and a memo miss costs exactly one
+//! [`ReservationBook::earliest_slots`] walk.
 //!
 //! The wrapper is behavior-invisible: it answers every
 //! [`AvailabilityView`] query byte-identically to the wrapped book (and
@@ -34,27 +26,19 @@
 use crate::reservation::{
     AvailabilityView, Reservation, ReservationBook, ReservationError, ReservationId, Slot,
 };
-use pqos_cluster::mask::NodeMask;
 use pqos_cluster::node::NodeId;
 use pqos_cluster::partition::Partition;
 use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
 use pqos_workload::job::JobId;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
 /// Memo entries are dropped wholesale past this population; the cap bounds
 /// memory on adversarial key streams (every probe unique) while staying far
 /// above what a tick's worth of negotiations produces.
 const MEMO_CAPACITY: usize = 4096;
-
-/// Free-count buckets at thresholds `1, 2, 4, …, 128`. A probe for `size`
-/// nodes skips via the largest threshold `≤ size`, which is exact for the
-/// power-of-two job sizes the paper's workloads draw and conservative
-/// (never skips a feasible segment) for everything else.
-const BUCKETS: usize = 8;
 
 /// Cumulative counters describing how the quote cache is doing. Snapshot
 /// via [`CachedReservationBook::stats`]; the service exports them as
@@ -65,7 +49,10 @@ pub struct QuoteCacheStats {
     pub hits: u64,
     /// Probes that ran a fresh walk (and seeded the memo).
     pub misses: u64,
-    /// Times the flattened profile snapshot was rebuilt after mutations.
+    /// Always 0: the cache walks the book's own timeline, so there is no
+    /// profile snapshot left to rebuild. Kept because `BENCH_sched.json`,
+    /// the `pqos_quote_cache_profile_rebuilds` gauge and the perf ledger's
+    /// `cache.rebuilds` read it.
     pub profile_rebuilds: u64,
     /// Memo entries dropped because a mutation touched their examined span
     /// (or the memo hit its capacity cap).
@@ -85,124 +72,6 @@ impl QuoteCacheStats {
             0.0
         } else {
             self.hits as f64 / lookups as f64
-        }
-    }
-}
-
-/// The flattened, generation-stamped availability profile: segment `i`
-/// spans `[times[i], times[i+1])` with busy words
-/// `words[i*wps .. (i+1)*wps]`; the profile is all-free before `times[0]`
-/// and after the last key.
-#[derive(Debug)]
-struct Profile {
-    /// Book generation this snapshot was built at.
-    gen: u64,
-    width: u32,
-    /// Words per segment row (`⌈width/64⌉`).
-    wps: usize,
-    times: Vec<u64>,
-    words: Vec<u64>,
-    /// Free-node count per segment (before exclusions).
-    free: Vec<u32>,
-    /// `skip[b][i]` = first segment `j ≥ i` with `free[j] ≥ 1 << b`, else
-    /// `times.len()`. One entry past the end so lookups never bound-check.
-    skip: Vec<Vec<u32>>,
-    /// `blocked[b][i]` = first segment `j ≥ i` with `free[j] < 1 << b`,
-    /// else `times.len()` — the dual of `skip`, used to discard every
-    /// candidate whose window spans a segment that can never fit the job.
-    blocked: Vec<Vec<u32>>,
-    /// An all-zero row standing in for the implicit all-free head segment.
-    empty_row: Vec<u64>,
-}
-
-impl Profile {
-    fn build(book: &ReservationBook, gen: u64) -> Profile {
-        let width = book.cluster_size();
-        let wps = width.div_ceil(64) as usize;
-        let mut times = Vec::new();
-        let mut words = Vec::new();
-        let mut free = Vec::new();
-        for (t, mask) in book.profile() {
-            times.push(t.as_secs());
-            words.extend_from_slice(mask.words());
-            free.push(mask.count_zeros());
-        }
-        let n = times.len();
-        let mut skip = Vec::with_capacity(BUCKETS);
-        let mut blocked = Vec::with_capacity(BUCKETS);
-        for b in 0..BUCKETS {
-            let threshold = 1u32 << b;
-            let mut table = vec![n as u32; n + 1];
-            let mut dual = vec![n as u32; n + 1];
-            for i in (0..n).rev() {
-                table[i] = if free[i] >= threshold {
-                    i as u32
-                } else {
-                    table[i + 1]
-                };
-                dual[i] = if free[i] < threshold {
-                    i as u32
-                } else {
-                    dual[i + 1]
-                };
-            }
-            skip.push(table);
-            blocked.push(dual);
-        }
-        Profile {
-            gen,
-            width,
-            wps,
-            times,
-            words,
-            free,
-            skip,
-            blocked,
-            empty_row: vec![0; wps],
-        }
-    }
-
-    fn row(&self, i: usize) -> &[u64] {
-        &self.words[i * self.wps..(i + 1) * self.wps]
-    }
-
-    /// First real segment index `≥ r0` whose free count could fit `size`
-    /// nodes, hopping via the bucket table instead of scanning.
-    fn next_feasible(&self, size: u32, r0: usize) -> Option<usize> {
-        let bucket = (31 - size.leading_zeros()).min(BUCKETS as u32 - 1) as usize;
-        let n = self.times.len();
-        let mut r = r0;
-        while r < n {
-            r = self.skip[bucket][r] as usize;
-            if r >= n {
-                return None;
-            }
-            if self.free[r] >= size {
-                return Some(r);
-            }
-            // Landed between the bucket threshold and `size`: step once and
-            // hop again (cheap integer reads; no mask work).
-            r += 1;
-        }
-        None
-    }
-
-    /// Last segment in `[start, r_end)` whose free count is below the
-    /// bucket threshold — a segment no window spanning it can ever fit a
-    /// job of that bucket's size. `None` when the range is clear.
-    fn last_blocker(&self, bucket: usize, start: usize, r_end: usize) -> Option<usize> {
-        let table = &self.blocked[bucket];
-        let mut j = table[start.min(self.times.len())] as usize;
-        if j >= r_end {
-            return None;
-        }
-        loop {
-            let next = table[j + 1] as usize;
-            if next < r_end {
-                j = next;
-            } else {
-                return Some(j);
-            }
         }
     }
 }
@@ -228,198 +97,10 @@ struct MemoEntry {
     slots: Vec<Slot>,
 }
 
-#[derive(Debug, Default)]
-struct CacheState {
-    profile: Option<Arc<Profile>>,
-    memo: HashMap<MemoKey, MemoEntry>,
-}
-
-/// Reusable per-thread walk buffers: the two-stack sliding union (front
-/// aggregate arena + back aggregate) and the busy/exclude compose buffers.
-/// One probe allocates nothing once these are warm, and the thread-local
-/// carries them across all the probes a `quote_batch` fans onto a thread.
-#[derive(Default)]
-struct WalkScratch {
-    front: Vec<u64>,
-    front_len: usize,
-    back_agg: Vec<u64>,
-    agg: Vec<u64>,
-    busy: Vec<u64>,
-    exclude: Vec<u64>,
-}
-
-impl WalkScratch {
-    fn reset(&mut self, wps: usize, width: u32, exclude: &[NodeId]) {
-        self.front.clear();
-        self.front_len = 0;
-        for buf in [
-            &mut self.back_agg,
-            &mut self.agg,
-            &mut self.busy,
-            &mut self.exclude,
-        ] {
-            buf.clear();
-            buf.resize(wps, 0);
-        }
-        for n in exclude {
-            let i = n.index();
-            if i < width as usize {
-                self.exclude[i / 64] |= 1 << (i % 64);
-            }
-        }
-    }
-}
-
-thread_local! {
-    static SCRATCH: RefCell<WalkScratch> = RefCell::new(WalkScratch::default());
-}
-
-/// Runs the sliding-union walk over a flattened profile, mirroring
-/// [`ReservationBook::earliest_slots`] slot-for-slot. Returns the slots and
-/// the end (seconds) of the examined range for memo invalidation:
-/// `u64::MAX` when the walk ran off the end of the book (such an entry is
-/// invalidated by any mutation).
-fn walk_profile(
-    profile: &Profile,
-    size: u32,
-    duration: SimDuration,
-    from: SimTime,
-    exclude: &[NodeId],
-    max_slots: usize,
-    scratch: &mut WalkScratch,
-) -> (Vec<Slot>, u64) {
-    let width = profile.width;
-    let wps = profile.wps;
-    let n = profile.times.len();
-    let from_s = from.as_secs();
-    let d_s = duration.as_secs();
-    scratch.reset(wps, width, exclude);
-
-    // Virtual segment/candidate v: 0 is `from` itself riding the segment
-    // in effect there; v ≥ 1 are the real change points after `from`.
-    let first_after = profile.times.partition_point(|&t| t <= from_s);
-    let head_row: &[u64] = if first_after > 0 {
-        profile.row(first_after - 1)
-    } else {
-        &profile.empty_row
-    };
-    let head_free = if first_after > 0 {
-        profile.free[first_after - 1]
-    } else {
-        width
-    };
-    let m = 1 + n - first_after;
-    let row = |v: usize| -> &[u64] {
-        if v == 0 {
-            head_row
-        } else {
-            profile.row(first_after + v - 1)
-        }
-    };
-    let time_at = |v: usize| -> u64 {
-        if v == 0 {
-            from_s
-        } else {
-            profile.times[first_after + v - 1]
-        }
-    };
-    let free_at = |v: usize| -> u32 {
-        if v == 0 {
-            head_free
-        } else {
-            profile.free[first_after + v - 1]
-        }
-    };
-
-    let mut out = Vec::new();
-    let (mut lo, mut hi, mut back_lo) = (0usize, 0usize, 0usize);
-    let bucket = (31 - size.leading_zeros()).min(BUCKETS as u32 - 1) as usize;
-    let mut v = 0usize;
-    while v < m {
-        // Width-index skip: a window starting in a segment with fewer than
-        // `size` free nodes can never fit the job (exclusions only shrink
-        // it further), so hop to the next segment that could.
-        if free_at(v) < size {
-            match profile.next_feasible(size, first_after + v) {
-                Some(r) => {
-                    v = r - first_after + 1;
-                    continue;
-                }
-                None => break,
-            }
-        }
-        let t = time_at(v);
-        let end = t.saturating_add(d_s);
-        // Window-level width skip: the window's free set is contained in
-        // every spanned segment's, so a spanned segment whose own free
-        // count can never reach `size` sinks every candidate up to it.
-        // Jump past the *last* such blocker instead of sliding the union
-        // through, using the dual of the skip table (conservative: the
-        // bucket threshold `2^b ≤ size`, and exclusions only shrink).
-        let ws = (first_after + v).min(n);
-        let r_end = ws + profile.times[ws..].partition_point(|&t| t < end);
-        if let Some(last) = profile.last_blocker(bucket, ws, r_end) {
-            v = last - first_after + 2;
-            continue;
-        }
-        if v >= hi {
-            // Jumped clean past the current window: restart it at v.
-            scratch.front.clear();
-            scratch.front_len = 0;
-            scratch.back_agg.iter_mut().for_each(|w| *w = 0);
-            lo = v;
-            hi = v;
-            back_lo = v;
-        } else {
-            while lo < v {
-                if scratch.front_len == 0 {
-                    // Flip: drain the back range newest-first so each front
-                    // entry carries the union of itself and everything
-                    // younger.
-                    scratch.agg.iter_mut().for_each(|w| *w = 0);
-                    for j in (back_lo..hi).rev() {
-                        NodeMask::or_words(&mut scratch.agg, row(j));
-                        scratch.front.extend_from_slice(&scratch.agg);
-                        scratch.front_len += 1;
-                    }
-                    back_lo = hi;
-                    scratch.back_agg.iter_mut().for_each(|w| *w = 0);
-                }
-                scratch.front.truncate(scratch.front.len() - wps);
-                scratch.front_len -= 1;
-                lo += 1;
-            }
-        }
-        while hi < m && time_at(hi) < end {
-            NodeMask::or_words(&mut scratch.back_agg, row(hi));
-            hi += 1;
-        }
-        scratch.busy.copy_from_slice(&scratch.back_agg);
-        if scratch.front_len > 0 {
-            let top_start = scratch.front.len() - wps;
-            let (busy, front) = (&mut scratch.busy, &scratch.front);
-            NodeMask::or_words(busy, &front[top_start..]);
-        }
-        NodeMask::or_words(&mut scratch.busy, &scratch.exclude);
-        if width - NodeMask::count_ones_words(&scratch.busy) >= size {
-            let free = NodeMask::from_words(width, scratch.busy.clone()).complement_nodes();
-            out.push(Slot {
-                start: SimTime::from_secs(t),
-                free,
-            });
-            if out.len() >= max_slots {
-                return (out, end);
-            }
-        }
-        v += 1;
-    }
-    (out, u64::MAX)
-}
-
-/// A [`ReservationBook`] wrapped with the incremental quote cache.
+/// A [`ReservationBook`] wrapped with the quote memo.
 ///
 /// All mutators and queries of the plain book are mirrored; `earliest_slots`
-/// goes through the cache, everything else delegates. Mutations require
+/// goes through the memo, everything else delegates. Mutations require
 /// `&mut self`, queries `&self` — the type is `Sync`, so `negotiate_batch`
 /// can fan probes across threads against one book.
 ///
@@ -447,13 +128,9 @@ fn walk_profile(
 #[derive(Debug)]
 pub struct CachedReservationBook {
     book: ReservationBook,
-    /// Mutation counter; bumped on every effective `add`/`remove`/
-    /// `truncate` so stale profile snapshots are detectable.
-    gen: u64,
-    state: Mutex<CacheState>,
+    memo: Mutex<HashMap<MemoKey, MemoEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    rebuilds: AtomicU64,
     invalidated: AtomicU64,
 }
 
@@ -471,11 +148,9 @@ impl CachedReservationBook {
     pub fn from_book(book: ReservationBook) -> Self {
         CachedReservationBook {
             book,
-            gen: 0,
-            state: Mutex::new(CacheState::default()),
+            memo: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            rebuilds: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
         }
     }
@@ -515,18 +190,14 @@ impl CachedReservationBook {
         QuoteCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            profile_rebuilds: self.rebuilds.load(Ordering::Relaxed),
+            profile_rebuilds: 0,
             entries_invalidated: self.invalidated.load(Ordering::Relaxed),
         }
     }
 
     /// Live memo population (for tests and diagnostics).
     pub fn memo_len(&self) -> usize {
-        self.state
-            .lock()
-            .expect("quote cache lock poisoned")
-            .memo
-            .len()
+        self.memo.lock().expect("quote cache lock poisoned").len()
     }
 
     /// Commits `partition` to `job` over `interval`; see
@@ -573,7 +244,7 @@ impl CachedReservationBook {
 
     /// Nodes free for the entire `window`; see
     /// [`ReservationBook::free_nodes_during`]. Uncached: the timeline
-    /// answers range queries in `O(log R + K·W)` already.
+    /// answers range queries in `O(log S + K·W)` already.
     pub fn free_nodes_during(&self, window: TimeWindow, exclude: &[NodeId]) -> Vec<NodeId> {
         self.book.free_nodes_during(window, exclude)
     }
@@ -618,66 +289,43 @@ impl CachedReservationBook {
             max_slots,
             exclude: exclude.iter().map(|n| n.as_u32()).collect(),
         };
-        let profile = {
-            let mut state = self.state.lock().expect("quote cache lock poisoned");
-            let stale = match &state.profile {
-                Some(p) => p.gen != self.gen,
-                None => true,
-            };
-            if stale {
-                state.profile = Some(Arc::new(Profile::build(&self.book, self.gen)));
-                self.rebuilds.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Some(entry) = state.memo.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return entry.slots.clone();
-            }
-            Arc::clone(state.profile.as_ref().expect("just built"))
-        };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let (slots, coverage_end) = SCRATCH.with(|scratch| {
-            walk_profile(
-                &profile,
-                size,
-                duration,
-                from,
-                exclude,
-                max_slots,
-                &mut scratch.borrow_mut(),
-            )
-        });
-        let mut state = self.state.lock().expect("quote cache lock poisoned");
-        // Mutation needs `&mut self`, so the book cannot have changed under
-        // us; the generation check is a cheap belt-and-braces guard.
-        if state.profile.as_ref().is_some_and(|p| p.gen == profile.gen) {
-            if state.memo.len() >= MEMO_CAPACITY {
-                self.invalidated
-                    .fetch_add(state.memo.len() as u64, Ordering::Relaxed);
-                state.memo.clear();
-            }
-            state.memo.insert(
-                key,
-                MemoEntry {
-                    coverage_end,
-                    slots: slots.clone(),
-                },
-            );
+        if let Some(entry) = self.lock_memo().get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return entry.slots.clone();
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        // The walk runs with the memo unlocked, so the probes of a batch
+        // proceed in parallel; mutation needs `&mut self`, so the book
+        // cannot change under it.
+        let (slots, coverage_end) = self.book.walk(size, duration, from, exclude, max_slots);
+        let mut memo = self.lock_memo();
+        if memo.len() >= MEMO_CAPACITY {
+            self.invalidated
+                .fetch_add(memo.len() as u64, Ordering::Relaxed);
+            memo.clear();
+        }
+        memo.insert(
+            key,
+            MemoEntry {
+                coverage_end: coverage_end.as_secs(),
+                slots: slots.clone(),
+            },
+        );
         slots
     }
 
-    /// Records an effective mutation over `[start, end)` seconds: bumps the
-    /// generation (staling the profile snapshot) and drops exactly the memo
-    /// entries whose examined range intersects it.
+    fn lock_memo(&self) -> MutexGuard<'_, HashMap<MemoKey, MemoEntry>> {
+        self.memo.lock().expect("quote cache lock poisoned")
+    }
+
+    /// Records an effective mutation over `[start, end)` seconds: drops
+    /// exactly the memo entries whose examined range intersects it.
     fn note_mutation(&mut self, start: u64, end: u64) {
-        self.gen += 1;
-        let state = self.state.get_mut().expect("quote cache lock poisoned");
-        let before = state.memo.len();
-        state
-            .memo
-            .retain(|key, entry| !(start < entry.coverage_end && key.from < end));
+        let memo = self.memo.get_mut().expect("quote cache lock poisoned");
+        let before = memo.len();
+        memo.retain(|key, entry| !(start < entry.coverage_end && key.from < end));
         self.invalidated
-            .fetch_add((before - state.memo.len()) as u64, Ordering::Relaxed);
+            .fetch_add((before - memo.len()) as u64, Ordering::Relaxed);
     }
 }
 
@@ -693,9 +341,8 @@ impl fmt::Display for CachedReservationBook {
         let s = self.stats();
         write!(
             f,
-            "cached book: {} reservations, gen {}, {}/{} memo hits",
+            "cached book: {} reservations, {}/{} memo hits",
             self.book.len(),
-            self.gen,
             s.hits,
             s.lookups()
         )
@@ -791,7 +438,7 @@ mod tests {
         let stats = cached.stats();
         assert_eq!(stats.hits, stats.misses);
         assert!(stats.hit_rate() > 0.49 && stats.hit_rate() < 0.51);
-        assert_eq!(stats.profile_rebuilds, 1);
+        assert_eq!(stats.profile_rebuilds, 0, "no profile left to rebuild");
     }
 
     #[test]

@@ -7,15 +7,14 @@
 //!
 //! * [`reservation`] — the [`reservation::ReservationBook`] availability
 //!   profile: commitments, conflict detection, hole enumeration
-//!   ([`reservation::ReservationBook::earliest_slots`]), maintained as an
-//!   incremental timeline of busy-node bitmasks, with a scan-everything
-//!   [`reservation::NaiveReservationBook`] kept as the executable
-//!   specification;
-//! * [`cache`] — the incremental quote cache
-//!   ([`cache::CachedReservationBook`]): a generation-stamped flattened
-//!   profile, memoized walks with span-based delta-invalidation, and
-//!   width-indexed skip tables, making `earliest_slots` cheap enough to
-//!   serve per-request;
+//!   ([`reservation::ReservationBook::earliest_slots`]), kept as one flat
+//!   timeline of busy-node rows that mutations patch in place and a
+//!   skip-indexed sliding-union walk reads directly, with a
+//!   scan-everything [`reservation::NaiveReservationBook`] kept as the
+//!   executable specification;
+//! * [`cache`] — the quote cache ([`cache::CachedReservationBook`]):
+//!   memoized walks with span-based delta-invalidation, so a repeated
+//!   probe costs a hash lookup and an unrelated admission leaves it warm;
 //! * [`place`] — fault-aware partition selection
 //!   ([`place::choose_partition`]) minimizing the predicted failure
 //!   probability `pf`, with a prediction-blind first-fit baseline.

@@ -11,22 +11,42 @@
 //!
 //! # Data structure
 //!
-//! [`ReservationBook`] maintains the availability profile *incrementally*:
-//! a piecewise-constant timeline of busy-node bitmasks keyed by change
-//! point (`BTreeMap<SimTime, Segment>`). A segment at key `t` records the
-//! union of all committed partitions over `[t, next key)`, plus a refcount
-//! of how many live reservation endpoints sit exactly at `t` (so the key
-//! is dropped when the last reservation touching it is released). With `R`
-//! live reservations and `W = ⌈cluster/64⌉` mask words:
+//! [`ReservationBook`] keeps the availability profile as **one flat
+//! timeline**, edited in place: a piecewise-constant sequence of rows, one
+//! per distinct reservation endpoint, in parallel arrays sorted by time.
+//! Row `i` covers `[times[i], times[i + 1])` (the last row runs to
+//! infinity) and holds
 //!
-//! * `add`/`remove`/`truncate` — `O(log R + K·W)` where `K` is the number
-//!   of segments the interval overlaps;
-//! * `free_nodes_during` — `O(log R + K·W)` instead of a full `O(R·P)`
-//!   scan;
-//! * `change_points` — `O(log R + K)` (a range read of the key set);
-//! * `earliest_slots` — one sliding-window walk of the profile,
-//!   `O(R·W + output)`, instead of re-scanning every reservation at every
-//!   change point (`O(R²·P)`).
+//! * `busy` — `W = ⌈cluster/64⌉` words of one contiguous arena: the union
+//!   of all partitions committed over the row;
+//! * `starts` — the same shape: the nodes of reservations starting exactly
+//!   at `times[i]` (point-instant queries need them);
+//! * `bounds` — how many live reservation endpoints sit at `times[i]` (the
+//!   row is merged away when the last one is released);
+//! * `free` — `cluster − popcount(busy)`.
+//!
+//! Over the rows sits the **skip index**: the maximum and minimum of `free`
+//! per block of 64 consecutive rows. A probe for `k` nodes hops over whole
+//! blocks that cannot start a slot (`max < k`) and finds the last row that
+//! sinks a candidate window without scanning it (`min ≥ k` blocks hold no
+//! such row). The index only ever discards candidates that provably cannot
+//! fit, so it never changes an answer.
+//!
+//! Every accepted promise is one small, local edit of that profile: a
+//! binary search, at most two row inserts (or deletes), a word-parallel
+//! OR (or AND-NOT) over the rows the interval overlaps, and the summaries
+//! of the blocks touched. Nothing is derived lazily, so a probe has no
+//! set-up beyond its own binary search. With `S` rows, `K` of them
+//! overlapped by the interval:
+//!
+//! * `add`/`remove`/`truncate` — `O(log S + K·W)` plus, when an endpoint
+//!   is new (or dies), shifting the rows after it: `O(rows-after · W)`.
+//!   Appending at the tail is cheap; an edit at the very front of a deep
+//!   book moves every row;
+//! * `free_nodes_during` — `O(log S + K·W)`;
+//! * `change_points` — `O(log S + output)`; `occupied_at` — `O(log S)`;
+//! * `earliest_slots` — one sliding-window walk from `from`,
+//!   `O(rows walked · W + output)`, stopping at the `max_slots`-th slot.
 //!
 //! [`NaiveReservationBook`] preserves the original scan-everything
 //! implementation. It is the executable specification: the property harness
@@ -40,9 +60,10 @@ use pqos_cluster::node::NodeId;
 use pqos_cluster::partition::Partition;
 use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
 use pqos_workload::job::JobId;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Bound;
+use std::ops::Range;
 
 /// Identifier of a reservation within a [`ReservationBook`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -135,20 +156,28 @@ pub trait AvailabilityView {
     ) -> Vec<Slot>;
 }
 
-/// One piece of the piecewise-constant profile: the busy mask in effect
-/// over `[key, next key)`, the nodes of reservations starting exactly at
-/// the key (needed for point-instant queries), plus how many live
-/// reservation endpoints sit exactly at the key (the key is removed when
-/// this reaches zero).
-#[derive(Debug, Clone)]
-struct Segment {
-    busy: NodeMask,
-    starts: NodeMask,
-    bounds: u32,
+/// Rows per block of the skip index.
+const BLOCK: usize = 64;
+
+/// The skip index's summary of one block of [`BLOCK`] consecutive rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BlockSummary {
+    max_free: u32,
+    min_free: u32,
+}
+
+impl BlockSummary {
+    fn of(free: &[u32]) -> BlockSummary {
+        BlockSummary {
+            max_free: free.iter().copied().max().unwrap_or(0),
+            min_free: free.iter().copied().min().unwrap_or(0),
+        }
+    }
 }
 
 /// The availability profile: every commitment made and not yet released,
-/// indexed as an incremental timeline of busy-node bitmasks.
+/// kept as one flat timeline of busy-node rows that mutations patch in
+/// place.
 ///
 /// # Examples
 ///
@@ -172,15 +201,26 @@ struct Segment {
 #[derive(Debug, Clone)]
 pub struct ReservationBook {
     cluster_size: u32,
+    /// Words per row (`⌈cluster_size/64⌉`).
+    wps: usize,
     reservations: BTreeMap<ReservationId, Reservation>,
     next_id: u64,
-    /// Invariant: keys are exactly the distinct start/end instants of live
-    /// reservations; `busy` at key `t` is the union of the partitions of
-    /// every reservation whose interval covers `[t, next key)`. The profile
-    /// is implicitly all-free before the first key and after the last
-    /// (every reservation has ended by the last key, so the final
-    /// segment's mask is always empty).
-    timeline: BTreeMap<SimTime, Segment>,
+    /// Invariant: `times` is strictly ascending and holds exactly the
+    /// distinct start/end instants of live reservations; row `i` of `busy`
+    /// is the union of the partitions of every reservation whose interval
+    /// covers `[times[i], times[i + 1])`, row `i` of `starts` the union of
+    /// those starting at `times[i]`, `bounds[i]` the number of live
+    /// endpoints there and `free[i]` the row's zero bits. The profile is
+    /// implicitly all-free before the first row, and the last row's mask
+    /// is always empty (every reservation has ended by then). Padding bits
+    /// beyond `cluster_size` are never set.
+    times: Vec<SimTime>,
+    busy: Vec<u64>,
+    starts: Vec<u64>,
+    bounds: Vec<u32>,
+    free: Vec<u32>,
+    /// Invariant: `blocks[b]` summarizes `free[b·BLOCK .. (b+1)·BLOCK]`.
+    blocks: Vec<BlockSummary>,
 }
 
 impl ReservationBook {
@@ -193,9 +233,15 @@ impl ReservationBook {
         assert!(cluster_size > 0, "cluster must have at least one node");
         ReservationBook {
             cluster_size,
+            wps: cluster_size.div_ceil(64) as usize,
             reservations: BTreeMap::new(),
             next_id: 0,
-            timeline: BTreeMap::new(),
+            times: Vec::new(),
+            busy: Vec::new(),
+            starts: Vec::new(),
+            bounds: Vec::new(),
+            free: Vec::new(),
+            blocks: Vec::new(),
         }
     }
 
@@ -224,16 +270,6 @@ impl ReservationBook {
         self.reservations.get(&id)
     }
 
-    /// The full piecewise-constant availability profile, in time order:
-    /// each `(t, busy)` pair is the busy mask in effect over `[t, next
-    /// key)`. The profile is implicitly all-free before the first key, and
-    /// the final segment's mask is always empty (every reservation has
-    /// ended by the last key). This is the raw feed the quote cache
-    /// flattens into its arena snapshot.
-    pub fn profile(&self) -> impl Iterator<Item = (SimTime, &NodeMask)> {
-        self.timeline.iter().map(|(t, seg)| (*t, &seg.busy))
-    }
-
     /// Commits `partition` to `job` over `interval`.
     ///
     /// # Errors
@@ -257,8 +293,11 @@ impl ReservationBook {
         {
             return Err(ReservationError::UnknownNode(n));
         }
-        let mask = NodeMask::from_partition(&partition, self.cluster_size);
-        if self.occupied_during(interval, &mask) {
+        let mask = self.mask_words(partition.iter());
+        if self
+            .rows(self.overlapped(interval))
+            .any(|row| row.iter().zip(&mask).any(|(a, b)| a & b != 0))
+        {
             // Error path only: recover the colliding id with a scan, giving
             // the same lowest-id answer the naive book reports.
             let existing = self
@@ -288,7 +327,7 @@ impl ReservationBook {
     /// Releases a reservation, returning it if it existed.
     pub fn remove(&mut self, id: ReservationId) -> Option<Reservation> {
         let r = self.reservations.remove(&id)?;
-        let mask = NodeMask::from_partition(&r.partition, self.cluster_size);
+        let mask = self.mask_words(r.partition.iter());
         self.vacate(r.interval, &mask);
         Some(r)
     }
@@ -297,13 +336,10 @@ impl ReservationBook {
     /// early thanks to skipped checkpoints). Removes it entirely if `end`
     /// precedes its start. Never extends.
     pub fn truncate(&mut self, id: ReservationId, end: SimTime) {
-        let (old, mask) = match self.reservations.get(&id) {
-            Some(r) => (
-                r.interval,
-                NodeMask::from_partition(&r.partition, self.cluster_size),
-            ),
-            None => return,
+        let Some(r) = self.reservations.get_mut(&id) else {
+            return;
         };
+        let old = r.interval;
         if end <= old.start() {
             self.remove(id);
             return;
@@ -311,14 +347,16 @@ impl ReservationBook {
         if end >= old.end() {
             return;
         }
-        // Shrinking cannot create a conflict, so re-occupy directly.
-        let new = TimeWindow::new(old.start(), end);
-        self.vacate(old, &mask);
-        self.occupy(new, &mask);
-        self.reservations
-            .get_mut(&id)
-            .expect("still present")
-            .interval = new;
+        r.interval = TimeWindow::new(old.start(), end);
+        let mut mask = vec![0; self.wps];
+        set_nodes(&mut mask, self.cluster_size, r.partition.iter());
+        // The reservation now ends at `end`: split the row there and release
+        // `[end, old end)` as a reservation of its own would be. The split
+        // row takes two endpoints — the new end, which stays, and the start
+        // of the released tail, which `vacate` takes back.
+        let cut = self.ensure_boundary(end);
+        self.bounds[cut] += 2;
+        self.vacate(TimeWindow::new(end, old.end()), &mask);
     }
 
     /// Nodes free (uncommitted and not in `exclude`) for the *entire*
@@ -337,7 +375,7 @@ impl ReservationBook {
     /// window.end`), pinned by a regression test and the randomized
     /// parity harness so the two books can never drift apart on it.
     pub fn free_nodes_during(&self, window: TimeWindow, exclude: &[NodeId]) -> Vec<NodeId> {
-        let mut busy = NodeMask::from_nodes(exclude.iter().copied(), self.cluster_size);
+        let mut busy = self.mask_words(exclude.iter().copied());
         if window.is_empty() {
             // Degenerate point query: an empty window `[t, t)` reports the
             // nodes of reservations *strictly* spanning the instant `t`
@@ -345,42 +383,35 @@ impl ReservationBook {
             // overlap test admits such reservations even for an empty
             // window. No reservation can both start at `t` and strictly
             // span it on the same node (that would be a double booking), so
-            // subtracting the starts mask is exact.
+            // subtracting the starts row is exact.
             let t = window.start();
-            if let Some((key, seg)) = self.timeline.range(..=t).next_back() {
-                let mut spanning = seg.busy.clone();
-                if *key == t {
-                    spanning.and_not_assign(&seg.starts);
+            if let Some(i) = self.times.partition_point(|&x| x <= t).checked_sub(1) {
+                let at_key = self.times[i] == t;
+                let starts = &self.starts[i * self.wps..(i + 1) * self.wps];
+                for ((b, row), s) in busy.iter_mut().zip(self.row(i)).zip(starts) {
+                    *b |= if at_key { row & !s } else { *row };
                 }
-                busy.or_assign(&spanning);
             }
         } else {
-            if let Some((_, seg)) = self.timeline.range(..=window.start()).next_back() {
-                busy.or_assign(&seg.busy);
-            }
-            let inside = (
-                Bound::Excluded(window.start()),
-                Bound::Excluded(window.end()),
-            );
-            for (_, seg) in self.timeline.range(inside) {
-                busy.or_assign(&seg.busy);
+            for row in self.rows(self.overlapped(window)) {
+                NodeMask::or_words(&mut busy, row);
             }
         }
-        busy.complement_nodes()
+        NodeMask::complement_nodes_words(self.cluster_size, &busy)
     }
 
     /// Sorted, deduplicated candidate start times at or after `from`:
     /// `from` itself plus every reservation start/end after it.
     pub fn change_points(&self, from: SimTime) -> Vec<SimTime> {
-        let mut points = Vec::with_capacity(1 + self.timeline.len());
+        let after = &self.times[self.times.partition_point(|&t| t <= from)..];
+        let mut points = Vec::with_capacity(1 + after.len());
         points.push(from);
-        let after = (Bound::Excluded(from), Bound::Unbounded);
-        points.extend(self.timeline.range(after).map(|(t, _)| *t));
+        points.extend_from_slice(after);
         points
     }
 
     /// Number of nodes committed at the instant `t` (reservations whose
-    /// interval `[start, end)` contains `t`). An O(log R) point probe of
+    /// interval `[start, end)` contains `t`). An O(log S) point probe of
     /// the availability profile, used by live status reporting.
     ///
     /// # Examples
@@ -404,10 +435,10 @@ impl ReservationBook {
     /// # Ok::<(), pqos_sched::reservation::ReservationError>(())
     /// ```
     pub fn occupied_at(&self, t: SimTime) -> u32 {
-        self.timeline
-            .range(..=t)
-            .next_back()
-            .map_or(0, |(_, seg)| seg.busy.count_ones())
+        match self.times.partition_point(|&x| x <= t).checked_sub(1) {
+            Some(i) => self.cluster_size - self.free[i],
+            None => 0,
+        }
     }
 
     /// Enumerates up to `max_slots` feasible placement opportunities for a
@@ -419,10 +450,14 @@ impl ReservationBook {
     /// point (after which the machine is idle) guarantees at least one slot
     /// whenever `size ≤ cluster_size − exclude.len()`.
     ///
-    /// This is a single forward walk of the profile: the busy union over
-    /// each candidate window `[t, t + duration)` is maintained with a
-    /// two-stack sliding-window aggregation (union is associative but not
-    /// invertible, so plain running state would not support eviction).
+    /// This is a single forward walk of the rows from `from`: the busy
+    /// union over each candidate window `[t, t + duration)` is maintained
+    /// with a two-stack sliding-window aggregation (union is associative
+    /// but not invertible, so plain running state would not support
+    /// eviction), word-parallel over the row arena with thread-local
+    /// scratch, so a probe allocates nothing but its output slots. The
+    /// skip index discards candidates that cannot fit before any union is
+    /// paid for.
     ///
     /// # Panics
     ///
@@ -435,142 +470,372 @@ impl ReservationBook {
         exclude: &[NodeId],
         max_slots: usize,
     ) -> Vec<Slot> {
+        self.walk(size, duration, from, exclude, max_slots).0
+    }
+
+    /// [`earliest_slots`](Self::earliest_slots) plus the end of the time
+    /// range the walk examined, which is what the quote cache invalidates
+    /// by: the answer depends on no row at or after it. [`SimTime::MAX`]
+    /// when the walk ran off the end of the book (any mutation could then
+    /// change the answer).
+    pub(crate) fn walk(
+        &self,
+        size: u32,
+        duration: SimDuration,
+        from: SimTime,
+        exclude: &[NodeId],
+        max_slots: usize,
+    ) -> (Vec<Slot>, SimTime) {
         assert!(size > 0, "job size must be positive");
         assert!(!duration.is_zero(), "duration must be positive");
         let mut out = Vec::new();
         if max_slots == 0 {
-            return out;
+            return (out, from);
         }
-        let exclude_mask = NodeMask::from_nodes(exclude.iter().copied(), self.cluster_size);
-
-        // Materialize the profile from `from` on: segment i spans
-        // [segs[i].0, segs[i+1].0), and the last runs to infinity with an
-        // always-empty mask.
-        let all_free = NodeMask::empty(self.cluster_size);
-        let mut segs: Vec<(SimTime, &NodeMask)> = Vec::with_capacity(self.timeline.len() + 1);
-        let head = self
-            .timeline
-            .range(..=from)
-            .next_back()
-            .map(|(_, seg)| &seg.busy)
-            .unwrap_or(&all_free);
-        segs.push((from, head));
-        let after = (Bound::Excluded(from), Bound::Unbounded);
-        segs.extend(self.timeline.range(after).map(|(t, seg)| (*t, &seg.busy)));
-
-        // Every segment start is a candidate window start. Both window
-        // endpoints only move forward, so segments enter and leave the
-        // sliding union at most once each.
-        let mut win = SlidingUnion::new(self.cluster_size);
-        let mut lo = 0usize;
-        let mut hi = 0usize;
-        let mut busy = NodeMask::empty(self.cluster_size);
-        for (i, &(t, _)) in segs.iter().enumerate() {
-            let end = t.saturating_add(duration);
-            while lo < i {
-                win.pop();
-                lo += 1;
-            }
-            while hi < segs.len() && segs[hi].0 < end {
-                win.push(segs[hi].1);
-                hi += 1;
-            }
-            win.union_into(&mut busy);
-            busy.or_assign(&exclude_mask);
-            if busy.count_zeros() >= size {
-                out.push(Slot {
-                    start: t,
-                    free: busy.complement_nodes(),
-                });
-                if out.len() >= max_slots {
-                    break;
-                }
-            }
-        }
-        out
-    }
-
-    /// Whether any node of `mask` is committed somewhere in `interval`.
-    fn occupied_during(&self, interval: TimeWindow, mask: &NodeMask) -> bool {
-        if let Some((_, seg)) = self.timeline.range(..=interval.start()).next_back() {
-            if seg.busy.intersects(mask) {
-                return true;
-            }
-        }
-        let inside = (
-            Bound::Excluded(interval.start()),
-            Bound::Excluded(interval.end()),
-        );
-        self.timeline
-            .range(inside)
-            .any(|(_, seg)| seg.busy.intersects(mask))
-    }
-
-    /// Marks `mask` busy across `interval`, creating boundary keys as
-    /// needed and bumping their endpoint refcounts.
-    fn occupy(&mut self, interval: TimeWindow, mask: &NodeMask) {
-        self.ensure_boundary(interval.start());
-        self.ensure_boundary(interval.end());
-        for (_, seg) in self.timeline.range_mut(interval.start()..interval.end()) {
-            seg.busy.or_assign(mask);
-        }
-        let head = self
-            .timeline
-            .get_mut(&interval.start())
-            .expect("boundary ensured");
-        head.starts.or_assign(mask);
-        head.bounds += 1;
-        self.timeline
-            .get_mut(&interval.end())
-            .expect("boundary ensured")
-            .bounds += 1;
-    }
-
-    /// Clears `mask` across `interval` and drops boundary keys whose
-    /// endpoint refcount reaches zero.
-    fn vacate(&mut self, interval: TimeWindow, mask: &NodeMask) {
-        for (_, seg) in self.timeline.range_mut(interval.start()..interval.end()) {
-            seg.busy.and_not_assign(mask);
-        }
-        self.timeline
-            .get_mut(&interval.start())
-            .expect("endpoint is tracked")
-            .starts
-            .and_not_assign(mask);
-        for t in [interval.start(), interval.end()] {
-            let seg = self.timeline.get_mut(&t).expect("endpoint is tracked");
-            seg.bounds -= 1;
-            if seg.bounds == 0 {
-                // No live endpoint remains here, so the profile is constant
-                // across `t` and the key can be merged away.
-                self.timeline.remove(&t);
-            }
-        }
-    }
-
-    /// Inserts a key at `t` (splitting the segment in effect there) if one
-    /// does not already exist. Does not touch refcounts.
-    fn ensure_boundary(&mut self, t: SimTime) {
-        if self.timeline.contains_key(&t) {
-            return;
-        }
-        let busy = self
-            .timeline
-            .range(..t)
-            .next_back()
-            .map(|(_, seg)| seg.busy.clone())
-            .unwrap_or_else(|| NodeMask::empty(self.cluster_size));
-        // A split point has no reservation starting exactly at it (that
-        // would have made it a key already).
-        self.timeline.insert(
-            t,
-            Segment {
+        let (width, wps, n) = (self.cluster_size, self.wps, self.times.len());
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            let WalkScratch {
+                front,
+                back_agg,
+                agg,
                 busy,
-                starts: NodeMask::empty(self.cluster_size),
-                bounds: 0,
-            },
-        );
+                exclude: excluded,
+            } = &mut *scratch;
+            front.clear();
+            for buf in [&mut *back_agg, &mut *agg, &mut *busy, &mut *excluded] {
+                buf.clear();
+                buf.resize(wps, 0);
+            }
+            set_nodes(excluded, width, exclude.iter().copied());
+
+            // Virtual row / candidate v: 0 is `from` itself riding the row
+            // in effect there (none before the first row: all free); v ≥ 1
+            // are the rows after `from`, row `first_after + v − 1`.
+            let first_after = self.times.partition_point(|&t| t <= from);
+            let m = 1 + n - first_after;
+            let real = |v: usize| (first_after + v).checked_sub(1);
+
+            // The window is the virtual rows `lo..hi`: `front` stacks the
+            // suffix unions of `lo..back_lo`, `back_agg` is the union of
+            // `back_lo..hi`.
+            let (mut lo, mut hi, mut back_lo) = (0usize, 0usize, 0usize);
+            // Rows between the current window's second row and `clean_to`
+            // are known to have at least `size` free nodes.
+            let mut clean_to = 0usize;
+            let mut v = 0usize;
+            while v < m {
+                // A window starting in a row with fewer than `size` free
+                // nodes can never fit the job (exclusions only shrink it
+                // further), so hop to the next row that could.
+                if real(v).map_or(width, |r| self.free[r]) < size {
+                    match self.next_feasible(size, first_after + v) {
+                        Some(r) => {
+                            v = r + 1 - first_after;
+                            continue;
+                        }
+                        None => break,
+                    }
+                }
+                let t = match v {
+                    0 => from,
+                    _ => self.times[first_after + v - 1],
+                };
+                let end = t.saturating_add(duration);
+                // The window's free set is contained in every spanned
+                // row's, so a spanned row that cannot fit `size` sinks
+                // every candidate up to it: jump past the *last* such row
+                // instead of sliding the union through.
+                let ws = first_after + v;
+                let r_end = ws + self.times[ws..].partition_point(|&t| t < end);
+                let blocker = self.last_blocker(size, ws.max(clean_to), r_end);
+                clean_to = r_end;
+                if let Some(last) = blocker {
+                    v = last + 2 - first_after;
+                    continue;
+                }
+                if v >= hi {
+                    // Jumped clean past the current window: restart it at v.
+                    front.clear();
+                    back_agg.fill(0);
+                    (lo, hi, back_lo) = (v, v, v);
+                }
+                while lo < v {
+                    if front.is_empty() {
+                        // Flip: drain the back range newest-first so each
+                        // front entry carries the union of itself and
+                        // everything younger.
+                        agg.fill(0);
+                        for j in (back_lo..hi).rev() {
+                            if let Some(r) = real(j) {
+                                NodeMask::or_words(agg, self.row(r));
+                            }
+                            front.extend_from_slice(agg);
+                        }
+                        back_lo = hi;
+                        back_agg.fill(0);
+                    }
+                    front.truncate(front.len() - wps);
+                    lo += 1;
+                }
+                // Admit every row starting before `end`: real rows below
+                // `r_end`, after the head.
+                while hi < r_end + 1 - first_after {
+                    if let Some(r) = real(hi) {
+                        NodeMask::or_words(back_agg, self.row(r));
+                    }
+                    hi += 1;
+                }
+                busy.copy_from_slice(back_agg);
+                if let Some(top) = front.len().checked_sub(wps) {
+                    NodeMask::or_words(busy, &front[top..]);
+                }
+                NodeMask::or_words(busy, excluded);
+                if width - NodeMask::count_ones_words(busy) >= size {
+                    out.push(Slot {
+                        start: t,
+                        free: NodeMask::complement_nodes_words(width, busy),
+                    });
+                    if out.len() >= max_slots {
+                        return (out, end);
+                    }
+                }
+                v += 1;
+            }
+            (out, SimTime::MAX)
+        })
     }
+
+    /// First row at or after `r0` with at least `size` free nodes, hopping
+    /// over blocks whose maximum rules them out.
+    fn next_feasible(&self, size: u32, r0: usize) -> Option<usize> {
+        let mut r = r0;
+        while r < self.free.len() {
+            if r.is_multiple_of(BLOCK) && self.blocks[r / BLOCK].max_free < size {
+                r += BLOCK;
+            } else if self.free[r] >= size {
+                return Some(r);
+            } else {
+                r += 1;
+            }
+        }
+        None
+    }
+
+    /// Last row in `start..end` with fewer than `size` free nodes — a row
+    /// no window spanning it can fit the job over — hopping backwards over
+    /// blocks whose minimum clears them. `O(BLOCK + rows/BLOCK)`.
+    fn last_blocker(&self, size: u32, start: usize, end: usize) -> Option<usize> {
+        let mut r = end;
+        while r > start {
+            if r.is_multiple_of(BLOCK)
+                && r - start >= BLOCK
+                && self.blocks[r / BLOCK - 1].min_free >= size
+            {
+                r -= BLOCK;
+            } else if self.free[r - 1] < size {
+                return Some(r - 1);
+            } else {
+                r -= 1;
+            }
+        }
+        None
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.busy[i * self.wps..(i + 1) * self.wps]
+    }
+
+    fn rows(&self, rows: Range<usize>) -> impl Iterator<Item = &[u64]> {
+        self.busy[rows.start * self.wps..rows.end * self.wps].chunks_exact(self.wps)
+    }
+
+    /// `nodes` packed into one row's worth of words; ids beyond the
+    /// cluster are ignored.
+    fn mask_words(&self, nodes: impl Iterator<Item = NodeId>) -> Vec<u64> {
+        let mut words = vec![0; self.wps];
+        set_nodes(&mut words, self.cluster_size, nodes);
+        words
+    }
+
+    /// The rows whose span intersects the non-empty `window`: the one in
+    /// effect at its start (if any) through the last starting before its
+    /// end.
+    fn overlapped(&self, window: TimeWindow) -> Range<usize> {
+        let lo = self.times.partition_point(|&t| t <= window.start());
+        lo.saturating_sub(1)..self.times.partition_point(|&t| t < window.end())
+    }
+
+    /// Marks `mask` (disjoint from everything committed there) busy across
+    /// `interval`, creating boundary rows as needed and counting the two
+    /// endpoints.
+    fn occupy(&mut self, interval: TimeWindow, mask: &[u64]) {
+        let wps = self.wps;
+        let a = self.ensure_boundary(interval.start());
+        let b = self.ensure_boundary(interval.end());
+        for row in self.busy[a * wps..b * wps].chunks_exact_mut(wps) {
+            NodeMask::or_words(row, mask);
+        }
+        let nodes = NodeMask::count_ones_words(mask);
+        self.free[a..b].iter_mut().for_each(|f| *f -= nodes);
+        NodeMask::or_words(&mut self.starts[a * wps..(a + 1) * wps], mask);
+        self.bounds[a] += 1;
+        self.bounds[b] += 1;
+        self.summarize(a..b);
+    }
+
+    /// Clears `mask` (committed throughout) across `interval` and drops
+    /// the boundary rows whose endpoint count reaches zero.
+    fn vacate(&mut self, interval: TimeWindow, mask: &[u64]) {
+        let wps = self.wps;
+        let [a, b] = [interval.start(), interval.end()]
+            .map(|t| self.times.binary_search(&t).expect("endpoint is tracked"));
+        let and_not = |row: &mut [u64]| row.iter_mut().zip(mask).for_each(|(w, m)| *w &= !m);
+        self.busy[a * wps..b * wps]
+            .chunks_exact_mut(wps)
+            .for_each(and_not);
+        let nodes = NodeMask::count_ones_words(mask);
+        self.free[a..b].iter_mut().for_each(|f| *f += nodes);
+        and_not(&mut self.starts[a * wps..(a + 1) * wps]);
+        let mut dirty = a..b;
+        // Later row first, so `a` still names the start row.
+        for i in [b, a] {
+            self.bounds[i] -= 1;
+            if self.bounds[i] == 0 {
+                // No live endpoint remains here, so the profile is constant
+                // across this instant and the row merges into the one
+                // before it.
+                self.times.remove(i);
+                self.bounds.remove(i);
+                self.free.remove(i);
+                self.busy.drain(i * wps..(i + 1) * wps);
+                self.starts.drain(i * wps..(i + 1) * wps);
+                dirty.end = usize::MAX;
+            }
+        }
+        self.summarize(dirty.start..dirty.end.min(self.times.len()));
+    }
+
+    /// The row starting exactly at `t`, splitting the row in effect there
+    /// if none does yet. Does not touch endpoint counts.
+    fn ensure_boundary(&mut self, t: SimTime) -> usize {
+        let i = match self.times.binary_search(&t) {
+            Ok(i) => return i,
+            Err(i) => i,
+        };
+        let (wps, at) = (self.wps, i * self.wps);
+        self.times.insert(i, t);
+        self.bounds.insert(i, 0);
+        let free = i.checked_sub(1).map_or(self.cluster_size, |p| self.free[p]);
+        self.free.insert(i, free);
+        // A split point has no reservation starting exactly at it (that
+        // would have made it a row already), and carries on the busy mask
+        // of the row it splits.
+        for arena in [&mut self.busy, &mut self.starts] {
+            let len = arena.len();
+            arena.resize(len + wps, 0);
+            arena.copy_within(at..len, at + wps);
+            arena[at..at + wps].fill(0);
+        }
+        if i > 0 {
+            self.busy.copy_within(at - wps..at, at);
+        }
+        self.summarize(i..self.times.len());
+        i
+    }
+
+    /// Recomputes the skip-index blocks covering `rows` and fits the index
+    /// to the row count.
+    fn summarize(&mut self, rows: Range<usize>) {
+        let n = self.free.len();
+        self.blocks.resize(n.div_ceil(BLOCK), BlockSummary::of(&[]));
+        for b in rows.start / BLOCK..rows.end.div_ceil(BLOCK).min(self.blocks.len()) {
+            self.blocks[b] = BlockSummary::of(&self.free[b * BLOCK..n.min((b + 1) * BLOCK)]);
+        }
+    }
+
+    /// Asserts every invariant of the timeline and its skip index against a
+    /// from-scratch recomputation out of the live reservations.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violated invariant.
+    #[cfg(any(test, debug_assertions))]
+    pub fn check_invariants(&self) {
+        let (n, wps, width) = (self.times.len(), self.wps, self.cluster_size);
+        assert!(self.times.windows(2).all(|w| w[0] < w[1]), "times ascend");
+        assert_eq!(self.busy.len(), n * wps);
+        assert_eq!(self.starts.len(), n * wps);
+        assert_eq!((self.bounds.len(), self.free.len()), (n, n));
+        // Rows are exactly the live endpoints, counted; masks are the
+        // unions of the partitions covering / starting at each row.
+        let mut endpoints = BTreeMap::new();
+        let (mut busy, mut starts) = (vec![0u64; n * wps], vec![0u64; n * wps]);
+        for r in self.reservations.values() {
+            let mask = self.mask_words(r.partition.iter());
+            let [a, b] = [r.interval.start(), r.interval.end()].map(|t| {
+                *endpoints.entry(t).or_insert(0u32) += 1;
+                self.times.binary_search(&t).expect("endpoint has a row")
+            });
+            for row in busy[a * wps..b * wps].chunks_exact_mut(wps) {
+                NodeMask::or_words(row, &mask);
+            }
+            NodeMask::or_words(&mut starts[a * wps..(a + 1) * wps], &mask);
+        }
+        assert!(endpoints.keys().eq(&self.times), "rows = live endpoints");
+        assert!(
+            endpoints.values().eq(&self.bounds),
+            "bounds count endpoints"
+        );
+        assert!(self.bounds.iter().all(|&b| b > 0));
+        assert_eq!(
+            self.busy, busy,
+            "busy rows are the unions of live partitions"
+        );
+        assert_eq!(self.starts, starts, "starts rows");
+        if n > 0 {
+            assert!(self.row(n - 1).iter().all(|&w| w == 0), "last row empty");
+        }
+        let padding = match width % 64 {
+            0 => 0,
+            tail => u64::MAX << tail,
+        };
+        for i in 0..n {
+            assert_eq!(
+                self.free[i],
+                width - NodeMask::count_ones_words(self.row(i)),
+                "free count of row {i}"
+            );
+            assert_eq!(self.row(i)[wps - 1] & padding, 0, "padding of row {i}");
+        }
+        let summaries = self.free.chunks(BLOCK).map(BlockSummary::of);
+        assert!(summaries.eq(self.blocks.iter().copied()), "skip index");
+    }
+}
+
+/// Sets bit `i` of `words` for every node `i < width` of `nodes`.
+fn set_nodes(words: &mut [u64], width: u32, nodes: impl Iterator<Item = NodeId>) {
+    for i in nodes.map(|n| n.index()).filter(|&i| i < width as usize) {
+        words[i / 64] |= 1 << (i % 64);
+    }
+}
+
+/// Reusable per-thread walk buffers: the two-stack sliding union (front
+/// suffix-union stack, back aggregate, flip accumulator) and the
+/// busy/exclude compose buffers. One probe allocates nothing once these
+/// are warm, and the thread-local carries them across all the probes a
+/// `quote_batch` fans onto a thread.
+#[derive(Default)]
+struct WalkScratch {
+    front: Vec<u64>,
+    back_agg: Vec<u64>,
+    agg: Vec<u64>,
+    busy: Vec<u64>,
+    exclude: Vec<u64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<WalkScratch> = RefCell::new(WalkScratch::default());
 }
 
 impl AvailabilityView for ReservationBook {
@@ -592,59 +857,6 @@ impl AvailabilityView for ReservationBook {
         max_slots: usize,
     ) -> Vec<Slot> {
         ReservationBook::earliest_slots(self, size, duration, from, exclude, max_slots)
-    }
-}
-
-/// Two-stack sliding-window union of node masks.
-///
-/// `push` admits the next segment, `pop` evicts the oldest, and `union_into`
-/// reads the union of everything currently admitted — all amortized one
-/// mask operation each. Entries in `front` store the union of themselves
-/// and every younger entry below them, so the top of `front` plus the
-/// running `back_agg` covers the whole window.
-struct SlidingUnion {
-    front: Vec<NodeMask>,
-    back: Vec<NodeMask>,
-    back_agg: NodeMask,
-    width: u32,
-}
-
-impl SlidingUnion {
-    fn new(width: u32) -> Self {
-        SlidingUnion {
-            front: Vec::new(),
-            back: Vec::new(),
-            back_agg: NodeMask::empty(width),
-            width,
-        }
-    }
-
-    fn push(&mut self, mask: &NodeMask) {
-        self.back.push(mask.clone());
-        self.back_agg.or_assign(mask);
-    }
-
-    fn pop(&mut self) {
-        if self.front.is_empty() {
-            // Flip: drain `back` newest-first so the oldest element ends up
-            // on top of `front`, each entry carrying the union of itself
-            // and everything younger.
-            let mut agg = NodeMask::empty(self.width);
-            while let Some(mask) = self.back.pop() {
-                agg.or_assign(&mask);
-                self.front.push(agg.clone());
-            }
-            self.back_agg.clear_all();
-        }
-        self.front.pop();
-    }
-
-    fn union_into(&self, out: &mut NodeMask) {
-        out.clear_all();
-        if let Some(top) = self.front.last() {
-            out.or_assign(top);
-        }
-        out.or_assign(&self.back_agg);
     }
 }
 
@@ -825,6 +1037,7 @@ fn windows_overlap(a: TimeWindow, b: TimeWindow) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pqos_sim_core::rng::DetRng;
 
     fn w(a: u64, b: u64) -> TimeWindow {
         TimeWindow::new(SimTime::from_secs(a), SimTime::from_secs(b))
@@ -842,7 +1055,7 @@ mod tests {
         assert!(book.is_empty());
         assert!(book.remove(id).is_none());
         // Releasing the last reservation leaves an empty profile behind.
-        assert!(book.timeline.is_empty());
+        assert!(book.times.is_empty());
     }
 
     #[test]
@@ -949,7 +1162,7 @@ mod tests {
         // Truncating to before the start removes it.
         book.truncate(id, SimTime::from_secs(5));
         assert!(book.is_empty());
-        assert!(book.timeline.is_empty());
+        assert!(book.times.is_empty());
         // Truncating a missing id is a no-op.
         book.truncate(id, SimTime::from_secs(5));
     }
@@ -1004,10 +1217,8 @@ mod tests {
         let b = book
             .add(JobId::new(2), Partition::contiguous(1, 1), w(20, 30))
             .unwrap();
-        assert_eq!(
-            book.timeline.get(&SimTime::from_secs(20)).unwrap().bounds,
-            2
-        );
+        let shared = book.times.binary_search(&SimTime::from_secs(20)).unwrap();
+        assert_eq!(book.bounds[shared], 2);
         // Removing one keeps the shared key alive for the other.
         book.remove(a);
         assert_eq!(
@@ -1019,7 +1230,7 @@ mod tests {
             ]
         );
         book.remove(b);
-        assert!(book.timeline.is_empty());
+        assert!(book.times.is_empty());
     }
 
     #[test]
@@ -1038,7 +1249,7 @@ mod tests {
             .unwrap();
         book.truncate(c, SimTime::from_secs(80));
         book.remove(a);
-        let keys: Vec<SimTime> = book.timeline.keys().copied().collect();
+        let keys = book.times.clone();
         for (i, &t) in keys.iter().enumerate() {
             let seg_end = keys.get(i + 1).copied().unwrap_or(SimTime::MAX);
             let mut expect = NodeMask::empty(6);
@@ -1049,7 +1260,7 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(book.timeline[&t].busy, expect, "segment at {t}");
+            assert_eq!(book.row(i), expect.words(), "segment at {t}");
         }
     }
 
@@ -1088,17 +1299,23 @@ mod tests {
     }
 
     #[test]
-    fn profile_iterates_timeline_in_order() {
+    fn timeline_reads_in_order_through_point_queries() {
         let mut book = ReservationBook::new(4);
         book.add(JobId::new(1), Partition::contiguous(0, 2), w(10, 20))
             .unwrap();
         book.add(JobId::new(2), Partition::contiguous(2, 2), w(15, 30))
             .unwrap();
-        let profile: Vec<(SimTime, u32)> =
-            book.profile().map(|(t, m)| (t, m.count_ones())).collect();
+        // The profile, read through the public point queries: every change
+        // point in time order with the nodes committed from there on.
+        let profile: Vec<(SimTime, u32)> = book
+            .change_points(SimTime::ZERO)
+            .into_iter()
+            .map(|t| (t, book.occupied_at(t)))
+            .collect();
         assert_eq!(
             profile,
             vec![
+                (SimTime::ZERO, 0),
                 (SimTime::from_secs(10), 2),
                 (SimTime::from_secs(15), 4),
                 (SimTime::from_secs(20), 2),
@@ -1147,6 +1364,212 @@ mod tests {
             let a = fast.add(JobId::new(job), part.clone(), window);
             let b = naive.add(JobId::new(job), part, window);
             assert_eq!(a, b);
+        }
+    }
+
+    /// `earliest_slots` the slow way, through nothing but the point queries:
+    /// every change point whose whole window has room. Shares neither the
+    /// sliding union nor the skip index with the walk it checks.
+    fn slots_by_point_queries(
+        book: &ReservationBook,
+        size: u32,
+        duration: SimDuration,
+        from: SimTime,
+        exclude: &[NodeId],
+        max_slots: usize,
+    ) -> Vec<Slot> {
+        book.change_points(from)
+            .into_iter()
+            .map(|start| Slot {
+                start,
+                free: book.free_nodes_during(TimeWindow::starting_at(start, duration), exclude),
+            })
+            .filter(|slot| slot.free.len() >= size as usize)
+            .take(max_slots)
+            .collect()
+    }
+
+    /// The skip index against the linear scans it replaces.
+    fn check_skips(book: &ReservationBook, rng: &mut DetRng) {
+        let n = book.free.len();
+        for _ in 0..200 {
+            let size = rng.uniform_u64(1, u64::from(book.cluster_size)) as u32;
+            let start = rng.uniform_u64(0, n as u64) as usize;
+            let end = rng.uniform_u64(start as u64, n as u64) as usize;
+            assert_eq!(
+                book.next_feasible(size, start),
+                (start..n).find(|&r| book.free[r] >= size),
+                "next_feasible({size}, {start})"
+            );
+            assert_eq!(
+                book.last_blocker(size, start, end),
+                (start..end).rev().find(|&r| book.free[r] < size),
+                "last_blocker({size}, {start}, {end})"
+            );
+        }
+    }
+
+    #[test]
+    fn deep_book_edited_in_place_matches_a_rebuilt_book() {
+        const WIDTH: u32 = 130;
+        const LANES: usize = 13;
+        let mut rng = DetRng::seed_from(0xB00C).fork("deep-book");
+        let mut book = ReservationBook::new(WIDTH);
+        // Thirteen ten-node lanes, each a queue of jobs on a 10 s grid with
+        // the odd gap, filled in roughly ascending start order the way a
+        // daemon's preload arrives; jobs take part of their lane, so free
+        // counts vary row to row.
+        let mut lane_end = [0u64; LANES];
+        for job in 0..2_200u64 {
+            let lane = (0..LANES).min_by_key(|&l| lane_end[l]).unwrap();
+            let start = lane_end[lane] + 10 * rng.uniform_u64(0, 2);
+            let end = start + 10 * rng.uniform_u64(1, 200);
+            let nodes = rng.uniform_u64(1, 10) as u32;
+            book.add(
+                JobId::new(job),
+                Partition::contiguous(lane as u32 * 10, nodes),
+                w(start, end),
+            )
+            .unwrap();
+            lane_end[lane] = end;
+            if job % 100 == 0 {
+                book.check_invariants();
+            }
+        }
+        book.check_invariants();
+        assert!(book.len() >= 2_000 && book.times.len() > 20 * BLOCK);
+        check_skips(&book, &mut rng);
+        let horizon = *lane_end.iter().max().unwrap();
+
+        for step in 0..30u64 {
+            // Edits at the front, in the middle and at the tail in turn.
+            let anchor = [0, horizon / 2, horizon - horizon / 40][(step % 3) as usize];
+            let near = |book: &ReservationBook| {
+                let (id, r) = book
+                    .iter()
+                    .filter(|(_, r)| r.interval.start().as_secs() >= anchor)
+                    .min_by_key(|(_, r)| r.interval.start())
+                    .expect("every region holds reservations");
+                (id, r.interval)
+            };
+            match rng.uniform_u64(0, 3) {
+                0 => {
+                    let (id, _) = near(&book);
+                    book.remove(id).unwrap();
+                }
+                1 => {
+                    let (id, interval) = near(&book);
+                    let mid = (interval.start().as_secs() + interval.end().as_secs()) / 2;
+                    book.truncate(id, SimTime::from_secs(mid));
+                }
+                _ => {
+                    let size = rng.uniform_u64(1, 40) as u32;
+                    let duration = SimDuration::from_secs(rng.uniform_u64(1, 5_000));
+                    let from = SimTime::from_secs(anchor + rng.uniform_u64(0, 300));
+                    let slot = book
+                        .earliest_slots(size, duration, from, &[], 1)
+                        .pop()
+                        .unwrap();
+                    book.add(
+                        JobId::new(10_000 + step),
+                        Partition::new(slot.free[..size as usize].iter().copied()).unwrap(),
+                        TimeWindow::starting_at(slot.start, duration),
+                    )
+                    .unwrap();
+                }
+            }
+            book.check_invariants();
+            check_skips(&book, &mut rng);
+
+            // The timeline patched in place is, array for array, the one a
+            // fresh book arrives at by re-adding the live set.
+            let mut rebuilt = ReservationBook::new(WIDTH);
+            for (_, r) in book.iter() {
+                rebuilt.add(r.job, r.partition.clone(), r.interval).unwrap();
+            }
+            assert_eq!(book.times, rebuilt.times, "step {step}");
+            assert_eq!(book.busy, rebuilt.busy, "step {step}");
+            assert_eq!(book.starts, rebuilt.starts, "step {step}");
+            assert_eq!(book.bounds, rebuilt.bounds, "step {step}");
+            assert_eq!(book.free, rebuilt.free, "step {step}");
+            assert_eq!(book.blocks, rebuilt.blocks, "step {step}");
+
+            // Powers of two and not, the whole cluster, short windows and a
+            // two-day one spanning most of the book.
+            let exclude = [NodeId::new(3), NodeId::new(64), NodeId::new(129)];
+            for (size, secs) in [
+                (1, 30),
+                (7, 600),
+                (25, 3_600),
+                (64, 900),
+                (121, 5_000),
+                (127, 10),
+                (100, 2 * 86_400),
+            ] {
+                let duration = SimDuration::from_secs(secs);
+                let from = SimTime::from_secs(anchor + rng.uniform_u64(0, 500));
+                let got = book.earliest_slots(size, duration, from, &exclude, 3);
+                assert!(
+                    !got.is_empty(),
+                    "step {step}: {size} nodes fit an idle cluster"
+                );
+                assert_eq!(
+                    got,
+                    rebuilt.earliest_slots(size, duration, from, &exclude, 3),
+                    "step {step}: size {size} for {secs} s from {from} vs a rebuilt book"
+                );
+                // The long window from the front or middle costs the slow
+                // reference rows² — checked there on the first rounds only.
+                if secs < 86_400 || anchor > horizon / 2 || step < 6 {
+                    assert_eq!(
+                        got,
+                        slots_by_point_queries(&book, size, duration, from, &exclude, 3),
+                        "step {step}: size {size} for {secs} s from {from} vs point queries"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exhaustive_small_worlds_never_hide_a_feasible_slot() {
+        // Up to six reservations on up to eight nodes inside [0, 14): every
+        // size × duration × origin, first slot and all slots, against the
+        // executable specification.
+        let mut rng = DetRng::seed_from(0xB00C).fork("small-worlds");
+        for world in 0..60 {
+            let width = rng.uniform_u64(1, 8) as u32;
+            let mut fast = ReservationBook::new(width);
+            let mut naive = NaiveReservationBook::new(width);
+            for job in 0..rng.uniform_u64(0, 6) {
+                let first = rng.uniform_u64(0, u64::from(width) - 1) as u32;
+                let nodes = rng.uniform_u64(1, u64::from(width - first)) as u32;
+                let start = rng.uniform_u64(0, 9);
+                let window = w(start, start + rng.uniform_u64(1, 4));
+                let partition = Partition::contiguous(first, nodes);
+                assert_eq!(
+                    fast.add(JobId::new(job), partition.clone(), window),
+                    naive.add(JobId::new(job), partition, window)
+                );
+                fast.check_invariants();
+            }
+            let exclude = [NodeId::new(0)];
+            let exclude = &exclude[..world % 2];
+            for size in 1..=width {
+                for secs in 1..=14 {
+                    for from in 0..=14 {
+                        for max_slots in [1, 20] {
+                            let duration = SimDuration::from_secs(secs);
+                            let from = SimTime::from_secs(from);
+                            assert_eq!(
+                                fast.earliest_slots(size, duration, from, exclude, max_slots),
+                                naive.earliest_slots(size, duration, from, exclude, max_slots),
+                                "world {world}: {size} nodes for {secs} s from {from}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

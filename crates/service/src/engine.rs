@@ -346,7 +346,9 @@ fn run<P: Predictor + Sync>(
     let uptime_gauge = telemetry.gauge("process.uptime_seconds");
     // Quote-cache counters are cumulative session-side; published as
     // gauges so a /metrics scrape reads the latest totals
-    // (pqos_quote_cache_*).
+    // (pqos_quote_cache_*). `profile_rebuilds` reads 0 for good — the
+    // cache walks the book's own timeline — and stays exported so
+    // dashboards and the perf ledger keep their series.
     let cache_hits_gauge = telemetry.gauge("quote_cache.hits");
     let cache_misses_gauge = telemetry.gauge("quote_cache.misses");
     let cache_rebuilds_gauge = telemetry.gauge("quote_cache.profile_rebuilds");

@@ -297,201 +297,266 @@ fn reservation_book_never_double_books() {
     }
 }
 
-/// The timeline-indexed book and the naive scan-everything reference answer
-/// every query identically across randomized add/remove/truncate histories:
-/// same add outcomes (including which conflict is reported), same removed
+/// One world the reservation-book harnesses run in: a cluster width and a
+/// time grid. Widths past 64 make every timeline row multi-word (130 has a
+/// ragged last word, 1,024 is the sharded daemon's row), and a coarse grid
+/// makes reservations share and coincide on boundaries, so rows are
+/// refcounted, split and merged rather than merely inserted.
+#[derive(Debug, Clone, Copy)]
+struct BookWorld {
+    nodes: u32,
+    grid: u64,
+    cases: usize,
+}
+
+const BOOK_WORLDS: [BookWorld; 5] = [
+    BookWorld {
+        nodes: 24,
+        grid: 1,
+        cases: 48,
+    },
+    BookWorld {
+        nodes: 24,
+        grid: 50,
+        cases: 32,
+    },
+    BookWorld {
+        nodes: 130,
+        grid: 1,
+        cases: 24,
+    },
+    BookWorld {
+        nodes: 130,
+        grid: 50,
+        cases: 24,
+    },
+    BookWorld {
+        nodes: 1024,
+        grid: 25,
+        cases: 8,
+    },
+];
+
+/// One step of a randomized reservation-book history.
+enum BookOp {
+    Add {
+        nodes: Vec<u32>,
+        start: u64,
+        dur: u64,
+    },
+    Remove {
+        pick: u64,
+    },
+    Truncate {
+        pick: u64,
+        end: u64,
+    },
+    Query {
+        window: (u64, u64),
+        exclude: Vec<u32>,
+        from: u64,
+        size: u32,
+        dur: u64,
+        max_slots: usize,
+    },
+}
+
+impl BookOp {
+    /// Draws one op; `query_weight` in ten draws are queries, the rest
+    /// split between adds (most), removes and truncates.
+    fn draw(rng: &mut DetRng, world: BookWorld, query_weight: u64) -> BookOp {
+        let BookWorld { nodes, grid, .. } = world;
+        let snap = |t: u64| t / grid * grid;
+        let last = u64::from(nodes) - 1;
+        match rng.uniform_u64(0, 9) {
+            k if k >= 10 - query_weight => BookOp::Query {
+                window: {
+                    let a = snap(rng.uniform_u64(0, 900));
+                    // Bias in zero-length windows: both books must agree
+                    // they are strictly-spanning point queries.
+                    let b = if rng.uniform_u64(0, 6) == 0 {
+                        a
+                    } else {
+                        snap(rng.uniform_u64(0, 900))
+                    };
+                    (a, b)
+                },
+                exclude: {
+                    // Includes out-of-range node ids on purpose; wide
+                    // clusters sometimes lose a long run of nodes.
+                    let mut ids: Vec<u32> = (0..rng.uniform_u64(0, 4))
+                        .map(|_| rng.uniform_u64(0, last + 7) as u32)
+                        .collect();
+                    if nodes > 64 && rng.uniform_u64(0, 3) == 0 {
+                        let first = rng.uniform_u64(0, last) as u32;
+                        ids.extend(first..(first + 70).min(nodes + 3));
+                    }
+                    ids
+                },
+                from: snap(rng.uniform_u64(0, 900)),
+                // Uniform, so mostly not a power of two.
+                size: rng.uniform_u64(1, u64::from(nodes)) as u32,
+                dur: rng.uniform_u64(1, 300),
+                max_slots: rng.uniform_u64(1, 6) as usize,
+            },
+            0 => BookOp::Remove {
+                pick: rng.next_u64(),
+            },
+            1 => BookOp::Truncate {
+                pick: rng.next_u64(),
+                // Sometimes before the start (removal), sometimes past the
+                // end (no-op), on the grid sometimes an existing boundary.
+                end: snap(rng.uniform_u64(0, 950)),
+            },
+            _ => BookOp::Add {
+                nodes: if rng.uniform_u64(0, 2) == 0 {
+                    // A dense run, up to a third of the cluster: free
+                    // counts move in large, odd steps.
+                    let first = rng.uniform_u64(0, last);
+                    let len = rng.uniform_u64(1, u64::from(nodes) / 3);
+                    (first..(first + len).min(last + 1))
+                        .map(|n| n as u32)
+                        .collect()
+                } else {
+                    (0..rng.uniform_u64(1, 8))
+                        .map(|_| rng.uniform_u64(0, last) as u32)
+                        .collect()
+                },
+                start: snap(rng.uniform_u64(0, 600)),
+                dur: snap(rng.uniform_u64(1, 250)).max(grid),
+            },
+        }
+    }
+}
+
+fn pick_id(
+    issued: &[pqos_sched::reservation::ReservationId],
+    pick: u64,
+) -> Option<pqos_sched::reservation::ReservationId> {
+    if issued.is_empty() {
+        None
+    } else {
+        Some(issued[(pick % issued.len() as u64) as usize])
+    }
+}
+
+/// Checks the timeline's invariants (row layout, masks, refcounts, skip
+/// index) against a from-scratch recomputation. `check_invariants` exists
+/// only with debug assertions on (and in the book's own unit tests); a
+/// `--release` run of this suite keeps the parity assertions.
+fn check_book(book: &ReservationBook) {
+    #[cfg(debug_assertions)]
+    book.check_invariants();
+    #[cfg(not(debug_assertions))]
+    let _ = book;
+}
+
+/// The timeline book and the naive scan-everything reference answer every
+/// query identically across randomized add/remove/truncate histories: same
+/// add outcomes (including which conflict is reported), same removed
 /// reservations, and bit-identical `free_nodes_during`, `change_points`,
-/// and `earliest_slots` answers throughout.
+/// and `earliest_slots` answers throughout — with the timeline's
+/// invariants re-checked after every mutation.
 #[test]
 fn timeline_reservation_book_matches_naive_reference() {
     use pqos_sched::reservation::{AvailabilityView, NaiveReservationBook};
 
-    const NODES: u32 = 24;
-
-    enum Op {
-        Add {
-            nodes: Vec<u32>,
-            start: u64,
-            dur: u64,
-        },
-        Remove {
-            pick: u64,
-        },
-        Truncate {
-            pick: u64,
-            end: u64,
-        },
-        Query {
-            window: (u64, u64),
-            exclude: Vec<u32>,
-            from: u64,
-            size: u32,
-            dur: u64,
-            max_slots: usize,
-        },
-    }
-
-    for (case, ops) in cases("book-parity", 48, |rng| {
-        let n = rng.uniform_u64(4, 48) as usize;
-        (0..n)
-            .map(|_| match rng.uniform_u64(0, 9) {
-                0..=3 => Op::Add {
-                    nodes: {
-                        // Mostly scattered partitions, occasionally dense.
-                        let k = rng.uniform_u64(1, 8);
-                        (0..k)
-                            .map(|_| rng.uniform_u64(0, u64::from(NODES) - 1) as u32)
-                            .collect()
-                    },
-                    start: rng.uniform_u64(0, 600),
-                    dur: rng.uniform_u64(1, 250),
-                },
-                4 => Op::Remove {
-                    pick: rng.next_u64(),
-                },
-                5 => Op::Truncate {
-                    pick: rng.next_u64(),
-                    // Sometimes before the start (removal), sometimes past
-                    // the end (no-op).
-                    end: rng.uniform_u64(0, 950),
-                },
-                _ => Op::Query {
-                    window: {
-                        let a = rng.uniform_u64(0, 900);
-                        // Bias in zero-length windows: both books must
-                        // agree they are strictly-spanning point queries.
-                        let b = if rng.uniform_u64(0, 6) == 0 {
-                            a
-                        } else {
-                            rng.uniform_u64(0, 900)
+    for world in BOOK_WORLDS {
+        let label = format!("book-parity-{}-{}", world.nodes, world.grid);
+        for (case, ops) in cases(&label, world.cases, |rng| {
+            let n = rng.uniform_u64(4, 48) as usize;
+            (0..n)
+                .map(|_| BookOp::draw(rng, world, 4))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .enumerate()
+        {
+            let mut fast = ReservationBook::new(world.nodes);
+            let mut naive = NaiveReservationBook::new(world.nodes);
+            let mut issued = Vec::new();
+            for (i, op) in ops.iter().enumerate() {
+                let at = format!("{world:?} case {case} op {i}");
+                match op {
+                    BookOp::Add { nodes, start, dur } => {
+                        let partition = Partition::new(nodes.iter().copied().map(NodeId::new))
+                            .expect("non-empty");
+                        let window = TimeWindow::new(
+                            SimTime::from_secs(*start),
+                            SimTime::from_secs(start + dur),
+                        );
+                        let a = fast.add(JobId::new(i as u64), partition.clone(), window);
+                        let b = naive.add(JobId::new(i as u64), partition, window);
+                        assert_eq!(a, b, "{at}: add outcomes diverge");
+                        if let Ok(id) = a {
+                            issued.push(id);
+                        }
+                    }
+                    BookOp::Remove { pick } => {
+                        let Some(id) = pick_id(&issued, *pick) else {
+                            continue;
                         };
-                        (a, b)
-                    },
-                    exclude: {
-                        // Includes out-of-range node ids on purpose.
-                        let k = rng.uniform_u64(0, 4);
-                        (0..k)
-                            .map(|_| rng.uniform_u64(0, u64::from(NODES) + 6) as u32)
-                            .collect()
-                    },
-                    from: rng.uniform_u64(0, 900),
-                    size: rng.uniform_u64(1, u64::from(NODES)) as u32,
-                    dur: rng.uniform_u64(1, 300),
-                    max_slots: rng.uniform_u64(1, 6) as usize,
-                },
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .enumerate()
-    {
-        let mut fast = ReservationBook::new(NODES);
-        let mut naive = NaiveReservationBook::new(NODES);
-        let mut issued = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                Op::Add { nodes, start, dur } => {
-                    let partition =
-                        Partition::new(nodes.iter().copied().map(NodeId::new)).expect("non-empty");
-                    let window = TimeWindow::new(
-                        SimTime::from_secs(*start),
-                        SimTime::from_secs(start + dur),
-                    );
-                    let a = fast.add(JobId::new(i as u64), partition.clone(), window);
-                    let b = naive.add(JobId::new(i as u64), partition, window);
-                    assert_eq!(a, b, "case {case} op {i}: add outcomes diverge");
-                    if let Ok(id) = a {
-                        issued.push(id);
+                        assert_eq!(fast.remove(id), naive.remove(id), "{at}: removals diverge");
+                    }
+                    BookOp::Truncate { pick, end } => {
+                        let Some(id) = pick_id(&issued, *pick) else {
+                            continue;
+                        };
+                        fast.truncate(id, SimTime::from_secs(*end));
+                        naive.truncate(id, SimTime::from_secs(*end));
+                    }
+                    BookOp::Query {
+                        window,
+                        exclude,
+                        from,
+                        size,
+                        dur,
+                        max_slots,
+                    } => {
+                        let w = TimeWindow::new(
+                            SimTime::from_secs(window.0),
+                            SimTime::from_secs(window.1),
+                        );
+                        let excl: Vec<NodeId> = exclude.iter().copied().map(NodeId::new).collect();
+                        assert_eq!(
+                            fast.free_nodes_during(w, &excl),
+                            naive.free_nodes_during(w, &excl),
+                            "{at}: free_nodes_during({w:?}) diverges"
+                        );
+                        let from = SimTime::from_secs(*from);
+                        assert_eq!(
+                            fast.change_points(from),
+                            naive.change_points(from),
+                            "{at}: change_points({from}) diverges"
+                        );
+                        let dur = SimDuration::from_secs(*dur);
+                        assert_eq!(
+                            fast.earliest_slots(*size, dur, from, &excl, *max_slots),
+                            naive.earliest_slots(*size, dur, from, &excl, *max_slots),
+                            "{at}: earliest_slots(size={size}) diverges"
+                        );
                     }
                 }
-                Op::Remove { pick } => {
-                    let Some(id) = pick_id(&issued, *pick) else {
-                        continue;
-                    };
+                check_book(&fast);
+                assert_eq!(fast.len(), naive.len(), "{at}: live counts diverge");
+            }
+            // Final sweep from several origins, including past every
+            // commitment, for a small and a most-of-the-cluster job.
+            for from in [0u64, 450, 2000] {
+                let from = SimTime::from_secs(from);
+                assert_eq!(
+                    fast.change_points(from),
+                    naive.change_points(from),
+                    "{world:?} case {case}: final change_points({from}) diverges"
+                );
+                for size in [3, world.nodes * 3 / 4] {
                     assert_eq!(
-                        fast.remove(id),
-                        naive.remove(id),
-                        "case {case} op {i}: removals diverge"
-                    );
-                }
-                Op::Truncate { pick, end } => {
-                    let Some(id) = pick_id(&issued, *pick) else {
-                        continue;
-                    };
-                    fast.truncate(id, SimTime::from_secs(*end));
-                    naive.truncate(id, SimTime::from_secs(*end));
-                }
-                Op::Query {
-                    window,
-                    exclude,
-                    from,
-                    size,
-                    dur,
-                    max_slots,
-                } => {
-                    let w =
-                        TimeWindow::new(SimTime::from_secs(window.0), SimTime::from_secs(window.1));
-                    let excl: Vec<NodeId> = exclude.iter().copied().map(NodeId::new).collect();
-                    assert_eq!(
-                        fast.free_nodes_during(w, &excl),
-                        naive.free_nodes_during(w, &excl),
-                        "case {case} op {i}: free_nodes_during({w:?}) diverges"
-                    );
-                    let from = SimTime::from_secs(*from);
-                    assert_eq!(
-                        fast.change_points(from),
-                        naive.change_points(from),
-                        "case {case} op {i}: change_points({from}) diverges"
-                    );
-                    assert_eq!(
-                        fast.earliest_slots(
-                            *size,
-                            SimDuration::from_secs(*dur),
-                            from,
-                            &excl,
-                            *max_slots
-                        ),
-                        naive.earliest_slots(
-                            *size,
-                            SimDuration::from_secs(*dur),
-                            from,
-                            &excl,
-                            *max_slots
-                        ),
-                        "case {case} op {i}: earliest_slots(size={size}) diverges"
+                        fast.earliest_slots(size, SimDuration::from_secs(120), from, &[], 8),
+                        naive.earliest_slots(size, SimDuration::from_secs(120), from, &[], 8),
+                        "{world:?} case {case}: final earliest_slots({size}, {from}) diverges"
                     );
                 }
             }
-            assert_eq!(
-                fast.len(),
-                naive.len(),
-                "case {case} op {i}: live counts diverge"
-            );
-        }
-        // Final sweep from several origins, including past every commitment.
-        for from in [0u64, 450, 2000] {
-            let from = SimTime::from_secs(from);
-            assert_eq!(
-                fast.change_points(from),
-                naive.change_points(from),
-                "case {case}: final change_points({from}) diverges"
-            );
-            assert_eq!(
-                fast.earliest_slots(3, SimDuration::from_secs(120), from, &[], 8),
-                naive.earliest_slots(3, SimDuration::from_secs(120), from, &[], 8),
-                "case {case}: final earliest_slots({from}) diverges"
-            );
-        }
-    }
-
-    fn pick_id(
-        issued: &[pqos_sched::reservation::ReservationId],
-        pick: u64,
-    ) -> Option<pqos_sched::reservation::ReservationId> {
-        if issued.is_empty() {
-            None
-        } else {
-            Some(issued[(pick % issued.len() as u64) as usize])
         }
     }
 }
@@ -500,167 +565,109 @@ fn timeline_reservation_book_matches_naive_reference() {
 /// [`CachedReservationBook`] and require every answer it serves — memo
 /// hit, cold miss, or post-invalidation re-walk — to byte-match the same
 /// probe against a *fresh* uncached [`ReservationBook`] rebuilt from the
-/// live reservations (and against the naive executable specification).
+/// live reservations (and against the naive executable specification),
+/// with the in-place-edited timeline's invariants re-checked after every
+/// mutation.
 #[test]
 fn quote_cache_fuzz_matches_fresh_uncached_books() {
     use pqos_sched::cache::CachedReservationBook;
     use pqos_sched::reservation::{AvailabilityView, NaiveReservationBook};
 
-    const NODES: u32 = 24;
-
-    enum Op {
-        Add {
-            nodes: Vec<u32>,
-            start: u64,
-            dur: u64,
-        },
-        Remove {
-            pick: u64,
-        },
-        Truncate {
-            pick: u64,
-            end: u64,
-        },
-        Probe {
-            from: u64,
-            size: u32,
-            dur: u64,
-            exclude: Vec<u32>,
-            max_slots: usize,
-        },
-    }
-
-    for (case, ops) in cases("quote-cache-fuzz", 32, |rng| {
-        let n = rng.uniform_u64(8, 56) as usize;
-        (0..n)
-            .map(|_| match rng.uniform_u64(0, 9) {
-                0..=2 => Op::Add {
-                    nodes: {
-                        let k = rng.uniform_u64(1, 8);
-                        (0..k)
-                            .map(|_| rng.uniform_u64(0, u64::from(NODES) - 1) as u32)
-                            .collect()
-                    },
-                    start: rng.uniform_u64(0, 600),
-                    dur: rng.uniform_u64(1, 250),
-                },
-                3 => Op::Remove {
-                    pick: rng.next_u64(),
-                },
-                4 => Op::Truncate {
-                    pick: rng.next_u64(),
-                    end: rng.uniform_u64(0, 950),
-                },
-                _ => Op::Probe {
-                    from: rng.uniform_u64(0, 900),
-                    size: rng.uniform_u64(1, u64::from(NODES)) as u32,
-                    dur: rng.uniform_u64(1, 300),
-                    exclude: {
-                        // Includes out-of-range node ids on purpose.
-                        let k = rng.uniform_u64(0, 4);
-                        (0..k)
-                            .map(|_| rng.uniform_u64(0, u64::from(NODES) + 6) as u32)
-                            .collect()
-                    },
-                    max_slots: rng.uniform_u64(1, 6) as usize,
-                },
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .enumerate()
-    {
-        let mut cached = CachedReservationBook::new(NODES);
-        let mut issued = Vec::new();
-        let mut probes = 0u64;
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                Op::Add { nodes, start, dur } => {
-                    let partition =
-                        Partition::new(nodes.iter().copied().map(NodeId::new)).expect("non-empty");
-                    let window = TimeWindow::new(
-                        SimTime::from_secs(*start),
-                        SimTime::from_secs(start + dur),
-                    );
-                    if let Ok(id) = cached.add(JobId::new(i as u64), partition, window) {
-                        issued.push(id);
+    for world in BOOK_WORLDS {
+        let label = format!("quote-cache-fuzz-{}-{}", world.nodes, world.grid);
+        for (case, ops) in cases(&label, world.cases.min(32), |rng| {
+            let n = rng.uniform_u64(8, 56) as usize;
+            (0..n)
+                .map(|_| BookOp::draw(rng, world, 5))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .enumerate()
+        {
+            let mut cached = CachedReservationBook::new(world.nodes);
+            let mut issued = Vec::new();
+            let mut probes = 0u64;
+            for (i, op) in ops.iter().enumerate() {
+                let at = format!("{world:?} case {case} op {i}");
+                match op {
+                    BookOp::Add { nodes, start, dur } => {
+                        let partition = Partition::new(nodes.iter().copied().map(NodeId::new))
+                            .expect("non-empty");
+                        let window = TimeWindow::new(
+                            SimTime::from_secs(*start),
+                            SimTime::from_secs(start + dur),
+                        );
+                        if let Ok(id) = cached.add(JobId::new(i as u64), partition, window) {
+                            issued.push(id);
+                        }
+                    }
+                    BookOp::Remove { pick } => {
+                        if let Some(id) = pick_id(&issued, *pick) {
+                            let _ = cached.remove(id);
+                        }
+                    }
+                    BookOp::Truncate { pick, end } => {
+                        if let Some(id) = pick_id(&issued, *pick) {
+                            cached.truncate(id, SimTime::from_secs(*end));
+                        }
+                    }
+                    BookOp::Query {
+                        from,
+                        size,
+                        dur,
+                        exclude,
+                        max_slots,
+                        ..
+                    } => {
+                        // Rebuild pristine books from the live reservations:
+                        // no incrementally edited timeline, no memo.
+                        let mut fresh = ReservationBook::new(world.nodes);
+                        let mut naive = NaiveReservationBook::new(world.nodes);
+                        for (_, r) in cached.iter() {
+                            fresh
+                                .add(r.job, r.partition.clone(), r.interval)
+                                .expect("live reservations rebuild conflict-free");
+                            naive
+                                .add(r.job, r.partition.clone(), r.interval)
+                                .expect("live reservations rebuild conflict-free");
+                        }
+                        let excl: Vec<NodeId> = exclude.iter().copied().map(NodeId::new).collect();
+                        let from = SimTime::from_secs(*from);
+                        let dur = SimDuration::from_secs(*dur);
+                        let want = fresh.earliest_slots(*size, dur, from, &excl, *max_slots);
+                        assert_eq!(
+                            cached.earliest_slots(*size, dur, from, &excl, *max_slots),
+                            want,
+                            "{at}: cached probe diverges from a fresh book"
+                        );
+                        // Ask again immediately: the memoized answer must be
+                        // byte-identical to the walked one.
+                        assert_eq!(
+                            cached.earliest_slots(*size, dur, from, &excl, *max_slots),
+                            want,
+                            "{at}: memoized probe diverges from a fresh book"
+                        );
+                        assert_eq!(
+                            naive.earliest_slots(*size, dur, from, &excl, *max_slots),
+                            want,
+                            "{at}: naive spec diverges from the timeline walk"
+                        );
+                        probes += 1;
                     }
                 }
-                Op::Remove { pick } => {
-                    if let Some(id) = pick_id(&issued, *pick) {
-                        let _ = cached.remove(id);
-                    }
-                }
-                Op::Truncate { pick, end } => {
-                    if let Some(id) = pick_id(&issued, *pick) {
-                        cached.truncate(id, SimTime::from_secs(*end));
-                    }
-                }
-                Op::Probe {
-                    from,
-                    size,
-                    dur,
-                    exclude,
-                    max_slots,
-                } => {
-                    // Rebuild pristine books from the live reservations:
-                    // no incremental timeline state, no cache, no memo.
-                    let mut fresh = ReservationBook::new(NODES);
-                    let mut naive = NaiveReservationBook::new(NODES);
-                    for (_, r) in cached.iter() {
-                        fresh
-                            .add(r.job, r.partition.clone(), r.interval)
-                            .expect("live reservations rebuild conflict-free");
-                        naive
-                            .add(r.job, r.partition.clone(), r.interval)
-                            .expect("live reservations rebuild conflict-free");
-                    }
-                    let excl: Vec<NodeId> = exclude.iter().copied().map(NodeId::new).collect();
-                    let from = SimTime::from_secs(*from);
-                    let dur = SimDuration::from_secs(*dur);
-                    let want = fresh.earliest_slots(*size, dur, from, &excl, *max_slots);
-                    assert_eq!(
-                        cached.earliest_slots(*size, dur, from, &excl, *max_slots),
-                        want,
-                        "case {case} op {i}: cached probe diverges from a fresh book"
-                    );
-                    // Ask again immediately: the memoized answer must be
-                    // byte-identical to the walked one.
-                    assert_eq!(
-                        cached.earliest_slots(*size, dur, from, &excl, *max_slots),
-                        want,
-                        "case {case} op {i}: memoized probe diverges from a fresh book"
-                    );
-                    assert_eq!(
-                        naive.earliest_slots(*size, dur, from, &excl, *max_slots),
-                        want,
-                        "case {case} op {i}: naive spec diverges from the timeline walk"
-                    );
-                    probes += 1;
-                }
+                check_book(cached.inner());
             }
-        }
-        let stats = cached.stats();
-        assert_eq!(
-            stats.hits + stats.misses,
-            probes * 2,
-            "case {case}: every probe is either a hit or a miss"
-        );
-        // The immediate re-ask of each probe always hits the memo.
-        assert!(
-            probes == 0 || stats.hits >= probes,
-            "case {case}: repeated probes must hit the memo ({stats:?})"
-        );
-    }
-
-    fn pick_id(
-        issued: &[pqos_sched::reservation::ReservationId],
-        pick: u64,
-    ) -> Option<pqos_sched::reservation::ReservationId> {
-        if issued.is_empty() {
-            None
-        } else {
-            Some(issued[(pick % issued.len() as u64) as usize])
+            let stats = cached.stats();
+            assert_eq!(
+                stats.hits + stats.misses,
+                probes * 2,
+                "{world:?} case {case}: every probe is either a hit or a miss"
+            );
+            // The immediate re-ask of each probe always hits the memo.
+            assert!(
+                probes == 0 || stats.hits >= probes,
+                "{world:?} case {case}: repeated probes must hit the memo ({stats:?})"
+            );
         }
     }
 }
