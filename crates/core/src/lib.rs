@@ -13,8 +13,13 @@
 //! * [`metrics`] — QoS (Eq. 2), utilization, and lost work;
 //! * [`system`] — the event-driven trace simulator tying everything to the
 //!   `pqos-*` substrate crates;
-//! * [`session`] — the quote → accept → run lifecycle as a reusable state
-//!   machine, for online services that negotiate request-by-request.
+//! * [`lifecycle`] — the served quote → accept → run → "finished by *d*"
+//!   state machine (job table, timers, counters, journal), generic over
+//!   what an accepted job holds in the books;
+//! * [`session`] — a reservation book, a predictor and a [`lifecycle`]
+//!   whose commitment is one reservation: what an online service drives
+//!   request-by-request (its cross-shard coordinator runs the same
+//!   lifecycle over per-shard slices).
 //!
 //! # Quickstart
 //!
@@ -40,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod lifecycle;
 pub mod metrics;
 pub mod negotiate;
 pub mod session;

@@ -7,10 +7,19 @@
 //! (`cancel`). The trace simulator collapses ask-and-commit into one step
 //! because its simulated users always take the quote; a server cannot,
 //! because between the quote and the commitment other clients mutate the
-//! reservation book. [`NegotiationSession`] owns that mutable state — the
-//! reservation book, the predictor, virtual time, and the telemetry
-//! journal — behind an API whose writes are serialized by construction
-//! (the service wraps it in a single-writer engine thread).
+//! reservation book. [`NegotiationSession`] owns that mutable state
+//! behind an API whose writes are serialized by construction (the service
+//! wraps it in a single-writer engine thread). It is three things:
+//!
+//! - a **reservation book** behind the quote memo, and the **predictor**
+//!   quotes are scored against — what negotiation reads;
+//! - the **parity re-check** settings — a sampled second negotiation
+//!   pass that must agree with the first;
+//! - a [`Lifecycle`] whose commitment is one `ReservationId` — the job
+//!   table, timers, counters, virtual time and journal. Every transition
+//!   lives there, shared with the service's cross-shard coordinator; the
+//!   session only says what "book it" (`book.add`) and "release it"
+//!   (`book.remove`) mean.
 //!
 //! Quotes are *soft*: negotiating reserves nothing. `accept` revalidates
 //! against the book and fails with [`AcceptError::QuoteExpired`] when a
@@ -23,250 +32,20 @@
 //! edge in place.
 
 use crate::config::SimConfig;
-use crate::negotiate::{negotiate_batch, NegotiationOutcome, NegotiationRequest, Quote};
-use pqos_ckpt::model::planned_execution;
+use crate::lifecycle::Lifecycle;
+use crate::negotiate::NegotiationOutcome;
 use pqos_cluster::partition::Partition;
 use pqos_predict::api::Predictor;
 use pqos_sched::cache::{CachedReservationBook, QuoteCacheStats};
 use pqos_sched::reservation::ReservationId;
 use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
-use pqos_telemetry::{PromiseVerdict, Telemetry, TelemetryEvent};
+use pqos_telemetry::Telemetry;
 use pqos_workload::job::JobId;
-use std::collections::{BTreeSet, HashMap};
 
-/// Why an `accept` did not commit the quote.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AcceptError {
-    /// No outstanding quote for this job (never negotiated, already
-    /// accepted, or already cancelled).
-    UnknownQuote,
-    /// The quoted slot is gone: a competing commitment overlaps it, or
-    /// virtual time has passed the promised completion. Negotiate again.
-    QuoteExpired,
-}
-
-impl std::fmt::Display for AcceptError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AcceptError::UnknownQuote => write!(f, "no outstanding quote for this job"),
-            AcceptError::QuoteExpired => write!(f, "quote expired; negotiate again"),
-        }
-    }
-}
-
-impl std::error::Error for AcceptError {}
-
-/// Why a `cancel` was refused.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CancelError {
-    /// The job id is unknown to this session.
-    UnknownJob,
-    /// The job already started running (or finished); too late to cancel.
-    AlreadyStarted,
-}
-
-impl std::fmt::Display for CancelError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CancelError::UnknownJob => write!(f, "unknown job"),
-            CancelError::AlreadyStarted => write!(f, "job already started; cannot cancel"),
-        }
-    }
-}
-
-impl std::error::Error for CancelError {}
-
-/// One job's admission request: `size` nodes for `runtime` of useful work
-/// (checkpoint overhead is added per the session's configured interval,
-/// exactly as the simulator plans it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionRequest {
-    /// Requested partition size in nodes.
-    pub size: u32,
-    /// Requested useful runtime.
-    pub runtime: SimDuration,
-}
-
-/// A quote held by the session, waiting for accept/cancel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HeldQuote {
-    /// The quoted offer.
-    pub quote: Quote,
-    /// Effective deadline the system will hold itself to (promise plus the
-    /// configured slack fraction of the planned execution).
-    pub deadline: SimTime,
-    /// Whether the quote met the configured user threshold (Eq. 3) or is
-    /// the best-available compromise.
-    pub satisfied_threshold: bool,
-}
-
-/// Where a job is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobPhase {
-    /// Quoted, not yet accepted.
-    Quoted,
-    /// Accepted; reservation held; start not yet reached.
-    Accepted,
-    /// Between journaled start and completion.
-    Running,
-    /// Completed (journaled).
-    Done,
-    /// Cancelled (journaled).
-    Cancelled,
-}
-
-#[derive(Debug, Clone)]
-struct SessionJob {
-    phase: JobPhase,
-    quote: HeldQuote,
-    reservation: Option<ReservationId>,
-}
-
-/// Counters the session exposes through its status report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Negotiations answered with a quote.
-    pub quoted: u64,
-    /// Negotiations answered with a rejection (job cannot fit).
-    pub rejected: u64,
-    /// Quotes committed via accept.
-    pub accepted: u64,
-    /// Accepts refused because the quoted slot was gone.
-    pub expired: u64,
-    /// Jobs cancelled before starting.
-    pub cancelled: u64,
-    /// Jobs that reached their start instant.
-    pub started: u64,
-    /// Jobs that ran to completion.
-    pub completed: u64,
-    /// Batched quotes re-checked against a serial `negotiate` call.
-    pub parity_checked: u64,
-    /// Re-checks that disagreed (any nonzero value is a bug).
-    pub parity_violations: u64,
-}
-
-/// Number of fixed quoted-probability bins the session (and the offline
-/// calibration ledger in `pqos-obs`) tallies promises into: `[0.0, 0.1)`,
-/// `[0.1, 0.2)`, ..., `[0.9, 1.0]` (the last bin is closed above).
-pub const PROMISE_BINS: usize = 10;
-
-/// The fixed calibration bin a quoted probability falls into.
-pub fn promise_bin(p: f64) -> usize {
-    // NaN/negative clamp to bin 0, p >= 1.0 to the last bin.
-    let i = (p * PROMISE_BINS as f64).floor();
-    if i.is_finite() && i > 0.0 {
-        (i as usize).min(PROMISE_BINS - 1)
-    } else {
-        0
-    }
-}
-
-/// Live promise-calibration counters: every accepted quote is a promise
-/// and every terminal event resolves one. Cancelled promises are excluded
-/// from calibration (neither kept nor broken).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PromiseStats {
-    /// Promises made (== quotes accepted).
-    pub made: u64,
-    /// Promises kept: the job completed at or before its effective
-    /// deadline.
-    pub kept: u64,
-    /// Promises broken: the job completed after its effective deadline.
-    pub broken: u64,
-    /// Promises voided by cancellation before a verdict was possible.
-    pub cancelled: u64,
-    /// Worst per-bin reliability residual (observed success rate minus
-    /// mean quoted probability, over kept+broken promises), in signed
-    /// milli-units: the residual of largest magnitude across the
-    /// [`PROMISE_BINS`] fixed bins. Negative means overconfident.
-    pub worst_residual_milli: i64,
-}
-
-/// Per-bin running tallies behind [`PromiseStats::worst_residual_milli`].
-#[derive(Debug, Clone, Copy, Default)]
-struct PromiseBin {
-    resolved: u64,
-    kept: u64,
-    sum_quoted: f64,
-}
-
-#[derive(Debug, Clone, Default)]
-struct PromiseTally {
-    made: u64,
-    kept: u64,
-    broken: u64,
-    cancelled: u64,
-    bins: [PromiseBin; PROMISE_BINS],
-}
-
-/// A standalone promise-calibration ledger with the exact bin/residual
-/// semantics the session uses internally. External admission
-/// coordinators (the service's cross-shard wide-job table) tally their
-/// own promises through this so aggregated calibration stays comparable
-/// with per-session numbers.
-#[derive(Debug, Clone, Default)]
-pub struct PromiseLedger {
-    tally: PromiseTally,
-}
-
-impl PromiseLedger {
-    /// Records that a quote was accepted (a promise was made).
-    pub fn promise_made(&mut self) {
-        self.tally.made += 1;
-    }
-
-    /// Resolves one promise with the quoted success probability it was
-    /// made at.
-    pub fn resolve(&mut self, quoted: f64, verdict: PromiseVerdict) {
-        self.tally.resolve(quoted, verdict);
-    }
-
-    /// Current counters, including the worst per-bin residual.
-    pub fn stats(&self) -> PromiseStats {
-        self.tally.stats()
-    }
-}
-
-impl PromiseTally {
-    fn resolve(&mut self, quoted: f64, verdict: PromiseVerdict) {
-        match verdict {
-            PromiseVerdict::Kept | PromiseVerdict::Broken => {
-                let bin = &mut self.bins[promise_bin(quoted)];
-                bin.resolved += 1;
-                bin.sum_quoted += quoted;
-                if verdict == PromiseVerdict::Kept {
-                    bin.kept += 1;
-                    self.kept += 1;
-                } else {
-                    self.broken += 1;
-                }
-            }
-            PromiseVerdict::Cancelled => self.cancelled += 1,
-        }
-    }
-
-    fn stats(&self) -> PromiseStats {
-        let mut worst = 0i64;
-        for bin in &self.bins {
-            if bin.resolved == 0 {
-                continue;
-            }
-            let observed = bin.kept as f64 / bin.resolved as f64;
-            let mean_quoted = bin.sum_quoted / bin.resolved as f64;
-            let residual = ((observed - mean_quoted) * 1000.0).round() as i64;
-            if residual.abs() > worst.abs() {
-                worst = residual;
-            }
-        }
-        PromiseStats {
-            made: self.made,
-            kept: self.kept,
-            broken: self.broken,
-            cancelled: self.cancelled,
-            worst_residual_milli: worst,
-        }
-    }
-}
+pub use crate::lifecycle::{
+    promise_bin, AcceptError, AdmissionRequest, CancelError, HeldQuote, PromiseStats,
+    QuoteDecision, SessionStats, PROMISE_BINS,
+};
 
 /// A snapshot of the session for the service's `status` verb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,15 +65,6 @@ pub struct SessionStatus {
     /// Every Nth batch gets the batched-vs-serial parity re-check (1 =
     /// every batch).
     pub parity_sample: u64,
-}
-
-/// The answer to one admission request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QuoteDecision {
-    /// A quote is now held for the job; accept or cancel it.
-    Quoted(HeldQuote),
-    /// The job can never fit the cluster.
-    Rejected,
 }
 
 /// One replayable session operation — the unit a recorded incident trace
@@ -360,31 +130,17 @@ pub struct NegotiationSession<P> {
     /// of the book's own timeline (see `pqos_sched::cache`).
     book: CachedReservationBook,
     predictor: P,
-    telemetry: Telemetry,
-    now: SimTime,
-    jobs: HashMap<JobId, SessionJob>,
-    /// How many of `jobs` are quoted, accepted or running, kept in step at
-    /// every phase transition so [`Self::live_jobs`] need not walk a table
-    /// that never forgets a job.
-    live: usize,
-    /// Pending lifecycle instants: (time, order-class, job). Order-class 0
-    /// = completion, 1 = start, so completions at an instant free their
-    /// nodes before same-instant starts claim theirs (the journal
-    /// invariant the doctor's occupancy check enforces).
-    timers: BTreeSet<(SimTime, u8, JobId)>,
-    stats: SessionStats,
-    promises: PromiseTally,
+    /// Every job's phase, timers, counters, virtual time and journal; an
+    /// accepted job's commitment is its reservation in `book`.
+    lifecycle: Lifecycle<ReservationId>,
     verify_parity: bool,
     /// Re-check every Nth batch (deterministic counter-based sampling);
     /// 1 = every batch.
     parity_sample: u64,
     /// Batches quoted so far (drives the sampling decision).
     batch_seq: u64,
-    quote_horizon: Option<SimDuration>,
-    /// Offset added to node indices in journaled placements. A sharded
-    /// deployment gives each shard-local session the global index of its
-    /// first node so the merged journal speaks one global namespace.
-    node_base: u64,
+    parity_checked: u64,
+    parity_violations: u64,
 }
 
 impl<P: Predictor + Sync> NegotiationSession<P> {
@@ -395,18 +151,12 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
             config,
             book,
             predictor,
-            telemetry,
-            now: SimTime::ZERO,
-            jobs: HashMap::new(),
-            live: 0,
-            timers: BTreeSet::new(),
-            stats: SessionStats::default(),
-            promises: PromiseTally::default(),
+            lifecycle: Lifecycle::new(telemetry),
             verify_parity: false,
             parity_sample: 1,
             batch_seq: 0,
-            quote_horizon: None,
-            node_base: 0,
+            parity_checked: 0,
+            parity_violations: 0,
         }
     }
 
@@ -444,7 +194,7 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
     /// accumulate, and therefore per-quote latency, stays bounded by
     /// cluster capacity × horizon.
     pub fn quote_horizon(mut self, horizon: SimDuration) -> Self {
-        self.quote_horizon = Some(horizon);
+        self.lifecycle.set_quote_horizon(horizon);
         self
     }
 
@@ -454,13 +204,13 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
     /// shards never alias each other's nodes. Quoting and booking are
     /// untouched — only the journaled `job_placed` node list shifts.
     pub fn node_base(mut self, base: u64) -> Self {
-        self.node_base = base;
+        self.lifecycle.set_node_base(base);
         self
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.lifecycle.now()
     }
 
     /// The configuration this session was built with.
@@ -482,22 +232,11 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
         &self.book
     }
 
-    /// Total checkpointed execution time this session plans for `runtime`
-    /// of useful work (the duration quotes reserve).
-    pub fn planned_total(&self, runtime: SimDuration) -> SimDuration {
-        planned_execution(
-            runtime,
-            self.config.checkpoint_interval,
-            self.config.checkpoint_overhead,
-        )
-        .total
-    }
-
     /// The telemetry handle this session journals through. The service
     /// layer uses it to register its own engine/server metrics against the
     /// same registry the session's hooks populate.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self.lifecycle.telemetry()
     }
 
     /// Jobs currently alive in this session: quoted (awaiting a decision),
@@ -505,37 +244,17 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
     /// jobs are excluded; expired quotes were dropped entirely (they show
     /// up in [`SessionStats::expired`]).
     pub fn live_jobs(&self) -> usize {
-        debug_assert_eq!(
-            self.live,
-            self.jobs
-                .values()
-                .filter(|j| {
-                    matches!(
-                        j.phase,
-                        JobPhase::Quoted | JobPhase::Accepted | JobPhase::Running
-                    )
-                })
-                .count(),
-            "live counter drifted from the job table"
-        );
-        self.live
+        self.lifecycle.live_jobs()
     }
 
     /// Advances virtual time to `to` (monotone; earlier instants are
     /// ignored), journaling every start and completion that falls due.
     /// Completed jobs release their reservations.
     pub fn advance_to(&mut self, to: SimTime) {
-        while let Some(&(when, class, job)) = self.timers.iter().next() {
-            if when > to {
-                break;
-            }
-            self.timers.remove(&(when, class, job));
-            match class {
-                0 => self.complete(job, when),
-                _ => self.start(job, when),
-            }
-        }
-        self.now = self.now.max(to);
+        let book = &mut self.book;
+        self.lifecycle.advance_to(to, |reservation| {
+            book.remove(reservation);
+        });
     }
 
     /// Negotiates a batch of admission requests against the current book
@@ -551,109 +270,33 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
         requests: &[(JobId, AdmissionRequest)],
         threads: usize,
     ) -> Vec<QuoteDecision> {
-        // Journal submissions first: the doctor requires job_submitted
-        // before the accepted quote, and a batch is one virtual instant.
-        for (id, req) in requests {
-            let (id, req) = (*id, *req);
-            self.telemetry.emit(|| TelemetryEvent::JobSubmitted {
-                at: self.now,
-                job: id.as_u64(),
-                size: req.size,
-                runtime_secs: req.runtime.as_secs(),
-            });
-        }
-        let negotiation_requests: Vec<NegotiationRequest<'_>> = requests
-            .iter()
-            .map(|(_, req)| self.negotiation_request(*req))
-            .collect();
         let negotiate_timer = self
-            .telemetry
+            .telemetry()
             .histogram("session.negotiate_ns")
             .start_timer();
-        let outcomes = negotiate_batch(
-            &self.book,
-            self.config.topology,
-            self.config.placement,
-            &self.predictor,
-            &negotiation_requests,
-            &self.config.user,
-            self.config.max_negotiation_slots,
-            self.config.max_probe_steps,
-            threads,
-        );
+        let outcomes = self.negotiate(requests.iter().map(|&(_, req)| req), threads);
         negotiate_timer.stop();
-        if self.verify_parity && self.batch_seq.is_multiple_of(self.parity_sample) {
-            let parity_timer = self.telemetry.histogram("session.parity_ns").start_timer();
-            self.check_parity(&negotiation_requests, &outcomes, threads);
-            parity_timer.stop();
-        }
-        self.batch_seq = self.batch_seq.wrapping_add(1);
-        requests
-            .iter()
-            .zip(outcomes)
-            .map(|(&(id, req), outcome)| self.record_decision(id, req, outcome))
-            .collect()
+        self.admit(requests, outcomes, threads, false)
     }
 
-    /// The quote-horizon filter [`Self::probe_outcomes`] applies: `None`
-    /// where the quoted start falls beyond the horizon.
-    fn apply_horizon(&self, outcome: Option<NegotiationOutcome>) -> Option<NegotiationOutcome> {
-        let outcome = outcome?;
-        if let Some(horizon) = self.quote_horizon {
-            if outcome.accepted.start > self.now.saturating_add(horizon) {
-                return None;
-            }
-        }
-        Some(outcome)
-    }
-
-    /// Answers, without any side effects, the start time each request
-    /// *would* be quoted if negotiated against the current book snapshot
-    /// (`None` where the request would be rejected, including by the
-    /// quote horizon). Nothing is journaled, no quote is held and no
-    /// counter moves — this is the read-only routing probe a sharded
-    /// engine runs on shards before assigning the job to the one quoting
-    /// the earliest start.
-    pub fn probe_batch(
-        &self,
-        requests: &[AdmissionRequest],
-        threads: usize,
-    ) -> Vec<Option<SimTime>> {
-        self.probe_outcomes(requests, threads)
-            .into_iter()
-            .map(|outcome| Some(outcome?.accepted.start))
-            .collect()
-    }
-
-    /// The full negotiation outcomes behind [`Self::probe_batch`]:
-    /// read-only, nothing journaled, horizon-rejected requests already
-    /// `None`. A sharded router keeps the winning shard's outcome and
-    /// admits it via [`Self::quote_batch_precomputed`], so routing a
-    /// narrow job costs one negotiation walk instead of probe-then-quote
-    /// walking the same book twice.
+    /// Answers, without any side effects, what each request *would* be
+    /// quoted if negotiated against the current book snapshot (`None`
+    /// where the request would be rejected, including by the quote
+    /// horizon). Nothing is journaled, no quote is held and no counter
+    /// moves — this is the read-only routing probe a sharded engine runs
+    /// on shards before assigning the job to the one quoting the earliest
+    /// start. The router keeps the winning shard's outcome and admits it
+    /// via [`Self::quote_batch_precomputed`], so routing a narrow job
+    /// costs one negotiation walk instead of probe-then-quote walking the
+    /// same book twice.
     pub fn probe_outcomes(
         &self,
         requests: &[AdmissionRequest],
         threads: usize,
     ) -> Vec<Option<NegotiationOutcome>> {
-        let negotiation_requests: Vec<NegotiationRequest<'_>> = requests
-            .iter()
-            .map(|req| self.negotiation_request(*req))
-            .collect();
-        let outcomes = negotiate_batch(
-            &self.book,
-            self.config.topology,
-            self.config.placement,
-            &self.predictor,
-            &negotiation_requests,
-            &self.config.user,
-            self.config.max_negotiation_slots,
-            self.config.max_probe_steps,
-            threads,
-        );
-        outcomes
+        self.negotiate(requests.iter().copied(), threads)
             .into_iter()
-            .map(|outcome| self.apply_horizon(outcome))
+            .map(|outcome| self.lifecycle.within_horizon(outcome))
             .collect()
     }
 
@@ -663,41 +306,17 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
     /// same sampled batched-vs-serial parity check, and records each
     /// decision — without re-running negotiation. `None` outcomes are
     /// recorded as rejections.
+    ///
+    /// # Panics
+    ///
+    /// When `outcomes` does not hold one outcome per request.
     pub fn quote_batch_precomputed(
         &mut self,
         requests: &[(JobId, AdmissionRequest)],
         outcomes: Vec<Option<NegotiationOutcome>>,
         threads: usize,
     ) -> Vec<QuoteDecision> {
-        assert_eq!(
-            requests.len(),
-            outcomes.len(),
-            "one precomputed outcome per request"
-        );
-        for (id, req) in requests {
-            let (id, req) = (*id, *req);
-            self.telemetry.emit(|| TelemetryEvent::JobSubmitted {
-                at: self.now,
-                job: id.as_u64(),
-                size: req.size,
-                runtime_secs: req.runtime.as_secs(),
-            });
-        }
-        if self.verify_parity && self.batch_seq.is_multiple_of(self.parity_sample) {
-            let negotiation_requests: Vec<NegotiationRequest<'_>> = requests
-                .iter()
-                .map(|(_, req)| self.negotiation_request(*req))
-                .collect();
-            let parity_timer = self.telemetry.histogram("session.parity_ns").start_timer();
-            self.check_parity_horizon_filtered(&negotiation_requests, &outcomes, threads);
-            parity_timer.stop();
-        }
-        self.batch_seq = self.batch_seq.wrapping_add(1);
-        requests
-            .iter()
-            .zip(outcomes)
-            .map(|(&(id, req), outcome)| self.record_decision(id, req, outcome))
-            .collect()
+        self.admit(requests, outcomes, threads, true)
     }
 
     /// Books `partition` for `window` directly, bypassing negotiation,
@@ -732,58 +351,10 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
     /// competing commitment or the promise is already in the past (the
     /// held quote is dropped — negotiate again).
     pub fn accept(&mut self, id: JobId) -> Result<HeldQuote, AcceptError> {
-        let job = self
-            .jobs
-            .get(&id)
-            .filter(|j| j.phase == JobPhase::Quoted)
-            .ok_or(AcceptError::UnknownQuote)?;
-        let held = job.quote.clone();
-        if self.now >= held.quote.deadline {
-            self.jobs.remove(&id);
-            self.live -= 1;
-            self.stats.expired += 1;
-            return Err(AcceptError::QuoteExpired);
-        }
-        let window = TimeWindow::new(held.quote.start, held.quote.deadline);
-        let reservation = match self.book.add(id, held.quote.partition.clone(), window) {
-            Ok(r) => r,
-            Err(_) => {
-                self.jobs.remove(&id);
-                self.live -= 1;
-                self.stats.expired += 1;
-                return Err(AcceptError::QuoteExpired);
-            }
-        };
-        self.telemetry.emit(|| TelemetryEvent::QuoteNegotiated {
-            at: self.now,
-            job: id.as_u64(),
-            start_secs: held.quote.start.as_secs(),
-            promised_secs: held.quote.deadline.as_secs(),
-            deadline_secs: held.deadline.as_secs(),
-            success_probability: held.quote.promised_success(),
-        });
-        self.telemetry.emit(|| TelemetryEvent::JobPlaced {
-            at: self.now,
-            job: id.as_u64(),
-            nodes: held
-                .quote
-                .partition
-                .iter()
-                .map(|n| n.index() as u64 + self.node_base)
-                .collect(),
-            failure_probability: held.quote.failure_probability,
-        });
-        let job = self.jobs.get_mut(&id).expect("checked above");
-        job.phase = JobPhase::Accepted;
-        job.reservation = Some(reservation);
-        // A start already in the past (time moved while the client decided)
-        // fires on the next advance; the run still ends at the promise.
-        self.timers.insert((held.quote.start.max(self.now), 1, id));
-        self.stats.accepted += 1;
-        // The accepted quote is a promise; its resolution is journaled by
-        // the terminal event (complete or cancel).
-        self.promises.made += 1;
-        Ok(held)
+        let book = &mut self.book;
+        self.lifecycle.accept(id, |held, window| {
+            book.add(id, held.quote.partition.clone(), window).ok()
+        })
     }
 
     /// Withdraws a job: drops a held quote, or releases an accepted
@@ -796,54 +367,26 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
     /// already cancelled); [`CancelError::AlreadyStarted`] once the job is
     /// running or done.
     pub fn cancel(&mut self, id: JobId) -> Result<(), CancelError> {
-        let job = self.jobs.get(&id).ok_or(CancelError::UnknownJob)?;
-        match job.phase {
-            JobPhase::Quoted | JobPhase::Accepted => {}
-            JobPhase::Running | JobPhase::Done => return Err(CancelError::AlreadyStarted),
-            JobPhase::Cancelled => return Err(CancelError::UnknownJob),
-        }
-        let job = self.jobs.get_mut(&id).expect("present");
-        let was_accepted = job.phase == JobPhase::Accepted;
-        job.phase = JobPhase::Cancelled;
-        self.live -= 1;
-        if let Some(reservation) = job.reservation.take() {
-            self.book.remove(reservation);
-        }
-        if was_accepted {
-            let start = self.jobs[&id].quote.quote.start.max(self.now);
-            self.timers.remove(&(start, 1, id));
-        }
-        self.telemetry.emit(|| TelemetryEvent::JobCancelled {
-            at: self.now,
-            job: id.as_u64(),
-        });
-        if was_accepted {
-            // Only accepted quotes made a promise worth resolving; a held
-            // quote that was never committed promised nothing.
-            let quoted = self.jobs[&id].quote.quote.promised_success();
-            let deadline_secs = self.jobs[&id].quote.deadline.as_secs();
-            self.telemetry.emit(|| TelemetryEvent::PromiseResolved {
-                at: self.now,
-                job: id.as_u64(),
-                success_probability: quoted,
-                deadline_secs,
-                verdict: PromiseVerdict::Cancelled,
-            });
-            self.promises.resolve(quoted, PromiseVerdict::Cancelled);
-        }
-        self.stats.cancelled += 1;
-        Ok(())
+        let book = &mut self.book;
+        self.lifecycle.cancel(id, |reservation| {
+            book.remove(reservation);
+        })
     }
 
     /// A point-in-time snapshot for status reporting.
     pub fn status(&self) -> SessionStatus {
+        let now = self.now();
         SessionStatus {
-            now: self.now,
+            now,
             cluster_size: self.book.cluster_size(),
-            occupied_nodes: self.book.occupied_at(self.now),
+            occupied_nodes: self.book.occupied_at(now),
             reservations: self.book.len(),
-            stats: self.stats,
-            promises: self.promises.stats(),
+            stats: SessionStats {
+                parity_checked: self.parity_checked,
+                parity_violations: self.parity_violations,
+                ..self.lifecycle.stats()
+            },
+            promises: self.promise_stats(),
             parity_sample: self.parity_sample,
         }
     }
@@ -851,7 +394,7 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
     /// Live promise-calibration counters (see [`PromiseStats`]). The
     /// service exports these as `pqos_promise_*` gauges on `/metrics`.
     pub fn promise_stats(&self) -> PromiseStats {
-        self.promises.stats()
+        self.lifecycle.promise_stats()
     }
 
     /// Cumulative quote-cache counters (hits, misses, invalidations, and
@@ -863,7 +406,7 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
 
     /// Flushes the telemetry journal through to its sinks.
     pub fn flush(&self) {
-        self.telemetry.flush();
+        self.telemetry().flush();
     }
 
     /// Applies one replayable operation. This is the session's *driver*
@@ -877,7 +420,7 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
         match op {
             SessionOp::AdvanceTo(to) => {
                 self.advance_to(*to);
-                SessionOpOutcome::Advanced(self.now)
+                SessionOpOutcome::Advanced(self.now())
             }
             SessionOp::QuoteBatch(requests) => {
                 SessionOpOutcome::Quotes(self.quote_batch(requests, threads))
@@ -887,202 +430,57 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
         }
     }
 
-    fn negotiation_request(&self, req: AdmissionRequest) -> NegotiationRequest<'static> {
-        let plan = planned_execution(
-            req.runtime,
-            self.config.checkpoint_interval,
-            self.config.checkpoint_overhead,
-        );
-        NegotiationRequest {
-            size: req.size,
-            duration: plan.total,
-            now: self.now,
-            down: &[],
-            recovery_horizon: SimTime::ZERO,
-            pre_start_risk: self.config.node_downtime,
-        }
-    }
-
-    fn record_decision(
-        &mut self,
-        id: JobId,
-        req: AdmissionRequest,
-        outcome: Option<NegotiationOutcome>,
-    ) -> QuoteDecision {
-        let Some(outcome) = outcome else {
-            self.telemetry.emit(|| TelemetryEvent::JobRejected {
-                at: self.now,
-                job: id.as_u64(),
-            });
-            self.stats.rejected += 1;
-            return QuoteDecision::Rejected;
-        };
-        if let Some(horizon) = self.quote_horizon {
-            if outcome.accepted.start > self.now.saturating_add(horizon) {
-                self.telemetry.emit(|| TelemetryEvent::JobRejected {
-                    at: self.now,
-                    job: id.as_u64(),
-                });
-                self.stats.rejected += 1;
-                return QuoteDecision::Rejected;
-            }
-        }
-        let plan = planned_execution(
-            req.runtime,
-            self.config.checkpoint_interval,
-            self.config.checkpoint_overhead,
-        );
-        let slack = SimDuration::from_secs(
-            (plan.total.as_secs() as f64 * self.config.deadline_slack) as u64,
-        );
-        let held = HeldQuote {
-            deadline: outcome.accepted.deadline + slack,
-            quote: outcome.accepted,
-            satisfied_threshold: outcome.satisfied_threshold,
-        };
-        let replaceable = self
-            .jobs
-            .get(&id)
-            .is_none_or(|existing| existing.phase == JobPhase::Quoted);
-        if !replaceable {
-            // The id already names a committed or finished job; refusing
-            // keeps the journal's one-lifecycle-per-id invariant.
-            self.stats.rejected += 1;
-            return QuoteDecision::Rejected;
-        }
-        let requoted = self.jobs.insert(
-            id,
-            SessionJob {
-                phase: JobPhase::Quoted,
-                quote: held.clone(),
-                reservation: None,
-            },
-        );
-        // A re-quote replaces a held quote that was already counted.
-        if requoted.is_none() {
-            self.live += 1;
-        }
-        self.stats.quoted += 1;
-        QuoteDecision::Quoted(held)
-    }
-
-    fn check_parity(
-        &mut self,
-        requests: &[NegotiationRequest<'_>],
-        batched: &[Option<NegotiationOutcome>],
+    /// The one negotiation call: `requests` against this session's book
+    /// as of now, unfiltered by the quote horizon.
+    fn negotiate(
+        &self,
+        requests: impl Iterator<Item = AdmissionRequest>,
         threads: usize,
-    ) {
-        // Recompute with different chunk boundaries so a chunking or
-        // order-dependence bug cannot agree with itself; every underlying
-        // call is still the plain serial `negotiate` over the same book.
-        let reference = negotiate_batch(
-            &self.book,
-            self.config.topology,
-            self.config.placement,
-            &self.predictor,
-            requests,
-            &self.config.user,
-            self.config.max_negotiation_slots,
-            self.config.max_probe_steps,
-            threads.saturating_add(1),
-        );
-        for (serial, fast) in reference.iter().zip(batched) {
-            self.stats.parity_checked += 1;
-            if serial != fast {
-                self.stats.parity_violations += 1;
-            }
-        }
+    ) -> Vec<Option<NegotiationOutcome>> {
+        self.lifecycle
+            .negotiate(&self.book, &self.config, &self.predictor, requests, threads)
     }
 
-    /// [`Self::check_parity`] against horizon-filtered outcomes (a
-    /// [`Self::probe_outcomes`] result): the serial reference gets the
-    /// same quote-horizon filter before comparing, so a quote the
-    /// horizon rejects on both sides still counts as agreement.
-    fn check_parity_horizon_filtered(
+    /// The tail every quoting path shares: the sampled parity re-check of
+    /// `outcomes`, then the lifecycle journals the submissions and
+    /// records the decisions. `horizon_filtered` says whether `outcomes`
+    /// already went through the quote-horizon filter (a
+    /// [`Self::probe_outcomes`] result); the serial reference then gets
+    /// the same filter before comparing, so a quote the horizon rejects
+    /// on both sides still counts as agreement.
+    fn admit(
         &mut self,
-        requests: &[NegotiationRequest<'_>],
-        batched: &[Option<NegotiationOutcome>],
+        requests: &[(JobId, AdmissionRequest)],
+        outcomes: Vec<Option<NegotiationOutcome>>,
         threads: usize,
-    ) {
-        let reference = negotiate_batch(
-            &self.book,
-            self.config.topology,
-            self.config.placement,
-            &self.predictor,
-            requests,
-            &self.config.user,
-            self.config.max_negotiation_slots,
-            self.config.max_probe_steps,
-            threads.saturating_add(1),
-        );
-        for (serial, fast) in reference.into_iter().zip(batched) {
-            self.stats.parity_checked += 1;
-            if self.apply_horizon(serial) != *fast {
-                self.stats.parity_violations += 1;
+        horizon_filtered: bool,
+    ) -> Vec<QuoteDecision> {
+        if self.verify_parity && self.batch_seq.is_multiple_of(self.parity_sample) {
+            let parity_timer = self
+                .telemetry()
+                .histogram("session.parity_ns")
+                .start_timer();
+            // Recompute with different chunk boundaries so a chunking or
+            // order-dependence bug cannot agree with itself; every
+            // underlying call is still the plain serial `negotiate` over
+            // the same book.
+            let reference = self.negotiate(
+                requests.iter().map(|&(_, req)| req),
+                threads.saturating_add(1),
+            );
+            for (mut serial, fast) in reference.into_iter().zip(&outcomes) {
+                if horizon_filtered {
+                    serial = self.lifecycle.within_horizon(serial);
+                }
+                self.parity_checked += 1;
+                if serial != *fast {
+                    self.parity_violations += 1;
+                }
             }
+            parity_timer.stop();
         }
-    }
-
-    fn start(&mut self, id: JobId, at: SimTime) {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return;
-        };
-        if job.phase != JobPhase::Accepted {
-            return;
-        }
-        job.phase = JobPhase::Running;
-        let end = job.quote.quote.deadline.max(at);
-        self.telemetry.emit(|| TelemetryEvent::JobStarted {
-            at,
-            job: id.as_u64(),
-            restarts: 0,
-        });
-        self.timers.insert((end, 0, id));
-        self.stats.started += 1;
-    }
-
-    fn complete(&mut self, id: JobId, at: SimTime) {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return;
-        };
-        if job.phase != JobPhase::Running {
-            return;
-        }
-        job.phase = JobPhase::Done;
-        self.live -= 1;
-        let met_deadline = at <= job.quote.deadline;
-        if let Some(reservation) = job.reservation.take() {
-            self.book.remove(reservation);
-        }
-        self.telemetry.emit(|| TelemetryEvent::JobCompleted {
-            at,
-            job: id.as_u64(),
-            met_deadline,
-        });
-        if !met_deadline {
-            let late_by = at.as_secs().saturating_sub(job.quote.deadline.as_secs());
-            self.telemetry.emit(|| TelemetryEvent::DeadlineMissed {
-                at,
-                job: id.as_u64(),
-                late_by_secs: late_by,
-            });
-        }
-        let quoted = job.quote.quote.promised_success();
-        let deadline_secs = job.quote.deadline.as_secs();
-        let verdict = if met_deadline {
-            PromiseVerdict::Kept
-        } else {
-            PromiseVerdict::Broken
-        };
-        self.telemetry.emit(|| TelemetryEvent::PromiseResolved {
-            at,
-            job: id.as_u64(),
-            success_probability: quoted,
-            deadline_secs,
-            verdict,
-        });
-        self.promises.resolve(quoted, verdict);
-        self.stats.completed += 1;
+        self.batch_seq = self.batch_seq.wrapping_add(1);
+        self.lifecycle.admit(&self.config, requests, outcomes)
     }
 }
 
@@ -1090,6 +488,7 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
 mod tests {
     use super::*;
     use pqos_predict::api::NullPredictor;
+    use pqos_telemetry::{PromiseVerdict, TelemetryEvent};
 
     fn session(nodes: u32) -> NegotiationSession<NullPredictor> {
         NegotiationSession::new(
@@ -1466,13 +865,17 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_predicts_quotes_without_side_effects() {
+    fn probe_outcomes_predict_quotes_without_side_effects() {
         let mut s = session(8);
         quote_one(&mut s, 1, 8, 3600);
         s.accept(JobId::new(1)).unwrap();
         let before = s.status();
         let reqs = [req(4, 1800), req(9, 100)];
-        let probed = s.probe_batch(&reqs, 1);
+        let probed: Vec<Option<SimTime>> = s
+            .probe_outcomes(&reqs, 1)
+            .into_iter()
+            .map(|o| o.map(|o| o.accepted.start))
+            .collect();
         // Probing moved nothing: same stats, same live jobs, same book.
         assert_eq!(s.status(), before);
         assert_eq!(s.live_jobs(), 1);
@@ -1485,14 +888,14 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_honors_the_quote_horizon() {
+    fn probe_outcomes_honor_the_quote_horizon() {
         let mut s = session(4).quote_horizon(SimDuration::from_secs(4000));
         quote_one(&mut s, 1, 4, 3600);
         s.accept(JobId::new(1)).unwrap();
         quote_one(&mut s, 2, 4, 3600);
         s.accept(JobId::new(2)).unwrap();
         // A third full-width job would start past the horizon.
-        assert_eq!(s.probe_batch(&[req(4, 3600)], 1), vec![None]);
+        assert_eq!(s.probe_outcomes(&[req(4, 3600)], 1), vec![None]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! - **Narrow jobs** (`size` ≤ the widest shard) probe shard book
 //!   snapshots in rotation from their anchor shard (`job mod N`),
-//!   read-only and cache-warming ([`NegotiationSession::probe_batch`]).
+//!   read-only and cache-warming ([`NegotiationSession::probe_outcomes`]).
 //!   A shard that can start the job *immediately* wins on the spot — no
 //!   shard can start earlier — so a lightly loaded cluster pays one probe
 //!   of one small book per quote, and anchored rotation keeps held
@@ -28,11 +28,13 @@
 //! - **Wide jobs** (`size` wider than any shard) are negotiated by the
 //!   cross-shard coordinator against a [`MergedAvailabilityView`] — a
 //!   read-only composition of every shard book under one global node
-//!   namespace. Accepting a wide quote is *two-phase*: the coordinator
-//!   slices the quoted partition along shard boundaries and reserves each
-//!   slice in its shard's book ([`NegotiationSession::reserve_slice`]);
-//!   any conflict releases the slices already taken and expires the quote
-//!   (see DESIGN.md, "Two-phase cross-shard admission").
+//!   namespace. The coordinator runs the same [`Lifecycle`] a session
+//!   does; only its commitment differs. Accepting a wide quote is
+//!   *two-phase*: the coordinator slices the quoted partition along shard
+//!   boundaries and reserves each slice in its shard's book
+//!   ([`NegotiationSession::reserve_slice`]); any conflict releases the
+//!   slices already taken and expires the quote (see DESIGN.md,
+//!   "Two-phase cross-shard admission").
 //!
 //! Each shard journals through its own telemetry with a global
 //! `node_base` offset; the coordinator journals wide-job lifecycles
@@ -43,18 +45,19 @@
 use pqos_cluster::node::NodeId;
 use pqos_cluster::partition::Partition;
 use pqos_core::config::SimConfig;
-use pqos_core::negotiate::{negotiate_batch, NegotiationOutcome, NegotiationRequest};
+use pqos_core::lifecycle::Lifecycle;
+use pqos_core::negotiate::NegotiationOutcome;
 use pqos_core::session::{
-    AcceptError, AdmissionRequest, CancelError, HeldQuote, NegotiationSession, PromiseLedger,
-    PromiseStats, QuoteDecision, SessionOp, SessionOpOutcome, SessionStats, SessionStatus,
+    AcceptError, AdmissionRequest, CancelError, HeldQuote, NegotiationSession, PromiseStats,
+    QuoteDecision, SessionOp, SessionOpOutcome, SessionStatus,
 };
 use pqos_predict::api::Predictor;
 use pqos_sched::cache::QuoteCacheStats;
 use pqos_sched::reservation::{AvailabilityView, ReservationId, Slot};
 use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
-use pqos_telemetry::{PromiseVerdict, SinkHealth, Telemetry, TelemetryEvent};
+use pqos_telemetry::{SinkHealth, Telemetry};
 use pqos_workload::job::JobId;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// The node span one shard owns: global indices `[base, base + width)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,44 +208,20 @@ enum Route {
     Wide,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WidePhase {
-    Quoted,
-    Accepted,
-    Running,
-    Done,
-    Cancelled,
-}
-
-#[derive(Debug, Clone)]
-struct WideJob {
-    phase: WidePhase,
-    held: HeldQuote,
-    /// One booked slice per shard the partition touches.
-    slices: Vec<(usize, ReservationId)>,
-}
+/// What an accepted wide job holds: one booked slice per shard its
+/// partition touches, as `(shard index, reservation in that shard's book)`.
+type Slices = Vec<(usize, ReservationId)>;
 
 /// The cross-shard coordinator: owns the lifecycle of jobs wider than any
-/// shard. It mirrors the session's bookkeeping — its own journal, timer
-/// set, promise ledger and counters — but books capacity as per-shard
+/// shard — the same [`Lifecycle`] a session runs, journaling into the
+/// coordinator's own telemetry, but committing capacity as per-shard
 /// slices instead of one reservation.
 struct Wide<P> {
     predictor: P,
-    telemetry: Telemetry,
     /// The single-plane config with `cluster_size` set to the full
     /// machine; wide negotiation parameters come from here.
     config: SimConfig,
-    jobs: HashMap<JobId, WideJob>,
-    /// How many of `jobs` are quoted, accepted or running; kept in step at
-    /// every phase transition, like the session's counter.
-    live: usize,
-    /// (instant, class, job): class 0 = completion, 1 = start, matching
-    /// the session's release-before-claim ordering at an instant.
-    timers: BTreeSet<(SimTime, u8, JobId)>,
-    stats: SessionStats,
-    promises: PromiseLedger,
-    now: SimTime,
-    quote_horizon: Option<SimDuration>,
+    lifecycle: Lifecycle<Slices>,
 }
 
 struct Shard<P> {
@@ -328,15 +307,8 @@ impl<P: Predictor + Sync> ShardedCore<P> {
                 shards,
                 wide: Wide {
                     predictor: wide_predictor,
-                    telemetry: coordinator,
                     config,
-                    jobs: HashMap::new(),
-                    live: 0,
-                    timers: BTreeSet::new(),
-                    stats: SessionStats::default(),
-                    promises: PromiseLedger::default(),
-                    now: SimTime::ZERO,
-                    quote_horizon: None,
+                    lifecycle: Lifecycle::new(coordinator),
                 },
                 routes: HashMap::new(),
                 max_width,
@@ -386,7 +358,7 @@ impl<P: Predictor + Sync> ShardedCore<P> {
                         width: s.width,
                     })
                     .collect();
-                inner.wide.quote_horizon = Some(horizon);
+                inner.wide.lifecycle.set_quote_horizon(horizon);
                 ShardedCore {
                     plane: Plane::Sharded(inner),
                 }
@@ -420,7 +392,7 @@ impl<P: Predictor + Sync> ShardedCore<P> {
     pub fn alert_telemetry(&self) -> &Telemetry {
         match &self.plane {
             Plane::Single(s) => s.telemetry(),
-            Plane::Sharded(inner) => &inner.wide.telemetry,
+            Plane::Sharded(inner) => inner.wide.lifecycle.telemetry(),
         }
     }
 
@@ -438,7 +410,7 @@ impl<P: Predictor + Sync> ShardedCore<P> {
                     .shards
                     .iter()
                     .map(|s| s.session.telemetry().sink_health())
-                    .chain([inner.wide.telemetry.sink_health()]);
+                    .chain([inner.wide.lifecycle.telemetry().sink_health()]);
                 for h in healths {
                     total.events_written += h.events_written;
                     total.ring_dropped += h.ring_dropped;
@@ -453,7 +425,7 @@ impl<P: Predictor + Sync> ShardedCore<P> {
     pub fn now(&self) -> SimTime {
         match &self.plane {
             Plane::Single(s) => s.now(),
-            Plane::Sharded(inner) => inner.wide.now,
+            Plane::Sharded(inner) => inner.wide.lifecycle.now(),
         }
     }
 
@@ -555,22 +527,7 @@ impl<P: Predictor + Sync> ShardedCore<P> {
             Plane::Single(s) => s.live_jobs(),
             Plane::Sharded(inner) => {
                 let shard_live: usize = inner.shards.iter().map(|s| s.session.live_jobs()).sum();
-                debug_assert_eq!(
-                    inner.wide.live,
-                    inner
-                        .wide
-                        .jobs
-                        .values()
-                        .filter(|j| {
-                            matches!(
-                                j.phase,
-                                WidePhase::Quoted | WidePhase::Accepted | WidePhase::Running
-                            )
-                        })
-                        .count(),
-                    "wide live counter drifted from the job table"
-                );
-                shard_live + inner.wide.live
+                shard_live + inner.wide.lifecycle.live_jobs()
             }
         }
     }
@@ -579,15 +536,12 @@ impl<P: Predictor + Sync> ShardedCore<P> {
     pub fn promise_stats(&self) -> PromiseStats {
         match &self.plane {
             Plane::Single(s) => s.promise_stats(),
-            Plane::Sharded(inner) => {
-                let mut lanes: Vec<PromiseStats> = inner
-                    .shards
-                    .iter()
-                    .map(|s| s.session.promise_stats())
-                    .collect();
-                lanes.push(inner.wide.promises.stats());
-                sum_promises(&lanes)
-            }
+            Plane::Sharded(inner) => inner
+                .shards
+                .iter()
+                .map(|s| s.session.promise_stats())
+                .chain([inner.wide.lifecycle.promise_stats()])
+                .sum(),
         }
     }
 
@@ -617,7 +571,7 @@ impl<P: Predictor + Sync> ShardedCore<P> {
                 for s in &inner.shards {
                     s.session.flush();
                 }
-                inner.wide.telemetry.flush();
+                inner.wide.lifecycle.telemetry().flush();
                 inner.main.flush();
             }
         }
@@ -641,53 +595,12 @@ impl<P: Predictor + Sync> ShardedCore<P> {
     }
 }
 
-/// Fieldwise sum of per-lane lifecycle counters.
-fn sum_stats(lanes: &[SessionStats]) -> SessionStats {
-    let mut sum = SessionStats::default();
-    for s in lanes {
-        sum.quoted += s.quoted;
-        sum.rejected += s.rejected;
-        sum.accepted += s.accepted;
-        sum.expired += s.expired;
-        sum.cancelled += s.cancelled;
-        sum.started += s.started;
-        sum.completed += s.completed;
-        sum.parity_checked += s.parity_checked;
-        sum.parity_violations += s.parity_violations;
-    }
-    sum
-}
-
-/// Sums promise counters; the worst residual is the residual of largest
-/// magnitude across the lanes (each lane bins its own promises, so this
-/// is the worst calibration error any lane observed).
-fn sum_promises(lanes: &[PromiseStats]) -> PromiseStats {
-    let mut sum = PromiseStats::default();
-    for p in lanes {
-        sum.made += p.made;
-        sum.kept += p.kept;
-        sum.broken += p.broken;
-        sum.cancelled += p.cancelled;
-        if p.worst_residual_milli.abs() > sum.worst_residual_milli.abs() {
-            sum.worst_residual_milli = p.worst_residual_milli;
-        }
-    }
-    sum
-}
-
 impl<P: Predictor + Sync> Sharded<P> {
     fn advance_to(&mut self, to: SimTime) {
-        while let Some(&(when, class, job)) = self.wide.timers.iter().next() {
-            if when > to {
-                break;
-            }
-            self.wide.timers.remove(&(when, class, job));
-            match class {
-                0 => self.complete_wide(job, when),
-                _ => self.start_wide(job, when),
-            }
-        }
-        self.wide.now = self.wide.now.max(to);
+        let shards = &mut self.shards;
+        self.wide
+            .lifecycle
+            .advance_to(to, |slices| release_slices(shards, slices));
         for shard in &mut self.shards {
             shard.session.advance_to(to);
         }
@@ -709,15 +622,15 @@ impl<P: Predictor + Sync> Sharded<P> {
         // outcome so the shard admits it without negotiating again;
         // sticky entries (`None`) negotiate fresh on their shard.
         let mut per_shard: Vec<Vec<RoutedQuote>> = vec![Vec::new(); self.shards.len()];
-        let mut wide_lane: Vec<(usize, (JobId, AdmissionRequest))> = Vec::new();
+        let mut wide_slots: Vec<usize> = Vec::new();
         let mut to_probe: Vec<(usize, (JobId, AdmissionRequest))> = Vec::new();
         for (i, &(id, req)) in requests.iter().enumerate() {
             match self.routes.get(&id) {
                 Some(Route::Shard(k)) => per_shard[*k].push((i, (id, req), None)),
-                Some(Route::Wide) => wide_lane.push((i, (id, req))),
+                Some(Route::Wide) => wide_slots.push(i),
                 None if req.size > self.max_width => {
                     self.routes.insert(id, Route::Wide);
-                    wide_lane.push((i, (id, req)));
+                    wide_slots.push(i);
                 }
                 None => to_probe.push((i, (id, req))),
             }
@@ -838,11 +751,13 @@ impl<P: Predictor + Sync> Sharded<P> {
         }
 
         // Wide lane: negotiate against the merged view of every book.
-        if !wide_lane.is_empty() {
-            self.routed_last[lanes - 1] += wide_lane.len() as u64;
-            self.routed_total[lanes - 1] += wide_lane.len() as u64;
+        if !wide_slots.is_empty() {
+            self.routed_last[lanes - 1] += wide_slots.len() as u64;
+            self.routed_total[lanes - 1] += wide_slots.len() as u64;
+            let wide_lane: Vec<(JobId, AdmissionRequest)> =
+                wide_slots.iter().map(|&i| requests[i]).collect();
             let wide_decisions = self.quote_wide(&wide_lane, threads);
-            for (&(i, _), decision) in wide_lane.iter().zip(wide_decisions) {
+            for (i, decision) in wide_slots.into_iter().zip(wide_decisions) {
                 decisions[i] = Some(decision);
             }
         }
@@ -853,40 +768,13 @@ impl<P: Predictor + Sync> Sharded<P> {
             .collect()
     }
 
-    /// Negotiates the wide lane of one batch: journals submissions,
-    /// negotiates every request against the merged book snapshot, records
-    /// decisions in the coordinator's table. Mirrors
-    /// `NegotiationSession::quote_batch` step for step.
+    /// Quotes the wide lane of one batch: a session's `quote_batch` with
+    /// the merged view of every shard book in place of its own.
     fn quote_wide(
         &mut self,
-        lane: &[(usize, (JobId, AdmissionRequest))],
+        lane: &[(JobId, AdmissionRequest)],
         threads: usize,
     ) -> Vec<QuoteDecision> {
-        let wide = &mut self.wide;
-        for &(_, (id, req)) in lane {
-            wide.telemetry.emit(|| TelemetryEvent::JobSubmitted {
-                at: wide.now,
-                job: id.as_u64(),
-                size: req.size,
-                runtime_secs: req.runtime.as_secs(),
-            });
-        }
-        let planned: Vec<SimDuration> = lane
-            .iter()
-            .map(|&(_, (_, req))| self.shards[0].session.planned_total(req.runtime))
-            .collect();
-        let negotiation_requests: Vec<NegotiationRequest<'_>> = lane
-            .iter()
-            .zip(&planned)
-            .map(|(&(_, (_, req)), &duration)| NegotiationRequest {
-                size: req.size,
-                duration,
-                now: wide.now,
-                down: &[],
-                recovery_horizon: SimTime::ZERO,
-                pre_start_risk: wide.config.node_downtime,
-            })
-            .collect();
         let books: Vec<&(dyn AvailabilityView + Sync)> = self
             .shards
             .iter()
@@ -894,24 +782,15 @@ impl<P: Predictor + Sync> Sharded<P> {
             .collect();
         let bases: Vec<u32> = self.shards.iter().map(|s| s.base).collect();
         let merged = MergedAvailabilityView::new(books, bases);
-        let outcomes = negotiate_batch(
+        let wide = &mut self.wide;
+        let outcomes = wide.lifecycle.negotiate(
             &merged,
-            wide.config.topology,
-            wide.config.placement,
+            &wide.config,
             &wide.predictor,
-            &negotiation_requests,
-            &wide.config.user,
-            wide.config.max_negotiation_slots,
-            wide.config.max_probe_steps,
+            lane.iter().map(|&(_, req)| req),
             threads,
         );
-        lane.iter()
-            .zip(&planned)
-            .zip(outcomes)
-            .map(|((&(_, (id, _)), &planned_total), outcome)| {
-                record_wide_decision(wide, id, planned_total, outcome)
-            })
-            .collect()
+        wide.lifecycle.admit(&wide.config, lane, outcomes)
     }
 
     fn accept(&mut self, id: JobId) -> Result<HeldQuote, AcceptError> {
@@ -922,285 +801,88 @@ impl<P: Predictor + Sync> Sharded<P> {
         }
     }
 
-    /// The two-phase commit of a wide quote: revalidate, then reserve
-    /// one slice per shard the quoted partition touches; any conflict
-    /// releases the slices already taken and expires the quote. Only
-    /// after every slice is booked does the coordinator journal the
-    /// accepted quote and placement.
+    /// The two-phase commit of a wide quote. Phase 1 (the booking step
+    /// the lifecycle calls once the quote is known and its promise still
+    /// ahead): cut the quoted partition along shard boundaries and
+    /// reserve each slice in its shard's book, in shard order; a conflict
+    /// means a shard-local commitment landed in the hole since the quote,
+    /// so the slices already taken are released and the quote expires.
+    /// Phase 2: every slice held — the lifecycle journals the accepted
+    /// quote and placement.
     fn accept_wide(&mut self, id: JobId) -> Result<HeldQuote, AcceptError> {
-        let job = self
-            .wide
-            .jobs
-            .get(&id)
-            .filter(|j| j.phase == WidePhase::Quoted)
-            .ok_or(AcceptError::UnknownQuote)?;
-        let held = job.held.clone();
-        if self.wide.now >= held.quote.deadline {
-            self.wide.jobs.remove(&id);
-            self.wide.live -= 1;
-            self.wide.stats.expired += 1;
-            return Err(AcceptError::QuoteExpired);
-        }
-        let window = TimeWindow::new(held.quote.start, held.quote.deadline);
-        // Phase 1: reserve the partition's slice in every shard book, in
-        // shard order. A conflict means a shard-local commitment landed
-        // in the hole since the quote — release and expire.
-        let mut slices: Vec<(usize, ReservationId)> = Vec::new();
-        let mut conflicted = false;
-        for k in 0..self.shards.len() {
-            let (base, width) = (self.shards[k].base, self.shards[k].width);
-            let local: Vec<NodeId> = held
-                .quote
-                .partition
-                .iter()
-                .filter(|n| {
-                    let i = n.as_u32();
-                    i >= base && i < base + width
-                })
-                .map(|n| NodeId::new(n.as_u32() - base))
-                .collect();
-            if local.is_empty() {
-                continue;
-            }
-            let slice = Partition::new(local).expect("nonempty slice");
-            match self.shards[k].session.reserve_slice(id, slice, window) {
-                Some(reservation) => slices.push((k, reservation)),
-                None => {
-                    conflicted = true;
-                    break;
+        let shards = &mut self.shards;
+        self.wide.lifecycle.accept(id, |held, window| {
+            // The partition is sorted and shard spans are contiguous and
+            // ascending: one pass cuts it at each shard's upper bound.
+            let mut rest = held.quote.partition.as_slice();
+            let mut slices = Slices::new();
+            for k in 0..shards.len() {
+                let (base, end) = (shards[k].base, shards[k].base + shards[k].width);
+                let (local, tail) = rest.split_at(rest.partition_point(|n| n.as_u32() < end));
+                rest = tail;
+                if local.is_empty() {
+                    continue;
+                }
+                let slice = Partition::from_sorted(
+                    local
+                        .iter()
+                        .map(|n| NodeId::new(n.as_u32() - base))
+                        .collect(),
+                );
+                match shards[k].session.reserve_slice(id, slice, window) {
+                    Some(reservation) => slices.push((k, reservation)),
+                    None => {
+                        release_slices(shards, slices);
+                        return None;
+                    }
                 }
             }
-        }
-        if conflicted {
-            for (taken, reservation) in slices {
-                self.shards[taken].session.release_slice(reservation);
-            }
-            self.wide.jobs.remove(&id);
-            self.wide.live -= 1;
-            self.wide.stats.expired += 1;
-            return Err(AcceptError::QuoteExpired);
-        }
-        // Phase 2: every slice held — commit the lifecycle.
-        let wide = &mut self.wide;
-        wide.telemetry.emit(|| TelemetryEvent::QuoteNegotiated {
-            at: wide.now,
-            job: id.as_u64(),
-            start_secs: held.quote.start.as_secs(),
-            promised_secs: held.quote.deadline.as_secs(),
-            deadline_secs: held.deadline.as_secs(),
-            success_probability: held.quote.promised_success(),
-        });
-        wide.telemetry.emit(|| TelemetryEvent::JobPlaced {
-            at: wide.now,
-            job: id.as_u64(),
-            nodes: held
-                .quote
-                .partition
-                .iter()
-                .map(|n| n.index() as u64)
-                .collect(),
-            failure_probability: held.quote.failure_probability,
-        });
-        let job = wide.jobs.get_mut(&id).expect("checked above");
-        job.phase = WidePhase::Accepted;
-        job.slices = slices;
-        wide.timers.insert((held.quote.start.max(wide.now), 1, id));
-        wide.stats.accepted += 1;
-        wide.promises.promise_made();
-        Ok(held)
+            Some(slices)
+        })
     }
 
     fn cancel(&mut self, id: JobId) -> Result<(), CancelError> {
         match self.routes.get(&id) {
             None => Err(CancelError::UnknownJob),
             Some(Route::Shard(k)) => self.shards[*k].session.cancel(id),
-            Some(Route::Wide) => self.cancel_wide(id),
+            Some(Route::Wide) => {
+                let shards = &mut self.shards;
+                self.wide
+                    .lifecycle
+                    .cancel(id, |slices| release_slices(shards, slices))
+            }
         }
-    }
-
-    fn cancel_wide(&mut self, id: JobId) -> Result<(), CancelError> {
-        let wide = &mut self.wide;
-        let job = wide.jobs.get(&id).ok_or(CancelError::UnknownJob)?;
-        match job.phase {
-            WidePhase::Quoted | WidePhase::Accepted => {}
-            WidePhase::Running | WidePhase::Done => return Err(CancelError::AlreadyStarted),
-            WidePhase::Cancelled => return Err(CancelError::UnknownJob),
-        }
-        let job = wide.jobs.get_mut(&id).expect("present");
-        let was_accepted = job.phase == WidePhase::Accepted;
-        job.phase = WidePhase::Cancelled;
-        wide.live -= 1;
-        let slices = std::mem::take(&mut job.slices);
-        for (k, reservation) in slices {
-            self.shards[k].session.release_slice(reservation);
-        }
-        if was_accepted {
-            let start = wide.jobs[&id].held.quote.start.max(wide.now);
-            wide.timers.remove(&(start, 1, id));
-        }
-        wide.telemetry.emit(|| TelemetryEvent::JobCancelled {
-            at: wide.now,
-            job: id.as_u64(),
-        });
-        if was_accepted {
-            let quoted = wide.jobs[&id].held.quote.promised_success();
-            let deadline_secs = wide.jobs[&id].held.deadline.as_secs();
-            wide.telemetry.emit(|| TelemetryEvent::PromiseResolved {
-                at: wide.now,
-                job: id.as_u64(),
-                success_probability: quoted,
-                deadline_secs,
-                verdict: PromiseVerdict::Cancelled,
-            });
-            wide.promises.resolve(quoted, PromiseVerdict::Cancelled);
-        }
-        wide.stats.cancelled += 1;
-        Ok(())
-    }
-
-    fn start_wide(&mut self, id: JobId, at: SimTime) {
-        let wide = &mut self.wide;
-        let Some(job) = wide.jobs.get_mut(&id) else {
-            return;
-        };
-        if job.phase != WidePhase::Accepted {
-            return;
-        }
-        job.phase = WidePhase::Running;
-        let end = job.held.quote.deadline.max(at);
-        wide.telemetry.emit(|| TelemetryEvent::JobStarted {
-            at,
-            job: id.as_u64(),
-            restarts: 0,
-        });
-        wide.timers.insert((end, 0, id));
-        wide.stats.started += 1;
-    }
-
-    fn complete_wide(&mut self, id: JobId, at: SimTime) {
-        let wide = &mut self.wide;
-        let Some(job) = wide.jobs.get_mut(&id) else {
-            return;
-        };
-        if job.phase != WidePhase::Running {
-            return;
-        }
-        job.phase = WidePhase::Done;
-        wide.live -= 1;
-        let met_deadline = at <= job.held.deadline;
-        let slices = std::mem::take(&mut job.slices);
-        for (k, reservation) in slices {
-            self.shards[k].session.release_slice(reservation);
-        }
-        let wide = &mut self.wide;
-        let job = &wide.jobs[&id];
-        wide.telemetry.emit(|| TelemetryEvent::JobCompleted {
-            at,
-            job: id.as_u64(),
-            met_deadline,
-        });
-        if !met_deadline {
-            let late_by = at.as_secs().saturating_sub(job.held.deadline.as_secs());
-            wide.telemetry.emit(|| TelemetryEvent::DeadlineMissed {
-                at,
-                job: id.as_u64(),
-                late_by_secs: late_by,
-            });
-        }
-        let quoted = job.held.quote.promised_success();
-        let deadline_secs = job.held.deadline.as_secs();
-        let verdict = if met_deadline {
-            PromiseVerdict::Kept
-        } else {
-            PromiseVerdict::Broken
-        };
-        wide.telemetry.emit(|| TelemetryEvent::PromiseResolved {
-            at,
-            job: id.as_u64(),
-            success_probability: quoted,
-            deadline_secs,
-            verdict,
-        });
-        wide.promises.resolve(quoted, verdict);
-        wide.stats.completed += 1;
     }
 
     fn status(&self) -> SessionStatus {
         let shard_statuses: Vec<SessionStatus> =
             self.shards.iter().map(|s| s.session.status()).collect();
-        let mut stats_lanes: Vec<SessionStats> = shard_statuses.iter().map(|s| s.stats).collect();
-        stats_lanes.push(self.wide.stats);
-        let mut promise_lanes: Vec<PromiseStats> =
-            shard_statuses.iter().map(|s| s.promises).collect();
-        promise_lanes.push(self.wide.promises.stats());
+        let wide = &self.wide.lifecycle;
         SessionStatus {
-            now: self.wide.now,
+            now: wide.now(),
             cluster_size: self.total,
             occupied_nodes: shard_statuses.iter().map(|s| s.occupied_nodes).sum(),
             reservations: shard_statuses.iter().map(|s| s.reservations).sum(),
-            stats: sum_stats(&stats_lanes),
-            promises: sum_promises(&promise_lanes),
+            stats: shard_statuses
+                .iter()
+                .map(|s| s.stats)
+                .chain([wide.stats()])
+                .sum(),
+            promises: shard_statuses
+                .iter()
+                .map(|s| s.promises)
+                .chain([wide.promise_stats()])
+                .sum(),
             parity_sample: shard_statuses[0].parity_sample,
         }
     }
 }
 
-/// Mirrors `NegotiationSession::record_decision` for the wide table:
-/// journal rejections, apply the horizon, hold replaceable quotes.
-fn record_wide_decision<P>(
-    wide: &mut Wide<P>,
-    id: JobId,
-    planned_total: SimDuration,
-    outcome: Option<NegotiationOutcome>,
-) -> QuoteDecision {
-    let Some(outcome) = outcome else {
-        wide.telemetry.emit(|| TelemetryEvent::JobRejected {
-            at: wide.now,
-            job: id.as_u64(),
-        });
-        wide.stats.rejected += 1;
-        return QuoteDecision::Rejected;
-    };
-    if let Some(horizon) = wide.quote_horizon {
-        if outcome.accepted.start > wide.now.saturating_add(horizon) {
-            wide.telemetry.emit(|| TelemetryEvent::JobRejected {
-                at: wide.now,
-                job: id.as_u64(),
-            });
-            wide.stats.rejected += 1;
-            return QuoteDecision::Rejected;
-        }
+/// Hands a wide job's slices back to the shard books they were taken from.
+fn release_slices<P: Predictor + Sync>(shards: &mut [Shard<P>], slices: Slices) {
+    for (k, reservation) in slices {
+        shards[k].session.release_slice(reservation);
     }
-    let slack = SimDuration::from_secs(
-        (planned_total.as_secs() as f64 * wide.config.deadline_slack) as u64,
-    );
-    let held = HeldQuote {
-        deadline: outcome.accepted.deadline + slack,
-        quote: outcome.accepted,
-        satisfied_threshold: outcome.satisfied_threshold,
-    };
-    let replaceable = wide
-        .jobs
-        .get(&id)
-        .is_none_or(|existing| existing.phase == WidePhase::Quoted);
-    if !replaceable {
-        wide.stats.rejected += 1;
-        return QuoteDecision::Rejected;
-    }
-    let requoted = wide.jobs.insert(
-        id,
-        WideJob {
-            phase: WidePhase::Quoted,
-            held: held.clone(),
-            slices: Vec::new(),
-        },
-    );
-    // A re-quote replaces a held quote that was already counted.
-    if requoted.is_none() {
-        wide.live += 1;
-    }
-    wide.stats.quoted += 1;
-    QuoteDecision::Quoted(held)
 }
 
 #[cfg(test)]

@@ -10,6 +10,10 @@
 //!    constructed cores fed the same stream must emit byte-identical
 //!    merged journals, and that journal must satisfy the doctor's
 //!    causal checks. This is the property `pqos-replay` leans on.
+//! 3. The wide-job coordinator runs the *same* served lifecycle as a
+//!    session (`pqos_core::lifecycle`), differing only in what "book it"
+//!    means — so a core fed nothing but jobs wider than any shard must be
+//!    indistinguishable from one raw session over the whole cluster.
 
 use pqos_core::config::SimConfig;
 use pqos_core::session::{AdmissionRequest, NegotiationSession, SessionOp, SessionOpOutcome};
@@ -141,6 +145,90 @@ fn single_shard_core_is_byte_identical_to_a_raw_session() {
             wrapped_buf.take_string(),
             "seed {seed}: journals diverged"
         );
+    }
+}
+
+/// [`op_stream`] with every request wider than the widest shard (sizes in
+/// `(widest, cluster + 2]`, so some can never fit) and every third
+/// request re-quoting an id the stream quoted earlier and has not
+/// cancelled — held, accepted, running or finished by then, which is
+/// every arm of the duplicate-id rule.
+fn wide_only_stream(seed: u64, cluster: u32, widest: u32, ops: usize) -> Vec<SessionOp> {
+    let mut stream = op_stream(seed, cluster + 2 - widest, ops);
+    let mut held: Vec<JobId> = Vec::new();
+    let mut requests = 0usize;
+    for op in &mut stream {
+        match op {
+            SessionOp::QuoteBatch(batch) => {
+                for (id, req) in batch.iter_mut() {
+                    req.size += widest;
+                    requests += 1;
+                    if requests.is_multiple_of(3) && !held.is_empty() {
+                        *id = held[requests % held.len()];
+                    }
+                }
+                held.extend(batch.iter().map(|&(id, _)| id));
+            }
+            SessionOp::Cancel(id) => held.retain(|h| h != id),
+            SessionOp::Accept(_) | SessionOp::AdvanceTo(_) => {}
+        }
+    }
+    stream
+}
+
+#[test]
+fn wide_only_core_is_byte_identical_to_a_raw_session() {
+    let horizons = [None, Some(SimDuration::from_secs(2 * 3600))];
+    for (cluster, shards) in [(16u32, 2u32), (32, 4), (30, 4)] {
+        let widest = partition_spans(cluster, shards)
+            .iter()
+            .map(|s| s.width)
+            .max()
+            .unwrap();
+        for seed in [1u64, 7, 42, 1234, 0xBEEF, 0xD5_2005] {
+            for horizon in horizons {
+                let world = format!("{cluster}x{shards} seed {seed} horizon {horizon:?}");
+                let stream = wide_only_stream(seed, cluster, widest, 200);
+
+                let (mut raw, raw_buf) = journaled_session(cluster, 0);
+                let (mut core, bufs) = sharded_core(cluster, shards);
+                if let Some(h) = horizon {
+                    raw = raw.quote_horizon(h);
+                    core = core.quote_horizon(h);
+                }
+                for op in &stream {
+                    let expected = raw.apply(op, 2);
+                    let got = core.apply(op, 2);
+                    assert_eq!(
+                        format!("{expected:?}"),
+                        format!("{got:?}"),
+                        "{world}: outcome diverged on {op:?}"
+                    );
+                }
+                assert_eq!(raw.live_jobs(), core.live_jobs(), "{world}");
+                let (expected, got) = (raw.status(), core.status());
+                assert_eq!(expected.stats, got.stats, "{world}");
+                assert_eq!(expected.promises, got.promises, "{world}");
+                assert_eq!(expected.occupied_nodes, got.occupied_nodes, "{world}");
+                assert!(
+                    got.stats.accepted > 0 && got.stats.completed > 0 && got.stats.cancelled > 0,
+                    "{world}: stream never exercised the lifecycle: {:?}",
+                    got.stats
+                );
+
+                raw.flush();
+                core.flush();
+                let (wide_buf, shard_bufs) = bufs.split_last().unwrap();
+                for (k, buf) in shard_bufs.iter().enumerate() {
+                    assert_eq!(buf.take_string(), "", "{world}: shard {k} journaled");
+                }
+                assert_eq!(
+                    raw_buf.take_string(),
+                    wide_buf.take_string(),
+                    "{world}: coordinator journal diverged from the raw session's"
+                );
+            }
+        }
     }
 }
 
