@@ -235,13 +235,25 @@ impl NodeMask {
     ///
     /// Panics if `words.len()` is not exactly `width.div_ceil(64)`.
     pub fn complement_nodes_words(width: u32, words: &[u64]) -> Vec<NodeId> {
+        let ones = NodeMask::count_ones_words(words);
+        let mut out = Vec::with_capacity(width.saturating_sub(ones) as usize);
+        NodeMask::extend_complement_nodes_words(width, words, &mut out);
+        out
+    }
+
+    /// [`complement_nodes_words`](NodeMask::complement_nodes_words)
+    /// appended to `out`, so a caller decoding row after row reuses one
+    /// buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len()` is not exactly `width.div_ceil(64)`.
+    pub fn extend_complement_nodes_words(width: u32, words: &[u64], out: &mut Vec<NodeId>) {
         assert_eq!(
             words.len(),
             width.div_ceil(64) as usize,
             "word count must match width"
         );
-        let ones = NodeMask::count_ones_words(words);
-        let mut out = Vec::with_capacity(width.saturating_sub(ones) as usize);
         for (wi, &word) in words.iter().enumerate() {
             let base = wi as u32 * 64;
             let tail = (width - base).min(64);
@@ -257,7 +269,6 @@ impl NodeMask {
                 .map(|bit| NodeId::new(base + bit)),
             );
         }
-        out
     }
 
     /// Zeroes any bits at or beyond the width in the last word.

@@ -24,6 +24,7 @@ use pqos_sched::reservation::AvailabilityView;
 use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
 use pqos_telemetry::Telemetry;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// One quoted offer: start the job at `start` on `partition`, finishing by
 /// `deadline`, with the given predicted failure probability.
@@ -173,47 +174,6 @@ pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
         return None;
     }
     let max_slots = max_slots.max(1);
-    // Down nodes are excluded only from candidate windows that *begin
-    // before* `recovery_horizon` — by the horizon they are back (the probe
-    // loop below applies the same boundary). A single excluded pass would
-    // treat a window starting at or exactly on the horizon as if the
-    // recovered nodes were still gone, skipping perfectly usable holes.
-    let mut slots = if request.down.is_empty() || request.recovery_horizon <= request.now {
-        book.earliest_slots(
-            request.size,
-            request.duration,
-            request.now,
-            request.down,
-            max_slots,
-        )
-    } else {
-        let mut pre = book.earliest_slots(
-            request.size,
-            request.duration,
-            request.now,
-            request.down,
-            max_slots,
-        );
-        pre.retain(|s| s.start < request.recovery_horizon);
-        let post = book.earliest_slots(
-            request.size,
-            request.duration,
-            request.recovery_horizon,
-            &[],
-            max_slots,
-        );
-        // Starts stay strictly increasing: every retained pre-horizon
-        // start precedes every post-horizon one.
-        pre.extend(post);
-        pre.truncate(max_slots);
-        pre
-    };
-    if slots.is_empty() {
-        // Down nodes blocked every slot; by the recovery horizon they are
-        // back. The machine past its last commitment is otherwise free.
-        let from = request.recovery_horizon.max(request.now);
-        slots = book.earliest_slots(request.size, request.duration, from, &[], max_slots);
-    }
 
     // When no quote satisfies the user, the fallback is the *earliest*
     // quote whose promise is within this tolerance of the best promise
@@ -223,112 +183,19 @@ pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
     // jobs arbitrarily far into the future chasing 0.1% improvements.
     const PROMISE_TOLERANCE: f64 = 0.01;
 
-    let mut examined = 0usize;
+    // Every quote the user has turned down so far, in increasing-start
+    // order; the quotes examined are these plus the one taken, if any.
     let mut rejected: Vec<Quote> = Vec::new();
-    let mut consider = |quote: Quote, examined: &mut usize| -> Option<Quote> {
-        *examined += 1;
-        if user.accepts(quote.promised_success()) {
-            return Some(quote);
-        }
-        rejected.push(quote);
-        None
-    };
-
-    let risk_window = |start: SimTime| {
-        TimeWindow::new(
-            start.saturating_sub(request.pre_start_risk),
-            start.saturating_add(request.duration),
-        )
-    };
-    for slot in &slots {
-        let window = TimeWindow::starting_at(slot.start, request.duration);
-        let Some(choice) = choose_partition_with_telemetry(
-            topology,
-            &slot.free,
-            request.size,
-            risk_window(slot.start),
-            predictor,
-            placement,
-            telemetry,
-        ) else {
-            continue;
-        };
-        let quote = Quote {
-            start: slot.start,
-            deadline: window.end(),
-            partition: choice.partition,
-            failure_probability: choice.failure_probability,
-        };
-        if let Some(accepted) = consider(quote, &mut examined) {
-            return Some(NegotiationOutcome {
-                accepted,
-                quotes_examined: examined,
-                satisfied_threshold: true,
-            });
-        }
-    }
-
-    // Probe past the book: step the start forward by the job duration from
-    // the latest slot examined (or from `now` if the book was empty).
-    let probe_base = slots.last().map(|s| s.start).unwrap_or(request.now);
-    let step = request.duration.max(SimDuration::from_secs(1));
-    for k in 1..=max_probe_steps {
-        let start = probe_base.saturating_add(step.saturating_mul(k as u64));
+    // One turn of the dialog: place the job on `free` at `start`, quote it
+    // and hear the user out. `Some` ends the negotiation; a start the
+    // topology cannot place the job on is not quoted at all.
+    let offer = |rejected: &mut Vec<Quote>, start: SimTime, free: &[NodeId]| {
         let window = TimeWindow::starting_at(start, request.duration);
-        // Down nodes are back up by the recovery horizon, so only probe
-        // windows that begin before it need the exclusion; keeping it for
-        // later windows makes quotes needlessly pessimistic and can leave
-        // every probe unplaceable on a small cluster.
-        let exclude: &[NodeId] = if start < request.recovery_horizon {
-            request.down
-        } else {
-            &[]
-        };
-        let free = book.free_nodes_during(window, exclude);
-        let Some(choice) = choose_partition_with_telemetry(
-            topology,
-            &free,
-            request.size,
-            risk_window(start),
-            predictor,
-            placement,
-            telemetry,
-        ) else {
-            continue;
-        };
-        let quote = Quote {
-            start,
-            deadline: window.end(),
-            partition: choice.partition,
-            failure_probability: choice.failure_probability,
-        };
-        if let Some(accepted) = consider(quote, &mut examined) {
-            return Some(NegotiationOutcome {
-                accepted,
-                quotes_examined: examined,
-                satisfied_threshold: true,
-            });
-        }
-    }
-
-    // Guaranteed fallback: at the end of the book (past every commitment
-    // and past the recovery horizon) the machine is idle and fully up, so
-    // any job that fits the cluster places — even under contiguous-only
-    // topologies where fragmented slots and probes can all fail.
-    if examined == 0 {
-        let book_end = book
-            .change_points(request.now)
-            .last()
-            .copied()
-            .unwrap_or(request.now);
-        let start = book_end.max(request.recovery_horizon).max(request.now);
-        let window = TimeWindow::starting_at(start, request.duration);
-        let free = book.free_nodes_during(window, &[]);
         let choice = choose_partition_with_telemetry(
             topology,
-            &free,
+            free,
             request.size,
-            risk_window(start),
+            TimeWindow::new(start.saturating_sub(request.pre_start_risk), window.end()),
             predictor,
             placement,
             telemetry,
@@ -339,12 +206,89 @@ pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
             partition: choice.partition,
             failure_probability: choice.failure_probability,
         };
-        if let Some(accepted) = consider(quote, &mut examined) {
+        if user.accepts(quote.promised_success()) {
             return Some(NegotiationOutcome {
-                accepted,
-                quotes_examined: examined,
+                accepted: quote,
+                quotes_examined: rejected.len() + 1,
                 satisfied_threshold: true,
             });
+        }
+        rejected.push(quote);
+        None
+    };
+
+    // The book's slots, pulled one at a time — the walk computes nothing
+    // past the slot the user takes — in up to three passes that share one
+    // budget of `max_slots` slots offered, placeable or not.
+    //
+    // Down nodes are excluded only from candidate windows that *begin
+    // before* `recovery_horizon` — by the horizon they are back (the probe
+    // loop below applies the same boundary). A single excluded pass would
+    // treat a window starting at or exactly on the horizon as if the
+    // recovered nodes were still gone, skipping perfectly usable holes: so
+    // the excluded pass stops at the horizon and an unexcluded one from
+    // there spends what is left of the budget.
+    let horizon = request.recovery_horizon;
+    let split = !request.down.is_empty() && horizon > request.now;
+    let mut offered = 0usize;
+    let mut probe_base = request.now;
+    for pass in 0..3 {
+        let (from, exclude, until) = match pass {
+            0 => (request.now, request.down, split.then_some(horizon)),
+            1 if split && offered < max_slots => (horizon, &[][..], None),
+            // Down nodes blocked every slot; by the recovery horizon they
+            // are back. The machine past its last commitment is otherwise
+            // free.
+            2 if offered == 0 => (horizon.max(request.now), &[][..], None),
+            _ => continue,
+        };
+        let mut taken = None;
+        let (size, duration) = (request.size, request.duration);
+        book.visit_slots(size, duration, from, exclude, max_slots, &mut |start, free| {
+            if until.is_some_and(|until| start >= until) {
+                return ControlFlow::Break(());
+            }
+            offered += 1;
+            probe_base = start;
+            taken = offer(&mut rejected, start, free);
+            if taken.is_some() || offered >= max_slots {
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        });
+        if taken.is_some() {
+            return taken;
+        }
+    }
+
+    // Probe past the book: step the start forward by the job duration from
+    // the latest slot offered (or from `now` if the book had none).
+    let step = request.duration.max(SimDuration::from_secs(1));
+    for k in 1..=max_probe_steps {
+        let start = probe_base.saturating_add(step.saturating_mul(k as u64));
+        // Down nodes are back up by the recovery horizon, so only probe
+        // windows that begin before it need the exclusion; keeping it for
+        // later windows makes quotes needlessly pessimistic and can leave
+        // every probe unplaceable on a small cluster.
+        let exclude: &[NodeId] = if start < horizon { request.down } else { &[] };
+        let window = TimeWindow::starting_at(start, request.duration);
+        let taken = offer(&mut rejected, start, &book.free_nodes_during(window, exclude));
+        if taken.is_some() {
+            return taken;
+        }
+    }
+
+    // Guaranteed fallback: at the end of the book (past every commitment
+    // and past the recovery horizon) the machine is idle and fully up, so
+    // any job that fits the cluster places — even under contiguous-only
+    // topologies where fragmented slots and probes can all fail.
+    if rejected.is_empty() {
+        let book_end = book.change_points(request.now).last().copied();
+        let start = book_end.unwrap_or(request.now).max(horizon).max(request.now);
+        let window = TimeWindow::starting_at(start, request.duration);
+        let taken = offer(&mut rejected, start, &book.free_nodes_during(window, &[]));
+        if taken.is_some() {
+            return taken;
         }
     }
 
@@ -352,14 +296,16 @@ pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
         .iter()
         .map(Quote::promised_success)
         .fold(f64::NEG_INFINITY, f64::max);
+    let quotes_examined = rejected.len();
     // Quotes were pushed in increasing-start order, so the first within
-    // tolerance is the earliest acceptable compromise.
+    // tolerance is the earliest acceptable compromise. None at all: even
+    // the idle machine could not place the job.
     let chosen = rejected
         .into_iter()
         .find(|q| q.promised_success() >= best_promise - PROMISE_TOLERANCE)?;
     Some(NegotiationOutcome {
         accepted: chosen,
-        quotes_examined: examined,
+        quotes_examined,
         satisfied_threshold: false,
     })
 }

@@ -25,6 +25,7 @@
 
 use crate::reservation::{
     AvailabilityView, Reservation, ReservationBook, ReservationError, ReservationId, Slot,
+    SlotVisitor,
 };
 use pqos_cluster::node::NodeId;
 use pqos_cluster::partition::Partition;
@@ -32,8 +33,9 @@ use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
 use pqos_workload::job::JobId;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Memo entries are dropped wholesale past this population; the cap bounds
 /// memory on adversarial key streams (every probe unique) while staying far
@@ -88,13 +90,20 @@ struct MemoKey {
     exclude: Box<[u32]>,
 }
 
-#[derive(Debug)]
-struct MemoEntry {
-    /// End (seconds, exclusive) of the time range the walk examined; the
-    /// entry stays valid exactly while no mutation touches
-    /// `[key.from, coverage_end)`.
+/// What one walk produced before it ended: a prefix of the key's full
+/// answer for as long as no mutation touches `[key.from, coverage_end)`.
+/// Flat, so storing a slot is an append and a replay reads one buffer.
+#[derive(Debug, Default)]
+struct Prefix {
+    /// End (seconds, exclusive) of the time range the walk examined.
     coverage_end: u64,
-    slots: Vec<Slot>,
+    /// The walk ended on its own (`max_slots` reached or off the book):
+    /// this is the whole answer. Otherwise its caller stopped it, and a
+    /// caller that wants more walks afresh.
+    finished: bool,
+    /// Each slot's start and where its free list ends in `nodes`.
+    spans: Vec<(SimTime, usize)>,
+    nodes: Vec<NodeId>,
 }
 
 /// A [`ReservationBook`] wrapped with the quote memo.
@@ -128,7 +137,7 @@ struct MemoEntry {
 #[derive(Debug)]
 pub struct CachedReservationBook {
     book: ReservationBook,
-    memo: Mutex<HashMap<MemoKey, MemoEntry>>,
+    memo: Mutex<HashMap<MemoKey, Arc<Prefix>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidated: AtomicU64,
@@ -261,8 +270,8 @@ impl CachedReservationBook {
         self.book.occupied_at(t)
     }
 
-    /// Enumerates up to `max_slots` feasible placements — the cached hot
-    /// path. Byte-identical to [`ReservationBook::earliest_slots`] on the
+    /// Enumerates up to `max_slots` feasible placements through the memo.
+    /// Byte-identical to [`ReservationBook::earliest_slots`] on the
     /// wrapped book.
     ///
     /// # Panics
@@ -277,44 +286,10 @@ impl CachedReservationBook {
         exclude: &[NodeId],
         max_slots: usize,
     ) -> Vec<Slot> {
-        assert!(size > 0, "job size must be positive");
-        assert!(!duration.is_zero(), "duration must be positive");
-        if max_slots == 0 {
-            return Vec::new();
-        }
-        let key = MemoKey {
-            size,
-            duration: duration.as_secs(),
-            from: from.as_secs(),
-            max_slots,
-            exclude: exclude.iter().map(|n| n.as_u32()).collect(),
-        };
-        if let Some(entry) = self.lock_memo().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return entry.slots.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // The walk runs with the memo unlocked, so the probes of a batch
-        // proceed in parallel; mutation needs `&mut self`, so the book
-        // cannot change under it.
-        let (slots, coverage_end) = self.book.walk(size, duration, from, exclude, max_slots);
-        let mut memo = self.lock_memo();
-        if memo.len() >= MEMO_CAPACITY {
-            self.invalidated
-                .fetch_add(memo.len() as u64, Ordering::Relaxed);
-            memo.clear();
-        }
-        memo.insert(
-            key,
-            MemoEntry {
-                coverage_end: coverage_end.as_secs(),
-                slots: slots.clone(),
-            },
-        );
-        slots
+        AvailabilityView::earliest_slots(self, size, duration, from, exclude, max_slots)
     }
 
-    fn lock_memo(&self) -> MutexGuard<'_, HashMap<MemoKey, MemoEntry>> {
+    fn lock_memo(&self) -> MutexGuard<'_, HashMap<MemoKey, Arc<Prefix>>> {
         self.memo.lock().expect("quote cache lock poisoned")
     }
 
@@ -359,15 +334,72 @@ impl AvailabilityView for CachedReservationBook {
     fn change_points(&self, from: SimTime) -> Vec<SimTime> {
         self.book.change_points(from)
     }
-    fn earliest_slots(
+    /// The cached hot path. A memo hit replays the stored prefix; a caller
+    /// still asking when an unfinished prefix runs out gets a fresh walk —
+    /// silent over the slots already replayed — whose (longer) prefix
+    /// replaces the entry, and counts as a miss.
+    fn visit_slots(
         &self,
         size: u32,
         duration: SimDuration,
         from: SimTime,
         exclude: &[NodeId],
         max_slots: usize,
-    ) -> Vec<Slot> {
-        CachedReservationBook::earliest_slots(self, size, duration, from, exclude, max_slots)
+        visit: &mut SlotVisitor<'_>,
+    ) {
+        assert!(size > 0, "job size must be positive");
+        assert!(!duration.is_zero(), "duration must be positive");
+        if max_slots == 0 {
+            return;
+        }
+        let key = MemoKey {
+            size,
+            duration: duration.as_secs(),
+            from: from.as_secs(),
+            max_slots,
+            exclude: exclude.iter().map(|n| n.as_u32()).collect(),
+        };
+        // Shared, so a hit leaves the lock with a pointer copy and replays
+        // to its caller unlocked.
+        let stored = self.lock_memo().get(&key).map(Arc::clone);
+        let mut replayed = 0;
+        if let Some(prefix) = stored {
+            let mut lo = 0;
+            let stopped = prefix.spans.iter().any(|&(start, hi)| {
+                let free = &prefix.nodes[lo..hi];
+                lo = hi;
+                visit(start, free).is_break()
+            });
+            if stopped || prefix.finished {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            replayed = prefix.spans.len();
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        // The walk runs with the memo unlocked, so the probes of a batch
+        // proceed in parallel and `visit` may probe this book; mutation
+        // needs `&mut self`, so the book cannot change under it.
+        let mut prefix = Prefix::default();
+        let (coverage_end, finished) =
+            self.book
+                .walk(size, duration, from, exclude, max_slots, &mut |start, free| {
+                    prefix.nodes.extend_from_slice(free);
+                    prefix.spans.push((start, prefix.nodes.len()));
+                    if prefix.spans.len() > replayed {
+                        visit(start, free)
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+        (prefix.coverage_end, prefix.finished) = (coverage_end.as_secs(), finished);
+        let mut memo = self.lock_memo();
+        if memo.len() >= MEMO_CAPACITY {
+            self.invalidated
+                .fetch_add(memo.len() as u64, Ordering::Relaxed);
+            memo.clear();
+        }
+        memo.insert(key, Arc::new(prefix));
     }
 }
 

@@ -63,7 +63,7 @@ use pqos_workload::job::JobId;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 
 /// Identifier of a reservation within a [`ReservationBook`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -142,10 +142,28 @@ pub trait AvailabilityView {
     /// `from` itself plus every reservation start/end after it.
     fn change_points(&self, from: SimTime) -> Vec<SimTime>;
 
-    /// Enumerates up to `max_slots` feasible placement opportunities for a
-    /// job of `size` nodes and `duration`, starting at or after `from`,
-    /// treating `exclude` as unusable. Slots are in increasing start-time
-    /// order.
+    /// Enumerates feasible placement opportunities for a job of `size`
+    /// nodes and `duration`, starting at or after `from`, treating
+    /// `exclude` as unusable: hands `visit` each slot's start time and the
+    /// nodes free for the whole of `[start, start + duration)`, sorted, in
+    /// increasing start-time order, as the walk finds it. The walk ends
+    /// when `visit` answers [`ControlFlow::Break`], after `max_slots`
+    /// slots, or when the book runs out — nothing past the last slot
+    /// handed over is computed. The free list is borrowed from the walk
+    /// and dies with the call; `visit` runs under no lock or borrow of the
+    /// view, so it may query the view itself.
+    fn visit_slots(
+        &self,
+        size: u32,
+        duration: SimDuration,
+        from: SimTime,
+        exclude: &[NodeId],
+        max_slots: usize,
+        visit: &mut SlotVisitor<'_>,
+    );
+
+    /// The first `max_slots` slots [`visit_slots`](Self::visit_slots)
+    /// finds, collected.
     fn earliest_slots(
         &self,
         size: u32,
@@ -153,8 +171,22 @@ pub trait AvailabilityView {
         from: SimTime,
         exclude: &[NodeId],
         max_slots: usize,
-    ) -> Vec<Slot>;
+    ) -> Vec<Slot> {
+        let mut slots = Vec::with_capacity(max_slots.min(32));
+        self.visit_slots(size, duration, from, exclude, max_slots, &mut |start, free| {
+            slots.push(Slot {
+                start,
+                free: free.to_vec(),
+            });
+            ControlFlow::Continue(())
+        });
+        slots
+    }
 }
+
+/// What [`AvailabilityView::visit_slots`] calls with each slot: its start
+/// and free nodes; the answer says whether the walk goes on.
+pub type SlotVisitor<'a> = dyn FnMut(SimTime, &[NodeId]) -> ControlFlow<()> + 'a;
 
 /// Rows per block of the skip index.
 const BLOCK: usize = 64;
@@ -444,20 +476,12 @@ impl ReservationBook {
     /// Enumerates up to `max_slots` feasible placement opportunities for a
     /// job of `size` nodes and `duration`, starting at or after `from`,
     /// treating `exclude` as unusable (e.g. currently-down nodes when
-    /// `from` is "now").
+    /// `from` is "now"): [`visit_slots`](AvailabilityView::visit_slots)
+    /// run to its end and collected.
     ///
     /// Slots are returned in increasing start-time order. The final change
     /// point (after which the machine is idle) guarantees at least one slot
     /// whenever `size ≤ cluster_size − exclude.len()`.
-    ///
-    /// This is a single forward walk of the rows from `from`: the busy
-    /// union over each candidate window `[t, t + duration)` is maintained
-    /// with a two-stack sliding-window aggregation (union is associative
-    /// but not invertible, so plain running state would not support
-    /// eviction), word-parallel over the row arena with thread-local
-    /// scratch, so a probe allocates nothing but its output slots. The
-    /// skip index discards candidates that cannot fit before any union is
-    /// paid for.
     ///
     /// # Panics
     ///
@@ -470,14 +494,31 @@ impl ReservationBook {
         exclude: &[NodeId],
         max_slots: usize,
     ) -> Vec<Slot> {
-        self.walk(size, duration, from, exclude, max_slots).0
+        AvailabilityView::earliest_slots(self, size, duration, from, exclude, max_slots)
     }
 
-    /// [`earliest_slots`](Self::earliest_slots) plus the end of the time
-    /// range the walk examined, which is what the quote cache invalidates
-    /// by: the answer depends on no row at or after it. [`SimTime::MAX`]
-    /// when the walk ran off the end of the book (any mutation could then
-    /// change the answer).
+    /// The slot walk behind [`AvailabilityView::visit_slots`]: a single
+    /// forward pass over the rows from `from` that hands `visit` each slot
+    /// as it is found and stops where `visit` does.
+    ///
+    /// The busy union over each candidate window `[t, t + duration)` is
+    /// maintained with a two-stack sliding-window aggregation (union is
+    /// associative but not invertible, so plain running state would not
+    /// support eviction), word-parallel over the row arena with per-thread
+    /// scratch that also holds the decoded free list `visit` borrows, so a
+    /// walk allocates nothing. The skip index discards candidates that
+    /// cannot fit before any union is paid for.
+    ///
+    /// Returns the end of the time range examined and whether the walk
+    /// ended on its own (`max_slots` reached or off the book) rather than
+    /// at `visit`'s word. The quote cache invalidates by the former: the
+    /// slots handed over depend on no row at or after it —
+    /// [`SimTime::MAX`] when the walk ran off the end of the book (any
+    /// mutation could then change the answer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size == 0` or `duration` is zero.
     pub(crate) fn walk(
         &self,
         size: u32,
@@ -485,29 +526,33 @@ impl ReservationBook {
         from: SimTime,
         exclude: &[NodeId],
         max_slots: usize,
-    ) -> (Vec<Slot>, SimTime) {
+        visit: &mut SlotVisitor<'_>,
+    ) -> (SimTime, bool) {
         assert!(size > 0, "job size must be positive");
         assert!(!duration.is_zero(), "duration must be positive");
-        let mut out = Vec::new();
         if max_slots == 0 {
-            return (out, from);
+            return (from, true);
         }
         let (width, wps, n) = (self.cluster_size, self.wps, self.times.len());
-        SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
+        // Out of its cell for the whole walk: `visit` is the caller's code
+        // and may well probe a book on this thread.
+        let mut scratch = SCRATCH.take();
+        let ended = 'walk: {
             let WalkScratch {
                 front,
                 back_agg,
                 agg,
                 busy,
                 exclude: excluded,
-            } = &mut *scratch;
+                free,
+            } = &mut scratch;
             front.clear();
             for buf in [&mut *back_agg, &mut *agg, &mut *busy, &mut *excluded] {
                 buf.clear();
                 buf.resize(wps, 0);
             }
             set_nodes(excluded, width, exclude.iter().copied());
+            let mut found = 0usize;
 
             // Virtual row / candidate v: 0 is `from` itself riding the row
             // in effect there (none before the first row: all free); v ≥ 1
@@ -592,18 +637,20 @@ impl ReservationBook {
                 }
                 NodeMask::or_words(busy, excluded);
                 if width - NodeMask::count_ones_words(busy) >= size {
-                    out.push(Slot {
-                        start: t,
-                        free: NodeMask::complement_nodes_words(width, busy),
-                    });
-                    if out.len() >= max_slots {
-                        return (out, end);
+                    free.clear();
+                    NodeMask::extend_complement_nodes_words(width, busy, free);
+                    found += 1;
+                    let stop = visit(t, free).is_break();
+                    if stop || found >= max_slots {
+                        break 'walk (end, found >= max_slots);
                     }
                 }
                 v += 1;
             }
-            (out, SimTime::MAX)
-        })
+            (SimTime::MAX, true)
+        };
+        SCRATCH.set(scratch);
+        ended
     }
 
     /// First row at or after `r0` with at least `size` free nodes, hopping
@@ -832,6 +879,7 @@ struct WalkScratch {
     agg: Vec<u64>,
     busy: Vec<u64>,
     exclude: Vec<u64>,
+    free: Vec<NodeId>,
 }
 
 thread_local! {
@@ -848,15 +896,16 @@ impl AvailabilityView for ReservationBook {
     fn change_points(&self, from: SimTime) -> Vec<SimTime> {
         ReservationBook::change_points(self, from)
     }
-    fn earliest_slots(
+    fn visit_slots(
         &self,
         size: u32,
         duration: SimDuration,
         from: SimTime,
         exclude: &[NodeId],
         max_slots: usize,
-    ) -> Vec<Slot> {
-        ReservationBook::earliest_slots(self, size, duration, from, exclude, max_slots)
+        visit: &mut SlotVisitor<'_>,
+    ) {
+        self.walk(size, duration, from, exclude, max_slots, visit);
     }
 }
 
@@ -1003,6 +1052,23 @@ impl AvailabilityView for NaiveReservationBook {
         points.sort_unstable();
         points.dedup();
         points
+    }
+
+    fn visit_slots(
+        &self,
+        size: u32,
+        duration: SimDuration,
+        from: SimTime,
+        exclude: &[NodeId],
+        max_slots: usize,
+        visit: &mut SlotVisitor<'_>,
+    ) {
+        // The specification stays the eager scan; the lazy form reads it.
+        for slot in self.earliest_slots(size, duration, from, exclude, max_slots) {
+            if visit(slot.start, &slot.free).is_break() {
+                break;
+            }
+        }
     }
 
     fn earliest_slots(

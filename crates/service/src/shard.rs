@@ -53,7 +53,7 @@ use pqos_core::session::{
 };
 use pqos_predict::api::Predictor;
 use pqos_sched::cache::QuoteCacheStats;
-use pqos_sched::reservation::{AvailabilityView, ReservationId, Slot};
+use pqos_sched::reservation::{AvailabilityView, ReservationId, SlotVisitor};
 use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
 use pqos_telemetry::{SinkHealth, Telemetry};
 use pqos_workload::job::JobId;
@@ -163,29 +163,32 @@ impl AvailabilityView for MergedAvailabilityView<'_> {
         points
     }
 
-    fn earliest_slots(
+    fn visit_slots(
         &self,
         size: u32,
         duration: SimDuration,
         from: SimTime,
         exclude: &[NodeId],
         max_slots: usize,
-    ) -> Vec<Slot> {
-        let mut slots = Vec::new();
-        if size > self.total || max_slots == 0 {
-            return slots;
+        visit: &mut SlotVisitor<'_>,
+    ) {
+        if size > self.total {
+            return;
         }
+        let mut left = max_slots;
         for start in self.change_points(from) {
-            let window = TimeWindow::new(start, start + duration);
-            let free = self.free_nodes_during(window, exclude);
+            if left == 0 {
+                break;
+            }
+            // Asked of every shard only once the walk has got this far.
+            let free = self.free_nodes_during(TimeWindow::starting_at(start, duration), exclude);
             if free.len() as u32 >= size {
-                slots.push(Slot { start, free });
-                if slots.len() >= max_slots {
+                left -= 1;
+                if visit(start, &free).is_break() {
                     break;
                 }
             }
         }
-        slots
     }
 }
 
