@@ -5,15 +5,15 @@
 //! the resulting commitments into the [`NaiveReservationBook`] reference
 //! and the [`CachedReservationBook`] quote cache, and then times a fixed
 //! set of probe negotiations against each book. The probes exercise the
-//! full `earliest_slots` → `choose_partition` path, so the measured ratio
+//! full `visit_slots` → `choose_partition` path, so the measured ratio
 //! is the end-to-end speedup a saturated scheduler sees per negotiation.
 //!
 //! Four probe passes are timed:
 //!
 //! 1. **naive** — the scan-everything executable specification;
-//! 2. **uncached timeline** — `ReservationBook::earliest_slots`: the
-//!    skip-indexed sliding-union walk over the book's own flat rows (what
-//!    the simulator runs);
+//! 2. **uncached timeline** — `ReservationBook`'s `visit_slots`: the
+//!    skip-indexed sliding-union walk over the book's own flat rows,
+//!    stopped at the slot the dialog takes (what the simulator runs);
 //! 3. **cached cold** — `CachedReservationBook` with an empty memo: the
 //!    same walk behind a memo miss (what the service serves, and the
 //!    headline `timeline_probe_per_negotiation_us` number). Passes 2 and 3

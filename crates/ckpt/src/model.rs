@@ -50,7 +50,9 @@ pub fn planned_execution(
     };
     ExecutionPlan {
         requests,
-        total: runtime + overhead.saturating_mul(requests),
+        // Saturating: `runtime` is a request field, and a wrapped total
+        // would reserve less time than the job runs.
+        total: runtime.saturating_add(overhead.saturating_mul(requests)),
     }
 }
 
@@ -106,6 +108,18 @@ mod tests {
         );
         assert_eq!(p.requests, 2);
         assert_eq!(p.total.as_secs(), 3 * 3600 + 2 * 720);
+    }
+
+    #[test]
+    fn a_runtime_near_the_end_of_time_saturates_the_total() {
+        for runtime in [SimDuration::MAX, SimDuration::from_secs(u64::MAX - 3600)] {
+            let p = planned_execution(
+                runtime,
+                SimDuration::from_secs(3600),
+                SimDuration::from_secs(720),
+            );
+            assert_eq!(p.total, SimDuration::MAX, "never shorter than the runtime");
+        }
     }
 
     #[test]

@@ -529,7 +529,7 @@ impl<C> Lifecycle<C> {
             (planned_total(config, req.runtime).as_secs() as f64 * config.deadline_slack) as u64,
         );
         let held = HeldQuote {
-            deadline: outcome.accepted.deadline + slack,
+            deadline: outcome.accepted.deadline.saturating_add(slack),
             quote: outcome.accepted,
             satisfied_threshold: outcome.satisfied_threshold,
         };

@@ -9,10 +9,13 @@
 //! promise seen — "a deadline may be pushed arbitrarily far into the
 //! future, but no further than necessary".
 //!
-//! Candidate deadlines come from the reservation book's placement slots;
-//! when the book runs out (the machine is idle past its last commitment)
-//! the search keeps probing forward in fixed steps, because an idle machine
-//! can still carry predicted failures worth dodging.
+//! Candidate deadlines come from the reservation book's placement slots,
+//! pulled from the book's walk one at a time
+//! ([`AvailabilityView::visit_slots`]): the dialog is lazy, so the walk is,
+//! and nothing is computed past the slot the user takes. When the book runs
+//! out (the machine is idle past its last commitment) the search keeps
+//! probing forward in fixed steps, because an idle machine can still carry
+//! predicted failures worth dodging.
 
 use crate::user::UserStrategy;
 use pqos_cluster::node::NodeId;
@@ -191,6 +194,11 @@ pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
     // topology cannot place the job on is not quoted at all.
     let offer = |rejected: &mut Vec<Quote>, start: SimTime, free: &[NodeId]| {
         let window = TimeWindow::starting_at(start, request.duration);
+        if window.length() < request.duration {
+            // Cut short by the end of time (only a duration near `u64::MAX`
+            // gets there): not a reservation the job fits in.
+            return None;
+        }
         let choice = choose_partition_with_telemetry(
             topology,
             free,
@@ -243,8 +251,7 @@ pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
             _ => continue,
         };
         let mut taken = None;
-        let (size, duration) = (request.size, request.duration);
-        book.visit_slots(size, duration, from, exclude, max_slots, &mut |start, free| {
+        let mut visit = |start: SimTime, free: &[NodeId]| {
             if until.is_some_and(|until| start >= until) {
                 return ControlFlow::Break(());
             }
@@ -255,7 +262,9 @@ pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
                 return ControlFlow::Break(());
             }
             ControlFlow::Continue(())
-        });
+        };
+        let (size, duration) = (request.size, request.duration);
+        book.visit_slots(size, duration, from, exclude, max_slots, &mut visit);
         if taken.is_some() {
             return taken;
         }
@@ -272,7 +281,11 @@ pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
         // every probe unplaceable on a small cluster.
         let exclude: &[NodeId] = if start < horizon { request.down } else { &[] };
         let window = TimeWindow::starting_at(start, request.duration);
-        let taken = offer(&mut rejected, start, &book.free_nodes_during(window, exclude));
+        let taken = offer(
+            &mut rejected,
+            start,
+            &book.free_nodes_during(window, exclude),
+        );
         if taken.is_some() {
             return taken;
         }
@@ -284,7 +297,10 @@ pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
     // topologies where fragmented slots and probes can all fail.
     if rejected.is_empty() {
         let book_end = book.change_points(request.now).last().copied();
-        let start = book_end.unwrap_or(request.now).max(horizon).max(request.now);
+        let start = book_end
+            .unwrap_or(request.now)
+            .max(horizon)
+            .max(request.now);
         let window = TimeWindow::starting_at(start, request.duration);
         let taken = offer(&mut rejected, start, &book.free_nodes_during(window, &[]));
         if taken.is_some() {
@@ -380,7 +396,9 @@ mod tests {
     use pqos_predict::api::NullPredictor;
     use pqos_predict::oracle::TraceOracle;
     use pqos_sched::reservation::ReservationBook;
+    use pqos_sim_core::rng::DetRng;
     use pqos_workload::job::JobId;
+    use std::cell::RefCell;
     use std::sync::Arc;
 
     fn oracle(failures: &[(u64, u32, f64)], a: f64) -> TraceOracle {
@@ -782,6 +800,315 @@ mod tests {
             );
             assert_eq!(batched, serial, "threads={threads}");
         }
+    }
+
+    /// The parent's collect-then-iterate negotiation, kept verbatim as the
+    /// oracle for the lazy dialog: every slot of every pass is materialised
+    /// before the user is asked about the first.
+    #[allow(clippy::too_many_arguments)]
+    fn eager_reference<B: AvailabilityView, P: Predictor>(
+        book: &B,
+        topology: Topology,
+        placement: PlacementStrategy,
+        predictor: &P,
+        request: NegotiationRequest<'_>,
+        user: &UserStrategy,
+        max_slots: usize,
+        max_probe_steps: usize,
+    ) -> Option<NegotiationOutcome> {
+        if request.size == 0 || request.size > book.cluster_size() {
+            return None;
+        }
+        let telemetry = &Telemetry::disabled();
+        let max_slots = max_slots.max(1);
+        let mut slots = if request.down.is_empty() || request.recovery_horizon <= request.now {
+            book.earliest_slots(
+                request.size,
+                request.duration,
+                request.now,
+                request.down,
+                max_slots,
+            )
+        } else {
+            let mut pre = book.earliest_slots(
+                request.size,
+                request.duration,
+                request.now,
+                request.down,
+                max_slots,
+            );
+            pre.retain(|s| s.start < request.recovery_horizon);
+            let post = book.earliest_slots(
+                request.size,
+                request.duration,
+                request.recovery_horizon,
+                &[],
+                max_slots,
+            );
+            pre.extend(post);
+            pre.truncate(max_slots);
+            pre
+        };
+        if slots.is_empty() {
+            let from = request.recovery_horizon.max(request.now);
+            slots = book.earliest_slots(request.size, request.duration, from, &[], max_slots);
+        }
+
+        const PROMISE_TOLERANCE: f64 = 0.01;
+        let mut examined = 0usize;
+        let mut rejected: Vec<Quote> = Vec::new();
+        let mut consider = |quote: Quote, examined: &mut usize| -> Option<Quote> {
+            *examined += 1;
+            if user.accepts(quote.promised_success()) {
+                return Some(quote);
+            }
+            rejected.push(quote);
+            None
+        };
+        let risk_window = |start: SimTime| {
+            TimeWindow::new(
+                start.saturating_sub(request.pre_start_risk),
+                start.saturating_add(request.duration),
+            )
+        };
+        let taken = |accepted, examined| {
+            Some(NegotiationOutcome {
+                accepted,
+                quotes_examined: examined,
+                satisfied_threshold: true,
+            })
+        };
+        for slot in &slots {
+            let window = TimeWindow::starting_at(slot.start, request.duration);
+            let Some(choice) = choose_partition_with_telemetry(
+                topology,
+                &slot.free,
+                request.size,
+                risk_window(slot.start),
+                predictor,
+                placement,
+                telemetry,
+            ) else {
+                continue;
+            };
+            let quote = Quote {
+                start: slot.start,
+                deadline: window.end(),
+                partition: choice.partition,
+                failure_probability: choice.failure_probability,
+            };
+            if let Some(accepted) = consider(quote, &mut examined) {
+                return taken(accepted, examined);
+            }
+        }
+
+        let probe_base = slots.last().map(|s| s.start).unwrap_or(request.now);
+        let step = request.duration.max(SimDuration::from_secs(1));
+        for k in 1..=max_probe_steps {
+            let start = probe_base.saturating_add(step.saturating_mul(k as u64));
+            let window = TimeWindow::starting_at(start, request.duration);
+            let exclude: &[NodeId] = if start < request.recovery_horizon {
+                request.down
+            } else {
+                &[]
+            };
+            let free = book.free_nodes_during(window, exclude);
+            let Some(choice) = choose_partition_with_telemetry(
+                topology,
+                &free,
+                request.size,
+                risk_window(start),
+                predictor,
+                placement,
+                telemetry,
+            ) else {
+                continue;
+            };
+            let quote = Quote {
+                start,
+                deadline: window.end(),
+                partition: choice.partition,
+                failure_probability: choice.failure_probability,
+            };
+            if let Some(accepted) = consider(quote, &mut examined) {
+                return taken(accepted, examined);
+            }
+        }
+
+        if examined == 0 {
+            let book_end = book
+                .change_points(request.now)
+                .last()
+                .copied()
+                .unwrap_or(request.now);
+            let start = book_end.max(request.recovery_horizon).max(request.now);
+            let window = TimeWindow::starting_at(start, request.duration);
+            let free = book.free_nodes_during(window, &[]);
+            let choice = choose_partition_with_telemetry(
+                topology,
+                &free,
+                request.size,
+                risk_window(start),
+                predictor,
+                placement,
+                telemetry,
+            )?;
+            let quote = Quote {
+                start,
+                deadline: window.end(),
+                partition: choice.partition,
+                failure_probability: choice.failure_probability,
+            };
+            if let Some(accepted) = consider(quote, &mut examined) {
+                return taken(accepted, examined);
+            }
+        }
+
+        let best_promise = rejected
+            .iter()
+            .map(Quote::promised_success)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let chosen = rejected
+            .into_iter()
+            .find(|q| q.promised_success() >= best_promise - PROMISE_TOLERANCE)?;
+        Some(NegotiationOutcome {
+            accepted: chosen,
+            quotes_examined: examined,
+            satisfied_threshold: false,
+        })
+    }
+
+    /// A predictor that answers as `P` does and keeps every question.
+    struct Asked<'a, P> {
+        inner: &'a P,
+        log: RefCell<Vec<(Vec<NodeId>, TimeWindow)>>,
+    }
+
+    impl<P: Predictor> Predictor for Asked<'_, P> {
+        fn failure_probability(&self, nodes: &[NodeId], window: TimeWindow) -> f64 {
+            self.log.borrow_mut().push((nodes.to_vec(), window));
+            self.inner.failure_probability(nodes, window)
+        }
+    }
+
+    #[test]
+    fn lazy_dialog_matches_the_eager_reference() {
+        // Which of the slot passes each world exercised: the excluded pass
+        // cut at the horizon with slots on both sides of it, the budget
+        // spent before the horizon, and the "every slot was blocked" retry.
+        let (mut both_sides, mut budget_spent_early, mut retried) = (0, 0, 0);
+        let mut rng = DetRng::seed_from(0xD1A106).fork("lazy-vs-eager");
+        let users = [
+            UserStrategy::AlwaysEarliest,
+            UserStrategy::risk_threshold(0.5).unwrap(),
+            UserStrategy::risk_threshold(0.9).unwrap(),
+            UserStrategy::risk_threshold(0.999).unwrap(),
+        ];
+        for world in 0..400 {
+            let width = [4, 9, 24][world % 3];
+            let mut book = ReservationBook::new(width);
+            for job in 0..rng.uniform_u64(0, 10) {
+                let first = rng.uniform_u64(0, u64::from(width) - 1) as u32;
+                let len = rng.uniform_u64(1, u64::from(width - first)) as u32;
+                let start = 20 * rng.uniform_u64(0, 25);
+                let end = start + 20 * rng.uniform_u64(1, 10);
+                // Conflicting draws are simply not booked.
+                let _ = book.add(
+                    JobId::new(job),
+                    Partition::contiguous(first, len),
+                    TimeWindow::new(SimTime::from_secs(start), SimTime::from_secs(end)),
+                );
+            }
+            let failures: Vec<(u64, u32, f64)> = (0..rng.uniform_u64(0, 30))
+                .map(|_| {
+                    let node = rng.uniform_u64(0, u64::from(width) - 1) as u32;
+                    (rng.uniform_u64(0, 1500), node, rng.unit())
+                })
+                .collect();
+            let oracle = oracle(&failures, [1.0, 0.8][world % 2]);
+            let now = 10 * rng.uniform_u64(0, 30);
+            // None down, a few, or (one world in five) the whole machine.
+            let down: Vec<NodeId> = match rng.uniform_u64(0, 4) {
+                0 => Vec::new(),
+                1 => (0..width).map(NodeId::new).collect(),
+                _ => (0..width)
+                    .filter(|_| rng.chance(0.3))
+                    .map(NodeId::new)
+                    .collect(),
+            };
+            // Before `now`, on it, inside the book's span, and past it.
+            let horizon = [0, now, now + 30, now + 200, 450, 5_000][rng.uniform_u64(0, 5) as usize];
+            let request = NegotiationRequest {
+                size: rng.uniform_u64(1, u64::from(width)) as u32,
+                duration: SimDuration::from_secs(10 * rng.uniform_u64(1, 15)),
+                now: SimTime::from_secs(now),
+                down: &down,
+                recovery_horizon: SimTime::from_secs(horizon),
+                pre_start_risk: SimDuration::from_secs([0, 120][world % 2]),
+            };
+            let max_slots = [1, 2, 3, 8][rng.uniform_u64(0, 3) as usize];
+            let max_probe_steps = [0, 2, 6][rng.uniform_u64(0, 2) as usize];
+
+            if !down.is_empty() {
+                let (size, duration) = (request.size, request.duration);
+                let pre = book.earliest_slots(size, duration, request.now, &down, max_slots);
+                let early = pre
+                    .iter()
+                    .filter(|s| s.start < request.recovery_horizon)
+                    .count();
+                if horizon > now {
+                    both_sides += usize::from(early > 0 && early < max_slots);
+                    budget_spent_early += usize::from(early == max_slots);
+                } else {
+                    retried += usize::from(pre.is_empty());
+                }
+            }
+
+            for user in &users {
+                for topology in [Topology::Flat, Topology::Line] {
+                    let placement = PlacementStrategy::MinFailureProbability;
+                    let at = format!("world {world}: {request:?} {user:?} {topology:?} slots {max_slots} probes {max_probe_steps}");
+                    macro_rules! compare {
+                        ($predictor:expr) => {{
+                            let [lazy, eager] = [(); 2].map(|_| Asked {
+                                inner: $predictor,
+                                log: RefCell::default(),
+                            });
+                            assert_eq!(
+                                negotiate(
+                                    &book,
+                                    topology,
+                                    placement,
+                                    &lazy,
+                                    request,
+                                    user,
+                                    max_slots,
+                                    max_probe_steps
+                                ),
+                                eager_reference(
+                                    &book,
+                                    topology,
+                                    placement,
+                                    &eager,
+                                    request,
+                                    user,
+                                    max_slots,
+                                    max_probe_steps
+                                ),
+                                "{at}"
+                            );
+                            assert_eq!(lazy.log, eager.log, "{at}: predictor questions");
+                        }};
+                    }
+                    compare!(&NullPredictor);
+                    compare!(&oracle);
+                }
+            }
+        }
+        assert!(
+            both_sides >= 20 && budget_spent_early >= 5 && retried >= 5,
+            "worlds must reach every pass: {both_sides} {budget_spent_early} {retried}"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! hand-constructed request sequence whose responses are reconstructed by
 //! replaying it through the real engine (`--no-parity` style), so the
 //! written trace is parity-clean by construction and fully deterministic —
-//! no daemon, no sockets, no wall clock involved. The three cases:
+//! no daemon, no sockets, no wall clock involved. The cases:
 //!
 //! * `pr2-same-instant-handoff` — a full-cluster job completes at exactly
 //!   the virtual instant a successor is quoted: completion must be
@@ -32,6 +32,12 @@
 //!   (rejected) and well-formed negotiates. Pins the deterministic
 //!   alert journal: replay must reproduce the exact `slo_alert` lines
 //!   and `pqos-doctor slo` must re-derive them with zero diffs.
+//! * `runtime-overflow` — `runtime_secs` near `u64::MAX`, narrow and
+//!   wide, on a 2-shard daemon: the planned execution time saturates
+//!   instead of wrapping, so the request is promised its full length
+//!   (from t=0, where it just fits before the end of time) or rejected —
+//!   never a panic, never a reservation shorter than the job. Pins
+//!   `unfinished_job: 1`: accepted, the endless job outlives the trace.
 
 use pqos_service::protocol::{Request, Response};
 use pqos_service::replay::{replay, ReplayOptions};
@@ -491,6 +497,85 @@ fn slo_alert_flap(root: &Path) {
     write_case(root, "slo-alert-flap", &trace, &journal, None);
 }
 
+/// The runtime overflow: `runtime_secs` near `u64::MAX` on a 2-shard
+/// daemon, narrow (one shard's book) and wide (the merged view). The
+/// planned execution time used to wrap — a panic in a debug build, a
+/// promise shorter than the job in release. It saturates: from t=0 the
+/// reservation just fits before the end of time and is quoted whole; from
+/// t=60 it cannot and is rejected. Accepted, it runs on beside an ordinary
+/// job that must still be served: pins `unfinished_job: 1`, the endless job
+/// itself.
+fn runtime_overflow(root: &Path) {
+    let negotiate = |epoch: u64, tick: u64, id: u64, size: u32, runtime_secs: u64| {
+        let request = Request::Negotiate {
+            id,
+            size,
+            runtime_secs,
+        };
+        (epoch, tick, request, Some(id))
+    };
+    let full = author(
+        sharded_meta(8, 2, None),
+        &[
+            negotiate(1, 0, 1, 2, u64::MAX),
+            negotiate(1, 0, 2, 8, u64::MAX - 3600),
+            negotiate(2, 60, 3, 2, u64::MAX),
+            negotiate(2, 60, 4, 8, u64::MAX),
+            // The narrow one is taken (and, promised from t=0, starts at
+            // once); the wide quote is walked away from.
+            (2, 60, Request::Accept { id: 5, job: 1 }, None),
+            (2, 60, Request::Cancel { id: 6, job: 2 }, None),
+            negotiate(3, 400, 7, 2, 600),
+            (3, 400, Request::Accept { id: 8, job: 7 }, None),
+            // Past the ordinary job's completion; the endless one runs on.
+            (4, 100_000, Request::Shutdown { id: 9 }, None),
+        ],
+    );
+    let (trace, journal) = reconstruct(full);
+    let response = |seq: usize| Response::parse(&trace.entries[seq - 1].response).expect("parses");
+    for seq in [1, 2] {
+        assert!(
+            matches!(
+                response(seq),
+                Response::Quote {
+                    start_secs: 0,
+                    promised_secs: u64::MAX,
+                    deadline_secs: u64::MAX,
+                    ..
+                }
+            ),
+            "from t=0 the saturated run is promised whole (seq {seq}): {:?}",
+            response(seq)
+        );
+    }
+    for seq in [3, 4] {
+        assert!(
+            matches!(response(seq), Response::Error { .. }),
+            "from t=60 it no longer fits before the end of time (seq {seq}): {:?}",
+            response(seq)
+        );
+    }
+    for seq in [5, 6, 8] {
+        assert!(matches!(response(seq), Response::Ok { .. }), "seq {seq}");
+    }
+    assert!(matches!(
+        response(7),
+        Response::Quote {
+            start_secs: 400,
+            promised_secs: 1_000,
+            ..
+        }
+    ));
+    // The one finding is the truth: job 1 is still running at the end.
+    write_case(
+        root,
+        "runtime-overflow",
+        &trace,
+        &journal,
+        Some("{\"findings\": [{\"code\": \"unfinished_job\", \"count\": 1}]}\n"),
+    );
+}
+
 fn main() {
     let root_arg = std::env::args()
         .nth(1)
@@ -502,5 +587,6 @@ fn main() {
     seeded_divergence(&root);
     sharded_divergence(&root);
     slo_alert_flap(&root);
+    runtime_overflow(&root);
     println!("corpus written to {}", root.display());
 }

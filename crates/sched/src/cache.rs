@@ -1,27 +1,38 @@
-//! The quote cache: memoized `earliest_slots` across negotiations.
+//! The quote cache: memoized slot walks across negotiations.
 //!
 //! Consecutive quotes against a saturated backlog ask nearly the same
 //! questions, and a single admission only perturbs the timeline near the
 //! reservation it adds. [`CachedReservationBook`] wraps [`ReservationBook`]
-//! and memoizes each `(size, duration, from, exclude, max_slots)` probe
-//! result together with the time range the walk actually examined
-//! (`[from, coverage_end)`). `add`/`remove`/`truncate` delta-invalidate
-//! only the entries whose examined range intersects the mutated interval —
-//! a quote for next week survives an accept that books nodes this afternoon
-//! untouched.
+//! and memoizes, per `(size, duration, from, exclude, max_slots)` probe
+//! shape, *the prefix its walk produced*: the slots handed over before the
+//! walk ended, the time range it examined to find them
+//! (`[from, coverage_end)`), and whether it ended on its own (`max_slots`
+//! reached or off the book) or at its caller's word. A stored prefix is a
+//! prefix of the shape's full answer for as long as no mutation touches
+//! that range, so `add`/`remove`/`truncate` delta-invalidate only the
+//! entries whose examined range intersects the mutated interval — a quote
+//! for next week survives an accept that books nodes this afternoon
+//! untouched, and the shorter the dialog that seeded an entry, the less
+//! can invalidate it.
+//!
+//! A hit replays the prefix to the visitor. A visitor still asking when an
+//! *unfinished* prefix runs out is a miss after all: a fresh walk — silent
+//! over the slots already replayed — serves the rest, and its longer prefix
+//! replaces the entry.
 //!
 //! That is all the cache owns. The timeline it answers from is the book's
 //! own — flat rows patched in place by every mutation, walked with the
-//! book's skip index and thread-local scratch (see
+//! book's skip index and per-thread scratch (see
 //! [`reservation`](crate::reservation)) — so there is no snapshot to
-//! rebuild after a mutation, and a memo miss costs exactly one
-//! [`ReservationBook::earliest_slots`] walk.
+//! rebuild after a mutation, and a memo miss costs exactly one walk, as
+//! far as its caller lets it run.
 //!
 //! The wrapper is behavior-invisible: it answers every
 //! [`AvailabilityView`] query byte-identically to the wrapped book (and
 //! hence to [`NaiveReservationBook`](crate::reservation::NaiveReservationBook)),
-//! which the randomized harness in `tests/properties.rs` asserts after
-//! every step of interleaved mutate/probe workloads.
+//! which the randomized harnesses in `tests/properties.rs` assert after
+//! every step of interleaved mutate/probe workloads, visits stopped early
+//! included.
 
 use crate::reservation::{
     AvailabilityView, Reservation, ReservationBook, ReservationError, ReservationId, Slot,
@@ -47,9 +58,11 @@ const MEMO_CAPACITY: usize = 4096;
 /// `pqos_quote_cache_*` gauges on `/metrics`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QuoteCacheStats {
-    /// Probes answered straight from the memo.
+    /// Probes answered straight from the memo: the stored prefix reached
+    /// as far as the caller went.
     pub hits: u64,
-    /// Probes that ran a fresh walk (and seeded the memo).
+    /// Probes that ran a fresh walk (and seeded the memo) — no entry, or
+    /// an unfinished prefix its caller outlived.
     pub misses: u64,
     /// Always 0: the cache walks the book's own timeline, so there is no
     /// profile snapshot left to rebuild. Kept because `BENCH_sched.json`,
@@ -381,17 +394,22 @@ impl AvailabilityView for CachedReservationBook {
         // proceed in parallel and `visit` may probe this book; mutation
         // needs `&mut self`, so the book cannot change under it.
         let mut prefix = Prefix::default();
-        let (coverage_end, finished) =
-            self.book
-                .walk(size, duration, from, exclude, max_slots, &mut |start, free| {
-                    prefix.nodes.extend_from_slice(free);
-                    prefix.spans.push((start, prefix.nodes.len()));
-                    if prefix.spans.len() > replayed {
-                        visit(start, free)
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
+        let (coverage_end, finished) = self.book.walk(
+            size,
+            duration,
+            from,
+            exclude,
+            max_slots,
+            &mut |start, free| {
+                prefix.nodes.extend_from_slice(free);
+                prefix.spans.push((start, prefix.nodes.len()));
+                if prefix.spans.len() > replayed {
+                    visit(start, free)
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        );
         (prefix.coverage_end, prefix.finished) = (coverage_end.as_secs(), finished);
         let mut memo = self.lock_memo();
         if memo.len() >= MEMO_CAPACITY {

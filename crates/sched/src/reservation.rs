@@ -6,8 +6,10 @@
 //! `(partition, time interval)` commitment when it is scheduled, and later
 //! jobs may slot into earlier holes only where they fit without disturbing
 //! existing commitments. That is *conservative* backfilling: the book below
-//! is the profile of commitments, and [`ReservationBook::earliest_slots`]
-//! enumerates the candidate start times a new job could take.
+//! is the profile of commitments, and [`AvailabilityView::visit_slots`]
+//! enumerates the candidate start times a new job could take — lazily, one
+//! slot at a time, because the negotiation that asks is a dialog that ends
+//! at the first slot the user takes.
 //!
 //! # Data structure
 //!
@@ -45,8 +47,11 @@
 //!   book moves every row;
 //! * `free_nodes_during` — `O(log S + K·W)`;
 //! * `change_points` — `O(log S + output)`; `occupied_at` — `O(log S)`;
-//! * `earliest_slots` — one sliding-window walk from `from`,
-//!   `O(rows walked · W + output)`, stopping at the `max_slots`-th slot.
+//! * `visit_slots` — one sliding-window walk from `from` that hands each
+//!   slot to its caller as it is found and stops when told to, at the
+//!   `max_slots`-th slot or off the end of the book:
+//!   `O(rows walked to the last slot handed over · W)`, allocating nothing.
+//!   `earliest_slots` is that walk run to its end and collected.
 //!
 //! [`NaiveReservationBook`] preserves the original scan-everything
 //! implementation. It is the executable specification: the property harness
@@ -172,14 +177,24 @@ pub trait AvailabilityView {
         exclude: &[NodeId],
         max_slots: usize,
     ) -> Vec<Slot> {
+        // Sized up front for a dialog's worth: grown by doubling, the 24
+        // slots of a default negotiation budget cost four reallocations, a
+        // third of what a warm memo hit costs altogether.
         let mut slots = Vec::with_capacity(max_slots.min(32));
-        self.visit_slots(size, duration, from, exclude, max_slots, &mut |start, free| {
-            slots.push(Slot {
-                start,
-                free: free.to_vec(),
-            });
-            ControlFlow::Continue(())
-        });
+        self.visit_slots(
+            size,
+            duration,
+            from,
+            exclude,
+            max_slots,
+            &mut |start, free| {
+                slots.push(Slot {
+                    start,
+                    free: free.to_vec(),
+                });
+                ControlFlow::Continue(())
+            },
+        );
         slots
     }
 }

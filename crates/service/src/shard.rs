@@ -172,19 +172,16 @@ impl AvailabilityView for MergedAvailabilityView<'_> {
         max_slots: usize,
         visit: &mut SlotVisitor<'_>,
     ) {
-        if size > self.total {
+        if size > self.total || max_slots == 0 {
             return;
         }
         let mut left = max_slots;
         for start in self.change_points(from) {
-            if left == 0 {
-                break;
-            }
             // Asked of every shard only once the walk has got this far.
             let free = self.free_nodes_during(TimeWindow::starting_at(start, duration), exclude);
             if free.len() as u32 >= size {
                 left -= 1;
-                if visit(start, &free).is_break() {
+                if visit(start, &free).is_break() || left == 0 {
                     break;
                 }
             }

@@ -557,6 +557,73 @@ mod tests {
         }
     }
 
+    /// A hostile `runtime_secs` near `u64::MAX` must never wrap the
+    /// promise: the planned execution time saturates, and a reservation
+    /// that long either fits before the end of time — only from t=0 — and
+    /// is quoted at its full saturated length, or is answered `rejected`;
+    /// on one plane, on a shard, and for a wide job through the merged
+    /// view. Once accepted it holds its nodes for good and the daemon goes
+    /// on serving around it.
+    #[test]
+    fn a_runtime_near_u64_max_saturates_the_promise_instead_of_wrapping_it() {
+        let promised = |line: &str| match Response::parse(line) {
+            Some(Response::Quote {
+                job,
+                start_secs,
+                promised_secs,
+                deadline_secs,
+                ..
+            }) => (job, start_secs, promised_secs, deadline_secs),
+            other => panic!("expected a quote, got {other:?}"),
+        };
+        let rejected = |line: &str| matches!(Response::parse(line), Some(Response::Error { .. }));
+        for shards in [1, 2] {
+            let (mut core, _) = build(&TraceMeta {
+                shards,
+                ..TraceMeta::qosd(8)
+            });
+            // Sizes of two stay on a shard of four; eight is the
+            // cross-shard coordinator's.
+            let hostile = [
+                negotiate(1, 2, u64::MAX),
+                negotiate(2, 2, u64::MAX - 3600),
+                negotiate(3, 8, u64::MAX),
+                negotiate(4, 8, u64::MAX - 7),
+            ];
+            let (seen, _) = tick(&mut core, 0, &hostile);
+            let quotes: Vec<_> = seen.iter().map(|(_, line)| promised(line)).collect();
+            for (job, start, promised_secs, deadline) in &quotes {
+                assert_eq!(
+                    (*start, *promised_secs, *deadline),
+                    (0, u64::MAX, u64::MAX),
+                    "{shards} shard(s), job {job}"
+                );
+            }
+            let (seen, _) = tick(&mut core, 60, &hostile);
+            for (k, line) in &seen {
+                assert!(
+                    rejected(line),
+                    "{shards} shard(s), item {k} at t=60: {line}"
+                );
+            }
+            // Taken, the first holds two nodes for good; the rest of the
+            // machine still quotes, the whole of it never again.
+            let accept = (
+                Request::Accept {
+                    id: 5,
+                    job: quotes[0].0,
+                },
+                None,
+            );
+            let (seen, _) = tick(&mut core, 60, &[accept]);
+            assert_eq!(seen[0].1, Response::Ok { id: 5 }.encode());
+            let asks = [negotiate(6, 2, 600), negotiate(7, 8, 600)];
+            let (seen, _) = tick(&mut core, 400, &asks);
+            assert_eq!(promised(&seen[0].1).2, 400 + 600);
+            assert!(rejected(&seen[1].1), "{shards} shard(s): {}", seen[1].1);
+        }
+    }
+
     #[test]
     fn journal_planes_are_opened_in_merge_order() {
         let suffixes = |shards| -> Vec<String> {

@@ -151,6 +151,11 @@ impl SimDuration {
         self.0 == 0
     }
 
+    /// Saturating addition: `self + other`, capped at [`SimDuration::MAX`].
+    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
+        SimDuration(self.0.saturating_add(other.0))
+    }
+
     /// Saturating subtraction: `self - other`, or zero.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))

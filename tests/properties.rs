@@ -6,6 +6,7 @@
 //! a broad slice of the input space. Failure messages include the case
 //! index; re-running with the same seed replays the exact case.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use pqos_ckpt::model::planned_execution;
@@ -17,7 +18,7 @@ use pqos_core::user::UserStrategy;
 use pqos_failures::trace::{Failure, FailureTrace};
 use pqos_predict::api::Predictor;
 use pqos_predict::oracle::TraceOracle;
-use pqos_sched::reservation::ReservationBook;
+use pqos_sched::reservation::{AvailabilityView, ReservationBook, Slot};
 use pqos_sim_core::queue::EventQueue;
 use pqos_sim_core::rng::DetRng;
 use pqos_sim_core::stats::OnlineStats;
@@ -459,7 +460,7 @@ fn check_book(book: &ReservationBook) {
 /// invariants re-checked after every mutation.
 #[test]
 fn timeline_reservation_book_matches_naive_reference() {
-    use pqos_sched::reservation::{AvailabilityView, NaiveReservationBook};
+    use pqos_sched::reservation::NaiveReservationBook;
 
     for world in BOOK_WORLDS {
         let label = format!("book-parity-{}-{}", world.nodes, world.grid);
@@ -571,7 +572,7 @@ fn timeline_reservation_book_matches_naive_reference() {
 #[test]
 fn quote_cache_fuzz_matches_fresh_uncached_books() {
     use pqos_sched::cache::CachedReservationBook;
-    use pqos_sched::reservation::{AvailabilityView, NaiveReservationBook};
+    use pqos_sched::reservation::NaiveReservationBook;
 
     for world in BOOK_WORLDS {
         let label = format!("quote-cache-fuzz-{}-{}", world.nodes, world.grid);
@@ -669,6 +670,277 @@ fn quote_cache_fuzz_matches_fresh_uncached_books() {
                 "{world:?} case {case}: repeated probes must hit the memo ({stats:?})"
             );
         }
+    }
+}
+
+/// The first `k` slots `view` hands a visitor that stops the walk there.
+#[allow(clippy::too_many_arguments)]
+fn visit_prefix(
+    view: &dyn AvailabilityView,
+    size: u32,
+    dur: SimDuration,
+    from: SimTime,
+    exclude: &[NodeId],
+    max_slots: usize,
+    k: usize,
+) -> Vec<Slot> {
+    let mut got = Vec::new();
+    view.visit_slots(size, dur, from, exclude, max_slots, &mut |start, free| {
+        got.push(Slot {
+            start,
+            free: free.to_vec(),
+        });
+        if got.len() >= k {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    got
+}
+
+/// Lazy is a prefix of eager, on every view: a `visit_slots` walk stopped
+/// after `k` slots hands over exactly the first `min(k, len)` slots of the
+/// naive specification's `earliest_slots` — for the timeline book, the
+/// cached book (memo prefixes left behind by earlier, shorter visits
+/// included: the histories interleave mutations, and every key is asked
+/// with growing and shrinking `k`), the naive book itself, and a 3-shard
+/// merged view over the same reservations cut along shard boundaries.
+#[test]
+fn lazy_visit_is_a_prefix_of_eager_on_every_view() {
+    use pqos_sched::cache::CachedReservationBook;
+    use pqos_sched::reservation::NaiveReservationBook;
+    use pqos_service::{partition_spans, MergedAvailabilityView};
+
+    for world in BOOK_WORLDS {
+        let label = format!("lazy-prefix-{}-{}", world.nodes, world.grid);
+        let spans = partition_spans(world.nodes, 3);
+        for (case, ops) in cases(&label, world.cases.min(16), |rng| {
+            let n = rng.uniform_u64(8, 40) as usize;
+            (0..n)
+                .map(|_| BookOp::draw(rng, world, 4))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .enumerate()
+        {
+            let mut fast = ReservationBook::new(world.nodes);
+            let mut cached = CachedReservationBook::new(world.nodes);
+            let mut naive = NaiveReservationBook::new(world.nodes);
+            // One book per shard; a reservation of the whole machine is one
+            // slice in every shard it touches.
+            let mut shards: Vec<ReservationBook> = spans
+                .iter()
+                .map(|span| ReservationBook::new(span.width))
+                .collect();
+            let mut issued = Vec::new();
+            let mut slices = Vec::new();
+            let mut visits = 0u64;
+            for (i, op) in ops.iter().enumerate() {
+                let at = format!("{world:?} case {case} op {i}");
+                match op {
+                    BookOp::Add { nodes, start, dur } => {
+                        let partition = Partition::new(nodes.iter().copied().map(NodeId::new))
+                            .expect("non-empty");
+                        let window = TimeWindow::new(
+                            SimTime::from_secs(*start),
+                            SimTime::from_secs(start + dur),
+                        );
+                        let job = JobId::new(i as u64);
+                        let Ok(id) = fast.add(job, partition.clone(), window) else {
+                            continue;
+                        };
+                        assert_eq!(cached.add(job, partition.clone(), window), Ok(id));
+                        assert_eq!(naive.add(job, partition.clone(), window), Ok(id));
+                        issued.push(id);
+                        let cut = spans.iter().enumerate().filter_map(|(k, span)| {
+                            let local = partition
+                                .iter()
+                                .map(|n| n.as_u32())
+                                .filter(|n| (span.base..span.base + span.width).contains(n))
+                                .map(|n| NodeId::new(n - span.base));
+                            let slice = Partition::new(local).ok()?;
+                            let id = shards[k].add(job, slice, window);
+                            Some((k, id.expect("slices never conflict")))
+                        });
+                        slices.push(cut.collect::<Vec<_>>());
+                    }
+                    BookOp::Remove { pick } => {
+                        let Some(id) = pick_id(&issued, *pick) else {
+                            continue;
+                        };
+                        let at = issued.iter().position(|&known| known == id).unwrap();
+                        for &(k, slice) in &slices[at] {
+                            shards[k].remove(slice);
+                        }
+                        fast.remove(id);
+                        cached.remove(id);
+                        naive.remove(id);
+                    }
+                    BookOp::Truncate { pick, end } => {
+                        let Some(id) = pick_id(&issued, *pick) else {
+                            continue;
+                        };
+                        let at = issued.iter().position(|&known| known == id).unwrap();
+                        let end = SimTime::from_secs(*end);
+                        for &(k, slice) in &slices[at] {
+                            shards[k].truncate(slice, end);
+                        }
+                        fast.truncate(id, end);
+                        cached.truncate(id, end);
+                        naive.truncate(id, end);
+                    }
+                    BookOp::Query {
+                        exclude,
+                        from,
+                        size,
+                        dur,
+                        max_slots,
+                        ..
+                    } => {
+                        let excl: Vec<NodeId> = exclude.iter().copied().map(NodeId::new).collect();
+                        let from = SimTime::from_secs(*from);
+                        let dur = SimDuration::from_secs(*dur);
+                        let merged = MergedAvailabilityView::new(
+                            shards
+                                .iter()
+                                .map(|book| book as &(dyn AvailabilityView + Sync))
+                                .collect(),
+                            spans.iter().map(|span| span.base).collect(),
+                        );
+                        let want = naive.earliest_slots(*size, dur, from, &excl, *max_slots);
+                        // Shrinking after growing: the cached book answers
+                        // the later, shorter visits out of a longer prefix.
+                        for k in [1, 2, max_slots - 1, *max_slots, max_slots + 1, 1] {
+                            if k == 0 {
+                                continue;
+                            }
+                            let views: [(&str, &dyn AvailabilityView); 4] = [
+                                ("timeline", &fast),
+                                ("cached", &cached),
+                                ("naive", &naive),
+                                ("merged", &merged),
+                            ];
+                            for (name, view) in views {
+                                assert_eq!(
+                                    visit_prefix(view, *size, dur, from, &excl, *max_slots, k),
+                                    want[..k.min(want.len())],
+                                    "{at}: {name} visit stopped after {k} of {max_slots}"
+                                );
+                            }
+                            visits += 1;
+                        }
+                    }
+                }
+                check_book(cached.inner());
+            }
+            let stats = cached.stats();
+            assert_eq!(
+                stats.hits + stats.misses,
+                visits,
+                "{world:?} case {case}: every visit is either a hit or a miss"
+            );
+        }
+    }
+}
+
+/// The quote memo stores the prefix a walk produced, pinned path by path
+/// through its counters: a visit that outlives an unfinished prefix turns
+/// its hit into a miss and replaces the entry; a prefix's coverage ends
+/// with the last window the *stopped* walk examined, so a mutation just
+/// past it spares the entry and one inside drops it; and a visitor may
+/// probe the very book it is being handed slots from.
+#[test]
+fn quote_memo_stores_the_prefix_the_walk_produced() {
+    use pqos_sched::cache::{CachedReservationBook, QuoteCacheStats};
+
+    let w = |a: u64, b: u64| TimeWindow::new(SimTime::from_secs(a), SimTime::from_secs(b));
+    let mut cached = CachedReservationBook::new(8);
+    for (job, first, len, window) in [(1, 0, 8, w(0, 100)), (2, 0, 2, w(300, 400))] {
+        cached
+            .add(JobId::new(job), Partition::contiguous(first, len), window)
+            .unwrap();
+    }
+    // Four nodes for 50 s from t=0: slots at 100, 300 and 400, then the
+    // book runs out — one short of the four asked for.
+    let (size, dur, from, max) = (4, SimDuration::from_secs(50), SimTime::ZERO, 4);
+    let probe = |book: &CachedReservationBook, k| visit_prefix(book, size, dur, from, &[], max, k);
+    let full = cached.inner().earliest_slots(size, dur, from, &[], max);
+    assert_eq!(
+        full.iter().map(|s| s.start.as_secs()).collect::<Vec<_>>(),
+        [100, 300, 400]
+    );
+    let counters = |book: &CachedReservationBook| {
+        let QuoteCacheStats {
+            hits,
+            misses,
+            entries_invalidated,
+            ..
+        } = book.stats();
+        (hits, misses, entries_invalidated, book.memo_len())
+    };
+
+    // Stop at the first slot: a miss that stores a one-slot prefix.
+    assert_eq!(probe(&cached, 1), full[..1]);
+    assert_eq!(counters(&cached), (0, 1, 0, 1));
+    // The prefix was examined up to t=150 only. A booking from there on
+    // spares it (the eager walk's coverage, off the end of the book, would
+    // not have); the same shape again is a hit.
+    let spared = cached
+        .add(JobId::new(3), Partition::contiguous(7, 1), w(150, 160))
+        .unwrap();
+    assert_eq!(counters(&cached), (0, 1, 0, 1));
+    assert_eq!(probe(&cached, 1), full[..1]);
+    assert_eq!(counters(&cached), (1, 1, 0, 1));
+    // One second inside the coverage drops it.
+    let inside = cached
+        .add(JobId::new(4), Partition::contiguous(6, 1), w(149, 150))
+        .unwrap();
+    assert_eq!(counters(&cached), (1, 1, 1, 0));
+    for id in [spared, inside] {
+        cached.remove(id).unwrap();
+    }
+
+    // Stop at k1, then ask the same key for k2 > k1: the replayed hit turns
+    // into a miss, the longer prefix replaces the entry, the answer is right.
+    let before = counters(&cached);
+    assert_eq!(probe(&cached, 1), full[..1]);
+    assert_eq!(probe(&cached, 2), full[..2]);
+    assert_eq!(
+        counters(&cached),
+        (before.0, before.1 + 2, before.2, 1),
+        "one miss to seed, one hit-turned-miss, still one entry"
+    );
+    // Shorter visits, and the one that stops exactly where the prefix
+    // ends, replay it.
+    assert_eq!(probe(&cached, 1), full[..1]);
+    assert_eq!(probe(&cached, 2), full[..2]);
+    assert_eq!(counters(&cached), (before.0 + 2, before.1 + 2, before.2, 1));
+    // The eager collector outlives it too — once; its walk ran off the
+    // book, so the entry is finished and every later caller hits.
+    assert_eq!(cached.earliest_slots(size, dur, from, &[], max), full);
+    assert_eq!(cached.earliest_slots(size, dur, from, &[], max), full);
+    assert_eq!(probe(&cached, 3), full);
+    assert_eq!(counters(&cached), (before.0 + 4, before.1 + 3, before.2, 1));
+
+    // A visitor that probes the book it is visiting — the cached one and
+    // the timeline under it — sees the same answers, and the outer walk
+    // carries on undisturbed.
+    let cold = cached.clone();
+    for view in [&cold as &dyn AvailabilityView, cold.inner()] {
+        let mut outer = Vec::new();
+        view.visit_slots(size, dur, from, &[], max, &mut |start, free| {
+            assert_eq!(view.earliest_slots(size, dur, from, &[], max), full);
+            assert_eq!(
+                view.earliest_slots(2, dur, start, &[], 1)[0].start,
+                start,
+                "a slot for four holds two"
+            );
+            outer.push((start, free.to_vec()));
+            ControlFlow::Continue(())
+        });
+        let full: Vec<_> = full.iter().map(|s| (s.start, s.free.clone())).collect();
+        assert_eq!(outer, full);
     }
 }
 
