@@ -326,8 +326,25 @@ pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
     })
 }
 
+/// Fewest requests a fan-out worker must be handed to repay its spawn.
+///
+/// Measured on the ledger's host (one pinned CPU): a
+/// `std::thread::scope` costs 17.5 us per spawned worker (17.9 / 34.8 /
+/// 77.0 us for 1 / 2 / 4 workers, issued serially by the calling thread)
+/// against 2.2-2.6 us for a memo-hit quote, so two workers cannot win below
+/// about 32 requests a batch — and the served `serve_reject` batches average
+/// 5. A multi-CPU ledger lane should re-derive this number.
+const MIN_QUOTES_PER_WORKER: usize = 16;
+
+/// How many workers [`negotiate_batch`] hands a batch of `len` requests
+/// when allowed at most `threads`: never so many that one gets fewer than
+/// [`MIN_QUOTES_PER_WORKER`]. Below two the batch is quoted inline.
+fn batch_workers(len: usize, threads: usize) -> usize {
+    threads.min(len / MIN_QUOTES_PER_WORKER)
+}
+
 /// Runs many independent negotiations against one shared availability
-/// snapshot, fanning out across `threads` OS threads.
+/// snapshot, fanning out across at most `threads` OS threads.
 ///
 /// Quoting never mutates the book, so every request sees the identical
 /// snapshot and the result is *defined* to equal calling [`negotiate`]
@@ -337,8 +354,9 @@ pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
 /// wall-clock time: requests are split into contiguous chunks, one chunk
 /// per worker, and results land in request order.
 ///
-/// `threads == 0` or `1`, or a batch smaller than two requests, short-
-/// circuits to the serial loop.
+/// `threads == 0` or `1`, or a batch too small to give two workers
+/// [`MIN_QUOTES_PER_WORKER`] requests each, is quoted inline by the serial
+/// loop: spawning costs more than such a batch's quotes.
 #[allow(clippy::too_many_arguments)]
 pub fn negotiate_batch<B, P>(
     book: &B,
@@ -371,7 +389,7 @@ where
             })
             .collect()
     };
-    let workers = threads.min(requests.len());
+    let workers = batch_workers(requests.len(), threads);
     if workers <= 1 {
         return serial(requests);
     }
@@ -759,6 +777,7 @@ mod tests {
 
     #[test]
     fn batch_matches_serial_on_a_committed_backlog() {
+        const MIN: usize = MIN_QUOTES_PER_WORKER;
         let o = oracle(&[(500, 0, 0.4), (2000, 3, 0.7)], 1.0);
         let mut book = ReservationBook::new(8);
         book.add(
@@ -767,38 +786,82 @@ mod tests {
             TimeWindow::new(SimTime::ZERO, SimTime::from_secs(900)),
         )
         .unwrap();
-        let requests: Vec<NegotiationRequest<'_>> = (1..=9u32)
-            .map(|k| request((k % 4) + 1, 300 * u64::from(k)))
-            .collect();
         let user = UserStrategy::risk_threshold(0.5).unwrap();
-        let serial: Vec<_> = requests
-            .iter()
-            .map(|req| {
-                negotiate(
+        // Batch lengths on every side of the fan-out minimum: under it the
+        // batch is quoted inline, from 2 * MIN on it really is chunked
+        // across threads (`fan_out_needs_a_minimum_share_per_worker`).
+        for len in [
+            1,
+            9,
+            MIN - 1,
+            MIN,
+            2 * MIN - 1,
+            2 * MIN,
+            2 * MIN + 1,
+            5 * MIN + 3,
+        ] {
+            let requests: Vec<NegotiationRequest<'_>> = (1..=len as u32)
+                .map(|k| request((k % 4) + 1, 300 * u64::from(k % 11 + 1)))
+                .collect();
+            let serial: Vec<_> = requests
+                .iter()
+                .map(|req| {
+                    negotiate(
+                        &book,
+                        Topology::Flat,
+                        PlacementStrategy::MinFailureProbability,
+                        &o,
+                        *req,
+                        &user,
+                        8,
+                        8,
+                    )
+                })
+                .collect();
+            for threads in [0, 1, 2, 3, 16] {
+                let batched = negotiate_batch(
                     &book,
                     Topology::Flat,
                     PlacementStrategy::MinFailureProbability,
                     &o,
-                    *req,
+                    &requests,
                     &user,
                     8,
                     8,
-                )
-            })
-            .collect();
-        for threads in [0, 1, 3, 16] {
-            let batched = negotiate_batch(
-                &book,
-                Topology::Flat,
-                PlacementStrategy::MinFailureProbability,
-                &o,
-                &requests,
-                &user,
-                8,
-                8,
-                threads,
-            );
-            assert_eq!(batched, serial, "threads={threads}");
+                    threads,
+                );
+                assert_eq!(batched, serial, "len={len} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_needs_a_minimum_share_per_worker() {
+        const MIN: usize = MIN_QUOTES_PER_WORKER;
+        // (len, threads) -> workers; 0 and 1 both mean "inline".
+        for (len, threads, workers) in [
+            (0, 4, 0),
+            (1, 16, 0),
+            (2 * MIN - 1, 16, 1),
+            (2 * MIN, 0, 0),
+            (2 * MIN, 1, 1),
+            (2 * MIN, 2, 2),
+            (2 * MIN, 16, 2),
+            (2 * MIN + 1, 3, 2),
+            (3 * MIN, 2, 2),
+            (5 * MIN + 3, 3, 3),
+            (5 * MIN + 3, 16, 5),
+        ] {
+            assert_eq!(batch_workers(len, threads), workers, "({len}, {threads})");
+        }
+        // Every worker the count promises gets a chunk, cut no smaller than
+        // MIN (the last takes the remainder).
+        for len in 2 * MIN..6 * MIN {
+            for threads in 2..8 {
+                let workers = batch_workers(len, threads);
+                let chunk = len.div_ceil(workers);
+                assert!(chunk >= MIN && len.div_ceil(chunk) <= workers);
+            }
         }
     }
 

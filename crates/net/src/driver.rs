@@ -6,9 +6,11 @@
 //! runtime) a portable fallback takes over: it has no readiness source,
 //! so it reports *every* registered token as ready on a short cadence
 //! and relies on the sockets being nonblocking — correct, just not as
-//! efficient. The [`Waker`] is a pipe write in epoll mode and a
-//! mutex/condvar flag in fallback mode; both are `Clone + Send` and
-//! safe to fire from any thread, including after the loop has exited.
+//! efficient. The [`Waker`] is a pipe write guarded by a pending flag in
+//! epoll mode and a mutex/condvar flag in fallback mode: either way any
+//! number of wakes between two sleeps of the loop cost one, and surface as
+//! at least one wake-up after the last of them. Both are `Clone + Send`
+//! and safe to fire from any thread, including after the loop has exited.
 
 use std::io;
 use std::sync::{Arc, Condvar, Mutex};
@@ -74,6 +76,11 @@ impl Poll {
         if let Ok(epoll) = sys::Epoll::new() {
             return Poll::Epoll(epoll);
         }
+        Poll::sleep()
+    }
+
+    /// The portable fallback driver.
+    pub fn sleep() -> Poll {
         Poll::Sleep {
             tokens: Vec::new(),
             flag: Arc::new(Flag {
@@ -151,17 +158,14 @@ impl Poll {
                 // Round sub-millisecond timeouts up so a short deadline
                 // does not degenerate into a busy `epoll_wait(0)` spin.
                 let ms = timeout.as_micros().div_ceil(1000).min(i64::MAX as u128) as i64;
-                let mut raw = Vec::new();
-                let woke = epoll.wait(ms, &mut raw)?;
-                for (token, bits) in raw {
+                epoll.wait(ms, |token, bits| {
                     out.push(Ready {
                         token,
                         readable: bits & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP) != 0,
                         writable: bits & sys::EPOLLOUT != 0,
                         error: bits & sys::EPOLLERR != 0,
-                    });
-                }
-                Ok(woke)
+                    })
+                })
             }
             Poll::Sleep { tokens, flag } => {
                 let mut raised = flag.raised.lock().unwrap();

@@ -13,6 +13,13 @@
 //!   other threads ── Waker::wake() ───────┘     Ctx::send ◀──┘
 //! ```
 //!
+//! The loop runs in passes: sleep, read what is ready, run the callback
+//! over what arrived, then write. [`Ctx::send`] only queues; once the
+//! pass's callbacks have run, every connection they queued bytes on gets
+//! one `write` — however many replies it was sent — and only then do the
+//! [`NetEvent::Flushed`] notifications go out. Likewise any number of
+//! [`Waker::wake`] calls between two sleeps cost one wake-up.
+//!
 //! Events delivered to the callback:
 //! - [`NetEvent::Opened`] — a connection was accepted.
 //! - [`NetEvent::Line`] — one complete line, without the trailing `\n`.
@@ -29,7 +36,8 @@
 //! Backpressure is bounded on both sides: a line longer than
 //! `max_line` kills the connection, and a peer that stops reading has
 //! its reads paused at `high_water` queued reply bytes and is dropped
-//! at `hard_cap`.
+//! at `hard_cap` — both judged on bytes its socket has refused, not on
+//! what one pass happened to queue.
 
 mod driver;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -92,11 +100,17 @@ pub enum NetEvent<'a> {
     Tick,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// `write` calls issued on connection sockets by this thread's loop.
+    static SOCKET_WRITES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 struct Conn {
     stream: TcpStream,
     fd: i32,
+    /// The peer's current line so far: bytes read past the last newline.
     inbuf: Vec<u8>,
-    scan_from: usize,
     outbuf: Vec<u8>,
     out_sent: usize,
     flushed_total: u64,
@@ -104,6 +118,9 @@ struct Conn {
     peer_closed: bool,
     reg_read: bool,
     reg_write: bool,
+    /// Queued on since its last write, so listed in `LoopState::touched`.
+    touched: bool,
+    /// Listed in `LoopState::dirty`.
     flush_dirty: bool,
 }
 
@@ -122,6 +139,8 @@ impl Conn {
                 self.out_sent = 0;
                 break;
             }
+            #[cfg(test)]
+            SOCKET_WRITES.with(|writes| writes.set(writes.get() + 1));
             match self.stream.write(&self.outbuf[self.out_sent..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => {
@@ -155,9 +174,12 @@ struct LoopState {
     cfg: NetConfig,
     draining: bool,
     drain_since: Option<Instant>,
-    /// Tokens whose `Flushed` notification is owed this iteration.
+    /// Tokens `Ctx::send` queued bytes on, owed this pass's one write.
+    touched: Vec<Token>,
+    /// Tokens whose `Flushed` notification is owed this pass.
     dirty: Vec<Token>,
-    /// Tokens closed by the callback, owed a `Closed` event.
+    /// Tokens closed by the callback or a failed write, owed a `Closed`
+    /// event.
     closed_pending: Vec<Token>,
 }
 
@@ -171,12 +193,32 @@ impl LoopState {
         }
     }
 
-    fn mark_dirty(&mut self, token: Token) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            if !conn.flush_dirty {
+    /// Offers the connection's queued bytes to its socket: progress owes a
+    /// `Flushed`, an error kills the connection and owes a `Closed`.
+    fn write(&mut self, token: Token) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        conn.touched = false;
+        match conn.flush() {
+            Ok(true) if !conn.flush_dirty => {
                 conn.flush_dirty = true;
                 self.dirty.push(token);
             }
+            Ok(_) => {}
+            Err(_) => {
+                self.kill(token);
+                self.closed_pending.push(token);
+            }
+        }
+    }
+
+    /// The end-of-pass write: each touched connection, once. (A token
+    /// listed twice — `send` wrote it through and queued on it again — finds
+    /// nothing left to write the second time.)
+    fn write_touched(&mut self) {
+        while let Some(token) = self.touched.pop() {
+            self.write(token);
         }
     }
 }
@@ -188,35 +230,38 @@ pub struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    /// Queues `bytes` on the connection and flushes eagerly. Returns
-    /// the connection's total queued-byte watermark (compare against
-    /// [`NetEvent::Flushed`] to learn when these bytes hit the wire),
-    /// or `None` if the connection is gone — including the case where
-    /// this very send overflowed the hard cap or hit a write error and
-    /// killed it (a `Closed` event follows).
+    /// Queues `bytes` on the connection; the loop writes them, with
+    /// everything else queued on it this pass, once the pass's callbacks
+    /// have run. Returns the connection's total queued-byte watermark
+    /// (compare against [`NetEvent::Flushed`] to learn when these bytes
+    /// hit the wire), or `None` if the connection is gone — including the
+    /// case where this very send overflowed the hard cap or hit a write
+    /// error and killed it (a `Closed` event follows).
+    ///
+    /// `send` itself writes in one case: when the queue would reach
+    /// `high_water` it first offers the socket what is already queued, so
+    /// that backpressure judges bytes the socket refused — a burst of
+    /// large replies inside one pass streams out instead of tripping
+    /// `hard_cap`.
     pub fn send(&mut self, token: Token, bytes: &[u8]) -> Option<u64> {
-        let conn = self.state.conns.get_mut(&token)?;
-        if conn.pending() + bytes.len() > self.state.cfg.hard_cap {
+        let (high_water, hard_cap) = (self.state.cfg.high_water, self.state.cfg.hard_cap);
+        let mut conn = self.state.conns.get_mut(&token)?;
+        if conn.pending() > 0 && conn.pending() + bytes.len() >= high_water {
+            self.state.write(token);
+            conn = self.state.conns.get_mut(&token)?;
+        }
+        if conn.pending() + bytes.len() > hard_cap {
             self.state.kill(token);
             self.state.closed_pending.push(token);
             return None;
         }
         conn.outbuf.extend_from_slice(bytes);
         conn.queued_total += bytes.len() as u64;
-        let watermark = conn.queued_total;
-        match conn.flush() {
-            Ok(progress) => {
-                if progress {
-                    self.state.mark_dirty(token);
-                }
-                Some(watermark)
-            }
-            Err(_) => {
-                self.state.kill(token);
-                self.state.closed_pending.push(token);
-                None
-            }
+        if !conn.touched {
+            conn.touched = true;
+            self.state.touched.push(token);
         }
+        Some(conn.queued_total)
     }
 
     /// Drops the connection now. A `Closed` event follows.
@@ -267,9 +312,12 @@ fn fd_of<T>(_t: &T) -> i32 {
 impl EventLoop {
     /// Takes ownership of a bound listener and prepares the driver.
     pub fn bind(listener: TcpListener, cfg: NetConfig) -> io::Result<EventLoop> {
+        EventLoop::bind_on(Poll::new(), listener, cfg)
+    }
+
+    fn bind_on(mut poll: Poll, listener: TcpListener, cfg: NetConfig) -> io::Result<EventLoop> {
         listener.set_nonblocking(true)?;
         let listener_fd = fd_of(&listener);
-        let mut poll = Poll::new();
         poll.add(listener_fd, LISTENER_TOKEN, true, false)?;
         Ok(EventLoop {
             listener,
@@ -282,6 +330,7 @@ impl EventLoop {
                 cfg,
                 draining: false,
                 drain_since: None,
+                touched: Vec::new(),
                 dirty: Vec::new(),
                 closed_pending: Vec::new(),
             },
@@ -293,7 +342,8 @@ impl EventLoop {
     }
 
     /// A handle other threads use to interrupt [`EventLoop::run`]'s
-    /// sleep; each wake surfaces as one [`NetEvent::Wake`].
+    /// sleep. Wakes coalesce: the callback sees at least one
+    /// [`NetEvent::Wake`] after the last `wake()`, not one per call.
     pub fn waker(&self) -> Waker {
         self.state.poll.waker()
     }
@@ -307,6 +357,8 @@ impl EventLoop {
     {
         let mut ready: Vec<Ready> = Vec::new();
         let mut events: Vec<Ev> = Vec::new();
+        // Where every `read` lands before it is framed.
+        let mut chunk = vec![0u8; READ_CHUNK];
         let mut next_tick = Instant::now() + self.state.cfg.tick;
         loop {
             let now = Instant::now();
@@ -315,6 +367,10 @@ impl EventLoop {
                 // No readiness source: poll the sockets on a short leash.
                 timeout = timeout.min(Duration::from_millis(1));
             }
+            if !self.state.dirty.is_empty() || !self.state.closed_pending.is_empty() {
+                // Notifications the last pass's second write left owing.
+                timeout = Duration::ZERO;
+            }
             let woke = self.state.poll.wait(timeout, &mut ready)?;
 
             if self.state.draining && self.accepting {
@@ -322,25 +378,13 @@ impl EventLoop {
                 self.accepting = false;
             }
 
-            events.clear();
-            if self.state.poll.readiness() {
-                let batch: Vec<Ready> = ready.clone();
-                for r in batch {
-                    if r.token == LISTENER_TOKEN {
-                        self.accept_ready(&mut events);
-                    } else {
-                        self.drive_conn(r.token, r.readable, r.writable || r.error, &mut events);
-                    }
-                }
-            } else {
-                // Fallback driver: everything is "ready"; the
-                // nonblocking sockets sort out the truth.
-                if self.accepting {
+            // The fallback driver reports every registered token ready;
+            // the nonblocking sockets sort out the truth.
+            for &r in &ready {
+                if r.token == LISTENER_TOKEN {
                     self.accept_ready(&mut events);
-                }
-                let tokens: Vec<Token> = self.state.conns.keys().copied().collect();
-                for token in tokens {
-                    self.drive_conn(token, true, true, &mut events);
+                } else {
+                    self.drive_conn(r, &mut chunk, &mut events);
                 }
             }
 
@@ -357,10 +401,18 @@ impl EventLoop {
                     Ev::Closed(token) => cb(NetEvent::Closed(token), &mut ctx),
                 }
             }
-            // Write-progress notifications, then callback-driven closes
-            // (which Flushed handlers may add to).
-            let dirty = std::mem::take(&mut ctx.state.dirty);
-            for token in dirty {
+            let now = Instant::now();
+            if now >= next_tick {
+                cb(NetEvent::Tick, &mut ctx);
+                next_tick = now + ctx.state.cfg.tick;
+            }
+
+            // Everything the pass queued goes out in one write per
+            // connection; then write-progress notifications and the closes
+            // the callback or a failed write caused. What those handlers
+            // queue is written before the pass ends.
+            ctx.state.write_touched();
+            while let Some(token) = ctx.state.dirty.pop() {
                 if let Some(conn) = ctx.state.conns.get_mut(&token) {
                     conn.flush_dirty = false;
                     let total = conn.flushed_total;
@@ -370,11 +422,7 @@ impl EventLoop {
             while let Some(token) = ctx.state.closed_pending.pop() {
                 cb(NetEvent::Closed(token), &mut ctx);
             }
-            let now = Instant::now();
-            if now >= next_tick {
-                cb(NetEvent::Tick, &mut ctx);
-                next_tick = now + ctx.state.cfg.tick;
-            }
+            ctx.state.write_touched();
 
             self.sweep();
 
@@ -412,7 +460,6 @@ impl EventLoop {
                             stream,
                             fd,
                             inbuf: Vec::new(),
-                            scan_from: 0,
                             outbuf: Vec::new(),
                             out_sent: 0,
                             flushed_total: 0,
@@ -420,6 +467,7 @@ impl EventLoop {
                             peer_closed: false,
                             reg_read: true,
                             reg_write: false,
+                            touched: false,
                             flush_dirty: false,
                         },
                     );
@@ -435,62 +483,44 @@ impl EventLoop {
     }
 
     /// Performs I/O on one ready connection, extracting complete lines
-    /// and detecting death. Removes dead connections and records their
-    /// `Closed` event inline so it dispatches after their final lines.
-    fn drive_conn(&mut self, token: Token, readable: bool, writable: bool, events: &mut Vec<Ev>) {
-        let cfg_max_line = self.state.cfg.max_line;
-        let cfg_high_water = self.state.cfg.high_water;
+    /// and detecting death. Removes connections that died reading and
+    /// records their `Closed` event inline so it dispatches after their
+    /// final lines.
+    fn drive_conn(&mut self, ready: Ready, chunk: &mut [u8], events: &mut Vec<Ev>) {
+        let token = ready.token;
+        let (max_line, high_water) = (self.state.cfg.max_line, self.state.cfg.high_water);
+        if ready.writable || ready.error {
+            self.state.write(token);
+        }
         let Some(conn) = self.state.conns.get_mut(&token) else {
             return;
         };
         let mut dead = false;
 
-        if writable && conn.pending() > 0 {
-            match conn.flush() {
-                Ok(progress) => {
-                    if progress && !conn.flush_dirty {
-                        conn.flush_dirty = true;
-                        self.state.dirty.push(token);
-                    }
-                }
-                Err(_) => dead = true,
-            }
-        }
-
-        // Re-borrow after the dirty push above released it.
-        let Some(conn) = self.state.conns.get_mut(&token) else {
-            return;
-        };
-
-        let read_ok = readable && !conn.peer_closed && !dead && conn.pending() < cfg_high_water;
-        if read_ok {
-            let mut chunk = [0u8; READ_CHUNK];
-            loop {
-                match conn.stream.read(&mut chunk) {
+        if ready.readable && !conn.peer_closed && conn.pending() < high_water {
+            'read: loop {
+                match conn.stream.read(chunk) {
                     Ok(0) => {
                         conn.peer_closed = true;
                         break;
                     }
                     Ok(n) => {
-                        conn.inbuf.extend_from_slice(&chunk[..n]);
-                        // Lines complete as soon as their newline lands.
-                        let mut consumed = 0;
-                        while let Some(pos) = conn.inbuf[conn.scan_from..]
-                            .iter()
-                            .position(|&b| b == b'\n')
-                        {
-                            let end = conn.scan_from + pos;
-                            events.push(Ev::Line(token, conn.inbuf[consumed..end].to_vec()));
-                            consumed = end + 1;
-                            conn.scan_from = consumed;
+                        // Lines complete as soon as their newline lands;
+                        // only the unterminated tail stays with the
+                        // connection.
+                        let mut rest = &chunk[..n];
+                        while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
+                            if conn.inbuf.len() + pos > max_line {
+                                dead = true;
+                                break 'read;
+                            }
+                            let mut line = std::mem::take(&mut conn.inbuf);
+                            line.extend_from_slice(&rest[..pos]);
+                            events.push(Ev::Line(token, line));
+                            rest = &rest[pos + 1..];
                         }
-                        if consumed > 0 {
-                            conn.inbuf.drain(..consumed);
-                            conn.scan_from = 0;
-                        } else {
-                            conn.scan_from = conn.inbuf.len();
-                        }
-                        if conn.inbuf.len() > cfg_max_line {
+                        conn.inbuf.extend_from_slice(rest);
+                        if conn.inbuf.len() > max_line {
                             dead = true;
                             break;
                         }
@@ -546,7 +576,20 @@ mod tests {
     use std::sync::mpsc;
     use std::thread;
 
+    /// Every test runs over both drivers: the best the platform has
+    /// (epoll on linux/x86_64) and the portable fallback, forced.
+    const DRIVERS: [fn() -> Poll; 2] = [Poll::new, Poll::sleep];
+
+    fn bind(driver: fn() -> Poll, cfg: NetConfig) -> (EventLoop, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let ev = EventLoop::bind_on(driver(), listener, cfg).unwrap();
+        let addr = ev.local_addr().unwrap();
+        (ev, addr)
+    }
+
+    /// An echo server; `quit` is answered `bye` and shuts it down.
     fn spawn_echo(
+        driver: fn() -> Poll,
         cfg: NetConfig,
     ) -> (
         SocketAddr,
@@ -554,15 +597,14 @@ mod tests {
         thread::JoinHandle<io::Result<()>>,
         mpsc::Receiver<String>,
     ) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let ev = EventLoop::bind(listener, cfg).unwrap();
-        let addr = ev.local_addr().unwrap();
+        let (ev, addr) = bind(driver, cfg);
         let waker = ev.waker();
         let (note_tx, note_rx) = mpsc::channel();
         let handle = thread::spawn(move || {
             ev.run(move |event, ctx| match event {
                 NetEvent::Line(token, line) => {
                     if line == b"quit" {
+                        ctx.send(token, b"bye\n");
                         ctx.shutdown();
                     } else {
                         let mut reply = line.to_vec();
@@ -582,75 +624,260 @@ mod tests {
         (addr, waker, handle, note_rx)
     }
 
-    #[test]
-    fn echoes_lines_split_across_arbitrary_writes() {
-        let (addr, _waker, handle, _notes) = spawn_echo(NetConfig::default());
-        let mut client = TcpStream::connect(addr).unwrap();
-        // One line delivered in three torn writes, then two in one.
-        client.write_all(b"hel").unwrap();
-        client.flush().unwrap();
-        thread::sleep(Duration::from_millis(10));
-        client.write_all(b"lo wor").unwrap();
-        thread::sleep(Duration::from_millis(10));
-        client.write_all(b"ld\nsecond\nthird\n").unwrap();
-        let mut reader = BufReader::new(client.try_clone().unwrap());
+    fn read_line(reader: &mut impl BufRead) -> String {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
-        assert_eq!(line, "hello world\n");
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line, "second\n");
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line, "third\n");
-        client.write_all(b"quit\n").unwrap();
-        handle.join().unwrap().unwrap();
+        line
+    }
+
+    #[test]
+    fn echoes_lines_split_across_arbitrary_writes() {
+        for driver in DRIVERS {
+            let (addr, _waker, handle, _notes) = spawn_echo(driver, NetConfig::default());
+            let mut client = TcpStream::connect(addr).unwrap();
+            // One line delivered in three torn writes, then two in one.
+            client.write_all(b"hel").unwrap();
+            client.flush().unwrap();
+            thread::sleep(Duration::from_millis(10));
+            client.write_all(b"lo wor").unwrap();
+            thread::sleep(Duration::from_millis(10));
+            client.write_all(b"ld\nsecond\nthird\n").unwrap();
+            let mut reader = BufReader::new(client.try_clone().unwrap());
+            assert_eq!(read_line(&mut reader), "hello world\n");
+            assert_eq!(read_line(&mut reader), "second\n");
+            assert_eq!(read_line(&mut reader), "third\n");
+            client.write_all(b"quit\n").unwrap();
+            handle.join().unwrap().unwrap();
+        }
     }
 
     #[test]
     fn waker_interrupts_the_sleep() {
-        let (addr, waker, handle, notes) = spawn_echo(NetConfig::default());
-        waker.wake();
-        let note = notes.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(note, "wake");
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(b"quit\n").unwrap();
-        handle.join().unwrap().unwrap();
-        // Waking after exit is a no-op, not a panic.
-        waker.wake();
+        for driver in DRIVERS {
+            let (addr, waker, handle, notes) = spawn_echo(driver, NetConfig::default());
+            waker.wake();
+            let note = notes.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(note, "wake");
+            let mut client = TcpStream::connect(addr).unwrap();
+            client.write_all(b"quit\n").unwrap();
+            handle.join().unwrap().unwrap();
+            // Waking after exit is a no-op, not a panic.
+            waker.wake();
+        }
+    }
+
+    /// A wake is owed for every item pushed before it, however the pushes
+    /// interleave with the loop clearing its pending flag. The tick is an
+    /// hour, so nothing but a wake can deliver an item: a lost wake-up
+    /// leaves the count short and the test times out.
+    #[test]
+    fn no_wake_up_is_lost() {
+        const ITEMS: u64 = 100_000;
+        for driver in DRIVERS {
+            let cfg = NetConfig {
+                tick: Duration::from_secs(3600),
+                ..NetConfig::default()
+            };
+            let (ev, _addr) = bind(driver, cfg);
+            let waker = ev.waker();
+            let (item_tx, items) = mpsc::channel::<u64>();
+            let (done_tx, done) = mpsc::channel();
+            let consumer = thread::spawn(move || {
+                let mut next = 0;
+                ev.run(|event, ctx| {
+                    assert!(!matches!(event, NetEvent::Tick), "delivered by a tick");
+                    if let NetEvent::Wake = event {
+                        while let Ok(item) = items.try_recv() {
+                            assert_eq!(item, next);
+                            next += 1;
+                        }
+                        if next == ITEMS {
+                            ctx.shutdown();
+                        }
+                    }
+                })
+                .unwrap();
+                done_tx.send(next).unwrap();
+            });
+            let producer = thread::spawn(move || {
+                for item in 0..ITEMS {
+                    item_tx.send(item).unwrap();
+                    waker.wake();
+                }
+            });
+            let delivered = done
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a wake-up was lost: the loop is asleep with items queued");
+            assert_eq!(delivered, ITEMS);
+            producer.join().unwrap();
+            consumer.join().unwrap();
+        }
     }
 
     #[test]
     fn overlong_line_drops_the_connection() {
-        let cfg = NetConfig {
-            max_line: 64,
-            ..NetConfig::default()
-        };
-        let (addr, _waker, handle, notes) = spawn_echo(cfg);
-        let mut bad = TcpStream::connect(addr).unwrap();
-        bad.write_all(&[b'x'; 256]).unwrap();
-        let note = notes.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(note.starts_with("closed"), "expected a close, got {note}");
-        // The loop survives: a well-behaved client still gets service.
-        let mut good = TcpStream::connect(addr).unwrap();
-        good.write_all(b"ping\n").unwrap();
-        let mut reader = BufReader::new(good.try_clone().unwrap());
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line, "ping\n");
-        good.write_all(b"quit\n").unwrap();
-        handle.join().unwrap().unwrap();
+        for driver in DRIVERS {
+            // Unterminated, and terminated within the same read: neither
+            // is delivered.
+            for wire in [vec![b'x'; 256], [&[b'x'; 200][..], b"\n"].concat()] {
+                let cfg = NetConfig {
+                    max_line: 64,
+                    ..NetConfig::default()
+                };
+                let (addr, _waker, handle, notes) = spawn_echo(driver, cfg);
+                let mut bad = TcpStream::connect(addr).unwrap();
+                bad.write_all(&wire).unwrap();
+                let note = notes.recv_timeout(Duration::from_secs(5)).unwrap();
+                assert!(note.starts_with("closed"), "expected a close, got {note}");
+                let mut echoed = Vec::new();
+                let _ = bad.read_to_end(&mut echoed);
+                assert!(echoed.is_empty(), "an overlong line was answered");
+                // The loop survives: a well-behaved client still gets
+                // service, up to exactly `max_line` bytes a line.
+                let mut good = TcpStream::connect(addr).unwrap();
+                let longest = format!("{}\n", "y".repeat(64));
+                good.write_all(longest.as_bytes()).unwrap();
+                let mut reader = BufReader::new(good.try_clone().unwrap());
+                assert_eq!(read_line(&mut reader), longest);
+                good.write_all(b"quit\n").unwrap();
+                handle.join().unwrap().unwrap();
+            }
+        }
     }
 
     #[test]
     fn abrupt_close_emits_closed_and_loop_survives() {
-        let (addr, _waker, handle, notes) = spawn_echo(NetConfig::default());
-        let client = TcpStream::connect(addr).unwrap();
-        drop(client);
-        let note = notes.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(note.starts_with("closed"), "expected a close, got {note}");
-        let mut quitter = TcpStream::connect(addr).unwrap();
-        quitter.write_all(b"quit\n").unwrap();
-        handle.join().unwrap().unwrap();
+        for driver in DRIVERS {
+            let (addr, _waker, handle, notes) = spawn_echo(driver, NetConfig::default());
+            let client = TcpStream::connect(addr).unwrap();
+            drop(client);
+            let note = notes.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(note.starts_with("closed"), "expected a close, got {note}");
+            let mut quitter = TcpStream::connect(addr).unwrap();
+            quitter.write_all(b"quit\n").unwrap();
+            handle.join().unwrap().unwrap();
+        }
+    }
+
+    /// "One syscall per batch, not per response": however many replies
+    /// one pass queues on a connection, they reach the socket in one
+    /// `write`, intact and in order, pass after pass.
+    #[test]
+    fn a_pass_of_sends_costs_one_write() {
+        const REPLIES: usize = 40;
+        for driver in DRIVERS {
+            let (ev, addr) = bind(driver, NetConfig::default());
+            let (cost_tx, costs) = mpsc::channel();
+            let handle = thread::spawn(move || {
+                let mut before = 0;
+                ev.run(move |event, ctx| match event {
+                    NetEvent::Line(_, b"quit") => ctx.shutdown(),
+                    NetEvent::Line(token, burst) => {
+                        before = SOCKET_WRITES.get();
+                        for i in 0..REPLIES {
+                            let reply = format!("{}-{i}\n", String::from_utf8_lossy(burst));
+                            ctx.send(token, reply.as_bytes());
+                        }
+                        assert_eq!(SOCKET_WRITES.get(), before, "send wrote eagerly");
+                    }
+                    NetEvent::Flushed(..) => {
+                        cost_tx.send(SOCKET_WRITES.get() - before).unwrap();
+                    }
+                    _ => {}
+                })
+            });
+            let mut client = TcpStream::connect(addr).unwrap();
+            let mut reader = BufReader::new(client.try_clone().unwrap());
+            for burst in ["a", "b", "c"] {
+                client.write_all(format!("{burst}\n").as_bytes()).unwrap();
+                for i in 0..REPLIES {
+                    assert_eq!(read_line(&mut reader), format!("{burst}-{i}\n"));
+                }
+                let cost = costs.recv_timeout(Duration::from_secs(5)).unwrap();
+                assert_eq!(cost, 1, "{REPLIES} replies in one pass");
+            }
+            client.write_all(b"quit\n").unwrap();
+            handle.join().unwrap().unwrap();
+        }
+    }
+
+    /// A burst of large replies inside one pass streams out through the
+    /// socket instead of tripping `hard_cap` on bytes nobody refused.
+    #[test]
+    fn a_burst_past_the_hard_cap_is_written_through() {
+        const REPLY: usize = 24 * 1024;
+        const REPLIES: usize = 8;
+        for driver in DRIVERS {
+            let cfg = NetConfig {
+                high_water: 32 * 1024,
+                hard_cap: 64 * 1024,
+                ..NetConfig::default()
+            };
+            let (ev, addr) = bind(driver, cfg);
+            let handle = thread::spawn(move || {
+                ev.run(move |event, ctx| match event {
+                    NetEvent::Line(_, b"quit") => ctx.shutdown(),
+                    NetEvent::Line(token, _) => {
+                        let mut reply = vec![b'd'; REPLY - 1];
+                        reply.push(b'\n');
+                        for _ in 0..REPLIES {
+                            assert!(ctx.send(token, &reply).is_some(), "killed at the cap");
+                        }
+                    }
+                    _ => {}
+                })
+            });
+            let mut client = TcpStream::connect(addr).unwrap();
+            client.write_all(b"dump\n").unwrap();
+            let mut got = vec![0u8; REPLY * REPLIES];
+            client.read_exact(&mut got).unwrap();
+            assert_eq!(got.iter().filter(|&&b| b == b'\n').count(), REPLIES);
+            client.write_all(b"quit\n").unwrap();
+            handle.join().unwrap().unwrap();
+        }
+    }
+
+    /// `Flushed` keeps pace with the wire: by the time a client has read a
+    /// reply and answered it, the loop has reported that reply's watermark
+    /// flushed. And the reply queued by the very handler that calls
+    /// `shutdown()` is read before EOF.
+    #[test]
+    fn flushed_is_reported_before_the_client_can_answer() {
+        for driver in DRIVERS {
+            let (ev, addr) = bind(driver, NetConfig::default());
+            let handle = thread::spawn(move || {
+                let (mut watermark, mut flushed) = (0, 0);
+                ev.run(move |event, ctx| match event {
+                    NetEvent::Line(token, line) => {
+                        // The client sends a line only after reading the
+                        // reply to the one before.
+                        assert!(flushed >= watermark, "{flushed} < {watermark}");
+                        let mut reply = line.to_vec();
+                        reply.push(b'\n');
+                        watermark = ctx.send(token, &reply).unwrap();
+                        if line == b"last" {
+                            ctx.shutdown();
+                        }
+                    }
+                    NetEvent::Flushed(_, total) => {
+                        assert!(total >= flushed && total <= watermark);
+                        flushed = total;
+                    }
+                    _ => {}
+                })
+            });
+            let mut client = TcpStream::connect(addr).unwrap();
+            let mut reader = BufReader::new(client.try_clone().unwrap());
+            for i in 0..200 {
+                let line = format!("ping-{i}\n");
+                client.write_all(line.as_bytes()).unwrap();
+                assert_eq!(read_line(&mut reader), line);
+            }
+            client.write_all(b"last\n").unwrap();
+            let mut tail = String::new();
+            reader.read_to_string(&mut tail).unwrap();
+            assert_eq!(tail, "last\n");
+            handle.join().unwrap().unwrap();
+        }
     }
 }

@@ -14,6 +14,7 @@
 #![allow(clippy::missing_safety_doc)]
 
 use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 // x86_64 syscall numbers (arch/x86/entry/syscalls/syscall_64.tbl).
@@ -91,20 +92,44 @@ impl Drop for OwnedFd {
 }
 
 /// The write end of the waker pipe, shared by every [`EpollWaker`].
-pub struct PipeWriter(OwnedFd);
+pub struct PipeWriter {
+    fd: OwnedFd,
+    /// Whether a wake is owed to the loop: a byte is in the pipe, or the
+    /// loop has read it and not yet cleared this flag. `wake` writes the
+    /// pipe only when it flips the flag false -> true, so any number of
+    /// wakes between two sleeps cost one `write`.
+    ///
+    /// Both sides use `SeqCst`, and need it. The producer pushes its item
+    /// and then swaps the flag; the loop stores `false` and then reads the
+    /// queue — a store followed by a load of another location, which
+    /// `Release`/`Acquire` (and x86's store buffer) may reorder. Were the
+    /// queue read to overtake the store, the loop could see the queue empty
+    /// while the producer's swap still saw `true` and skipped the write:
+    /// the item would wait for the next `Tick`. The loop also clears the
+    /// flag only *after* draining the pipe; cleared before, the drain could
+    /// eat the byte of a wake that had just flipped the flag, leaving it
+    /// `true` over an empty pipe, and every later wake would be skipped.
+    /// (`no_wake_up_is_lost` catches the second mistake; the first it
+    /// cannot be relied on to catch on x86-64, where the store and the load
+    /// sit a callback apart — the argument above is the check.)
+    pending: AtomicBool,
+}
 
 /// Wakes a blocked `epoll_wait` from any thread by writing one byte into
-/// the waker pipe. Cheap to clone.
+/// the waker pipe, unless a wake is already pending. Cheap to clone.
 #[derive(Clone)]
 pub struct EpollWaker(Arc<PipeWriter>);
 
 impl EpollWaker {
     pub fn wake(&self) {
+        if self.0.pending.swap(true, Ordering::SeqCst) {
+            return;
+        }
         let byte = [1u8];
-        // A full pipe means a wake is already pending; a closed read end
-        // (loop exited) means nobody cares. Both are fine to ignore.
+        // A closed read end (loop exited) means nobody cares: fine to
+        // ignore.
         unsafe {
-            let _ = syscall4(SYS_WRITE, self.0 .0 .0 as i64, byte.as_ptr() as i64, 1, 0);
+            let _ = syscall4(SYS_WRITE, self.0.fd.0 as i64, byte.as_ptr() as i64, 1, 0);
         }
     }
 }
@@ -137,7 +162,10 @@ impl Epoll {
             )
         })?;
         let pipe_read = OwnedFd(fds[0]);
-        let pipe_write = Arc::new(PipeWriter(OwnedFd(fds[1])));
+        let pipe_write = Arc::new(PipeWriter {
+            fd: OwnedFd(fds[1]),
+            pending: AtomicBool::new(false),
+        });
         let epoll = Epoll {
             epfd,
             pipe_read,
@@ -182,11 +210,10 @@ impl Epoll {
         let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
     }
 
-    /// Blocks until readiness or `timeout_ms`. Fills `out` with
-    /// `(data, events)` pairs and returns whether the waker fired (its
-    /// pipe is drained here, not surfaced).
-    pub fn wait(&mut self, timeout_ms: i64, out: &mut Vec<(u64, u32)>) -> io::Result<bool> {
-        out.clear();
+    /// Blocks until readiness or `timeout_ms`. Hands each ready
+    /// `(data, events)` pair to `each` and returns whether the waker fired
+    /// (its pipe is drained and its flag cleared here, not surfaced).
+    pub fn wait(&mut self, timeout_ms: i64, mut each: impl FnMut(u64, u32)) -> io::Result<bool> {
         let n = loop {
             let ret = unsafe {
                 syscall4(
@@ -208,8 +235,9 @@ impl Epoll {
             if data == WAKER_DATA {
                 woke = true;
                 self.drain_waker();
+                self.pipe_write.pending.store(false, Ordering::SeqCst);
             } else {
-                out.push((data, bits));
+                each(data, bits);
             }
         }
         if n == self.events.len() {
@@ -262,6 +290,13 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
 
+    /// One wait, collecting what it reports.
+    fn wait(epoll: &mut Epoll, timeout_ms: i64) -> (bool, Vec<(u64, u32)>) {
+        let mut ready = Vec::new();
+        let woke = epoll.wait(timeout_ms, |data, bits| ready.push((data, bits)));
+        (woke.unwrap(), ready)
+    }
+
     #[test]
     fn epoll_sees_a_readable_socket_and_the_waker() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -270,14 +305,13 @@ mod tests {
         epoll.add(listener.as_raw_fd(), 7, true, false).unwrap();
 
         // Nothing pending: a zero-timeout wait returns empty.
-        let mut ready = Vec::new();
-        let woke = epoll.wait(0, &mut ready).unwrap();
+        let (woke, ready) = wait(&mut epoll, 0);
         assert!(!woke);
         assert!(ready.is_empty());
 
         // A connecting client makes the listener readable.
         let mut client = TcpStream::connect(addr).unwrap();
-        let woke = epoll.wait(5_000, &mut ready).unwrap();
+        let (woke, ready) = wait(&mut epoll, 5_000);
         assert!(!woke);
         assert_eq!(ready.len(), 1);
         assert_eq!(ready[0].0, 7);
@@ -290,7 +324,7 @@ mod tests {
         client.write_all(b"hello\n").unwrap();
         let mut saw_conn = false;
         for _ in 0..10 {
-            epoll.wait(5_000, &mut ready).unwrap();
+            let (_, ready) = wait(&mut epoll, 5_000);
             if ready.iter().any(|&(d, bits)| d == 9 && bits & EPOLLIN != 0) {
                 saw_conn = true;
                 break;
@@ -298,15 +332,24 @@ mod tests {
         }
         assert!(saw_conn, "connection readability never surfaced");
 
-        // The waker fires from another thread and is drained internally.
+        // The waker fires from another thread (twice: the second finds a
+        // wake pending and writes nothing) and is drained internally.
         epoll.delete(server_side.as_raw_fd());
         let waker = epoll.waker();
-        let t = std::thread::spawn(move || waker.wake());
-        let woke = epoll.wait(5_000, &mut ready).unwrap();
-        t.join().unwrap();
+        std::thread::spawn(move || {
+            waker.wake();
+            waker.wake();
+        })
+        .join()
+        .unwrap();
+        let (woke, _) = wait(&mut epoll, 5_000);
         assert!(woke);
         // Drained: an immediate re-poll is quiet.
-        let woke = epoll.wait(0, &mut ready).unwrap();
+        let (woke, _) = wait(&mut epoll, 0);
         assert!(!woke);
+        // ... and the flag was cleared with it: the next wake is seen.
+        epoll.waker().wake();
+        let (woke, _) = wait(&mut epoll, 5_000);
+        assert!(woke);
     }
 }

@@ -63,7 +63,8 @@ const USAGE: &str = "usage: pqos-qosd [options]
   --journal PATH        write the telemetry journal (JSONL) here
   --time-scale F        virtual seconds per wall second (default 1.0)
   --queue-depth N       engine queue capacity before `overloaded` (default 1024)
-  --batch-threads N     fan-out width for batched quoting (default: cores)
+  --batch-threads N     at most N workers quote a batch; batches under 16
+                        requests a worker are quoted inline (default: cores)
   --timeout-ms N        per-request queue-wait budget (default 5000)
   --quote-horizon-secs N  reject quotes starting more than N virtual seconds
                         out; bounds the reservation backlog (default: none)

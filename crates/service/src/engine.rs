@@ -82,7 +82,8 @@ impl ReplySender {
 
     /// The net server's lane: replies land on the shared completions
     /// queue tagged with `token`, and `waker` interrupts the event
-    /// loop's sleep so it relays them promptly.
+    /// loop's sleep so it relays them promptly — the first reply of a
+    /// tick pays for the wake, the rest find it pending.
     pub(crate) fn net(
         tx: Sender<(pqos_net::Token, Response, Option<TraceCtx>)>,
         token: pqos_net::Token,
@@ -120,7 +121,9 @@ impl ReplySender {
 pub struct EngineConfig {
     /// Bounded request-queue capacity; a full queue answers `overloaded`.
     pub queue_depth: usize,
-    /// Fan-out width for batched quoting.
+    /// The most workers one batch of quotes may fan out over. A batch is
+    /// quoted inline on the engine thread unless every worker would get
+    /// at least 16 requests (`pqos_core::negotiate::negotiate_batch`).
     pub batch_threads: usize,
     /// Virtual seconds that elapse per wall-clock second.
     pub time_scale: f64,

@@ -5,7 +5,8 @@
 //! line is parsed, traced, and submitted to the engine with a
 //! [`ReplySender`] that tags the reply with the connection's token and
 //! wakes the loop; the loop relays completed replies onto their sockets
-//! and finishes each request's trace once the bytes are flushed (the
+//! — a tick's worth per wake-up, one `write` per connection — and
+//! finishes each request's trace once the bytes are flushed (the
 //! watermark returned by `Ctx::send` pairs with `NetEvent::Flushed`).
 //! No thread is spawned per connection — the old two-threads-per-client
 //! relay needed ~200 threads for 100 clients; this plane needs one,
@@ -226,7 +227,8 @@ where
     });
 
     // Engine replies for every connection land here, tagged by token;
-    // each send wakes the loop, whose Wake handler relays them.
+    // the first send since the loop last looked wakes it, and its Wake
+    // handler relays everything queued by then.
     let (done_tx, completions) = std::sync::mpsc::channel::<(Token, Response, Option<TraceCtx>)>();
     let mut conns: HashMap<Token, ConnState> = HashMap::new();
     let loop_result = event_loop.run(|event, ctx| match event {

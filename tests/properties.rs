@@ -1355,20 +1355,32 @@ fn batched_negotiation_matches_serial_interleavings() {
     for (case, ops) in cases("batch-parity", 24, |rng| {
         let mut next_job = 0u64;
         let n = rng.uniform_u64(8, 40) as usize;
+        // `negotiate_batch` quotes inline unless every worker gets 16
+        // requests, so the usual 1-8 never leave the calling thread: one
+        // batch a case is wide enough (32-83) that the fanned-out session
+        // really spawns its 2-4 workers.
+        let wide_at = rng.uniform_u64(0, n as u64 - 1) as usize;
         (0..n)
-            .map(|_| match rng.uniform_u64(0, 9) {
-                0..=4 => Op::Quotes(
-                    (0..rng.uniform_u64(1, 8))
-                        .map(|_| {
-                            next_job += 1;
-                            (
-                                next_job,
-                                rng.uniform_u64(1, 12) as u32,
-                                rng.uniform_u64(60, 20_000),
-                            )
-                        })
-                        .collect(),
-                ),
+            .map(|i| match rng.uniform_u64(0, 9) {
+                pick if pick <= 4 || i == wide_at => {
+                    let len = if i == wide_at {
+                        rng.uniform_u64(32, 83)
+                    } else {
+                        rng.uniform_u64(1, 8)
+                    };
+                    Op::Quotes(
+                        (0..len)
+                            .map(|_| {
+                                next_job += 1;
+                                (
+                                    next_job,
+                                    rng.uniform_u64(1, 12) as u32,
+                                    rng.uniform_u64(60, 20_000),
+                                )
+                            })
+                            .collect(),
+                    )
+                }
                 // Accept/cancel ids may be unissued or repeated on purpose;
                 // the error paths must agree too.
                 5 | 6 => Op::Accept(rng.uniform_u64(0, next_job.max(1))),
