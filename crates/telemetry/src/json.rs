@@ -491,6 +491,51 @@ mod tests {
         assert!(Json::parse("[1,2").is_none());
     }
 
+    /// The bound the lexer is about to get (the test lands first, failing).
+    const MAX_DEPTH: usize = 32;
+
+    /// `depth` brackets of `open`, a `0` (or `"k":0` chains for objects)
+    /// in the middle, and the matching closers.
+    fn nested(open: char, depth: usize) -> String {
+        let (head, close) = match open {
+            '[' => ("[", "]"),
+            _ => ("{\"k\":", "}"),
+        };
+        format!("{}0{}", head.repeat(depth), close.repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // A hostile peer's line must be refused, not followed down the
+        // stack: run on a thread with a small stack so that recursing once
+        // per bracket aborts the test instead of passing by luck.
+        let checks = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                for open in ['[', '{'] {
+                    assert!(Json::parse(&nested(open, MAX_DEPTH - 1)).is_some());
+                    assert!(Json::parse(&nested(open, MAX_DEPTH)).is_some());
+                    assert!(Json::parse(&nested(open, MAX_DEPTH + 1)).is_none());
+                    assert!(Json::parse(&nested(open, 100_000)).is_none());
+                }
+                // Unclosed, as a peer would send it.
+                assert!(Json::parse(&"[".repeat(100_000)).is_none());
+                assert!(Json::parse(&"{\"k\":".repeat(100_000)).is_none());
+                // Mixed containers count together.
+                let mixed = format!("{}0{}", "[{\"k\":".repeat(17), "}]".repeat(17));
+                assert!(Json::parse(&mixed).is_none());
+                // Inside a string, brackets are just text.
+                let text = format!("{{\"s\":\"{}\"}}", "[".repeat(100_000));
+                let v = Json::parse(&text).expect("a long string is fine");
+                assert_eq!(v.get("s").unwrap().as_str().unwrap().len(), 100_000);
+                // Siblings do not add up: depth is nesting, not count.
+                let wide = format!("[{}[]]", "[],".repeat(1_000));
+                assert!(Json::parse(&wide).is_some());
+            })
+            .expect("spawn");
+        checks.join().expect("nesting checks");
+    }
+
     #[test]
     fn parses_nested_and_unicode() {
         let v = Json::parse(r#"{"a":[true,null,{"b":"A"}],"c":-2.5e3}"#).unwrap();
