@@ -21,12 +21,16 @@
 //! [`ErrorCode`]). Malformed lines are answered with `bad_request` — the
 //! connection stays open.
 //!
-//! Parsing reuses the journal's hand-rolled [`Json`] parser, which returns
-//! `None` on any syntax error, so arbitrary garbage on the wire can at
-//! worst earn a `bad_request` reply (the fuzz test in `tests/service.rs`
-//! holds the daemon to that).
+//! Parsing reads each line once with the journal's hand-rolled lexer
+//! ([`pull_let!`]: the fields a message can carry, borrowed from the line,
+//! no tree), which returns `None` on any syntax error or on nesting past its
+//! bound, so arbitrary garbage on the wire — a line of 100,000 `[`
+//! included — can at worst earn a `bad_request` reply (the fuzz test in
+//! `tests/service.rs` holds the daemon to that). Encoding appends into a
+//! buffer the caller keeps (`encode_into`); `encode` allocates one.
 
-use pqos_telemetry::json::{Json, ObjWriter};
+use pqos_telemetry::json::{ObjWriter, Token};
+use pqos_telemetry::pull_let;
 
 /// Stable error codes carried in `"error"` fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,11 +189,11 @@ impl Request {
     /// `id`, letting the server answer `bad_request` to the right caller.
     pub fn parse(line: &str) -> Result<Request, ParseError> {
         let fail = |id, detail| Err(ParseError { id, detail });
-        let Some(v) = Json::parse(line.trim()) else {
-            return fail(None, "not valid JSON");
-        };
-        let id = v.get("id").and_then(Json::as_u64);
-        let Some(verb) = v.get("verb").and_then(Json::as_str) else {
+        pull_let!([id, verb, size, runtime_secs, job] = line.trim();
+            else { return fail(None, "not valid JSON") });
+        let u = |t: Option<Token<'_>>| t?.as_u64();
+        let id = u(id);
+        let Some(verb) = verb.as_ref().and_then(Token::as_str) else {
             return fail(id, "missing verb");
         };
         let Some(id) = id else {
@@ -197,10 +201,10 @@ impl Request {
         };
         match verb {
             "negotiate" => {
-                let Some(size) = v.get("size").and_then(Json::as_u64) else {
+                let Some(size) = u(size) else {
                     return fail(Some(id), "negotiate: missing size");
                 };
-                let Some(runtime_secs) = v.get("runtime_secs").and_then(Json::as_u64) else {
+                let Some(runtime_secs) = u(runtime_secs) else {
                     return fail(Some(id), "negotiate: missing runtime_secs");
                 };
                 let Ok(size) = u32::try_from(size) else {
@@ -219,7 +223,7 @@ impl Request {
                 })
             }
             "accept" | "cancel" => {
-                let Some(job) = v.get("job").and_then(Json::as_u64) else {
+                let Some(job) = u(job) else {
                     return fail(Some(id), "missing job");
                 };
                 Ok(if verb == "accept" {
@@ -238,7 +242,14 @@ impl Request {
 
     /// Encodes the request as one JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut w = ObjWriter::new();
+        let mut line = String::new();
+        self.encode_into(&mut line);
+        line
+    }
+
+    /// Appends the request's line (no trailing newline) to `out`.
+    pub fn encode_into(&self, out: &mut String) {
+        let mut w = ObjWriter::append_to(std::mem::take(out));
         match self {
             Request::Negotiate {
                 id,
@@ -269,7 +280,7 @@ impl Request {
                 w.u64("id", *id).str("verb", "shutdown");
             }
         }
-        w.finish()
+        *out = w.finish();
     }
 }
 
@@ -418,7 +429,14 @@ impl Response {
 
     /// Encodes the response as one JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut w = ObjWriter::new();
+        let mut line = String::new();
+        self.encode_into(&mut line);
+        line
+    }
+
+    /// Appends the response's line (no trailing newline) to `out`.
+    pub fn encode_into(&self, out: &mut String) {
+        let mut w = ObjWriter::append_to(std::mem::take(out));
         match self {
             Response::Quote {
                 id,
@@ -486,91 +504,96 @@ impl Response {
                     .str("detail", detail);
             }
         }
-        w.finish()
+        *out = w.finish();
     }
 
     /// Parses one response line (the client side of the protocol).
     /// Returns `None` for anything that is not a well-formed response.
     pub fn parse(line: &str) -> Option<Response> {
-        let v = Json::parse(line.trim())?;
-        let id = v.get("id").and_then(Json::as_u64)?;
-        let ok = v.get("ok").and_then(Json::as_bool)?;
-        if !ok {
-            let code = ErrorCode::parse(v.get("error").and_then(Json::as_str)?)?;
-            let detail = v
-                .get("detail")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string();
+        // What decides the shape first, then a quote's fields, then the
+        // status snapshot's.
+        pull_let!([
+            id, ok, error, detail, trace, history, job, start_secs, promised_secs, deadline_secs,
+            success_probability, satisfied_threshold, now_secs, cluster_size, occupied_nodes,
+            reservations, quoted, rejected, accepted, expired, cancelled, started, completed,
+            parity_checked, parity_violations, parity_sample, promises_made, promises_kept,
+            promises_broken, promises_cancelled, worst_residual_milli, queue_depth, uptime_secs,
+            live_jobs, overloaded, journal_events_written, journal_ring_dropped,
+            journal_write_errors, shards, shard_queue,
+        ] = line.trim(); else { return None });
+        let u = |t: Option<Token<'_>>| t?.as_u64();
+        // A string field's text; anything else reads as absent.
+        let text = |t: Option<Token<'_>>| match t? {
+            Token::Str(s) => Some(s.into_owned()),
+            _ => None,
+        };
+        let id = u(id)?;
+        if !ok?.as_bool()? {
+            let code = ErrorCode::parse(error?.as_str()?)?;
+            let detail = text(detail).unwrap_or_default();
             return Some(Response::Error { id, code, detail });
         }
-        if let Some(trace) = v.get("trace").and_then(Json::as_str) {
-            return Some(Response::Dump {
-                id,
-                trace: trace.to_string(),
-            });
+        if let Some(trace) = text(trace) {
+            return Some(Response::Dump { id, trace });
         }
-        if let Some(history) = v.get("history").and_then(Json::as_str) {
-            return Some(Response::History {
-                id,
-                history: history.to_string(),
-            });
+        if let Some(history) = text(history) {
+            return Some(Response::History { id, history });
         }
-        if let Some(job) = v.get("job").and_then(Json::as_u64) {
+        if let Some(job) = u(job) {
             return Some(Response::Quote {
                 id,
                 job,
-                start_secs: v.get("start_secs").and_then(Json::as_u64)?,
-                promised_secs: v.get("promised_secs").and_then(Json::as_u64)?,
-                deadline_secs: v.get("deadline_secs").and_then(Json::as_u64)?,
-                success_probability: v.get("success_probability").and_then(Json::as_f64)?,
-                satisfied_threshold: v.get("satisfied_threshold").and_then(Json::as_bool)?,
+                start_secs: u(start_secs)?,
+                promised_secs: u(promised_secs)?,
+                deadline_secs: u(deadline_secs)?,
+                success_probability: success_probability?.as_f64()?,
+                satisfied_threshold: satisfied_threshold?.as_bool()?,
             });
         }
-        if v.get("now_secs").is_some() {
-            let u = |key: &str| v.get(key).and_then(Json::as_u64);
+        if now_secs.is_some() {
             return Some(Response::Status {
                 id,
                 body: StatusBody {
-                    now_secs: u("now_secs")?,
-                    cluster_size: u32::try_from(u("cluster_size")?).ok()?,
-                    occupied_nodes: u32::try_from(u("occupied_nodes")?).ok()?,
-                    reservations: u("reservations")?,
-                    quoted: u("quoted")?,
-                    rejected: u("rejected")?,
-                    accepted: u("accepted")?,
-                    expired: u("expired")?,
-                    cancelled: u("cancelled")?,
-                    started: u("started")?,
-                    completed: u("completed")?,
-                    parity_checked: u("parity_checked")?,
-                    parity_violations: u("parity_violations")?,
+                    now_secs: u(now_secs)?,
+                    cluster_size: u32::try_from(u(cluster_size)?).ok()?,
+                    occupied_nodes: u32::try_from(u(occupied_nodes)?).ok()?,
+                    reservations: u(reservations)?,
+                    quoted: u(quoted)?,
+                    rejected: u(rejected)?,
+                    accepted: u(accepted)?,
+                    expired: u(expired)?,
+                    cancelled: u(cancelled)?,
+                    started: u(started)?,
+                    completed: u(completed)?,
+                    parity_checked: u(parity_checked)?,
+                    parity_violations: u(parity_violations)?,
                     // Lenient on the observability extras so replies from
                     // daemons predating them still parse.
-                    queue_depth: u("queue_depth").unwrap_or(0),
-                    uptime_secs: u("uptime_secs").unwrap_or(0),
-                    live_jobs: u("live_jobs").unwrap_or(0),
-                    overloaded: u("overloaded").unwrap_or(0),
-                    journal_events_written: u("journal_events_written").unwrap_or(0),
-                    journal_ring_dropped: u("journal_ring_dropped").unwrap_or(0),
-                    journal_write_errors: u("journal_write_errors").unwrap_or(0),
+                    queue_depth: u(queue_depth).unwrap_or(0),
+                    uptime_secs: u(uptime_secs).unwrap_or(0),
+                    live_jobs: u(live_jobs).unwrap_or(0),
+                    overloaded: u(overloaded).unwrap_or(0),
+                    journal_events_written: u(journal_events_written).unwrap_or(0),
+                    journal_ring_dropped: u(journal_ring_dropped).unwrap_or(0),
+                    journal_write_errors: u(journal_write_errors).unwrap_or(0),
                     // A daemon predating sampling re-checked every batch.
-                    parity_sample: u("parity_sample").unwrap_or(1),
-                    promises_made: u("promises_made").unwrap_or(0),
-                    promises_kept: u("promises_kept").unwrap_or(0),
-                    promises_broken: u("promises_broken").unwrap_or(0),
-                    promises_cancelled: u("promises_cancelled").unwrap_or(0),
-                    worst_residual_milli: v
-                        .get("worst_residual_milli")
-                        .and_then(Json::as_i64)
+                    parity_sample: u(parity_sample).unwrap_or(1),
+                    promises_made: u(promises_made).unwrap_or(0),
+                    promises_kept: u(promises_kept).unwrap_or(0),
+                    promises_broken: u(promises_broken).unwrap_or(0),
+                    promises_cancelled: u(promises_cancelled).unwrap_or(0),
+                    worst_residual_milli: worst_residual_milli
+                        .and_then(|t| t.as_i64())
                         .unwrap_or(0),
                     // A daemon predating sharding ran one engine plane.
-                    shards: u("shards").unwrap_or(1),
-                    shard_queue: v
-                        .get("shard_queue")
-                        .and_then(Json::as_arr)
-                        .map(|a| a.iter().filter_map(Json::as_u64).collect())
-                        .unwrap_or_default(),
+                    shards: u(shards).unwrap_or(1),
+                    shard_queue: {
+                        let mut lanes = Vec::new();
+                        if let Some(list) = shard_queue {
+                            let _ = list.items(|lane| lanes.extend(lane.as_u64()));
+                        }
+                        lanes
+                    },
                 },
             });
         }

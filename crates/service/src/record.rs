@@ -29,7 +29,10 @@ use std::sync::{Arc, Mutex};
 
 struct RecState {
     out: Box<dyn Write + Send>,
-    next_seq: u64,
+    /// The entry being recorded and its encoded line: both kept between
+    /// calls, so recording allocates nothing once they have grown.
+    entry: TraceEntry,
+    line: String,
     entries: u64,
     write_errors: u64,
 }
@@ -60,7 +63,17 @@ impl TraceRecorder {
         Ok(TraceRecorder {
             inner: Some(Arc::new(Mutex::new(RecState {
                 out: Box::new(out),
-                next_seq: 1,
+                entry: TraceEntry {
+                    seq: 0,
+                    epoch: 0,
+                    tick_secs: 0,
+                    conn: 0,
+                    verb: String::new(),
+                    job: None,
+                    request: String::new(),
+                    response: String::new(),
+                },
+                line: String::new(),
                 entries: 0,
                 write_errors: 0,
             }))),
@@ -86,24 +99,24 @@ impl TraceRecorder {
         let Some(inner) = &self.inner else {
             return;
         };
-        let mut state = inner.lock().expect("trace recorder lock");
-        let entry = TraceEntry {
-            seq: state.next_seq,
-            epoch,
-            tick_secs,
-            conn,
-            verb: request.verb().into(),
-            job,
-            request: request.encode(),
-            response: response.encode(),
-        };
-        state.next_seq += 1;
-        let line = entry.encode();
-        let ok = state
-            .out
-            .write_all(line.as_bytes())
-            .and_then(|()| state.out.write_all(b"\n"))
-            .is_ok();
+        let mut guard = inner.lock().expect("trace recorder lock");
+        let state = &mut *guard;
+        let entry = &mut state.entry;
+        entry.seq += 1;
+        entry.epoch = epoch;
+        entry.tick_secs = tick_secs;
+        entry.conn = conn;
+        entry.verb.clear();
+        entry.verb.push_str(request.verb());
+        entry.job = job;
+        entry.request.clear();
+        request.encode_into(&mut entry.request);
+        entry.response.clear();
+        response.encode_into(&mut entry.response);
+        state.line.clear();
+        entry.encode_into(&mut state.line);
+        state.line.push('\n');
+        let ok = state.out.write_all(state.line.as_bytes()).is_ok();
         if ok {
             state.entries += 1;
         } else {

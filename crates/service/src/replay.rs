@@ -308,7 +308,9 @@ fn check_parity(
     replayed: &Response,
     report: &mut ReplayReport,
 ) {
-    let line = replayed.encode();
+    // Almost always the recorded line again: size for it.
+    let mut line = String::with_capacity(entry.response.len());
+    replayed.encode_into(&mut line);
     if opts.check_parity {
         report.parity_checked += 1;
         if line != entry.response {

@@ -6,7 +6,8 @@
 //! deadline miss, cancellation and promise resolution. Every variant
 //! carries its simulation timestamp so a journal line is self-contained.
 
-use crate::json::{Json, ObjWriter};
+use crate::json::{ObjWriter, Token};
+use crate::pull_let;
 use pqos_sim_core::time::SimTime;
 
 /// Number of distinct [`TelemetryEvent`] variants (the size of any
@@ -395,9 +396,19 @@ impl TelemetryEvent {
     }
 
     /// Encodes the event as a single JSON object (one journal line, without
-    /// the trailing newline).
+    /// the trailing newline). Allocates the line; a sink that keeps its
+    /// line buffer appends into it instead (see [`JsonlSink`]).
+    ///
+    /// [`JsonlSink`]: crate::journal::JsonlSink
     pub fn to_jsonl(&self) -> String {
-        let mut w = ObjWriter::new();
+        let mut line = String::new();
+        self.append_jsonl(&mut line);
+        line
+    }
+
+    /// Appends the event's journal line (no trailing newline) to `out`.
+    pub(crate) fn append_jsonl(&self, out: &mut String) {
+        let mut w = ObjWriter::append_to(std::mem::take(out));
         w.str("event", self.name()).u64("at", self.at().as_secs());
         match self {
             TelemetryEvent::JobSubmitted {
@@ -522,110 +533,113 @@ impl TelemetryEvent {
                     .f64("threshold", *threshold);
             }
         }
-        w.finish()
+        *out = w.finish();
     }
 
     /// Decodes one journal line. Returns `None` if the line is not valid
-    /// JSON or does not match the event schema.
+    /// JSON or does not match the event schema. One pass over the line,
+    /// no allocation beyond what the event itself owns.
     pub fn from_jsonl(line: &str) -> Option<TelemetryEvent> {
-        let v = Json::parse(line.trim())?;
-        let at = SimTime::from_secs(v.get("at")?.as_u64()?);
-        let job = |v: &Json| v.get("job").and_then(Json::as_u64);
-        match v.get("event")?.as_str()? {
+        // Every key any variant reads, the common ones first.
+        pull_let!([
+            event, at, job, nodes, failure_probability, success_probability, deadline_secs,
+            start_secs, promised_secs, verdict, met_deadline, restarts, size, runtime_secs,
+            overhead_secs, reason, at_risk_secs, node, victim_job, lost_node_seconds, predicted,
+            remaining_secs, late_by_secs, rule, state, window_end_secs, value, threshold,
+        ] = line.trim(); else { return None });
+        let u = |t: Option<Token<'_>>| t?.as_u64();
+        let f = |t: Option<Token<'_>>| t?.as_f64();
+        let at = SimTime::from_secs(u(at)?);
+        match event?.as_str()? {
             "job_submitted" => Some(TelemetryEvent::JobSubmitted {
                 at,
-                job: job(&v)?,
-                size: u32::try_from(v.get("size")?.as_u64()?).ok()?,
-                runtime_secs: v.get("runtime_secs")?.as_u64()?,
+                job: u(job)?,
+                size: u32::try_from(u(size)?).ok()?,
+                runtime_secs: u(runtime_secs)?,
             }),
             "quote_negotiated" => Some(TelemetryEvent::QuoteNegotiated {
                 at,
-                job: job(&v)?,
-                start_secs: v.get("start_secs")?.as_u64()?,
-                promised_secs: v.get("promised_secs")?.as_u64()?,
-                deadline_secs: v.get("deadline_secs")?.as_u64()?,
-                success_probability: v.get("success_probability")?.as_f64()?,
+                job: u(job)?,
+                start_secs: u(start_secs)?,
+                promised_secs: u(promised_secs)?,
+                deadline_secs: u(deadline_secs)?,
+                success_probability: f(success_probability)?,
             }),
-            "job_rejected" => Some(TelemetryEvent::JobRejected { at, job: job(&v)? }),
+            "job_rejected" => Some(TelemetryEvent::JobRejected { at, job: u(job)? }),
             "job_placed" => Some(TelemetryEvent::JobPlaced {
                 at,
-                job: job(&v)?,
-                nodes: v
-                    .get("nodes")?
-                    .as_arr()?
-                    .iter()
-                    .map(Json::as_u64)
-                    .collect::<Option<Vec<_>>>()?,
-                failure_probability: v.get("failure_probability")?.as_f64()?,
+                job: u(job)?,
+                nodes: {
+                    let mut list = Some(Vec::new());
+                    nodes?.items(|n| match (&mut list, n.as_u64()) {
+                        (Some(list), Some(n)) => list.push(n),
+                        _ => list = None,
+                    })?;
+                    list?
+                },
+                failure_probability: f(failure_probability)?,
             }),
             "job_started" => Some(TelemetryEvent::JobStarted {
                 at,
-                job: job(&v)?,
-                restarts: u32::try_from(v.get("restarts")?.as_u64()?).ok()?,
+                job: u(job)?,
+                restarts: u32::try_from(u(restarts)?).ok()?,
             }),
             "checkpoint_requested" => {
-                Some(TelemetryEvent::CheckpointRequested { at, job: job(&v)? })
+                Some(TelemetryEvent::CheckpointRequested { at, job: u(job)? })
             }
             "checkpoint_taken" => Some(TelemetryEvent::CheckpointTaken {
                 at,
-                job: job(&v)?,
-                overhead_secs: v.get("overhead_secs")?.as_u64()?,
+                job: u(job)?,
+                overhead_secs: u(overhead_secs)?,
             }),
             "checkpoint_skipped" => Some(TelemetryEvent::CheckpointSkipped {
                 at,
-                job: job(&v)?,
-                reason: SkipReason::parse(v.get("reason")?.as_str()?)?,
-                failure_probability: v.get("failure_probability")?.as_f64()?,
-                at_risk_secs: v.get("at_risk_secs")?.as_u64()?,
+                job: u(job)?,
+                reason: SkipReason::parse(reason?.as_str()?)?,
+                failure_probability: f(failure_probability)?,
+                at_risk_secs: u(at_risk_secs)?,
             }),
             "node_failed" => Some(TelemetryEvent::NodeFailed {
                 at,
-                node: v.get("node")?.as_u64()?,
-                victim_job: {
-                    let vj = v.get("victim_job")?;
-                    if vj.is_null() {
-                        None
-                    } else {
-                        Some(vj.as_u64()?)
-                    }
+                node: u(node)?,
+                victim_job: match victim_job? {
+                    Token::Null => None,
+                    victim => Some(victim.as_u64()?),
                 },
-                lost_node_seconds: v.get("lost_node_seconds")?.as_u64()?,
-                predicted: v.get("predicted")?.as_bool()?,
+                lost_node_seconds: u(lost_node_seconds)?,
+                predicted: predicted?.as_bool()?,
             }),
-            "node_recovered" => Some(TelemetryEvent::NodeRecovered {
-                at,
-                node: v.get("node")?.as_u64()?,
-            }),
+            "node_recovered" => Some(TelemetryEvent::NodeRecovered { at, node: u(node)? }),
             "job_requeued" => Some(TelemetryEvent::JobRequeued {
                 at,
-                job: job(&v)?,
-                remaining_secs: v.get("remaining_secs")?.as_u64()?,
+                job: u(job)?,
+                remaining_secs: u(remaining_secs)?,
             }),
             "job_completed" => Some(TelemetryEvent::JobCompleted {
                 at,
-                job: job(&v)?,
-                met_deadline: v.get("met_deadline")?.as_bool()?,
+                job: u(job)?,
+                met_deadline: met_deadline?.as_bool()?,
             }),
             "deadline_missed" => Some(TelemetryEvent::DeadlineMissed {
                 at,
-                job: job(&v)?,
-                late_by_secs: v.get("late_by_secs")?.as_u64()?,
+                job: u(job)?,
+                late_by_secs: u(late_by_secs)?,
             }),
-            "job_cancelled" => Some(TelemetryEvent::JobCancelled { at, job: job(&v)? }),
+            "job_cancelled" => Some(TelemetryEvent::JobCancelled { at, job: u(job)? }),
             "promise_resolved" => Some(TelemetryEvent::PromiseResolved {
                 at,
-                job: job(&v)?,
-                success_probability: v.get("success_probability")?.as_f64()?,
-                deadline_secs: v.get("deadline_secs")?.as_u64()?,
-                verdict: PromiseVerdict::parse(v.get("verdict")?.as_str()?)?,
+                job: u(job)?,
+                success_probability: f(success_probability)?,
+                deadline_secs: u(deadline_secs)?,
+                verdict: PromiseVerdict::parse(verdict?.as_str()?)?,
             }),
             "slo_alert" => Some(TelemetryEvent::SloAlert {
                 at,
-                rule: v.get("rule")?.as_str()?.to_string(),
-                state: AlertState::parse(v.get("state")?.as_str()?)?,
-                window_end_secs: v.get("window_end_secs")?.as_u64()?,
-                value: v.get("value")?.as_f64()?,
-                threshold: v.get("threshold")?.as_f64()?,
+                rule: rule?.as_str()?.to_string(),
+                state: AlertState::parse(state?.as_str()?)?,
+                window_end_secs: u(window_end_secs)?,
+                value: f(value)?,
+                threshold: f(threshold)?,
             }),
             _ => None,
         }
@@ -835,5 +849,47 @@ mod tests {
         for event in one_of_each() {
             assert_eq!(event.at(), SimTime::from_secs(3600));
         }
+    }
+
+    /// The journal's bytes, written out: the encoder these lines came from
+    /// is gone, so the literals are the oracle. Replay parity and every
+    /// recorded journal depend on each of them.
+    #[test]
+    fn one_of_each_encodes_to_the_golden_lines() {
+        let golden = [
+            r#"{"event":"job_submitted","at":3600,"job":1,"size":16,"runtime_secs":7200}"#,
+            r#"{"event":"quote_negotiated","at":3600,"job":1,"start_secs":3700,"promised_secs":11000,"deadline_secs":11000,"success_probability":0.987}"#,
+            r#"{"event":"job_rejected","at":3600,"job":2}"#,
+            r#"{"event":"job_placed","at":3600,"job":1,"nodes":[4,5,6,7],"failure_probability":0.0125}"#,
+            r#"{"event":"job_started","at":3600,"job":1,"restarts":0}"#,
+            r#"{"event":"checkpoint_requested","at":3600,"job":1}"#,
+            r#"{"event":"checkpoint_taken","at":3600,"job":1,"overhead_secs":720}"#,
+            r#"{"event":"checkpoint_skipped","at":3600,"job":1,"reason":"low_risk","failure_probability":0.0003,"at_risk_secs":3600}"#,
+            r#"{"event":"node_failed","at":3600,"node":5,"victim_job":1,"lost_node_seconds":14400,"predicted":true}"#,
+            r#"{"event":"node_failed","at":3600,"node":99,"victim_job":null,"lost_node_seconds":0,"predicted":false}"#,
+            r#"{"event":"node_recovered","at":3600,"node":5}"#,
+            r#"{"event":"job_requeued","at":3600,"job":1,"remaining_secs":3600}"#,
+            r#"{"event":"job_completed","at":3600,"job":1,"met_deadline":false}"#,
+            r#"{"event":"deadline_missed","at":3600,"job":1,"late_by_secs":480}"#,
+            r#"{"event":"job_cancelled","at":3600,"job":3}"#,
+            r#"{"event":"promise_resolved","at":3600,"job":1,"success_probability":0.987,"deadline_secs":11000,"verdict":"broken"}"#,
+            r#"{"event":"promise_resolved","at":3600,"job":4,"success_probability":1.0,"deadline_secs":9000,"verdict":"kept"}"#,
+            r#"{"event":"promise_resolved","at":3600,"job":3,"success_probability":0.5,"deadline_secs":8000,"verdict":"cancelled"}"#,
+            r#"{"event":"slo_alert","at":3600,"rule":"tight","state":"fire","window_end_secs":3600,"value":0.42,"threshold":0.2}"#,
+            r#"{"event":"slo_alert","at":3600,"rule":"tight","state":"resolve","window_end_secs":3600,"value":0.1,"threshold":0.2}"#,
+        ];
+        let events = one_of_each();
+        assert_eq!(events.len(), golden.len());
+        let mut appended = String::new();
+        for (event, want) in events.iter().zip(golden) {
+            assert_eq!(event.to_jsonl(), want);
+            event.append_jsonl(&mut appended);
+            appended.push('\n');
+        }
+        assert_eq!(
+            appended,
+            golden.join("\n") + "\n",
+            "appending leaves earlier lines alone"
+        );
     }
 }

@@ -122,9 +122,15 @@ impl EventSink for RingBufferSink {
 ///
 /// Typically wrapped around a `BufWriter<File>`; write errors are counted
 /// rather than panicking so a full disk cannot abort a simulation.
+///
+/// The sink owns its line buffer: each event is encoded into it in place
+/// and handed to the writer, newline included, in one `write_all`, so
+/// recording allocates nothing once the buffer has grown to the longest
+/// event seen.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
+    line: String,
     written: u64,
     errors: u64,
 }
@@ -134,6 +140,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         JsonlSink {
             writer,
+            line: String::new(),
             written: 0,
             errors: 0,
         }
@@ -158,9 +165,10 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write + Send> EventSink for JsonlSink<W> {
     fn record(&mut self, event: &TelemetryEvent) {
-        let mut line = event.to_jsonl();
-        line.push('\n');
-        match self.writer.write_all(line.as_bytes()) {
+        self.line.clear();
+        event.append_jsonl(&mut self.line);
+        self.line.push('\n');
+        match self.writer.write_all(self.line.as_bytes()) {
             Ok(()) => self.written += 1,
             Err(_) => self.errors += 1,
         }

@@ -23,8 +23,10 @@
 //!   function of its inputs — byte-stable across runs, which replay
 //!   parity relies on.
 //!
-//! Lines are moved verbatim (only the `"event"`/`"at"` prefix is read),
-//! so merging one journal is the identity.
+//! Lines are moved verbatim, so merging one journal is the identity. A
+//! line's key — its `"at"` and whether its `"event"` is a releasing kind —
+//! is read once, when the line becomes its journal's head; picking the
+//! next line compares the cached keys of the heads and touches no text.
 
 /// Event kinds that release capacity or resolve a promise at their
 /// instant; these win ties so same-instant claims in other journals see
@@ -36,23 +38,69 @@ const RELEASING: [&str; 4] = [
     "job_cancelled",
 ];
 
+/// The digits after the line's first `"at":`, if they are a `u64`.
 fn parse_at(line: &str) -> Option<u64> {
-    let idx = line.find("\"at\":")?;
-    let digits: String = line[idx + 5..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+    let rest = &line[line.find("\"at\":")? + 5..];
+    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+    rest[..digits].parse().ok()
 }
 
 fn is_releasing(line: &str) -> bool {
-    if let Some(idx) = line.find("\"event\":\"") {
+    line.find("\"event\":\"").is_some_and(|idx| {
         let rest = &line[idx + 9..];
-        if let Some(end) = rest.find('"') {
-            return RELEASING.contains(&&rest[..end]);
-        }
+        rest.find('"')
+            .is_some_and(|end| RELEASING.contains(&&rest[..end]))
+    })
+}
+
+/// One journal being merged: the lines not yet taken, and the head line
+/// with its key.
+struct Cursor<'a> {
+    lines: std::str::Lines<'a>,
+    /// `(at, class, line)`: class 0 releases, 1 does not.
+    head: Option<(u64, u8, &'a str)>,
+}
+
+impl<'a> Cursor<'a> {
+    /// Moves to the next non-blank line and reads its key. A line with no
+    /// parseable `"at"` inherits `last_at`, the instant of the line before
+    /// it in this journal.
+    fn advance(&mut self, last_at: u64) {
+        self.head = self
+            .lines
+            .by_ref()
+            .find(|line| !line.trim().is_empty())
+            .map(|line| {
+                let class = if is_releasing(line) { 0 } else { 1 };
+                (parse_at(line).unwrap_or(last_at), class, line)
+            });
     }
-    false
+}
+
+/// The merge itself: hands every line to `emit`, in merged order.
+fn merge_into<'a>(journals: &[&'a str], mut emit: impl FnMut(&'a str)) {
+    let mut cursors: Vec<Cursor<'a>> = journals
+        .iter()
+        .map(|body| {
+            let mut cursor = Cursor {
+                lines: body.lines(),
+                head: None,
+            };
+            cursor.advance(0);
+            cursor
+        })
+        .collect();
+    // Among heads: min at, then releasing-first, then journal index (the
+    // first of equal keys is kept, and cursors are in index order).
+    while let Some((idx, (at, _, line))) = cursors
+        .iter()
+        .enumerate()
+        .filter_map(|(idx, cursor)| Some((idx, cursor.head?)))
+        .min_by_key(|&(_, (at, class, _))| (at, class))
+    {
+        emit(line);
+        cursors[idx].advance(at);
+    }
 }
 
 /// Merges several JSONL journal bodies into one, returning the merged
@@ -60,61 +108,96 @@ fn is_releasing(line: &str) -> bool {
 /// Lines missing a parseable `"at"` inherit their predecessor's instant
 /// (preserving that journal's relative order).
 pub fn merge_journals(journals: &[&str]) -> Vec<String> {
-    struct Cursor<'a> {
-        lines: Vec<&'a str>,
-        next: usize,
-        last_at: u64,
-    }
-    let mut cursors: Vec<Cursor<'_>> = journals
-        .iter()
-        .map(|body| Cursor {
-            lines: body.lines().filter(|l| !l.trim().is_empty()).collect(),
-            next: 0,
-            last_at: 0,
-        })
-        .collect();
-    let total: usize = cursors.iter().map(|c| c.lines.len()).sum();
-    let mut merged = Vec::with_capacity(total);
-    loop {
-        // Pick among heads: min at, then releasing-first, then index.
-        let mut best: Option<(u64, u8, usize)> = None;
-        for (idx, cursor) in cursors.iter().enumerate() {
-            let Some(&line) = cursor.lines.get(cursor.next) else {
-                continue;
-            };
-            let at = parse_at(line).unwrap_or(cursor.last_at);
-            let class = if is_releasing(line) { 0 } else { 1 };
-            let key = (at, class, idx);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-            }
-        }
-        let Some((at, _, idx)) = best else {
-            return merged;
-        };
-        let cursor = &mut cursors[idx];
-        merged.push(cursor.lines[cursor.next].to_string());
-        cursor.next += 1;
-        cursor.last_at = at;
-    }
+    let mut merged = Vec::new();
+    merge_into(journals, |line| merged.push(line.to_string()));
+    merged
 }
 
 /// [`merge_journals`] returning one newline-terminated body (empty
-/// input merges to an empty string).
+/// input merges to an empty string), written straight into one buffer
+/// sized for the inputs.
 pub fn merge_journals_to_string(journals: &[&str]) -> String {
-    let lines = merge_journals(journals);
-    if lines.is_empty() {
-        String::new()
-    } else {
-        let mut body = lines.join("\n");
+    // Every input byte at most once, plus a newline for each journal
+    // whose last line lacks one.
+    let bound = journals.iter().map(|body| body.len() + 1).sum();
+    let mut body = String::with_capacity(bound);
+    merge_into(journals, |line| {
+        body.push_str(line);
         body.push('\n');
-        body
-    }
+    });
+    body
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pqos_sim_core::rng::DetRng;
+
+    /// The merge as it was before keys were cached — every comparison
+    /// re-reads both heads' text, with its own copies of the two key
+    /// readers — kept as the oracle the merge is checked against.
+    mod oracle {
+        use super::RELEASING;
+
+        fn parse_at(line: &str) -> Option<u64> {
+            let idx = line.find("\"at\":")?;
+            let digits: String = line[idx + 5..]
+                .chars()
+                .take_while(|c| c.is_ascii_digit())
+                .collect();
+            digits.parse().ok()
+        }
+
+        fn is_releasing(line: &str) -> bool {
+            if let Some(idx) = line.find("\"event\":\"") {
+                let rest = &line[idx + 9..];
+                if let Some(end) = rest.find('"') {
+                    return RELEASING.contains(&&rest[..end]);
+                }
+            }
+            false
+        }
+
+        pub fn merge_journals(journals: &[&str]) -> Vec<String> {
+            struct Cursor<'a> {
+                lines: Vec<&'a str>,
+                next: usize,
+                last_at: u64,
+            }
+            let mut cursors: Vec<Cursor<'_>> = journals
+                .iter()
+                .map(|body| Cursor {
+                    lines: body.lines().filter(|l| !l.trim().is_empty()).collect(),
+                    next: 0,
+                    last_at: 0,
+                })
+                .collect();
+            let total: usize = cursors.iter().map(|c| c.lines.len()).sum();
+            let mut merged = Vec::with_capacity(total);
+            loop {
+                // Pick among heads: min at, then releasing-first, then index.
+                let mut best: Option<(u64, u8, usize)> = None;
+                for (idx, cursor) in cursors.iter().enumerate() {
+                    let Some(&line) = cursor.lines.get(cursor.next) else {
+                        continue;
+                    };
+                    let at = parse_at(line).unwrap_or(cursor.last_at);
+                    let class = if is_releasing(line) { 0 } else { 1 };
+                    let key = (at, class, idx);
+                    if best.is_none_or(|b| key < b) {
+                        best = Some(key);
+                    }
+                }
+                let Some((at, _, idx)) = best else {
+                    return merged;
+                };
+                let cursor = &mut cursors[idx];
+                merged.push(cursor.lines[cursor.next].to_string());
+                cursor.next += 1;
+                cursor.last_at = at;
+            }
+        }
+    }
 
     #[test]
     fn merging_one_journal_is_the_identity() {
@@ -181,5 +264,115 @@ mod tests {
         // Swapping the inputs swaps the winner: index is the tiebreak.
         let m3 = merge_journals(&[b, a]);
         assert!(m3[0].contains("\"job\":20"));
+    }
+
+    /// A seeded plane: `journals` bodies of up to `max_lines` lines each,
+    /// time-monotone where a line has a time at all, drawing on everything
+    /// the merge's rules distinguish.
+    fn seeded_plane(rng: &mut DetRng, journals: u64, max_lines: u64) -> Vec<String> {
+        const KINDS: [&str; 8] = [
+            "job_completed",
+            "deadline_missed",
+            "promise_resolved",
+            "job_cancelled",
+            "job_submitted",
+            "job_started",
+            "job_placed",
+            "quote_negotiated",
+        ];
+        (0..journals)
+            .map(|_| {
+                let mut body = String::new();
+                // Few distinct instants, so journals tie on `at` often.
+                let mut at = rng.uniform_u64(0, 3);
+                for _ in 0..rng.uniform_u64(0, max_lines) {
+                    let kind = KINDS[rng.uniform_u64(0, KINDS.len() as u64 - 1) as usize];
+                    let job = rng.uniform_u64(0, 99);
+                    match rng.uniform_u64(0, 11) {
+                        // No "at" at all, an "at" that is not a number, and
+                        // one that overflows u64: all inherit.
+                        0 => body.push_str(&format!("{{\"event\":\"{kind}\",\"job\":{job}}}\n")),
+                        1 => body.push_str(&format!("{{\"event\":\"{kind}\",\"at\":null}}\n")),
+                        2 => body.push_str(&format!(
+                            "{{\"event\":\"{kind}\",\"at\":99999999999999999999999,\"job\":{job}}}\n"
+                        )),
+                        3 => body.push_str("not json at all\n"),
+                        4 => body.push('\n'),
+                        5 => body.push_str(" \t \n"),
+                        _ => {
+                            at += rng.uniform_u64(0, 2) / 2;
+                            body.push_str(&format!(
+                                "{{\"event\":\"{kind}\",\"at\":{at},\"job\":{job}}}\n"
+                            ));
+                        }
+                    }
+                }
+                // Half the journals end without a newline.
+                if rng.chance(0.5) {
+                    body.pop();
+                }
+                body
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_matches_the_oracle_on_seeded_planes() {
+        let mut rng = DetRng::seed_from(0x6d65_7267);
+        for case in 0..400 {
+            let journals = rng.uniform_u64(1, 6);
+            let mut plane = seeded_plane(&mut rng, journals, 40);
+            // An empty journal among non-empty ones, somewhere.
+            if case % 3 == 0 {
+                let at = rng.uniform_u64(0, plane.len() as u64 - 1) as usize;
+                plane[at].clear();
+            }
+            let refs: Vec<&str> = plane.iter().map(String::as_str).collect();
+            let want = oracle::merge_journals(&refs);
+            let got = merge_journals(&refs);
+            assert_eq!(got, want, "case {case}: {plane:?}");
+            let joined = if want.is_empty() {
+                String::new()
+            } else {
+                want.join("\n") + "\n"
+            };
+            assert_eq!(merge_journals_to_string(&refs), joined, "case {case}");
+            if refs.len() == 1 {
+                let kept: Vec<&str> = refs[0].lines().filter(|l| !l.trim().is_empty()).collect();
+                assert_eq!(got, kept, "case {case}: one journal merges to itself");
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_without_a_time_inherits_its_predecessors() {
+        // First in its journal: instant 0, so it precedes everything later.
+        // Mid-journal: rides right behind its predecessor even though the
+        // other journal has earlier-or-equal lines waiting. Last: same.
+        let a = "{\"event\":\"x\"}\n{\"event\":\"job_started\",\"at\":5,\"job\":1}\nno time here\n{\"event\":\"job_started\",\"at\":9,\"job\":2}\ntail\n";
+        let b = "{\"event\":\"job_started\",\"at\":3,\"job\":3}\n{\"event\":\"job_started\",\"at\":5,\"job\":4}\n{\"event\":\"job_started\",\"at\":7,\"job\":5}\n{\"event\":\"job_started\",\"at\":9,\"job\":6}\n";
+        let merged = merge_journals(&[a, b]);
+        let shown: Vec<&str> = merged
+            .iter()
+            .map(|l| match l.find("\"job\":") {
+                Some(i) => &l[i + 6..l.len() - 1],
+                None => l.as_str(),
+            })
+            .collect();
+        assert_eq!(
+            shown,
+            [
+                "{\"event\":\"x\"}",
+                "3",
+                "1",
+                "no time here",
+                "4",
+                "5",
+                "2",
+                "tail",
+                "6"
+            ]
+        );
+        assert_eq!(merged, oracle::merge_journals(&[a, b]));
     }
 }

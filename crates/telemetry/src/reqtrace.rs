@@ -19,7 +19,8 @@
 //! keeping the original numbers lets a minimal reproducer be matched
 //! back against the full incident.
 
-use crate::json::{Json, ObjWriter};
+use crate::json::{ObjWriter, Token};
+use crate::pull_let;
 use std::fmt;
 
 /// Trace format version this crate writes and accepts.
@@ -129,7 +130,15 @@ pub struct TraceEntry {
 impl TraceEntry {
     /// Encodes the entry as one JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut w = ObjWriter::new();
+        let mut line = String::new();
+        self.encode_into(&mut line);
+        line
+    }
+
+    /// Appends the entry's line (no trailing newline) to `out`; a recorder
+    /// that keeps `out` encodes without allocating.
+    pub fn encode_into(&self, out: &mut String) {
+        let mut w = ObjWriter::append_to(std::mem::take(out));
         w.u64("seq", self.seq)
             .u64("epoch", self.epoch)
             .u64("tick_secs", self.tick_secs)
@@ -138,7 +147,7 @@ impl TraceEntry {
             .opt_u64("job", self.job)
             .str("request", &self.request)
             .str("response", &self.response);
-        w.finish()
+        *out = w.finish();
     }
 }
 
@@ -181,7 +190,10 @@ pub struct RequestTrace {
 }
 
 impl RequestTrace {
-    /// Parses and validates a whole trace document.
+    /// Parses and validates a whole trace document. Each entry line is
+    /// read in one pass ([`pull_let!`](crate::pull_let)): its integers are parsed from the line
+    /// in place, and the only allocations are the `verb`, `request` and
+    /// `response` strings the entry owns.
     pub fn parse(text: &str) -> Result<RequestTrace, TraceError> {
         let mut lines = text
             .lines()
@@ -263,120 +275,121 @@ impl RequestTrace {
         let mut out = self.meta.encode();
         out.push('\n');
         for e in &self.entries {
-            out.push_str(&e.encode());
+            e.encode_into(&mut out);
             out.push('\n');
         }
         out
     }
 }
 
-fn field<'j>(v: &'j Json, key: &str) -> Result<&'j Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
+type Slot<'a> = Option<Token<'a>>;
+
+fn field<'a>(slot: Slot<'a>, key: &str) -> Result<Token<'a>, String> {
+    slot.ok_or_else(|| format!("missing field {key:?}"))
 }
 
-fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
-    field(v, key)?
+fn u64_field(slot: Slot<'_>, key: &str) -> Result<u64, String> {
+    field(slot, key)?
         .as_u64()
         .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))
 }
 
-fn str_field(v: &Json, key: &str) -> Result<String, String> {
-    Ok(field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field {key:?} is not a string"))?
-        .to_string())
+fn str_field(slot: Slot<'_>, key: &str) -> Result<String, String> {
+    match field(slot, key)? {
+        Token::Str(s) => Ok(s.into_owned()),
+        _ => Err(format!("field {key:?} is not a string")),
+    }
+}
+
+/// A field that is an unsigned integer or `null`.
+fn opt_u64_field(slot: Slot<'_>, key: &str) -> Result<Option<u64>, String> {
+    match field(slot, key)? {
+        Token::Null => Ok(None),
+        token => token
+            .as_u64()
+            .map(Some)
+            .ok_or_else(|| format!("field {key:?} is not an unsigned integer or null")),
+    }
+}
+
+/// A lenient field: absent means `default`, present must be an integer
+/// of at least 1.
+fn positive_or(slot: Slot<'_>, key: &str, default: u64) -> Result<u64, String> {
+    slot.map_or(Ok(default), |token| {
+        token
+            .as_u64()
+            .filter(|&v| v >= 1)
+            .ok_or_else(|| format!("field {key:?} is not a positive integer"))
+    })
 }
 
 fn parse_meta(line: &str) -> Result<TraceMeta, String> {
-    let v = Json::parse(line.trim()).ok_or_else(|| "meta header is not valid JSON".to_string())?;
-    let kind = str_field(&v, "trace")?;
+    pull_let!([
+        trace, version, quote_horizon_secs, source, cluster_size, time_scale, batch_threads,
+        predictor, shards, slo, slo_window_secs,
+    ] = line.trim(); else { return Err("meta header is not valid JSON".into()) });
+    let kind = str_field(trace, "trace")?;
     if kind != TRACE_KIND {
         return Err(format!("not a request trace (trace={kind:?})"));
     }
-    let version = u64_field(&v, "version")?;
+    let version = u64_field(version, "version")?;
     if version != TRACE_FORMAT_VERSION {
         return Err(format!(
             "unsupported trace format version {version} (this build reads version {TRACE_FORMAT_VERSION})"
         ));
     }
-    let horizon = field(&v, "quote_horizon_secs")?;
-    let quote_horizon_secs = if horizon.is_null() {
-        None
-    } else {
-        Some(horizon.as_u64().ok_or_else(|| {
-            "field \"quote_horizon_secs\" is not an unsigned integer or null".to_string()
-        })?)
-    };
+    let quote_horizon_secs = opt_u64_field(quote_horizon_secs, "quote_horizon_secs")?;
     Ok(TraceMeta {
         version,
-        source: str_field(&v, "source")?,
-        cluster_size: u64_field(&v, "cluster_size")?
+        source: str_field(source, "source")?,
+        cluster_size: u64_field(cluster_size, "cluster_size")?
             .try_into()
             .map_err(|_| "field \"cluster_size\" exceeds u32".to_string())?,
-        time_scale: field(&v, "time_scale")?
+        time_scale: field(time_scale, "time_scale")?
             .as_f64()
             .ok_or_else(|| "field \"time_scale\" is not a number".to_string())?,
-        batch_threads: u64_field(&v, "batch_threads")?,
+        batch_threads: u64_field(batch_threads, "batch_threads")?,
         quote_horizon_secs,
-        predictor: str_field(&v, "predictor")?,
+        predictor: str_field(predictor, "predictor")?,
         // Lenient: pre-sharding traces have no field and mean 1.
-        shards: match v.get("shards") {
-            Some(j) => j
-                .as_u64()
-                .filter(|&s| s >= 1)
-                .ok_or_else(|| "field \"shards\" is not a positive integer".to_string())?,
-            None => 1,
-        },
+        shards: positive_or(shards, "shards", 1)?,
         // Lenient: pre-SLO traces have no fields and mean "no rules".
-        slo: match v.get("slo") {
-            Some(j) => j
-                .as_arr()
-                .map(|a| {
-                    a.iter()
-                        .map(|s| {
-                            s.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| "field \"slo\" holds a non-string".to_string())
-                        })
-                        .collect::<Result<Vec<_>, _>>()
+        slo: match slo {
+            Some(list) => {
+                let mut rules = Ok(Vec::new());
+                list.items(|rule| match (&mut rules, rule) {
+                    (Ok(rules), Token::Str(rule)) => rules.push(rule.into_owned()),
+                    _ => rules = Err("field \"slo\" holds a non-string".to_string()),
                 })
-                .ok_or_else(|| "field \"slo\" is not an array".to_string())??,
+                .ok_or_else(|| "field \"slo\" is not an array".to_string())?;
+                rules?
+            }
             None => Vec::new(),
         },
-        slo_window_secs: match v.get("slo_window_secs") {
-            Some(j) => j
-                .as_u64()
-                .filter(|&w| w >= 1)
-                .ok_or_else(|| "field \"slo_window_secs\" is not a positive integer".to_string())?,
-            None => crate::slo::DEFAULT_WINDOW_SECS,
-        },
+        slo_window_secs: positive_or(
+            slo_window_secs,
+            "slo_window_secs",
+            crate::slo::DEFAULT_WINDOW_SECS,
+        )?,
     })
 }
 
 fn parse_entry(line: &str) -> Result<TraceEntry, String> {
-    let v = Json::parse(line.trim()).ok_or_else(|| "entry is not valid JSON".to_string())?;
-    if v.get("trace").is_some() {
+    pull_let!([seq, epoch, tick_secs, conn, verb, job, request, response, trace] = line.trim();
+        else { return Err("entry is not valid JSON".into()) });
+    if trace.is_some() {
         return Err("second meta header inside the trace body".into());
     }
-    let job_field = field(&v, "job")?;
-    let job = if job_field.is_null() {
-        None
-    } else {
-        Some(
-            job_field
-                .as_u64()
-                .ok_or_else(|| "field \"job\" is not an unsigned integer or null".to_string())?,
-        )
-    };
+    let job = opt_u64_field(job, "job")?;
     Ok(TraceEntry {
-        seq: u64_field(&v, "seq")?,
-        epoch: u64_field(&v, "epoch")?,
-        tick_secs: u64_field(&v, "tick_secs")?,
-        conn: u64_field(&v, "conn")?,
-        verb: str_field(&v, "verb")?,
+        seq: u64_field(seq, "seq")?,
+        epoch: u64_field(epoch, "epoch")?,
+        tick_secs: u64_field(tick_secs, "tick_secs")?,
+        conn: u64_field(conn, "conn")?,
+        verb: str_field(verb, "verb")?,
         job,
-        request: str_field(&v, "request")?,
-        response: str_field(&v, "response")?,
+        request: str_field(request, "request")?,
+        response: str_field(response, "response")?,
     })
 }
 
