@@ -770,4 +770,138 @@ mod tests {
         }
         assert_eq!(ErrorCode::parse("nope"), None);
     }
+
+    /// One of every request and response shape (two where a field can be
+    /// empty or needs escaping).
+    fn golden_shapes() -> (Vec<Request>, Vec<Response>) {
+        let requests = vec![
+            Request::Negotiate {
+                id: 1,
+                size: 4,
+                runtime_secs: 3600,
+            },
+            Request::Accept { id: 2, job: 17 },
+            Request::Cancel { id: 3, job: 17 },
+            Request::Status { id: 4 },
+            Request::Dump { id: 5 },
+            Request::History { id: 6 },
+            Request::Shutdown {
+                id: 18_446_744_073_709_551_615,
+            },
+        ];
+        let responses = vec![
+            Response::Quote {
+                id: 1,
+                job: 9,
+                start_secs: 0,
+                promised_secs: 4000,
+                deadline_secs: 4800,
+                success_probability: 0.93,
+                satisfied_threshold: true,
+            },
+            Response::Ok { id: 2 },
+            Response::Status {
+                id: 3,
+                body: StatusBody {
+                    now_secs: 120,
+                    cluster_size: 64,
+                    occupied_nodes: 12,
+                    reservations: 3,
+                    quoted: 40,
+                    rejected: 1,
+                    accepted: 30,
+                    expired: 2,
+                    cancelled: 4,
+                    started: 20,
+                    completed: 15,
+                    parity_checked: 40,
+                    parity_violations: 0,
+                    parity_sample: 16,
+                    promises_made: 30,
+                    promises_kept: 14,
+                    promises_broken: 1,
+                    promises_cancelled: 4,
+                    worst_residual_milli: -125,
+                    queue_depth: 7,
+                    uptime_secs: 33,
+                    live_jobs: 11,
+                    overloaded: 2,
+                    journal_events_written: 90,
+                    journal_ring_dropped: 1,
+                    journal_write_errors: 0,
+                    shards: 4,
+                    shard_queue: vec![12, 9, 11, 8, 2],
+                },
+            },
+            Response::Status {
+                id: 8,
+                body: StatusBody::default(),
+            },
+            Response::Dump {
+                id: 9,
+                trace: "{\"traceEvents\":[{\"name\":\"é\\n\"}]}\n".into(),
+            },
+            Response::History {
+                id: 10,
+                history: "{\"history\":true,\"window_ms\":1000,\"families\":[]}".into(),
+            },
+            Response::Error {
+                id: 4,
+                code: ErrorCode::QuoteExpired,
+                detail: "quote expired; negotiate again".into(),
+            },
+            Response::Error {
+                id: 0,
+                code: ErrorCode::BadRequest,
+                detail: "tab\there \"quoted\" \\ \u{1}".into(),
+            },
+        ];
+        (requests, responses)
+    }
+
+    /// The wire's bytes, written out: the encoder these lines came from is
+    /// gone, so the literals are the oracle. Response parity in replay and
+    /// every recorded trace depend on each of them.
+    #[test]
+    fn every_shape_encodes_to_its_golden_line() {
+        let (requests, responses) = golden_shapes();
+        let golden_requests = [
+            r#"{"id":1,"verb":"negotiate","size":4,"runtime_secs":3600}"#,
+            r#"{"id":2,"verb":"accept","job":17}"#,
+            r#"{"id":3,"verb":"cancel","job":17}"#,
+            r#"{"id":4,"verb":"status"}"#,
+            r#"{"id":5,"verb":"dump"}"#,
+            r#"{"id":6,"verb":"history"}"#,
+            r#"{"id":18446744073709551615,"verb":"shutdown"}"#,
+        ];
+        let golden_responses = [
+            r#"{"id":1,"ok":true,"job":9,"start_secs":0,"promised_secs":4000,"deadline_secs":4800,"success_probability":0.93,"satisfied_threshold":true}"#,
+            r#"{"id":2,"ok":true}"#,
+            r#"{"id":3,"ok":true,"now_secs":120,"cluster_size":64,"occupied_nodes":12,"reservations":3,"quoted":40,"rejected":1,"accepted":30,"expired":2,"cancelled":4,"started":20,"completed":15,"parity_checked":40,"parity_violations":0,"queue_depth":7,"uptime_secs":33,"live_jobs":11,"overloaded":2,"journal_events_written":90,"journal_ring_dropped":1,"journal_write_errors":0,"parity_sample":16,"promises_made":30,"promises_kept":14,"promises_broken":1,"promises_cancelled":4,"worst_residual_milli":-125,"shards":4,"shard_queue":[12,9,11,8,2]}"#,
+            r#"{"id":8,"ok":true,"now_secs":0,"cluster_size":0,"occupied_nodes":0,"reservations":0,"quoted":0,"rejected":0,"accepted":0,"expired":0,"cancelled":0,"started":0,"completed":0,"parity_checked":0,"parity_violations":0,"queue_depth":0,"uptime_secs":0,"live_jobs":0,"overloaded":0,"journal_events_written":0,"journal_ring_dropped":0,"journal_write_errors":0,"parity_sample":0,"promises_made":0,"promises_kept":0,"promises_broken":0,"promises_cancelled":0,"worst_residual_milli":0,"shards":0,"shard_queue":[]}"#,
+            r#"{"id":9,"ok":true,"trace":"{\"traceEvents\":[{\"name\":\"é\\n\"}]}\n"}"#,
+            r#"{"id":10,"ok":true,"history":"{\"history\":true,\"window_ms\":1000,\"families\":[]}"}"#,
+            r#"{"id":4,"ok":false,"error":"quote_expired","detail":"quote expired; negotiate again"}"#,
+            r#"{"id":0,"ok":false,"error":"bad_request","detail":"tab\there \"quoted\" \\ \u0001"}"#,
+        ];
+        assert_eq!(requests.len(), golden_requests.len());
+        assert_eq!(responses.len(), golden_responses.len());
+        let mut appended = String::from("kept>");
+        for (request, want) in requests.iter().zip(golden_requests) {
+            assert_eq!(request.encode(), want);
+            assert_eq!(Request::parse(want), Ok(*request));
+            request.encode_into(&mut appended);
+        }
+        for (response, want) in responses.iter().zip(golden_responses) {
+            assert_eq!(response.encode(), want);
+            assert_eq!(Response::parse(want).as_ref(), Some(response));
+            response.encode_into(&mut appended);
+        }
+        let all = golden_requests.concat() + &golden_responses.concat();
+        assert_eq!(
+            appended,
+            format!("kept>{all}"),
+            "appending leaves the prefix alone"
+        );
+    }
 }

@@ -581,6 +581,51 @@ fn malformed_and_truncated_lines_never_kill_the_connection() {
     server.join().expect("server thread");
 }
 
+/// A hostile peer's line of 100,000 `[` — well under the net layer's
+/// 1 MiB line limit — used to recurse the JSON parser off the end of the
+/// stack and abort the daemon. It is one more unparseable line:
+/// `bad_request`, the connection stays open, the next `status` is answered.
+#[test]
+fn a_deeply_nested_line_is_a_bad_request_not_a_stack_overflow() {
+    let (addr, _journal, server) = start_daemon(16, 1.0);
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut writer = BufWriter::new(stream.try_clone().expect("clone"));
+    let mut reader = BufReader::new(stream);
+    let mut reply = |writer: &mut BufWriter<TcpStream>, line: &str| {
+        writeln!(writer, "{line}").expect("write");
+        writer.flush().expect("flush");
+        let mut answer = String::new();
+        assert!(
+            reader.read_line(&mut answer).expect("daemon must stay up") > 0,
+            "daemon closed the connection"
+        );
+        Response::parse(&answer).unwrap_or_else(|| panic!("unparseable reply {answer:?}"))
+    };
+    for hostile in [
+        "[".repeat(100_000),
+        "{\"id\":7,\"verb\":\"status\",\"x\":".to_string() + &"{\"k\":".repeat(100_000),
+        format!("{}1{}", "[".repeat(50_000), "]".repeat(50_000)),
+    ] {
+        match reply(&mut writer, &hostile) {
+            Response::Error {
+                id: 0,
+                code: pqos_service::protocol::ErrorCode::BadRequest,
+                detail,
+            } => assert_eq!(detail, "not valid JSON"),
+            other => panic!("expected bad_request, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        reply(&mut writer, &Request::Status { id: 8 }.encode()),
+        Response::Status { id: 8, .. }
+    ));
+    assert_eq!(
+        reply(&mut writer, &Request::Shutdown { id: 9 }.encode()),
+        Response::Ok { id: 9 }
+    );
+    server.join().expect("server thread");
+}
+
 #[test]
 fn shutdown_drains_gracefully_and_later_clients_are_refused() {
     let (addr, _journal, server) = start_daemon(8, 1.0);

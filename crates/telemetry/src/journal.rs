@@ -274,4 +274,24 @@ mod tests {
         assert_eq!(sink.written(), 0);
         assert_eq!(sink.errors(), 1);
     }
+
+    #[test]
+    fn a_reused_line_never_leaks_a_longer_previous_event() {
+        // Long, short, long, short: every line must be exactly its own
+        // event's, whatever the sink's buffer held before.
+        let wide = TelemetryEvent::JobPlaced {
+            at: SimTime::from_secs(7),
+            job: 1,
+            nodes: (0..1_100).collect(),
+            failure_probability: 0.25,
+        };
+        let events = [wide.clone(), reject(2), wide, reject(3)];
+        let mut sink = JsonlSink::new(Vec::new());
+        for event in &events {
+            sink.record(event);
+        }
+        let text = String::from_utf8(sink.into_inner()).expect("utf-8");
+        let want: String = events.iter().map(|e| e.to_jsonl() + "\n").collect();
+        assert_eq!(text, want);
+    }
 }

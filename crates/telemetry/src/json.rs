@@ -1288,38 +1288,4 @@ mod tests {
         assert!(out.ends_with("\"n\":5}{}"));
         assert_eq!(ObjWriter::default().finish(), "{}");
     }
-
-    /// The escaper before it copied runs: one char at a time.
-    fn escape_by_char(s: &str) -> String {
-        let mut out = String::new();
-        for ch in s.chars() {
-            match ch {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn run_copying_escape_matches_char_by_char() {
-        let palette: Vec<char> =
-            "aZ \"\\/\n\t\r\u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f}é中🚀\u{2028}{}[]:,"
-                .chars()
-                .collect();
-        let mut rng = DetRng::seed_from(0xe5c);
-        for _ in 0..2_000 {
-            let s: String = (0..rng.uniform_u64(0, 40))
-                .map(|_| palette[rng.uniform_u64(0, palette.len() as u64 - 1) as usize])
-                .collect();
-            let mut out = String::from("<");
-            escape_into(&mut out, &s);
-            assert_eq!(out, format!("<{}", escape_by_char(&s)), "{s:?}");
-        }
-    }
 }

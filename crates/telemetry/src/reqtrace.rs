@@ -571,4 +571,37 @@ mod tests {
         let err = RequestTrace::parse(&text).unwrap_err();
         assert_eq!(err.line, 5, "line numbers count physical lines");
     }
+
+    /// The trace file's bytes, written out as literals (the oracle, now
+    /// that the encoder they came from is gone).
+    #[test]
+    fn meta_and_entries_encode_to_their_golden_lines() {
+        assert_eq!(
+            meta().encode(),
+            r#"{"trace":"pqos-request-trace","version":1,"source":"qosd","cluster_size":64,"time_scale":50000.0,"batch_threads":4,"quote_horizon_secs":14400,"predictor":"null","shards":1}"#
+        );
+        let with_rules = TraceMeta {
+            quote_horizon_secs: None,
+            shards: 4,
+            slo: vec!["tight:rejects<=0@1".into(), "q:\"x\"".into()],
+            slo_window_secs: 30,
+            ..TraceMeta::qosd(8)
+        };
+        assert_eq!(
+            with_rules.encode(),
+            r#"{"trace":"pqos-request-trace","version":1,"source":"qosd","cluster_size":8,"time_scale":1.0,"batch_threads":1,"quote_horizon_secs":null,"predictor":"null","shards":4,"slo":["tight:rejects<=0@1","q:\"x\""],"slo_window_secs":30}"#
+        );
+        let negotiate = entry(7, 3, 120, "negotiate", Some(u64::MAX));
+        let status = entry(8, 3, 120, "status", None);
+        let golden = [
+            r#"{"seq":7,"epoch":3,"tick_secs":120,"conn":1,"verb":"negotiate","job":18446744073709551615,"request":"{\"op\":\"negotiate\",\"id\":7}","response":"{\"id\":7,\"ok\":true}"}"#,
+            r#"{"seq":8,"epoch":3,"tick_secs":120,"conn":1,"verb":"status","job":null,"request":"{\"op\":\"status\",\"id\":8}","response":"{\"id\":8,\"ok\":true}"}"#,
+        ];
+        assert_eq!(negotiate.encode(), golden[0]);
+        assert_eq!(status.encode(), golden[1]);
+        let mut appended = String::from("kept>");
+        negotiate.encode_into(&mut appended);
+        status.encode_into(&mut appended);
+        assert_eq!(appended, format!("kept>{}{}", golden[0], golden[1]));
+    }
 }

@@ -1300,10 +1300,28 @@ fn telemetry_jsonl_round_trips_any_event() {
 
 /// The hand-rolled JSON writer and parser round-trip arbitrary strings:
 /// quotes, backslashes, control characters, multi-byte unicode, and long
-/// runs all survive `escape_into` → `Json::parse` unchanged.
+/// runs all survive `escape_into` → `Json::parse` unchanged — and the
+/// writer, which copies unescaped runs whole, emits exactly the bytes of
+/// escaping one char at a time.
 #[test]
 fn telemetry_json_string_escaping_round_trips() {
     use pqos_telemetry::json::{Json, ObjWriter};
+
+    fn escape_by_char(s: &str) -> String {
+        let mut out = String::new();
+        for ch in s.chars() {
+            match ch {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
 
     const PALETTE: &[char] = &[
         'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\r', '\u{0}', '\u{1}', '\u{1f}', '\u{7f}',
@@ -1321,6 +1339,11 @@ fn telemetry_json_string_escaping_round_trips() {
         let mut w = ObjWriter::new();
         w.str("s", &s).u64("tail", 7);
         let text = w.finish();
+        assert_eq!(
+            text,
+            format!("{{\"s\":\"{}\",\"tail\":7}}", escape_by_char(&s)),
+            "case {case}: run-copying and char-by-char escaping differ"
+        );
         let v = Json::parse(&text)
             .unwrap_or_else(|| panic!("case {case}: emitted invalid JSON: {text}"));
         assert_eq!(
