@@ -1,7 +1,6 @@
-//! `pqos-doctor` and `pqos-replay`-style tools read files other programs
-//! wrote. A journal holding one line of 100,000 `[` used to recurse the
-//! JSON parser off the stack and abort the process; it is one unparseable
-//! line, reported like any other.
+//! `pqos-doctor` reads files other programs wrote. A journal holding one
+//! line of 100,000 `[` used to recurse the JSON parser off the stack and
+//! abort the process; it is one unparseable line, reported like any other.
 
 use std::process::Command;
 

@@ -30,7 +30,8 @@ use std::sync::{Arc, Mutex};
 struct RecState {
     out: Box<dyn Write + Send>,
     /// The entry being recorded and its encoded line: both kept between
-    /// calls, so recording allocates nothing once they have grown.
+    /// calls, so recording allocates nothing once they have grown. The
+    /// entry's `seq` is the last sequence number handed out.
     entry: TraceEntry,
     line: String,
     entries: u64,
@@ -63,16 +64,7 @@ impl TraceRecorder {
         Ok(TraceRecorder {
             inner: Some(Arc::new(Mutex::new(RecState {
                 out: Box::new(out),
-                entry: TraceEntry {
-                    seq: 0,
-                    epoch: 0,
-                    tick_secs: 0,
-                    conn: 0,
-                    verb: String::new(),
-                    job: None,
-                    request: String::new(),
-                    response: String::new(),
-                },
+                entry: TraceEntry::default(),
                 line: String::new(),
                 entries: 0,
                 write_errors: 0,

@@ -60,11 +60,7 @@ impl Json {
     /// error, trailing garbage, or arrays and objects nested more than 32
     /// deep.
     pub fn parse(src: &str) -> Option<Json> {
-        let mut lexer = Lexer {
-            src,
-            pos: 0,
-            depth: 0,
-        };
+        let mut lexer = Lexer::new(src);
         let value = lexer.tree()?;
         lexer.at_end().then_some(value)
     }
@@ -193,23 +189,13 @@ impl<'a> Token<'a> {
         }
     }
 
-    /// Whether the value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Token::Null)
-    }
-
     /// Calls `each` with every element of an array, in order, and returns
     /// `Some(())`; `None` (and no call) if the value is not an array.
     pub fn items(&self, mut each: impl FnMut(Token<'a>)) -> Option<()> {
         let Token::Arr(src) = *self else {
             return None;
         };
-        let mut lexer = Lexer {
-            src,
-            pos: 0,
-            depth: 0,
-        };
-        lexer.members(b']', |l| l.token().map(&mut each))
+        Lexer::new(src).members(b']', |l| l.token().map(&mut each))
     }
 }
 
@@ -218,8 +204,7 @@ impl<'a> Token<'a> {
 /// the first occurrence wins where it repeats). The outer `None` means the
 /// line is not a JSON document — any syntax error anywhere, trailing
 /// garbage, or nesting deeper than 32 — exactly when [`Json::parse`] says
-/// so. A document that is not an object is valid and
-/// has no keys.
+/// so. A document that is not an object is valid and has no keys.
 ///
 /// Keys are matched in order, so list the ones hot lines carry first.
 ///
@@ -239,11 +224,7 @@ impl<'a> Token<'a> {
 /// ```
 pub fn pull<'a, const N: usize>(src: &'a str, keys: &[&str; N]) -> Option<[Option<Token<'a>>; N]> {
     let mut found = [const { None }; N];
-    let mut lexer = Lexer {
-        src,
-        pos: 0,
-        depth: 0,
-    };
+    let mut lexer = Lexer::new(src);
     lexer.ws();
     if lexer.peek() == Some(b'{') {
         lexer.members(b'}', |l| {
@@ -297,6 +278,14 @@ struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
+    fn new(src: &'a str) -> Self {
+        Lexer {
+            src,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
@@ -1186,7 +1175,7 @@ mod tests {
                                 assert_eq!(token.as_f64(), tree.as_f64());
                                 assert_eq!(token.as_str(), tree.as_str());
                                 assert_eq!(token.as_bool(), tree.as_bool());
-                                assert_eq!(token.is_null(), tree.is_null());
+                                assert_eq!(token == Token::Null, tree.is_null());
                             }
                             (tree, token) => panic!("{key} of {doc:?}: {tree:?} vs {token:?}"),
                         }
@@ -1220,7 +1209,7 @@ mod tests {
         );
         assert_eq!(o, Some(Token::Obj));
         assert_eq!(o.unwrap().items(|_| panic!("not an array")), None);
-        assert!(z.unwrap().is_null());
+        assert_eq!(z, Some(Token::Null));
         assert!(missing.is_none());
         // A document that is not an object is valid and has no keys.
         assert_eq!(pull("[1,2]", &["a"]), Some([None]));

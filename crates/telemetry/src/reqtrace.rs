@@ -104,7 +104,7 @@ impl TraceMeta {
 
 /// One answered request: where in the engine's tick sequence it ran, who
 /// sent it, and the exact request/response lines that crossed the wire.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceEntry {
     /// Recorder-assigned sequence number, strictly increasing. Not
     /// necessarily contiguous: shrunk traces keep original numbers.
