@@ -248,7 +248,7 @@ impl Request {
     }
 
     /// Appends the request's line (no trailing newline) to `out`.
-    pub fn encode_into(&self, out: &mut String) {
+    pub(crate) fn encode_into(&self, out: &mut String) {
         let mut w = ObjWriter::append_to(std::mem::take(out));
         match self {
             Request::Negotiate {
@@ -435,7 +435,7 @@ impl Response {
     }
 
     /// Appends the response's line (no trailing newline) to `out`.
-    pub fn encode_into(&self, out: &mut String) {
+    pub(crate) fn encode_into(&self, out: &mut String) {
         let mut w = ObjWriter::append_to(std::mem::take(out));
         match self {
             Response::Quote {
