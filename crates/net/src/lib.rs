@@ -14,15 +14,19 @@
 //! ```
 //!
 //! The loop runs in passes: sleep, read what is ready, run the callback
-//! over what arrived, then write. [`Ctx::send`] only queues; once the
-//! pass's callbacks have run, every connection they queued bytes on gets
-//! one `write` — however many replies it was sent — and only then do the
+//! over what arrived (every `Line`, then one `Batch`), then write.
+//! [`Ctx::send`] only queues; once the pass's callbacks have run, every
+//! connection they queued bytes on gets one `write` — however many
+//! replies it was sent — and only then do the
 //! [`NetEvent::Flushed`] notifications go out. Likewise any number of
 //! [`Waker::wake`] calls between two sleeps cost one wake-up.
 //!
 //! Events delivered to the callback:
 //! - [`NetEvent::Opened`] — a connection was accepted.
 //! - [`NetEvent::Line`] — one complete line, without the trailing `\n`.
+//! - [`NetEvent::Batch`] — once per pass that delivered a line, after
+//!   the last of them: a callback that queues work on `Line` does it
+//!   here, and what it sends leaves in the same pass's write.
 //! - [`NetEvent::Flushed`] — write progress: the total number of bytes
 //!   flushed to the socket so far (pairs with the watermark returned by
 //!   [`Ctx::send`] for at-the-wire accounting).
@@ -93,6 +97,10 @@ impl Default for NetConfig {
 pub enum NetEvent<'a> {
     Opened(Token),
     Line(Token, &'a [u8]),
+    /// The pass's last `Line` has been delivered: what the lines asked
+    /// for can be worked off now and its replies still leave in this
+    /// pass's write.
+    Batch,
     /// Total bytes flushed to this connection's socket so far.
     Flushed(Token, u64),
     Closed(Token),
@@ -394,12 +402,19 @@ impl EventLoop {
             if woke {
                 cb(NetEvent::Wake, &mut ctx);
             }
+            let mut lines = false;
             for ev in events.drain(..) {
                 match ev {
                     Ev::Opened(token) => cb(NetEvent::Opened(token), &mut ctx),
-                    Ev::Line(token, line) => cb(NetEvent::Line(token, &line), &mut ctx),
+                    Ev::Line(token, line) => {
+                        lines = true;
+                        cb(NetEvent::Line(token, &line), &mut ctx);
+                    }
                     Ev::Closed(token) => cb(NetEvent::Closed(token), &mut ctx),
                 }
+            }
+            if lines {
+                cb(NetEvent::Batch, &mut ctx);
             }
             let now = Instant::now();
             if now >= next_tick {
@@ -796,6 +811,99 @@ mod tests {
                 let cost = costs.recv_timeout(Duration::from_secs(5)).unwrap();
                 assert_eq!(cost, 1, "{REPLIES} replies in one pass");
             }
+            client.write_all(b"quit\n").unwrap();
+            handle.join().unwrap().unwrap();
+        }
+    }
+
+    /// `Batch` closes a pass that delivered lines — once, after the last
+    /// of them — and no other pass: a wake, a tick or an accept alone get
+    /// none.
+    #[test]
+    fn a_pass_of_lines_ends_in_exactly_one_batch() {
+        for driver in DRIVERS {
+            let cfg = NetConfig {
+                tick: Duration::from_millis(5),
+                ..NetConfig::default()
+            };
+            let (ev, addr) = bind(driver, cfg);
+            let waker = ev.waker();
+            let (note_tx, notes) = mpsc::channel();
+            let handle = thread::spawn(move || {
+                ev.run(move |event, ctx| {
+                    let note = match event {
+                        NetEvent::Line(_, b"quit") => return ctx.shutdown(),
+                        NetEvent::Line(_, line) => String::from_utf8_lossy(line).into_owned(),
+                        NetEvent::Batch => "batch".into(),
+                        NetEvent::Opened(_) => "opened".into(),
+                        NetEvent::Wake => "wake".into(),
+                        NetEvent::Tick => "tick".into(),
+                        NetEvent::Flushed(..) | NetEvent::Closed(_) => return,
+                    };
+                    let _ = note_tx.send(note);
+                })
+            });
+            // Reads notes up to and including `until`; none may be a batch.
+            let no_batch_until = |until: &str| loop {
+                let note = notes.recv_timeout(Duration::from_secs(5)).unwrap();
+                assert_ne!(note, "batch", "a pass without lines delivered a batch");
+                if note == until {
+                    break;
+                }
+            };
+            waker.wake();
+            no_batch_until("wake");
+            no_batch_until("tick");
+            no_batch_until("tick");
+            let mut client = TcpStream::connect(addr).unwrap();
+            no_batch_until("opened");
+            // A batch owed by the accept's pass would precede its tick.
+            no_batch_until("tick");
+            client.write_all(b"l1\nl2\nl3\nl4\nl5\n").unwrap();
+            let pass: Vec<String> = notes.iter().filter(|note| note != "tick").take(6).collect();
+            assert_eq!(pass, ["l1", "l2", "l3", "l4", "l5", "batch"]);
+            no_batch_until("tick");
+            no_batch_until("tick");
+            client.write_all(b"quit\n").unwrap();
+            handle.join().unwrap().unwrap();
+        }
+    }
+
+    /// Work queued on `Line` and answered from `Batch` still leaves in
+    /// the pass's one `write`.
+    #[test]
+    fn replies_sent_from_the_batch_cost_the_pass_one_write() {
+        for driver in DRIVERS {
+            let (ev, addr) = bind(driver, NetConfig::default());
+            let (cost_tx, costs) = mpsc::channel();
+            let handle = thread::spawn(move || {
+                let mut queued: Vec<(Token, Vec<u8>)> = Vec::new();
+                let mut before = 0;
+                ev.run(move |event, ctx| match event {
+                    NetEvent::Line(_, b"quit") => ctx.shutdown(),
+                    NetEvent::Line(token, line) => queued.push((token, line.to_vec())),
+                    NetEvent::Batch => {
+                        before = SOCKET_WRITES.get();
+                        for (token, mut reply) in queued.drain(..) {
+                            reply.extend_from_slice(b"-done\n");
+                            ctx.send(token, &reply);
+                        }
+                        assert_eq!(SOCKET_WRITES.get(), before, "send wrote eagerly");
+                    }
+                    NetEvent::Flushed(..) => {
+                        cost_tx.send(SOCKET_WRITES.get() - before).unwrap();
+                    }
+                    _ => {}
+                })
+            });
+            let mut client = TcpStream::connect(addr).unwrap();
+            let mut reader = BufReader::new(client.try_clone().unwrap());
+            client.write_all(b"a\nb\nc\nd\ne\n").unwrap();
+            for line in ["a", "b", "c", "d", "e"] {
+                assert_eq!(read_line(&mut reader), format!("{line}-done\n"));
+            }
+            let cost = costs.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(cost, 1, "five replies from one batch");
             client.write_all(b"quit\n").unwrap();
             handle.join().unwrap().unwrap();
         }
