@@ -8,7 +8,9 @@
 //! decomposed server-side instead of observed only from the client, and
 //! the whole trace is retained by the [`FlightRecorder`]: a fixed-size
 //! ring of the last N completed requests plus everything currently in
-//! flight.
+//! flight. Each verb's histograms and counter are resolved once, on its
+//! first finished request, and kept in the recorder: finishing a trace
+//! on the daemon's loop thread builds no metric name.
 //!
 //! The recorder dumps on demand (the `dump` protocol verb, or
 //! `--flight-dump` at graceful shutdown) in Chrome `trace_event` format —
@@ -20,7 +22,7 @@
 //! branch and zero clock reads when tracing is off (`--no-flight`).
 
 use pqos_telemetry::json::ObjWriter;
-use pqos_telemetry::{labeled, Telemetry};
+use pqos_telemetry::{labeled, Counter, Histogram, Telemetry};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,8 +30,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Stage names in processing order. `parse` ends when the request line is
-/// decoded, `queue` when the engine dequeues it, `batch` when the
-/// coalesced quote batch starts computing (negotiate only), `compute`
+/// decoded, `queue` when the tick that answers it starts, `batch` when
+/// the coalesced quote batch starts computing (negotiate only), `compute`
 /// when the response exists, `write` when it reached the socket.
 pub const STAGES: [&str; 5] = ["parse", "queue", "batch", "compute", "write"];
 
@@ -51,6 +53,12 @@ struct TraceRecord {
 struct State {
     inflight: HashMap<u64, TraceRecord>,
     completed: VecDeque<TraceRecord>,
+    /// `rpc.stage_ns` by `(stage, verb)` and `rpc.request_ns` plus
+    /// `rpc.requests_total` by verb, each resolved the first time a trace
+    /// finishes with it — so the registry holds exactly the families it
+    /// would if every name were resolved per request.
+    stage_ns: HashMap<(&'static str, &'static str), Histogram>,
+    requests: HashMap<&'static str, (Histogram, Counter)>,
 }
 
 struct Inner {
@@ -89,6 +97,8 @@ impl FlightRecorder {
                 state: Mutex::new(State {
                     inflight: HashMap::new(),
                     completed: VecDeque::new(),
+                    stage_ns: HashMap::new(),
+                    requests: HashMap::new(),
                 }),
                 telemetry,
             })),
@@ -146,29 +156,34 @@ impl FlightRecorder {
 
     fn finish(&self, ctx: &mut TraceCtx) {
         let Some(inner) = &self.inner else { return };
+        let (telemetry, verb) = (&inner.telemetry, ctx.verb);
+        let mut state = inner.state.lock().expect("flight lock");
         let mut total = Duration::ZERO;
         let mut prev = ctx.begin;
-        for (stage, at) in &ctx.marks {
+        for &(stage, at) in &ctx.marks {
             let dur = at.saturating_duration_since(prev);
-            prev = *at;
+            prev = at;
             total += dur;
-            inner
-                .telemetry
-                .histogram(&labeled(
-                    "rpc.stage_ns",
-                    &[("stage", stage), ("verb", ctx.verb)],
-                ))
+            state
+                .stage_ns
+                .entry((stage, verb))
+                .or_insert_with(|| {
+                    telemetry.histogram(&labeled(
+                        "rpc.stage_ns",
+                        &[("stage", stage), ("verb", verb)],
+                    ))
+                })
                 .observe(dur.as_nanos() as f64);
         }
-        inner
-            .telemetry
-            .histogram(&labeled("rpc.request_ns", &[("verb", ctx.verb)]))
-            .observe(total.as_nanos() as f64);
-        inner
-            .telemetry
-            .counter(&labeled("rpc.requests_total", &[("verb", ctx.verb)]))
-            .inc();
-        let mut state = inner.state.lock().expect("flight lock");
+        let (request_ns, requests) = state.requests.entry(verb).or_insert_with(|| {
+            let labels = [("verb", verb)];
+            (
+                telemetry.histogram(&labeled("rpc.request_ns", &labels)),
+                telemetry.counter(&labeled("rpc.requests_total", &labels)),
+            )
+        });
+        request_ns.observe(total.as_nanos() as f64);
+        requests.inc();
         let Some(mut record) = state.inflight.remove(&ctx.seq) else {
             return;
         };
