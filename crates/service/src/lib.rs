@@ -12,14 +12,18 @@
 //! request pressure?" Three design rules make that tractable without any
 //! async runtime:
 //!
-//! 1. **Single-writer state.** One engine thread owns the
+//! 1. **Single-writer state.** One thread owns the
 //!    [`NegotiationSession`](pqos_core::session::NegotiationSession)s —
-//!    reservation book, predictor, virtual clock, journal. The net event
-//!    loop never touches that state; it exchanges messages with the
-//!    engine over a bounded channel, so overload is an explicit
-//!    `overloaded` response instead of a lock convoy.
-//! 2. **Batched quoting.** The engine drains its queue and coalesces all
-//!    pending `negotiate` verbs into one
+//!    reservation book, predictor, virtual clock, journal. In the daemon
+//!    it is the net event loop's own thread: the requests one loop pass
+//!    reads are ticked through the [`engine`] at the end of that pass and
+//!    answered in its write, with no hand-off to another thread. A pass
+//!    hands the engine at most `queue_depth` requests, so overload is an
+//!    explicit `overloaded` response instead of a lock convoy or an
+//!    unbounded queue. (In-process callers drive the same engine body on
+//!    a thread of its own, through a bounded channel.)
+//! 2. **Batched quoting.** The engine coalesces all of a tick's
+//!    `negotiate` verbs into one
 //!    [`negotiate_batch`](pqos_core::negotiate::negotiate_batch) call
 //!    fanned out across threads against a single book snapshot. Quoting is
 //!    read-only, so batched quotes are *identical* to serial ones — a
@@ -62,7 +66,7 @@ pub mod shard;
 pub mod sweep;
 pub mod tick;
 
-pub use engine::{EngineConfig, EngineHandle};
+pub use engine::{EngineConfig, EngineHandle, EngineMonitor};
 pub use flight::{FlightRecorder, TraceCtx};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use protocol::{ErrorCode, Request, Response};

@@ -20,7 +20,7 @@
 //! would otherwise update per tick (queue depth, overload total,
 //! process uptime), so an idle daemon still reports live values.
 
-use crate::engine::EngineHandle;
+use crate::engine::EngineMonitor;
 use pqos_telemetry::{expo, Telemetry, WindowStore};
 use std::io::{Read, Write};
 use std::net::TcpListener;
@@ -39,7 +39,7 @@ const CLIENT_TIMEOUT: Duration = Duration::from_millis(500);
 pub fn spawn(
     listener: TcpListener,
     telemetry: Telemetry,
-    engine: EngineHandle,
+    engine: EngineMonitor,
     history: Option<Arc<WindowStore>>,
 ) -> thread::JoinHandle<()> {
     thread::Builder::new()
@@ -51,7 +51,7 @@ pub fn spawn(
 fn serve_metrics(
     listener: TcpListener,
     telemetry: Telemetry,
-    engine: EngineHandle,
+    engine: EngineMonitor,
     history: Option<Arc<WindowStore>>,
 ) {
     if listener.set_nonblocking(true).is_err() {
@@ -84,7 +84,7 @@ fn serve_metrics(
 fn handle_client(
     mut stream: std::net::TcpStream,
     telemetry: &Telemetry,
-    engine: &EngineHandle,
+    engine: &EngineMonitor,
     history: Option<&WindowStore>,
 ) {
     let mut buf = [0u8; 1024];
