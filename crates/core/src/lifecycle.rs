@@ -423,6 +423,13 @@ impl<C> Lifecycle<C> {
         self.live
     }
 
+    /// Whether the job table has an entry for `id`: a held quote, or a
+    /// job accepted, running, finished or cancelled. Rejected ids and
+    /// expired quotes leave none.
+    pub fn holds(&self, id: JobId) -> bool {
+        self.jobs.contains_key(&id)
+    }
+
     /// Negotiates `requests` against `view` as of the current virtual
     /// time, fanning out across `threads` OS threads. Read-only: nothing
     /// is journaled, no quote is held and no counter moves until the

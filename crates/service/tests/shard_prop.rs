@@ -1,11 +1,14 @@
 //! Property tests for the sharded admission core.
 //!
-//! Two invariants keep sharding honest:
+//! Three invariants keep sharding honest:
 //!
-//! 1. `ShardedCore::single` is pure delegation — a randomized op stream
-//!    through it and through a raw [`NegotiationSession`] must produce
-//!    identical decisions AND a byte-identical telemetry journal. If
-//!    this drifts, every pre-sharding trace silently stops replaying.
+//! 1. A one-shard core runs the same router as an N-shard one, and the
+//!    router must be invisible there: a randomized op stream — sizes
+//!    wider than the cluster included, which a core with no coordinator
+//!    must reject as a session does — through `ShardedCore::single` and
+//!    through a raw [`NegotiationSession`] must produce identical
+//!    decisions AND a byte-identical telemetry journal. If this drifts,
+//!    every one-shard trace silently stops replaying.
 //! 2. An N-way core is deterministic per seed — two independently
 //!    constructed cores fed the same stream must emit byte-identical
 //!    merged journals, and that journal must satisfy the doctor's
@@ -121,7 +124,21 @@ fn merged_journal(core: &mut ShardedCore<NullPredictor>, bufs: &[SharedBuf]) -> 
 #[test]
 fn single_shard_core_is_byte_identical_to_a_raw_session() {
     for seed in [1u64, 42, 0xFEED, 0xD5_2005] {
-        let stream = op_stream(seed, 8, 120);
+        // Sizes up to 20 on 16 nodes: some fit no lane.
+        let stream = op_stream(seed, 20, 120);
+        let oversized = stream
+            .iter()
+            .filter_map(|op| match op {
+                SessionOp::QuoteBatch(batch) => Some(batch),
+                _ => None,
+            })
+            .flatten()
+            .filter(|(_, req)| req.size > 16)
+            .count();
+        assert!(
+            oversized > 0,
+            "seed {seed}: no request wider than the cluster"
+        );
 
         let (raw_session, raw_buf) = journaled_session(16, 0);
         let mut raw_session = raw_session;
