@@ -23,7 +23,7 @@ use pqos_workload::synthetic::LogModel;
 use std::sync::Arc;
 
 /// Sweep sizing: the full paper scale (10,000 jobs) or a reduced scale for
-/// quick regeneration (e.g. from `cargo bench`).
+/// quick regeneration (`experiments --jobs N`).
 #[derive(Debug, Clone, Copy)]
 pub struct SweepOptions {
     /// Jobs per workload (paper: 10,000).
