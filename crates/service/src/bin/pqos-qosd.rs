@@ -261,7 +261,7 @@ fn main() -> ExitCode {
         slo_window_secs,
         ..TraceMeta::qosd(cluster_size)
     };
-    // One journal file per plane: PATH itself for a single plane, else
+    // One journal file per plane: PATH itself for one shard, else
     // PATH.shardK and PATH.wide, merged into PATH on drain. Telemetry is
     // always enabled — the /metrics endpoint and the stage histograms
     // need a live registry even when no journal is written; without a

@@ -319,7 +319,7 @@ fn render_frame(
 }
 
 /// Per-shard panel, present only against multi-shard daemons — a
-/// single-plane core exports no `shard="k"` label families, and the
+/// one-shard core exports no `shard="k"` label families, and the
 /// panel collapses to nothing. The `wide` lane is the cross-shard
 /// coordinator: it routes wide jobs but owns no nodes of its own.
 fn render_shards(samples: &[Sample]) -> String {

@@ -40,7 +40,7 @@ pub type BoxedPredictor = Box<dyn Predictor + Send + Sync>;
 
 /// Seed of every synthetic failure trace a built core predicts from:
 /// shard `k` draws from `PREDICTOR_SEED ^ k` over its own span, the
-/// single plane and the wide-job coordinator from the seed itself over
+/// one-shard core and the wide-job coordinator from the seed itself over
 /// the full cluster.
 const PREDICTOR_SEED: u64 = 0xD5_2005;
 
@@ -277,9 +277,9 @@ fn cancel_response(id: u64, outcome: Result<(), CancelError>) -> Response {
 /// The caller supplies only what differs between a daemon, a replay and
 /// a benchmark: whether sessions re-check batched quotes
 /// (`verify_parity`), the metrics `registry` a sharded core publishes
-/// into (a single plane publishes into its own journal handle), and
+/// into (a one-shard core publishes into its own journal handle), and
 /// `journal`, which finishes each plane's telemetry. `journal` is called
-/// once per plane in merge order — `""` for the single plane, else
+/// once per plane in merge order — `""` for one shard, else
 /// `".shard0"`..`".shardN-1"` then `".wide"` — with a builder that
 /// already carries the SLO sink.
 ///
@@ -527,7 +527,7 @@ mod tests {
 
     /// The alert fires on the tick whose `advance_to` closes the window,
     /// and lands on the plane `alert_telemetry()` names: the only journal
-    /// of a single plane, the coordinator's (merged last) when sharded.
+    /// of one shard, the coordinator's (merged last) when sharded.
     #[test]
     fn an_slo_rule_fires_on_the_tick_that_closes_its_window() {
         for shards in [1, 4] {
@@ -561,7 +561,7 @@ mod tests {
     /// promise: the planned execution time saturates, and a reservation
     /// that long either fits before the end of time — only from t=0 — and
     /// is quoted at its full saturated length, or is answered `rejected`;
-    /// on one plane, on a shard, and for a wide job through the merged
+    /// on one shard, on one of two, and for a wide job through the merged
     /// view. Once accepted it holds its nodes for good and the daemon goes
     /// on serving around it.
     #[test]
