@@ -13,38 +13,47 @@
 //!
 //! # Data structure
 //!
-//! [`ReservationBook`] keeps the availability profile as **one flat
-//! timeline**, edited in place: a piecewise-constant sequence of rows, one
-//! per distinct reservation endpoint, in parallel arrays sorted by time.
-//! Row `i` covers `[times[i], times[i + 1])` (the last row runs to
-//! infinity) and holds
+//! [`ReservationBook`] keeps the availability profile as **one timeline,
+//! stored in chunks and edited in place**: a piecewise-constant sequence of
+//! rows, one per distinct reservation endpoint, sorted by time. Row `i`
+//! covers `[times[i], times[i + 1])` (the last row runs to infinity) and
+//! holds
 //!
-//! * `busy` — `W = ⌈cluster/64⌉` words of one contiguous arena: the union
-//!   of all partitions committed over the row;
+//! * `busy` — `W = ⌈cluster/64⌉` words: the union of all partitions
+//!   committed over the row;
 //! * `starts` — the same shape: the nodes of reservations starting exactly
 //!   at `times[i]` (point-instant queries need them);
 //! * `bounds` — how many live reservation endpoints sit at `times[i]` (the
 //!   row is merged away when the last one is released);
 //! * `free` — `cluster − popcount(busy)`.
 //!
-//! Over the rows sits the **skip index**: the maximum and minimum of `free`
-//! per block of 64 consecutive rows. A probe for `k` nodes hops over whole
-//! blocks that cannot start a slot (`max < k`) and finds the last row that
-//! sinks a candidate window without scanning it (`min ≥ k` blocks hold no
-//! such row). The index only ever discards candidates that provably cannot
-//! fit, so it never changes an answer.
+//! The rows live in **chunks** of at most 256 consecutive rows, each the
+//! parallel arrays of its own rows (`busy` and `starts` one contiguous
+//! arena apiece) plus the **skip index**'s summary of them: the maximum and
+//! minimum of `free`. A probe for `k` nodes hops over whole chunks that
+//! cannot start a slot (`max < k`) and finds the last row that sinks a
+//! candidate window without scanning it (`min ≥ k` chunks hold no such
+//! row). The index only ever discards candidates that provably cannot
+//! fit, so it never changes an answer. Reads locate a row chunk first,
+//! then row within the chunk; a walk carries a cursor per kind of read, so
+//! moving a few rows costs a comparison, and over a book of one chunk it
+//! reads the arrays directly.
 //!
 //! Every accepted promise is one small, local edit of that profile: a
-//! binary search, at most two row inserts (or deletes), a word-parallel
-//! OR (or AND-NOT) over the rows the interval overlaps, and the summaries
-//! of the blocks touched. Nothing is derived lazily, so a probe has no
-//! set-up beyond its own binary search. With `S` rows, `K` of them
-//! overlapped by the interval:
+//! binary search, at most two row inserts (or deletes) that shift the rows
+//! behind them *within their chunk*, a word-parallel OR (or AND-NOT) over
+//! the rows the interval overlaps, and the summaries of the chunks
+//! touched. A chunk that outgrows 256 rows splits in half, and one that
+//! falls under 64 merges into a neighbour — the only way a chunk goes; a
+//! book's one chunk stays when the book empties, so it refills without
+//! allocating. Nothing is derived lazily, so a probe has no set-up beyond
+//! its own binary search.
+//! With `S` rows, `K` of them overlapped by the interval:
 //!
 //! * `add`/`remove`/`truncate` — `O(log S + K·W)` plus, when an endpoint
-//!   is new (or dies), shifting the rows after it: `O(rows-after · W)`.
-//!   Appending at the tail is cheap; an edit at the very front of a deep
-//!   book moves every row;
+//!   is new (or dies), shifting the rows behind it in its chunk and the
+//!   chunk offsets after it: `O(256·W + S/256)`, wherever in the book the
+//!   edit lands;
 //! * `free_nodes_during` — `O(log S + K·W)`;
 //! * `change_points` — `O(log S + output)`; `occupied_at` — `O(log S)`;
 //! * `visit_slots` — one sliding-window walk from `from` that hands each
@@ -203,10 +212,13 @@ pub trait AvailabilityView {
 /// and free nodes; the answer says whether the walk goes on.
 pub type SlotVisitor<'a> = dyn FnMut(SimTime, &[NodeId]) -> ControlFlow<()> + 'a;
 
-/// Rows per block of the skip index.
-const BLOCK: usize = 64;
+/// Rows a chunk of the timeline is split down to: a chunk holds at most
+/// `2 · BLOCK` rows, and one that falls under `BLOCK / 2` merges into a
+/// neighbour. At 128 a row insert shifts at most 12 KiB at `W = 2`, and
+/// the simulator's books (a few hundred rows) stay one chunk.
+const BLOCK: usize = 128;
 
-/// The skip index's summary of one block of [`BLOCK`] consecutive rows.
+/// The skip index's summary of one chunk's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BlockSummary {
     max_free: u32,
@@ -215,16 +227,148 @@ struct BlockSummary {
 
 impl BlockSummary {
     fn of(free: &[u32]) -> BlockSummary {
-        BlockSummary {
-            max_free: free.iter().copied().max().unwrap_or(0),
-            min_free: free.iter().copied().min().unwrap_or(0),
+        let (max_free, min_free) = free
+            .iter()
+            .fold((0, u32::MAX), |(max, min), &f| (max.max(f), min.min(f)));
+        BlockSummary { max_free, min_free }
+    }
+}
+
+impl Default for BlockSummary {
+    /// The summary of no rows, which any row's free count widens.
+    fn default() -> BlockSummary {
+        BlockSummary::of(&[])
+    }
+}
+
+/// A run of consecutive timeline rows — the book's parallel arrays over
+/// those rows alone (`busy` and `starts` are `W` words a row) — and the
+/// skip index's summary of them.
+#[derive(Debug, Clone, Default)]
+struct Chunk {
+    times: Vec<SimTime>,
+    busy: Vec<u64>,
+    starts: Vec<u64>,
+    bounds: Vec<u32>,
+    free: Vec<u32>,
+    summary: BlockSummary,
+}
+
+impl Chunk {
+    #[inline]
+    fn len(&self) -> usize {
+        self.times.len()
+    }
+
+    fn summarize(&mut self) {
+        self.summary = BlockSummary::of(&self.free);
+    }
+
+    /// The part of `rows` in this chunk, whose first row is row `base`, as
+    /// offsets into it.
+    #[inline]
+    fn share(&self, base: usize, rows: &Range<usize>) -> Range<usize> {
+        rows.start.max(base) - base..rows.end.min(base + self.len()) - base
+    }
+
+    /// Lowers (`busy`) or raises the free counts of rows `share` by
+    /// `nodes`, keeping the summary: the bound the counts move towards
+    /// follows the share's, and the other is recomputed only if the share
+    /// held it.
+    fn shift_free(&mut self, share: Range<usize>, nodes: u32, busy: bool) {
+        let free = &mut self.free[share];
+        let was = BlockSummary::of(free);
+        let summary = &mut self.summary;
+        let lost = if busy {
+            free.iter_mut().for_each(|f| *f -= nodes);
+            summary.min_free = summary.min_free.min(was.min_free - nodes);
+            was.max_free == summary.max_free
+        } else {
+            free.iter_mut().for_each(|f| *f += nodes);
+            summary.max_free = summary.max_free.max(was.max_free + nodes);
+            was.min_free == summary.min_free
+        };
+        if lost {
+            self.summarize();
         }
+    }
+
+    /// Moves rows `at..` into a chunk of their own; both come out
+    /// summarized and without spare capacity, so a book grown by appends
+    /// holds about the bytes its rows take.
+    fn split_off(&mut self, at: usize, wps: usize) -> Chunk {
+        let mut tail = Chunk {
+            times: self.times.split_off(at),
+            busy: self.busy.split_off(at * wps),
+            starts: self.starts.split_off(at * wps),
+            bounds: self.bounds.split_off(at),
+            free: self.free.split_off(at),
+            summary: BlockSummary::default(),
+        };
+        self.times.shrink_to_fit();
+        self.busy.shrink_to_fit();
+        self.starts.shrink_to_fit();
+        self.bounds.shrink_to_fit();
+        self.free.shrink_to_fit();
+        self.summarize();
+        tail.summarize();
+        tail
+    }
+
+    /// Appends `next`'s rows.
+    fn append(&mut self, mut next: Chunk) {
+        self.summary.max_free = self.summary.max_free.max(next.summary.max_free);
+        self.summary.min_free = self.summary.min_free.min(next.summary.min_free);
+        self.times.append(&mut next.times);
+        self.busy.append(&mut next.busy);
+        self.starts.append(&mut next.starts);
+        self.bounds.append(&mut next.bounds);
+        self.free.append(&mut next.free);
+    }
+}
+
+/// A read position on the timeline: chunk `c`, whose first row is row
+/// `base` of the whole. A read a few rows from the last — every walk's —
+/// costs one comparison while it stays in the cursor's chunk and a step
+/// to a neighbour when it leaves; only a long jump searches.
+#[derive(Clone, Copy)]
+struct Cursor<'a> {
+    chunk: &'a Chunk,
+    c: usize,
+    base: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Whether row `i` is in the cursor's chunk.
+    #[inline]
+    fn holds(&self, i: usize) -> bool {
+        i.wrapping_sub(self.base) < self.chunk.len()
+    }
+
+    /// Row `i`'s time; the row must be in the cursor's chunk.
+    #[inline]
+    fn time(&self, i: usize) -> SimTime {
+        self.chunk.times[i - self.base]
+    }
+
+    /// Row `i`'s free count; the row must be in the cursor's chunk.
+    #[inline]
+    fn free(&self, i: usize) -> u32 {
+        self.chunk.free[i - self.base]
+    }
+
+    /// Row `i`'s busy mask, `wps` words; the row must be in the cursor's
+    /// chunk.
+    #[inline]
+    fn busy(&self, i: usize, wps: usize) -> &'a [u64] {
+        let o = i - self.base;
+        &self.chunk.busy[o * wps..(o + 1) * wps]
     }
 }
 
 /// The availability profile: every commitment made and not yet released,
-/// kept as one flat timeline of busy-node rows that mutations patch in
-/// place.
+/// kept as a timeline of busy-node rows, stored in chunks, that mutations
+/// patch in place.
 ///
 /// # Examples
 ///
@@ -252,22 +396,23 @@ pub struct ReservationBook {
     wps: usize,
     reservations: BTreeMap<ReservationId, Reservation>,
     next_id: u64,
-    /// Invariant: `times` is strictly ascending and holds exactly the
-    /// distinct start/end instants of live reservations; row `i` of `busy`
-    /// is the union of the partitions of every reservation whose interval
-    /// covers `[times[i], times[i + 1])`, row `i` of `starts` the union of
-    /// those starting at `times[i]`, `bounds[i]` the number of live
-    /// endpoints there and `free[i]` the row's zero bits. The profile is
-    /// implicitly all-free before the first row, and the last row's mask
-    /// is always empty (every reservation has ended by then). Padding bits
-    /// beyond `cluster_size` are never set.
-    times: Vec<SimTime>,
-    busy: Vec<u64>,
-    starts: Vec<u64>,
-    bounds: Vec<u32>,
-    free: Vec<u32>,
-    /// Invariant: `blocks[b]` summarizes `free[b·BLOCK .. (b+1)·BLOCK]`.
-    blocks: Vec<BlockSummary>,
+    /// Invariant: the chunks' rows, in order, are the timeline, and row
+    /// `i` counts across them. `times` is strictly ascending and holds
+    /// exactly the distinct start/end instants of live reservations; row
+    /// `i` of `busy` is the union of the partitions of every reservation
+    /// whose interval covers `[times[i], times[i + 1])`, row `i` of
+    /// `starts` the union of those starting at `times[i]`, `bounds[i]` the
+    /// number of live endpoints there and `free[i]` the row's zero bits.
+    /// The profile is implicitly all-free before the first row, and the
+    /// last row's mask is always empty (every reservation has ended by
+    /// then). Padding bits beyond `cluster_size` are never set. A book of
+    /// several chunks holds `BLOCK/2 ..= 2·BLOCK` rows in each; a book of
+    /// one holds up to `2·BLOCK`, none when the book is empty. Every chunk
+    /// carries the summary of its own `free`.
+    chunks: Vec<Chunk>,
+    /// Invariant: `first[c]` is the index of chunk `c`'s first row, and
+    /// `first[chunks.len()]` the number of rows.
+    first: Vec<usize>,
 }
 
 impl ReservationBook {
@@ -283,12 +428,8 @@ impl ReservationBook {
             wps: cluster_size.div_ceil(64) as usize,
             reservations: BTreeMap::new(),
             next_id: 0,
-            times: Vec::new(),
-            busy: Vec::new(),
-            starts: Vec::new(),
-            bounds: Vec::new(),
-            free: Vec::new(),
-            blocks: Vec::new(),
+            chunks: vec![Chunk::default()],
+            first: vec![0, 0],
         }
     }
 
@@ -341,9 +482,10 @@ impl ReservationBook {
             return Err(ReservationError::UnknownNode(n));
         }
         let mask = self.mask_words(partition.iter());
+        let collides = |row: &[u64]| row.iter().zip(&mask).any(|(a, b)| a & b != 0);
         if self
-            .rows(self.overlapped(interval))
-            .any(|row| row.iter().zip(&mask).any(|(a, b)| a & b != 0))
+            .busy_during(interval)
+            .any(|run| run.chunks_exact(self.wps).any(collides))
         {
             // Error path only: recover the colliding id with a scan, giving
             // the same lowest-id answer the naive book reports.
@@ -402,7 +544,8 @@ impl ReservationBook {
         // row takes two endpoints — the new end, which stays, and the start
         // of the released tail, which `vacate` takes back.
         let cut = self.ensure_boundary(end);
-        self.bounds[cut] += 2;
+        let (chunk, o) = self.locate_mut(cut);
+        chunk.bounds[o] += 2;
         self.vacate(TimeWindow::new(end, old.end()), &mask);
     }
 
@@ -432,16 +575,20 @@ impl ReservationBook {
             // span it on the same node (that would be a double booking), so
             // subtracting the starts row is exact.
             let t = window.start();
-            if let Some(i) = self.times.partition_point(|&x| x <= t).checked_sub(1) {
-                let at_key = self.times[i] == t;
-                let starts = &self.starts[i * self.wps..(i + 1) * self.wps];
-                for ((b, row), s) in busy.iter_mut().zip(self.row(i)).zip(starts) {
+            if let Some((Cursor { chunk, base, .. }, i)) = self.row_at(t) {
+                let o = i - base;
+                let at_key = chunk.times[o] == t;
+                let words = o * self.wps..(o + 1) * self.wps;
+                let (row, starts) = (&chunk.busy[words.clone()], &chunk.starts[words]);
+                for ((b, row), s) in busy.iter_mut().zip(row).zip(starts) {
                     *b |= if at_key { row & !s } else { *row };
                 }
             }
         } else {
-            for row in self.rows(self.overlapped(window)) {
-                NodeMask::or_words(&mut busy, row);
+            for run in self.busy_during(window) {
+                for row in run.chunks_exact(self.wps) {
+                    NodeMask::or_words(&mut busy, row);
+                }
             }
         }
         NodeMask::complement_nodes_words(self.cluster_size, &busy)
@@ -450,10 +597,14 @@ impl ReservationBook {
     /// Sorted, deduplicated candidate start times at or after `from`:
     /// `from` itself plus every reservation start/end after it.
     pub fn change_points(&self, from: SimTime) -> Vec<SimTime> {
-        let after = &self.times[self.times.partition_point(|&t| t <= from)..];
-        let mut points = Vec::with_capacity(1 + after.len());
+        let mut cur = self.cursor();
+        let after = self.rows_where(&mut cur, |t| t <= from);
+        let mut points = Vec::with_capacity(1 + self.row_count() - after);
         points.push(from);
-        points.extend_from_slice(after);
+        points.extend_from_slice(&cur.chunk.times[after - cur.base..]);
+        for chunk in &self.chunks[cur.c + 1..] {
+            points.extend_from_slice(&chunk.times);
+        }
         points
     }
 
@@ -482,8 +633,8 @@ impl ReservationBook {
     /// # Ok::<(), pqos_sched::reservation::ReservationError>(())
     /// ```
     pub fn occupied_at(&self, t: SimTime) -> u32 {
-        match self.times.partition_point(|&x| x <= t).checked_sub(1) {
-            Some(i) => self.cluster_size - self.free[i],
+        match self.row_at(t) {
+            Some((cur, i)) => self.cluster_size - cur.free(i),
             None => 0,
         }
     }
@@ -548,7 +699,40 @@ impl ReservationBook {
         if max_slots == 0 {
             return (from, true);
         }
-        let (width, wps, n) = (self.cluster_size, self.wps, self.times.len());
+        match self.chunks.as_slice() {
+            [chunk] => {
+                let rows = OneChunk {
+                    chunk,
+                    wps: self.wps,
+                };
+                self.walk_rows(rows, size, duration, from, exclude, max_slots, visit)
+            }
+            _ => {
+                let at = self.cursor();
+                let rows = Chunked {
+                    book: self,
+                    at,
+                    reach: at,
+                    admit: at,
+                };
+                self.walk_rows(rows, size, duration, from, exclude, max_slots, visit)
+            }
+        }
+    }
+
+    /// [`walk`](Self::walk) over the rows as `rows` reads them.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_rows<'a>(
+        &'a self,
+        mut rows: impl WalkRows<'a>,
+        size: u32,
+        duration: SimDuration,
+        from: SimTime,
+        exclude: &[NodeId],
+        max_slots: usize,
+        visit: &mut SlotVisitor<'_>,
+    ) -> (SimTime, bool) {
+        let (width, wps, n) = (self.cluster_size, self.wps, self.row_count());
         // Out of its cell for the whole walk: `visit` is the caller's code
         // and may well probe a book on this thread.
         let mut scratch = SCRATCH.take();
@@ -572,7 +756,7 @@ impl ReservationBook {
             // Virtual row / candidate v: 0 is `from` itself riding the row
             // in effect there (none before the first row: all free); v ≥ 1
             // are the rows after `from`, row `first_after + v − 1`.
-            let first_after = self.times.partition_point(|&t| t <= from);
+            let first_after = rows.rows_where(0, |t| t <= from);
             let m = 1 + n - first_after;
             let real = |v: usize| (first_after + v).checked_sub(1);
 
@@ -588,8 +772,9 @@ impl ReservationBook {
                 // A window starting in a row with fewer than `size` free
                 // nodes can never fit the job (exclusions only shrink it
                 // further), so hop to the next row that could.
-                if real(v).map_or(width, |r| self.free[r]) < size {
-                    match self.next_feasible(size, first_after + v) {
+                let row = real(v);
+                if row.map_or(width, |r| rows.free(r)) < size {
+                    match rows.next_feasible(size, first_after + v) {
                         Some(r) => {
                             v = r + 1 - first_after;
                             continue;
@@ -597,9 +782,9 @@ impl ReservationBook {
                         None => break,
                     }
                 }
-                let t = match v {
-                    0 => from,
-                    _ => self.times[first_after + v - 1],
+                let t = match row {
+                    Some(r) if v > 0 => rows.time(r),
+                    _ => from,
                 };
                 let end = t.saturating_add(duration);
                 // The window's free set is contained in every spanned
@@ -607,8 +792,8 @@ impl ReservationBook {
                 // every candidate up to it: jump past the *last* such row
                 // instead of sliding the union through.
                 let ws = first_after + v;
-                let r_end = ws + self.times[ws..].partition_point(|&t| t < end);
-                let blocker = self.last_blocker(size, ws.max(clean_to), r_end);
+                let r_end = rows.rows_where(ws, |t| t < end).max(ws);
+                let blocker = rows.last_blocker(size, ws.max(clean_to), r_end);
                 clean_to = r_end;
                 if let Some(last) = blocker {
                     v = last + 2 - first_after;
@@ -628,7 +813,7 @@ impl ReservationBook {
                         agg.fill(0);
                         for j in (back_lo..hi).rev() {
                             if let Some(r) = real(j) {
-                                NodeMask::or_words(agg, self.row(r));
+                                NodeMask::or_words(agg, rows.busy(r));
                             }
                             front.extend_from_slice(agg);
                         }
@@ -642,7 +827,7 @@ impl ReservationBook {
                 // `r_end`, after the head.
                 while hi < r_end + 1 - first_after {
                     if let Some(r) = real(hi) {
-                        NodeMask::or_words(back_agg, self.row(r));
+                        NodeMask::or_words(back_agg, rows.busy(r));
                     }
                     hi += 1;
                 }
@@ -669,47 +854,184 @@ impl ReservationBook {
     }
 
     /// First row at or after `r0` with at least `size` free nodes, hopping
-    /// over blocks whose maximum rules them out.
-    fn next_feasible(&self, size: u32, r0: usize) -> Option<usize> {
-        let mut r = r0;
-        while r < self.free.len() {
-            if r.is_multiple_of(BLOCK) && self.blocks[r / BLOCK].max_free < size {
-                r += BLOCK;
-            } else if self.free[r] >= size {
-                return Some(r);
-            } else {
-                r += 1;
-            }
+    /// over chunks whose maximum rules them out; `cur` is left on its
+    /// chunk.
+    #[inline]
+    fn next_feasible<'a>(&'a self, size: u32, r0: usize, cur: &mut Cursor<'a>) -> Option<usize> {
+        if r0 >= self.row_count() {
+            return None;
         }
-        None
+        self.seek(cur, r0);
+        let mut o = r0 - cur.base;
+        loop {
+            if cur.chunk.summary.max_free >= size {
+                if let Some(k) = cur.chunk.free[o..].iter().position(|&f| f >= size) {
+                    return Some(cur.base + o + k);
+                }
+            }
+            if cur.c + 1 == self.chunks.len() {
+                return None;
+            }
+            *cur = self.cursor_on(cur.c + 1);
+            o = 0;
+        }
     }
 
     /// Last row in `start..end` with fewer than `size` free nodes — a row
     /// no window spanning it can fit the job over — hopping backwards over
-    /// blocks whose minimum clears them. `O(BLOCK + rows/BLOCK)`.
-    fn last_blocker(&self, size: u32, start: usize, end: usize) -> Option<usize> {
-        let mut r = end;
-        while r > start {
-            if r.is_multiple_of(BLOCK)
-                && r - start >= BLOCK
-                && self.blocks[r / BLOCK - 1].min_free >= size
-            {
-                r -= BLOCK;
-            } else if self.free[r - 1] < size {
-                return Some(r - 1);
-            } else {
-                r -= 1;
-            }
+    /// chunks whose minimum clears them, from the one `near` is on or next
+    /// to. `O(BLOCK + chunks spanned)`.
+    #[inline]
+    fn last_blocker(&self, size: u32, start: usize, end: usize, near: Cursor<'_>) -> Option<usize> {
+        if start >= end {
+            return None;
         }
-        None
+        let mut cur = near;
+        self.seek(&mut cur, end - 1);
+        loop {
+            let share = cur.chunk.share(cur.base, &(start..end));
+            if cur.chunk.summary.min_free < size {
+                if let Some(o) = cur.chunk.free[share.clone()]
+                    .iter()
+                    .rposition(|&f| f < size)
+                {
+                    return Some(cur.base + share.start + o);
+                }
+            }
+            if cur.base <= start {
+                return None;
+            }
+            cur = self.cursor_on(cur.c - 1);
+        }
     }
 
-    fn row(&self, i: usize) -> &[u64] {
-        &self.busy[i * self.wps..(i + 1) * self.wps]
+    /// Number of rows.
+    #[inline]
+    fn row_count(&self) -> usize {
+        self.first[self.chunks.len()]
     }
 
-    fn rows(&self, rows: Range<usize>) -> impl Iterator<Item = &[u64]> {
-        self.busy[rows.start * self.wps..rows.end * self.wps].chunks_exact(self.wps)
+    /// A cursor on the first chunk.
+    #[inline]
+    fn cursor(&self) -> Cursor<'_> {
+        self.cursor_on(0)
+    }
+
+    /// A cursor on chunk `c`, which must exist.
+    #[inline]
+    fn cursor_on(&self, c: usize) -> Cursor<'_> {
+        Cursor {
+            chunk: &self.chunks[c],
+            c,
+            base: self.first[c],
+        }
+    }
+
+    /// Moves `cur` onto the chunk holding row `i`, which must exist: the
+    /// cursor's own chunk and its two neighbours are tried before a binary
+    /// search.
+    #[inline]
+    fn seek<'a>(&'a self, cur: &mut Cursor<'a>, i: usize) {
+        if !cur.holds(i) {
+            *cur = self.cursor_near(cur, i);
+        }
+    }
+
+    /// [`seek`](Self::seek) off the cursor's chunk. Out of line, so the
+    /// common case inlined into every read stays one comparison.
+    #[inline(never)]
+    fn cursor_near<'a>(&'a self, cur: &Cursor<'a>, i: usize) -> Cursor<'a> {
+        let first = &self.first;
+        let c = match i >= cur.base {
+            true => cur.c + 1,
+            false => cur.c.saturating_sub(1),
+        };
+        match first.get(c + 1) {
+            Some(&end) if first[c] <= i && i < end => self.cursor_on(c),
+            _ => self.cursor_on(self.locate(i).0),
+        }
+    }
+
+    /// Number of rows whose time satisfies `pred`, which must hold on a
+    /// prefix of the timeline covering every row before `cur`'s chunk. The
+    /// prefix ends in the first chunk from there on whose last row fails
+    /// `pred`, or in the last chunk — for a walk's window, the cursor's own
+    /// or the next one, so those two are looked at before a binary search
+    /// over the rest — and then at a binary search within that chunk,
+    /// which `cur` is moved onto. A cursor on the last chunk (a one-chunk
+    /// book's always is) goes straight to the second search.
+    #[inline]
+    fn rows_where<'a>(&'a self, cur: &mut Cursor<'a>, pred: impl Fn(SimTime) -> bool) -> usize {
+        // Only the last chunk can be empty (when the book is).
+        let ends = |c: &Chunk| !pred(c.times[c.len() - 1]);
+        let last = self.chunks.len() - 1;
+        if cur.c < last && !ends(cur.chunk) {
+            let rest = &self.chunks[cur.c + 1..last];
+            let k = match rest.first() {
+                Some(next) if !ends(next) => 1 + rest[1..].partition_point(|c| !ends(c)),
+                _ => 0,
+            };
+            *cur = self.cursor_on(cur.c + 1 + k);
+        }
+        cur.base + cur.chunk.times.partition_point(|&t| pred(t))
+    }
+
+    /// The row in effect at `t` — the last starting at or before it — and
+    /// a cursor on its chunk, or `None` before the first row.
+    fn row_at(&self, t: SimTime) -> Option<(Cursor<'_>, usize)> {
+        let mut cur = self.cursor();
+        let i = self.rows_where(&mut cur, |x| x <= t).checked_sub(1)?;
+        self.seek(&mut cur, i);
+        Some((cur, i))
+    }
+
+    /// The row starting exactly at `t`, or the index one would be
+    /// inserted at.
+    fn search(&self, t: SimTime) -> Result<usize, usize> {
+        let mut cur = self.cursor();
+        let i = self.rows_where(&mut cur, |x| x < t);
+        match cur.holds(i) && cur.time(i) == t {
+            true => Ok(i),
+            false => Err(i),
+        }
+    }
+
+    /// The chunk holding row `i` (which must exist) and the row's offset
+    /// in it, by binary search.
+    fn locate(&self, i: usize) -> (usize, usize) {
+        let c = self.first.partition_point(|&f| f <= i) - 1;
+        (c, i - self.first[c])
+    }
+
+    fn locate_mut(&mut self, i: usize) -> (&mut Chunk, usize) {
+        let (c, o) = self.locate(i);
+        (&mut self.chunks[c], o)
+    }
+
+    /// The chunks holding `rows`, looked for from `near`.
+    #[inline]
+    fn chunks_of(&self, rows: &Range<usize>, near: Cursor<'_>) -> Range<usize> {
+        if rows.is_empty() {
+            return 0..0;
+        }
+        let mut cur = near;
+        self.seek(&mut cur, rows.start);
+        let c0 = cur.c;
+        self.seek(&mut cur, rows.end - 1);
+        c0..cur.c + 1
+    }
+
+    /// Runs `edit` over each chunk's share of `rows` (offsets into the
+    /// chunk).
+    fn edit_rows(&mut self, rows: Range<usize>, mut edit: impl FnMut(&mut Chunk, Range<usize>)) {
+        let chunks = self.chunks_of(&rows, self.cursor());
+        for (chunk, &base) in self.chunks[chunks.clone()]
+            .iter_mut()
+            .zip(&self.first[chunks])
+        {
+            let share = chunk.share(base, &rows);
+            edit(chunk, share);
+        }
     }
 
     /// `nodes` packed into one row's worth of words; ids beyond the
@@ -720,115 +1042,229 @@ impl ReservationBook {
         words
     }
 
-    /// The rows whose span intersects the non-empty `window`: the one in
-    /// effect at its start (if any) through the last starting before its
-    /// end.
-    fn overlapped(&self, window: TimeWindow) -> Range<usize> {
-        let lo = self.times.partition_point(|&t| t <= window.start());
-        lo.saturating_sub(1)..self.times.partition_point(|&t| t < window.end())
+    /// The busy masks of the rows whose span intersects the non-empty
+    /// `window` — the one in effect at its start (if any) through the last
+    /// starting before its end — as one run of words (`W` a row) per
+    /// chunk: a caller loops over each run's rows with no per-row cost for
+    /// the chunking.
+    fn busy_during(&self, window: TimeWindow) -> impl Iterator<Item = &[u64]> {
+        let mut cur = self.cursor();
+        let lo = self.rows_where(&mut cur, |t| t <= window.start());
+        let near = cur;
+        let hi = self.rows_where(&mut cur, |t| t < window.end());
+        let rows = lo.saturating_sub(1)..hi;
+        let (wps, chunks) = (self.wps, self.chunks_of(&rows, near));
+        self.chunks[chunks.clone()]
+            .iter()
+            .zip(&self.first[chunks])
+            .map(move |(chunk, &base)| {
+                let share = chunk.share(base, &rows);
+                &chunk.busy[share.start * wps..share.end * wps]
+            })
     }
 
     /// Marks `mask` (disjoint from everything committed there) busy across
     /// `interval`, creating boundary rows as needed and counting the two
     /// endpoints.
     fn occupy(&mut self, interval: TimeWindow, mask: &[u64]) {
-        let wps = self.wps;
+        let (wps, nodes) = (self.wps, NodeMask::count_ones_words(mask));
         let a = self.ensure_boundary(interval.start());
         let b = self.ensure_boundary(interval.end());
-        for row in self.busy[a * wps..b * wps].chunks_exact_mut(wps) {
-            NodeMask::or_words(row, mask);
-        }
-        let nodes = NodeMask::count_ones_words(mask);
-        self.free[a..b].iter_mut().for_each(|f| *f -= nodes);
-        NodeMask::or_words(&mut self.starts[a * wps..(a + 1) * wps], mask);
-        self.bounds[a] += 1;
-        self.bounds[b] += 1;
-        self.summarize(a..b);
+        self.edit_rows(a..b, |chunk, rows| {
+            for row in chunk.busy[rows.start * wps..rows.end * wps].chunks_exact_mut(wps) {
+                NodeMask::or_words(row, mask);
+            }
+            chunk.shift_free(rows, nodes, true);
+        });
+        let (chunk, o) = self.locate_mut(a);
+        NodeMask::or_words(&mut chunk.starts[o * wps..(o + 1) * wps], mask);
+        chunk.bounds[o] += 1;
+        let (chunk, o) = self.locate_mut(b);
+        chunk.bounds[o] += 1;
     }
 
     /// Clears `mask` (committed throughout) across `interval` and drops
     /// the boundary rows whose endpoint count reaches zero.
     fn vacate(&mut self, interval: TimeWindow, mask: &[u64]) {
-        let wps = self.wps;
+        let (wps, nodes) = (self.wps, NodeMask::count_ones_words(mask));
         let [a, b] = [interval.start(), interval.end()]
-            .map(|t| self.times.binary_search(&t).expect("endpoint is tracked"));
+            .map(|t| self.search(t).expect("endpoint is tracked"));
         let and_not = |row: &mut [u64]| row.iter_mut().zip(mask).for_each(|(w, m)| *w &= !m);
-        self.busy[a * wps..b * wps]
-            .chunks_exact_mut(wps)
-            .for_each(and_not);
-        let nodes = NodeMask::count_ones_words(mask);
-        self.free[a..b].iter_mut().for_each(|f| *f += nodes);
-        and_not(&mut self.starts[a * wps..(a + 1) * wps]);
-        let mut dirty = a..b;
+        self.edit_rows(a..b, |chunk, rows| {
+            chunk.busy[rows.start * wps..rows.end * wps]
+                .chunks_exact_mut(wps)
+                .for_each(and_not);
+            chunk.shift_free(rows, nodes, false);
+        });
+        let (chunk, o) = self.locate_mut(a);
+        and_not(&mut chunk.starts[o * wps..(o + 1) * wps]);
         // Later row first, so `a` still names the start row.
         for i in [b, a] {
-            self.bounds[i] -= 1;
-            if self.bounds[i] == 0 {
+            let (chunk, o) = self.locate_mut(i);
+            chunk.bounds[o] -= 1;
+            if chunk.bounds[o] == 0 {
                 // No live endpoint remains here, so the profile is constant
                 // across this instant and the row merges into the one
                 // before it.
-                self.times.remove(i);
-                self.bounds.remove(i);
-                self.free.remove(i);
-                self.busy.drain(i * wps..(i + 1) * wps);
-                self.starts.drain(i * wps..(i + 1) * wps);
-                dirty.end = usize::MAX;
+                self.remove_row(i);
             }
         }
-        self.summarize(dirty.start..dirty.end.min(self.times.len()));
     }
 
     /// The row starting exactly at `t`, splitting the row in effect there
     /// if none does yet. Does not touch endpoint counts.
     fn ensure_boundary(&mut self, t: SimTime) -> usize {
-        let i = match self.times.binary_search(&t) {
+        let i = match self.search(t) {
             Ok(i) => return i,
             Err(i) => i,
         };
-        let (wps, at) = (self.wps, i * self.wps);
-        self.times.insert(i, t);
-        self.bounds.insert(i, 0);
-        let free = i.checked_sub(1).map_or(self.cluster_size, |p| self.free[p]);
-        self.free.insert(i, free);
+        // The new row joins the chunk of the row it splits, right behind
+        // it — or heads the first chunk if it splits none.
+        let (c, o) = match i.checked_sub(1) {
+            Some(p) => {
+                let (c, o) = self.locate(p);
+                (c, o + 1)
+            }
+            None => (0, 0),
+        };
+        let wps = self.wps;
+        let chunk = &mut self.chunks[c];
+        let free = o
+            .checked_sub(1)
+            .map_or(self.cluster_size, |p| chunk.free[p]);
+        chunk.times.insert(o, t);
+        chunk.bounds.insert(o, 0);
+        chunk.free.insert(o, free);
+        chunk.summary.max_free = chunk.summary.max_free.max(free);
+        chunk.summary.min_free = chunk.summary.min_free.min(free);
         // A split point has no reservation starting exactly at it (that
         // would have made it a row already), and carries on the busy mask
         // of the row it splits.
-        for arena in [&mut self.busy, &mut self.starts] {
+        let at = o * wps;
+        for arena in [&mut chunk.busy, &mut chunk.starts] {
             let len = arena.len();
             arena.resize(len + wps, 0);
             arena.copy_within(at..len, at + wps);
             arena[at..at + wps].fill(0);
         }
-        if i > 0 {
-            self.busy.copy_within(at - wps..at, at);
+        if o > 0 {
+            chunk.busy.copy_within(at - wps..at, at);
         }
-        self.summarize(i..self.times.len());
+        self.first[c + 1..].iter_mut().for_each(|f| *f += 1);
+        self.fit(c);
         i
     }
 
-    /// Recomputes the skip-index blocks covering `rows` and fits the index
-    /// to the row count.
-    fn summarize(&mut self, rows: Range<usize>) {
-        let n = self.free.len();
-        self.blocks.resize(n.div_ceil(BLOCK), BlockSummary::of(&[]));
-        for b in rows.start / BLOCK..rows.end.div_ceil(BLOCK).min(self.blocks.len()) {
-            self.blocks[b] = BlockSummary::of(&self.free[b * BLOCK..n.min((b + 1) * BLOCK)]);
+    /// Deletes row `i`, merging its chunk into a neighbour if that leaves
+    /// it under `BLOCK / 2` rows (a chunk goes away only so) and the book
+    /// has another.
+    fn remove_row(&mut self, i: usize) {
+        let (c, o) = self.locate(i);
+        let wps = self.wps;
+        let chunk = &mut self.chunks[c];
+        chunk.times.remove(o);
+        chunk.bounds.remove(o);
+        chunk.free.remove(o);
+        chunk.busy.drain(o * wps..(o + 1) * wps);
+        chunk.starts.drain(o * wps..(o + 1) * wps);
+        // A row with no endpoint left has the busy mask of the row before
+        // it (or none, before the first), so its free count lives on in
+        // that row: only a chunk's head row can take the summary with it.
+        if o == 0 {
+            chunk.summarize();
+        }
+        let len = chunk.len();
+        self.first[c + 1..].iter_mut().for_each(|f| *f -= 1);
+        // A book's one chunk stays, rows or none: a book that drains and
+        // refills — a shard's does every few dozen reservations — reuses
+        // its buffers instead of growing new ones.
+        if self.chunks.len() > 1 && len < BLOCK / 2 {
+            // Into the next chunk's rows, or the previous one's for the
+            // last chunk.
+            let c = c.min(self.chunks.len() - 2);
+            let next = self.chunks.remove(c + 1);
+            self.first.remove(c + 1);
+            self.chunks[c].append(next);
+            self.fit(c);
         }
     }
 
-    /// Asserts every invariant of the timeline and its skip index against a
-    /// from-scratch recomputation out of the live reservations.
+    /// Splits chunk `c` in half if it outgrew `2 · BLOCK` rows.
+    fn fit(&mut self, c: usize) {
+        let chunk = &mut self.chunks[c];
+        if chunk.len() <= 2 * BLOCK {
+            return;
+        }
+        let half = chunk.len() / 2;
+        let tail = chunk.split_off(half, self.wps);
+        self.chunks.insert(c + 1, tail);
+        self.first.insert(c + 1, self.first[c] + half);
+    }
+
+    /// The timeline as flat arrays, row `i` at index `i` (`busy` and
+    /// `starts` `W` words a row).
+    #[cfg(any(test, debug_assertions))]
+    fn flat(&self) -> Flat {
+        let mut flat = Flat::default();
+        for chunk in &self.chunks {
+            flat.times.extend_from_slice(&chunk.times);
+            flat.busy.extend_from_slice(&chunk.busy);
+            flat.starts.extend_from_slice(&chunk.starts);
+            flat.bounds.extend_from_slice(&chunk.bounds);
+            flat.free.extend_from_slice(&chunk.free);
+        }
+        flat
+    }
+
+    /// Asserts every invariant of the timeline, its chunks and their
+    /// summaries against a from-scratch recomputation out of the live
+    /// reservations.
     ///
     /// # Panics
     ///
     /// Panics on the first violated invariant.
     #[cfg(any(test, debug_assertions))]
     pub fn check_invariants(&self) {
-        let (n, wps, width) = (self.times.len(), self.wps, self.cluster_size);
-        assert!(self.times.windows(2).all(|w| w[0] < w[1]), "times ascend");
-        assert_eq!(self.busy.len(), n * wps);
-        assert_eq!(self.starts.len(), n * wps);
-        assert_eq!((self.bounds.len(), self.free.len()), (n, n));
+        let (wps, width) = (self.wps, self.cluster_size);
+        // Chunks: none empty (bar an empty book's one), underfull or over
+        // capacity, arrays in step, offsets counting rows, summaries equal
+        // to a recomputation.
+        assert_eq!(self.first.len(), self.chunks.len() + 1, "offsets");
+        assert_eq!(self.first[0], 0, "the first chunk starts at row 0");
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            let len = chunk.len();
+            let least = match self.chunks.len() {
+                1 => 0,
+                _ => BLOCK / 2,
+            };
+            assert!(
+                (least..=2 * BLOCK).contains(&len),
+                "chunk {c} of {} holds {len} rows",
+                self.chunks.len()
+            );
+            assert_eq!(
+                self.first[c] + len,
+                self.first[c + 1],
+                "offset after chunk {c}"
+            );
+            assert_eq!(
+                (chunk.busy.len(), chunk.starts.len()),
+                (len * wps, len * wps)
+            );
+            assert_eq!((chunk.bounds.len(), chunk.free.len()), (len, len));
+            assert_eq!(
+                chunk.summary,
+                BlockSummary::of(&chunk.free),
+                "summary of chunk {c}"
+            );
+        }
+        let flat = self.flat();
+        let n = flat.times.len();
+        let row = |i: usize| &flat.busy[i * wps..(i + 1) * wps];
+        assert!(
+            flat.times.windows(2).all(|w| w[0] < w[1]),
+            "times ascend, across chunk edges too"
+        );
         // Rows are exactly the live endpoints, counted; masks are the
         // unions of the partitions covering / starting at each row.
         let mut endpoints = BTreeMap::new();
@@ -837,26 +1273,26 @@ impl ReservationBook {
             let mask = self.mask_words(r.partition.iter());
             let [a, b] = [r.interval.start(), r.interval.end()].map(|t| {
                 *endpoints.entry(t).or_insert(0u32) += 1;
-                self.times.binary_search(&t).expect("endpoint has a row")
+                flat.times.binary_search(&t).expect("endpoint has a row")
             });
             for row in busy[a * wps..b * wps].chunks_exact_mut(wps) {
                 NodeMask::or_words(row, &mask);
             }
             NodeMask::or_words(&mut starts[a * wps..(a + 1) * wps], &mask);
         }
-        assert!(endpoints.keys().eq(&self.times), "rows = live endpoints");
+        assert!(endpoints.keys().eq(&flat.times), "rows = live endpoints");
         assert!(
-            endpoints.values().eq(&self.bounds),
+            endpoints.values().eq(&flat.bounds),
             "bounds count endpoints"
         );
-        assert!(self.bounds.iter().all(|&b| b > 0));
+        assert!(flat.bounds.iter().all(|&b| b > 0));
         assert_eq!(
-            self.busy, busy,
+            flat.busy, busy,
             "busy rows are the unions of live partitions"
         );
-        assert_eq!(self.starts, starts, "starts rows");
+        assert_eq!(flat.starts, starts, "starts rows");
         if n > 0 {
-            assert!(self.row(n - 1).iter().all(|&w| w == 0), "last row empty");
+            assert!(row(n - 1).iter().all(|&w| w == 0), "last row empty");
         }
         let padding = match width % 64 {
             0 => 0,
@@ -864,15 +1300,24 @@ impl ReservationBook {
         };
         for i in 0..n {
             assert_eq!(
-                self.free[i],
-                width - NodeMask::count_ones_words(self.row(i)),
+                flat.free[i],
+                width - NodeMask::count_ones_words(row(i)),
                 "free count of row {i}"
             );
-            assert_eq!(self.row(i)[wps - 1] & padding, 0, "padding of row {i}");
+            assert_eq!(row(i)[wps - 1] & padding, 0, "padding of row {i}");
         }
-        let summaries = self.free.chunks(BLOCK).map(BlockSummary::of);
-        assert!(summaries.eq(self.blocks.iter().copied()), "skip index");
     }
+}
+
+/// [`ReservationBook`]'s timeline laid out flat, for checking it.
+#[cfg(any(test, debug_assertions))]
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Flat {
+    times: Vec<SimTime>,
+    busy: Vec<u64>,
+    starts: Vec<u64>,
+    bounds: Vec<u32>,
+    free: Vec<u32>,
 }
 
 /// Sets bit `i` of `words` for every node `i < width` of `nodes`.
@@ -899,6 +1344,101 @@ struct WalkScratch {
 
 thread_local! {
     static SCRATCH: RefCell<WalkScratch> = RefCell::new(WalkScratch::default());
+}
+
+/// The row reads a slot walk makes, by row index across the timeline:
+/// [`OneChunk`] reads a book of one chunk straight out of its arrays, so the
+/// walk over it is the flat timeline's with no chunk bookkeeping, and
+/// [`Chunked`] reads any book through cursors.
+trait WalkRows<'a> {
+    /// Number of rows whose time satisfies `pred`, which holds on a prefix
+    /// of the timeline covering every row before `lo` (and, for
+    /// [`Chunked`], every row the previous call counted).
+    fn rows_where(&mut self, lo: usize, pred: impl Fn(SimTime) -> bool) -> usize;
+    /// Row `r`'s start time.
+    fn time(&mut self, r: usize) -> SimTime;
+    /// Row `r`'s free count.
+    fn free(&mut self, r: usize) -> u32;
+    /// Row `r`'s busy mask.
+    fn busy(&mut self, r: usize) -> &'a [u64];
+    /// First row at or after `r0` with at least `size` free nodes.
+    fn next_feasible(&mut self, size: u32, r0: usize) -> Option<usize>;
+    /// Last row in `start..end` with fewer than `size` free nodes.
+    fn last_blocker(&mut self, size: u32, start: usize, end: usize) -> Option<usize>;
+}
+
+/// A book of one chunk, read straight out of its arrays.
+struct OneChunk<'a> {
+    chunk: &'a Chunk,
+    wps: usize,
+}
+
+impl<'a> WalkRows<'a> for OneChunk<'a> {
+    fn rows_where(&mut self, lo: usize, pred: impl Fn(SimTime) -> bool) -> usize {
+        lo + self.chunk.times[lo..].partition_point(|&t| pred(t))
+    }
+
+    fn time(&mut self, r: usize) -> SimTime {
+        self.chunk.times[r]
+    }
+
+    fn free(&mut self, r: usize) -> u32 {
+        self.chunk.free[r]
+    }
+
+    fn busy(&mut self, r: usize) -> &'a [u64] {
+        &self.chunk.busy[r * self.wps..(r + 1) * self.wps]
+    }
+
+    fn next_feasible(&mut self, size: u32, r0: usize) -> Option<usize> {
+        let rows = self.chunk.free.get(r0..)?;
+        rows.iter().position(|&f| f >= size).map(|o| r0 + o)
+    }
+
+    fn last_blocker(&mut self, size: u32, start: usize, end: usize) -> Option<usize> {
+        let rows = self.chunk.free.get(start..end)?;
+        rows.iter().rposition(|&f| f < size).map(|o| start + o)
+    }
+}
+
+/// Any book, read through a cursor per kind of read: `at` for candidate
+/// rows, `reach` for the rows a window reaches to, `admit` for the masks
+/// the window takes in. Each moves a few rows at a time, so its reads stay
+/// in its chunk or step to a neighbour.
+struct Chunked<'a> {
+    book: &'a ReservationBook,
+    at: Cursor<'a>,
+    reach: Cursor<'a>,
+    admit: Cursor<'a>,
+}
+
+impl<'a> WalkRows<'a> for Chunked<'a> {
+    fn rows_where(&mut self, _lo: usize, pred: impl Fn(SimTime) -> bool) -> usize {
+        self.book.rows_where(&mut self.reach, pred)
+    }
+
+    fn time(&mut self, r: usize) -> SimTime {
+        self.book.seek(&mut self.at, r);
+        self.at.time(r)
+    }
+
+    fn free(&mut self, r: usize) -> u32 {
+        self.book.seek(&mut self.at, r);
+        self.at.free(r)
+    }
+
+    fn busy(&mut self, r: usize) -> &'a [u64] {
+        self.book.seek(&mut self.admit, r);
+        self.admit.busy(r, self.book.wps)
+    }
+
+    fn next_feasible(&mut self, size: u32, r0: usize) -> Option<usize> {
+        self.book.next_feasible(size, r0, &mut self.at)
+    }
+
+    fn last_blocker(&mut self, size: u32, start: usize, end: usize) -> Option<usize> {
+        self.book.last_blocker(size, start, end, self.reach)
+    }
 }
 
 impl AvailabilityView for ReservationBook {
@@ -1136,7 +1676,7 @@ mod tests {
         assert!(book.is_empty());
         assert!(book.remove(id).is_none());
         // Releasing the last reservation leaves an empty profile behind.
-        assert!(book.times.is_empty());
+        assert_eq!(book.row_count(), 0);
     }
 
     #[test]
@@ -1243,7 +1783,7 @@ mod tests {
         // Truncating to before the start removes it.
         book.truncate(id, SimTime::from_secs(5));
         assert!(book.is_empty());
-        assert!(book.times.is_empty());
+        assert_eq!(book.row_count(), 0);
         // Truncating a missing id is a no-op.
         book.truncate(id, SimTime::from_secs(5));
     }
@@ -1298,8 +1838,8 @@ mod tests {
         let b = book
             .add(JobId::new(2), Partition::contiguous(1, 1), w(20, 30))
             .unwrap();
-        let shared = book.times.binary_search(&SimTime::from_secs(20)).unwrap();
-        assert_eq!(book.bounds[shared], 2);
+        let shared = book.search(SimTime::from_secs(20)).unwrap();
+        assert_eq!(book.flat().bounds[shared], 2);
         // Removing one keeps the shared key alive for the other.
         book.remove(a);
         assert_eq!(
@@ -1311,7 +1851,7 @@ mod tests {
             ]
         );
         book.remove(b);
-        assert!(book.times.is_empty());
+        assert_eq!(book.row_count(), 0);
     }
 
     #[test]
@@ -1330,7 +1870,9 @@ mod tests {
             .unwrap();
         book.truncate(c, SimTime::from_secs(80));
         book.remove(a);
-        let keys = book.times.clone();
+        let Flat {
+            times: keys, busy, ..
+        } = book.flat();
         for (i, &t) in keys.iter().enumerate() {
             let seg_end = keys.get(i + 1).copied().unwrap_or(SimTime::MAX);
             let mut expect = NodeMask::empty(6);
@@ -1341,7 +1883,8 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(book.row(i), expect.words(), "segment at {t}");
+            let row = &busy[i * book.wps..(i + 1) * book.wps];
+            assert_eq!(row, expect.words(), "segment at {t}");
         }
     }
 
@@ -1472,22 +2015,32 @@ mod tests {
 
     /// The skip index against the linear scans it replaces.
     fn check_skips(book: &ReservationBook, rng: &mut DetRng) {
-        let n = book.free.len();
+        let free = book.flat().free;
+        let n = free.len();
         for _ in 0..200 {
             let size = rng.uniform_u64(1, u64::from(book.cluster_size)) as u32;
             let start = rng.uniform_u64(0, n as u64) as usize;
             let end = rng.uniform_u64(start as u64, n as u64) as usize;
             assert_eq!(
-                book.next_feasible(size, start),
-                (start..n).find(|&r| book.free[r] >= size),
+                book.next_feasible(size, start, &mut book.cursor()),
+                (start..n).find(|&r| free[r] >= size),
                 "next_feasible({size}, {start})"
             );
             assert_eq!(
-                book.last_blocker(size, start, end),
-                (start..end).rev().find(|&r| book.free[r] < size),
+                book.last_blocker(size, start, end, book.cursor()),
+                (start..end).rev().find(|&r| free[r] < size),
                 "last_blocker({size}, {start}, {end})"
             );
         }
+    }
+
+    /// A fresh book holding `book`'s live reservations.
+    fn rebuild(book: &ReservationBook) -> ReservationBook {
+        let mut rebuilt = ReservationBook::new(book.cluster_size);
+        for (_, r) in book.iter() {
+            rebuilt.add(r.job, r.partition.clone(), r.interval).unwrap();
+        }
+        rebuilt
     }
 
     #[test]
@@ -1518,7 +2071,7 @@ mod tests {
             }
         }
         book.check_invariants();
-        assert!(book.len() >= 2_000 && book.times.len() > 20 * BLOCK);
+        assert!(book.len() >= 2_000 && book.row_count() > 20 * BLOCK);
         check_skips(&book, &mut rng);
         let horizon = *lane_end.iter().max().unwrap();
 
@@ -1563,17 +2116,10 @@ mod tests {
             check_skips(&book, &mut rng);
 
             // The timeline patched in place is, array for array, the one a
-            // fresh book arrives at by re-adding the live set.
-            let mut rebuilt = ReservationBook::new(WIDTH);
-            for (_, r) in book.iter() {
-                rebuilt.add(r.job, r.partition.clone(), r.interval).unwrap();
-            }
-            assert_eq!(book.times, rebuilt.times, "step {step}");
-            assert_eq!(book.busy, rebuilt.busy, "step {step}");
-            assert_eq!(book.starts, rebuilt.starts, "step {step}");
-            assert_eq!(book.bounds, rebuilt.bounds, "step {step}");
-            assert_eq!(book.free, rebuilt.free, "step {step}");
-            assert_eq!(book.blocks, rebuilt.blocks, "step {step}");
+            // fresh book arrives at by re-adding the live set (chunked
+            // wherever its own history split it).
+            let rebuilt = rebuild(&book);
+            assert_eq!(book.flat(), rebuilt.flat(), "step {step}");
 
             // Powers of two and not, the whole cluster, short windows and a
             // two-day one spanning most of the book.
@@ -1610,6 +2156,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn front_churn_on_a_deep_book_splits_merges_and_drains_its_chunks() {
+        // A daemon-sized book: 8,000 reservations on sixteen eight-node
+        // lanes of a 128-node (two-word) cluster, preloaded in ascending
+        // start order from t = 10,000 on, so `[0, 10,000)` is open.
+        const WIDTH: u32 = 128;
+        let mut rng = DetRng::seed_from(0xB00C).fork("front-churn");
+        let mut book = ReservationBook::new(WIDTH);
+        let mut lane_end = [10_000u64; 16];
+        for job in 0..8_000u64 {
+            let lane = (0..16).min_by_key(|&l| lane_end[l]).unwrap();
+            let start = lane_end[lane] + rng.uniform_u64(0, 3);
+            let end = start + rng.uniform_u64(5, 500);
+            let nodes = rng.uniform_u64(1, 8) as u32;
+            book.add(
+                JobId::new(job),
+                Partition::contiguous(lane as u32 * 8, nodes),
+                w(start, end),
+            )
+            .unwrap();
+            lane_end[lane] = end;
+        }
+        book.check_invariants();
+        let preload = book.chunks.len();
+        assert!(book.row_count() > 7_000, "{} rows", book.row_count());
+
+        // A thousand adds at the front, in bursts of a hundred that split
+        // the first chunk over and over, each burst then removed again so
+        // the chunks it made drain and merge back.
+        for burst in 0..10u64 {
+            let mut added = Vec::new();
+            for k in 0..100u64 {
+                let start = rng.uniform_u64(0, 9_000);
+                let node = rng.uniform_u64(0, u64::from(WIDTH) - 1) as u32;
+                let job = JobId::new(100_000 + burst * 100 + k);
+                if let Ok(id) = book.add(job, Partition::contiguous(node, 1), w(start, start + 700))
+                {
+                    added.push(id);
+                }
+            }
+            book.check_invariants();
+            assert!(book.chunks.len() > preload, "burst {burst} split the front");
+            for id in added {
+                book.remove(id).unwrap();
+            }
+            book.check_invariants();
+            assert_eq!(book.flat(), rebuild(&book).flat(), "burst {burst}");
+        }
+
+        // Drained in a scrambled order, the book frees every chunk but the
+        // one an empty book keeps: what outlives the reservations is one
+        // chunk's buffers, not the thousands of rows the book held.
+        let mut ids: Vec<ReservationId> = book.iter().map(|(id, _)| id).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.uniform_u64(0, i as u64) as usize);
+        }
+        for (k, id) in ids.into_iter().enumerate() {
+            book.remove(id).unwrap();
+            if k % 500 == 0 {
+                book.check_invariants();
+            }
+        }
+        book.check_invariants();
+        assert!(book.is_empty());
+        assert_eq!((book.chunks.len(), book.first.as_slice()), (1, &[0, 0][..]));
+        // Vec growth at most doubles a chunk that outgrew 2·BLOCK rows.
+        let kept = &book.chunks[0];
+        assert!(kept.times.capacity() <= 4 * BLOCK);
+        assert!(kept.busy.capacity() <= 4 * BLOCK * book.wps);
     }
 
     #[test]

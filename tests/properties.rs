@@ -18,7 +18,9 @@ use pqos_core::user::UserStrategy;
 use pqos_failures::trace::{Failure, FailureTrace};
 use pqos_predict::api::Predictor;
 use pqos_predict::oracle::TraceOracle;
-use pqos_sched::reservation::{AvailabilityView, ReservationBook, Slot};
+use pqos_sched::reservation::{
+    AvailabilityView, NaiveReservationBook, ReservationBook, ReservationId, Slot,
+};
 use pqos_sim_core::queue::EventQueue;
 use pqos_sim_core::rng::DetRng;
 use pqos_sim_core::stats::OnlineStats;
@@ -430,10 +432,7 @@ impl BookOp {
     }
 }
 
-fn pick_id(
-    issued: &[pqos_sched::reservation::ReservationId],
-    pick: u64,
-) -> Option<pqos_sched::reservation::ReservationId> {
+fn pick_id(issued: &[ReservationId], pick: u64) -> Option<ReservationId> {
     if issued.is_empty() {
         None
     } else {
@@ -452,16 +451,83 @@ fn check_book(book: &ReservationBook) {
     let _ = book;
 }
 
+/// Applies history step `i` to both books and asserts they agree on it:
+/// the same add outcome (including which conflict is reported), the same
+/// removed reservation, and bit-identical `free_nodes_during`,
+/// `change_points` and `earliest_slots` answers — with the timeline's
+/// invariants re-checked after.
+fn apply_to_both(
+    fast: &mut ReservationBook,
+    naive: &mut NaiveReservationBook,
+    issued: &mut Vec<ReservationId>,
+    i: usize,
+    op: &BookOp,
+    at: &str,
+) {
+    match op {
+        BookOp::Add { nodes, start, dur } => {
+            let partition =
+                Partition::new(nodes.iter().copied().map(NodeId::new)).expect("non-empty");
+            let window =
+                TimeWindow::new(SimTime::from_secs(*start), SimTime::from_secs(start + dur));
+            let a = fast.add(JobId::new(i as u64), partition.clone(), window);
+            let b = naive.add(JobId::new(i as u64), partition, window);
+            assert_eq!(a, b, "{at}: add outcomes diverge");
+            if let Ok(id) = a {
+                issued.push(id);
+            }
+        }
+        BookOp::Remove { pick } => {
+            let Some(id) = pick_id(issued, *pick) else {
+                return;
+            };
+            assert_eq!(fast.remove(id), naive.remove(id), "{at}: removals diverge");
+        }
+        BookOp::Truncate { pick, end } => {
+            let Some(id) = pick_id(issued, *pick) else {
+                return;
+            };
+            fast.truncate(id, SimTime::from_secs(*end));
+            naive.truncate(id, SimTime::from_secs(*end));
+        }
+        BookOp::Query {
+            window,
+            exclude,
+            from,
+            size,
+            dur,
+            max_slots,
+        } => {
+            let w = TimeWindow::new(SimTime::from_secs(window.0), SimTime::from_secs(window.1));
+            let excl: Vec<NodeId> = exclude.iter().copied().map(NodeId::new).collect();
+            assert_eq!(
+                fast.free_nodes_during(w, &excl),
+                naive.free_nodes_during(w, &excl),
+                "{at}: free_nodes_during({w:?}) diverges"
+            );
+            let from = SimTime::from_secs(*from);
+            assert_eq!(
+                fast.change_points(from),
+                naive.change_points(from),
+                "{at}: change_points({from}) diverges"
+            );
+            let dur = SimDuration::from_secs(*dur);
+            assert_eq!(
+                fast.earliest_slots(*size, dur, from, &excl, *max_slots),
+                naive.earliest_slots(*size, dur, from, &excl, *max_slots),
+                "{at}: earliest_slots(size={size}) diverges"
+            );
+        }
+    }
+    check_book(fast);
+    assert_eq!(fast.len(), naive.len(), "{at}: live counts diverge");
+}
+
 /// The timeline book and the naive scan-everything reference answer every
-/// query identically across randomized add/remove/truncate histories: same
-/// add outcomes (including which conflict is reported), same removed
-/// reservations, and bit-identical `free_nodes_during`, `change_points`,
-/// and `earliest_slots` answers throughout — with the timeline's
-/// invariants re-checked after every mutation.
+/// query identically across randomized add/remove/truncate histories
+/// ([`apply_to_both`] after every step).
 #[test]
 fn timeline_reservation_book_matches_naive_reference() {
-    use pqos_sched::reservation::NaiveReservationBook;
-
     for world in BOOK_WORLDS {
         let label = format!("book-parity-{}-{}", world.nodes, world.grid);
         for (case, ops) in cases(&label, world.cases, |rng| {
@@ -478,68 +544,7 @@ fn timeline_reservation_book_matches_naive_reference() {
             let mut issued = Vec::new();
             for (i, op) in ops.iter().enumerate() {
                 let at = format!("{world:?} case {case} op {i}");
-                match op {
-                    BookOp::Add { nodes, start, dur } => {
-                        let partition = Partition::new(nodes.iter().copied().map(NodeId::new))
-                            .expect("non-empty");
-                        let window = TimeWindow::new(
-                            SimTime::from_secs(*start),
-                            SimTime::from_secs(start + dur),
-                        );
-                        let a = fast.add(JobId::new(i as u64), partition.clone(), window);
-                        let b = naive.add(JobId::new(i as u64), partition, window);
-                        assert_eq!(a, b, "{at}: add outcomes diverge");
-                        if let Ok(id) = a {
-                            issued.push(id);
-                        }
-                    }
-                    BookOp::Remove { pick } => {
-                        let Some(id) = pick_id(&issued, *pick) else {
-                            continue;
-                        };
-                        assert_eq!(fast.remove(id), naive.remove(id), "{at}: removals diverge");
-                    }
-                    BookOp::Truncate { pick, end } => {
-                        let Some(id) = pick_id(&issued, *pick) else {
-                            continue;
-                        };
-                        fast.truncate(id, SimTime::from_secs(*end));
-                        naive.truncate(id, SimTime::from_secs(*end));
-                    }
-                    BookOp::Query {
-                        window,
-                        exclude,
-                        from,
-                        size,
-                        dur,
-                        max_slots,
-                    } => {
-                        let w = TimeWindow::new(
-                            SimTime::from_secs(window.0),
-                            SimTime::from_secs(window.1),
-                        );
-                        let excl: Vec<NodeId> = exclude.iter().copied().map(NodeId::new).collect();
-                        assert_eq!(
-                            fast.free_nodes_during(w, &excl),
-                            naive.free_nodes_during(w, &excl),
-                            "{at}: free_nodes_during({w:?}) diverges"
-                        );
-                        let from = SimTime::from_secs(*from);
-                        assert_eq!(
-                            fast.change_points(from),
-                            naive.change_points(from),
-                            "{at}: change_points({from}) diverges"
-                        );
-                        let dur = SimDuration::from_secs(*dur);
-                        assert_eq!(
-                            fast.earliest_slots(*size, dur, from, &excl, *max_slots),
-                            naive.earliest_slots(*size, dur, from, &excl, *max_slots),
-                            "{at}: earliest_slots(size={size}) diverges"
-                        );
-                    }
-                }
-                check_book(&fast);
-                assert_eq!(fast.len(), naive.len(), "{at}: live counts diverge");
+                apply_to_both(&mut fast, &mut naive, &mut issued, i, op, &at);
             }
             // Final sweep from several origins, including past every
             // commitment, for a small and a most-of-the-cluster job.
@@ -562,6 +567,117 @@ fn timeline_reservation_book_matches_naive_reference() {
     }
 }
 
+/// The same parity over histories deep enough to span many timeline chunks
+/// (a chunk holds at most 256 rows; the worlds above never fill one): a
+/// one-second grid over a long horizon, several hundred ops, bursts of
+/// inserts at the front of the book, and drains that empty whole stretches
+/// of it, so chunks split and merge away between comparisons.
+#[test]
+fn timeline_reservation_book_matches_naive_reference_across_chunks() {
+    const NODES: u32 = 130;
+    const HORIZON: u64 = 30_000;
+    /// A history step: an op, or the removal of every live reservation
+    /// starting in `[from, to)`.
+    enum Step {
+        Op(BookOp),
+        Drain(u64, u64),
+    }
+    fn add(rng: &mut DetRng, from: u64, to: u64) -> Step {
+        let first = rng.uniform_u64(0, u64::from(NODES) - 1);
+        let end = (first + rng.uniform_u64(1, 12)).min(u64::from(NODES));
+        Step::Op(BookOp::Add {
+            nodes: (first..end).map(|n| n as u32).collect(),
+            start: rng.uniform_u64(from, to),
+            dur: rng.uniform_u64(1, 400),
+        })
+    }
+    /// Probes of every size, skewed large: many ask for more nodes than a
+    /// typical row has free, so walks hop rows and chunks to find slots.
+    fn queries(rng: &mut DetRng) -> impl Iterator<Item = Step> + '_ {
+        (0..3).map(|_| {
+            let a = rng.uniform_u64(0, HORIZON);
+            Step::Op(BookOp::Query {
+                window: (a, a + rng.uniform_u64(0, 2_000)),
+                exclude: (0..rng.uniform_u64(0, 3))
+                    .map(|_| rng.uniform_u64(0, u64::from(NODES)) as u32)
+                    .collect(),
+                from: rng.uniform_u64(0, HORIZON),
+                size: rng
+                    .uniform_u64(1, u64::from(NODES))
+                    .max(rng.uniform_u64(1, u64::from(NODES))) as u32,
+                dur: rng.uniform_u64(1, 3_000),
+                max_slots: rng.uniform_u64(1, 6) as usize,
+            })
+        })
+    }
+
+    for (case, steps) in cases("book-parity-chunks", 4, |rng| {
+        let mut steps = Vec::new();
+        // Fill the horizon in no particular order.
+        for k in 0..700 {
+            steps.push(add(rng, 0, HORIZON));
+            if k % 25 == 24 {
+                steps.extend(queries(rng));
+            }
+        }
+        // Bursts at the very front: every insert lands in the first chunk.
+        for _ in 0..3 {
+            steps.extend((0..40).map(|_| add(rng, 0, 300)));
+            steps.extend(queries(rng));
+        }
+        // Scattered removes and truncates.
+        for _ in 0..40 {
+            steps.push(Step::Op(match rng.uniform_u64(0, 1) {
+                0 => BookOp::Remove {
+                    pick: rng.next_u64(),
+                },
+                _ => BookOp::Truncate {
+                    pick: rng.next_u64(),
+                    end: rng.uniform_u64(0, HORIZON),
+                },
+            }));
+        }
+        // Drain a quarter of the horizon at a time, then everything.
+        for _ in 0..3 {
+            let from = rng.uniform_u64(0, HORIZON);
+            steps.push(Step::Drain(from, from + HORIZON / 4));
+            steps.extend(queries(rng));
+        }
+        steps.push(Step::Drain(0, u64::MAX));
+        steps.extend(queries(rng));
+        steps
+    })
+    .into_iter()
+    .enumerate()
+    {
+        let mut fast = ReservationBook::new(NODES);
+        let mut naive = NaiveReservationBook::new(NODES);
+        let mut issued = Vec::new();
+        let mut deepest = 0;
+        for (i, step) in steps.iter().enumerate() {
+            let at = format!("chunked case {case} step {i}");
+            match step {
+                Step::Op(op) => apply_to_both(&mut fast, &mut naive, &mut issued, i, op, &at),
+                Step::Drain(from, to) => {
+                    let doomed: Vec<ReservationId> = fast
+                        .iter()
+                        .filter(|(_, r)| (*from..*to).contains(&r.interval.start().as_secs()))
+                        .map(|(id, _)| id)
+                        .collect();
+                    for id in doomed {
+                        assert_eq!(fast.remove(id), naive.remove(id), "{at}: drain diverges");
+                        check_book(&fast);
+                    }
+                }
+            }
+            deepest = deepest.max(fast.change_points(SimTime::ZERO).len() - 1);
+        }
+        // More rows than three full chunks hold: at least four chunks.
+        assert!(deepest > 3 * 256, "case {case}: only {deepest} rows");
+        assert!(fast.is_empty() && naive.is_empty());
+    }
+}
+
 /// Quote-cache fuzz: interleave mutations and probes on a
 /// [`CachedReservationBook`] and require every answer it serves — memo
 /// hit, cold miss, or post-invalidation re-walk — to byte-match the same
@@ -572,7 +688,6 @@ fn timeline_reservation_book_matches_naive_reference() {
 #[test]
 fn quote_cache_fuzz_matches_fresh_uncached_books() {
     use pqos_sched::cache::CachedReservationBook;
-    use pqos_sched::reservation::NaiveReservationBook;
 
     for world in BOOK_WORLDS {
         let label = format!("quote-cache-fuzz-{}-{}", world.nodes, world.grid);
@@ -709,7 +824,6 @@ fn visit_prefix(
 #[test]
 fn lazy_visit_is_a_prefix_of_eager_on_every_view() {
     use pqos_sched::cache::CachedReservationBook;
-    use pqos_sched::reservation::NaiveReservationBook;
     use pqos_service::{partition_spans, MergedAvailabilityView};
 
     for world in BOOK_WORLDS {
