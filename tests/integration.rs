@@ -270,15 +270,21 @@ impl std::io::Write for SharedBuf {
 /// One §4.1-style run with journaling on: 300 SDSC jobs over a year of
 /// AIX-like failures, accuracy 0.5, risk threshold 0.5.
 fn journaled_run() -> (String, pqos_core::system::SimOutput) {
+    journaled_sdsc_run(300, 0.5)
+}
+
+/// `jobs` SDSC jobs over a year of AIX-like failures at accuracy `a` and
+/// risk threshold 0.5, journaled: the journal text and the run's output.
+fn journaled_sdsc_run(jobs: usize, a: f64) -> (String, pqos_core::system::SimOutput) {
     use pqos_telemetry::Telemetry;
     let buf = SharedBuf::default();
     let telemetry = Telemetry::builder().jsonl_writer(buf.clone()).build();
     let log = SyntheticLog::new(LogModel::SdscSp2)
-        .jobs(300)
+        .jobs(jobs)
         .seed(SEED)
         .build();
     let config = SimConfig::paper_defaults()
-        .accuracy(0.5)
+        .accuracy(a)
         .user(UserStrategy::risk_threshold(0.5).expect("valid"));
     let out = QosSimulator::new(config, log, trace())
         .with_telemetry(telemetry.clone())
@@ -431,5 +437,96 @@ fn chrome_trace_export_is_wellformed_json() {
             assert!(e.get("ts").and_then(Json::as_u64).is_some());
             assert!(e.get("dur").and_then(Json::as_u64).is_some());
         }
+    }
+}
+
+// --- The simulator's grid, pinned byte for byte. ---
+
+/// FNV-1a, 64-bit: a stable fingerprint of a journal's bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every `SimReport` field over {NASA, SDSC} × a ∈ {0, 0.5, 1} ×
+/// U ∈ {0.1, 0.5, 0.9} at `JOBS` jobs (f64s written with `{:?}`, which
+/// round-trips exactly), then one journaled run (SDSC, a = 0.7, U = 0.5)
+/// as per-kind line counts, its length and its FNV-1a-64 hash.
+fn sim_grid() -> String {
+    use pqos_core::metrics::SimReport;
+    use std::collections::BTreeMap;
+    use std::fmt::Write;
+    let mut out = String::from(
+        "log,a,u,qos,utilization,lost_work,total_work,makespan_secs,jobs,deadline_misses,\
+         job_failures,checkpoints_performed,checkpoints_skipped,mean_promise,mean_wait_secs,\
+         threshold_satisfied_fraction\n",
+    );
+    for (name, model) in [("nasa", LogModel::NasaIpsc), ("sdsc", LogModel::SdscSp2)] {
+        for a in [0.0, 0.5, 1.0] {
+            for u in [0.1, 0.5, 0.9] {
+                // Exhaustive on purpose: a field added to the report does
+                // not compile until it joins the grid.
+                let SimReport {
+                    qos,
+                    utilization,
+                    lost_work,
+                    total_work,
+                    makespan,
+                    jobs,
+                    deadline_misses,
+                    job_failures,
+                    checkpoints_performed,
+                    checkpoints_skipped,
+                    mean_promise,
+                    mean_wait_secs,
+                    threshold_satisfied_fraction,
+                } = run(model, a, u);
+                writeln!(
+                    out,
+                    "{name},{a:?},{u:?},{qos:?},{utilization:?},{lost_work},{total_work},{},\
+                     {jobs},{deadline_misses},{job_failures},{checkpoints_performed},\
+                     {checkpoints_skipped},{mean_promise:?},{mean_wait_secs:?},\
+                     {threshold_satisfied_fraction:?}",
+                    makespan.as_secs()
+                )
+                .unwrap();
+            }
+        }
+    }
+    let (journal, _) = journaled_sdsc_run(JOBS, 0.7);
+    let mut kinds: BTreeMap<&str, usize> = BTreeMap::new();
+    for line in journal.lines() {
+        let kind = line
+            .strip_prefix(r#"{"event":""#)
+            .and_then(|rest| rest.split('"').next())
+            .expect("every journal line leads with its kind");
+        *kinds.entry(kind).or_default() += 1;
+    }
+    out.push_str("journal sdsc a=0.7 u=0.5,kind,lines\n");
+    for (kind, lines) in kinds {
+        writeln!(out, "journal,{kind},{lines}").unwrap();
+    }
+    writeln!(out, "journal,bytes,{}", journal.len()).unwrap();
+    writeln!(out, "journal,fnv1a64,{:016x}", fnv1a64(journal.as_bytes())).unwrap();
+    out
+}
+
+/// The simulator's analogue of the trace corpus: a refactor that moves a
+/// figure, or one journal byte, fails here. A change that means to move
+/// the grid commits the regenerated file (printed below on mismatch) and
+/// says why.
+#[test]
+fn sim_grid_is_byte_identical() {
+    const GOLDEN: &str = include_str!("golden/sim_grid.csv");
+    let grid = sim_grid();
+    if grid != GOLDEN {
+        let first = grid
+            .lines()
+            .zip(GOLDEN.lines())
+            .position(|(now, then)| now != then)
+            .map_or_else(|| "its length".to_string(), |i| format!("line {}", i + 1));
+        println!("--- regenerated tests/golden/sim_grid.csv ---\n{grid}--- end ---");
+        panic!("the simulator grid moved (first difference: {first})");
     }
 }
