@@ -1,15 +1,17 @@
-//! The served job lifecycle: the one state machine behind every job an
-//! online service admits.
+//! The job lifecycle: the one state machine behind every job the
+//! simulator runs and every job an online service admits.
 //!
-//! The paper's contract is a dialog — quote → accept → run → "finished
-//! by *d*" (§3). [`Lifecycle`] is that dialog as a table of jobs and a
-//! set of timers:
+//! The paper's contract is a dialog — quote → commit → run through node
+//! failures → "finished by *d* with probability *p*" (§3.3–3.5).
+//! [`Lifecycle`] is that dialog as a table of jobs:
 //!
 //! ```text
-//!            admit           accept: booked          start instant         promised instant
+//!            admit           commit: booked           start                    complete
 //! (absent) ────────▶ Quoted ────────────────▶ Accepted ─────────────▶ Running ─────────────▶ Done
-//!                     │  │                       │
-//!                     │  └─ accept: refused, or  └─ cancel ─▶ Cancelled
+//!                     │  │                     │    ▲                    │
+//!                     │  │                     │    └─── requeue: a node failure, ───┘
+//!                     │  │                     │         a fresh commitment, the same promise
+//!                     │  └─ commit: refused, or └─ cancel ─▶ Cancelled
 //!                     │     promise passed ─▶ (absent again, counted `expired`)
 //!                     └─ cancel ─▶ Cancelled
 //! ```
@@ -18,21 +20,29 @@
 //! in any later phase is refused.
 //!
 //! It owns everything about a job that is not capacity: the phase and the
-//! held quote, the live counter, the `(instant, class, job)` timers,
-//! [`SessionStats`], the promise tally, virtual time, the quote horizon
-//! and the journal — and it is the only code that journals the nine
-//! served event kinds (`job_submitted`, `job_rejected`,
-//! `quote_negotiated`, `job_placed`, `job_started`, `job_completed`,
-//! `deadline_missed`, `job_cancelled`, `promise_resolved`).
+//! held quote, the live counter, [`SessionStats`], the promise tally, the
+//! deadline slack rule and the journal — and it is the only code that
+//! journals the ten job event kinds (`job_submitted`, `job_rejected`,
+//! `quote_negotiated`, `job_placed`, `job_started`, `job_requeued`,
+//! `job_completed`, `deadline_missed`, `job_cancelled`,
+//! `promise_resolved`).
 //!
-//! What it does **not** own is what "book it" and "release it" mean. An
-//! accepted job holds a *commitment* of type `C`, produced by the closure
-//! handed to [`Lifecycle::accept`] and handed back to the closure given
-//! to [`Lifecycle::cancel`] / [`Lifecycle::advance_to`] when the job
-//! lets go of its nodes. A [`NegotiationSession`] commits one
-//! `ReservationId` in its own book; the service's cross-shard coordinator
-//! commits one reservation slice per shard. Nothing else differs between
-//! the two, so nothing else is a parameter.
+//! Every transition takes its instant as an argument; two drivers decide
+//! when each happens. The service's [`Lifecycle::accept`] and
+//! [`Lifecycle::advance_to`] keep virtual time and `(instant, class,
+//! job)` timers: a job starts at its quoted start and completes at its
+//! promise. The simulator ([`crate::system`]) fires the same transitions
+//! from its event queue: a start once the nodes are claimed, a completion
+//! when the work is done, a requeue when a node under the job fails.
+//!
+//! What it does **not** own is what "book it" and "release it" mean. A
+//! committed job holds a *commitment* of type `C`, produced by the
+//! closure handed to the commit (or requeue) and handed back to the
+//! closure given to cancel, complete or requeue when the job lets go of
+//! its nodes. A [`NegotiationSession`] and the simulator commit one
+//! `ReservationId` in their own book; the service's cross-shard
+//! coordinator commits one reservation slice per shard. Nothing else
+//! differs between them, so nothing else is a parameter.
 //!
 //! [`NegotiationSession`]: crate::session::NegotiationSession
 
@@ -44,6 +54,7 @@ use pqos_sched::reservation::AvailabilityView;
 use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
 use pqos_telemetry::{PromiseVerdict, Telemetry, TelemetryEvent};
 use pqos_workload::job::JobId;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 
 /// Why an `accept` did not commit the quote.
@@ -258,7 +269,23 @@ struct PromiseTally {
 }
 
 impl PromiseTally {
-    fn resolve(&mut self, quoted: f64, verdict: PromiseVerdict) {
+    /// Journals and tallies the verdict on `id`'s promise.
+    fn resolve(
+        &mut self,
+        telemetry: &Telemetry,
+        at: SimTime,
+        id: JobId,
+        held: &HeldQuote,
+        verdict: PromiseVerdict,
+    ) {
+        let quoted = held.quote.promised_success();
+        telemetry.emit(|| TelemetryEvent::PromiseResolved {
+            at,
+            job: id.as_u64(),
+            success_probability: quoted,
+            deadline_secs: held.deadline.as_secs(),
+            verdict,
+        });
         match verdict {
             PromiseVerdict::Kept | PromiseVerdict::Broken => {
                 let bin = &mut self.bins[promise_bin(quoted)];
@@ -303,9 +330,9 @@ impl PromiseTally {
 enum Phase {
     /// Quoted, not yet accepted.
     Quoted,
-    /// Accepted; commitment held; start not yet reached.
+    /// Committed or requeued; commitment held; not yet started.
     Accepted,
-    /// Between journaled start and completion.
+    /// Between journaled start and completion (or requeue).
     Running,
     /// Completed (journaled).
     Done,
@@ -316,9 +343,32 @@ enum Phase {
 #[derive(Debug)]
 struct Job<C> {
     phase: Phase,
+    /// The quote as admitted: once committed, the promise, which a
+    /// requeue never re-negotiates.
     held: HeldQuote,
-    /// What the job holds in the books while accepted or running.
+    /// What the job holds in the books while accepted or running: after
+    /// a requeue, the placement the requeue found.
     commitment: Option<C>,
+}
+
+/// `id`'s entry in `jobs`, if it is in `phase`.
+fn in_phase<C>(jobs: &mut HashMap<JobId, Job<C>>, id: JobId, phase: Phase) -> Option<&mut Job<C>> {
+    jobs.get_mut(&id).filter(|job| job.phase == phase)
+}
+
+/// Journals `job_placed`: the partition `quote` runs `id` on, in node
+/// indices offset by `node_base`.
+fn journal_placement(telemetry: &Telemetry, node_base: u64, at: SimTime, id: JobId, quote: &Quote) {
+    telemetry.emit(|| TelemetryEvent::JobPlaced {
+        at,
+        job: id.as_u64(),
+        nodes: quote
+            .partition
+            .iter()
+            .map(|n| n.index() as u64 + node_base)
+            .collect(),
+        failure_probability: quote.failure_probability,
+    });
 }
 
 /// Timer order-classes: completions at an instant free their nodes before
@@ -329,7 +379,7 @@ const START: u8 = 1;
 
 /// Total checkpointed execution time planned for `runtime` of useful
 /// work: the duration a quote reserves and the base of its slack.
-fn planned_total(config: &SimConfig, runtime: SimDuration) -> SimDuration {
+pub(crate) fn planned_total(config: &SimConfig, runtime: SimDuration) -> SimDuration {
     planned_execution(
         runtime,
         config.checkpoint_interval,
@@ -338,11 +388,13 @@ fn planned_total(config: &SimConfig, runtime: SimDuration) -> SimDuration {
     .total
 }
 
-/// The served job state machine, generic over the commitment `C` an
-/// accepted job holds. See the [module docs](self).
+/// The job state machine, generic over the commitment `C` a committed job
+/// holds. See the [module docs](self).
 #[derive(Debug)]
 pub struct Lifecycle<C> {
     telemetry: Telemetry,
+    /// The served driver's virtual time (the simulator leaves it at zero
+    /// and hands every transition its instant).
     now: SimTime,
     quote_horizon: Option<SimDuration>,
     /// Offset added to node indices in journaled placements.
@@ -352,7 +404,7 @@ pub struct Lifecycle<C> {
     /// every phase transition so [`Self::live_jobs`] need not walk a table
     /// that never forgets a job.
     live: usize,
-    /// Pending lifecycle instants: (time, order-class, job).
+    /// The served driver's pending instants: (time, order-class, job).
     timers: BTreeSet<(SimTime, u8, JobId)>,
     stats: SessionStats,
     promises: PromiseTally,
@@ -500,74 +552,87 @@ impl<C> Lifecycle<C> {
         outcomes: Vec<Option<NegotiationOutcome>>,
     ) -> Vec<QuoteDecision> {
         assert_eq!(requests.len(), outcomes.len(), "one outcome per request");
+        let at = self.now;
         // Submissions first: the doctor requires job_submitted before the
         // accepted quote, and a batch is one virtual instant.
         for &(id, req) in requests {
-            self.telemetry.emit(|| TelemetryEvent::JobSubmitted {
-                at: self.now,
-                job: id.as_u64(),
-                size: req.size,
-                runtime_secs: req.runtime.as_secs(),
-            });
+            self.submit(at, id, req);
         }
         requests
             .iter()
             .zip(outcomes)
-            .map(|(&(id, req), outcome)| self.record_decision(config, id, req, outcome))
+            .map(
+                |(&(id, req), outcome)| match self.decide(at, config, id, req, outcome) {
+                    Some(held) => QuoteDecision::Quoted(held.clone()),
+                    None => QuoteDecision::Rejected,
+                },
+            )
             .collect()
     }
 
-    fn record_decision(
+    /// Journals `id`'s submission at `at`: the first half of admitting it.
+    pub(crate) fn submit(&self, at: SimTime, id: JobId, req: AdmissionRequest) {
+        self.telemetry.emit(|| TelemetryEvent::JobSubmitted {
+            at,
+            job: id.as_u64(),
+            size: req.size,
+            runtime_secs: req.runtime.as_secs(),
+        });
+    }
+
+    /// The second half: journals a rejection, or holds the quote with its
+    /// effective deadline — the promise plus the configured slack fraction
+    /// of the planned execution, saturating at the end of time.
+    pub(crate) fn decide(
         &mut self,
+        at: SimTime,
         config: &SimConfig,
         id: JobId,
         req: AdmissionRequest,
         outcome: Option<NegotiationOutcome>,
-    ) -> QuoteDecision {
+    ) -> Option<&HeldQuote> {
         let Some(outcome) = self.within_horizon(outcome) else {
             self.telemetry.emit(|| TelemetryEvent::JobRejected {
-                at: self.now,
+                at,
                 job: id.as_u64(),
             });
             self.stats.rejected += 1;
-            return QuoteDecision::Rejected;
+            return None;
         };
-        let slack = SimDuration::from_secs(
-            (planned_total(config, req.runtime).as_secs() as f64 * config.deadline_slack) as u64,
-        );
-        let held = HeldQuote {
-            deadline: outcome.accepted.deadline.saturating_add(slack),
-            quote: outcome.accepted,
-            satisfied_threshold: outcome.satisfied_threshold,
-        };
-        if self.jobs.get(&id).is_some_and(|j| j.phase != Phase::Quoted) {
+        let entry = self.jobs.entry(id);
+        if matches!(&entry, Entry::Occupied(e) if e.get().phase != Phase::Quoted) {
             // The id already names a committed or finished job; refusing
             // (without a second journaled verdict) keeps the journal's
             // one-lifecycle-per-id invariant.
             self.stats.rejected += 1;
-            return QuoteDecision::Rejected;
+            return None;
         }
-        let requoted = self.jobs.insert(
-            id,
-            Job {
-                phase: Phase::Quoted,
-                held: held.clone(),
-                commitment: None,
-            },
+        let slack = SimDuration::from_secs(
+            (planned_total(config, req.runtime).as_secs() as f64 * config.deadline_slack) as u64,
         );
+        let job = Job {
+            phase: Phase::Quoted,
+            held: HeldQuote {
+                deadline: outcome.accepted.deadline.saturating_add(slack),
+                quote: outcome.accepted,
+                satisfied_threshold: outcome.satisfied_threshold,
+            },
+            commitment: None,
+        };
+        self.stats.quoted += 1;
         // A re-quote replaces a held quote that was already counted.
-        if requoted.is_none() {
+        if matches!(entry, Entry::Vacant(_)) {
             self.live += 1;
         }
-        self.stats.quoted += 1;
-        QuoteDecision::Quoted(held)
+        Some(&entry.insert_entry(job).into_mut().held)
     }
 
-    /// Commits a held quote. `book` is asked to commit the quoted
-    /// partition for the quoted window and answers with what the job now
-    /// holds, or `None` when a competing commitment took the slot; only
-    /// then are the accepted quote and placement journaled. The job will
-    /// start and complete as virtual time passes the committed instants.
+    /// Commits a held quote at the current virtual time. `book` is asked
+    /// to commit the quoted partition for the quoted window and answers
+    /// with what the job now holds, or `None` when a competing commitment
+    /// took the slot; only then are the accepted quote and placement
+    /// journaled. The job will start and complete as virtual time passes
+    /// the committed instants.
     ///
     /// # Errors
     ///
@@ -580,52 +645,60 @@ impl<C> Lifecycle<C> {
         id: JobId,
         book: impl FnOnce(&HeldQuote, TimeWindow) -> Option<C>,
     ) -> Result<HeldQuote, AcceptError> {
-        let job = self
-            .jobs
-            .get_mut(&id)
-            .filter(|j| j.phase == Phase::Quoted)
-            .ok_or(AcceptError::UnknownQuote)?;
-        let held = job.held.clone();
+        let now = self.now;
+        let held = self.commit(id, now, book)?.clone();
+        // A start already in the past (time moved while the client decided)
+        // fires on the next advance; the run still ends at the promise.
+        self.timers.insert((held.quote.start.max(now), START, id));
+        Ok(held)
+    }
+
+    /// Quoted → Accepted at `at`: [`Self::accept`] without the start
+    /// timer. The accepted quote is a promise, resolved by the terminal
+    /// transition.
+    pub(crate) fn commit(
+        &mut self,
+        id: JobId,
+        at: SimTime,
+        book: impl FnOnce(&HeldQuote, TimeWindow) -> Option<C>,
+    ) -> Result<&HeldQuote, AcceptError> {
+        let entry = match self.jobs.entry(id) {
+            Entry::Occupied(job) if job.get().phase == Phase::Quoted => job,
+            _ => return Err(AcceptError::UnknownQuote),
+        };
+        let held = &entry.get().held;
         let window = TimeWindow::new(held.quote.start, held.quote.deadline);
-        let commitment = (self.now < held.quote.deadline)
-            .then(|| book(&held, window))
+        let commitment = (at < held.quote.deadline)
+            .then(|| book(held, window))
             .flatten();
         let Some(commitment) = commitment else {
-            self.jobs.remove(&id);
+            entry.remove();
             self.live -= 1;
             self.stats.expired += 1;
             return Err(AcceptError::QuoteExpired);
         };
+        let job = entry.into_mut();
         job.phase = Phase::Accepted;
         job.commitment = Some(commitment);
+        let held = &job.held;
         self.telemetry.emit(|| TelemetryEvent::QuoteNegotiated {
-            at: self.now,
+            at,
             job: id.as_u64(),
             start_secs: held.quote.start.as_secs(),
             promised_secs: held.quote.deadline.as_secs(),
             deadline_secs: held.deadline.as_secs(),
             success_probability: held.quote.promised_success(),
         });
-        self.telemetry.emit(|| TelemetryEvent::JobPlaced {
-            at: self.now,
-            job: id.as_u64(),
-            nodes: held
-                .quote
-                .partition
-                .iter()
-                .map(|n| n.index() as u64 + self.node_base)
-                .collect(),
-            failure_probability: held.quote.failure_probability,
-        });
-        // A start already in the past (time moved while the client decided)
-        // fires on the next advance; the run still ends at the promise.
-        self.timers
-            .insert((held.quote.start.max(self.now), START, id));
+        journal_placement(&self.telemetry, self.node_base, at, id, &held.quote);
         self.stats.accepted += 1;
-        // The accepted quote is a promise; its resolution is journaled by
-        // the terminal event (complete or cancel).
         self.promises.made += 1;
         Ok(held)
+    }
+
+    /// A committed job's held quote and what it holds in the books.
+    pub(crate) fn placement(&self, id: JobId) -> Option<(&HeldQuote, &C)> {
+        let job = self.jobs.get(&id)?;
+        Some((&job.held, job.commitment.as_ref()?))
     }
 
     /// Withdraws a job: drops a held quote, or hands an accepted job's
@@ -661,7 +734,9 @@ impl<C> Lifecycle<C> {
         if was_accepted {
             // Only accepted quotes made a promise worth resolving; a held
             // quote that was never committed promised nothing.
-            self.resolve_promise(id, self.now, PromiseVerdict::Cancelled);
+            let verdict = PromiseVerdict::Cancelled;
+            self.promises
+                .resolve(&self.telemetry, self.now, id, &job.held, verdict);
         }
         self.stats.cancelled += 1;
         Ok(())
@@ -676,46 +751,74 @@ impl<C> Lifecycle<C> {
                 break;
             }
             self.timers.pop_first();
-            match class {
-                COMPLETION => self.complete(job, when, &mut release),
-                _ => self.start(job, when),
+            if class == COMPLETION {
+                self.complete(job, when, &mut release);
+            } else if let Some(held) = self.start(job, when, 0) {
+                let end = held.quote.deadline.max(when);
+                self.timers.insert((end, COMPLETION, job));
             }
         }
         self.now = self.now.max(to);
     }
 
-    fn start(&mut self, id: JobId, at: SimTime) {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return;
-        };
-        if job.phase != Phase::Accepted {
-            return;
-        }
+    /// Accepted → Running at `at`, journaling the job's `restarts` (how
+    /// many requeues it has been through). `None` unless `id` is accepted.
+    pub(crate) fn start(&mut self, id: JobId, at: SimTime, restarts: u32) -> Option<&HeldQuote> {
+        let job = in_phase(&mut self.jobs, id, Phase::Accepted)?;
         job.phase = Phase::Running;
-        let end = job.held.quote.deadline.max(at);
         self.telemetry.emit(|| TelemetryEvent::JobStarted {
             at,
             job: id.as_u64(),
-            restarts: 0,
+            restarts,
         });
-        self.timers.insert((end, COMPLETION, id));
         self.stats.started += 1;
+        Some(&job.held)
     }
 
-    fn complete(&mut self, id: JobId, at: SimTime, release: &mut impl FnMut(C)) {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return;
-        };
-        if job.phase != Phase::Running {
-            return;
-        }
+    /// Running → Accepted at `at`: a node failure took the job down with
+    /// `remaining` of its work left. `rebook` is handed the job's
+    /// commitment and answers with a fresh placement and what the job now
+    /// holds; `job_requeued` and the new placement's `job_placed` are
+    /// journaled. The promise is never re-negotiated — the later
+    /// `promise_resolved` carries the committed quote's p and deadline, so
+    /// a failure cannot walk back the system's word. `None` unless `id` is
+    /// running; else the fresh placement.
+    pub(crate) fn requeue(
+        &mut self,
+        id: JobId,
+        at: SimTime,
+        remaining: SimDuration,
+        rebook: impl FnOnce(C) -> (Quote, C),
+    ) -> Option<Quote> {
+        let job = in_phase(&mut self.jobs, id, Phase::Running)?;
+        let old = job.commitment.take().expect("running: committed");
+        self.telemetry.emit(|| TelemetryEvent::JobRequeued {
+            at,
+            job: id.as_u64(),
+            remaining_secs: remaining.as_secs(),
+        });
+        let (quote, commitment) = rebook(old);
+        journal_placement(&self.telemetry, self.node_base, at, id, &quote);
+        job.phase = Phase::Accepted;
+        job.commitment = Some(commitment);
+        Some(quote)
+    }
+
+    /// Running → Done at `at`, handing the commitment to `release`:
+    /// journals the completion, the miss if `at` is past the effective
+    /// deadline, and the promise's verdict. `None` unless `id` is running.
+    pub(crate) fn complete(
+        &mut self,
+        id: JobId,
+        at: SimTime,
+        release: impl FnOnce(C),
+    ) -> Option<&HeldQuote> {
+        let job = in_phase(&mut self.jobs, id, Phase::Running)?;
         job.phase = Phase::Done;
         self.live -= 1;
         let deadline = job.held.deadline;
         let met_deadline = at <= deadline;
-        if let Some(commitment) = job.commitment.take() {
-            release(commitment);
-        }
+        release(job.commitment.take().expect("running: committed"));
         self.telemetry.emit(|| TelemetryEvent::JobCompleted {
             at,
             job: id.as_u64(),
@@ -733,22 +836,10 @@ impl<C> Lifecycle<C> {
         } else {
             PromiseVerdict::Broken
         };
-        self.resolve_promise(id, at, verdict);
+        self.promises
+            .resolve(&self.telemetry, at, id, &job.held, verdict);
         self.stats.completed += 1;
-    }
-
-    /// Journals and tallies the verdict on `id`'s promise.
-    fn resolve_promise(&mut self, id: JobId, at: SimTime, verdict: PromiseVerdict) {
-        let held = &self.jobs[&id].held;
-        let quoted = held.quote.promised_success();
-        self.telemetry.emit(|| TelemetryEvent::PromiseResolved {
-            at,
-            job: id.as_u64(),
-            success_probability: quoted,
-            deadline_secs: held.deadline.as_secs(),
-            verdict,
-        });
-        self.promises.resolve(quoted, verdict);
+        Some(&job.held)
     }
 }
 
@@ -785,6 +876,17 @@ mod tests {
         }
     }
 
+    /// Where a requeue re-places the job: nodes {2, 3} from t=300 by
+    /// t=400 with p=0.5 — none of which may touch the promise.
+    fn requeued() -> Quote {
+        Quote {
+            start: SimTime::from_secs(300),
+            deadline: SimTime::from_secs(400),
+            partition: Partition::contiguous(2, 2),
+            failure_probability: 0.5,
+        }
+    }
+
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Given {
         Absent,
@@ -795,6 +897,11 @@ mod tests {
         Running,
         Done,
         Cancelled,
+        /// Driven by the simulator's ops alone (no served timer): committed
+        /// at t=0, started at t=120, requeued at t=160.
+        Requeued,
+        /// Requeued, then started again.
+        Restarted,
     }
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -807,6 +914,13 @@ mod tests {
         AdvancePastStart,
         /// To t=250: past the promise.
         AdvancePastDeadline,
+        /// The simulator's start at t=170, the job's first restart.
+        Start,
+        /// The simulator's completion at t=250, past the promise.
+        Complete,
+        /// The simulator's requeue at t=160 with 40 s of work left, onto
+        /// [`requeued`].
+        Requeue,
     }
 
     /// A lifecycle over the unit commitment, counting how often the
@@ -866,11 +980,37 @@ mod tests {
                         .advance_to(SimTime::from_secs(to), |()| *released += 1);
                     format!("now={}", self.jobs.now().as_secs())
                 }
+                Op::Start => format!("{:?}", self.jobs.start(ID, SimTime::from_secs(170), 1)),
+                Op::Complete => {
+                    let done = self.jobs.complete(ID, SimTime::from_secs(250), |()| {
+                        *released += 1;
+                    });
+                    format!("{done:?}")
+                }
+                Op::Requeue => {
+                    let left = SimDuration::from_secs(40);
+                    let placed = self.jobs.requeue(ID, SimTime::from_secs(160), left, |()| {
+                        *released += 1;
+                        *booked += 1;
+                        (requeued(), ())
+                    });
+                    format!("{placed:?}")
+                }
             }
         }
 
         fn reach(from: Given) -> Self {
             let mut w = World::new();
+            if matches!(from, Given::Requeued | Given::Restarted) {
+                w.apply(Op::Requote);
+                w.jobs.commit(ID, SimTime::ZERO, |_, _| Some(())).unwrap();
+                w.jobs.start(ID, SimTime::from_secs(120), 0).unwrap();
+                w.apply(Op::Requeue);
+                if from == Given::Restarted {
+                    w.apply(Op::Start);
+                }
+                return w;
+            }
             let path: &[Op] = match from {
                 Given::Absent => &[],
                 Given::Quoted => &[Op::Requote],
@@ -879,6 +1019,7 @@ mod tests {
                 Given::Running => &[Op::Requote, Op::AcceptBooked, Op::AdvancePastStart],
                 Given::Done => &[Op::Requote, Op::AcceptBooked, Op::AdvancePastDeadline],
                 Given::Cancelled => &[Op::Requote, Op::AcceptBooked, Op::Cancel],
+                Given::Requeued | Given::Restarted => unreachable!("reached above"),
             };
             for &op in path {
                 w.apply(op);
@@ -922,6 +1063,9 @@ mod tests {
     fn started() -> String {
         r#"{"event":"job_started","at":100,"job":7,"restarts":0}"#.to_string()
     }
+    fn restarted() -> String {
+        r#"{"event":"job_started","at":170,"job":7,"restarts":1}"#.to_string()
+    }
     fn completed() -> [String; 2] {
         [
             r#"{"event":"job_completed","at":200,"job":7,"met_deadline":true}"#.to_string(),
@@ -934,7 +1078,7 @@ mod tests {
         let zero = SessionStats::default();
         let none = PromiseStats::default();
         let at = match from {
-            G::Absent | G::Quoted | G::Accepted | G::Cancelled => 0,
+            G::Absent | G::Quoted | G::Accepted | G::Cancelled | G::Requeued | G::Restarted => 0,
             G::QuotedExpired => PROMISE,
             G::Running => 150,
             G::Done => 250,
@@ -945,14 +1089,19 @@ mod tests {
             next: match from {
                 G::Absent => None,
                 G::Quoted | G::QuotedExpired => Some(Phase::Quoted),
-                G::Accepted => Some(Phase::Accepted),
-                G::Running => Some(Phase::Running),
+                G::Accepted | G::Requeued => Some(Phase::Accepted),
+                G::Running | G::Restarted => Some(Phase::Running),
                 G::Done => Some(Phase::Done),
                 G::Cancelled => Some(Phase::Cancelled),
             },
             live: usize::from(matches!(
                 from,
-                G::Quoted | G::QuotedExpired | G::Accepted | G::Running
+                G::Quoted
+                    | G::QuotedExpired
+                    | G::Accepted
+                    | G::Running
+                    | G::Requeued
+                    | G::Restarted
             )),
             stats: zero,
             promises: none,
@@ -972,7 +1121,10 @@ mod tests {
             },
             // A committed or finished id refuses it: the submission is
             // journaled, a second verdict is not.
-            (G::Accepted | G::Running | G::Done | G::Cancelled, Op::Requote) => Cell {
+            (
+                G::Accepted | G::Running | G::Done | G::Cancelled | G::Requeued | G::Restarted,
+                Op::Requote,
+            ) => Cell {
                 stats: SessionStats { rejected: 1, ..zero },
                 journal: vec![submitted(at)],
                 ..unchanged("Rejected")
@@ -1007,7 +1159,9 @@ mod tests {
                 journal: vec![format!(r#"{{"event":"job_cancelled","at":{at},"job":7}}"#)],
                 ..unchanged("Ok(())")
             },
-            (G::Accepted, Op::Cancel) => Cell {
+            // A requeued job cancels like any accepted one: its fresh
+            // commitment is released and its first promise voided.
+            (G::Accepted | G::Requeued, Op::Cancel) => Cell {
                 next: Some(Phase::Cancelled),
                 live: 0,
                 stats: SessionStats { cancelled: 1, ..zero },
@@ -1020,7 +1174,7 @@ mod tests {
                 ..unchanged("Ok(())")
             },
             (G::Absent | G::Cancelled, Op::Cancel) => unchanged("Err(UnknownJob)"),
-            (G::Running | G::Done, Op::Cancel) => unchanged("Err(AlreadyStarted)"),
+            (G::Running | G::Done | G::Restarted, Op::Cancel) => unchanged("Err(AlreadyStarted)"),
             (G::Accepted, Op::AdvancePastStart) => Cell {
                 next: Some(Phase::Running),
                 stats: SessionStats { started: 1, ..zero },
@@ -1047,6 +1201,45 @@ mod tests {
                 journal: completed().to_vec(),
                 ..unchanged("now=250")
             },
+            // The caller's restart count is what the start journals.
+            (G::Accepted | G::Requeued, Op::Start) => Cell {
+                next: Some(Phase::Running),
+                stats: SessionStats { started: 1, ..zero },
+                journal: vec![restarted()],
+                ..unchanged(&format!("{:?}", Some(held())))
+            },
+            (_, Op::Start) => unchanged("None"),
+            // The fresh commitment replaces the old one and the new
+            // partition is journaled; the promise stays as committed.
+            (G::Running | G::Restarted, Op::Requeue) => Cell {
+                next: Some(Phase::Accepted),
+                booked: 1,
+                released: 1,
+                journal: vec![
+                    r#"{"event":"job_requeued","at":160,"job":7,"remaining_secs":40}"#.to_string(),
+                    r#"{"event":"job_placed","at":160,"job":7,"nodes":[2,3],"failure_probability":0.5}"#.to_string(),
+                ],
+                ..unchanged(&format!("{:?}", Some(requeued())))
+            },
+            (_, Op::Requeue) => unchanged("None"),
+            // The trap: after a requeue onto p=0.5 by t=400 the promise
+            // resolved is still the committed p=0.75 by t=200 — and a
+            // finish at t=250 breaks it.
+            (G::Running | G::Restarted, Op::Complete) => Cell {
+                next: Some(Phase::Done),
+                live: 0,
+                stats: SessionStats { completed: 1, ..zero },
+                // One promise quoted at 0.75 and broken: observed 0.0.
+                promises: PromiseStats { broken: 1, worst_residual_milli: -750, ..none },
+                released: 1,
+                journal: vec![
+                    r#"{"event":"job_completed","at":250,"job":7,"met_deadline":false}"#.to_string(),
+                    r#"{"event":"deadline_missed","at":250,"job":7,"late_by_secs":50}"#.to_string(),
+                    r#"{"event":"promise_resolved","at":250,"job":7,"success_probability":0.75,"deadline_secs":200,"verdict":"broken"}"#.to_string(),
+                ],
+                ..unchanged(&format!("{:?}", Some(held())))
+            },
+            (_, Op::Complete) => unchanged("None"),
             // No timer pending: the clock moves (never backwards) and
             // nothing else does.
             (_, Op::AdvancePastStart) => unchanged(&format!("now={}", at.max(150))),
@@ -1056,8 +1249,9 @@ mod tests {
 
     /// Every phase × every op: the returned value, the next phase, the
     /// live count, which counters moved, how often the booking and
-    /// release closures ran, and the exact journal lines. A new
-    /// transition (the failure ops) adds its row here.
+    /// release closures ran, and the exact journal lines. The served
+    /// driver's ops (accept, cancel, advance) and the simulator's (start,
+    /// complete and requeue at the caller's instant) share the table.
     #[test]
     fn transition_table() {
         let froms = [
@@ -1068,6 +1262,8 @@ mod tests {
             Given::Running,
             Given::Done,
             Given::Cancelled,
+            Given::Requeued,
+            Given::Restarted,
         ];
         let ops = [
             Op::Requote,
@@ -1076,6 +1272,9 @@ mod tests {
             Op::Cancel,
             Op::AdvancePastStart,
             Op::AdvancePastDeadline,
+            Op::Start,
+            Op::Complete,
+            Op::Requeue,
         ];
         for from in froms {
             for op in ops {

@@ -1,6 +1,6 @@
-//! A live negotiation session: the simulator's quote → accept → run
-//! lifecycle, factored out of [`crate::system`] so an online service can
-//! drive it request-by-request instead of trace-by-trace.
+//! A live negotiation session: the job [`Lifecycle`] the simulator
+//! ([`crate::system`]) runs trace-by-trace, driven request-by-request by
+//! an online service.
 //!
 //! The paper's protocol is a dialog: the user *asks* for a quote
 //! (`negotiate`), then *commits* to it (`accept`) or walks away
@@ -17,9 +17,9 @@
 //!   pass that must agree with the first;
 //! - a [`Lifecycle`] whose commitment is one `ReservationId` — the job
 //!   table, timers, counters, virtual time and journal. Every transition
-//!   lives there, shared with the service's cross-shard coordinator; the
-//!   session only says what "book it" (`book.add`) and "release it"
-//!   (`book.remove`) mean.
+//!   lives there, shared with the service's cross-shard coordinator and
+//!   the simulator; the session only says what "book it" (`book.add`) and
+//!   "release it" (`book.remove`) mean.
 //!
 //! Quotes are *soft*: negotiating reserves nothing. `accept` revalidates
 //! against the book and fails with [`AcceptError::QuoteExpired`] when a

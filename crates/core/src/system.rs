@@ -15,18 +15,22 @@
 //! * checkpoint requests fire after every interval `I` of useful progress
 //!   and are granted or denied by the configured policy, with the
 //!   deadline-aware override of §3.4.
+//!
+//! Every job transition — admit, commit, start, requeue, complete — is the
+//! [`Lifecycle`] function the online service runs. The simulator keeps the
+//! event queue that decides when each one happens, the cursor over the
+//! job log, each job's checkpoint clock and the cluster's node claims.
 
 use crate::config::SimConfig;
+use crate::lifecycle::{planned_total, AdmissionRequest, Lifecycle};
 use crate::metrics::{JobOutcome, LostWorkEvent, MetricsCollector, SimReport};
 use crate::negotiate::{negotiate_with_telemetry, NegotiationRequest};
 use crate::user::UserStrategy;
-use pqos_ckpt::model::planned_execution;
 use pqos_ckpt::policy::{
     CheckpointContext, CheckpointDecision, CheckpointPolicy, DeadlinePressure, InstrumentedPolicy,
 };
 use pqos_cluster::machine::Cluster;
 use pqos_cluster::node::NodeId;
-use pqos_cluster::partition::Partition;
 use pqos_failures::trace::FailureTrace;
 use pqos_predict::api::Predictor;
 use pqos_predict::instrument::InstrumentedPredictor;
@@ -34,11 +38,10 @@ use pqos_predict::oracle::TraceOracle;
 use pqos_sched::reservation::{ReservationBook, ReservationId};
 use pqos_sim_core::queue::EventQueue;
 use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
-use pqos_telemetry::{
-    Histogram, PromiseVerdict, SkipReason, Snapshot, Telemetry, TelemetryEvent, Timer,
-};
+use pqos_telemetry::{Histogram, SkipReason, Snapshot, Telemetry, TelemetryEvent, Timer};
 use pqos_workload::job::{Job, JobId};
 use pqos_workload::log::JobLog;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -139,24 +142,14 @@ impl DispatchProfiler {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Pending,
-    Running,
-    Checkpointing,
-    Done,
-}
-
+/// A committed job's checkpoint clock. Its phase, promise and reservation
+/// live in the simulator's [`Lifecycle`].
 #[derive(Debug)]
 struct JobState {
     job: Job,
-    promised: f64,
-    deadline: SimTime,
-    satisfied_threshold: bool,
+    /// The attempt: bumped by every failure, so the killed attempt's
+    /// pending events go stale. Also the job's restart count.
     epoch: u32,
-    phase: Phase,
-    reservation: Option<ReservationId>,
-    partition: Option<Partition>,
     /// Useful work completed, updated at segment boundaries.
     done: SimDuration,
     /// Work protected by completed checkpoints.
@@ -164,15 +157,29 @@ struct JobState {
     /// Start of the current attempt.
     attempt_start: SimTime,
     /// Start of the current compute segment (or of the in-flight
-    /// checkpoint while `phase == Checkpointing`).
+    /// checkpoint).
     segment_start: SimTime,
     /// `cjx`: start time of the last completed checkpoint in this attempt,
     /// else the attempt start.
     rollback_anchor: SimTime,
     skipped_since_last: u64,
-    failures: u32,
     ckpt_performed: u32,
     ckpt_skipped: u32,
+}
+
+impl JobState {
+    /// Starts the next compute segment at `now`: the event that ends it,
+    /// the next checkpoint request or the finish line.
+    fn next_segment(&mut self, now: SimTime, interval: SimDuration) -> (SimTime, Event) {
+        self.segment_start = now;
+        let remaining = self.job.runtime() - self.done;
+        let (job, epoch) = (self.job.id(), self.epoch);
+        if remaining <= interval {
+            (now + remaining, Event::Finish { job, epoch })
+        } else {
+            (now + interval, Event::CheckpointRequest { job, epoch })
+        }
+    }
 }
 
 /// The full probabilistic-QoS system simulator.
@@ -198,7 +205,10 @@ struct JobState {
 /// ```
 pub struct QosSimulator {
     config: SimConfig,
+    /// Checkpoint clocks of the committed jobs not yet finished.
     jobs: HashMap<JobId, JobState>,
+    /// Every job's lifecycle, committed to a reservation in `book`.
+    lifecycle: Lifecycle<ReservationId>,
     arrival_order: Vec<Job>,
     trace: Arc<FailureTrace>,
     predictor: Arc<dyn Predictor + Send + Sync>,
@@ -267,6 +277,7 @@ impl QosSimulator {
         QosSimulator {
             arrival_order: log.jobs().to_vec(),
             jobs: HashMap::new(),
+            lifecycle: Lifecycle::new(Telemetry::disabled()),
             trace,
             predictor,
             baseline_node_rate,
@@ -313,6 +324,7 @@ impl QosSimulator {
             self.policy = Box::new(InstrumentedPolicy::new(self.policy, telemetry.clone()));
         }
         self.profiler = DispatchProfiler::new(&telemetry);
+        self.lifecycle = Lifecycle::new(telemetry.clone());
         self.telemetry = telemetry;
         self
     }
@@ -382,32 +394,23 @@ impl QosSimulator {
     }
 
     fn on_arrival(&mut self, now: SimTime, index: usize) {
-        let job = *self
-            .arrival_order
-            .get(index)
-            .expect("arrival for unknown job");
+        let job = self.arrival_order[index];
         let id = job.id();
         self.telemetry.counter("jobs.submitted").inc();
-        self.telemetry.emit(|| TelemetryEvent::JobSubmitted {
-            at: now,
-            job: id.as_u64(),
+        let admission = AdmissionRequest {
             size: job.nodes(),
-            runtime_secs: job.runtime().as_secs(),
-        });
-        let plan = planned_execution(
-            job.runtime(),
-            self.config.checkpoint_interval,
-            self.config.checkpoint_overhead,
-        );
+            runtime: job.runtime(),
+        };
+        self.lifecycle.submit(now, id, admission);
         let (down, horizon) = self.down_nodes();
-        let Some(outcome) = negotiate_with_telemetry(
+        let outcome = negotiate_with_telemetry(
             &self.book,
             self.config.topology,
             self.config.placement,
             &self.predictor,
             NegotiationRequest {
                 size: job.nodes(),
-                duration: plan.total,
+                duration: planned_total(&self.config, job.runtime()),
                 now,
                 down: &down,
                 recovery_horizon: horizon,
@@ -417,86 +420,57 @@ impl QosSimulator {
             self.config.max_negotiation_slots,
             self.config.max_probe_steps,
             &self.telemetry,
-        ) else {
+        );
+        if let Some(outcome) = &outcome {
+            self.telemetry
+                .histogram("negotiate.quotes_examined")
+                .observe(outcome.quotes_examined as f64);
+            if !outcome.satisfied_threshold {
+                self.telemetry.counter("negotiate.fallbacks").inc();
+            }
+        }
+        let decision = self
+            .lifecycle
+            .decide(now, &self.config, id, admission, outcome);
+        if decision.is_none() {
             self.telemetry.counter("jobs.rejected").inc();
-            self.telemetry.emit(|| TelemetryEvent::JobRejected {
-                at: now,
-                job: id.as_u64(),
-            });
             self.rejected.push(id);
             return;
-        };
-        let quote = outcome.accepted;
-        self.telemetry
-            .histogram("negotiate.quotes_examined")
-            .observe(outcome.quotes_examined as f64);
-        if !outcome.satisfied_threshold {
-            self.telemetry.counter("negotiate.fallbacks").inc();
         }
-        // The effective deadline the system holds itself to: the quoted
-        // promise plus configured slack. Journaled so consumers can check
-        // recorded outcomes against the commitment without re-deriving it.
-        let slack = SimDuration::from_secs(
-            (plan.total.as_secs() as f64 * self.config.deadline_slack) as u64,
-        );
-        let deadline = quote.deadline + slack;
-        self.telemetry.emit(|| TelemetryEvent::QuoteNegotiated {
-            at: now,
-            job: id.as_u64(),
-            start_secs: quote.start.as_secs(),
-            promised_secs: quote.deadline.as_secs(),
-            deadline_secs: deadline.as_secs(),
-            success_probability: quote.promised_success(),
-        });
-        self.telemetry.emit(|| TelemetryEvent::JobPlaced {
-            at: now,
-            job: id.as_u64(),
-            nodes: quote.partition.iter().map(|n| n.index() as u64).collect(),
-            failure_probability: quote.failure_probability,
-        });
-        let reservation = self
-            .book
-            .add(
-                id,
-                quote.partition.clone(),
-                TimeWindow::new(quote.start, quote.deadline),
-            )
-            .expect("negotiated slot must be reservable");
-        let epoch = 0;
+        let book = &mut self.book;
+        let start = self
+            .lifecycle
+            .commit(id, now, |held, window| {
+                book.add(id, held.quote.partition.clone(), window).ok()
+            })
+            .expect("negotiated slot must be reservable")
+            .quote
+            .start;
         self.jobs.insert(
             id,
             JobState {
                 job,
-                promised: quote.promised_success(),
-                deadline,
-                satisfied_threshold: outcome.satisfied_threshold,
-                epoch,
-                phase: Phase::Pending,
-                reservation: Some(reservation),
-                partition: Some(quote.partition.clone()),
+                epoch: 0,
                 done: SimDuration::ZERO,
                 durable: SimDuration::ZERO,
-                attempt_start: quote.start,
-                segment_start: quote.start,
-                rollback_anchor: quote.start,
+                attempt_start: start,
+                segment_start: start,
+                rollback_anchor: start,
                 skipped_since_last: 0,
-                failures: 0,
                 ckpt_performed: 0,
                 ckpt_skipped: 0,
             },
         );
-        self.push_event(quote.start, Event::Start { job: id, epoch });
+        self.push_event(start, Event::Start { job: id, epoch: 0 });
     }
 
     fn on_start(&mut self, now: SimTime, id: JobId, epoch: u32) {
-        let Some(state) = self.jobs.get(&id) else {
+        let Some(state) = self.jobs.get_mut(&id).filter(|s| s.epoch == epoch) else {
             return;
         };
-        if state.epoch != epoch || state.phase != Phase::Pending {
-            return;
-        }
-        let partition = state.partition.clone().expect("pending job has partition");
-        if self.cluster.claim(&partition).is_err() {
+        let (_, &reservation) = self.lifecycle.placement(id).expect("job is committed");
+        let partition = &self.book.get(reservation).expect("booked").partition;
+        if self.cluster.claim(partition).is_err() {
             // A member node is down or still claimed by a late predecessor.
             // Retry once the known recoveries have passed, else shortly.
             let mut retry = now + START_RETRY;
@@ -511,43 +485,21 @@ impl QosSimulator {
         for n in partition.iter() {
             self.node_owner[n.index()] = Some(id);
         }
-        let state = self.jobs.get_mut(&id).expect("checked above");
-        state.phase = Phase::Running;
+        self.lifecycle.start(id, now, epoch);
         state.attempt_start = now;
         state.rollback_anchor = now;
         state.skipped_since_last = 0;
         self.telemetry.counter("jobs.started").inc();
         self.telemetry.gauge("jobs.running").add(1);
-        let restarts = state.failures;
-        self.telemetry.emit(|| TelemetryEvent::JobStarted {
-            at: now,
-            job: id.as_u64(),
-            restarts,
-        });
-        let state = self.jobs.get_mut(&id).expect("checked above");
         // Restarted attempts pay the recovery overhead R before useful
         // work resumes (the paper uses R = 0; configurable for ablations).
-        let recovery = if state.failures > 0 {
+        let recovery = if epoch > 0 {
             self.config.restart_overhead
         } else {
             SimDuration::ZERO
         };
-        self.schedule_next_segment(id, now + recovery);
-    }
-
-    /// Starts the next compute segment for a running job: either up to the
-    /// next checkpoint request or straight to the finish line.
-    fn schedule_next_segment(&mut self, id: JobId, now: SimTime) {
-        let interval = self.config.checkpoint_interval;
-        let state = self.jobs.get_mut(&id).expect("segment for unknown job");
-        state.segment_start = now;
-        let remaining = state.job.runtime() - state.done;
-        let epoch = state.epoch;
-        if remaining <= interval {
-            self.push_event(now + remaining, Event::Finish { job: id, epoch });
-        } else {
-            self.push_event(now + interval, Event::CheckpointRequest { job: id, epoch });
-        }
+        let (at, next) = state.next_segment(now + recovery, self.config.checkpoint_interval);
+        self.push_event(at, next);
     }
 
     fn on_ckpt_request(&mut self, now: SimTime, id: JobId, epoch: u32) {
@@ -555,18 +507,15 @@ impl QosSimulator {
         let interval = self.config.checkpoint_interval;
         let deadline_aware = self.config.deadline_aware_skips;
 
-        let Some(state) = self.jobs.get(&id) else {
+        let Some(state) = self.jobs.get_mut(&id).filter(|s| s.epoch == epoch) else {
             return;
         };
-        if state.epoch != epoch || state.phase != Phase::Running {
-            return;
-        }
         self.telemetry.emit(|| TelemetryEvent::CheckpointRequested {
             at: now,
             job: id.as_u64(),
         });
-        let state = self.jobs.get(&id).expect("checked above");
-        let partition = state.partition.clone().expect("running job has partition");
+        let (held, &reservation) = self.lifecycle.placement(id).expect("job is committed");
+        let partition = &self.book.get(reservation).expect("booked").partition;
         // One interval of work has just completed.
         let done = state.done + (now - state.segment_start);
         let remaining = state.job.runtime() - done;
@@ -590,7 +539,7 @@ impl QosSimulator {
         // Deadline pressure (§3.4): performing now — even if every future
         // checkpoint is skipped — would miss the deadline, while skipping
         // keeps it reachable.
-        let deadline = state.deadline;
+        let deadline = held.deadline;
         let miss_if_perform = now + overhead + remaining > deadline;
         let meet_if_skip = now + remaining <= deadline;
         let pressure = if deadline_aware && miss_if_perform && meet_if_skip {
@@ -613,14 +562,12 @@ impl QosSimulator {
             self.policy.decide(&ctx)
         };
 
-        let state = self.jobs.get_mut(&id).expect("checked above");
         state.done = done;
-        match decision {
+        let (at, next) = match decision {
             CheckpointDecision::Perform => {
-                state.phase = Phase::Checkpointing;
                 state.segment_start = now;
                 state.ckpt_performed += 1;
-                self.push_event(now + overhead, Event::CheckpointFinish { job: id, epoch });
+                (now + overhead, Event::CheckpointFinish { job: id, epoch })
             }
             CheckpointDecision::Skip => {
                 state.skipped_since_last += 1;
@@ -646,98 +593,69 @@ impl QosSimulator {
                         at_risk_secs: ctx.at_risk().as_secs(),
                     }
                 });
-                self.schedule_next_segment(id, now);
+                state.next_segment(now, interval)
             }
-        }
+        };
+        self.push_event(at, next);
     }
 
     fn on_ckpt_finish(&mut self, now: SimTime, id: JobId, epoch: u32) {
-        let Some(state) = self.jobs.get_mut(&id) else {
+        let Some(state) = self.jobs.get_mut(&id).filter(|s| s.epoch == epoch) else {
             return;
         };
-        if state.epoch != epoch || state.phase != Phase::Checkpointing {
-            return;
-        }
         state.durable = state.done;
         // cjx is the *start* of the last successful checkpoint (§3.5).
         state.rollback_anchor = state.segment_start;
         state.skipped_since_last = 0;
-        state.phase = Phase::Running;
         let overhead = self.config.checkpoint_overhead;
         self.telemetry.emit(|| TelemetryEvent::CheckpointTaken {
             at: now,
             job: id.as_u64(),
             overhead_secs: overhead.as_secs(),
         });
-        self.schedule_next_segment(id, now);
+        let (at, next) = state.next_segment(now, self.config.checkpoint_interval);
+        self.push_event(at, next);
     }
 
     fn on_finish(&mut self, now: SimTime, id: JobId, epoch: u32) {
-        let Some(state) = self.jobs.get(&id) else {
-            return;
+        let state = match self.jobs.entry(id) {
+            Entry::Occupied(e) if e.get().epoch == epoch => e.remove(),
+            _ => return,
         };
-        if state.epoch != epoch || state.phase != Phase::Running {
-            return;
-        }
-        let partition = state.partition.clone().expect("running job has partition");
-        self.cluster
-            .release(&partition)
-            .expect("finishing job held its claim");
-        for n in partition.iter() {
-            self.node_owner[n.index()] = None;
-        }
-        let state = self.jobs.get_mut(&id).expect("checked above");
-        state.done = state.job.runtime();
-        state.phase = Phase::Done;
-        if let Some(r) = state.reservation.take() {
-            self.book.remove(r);
-        }
-        let state = self.jobs.get(&id).expect("checked above");
+        let (book, cluster, owners) = (&mut self.book, &mut self.cluster, &mut self.node_owner);
+        let held = self
+            .lifecycle
+            .complete(id, now, |reservation| {
+                let partition = book.remove(reservation).expect("booked").partition;
+                cluster
+                    .release(&partition)
+                    .expect("finishing job held its claim");
+                for n in partition.iter() {
+                    owners[n.index()] = None;
+                }
+            })
+            .expect("a finishing job is running");
+        let met_deadline = now <= held.deadline;
         self.metrics.record_outcome(JobOutcome {
             id,
             nodes: state.job.nodes(),
             runtime: state.job.runtime(),
             arrival: state.job.arrival(),
-            promised: state.promised,
-            deadline: state.deadline,
+            promised: held.quote.promised_success(),
+            deadline: held.deadline,
             last_start: state.attempt_start,
             finish: now,
-            met_deadline: now <= state.deadline,
-            failures: state.failures,
-            satisfied_threshold: state.satisfied_threshold,
+            met_deadline,
+            failures: state.epoch,
+            satisfied_threshold: held.satisfied_threshold,
             checkpoints_performed: state.ckpt_performed,
             checkpoints_skipped: state.ckpt_skipped,
         });
-        let deadline = state.deadline;
-        let met_deadline = now <= deadline;
         self.telemetry.counter("jobs.completed").inc();
         self.telemetry.gauge("jobs.running").add(-1);
-        self.telemetry.emit(|| TelemetryEvent::JobCompleted {
-            at: now,
-            job: id.as_u64(),
-            met_deadline,
-        });
         if !met_deadline {
             self.telemetry.counter("jobs.deadline_missed").inc();
-            self.telemetry.emit(|| TelemetryEvent::DeadlineMissed {
-                at: now,
-                job: id.as_u64(),
-                late_by_secs: now.saturating_since(deadline).as_secs(),
-            });
         }
-        let promised = state.promised;
-        let verdict = if met_deadline {
-            PromiseVerdict::Kept
-        } else {
-            PromiseVerdict::Broken
-        };
-        self.telemetry.emit(|| TelemetryEvent::PromiseResolved {
-            at: now,
-            job: id.as_u64(),
-            success_probability: promised,
-            deadline_secs: deadline.as_secs(),
-            verdict,
-        });
     }
 
     fn on_failure(&mut self, now: SimTime, index: usize) {
@@ -751,12 +669,11 @@ impl QosSimulator {
         self.down_until[node.index()] = until;
         self.push_event(until, Event::NodeRecovery { node });
 
-        let victim_state = self.node_owner[node.index()]
-            .and_then(|id| self.jobs.get(&id).map(|s| (id, s)))
-            .filter(|(_, s)| matches!(s.phase, Phase::Running | Phase::Checkpointing));
         // ω_lost contribution: wall-clock since the last checkpoint started
-        // (or the attempt began), times the job's size.
-        let victim = victim_state.map(|(id, state)| {
+        // (or the attempt began), times the job's size. Only a running job
+        // claims nodes.
+        let victim = self.node_owner[node.index()].map(|id| {
+            let state = &self.jobs[&id];
             let lost = now.saturating_since(state.rollback_anchor).as_secs()
                 * u64::from(state.job.nodes());
             (id, lost)
@@ -791,29 +708,18 @@ impl QosSimulator {
             return;
         };
         self.telemetry.gauge("jobs.running").add(-1);
-        let state = self.jobs.get(&victim).expect("owner map tracks live jobs");
-        let partition = state.partition.clone().expect("running job has partition");
+        let state = self
+            .jobs
+            .get_mut(&victim)
+            .expect("owner map tracks live jobs");
         self.metrics.record_lost_work(LostWorkEvent {
             time: now,
             job: victim,
             nodes: state.job.nodes(),
             lost_node_seconds: lost,
         });
-
-        self.cluster
-            .release(&partition)
-            .expect("failed job held its claim");
-        for n in partition.iter() {
-            self.node_owner[n.index()] = None;
-        }
-        let state = self.jobs.get_mut(&victim).expect("checked above");
-        state.failures += 1;
         state.epoch += 1;
-        state.phase = Phase::Pending;
         state.done = state.durable;
-        if let Some(r) = state.reservation.take() {
-            self.book.remove(r);
-        }
         self.requeue(now, victim);
     }
 
@@ -821,65 +727,51 @@ impl QosSimulator {
     /// and promise are unchanged — re-negotiation after a failure would let
     /// the system walk back its word.
     fn requeue(&mut self, now: SimTime, id: JobId) {
-        let state = self.jobs.get(&id).expect("requeue of unknown job");
+        let state = &self.jobs[&id];
+        let (size, epoch) = (state.job.nodes(), state.epoch);
         let remaining = state.job.runtime() - state.durable;
         self.telemetry.counter("jobs.requeued").inc();
-        self.telemetry.emit(|| TelemetryEvent::JobRequeued {
-            at: now,
-            job: id.as_u64(),
-            remaining_secs: remaining.as_secs(),
-        });
-        let mut plan = planned_execution(
-            remaining,
-            self.config.checkpoint_interval,
-            self.config.checkpoint_overhead,
-        );
-        plan.total += self.config.restart_overhead;
-        let size = state.job.nodes();
-        let epoch = state.epoch;
         let (down, horizon) = self.down_nodes();
-        let outcome = negotiate_with_telemetry(
-            &self.book,
-            self.config.topology,
-            self.config.placement,
-            &self.predictor,
-            NegotiationRequest {
-                size,
-                duration: plan.total,
-                now,
-                down: &down,
-                recovery_horizon: horizon,
-                pre_start_risk: self.config.node_downtime,
-            },
-            // Earliest restart gives the best chance of still making the
-            // already-negotiated deadline.
-            &UserStrategy::AlwaysEarliest,
-            self.config.max_negotiation_slots,
-            self.config.max_probe_steps,
-            &self.telemetry,
-        )
-        .expect("job fit the cluster at submission");
-        let quote = outcome.accepted;
-        // Journal the new placement: the doctor's node-occupancy check
-        // needs to know which partition this attempt will run on.
-        self.telemetry.emit(|| TelemetryEvent::JobPlaced {
-            at: now,
-            job: id.as_u64(),
-            nodes: quote.partition.iter().map(|n| n.index() as u64).collect(),
-            failure_probability: quote.failure_probability,
-        });
-        let reservation = self
-            .book
-            .add(
-                id,
-                quote.partition.clone(),
-                TimeWindow::new(quote.start, quote.deadline),
+        let (book, cluster, owners) = (&mut self.book, &mut self.cluster, &mut self.node_owner);
+        let (config, predictor, telemetry) = (&self.config, &self.predictor, &self.telemetry);
+        let placed = self.lifecycle.requeue(id, now, remaining, |reservation| {
+            let partition = book.remove(reservation).expect("booked").partition;
+            cluster
+                .release(&partition)
+                .expect("failed job held its claim");
+            for n in partition.iter() {
+                owners[n.index()] = None;
+            }
+            let quote = negotiate_with_telemetry(
+                &*book,
+                config.topology,
+                config.placement,
+                predictor,
+                NegotiationRequest {
+                    size,
+                    duration: planned_total(config, remaining) + config.restart_overhead,
+                    now,
+                    down: &down,
+                    recovery_horizon: horizon,
+                    pre_start_risk: config.node_downtime,
+                },
+                // Earliest restart gives the best chance of still making
+                // the already-negotiated deadline.
+                &UserStrategy::AlwaysEarliest,
+                config.max_negotiation_slots,
+                config.max_probe_steps,
+                telemetry,
             )
-            .expect("negotiated slot must be reservable");
-        let state = self.jobs.get_mut(&id).expect("checked above");
-        state.reservation = Some(reservation);
-        state.partition = Some(quote.partition);
-        self.push_event(quote.start, Event::Start { job: id, epoch });
+            .expect("job fit the cluster at submission")
+            .accepted;
+            let window = TimeWindow::new(quote.start, quote.deadline);
+            let reservation = book
+                .add(id, quote.partition.clone(), window)
+                .expect("negotiated slot must be reservable");
+            (quote, reservation)
+        });
+        let start = placed.expect("a failed job was running").start;
+        self.push_event(start, Event::Start { job: id, epoch });
     }
 
     fn on_recovery(&mut self, now: SimTime, node: NodeId) {
@@ -1206,6 +1098,21 @@ mod tests {
         )
         .run();
         assert_eq!(slack.report.deadline_misses, 0);
+    }
+
+    #[test]
+    fn an_enormous_slack_saturates_the_deadline() {
+        // 100 s × 1e20 of slack is past the end of time. The effective
+        // deadline saturates at SimTime::MAX, as the served lifecycle's
+        // does; it used to overflow (a debug panic, and a release build
+        // wrapped it into the past and scored the run a broken promise).
+        let log = JobLog::new(vec![job(0, 0, 1, 100)]).unwrap();
+        let config = small_config().deadline_slack_fraction(1e20);
+        let out = QosSimulator::new(config, log, trace(vec![])).run();
+        assert_eq!(out.report.jobs, 1);
+        let o = &out.collector.outcomes()[0];
+        assert_eq!(o.deadline, SimTime::MAX);
+        assert!(o.met_deadline);
     }
 
     #[test]

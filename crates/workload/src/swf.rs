@@ -35,7 +35,8 @@ pub enum SwfError {
         /// Number of fields found.
         found: usize,
     },
-    /// A field failed to parse as an integer.
+    /// A field failed to parse as an integer, or its value does not fit
+    /// what it counts (a negative job number, a size past `u32::MAX`).
     BadField {
         /// 1-based line number.
         line: usize,
@@ -55,7 +56,10 @@ impl fmt::Display for SwfError {
                 write!(f, "line {line}: expected at least 9 fields, found {found}")
             }
             SwfError::BadField { line, field, token } => {
-                write!(f, "line {line}: field {field} is not an integer: {token:?}")
+                write!(
+                    f,
+                    "line {line}: field {field} is not an integer in range: {token:?}"
+                )
             }
             SwfError::Log(e) => write!(f, "invalid job log: {e}"),
         }
@@ -117,31 +121,38 @@ pub fn parse_swf(text: &str) -> Result<SwfParseResult, SwfError> {
                 found: fields.len(),
             });
         }
-        let get = |field_1based: usize| -> Result<i64, SwfError> {
-            let token = fields[field_1based - 1];
-            token.parse::<i64>().map_err(|_| SwfError::BadField {
-                line: line_no,
-                field: field_1based,
-                token: token.to_string(),
-            })
+        let bad = |field_1based: usize| SwfError::BadField {
+            line: line_no,
+            field: field_1based,
+            token: fields[field_1based - 1].to_string(),
         };
-        let id = get(1)?;
+        let get = |field_1based: usize| -> Result<i64, SwfError> {
+            fields[field_1based - 1]
+                .parse::<i64>()
+                .map_err(|_| bad(field_1based))
+        };
+        let id = u64::try_from(get(1)?).map_err(|_| bad(1))?;
         let submit = get(2)?;
         let run_time = get(4)?;
         let alloc = get(5)?;
         let req_procs = get(8)?;
         let req_time = get(9)?;
 
-        let nodes = if alloc > 0 { alloc } else { req_procs };
+        let (nodes_field, nodes) = if alloc > 0 {
+            (5, alloc)
+        } else {
+            (8, req_procs)
+        };
         let runtime = if run_time > 0 { run_time } else { req_time };
         if nodes <= 0 || runtime <= 0 || submit < 0 {
             skipped += 1;
             continue;
         }
+        let nodes = u32::try_from(nodes).map_err(|_| bad(nodes_field))?;
         let job = Job::new(
-            JobId::new(id as u64),
+            JobId::new(id),
             SimTime::from_secs(submit as u64),
-            nodes as u32,
+            nodes,
             SimDuration::from_secs(runtime as u64),
         )
         .expect("validated positive");
@@ -240,6 +251,36 @@ mod tests {
             }
         ));
         assert!(err.to_string().contains("abc"));
+    }
+
+    #[test]
+    fn a_size_past_u32_is_an_error_not_a_wrapped_size() {
+        // 4294967298 = 2^32 + 2: cast to u32 it used to parse as 2 nodes.
+        let err = parse_swf("1 0 0 50 4294967298 -1 -1 -1 -1\n").unwrap_err();
+        assert_eq!(
+            err,
+            SwfError::BadField {
+                line: 1,
+                field: 5,
+                token: "4294967298".to_string(),
+            }
+        );
+        // The same through the requested-processors fallback (field 8).
+        let err = parse_swf("1 0 0 50 -1 -1 -1 4294967298 -1\n").unwrap_err();
+        assert!(matches!(err, SwfError::BadField { field: 8, .. }));
+    }
+
+    #[test]
+    fn a_negative_job_number_is_an_error_not_a_huge_id() {
+        let err = parse_swf("-3 0 0 50 2 -1 -1 -1 -1\n").unwrap_err();
+        assert_eq!(
+            err,
+            SwfError::BadField {
+                line: 1,
+                field: 1,
+                token: "-3".to_string(),
+            }
+        );
     }
 
     #[test]
