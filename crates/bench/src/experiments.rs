@@ -600,7 +600,7 @@ pub fn online_predictor(opts: &SweepOptions, trace: &Arc<FailureTrace>) -> Table
 /// quoted-probability bucket, per predictor (the §3.5 claim that the
 /// system "promises only as much as it can deliver", quantified). Each
 /// run streams its telemetry journal in memory and is folded through the
-/// same [`pqos_obs::audit`] calibration ledger `pqos-doctor audit` uses —
+/// same [`pqos_obs::audit`](mod@pqos_obs::audit) calibration ledger `pqos-doctor audit` uses —
 /// the figure and the auditor can never disagree about what "realized"
 /// means. Run at a mid accuracy with earliest-deadline users so risky
 /// promises actually get made; everything is seeded, so the emitted

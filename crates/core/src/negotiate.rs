@@ -355,7 +355,7 @@ fn batch_workers(len: usize, threads: usize) -> usize {
 /// per worker, and results land in request order.
 ///
 /// `threads == 0` or `1`, or a batch too small to give two workers
-/// [`MIN_QUOTES_PER_WORKER`] requests each, is quoted inline by the serial
+/// `MIN_QUOTES_PER_WORKER` requests each, is quoted inline by the serial
 /// loop: spawning costs more than such a batch's quotes.
 #[allow(clippy::too_many_arguments)]
 pub fn negotiate_batch<B, P>(

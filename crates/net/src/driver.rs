@@ -28,7 +28,7 @@ pub struct Ready {
     pub error: bool,
 }
 
-/// Wakes a blocked [`Poll::wait`] from another thread.
+/// Wakes a blocked `Poll::wait` from another thread.
 #[derive(Clone)]
 pub struct Waker(WakerInner);
 

@@ -1,7 +1,7 @@
 //! `pqos-net`: a hand-rolled nonblocking connection layer.
 //!
 //! One thread owns every socket. On linux/x86_64 it sleeps in a raw
-//! `epoll_wait` (no libc — see [`sys`]); elsewhere a portable polling
+//! `epoll_wait` (no libc — see the private `sys` module); elsewhere a portable polling
 //! fallback drives the same nonblocking sockets. The loop speaks a
 //! newline-delimited framing: callers receive whole lines and queue
 //! whole replies, and never touch a socket directly.

@@ -12,7 +12,7 @@
 //! so before anyone trusts a benchmark built on it.
 //!
 //! Findings reuse the doctor's machine-readable shape
-//! ([`Finding`](crate::doctor::Finding)) so one JSONL consumer handles
+//! ([`Finding`]) so one JSONL consumer handles
 //! both `pqos-doctor check` and `pqos-doctor crosscheck`.
 
 use crate::doctor::{DoctorReport, Finding, Severity};

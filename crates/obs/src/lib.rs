@@ -31,7 +31,7 @@
 //! * [`slo`] — re-derives SLO alerts from a journal with the same
 //!   windowed evaluator the daemon runs (`pqos_telemetry::slo`) and diffs
 //!   them against the journaled `slo_alert` records.
-//! * [`audit`] — folds the journal's quote → outcome pairs into a
+//! * [`audit`](mod@audit) — folds the journal's quote → outcome pairs into a
 //!   calibration ledger (fixed quoted-probability bins + exact-p groups,
 //!   Wilson bounds, Brier scores) and flags overconfident buckets,
 //!   unresolved promises and ledger gaps.

@@ -39,9 +39,9 @@
 //!
 //! The daemon also carries its own observability plane (this crate's
 //! `flight`, `metrics_http`, and `scrape` modules): every request line
-//! can open a [`TraceCtx`](flight::TraceCtx) whose stage latencies
+//! can open a [`TraceCtx`] whose stage latencies
 //! (parse → queue → batch → compute → write) land in per-verb histograms
-//! and in the [`FlightRecorder`](flight::FlightRecorder)'s ring; a
+//! and in the [`FlightRecorder`]'s ring; a
 //! hand-rolled `/metrics` listener exposes the whole registry in
 //! Prometheus text format; and `pqos-top` renders the scrape as a live
 //! one-screen status display.

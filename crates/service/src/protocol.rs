@@ -30,63 +30,33 @@
 //! buffer the caller keeps (`encode_into`); `encode` allocates one.
 
 use pqos_telemetry::json::{ObjWriter, Token};
-use pqos_telemetry::pull_let;
+use pqos_telemetry::{pull_let, wire_enum};
 
-/// Stable error codes carried in `"error"` fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// The request line was not a valid protocol message.
-    BadRequest,
-    /// The engine queue was full; retry later.
-    Overloaded,
-    /// The request waited in the queue past its deadline; retry.
-    Timeout,
-    /// The job cannot fit the cluster at any time (negotiate).
-    Rejected,
-    /// No quote is held for this job (accept).
-    UnknownQuote,
-    /// The quoted slot is gone; negotiate again (accept).
-    QuoteExpired,
-    /// The job id is unknown (cancel).
-    UnknownJob,
-    /// The job already started; too late to cancel.
-    AlreadyStarted,
-    /// The daemon is draining; no new work is accepted.
-    ShuttingDown,
+wire_enum! {
+    /// Stable error codes carried in `"error"` fields.
+    pub enum ErrorCode {
+        /// The request line was not a valid protocol message.
+        BadRequest = "bad_request",
+        /// The engine queue was full; retry later.
+        Overloaded = "overloaded",
+        /// The request waited in the queue past its deadline; retry.
+        Timeout = "timeout",
+        /// The job cannot fit the cluster at any time (negotiate).
+        Rejected = "rejected",
+        /// No quote is held for this job (accept).
+        UnknownQuote = "unknown_quote",
+        /// The quoted slot is gone; negotiate again (accept).
+        QuoteExpired = "quote_expired",
+        /// The job id is unknown (cancel).
+        UnknownJob = "unknown_job",
+        /// The job already started; too late to cancel.
+        AlreadyStarted = "already_started",
+        /// The daemon is draining; no new work is accepted.
+        ShuttingDown = "shutting_down",
+    }
 }
 
 impl ErrorCode {
-    /// The wire spelling of the code.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::Overloaded => "overloaded",
-            ErrorCode::Timeout => "timeout",
-            ErrorCode::Rejected => "rejected",
-            ErrorCode::UnknownQuote => "unknown_quote",
-            ErrorCode::QuoteExpired => "quote_expired",
-            ErrorCode::UnknownJob => "unknown_job",
-            ErrorCode::AlreadyStarted => "already_started",
-            ErrorCode::ShuttingDown => "shutting_down",
-        }
-    }
-
-    /// Parses a wire spelling back to a code.
-    pub fn parse(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "bad_request" => ErrorCode::BadRequest,
-            "overloaded" => ErrorCode::Overloaded,
-            "timeout" => ErrorCode::Timeout,
-            "rejected" => ErrorCode::Rejected,
-            "unknown_quote" => ErrorCode::UnknownQuote,
-            "quote_expired" => ErrorCode::QuoteExpired,
-            "unknown_job" => ErrorCode::UnknownJob,
-            "already_started" => ErrorCode::AlreadyStarted,
-            "shutting_down" => ErrorCode::ShuttingDown,
-            _ => return None,
-        })
-    }
-
     /// Whether the client may usefully retry the same request.
     pub fn is_retryable(self) -> bool {
         matches!(self, ErrorCode::Overloaded | ErrorCode::Timeout)
@@ -755,20 +725,14 @@ mod tests {
 
     #[test]
     fn error_codes_round_trip() {
-        for code in [
-            ErrorCode::BadRequest,
-            ErrorCode::Overloaded,
-            ErrorCode::Timeout,
-            ErrorCode::Rejected,
-            ErrorCode::UnknownQuote,
-            ErrorCode::QuoteExpired,
-            ErrorCode::UnknownJob,
-            ErrorCode::AlreadyStarted,
-            ErrorCode::ShuttingDown,
-        ] {
+        let names: std::collections::BTreeSet<&str> =
+            ErrorCode::ALL.iter().map(|c| c.as_str()).collect();
+        assert_eq!(names.len(), ErrorCode::ALL.len(), "names are distinct");
+        for code in ErrorCode::ALL {
             assert_eq!(ErrorCode::parse(code.as_str()), Some(code));
         }
         assert_eq!(ErrorCode::parse("nope"), None);
+        assert_eq!(ErrorCode::parse(""), None);
     }
 
     /// One of every request and response shape (two where a field can be

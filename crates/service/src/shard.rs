@@ -4,7 +4,7 @@
 //!
 //! A [`ShardedCore`] owns N [`NegotiationSession`]s, each holding a
 //! contiguous slice of the cluster's nodes in its own
-//! [`CachedReservationBook`]. More shards make every book narrower (fewer
+//! [`CachedReservationBook`](pqos_sched::CachedReservationBook). More shards make every book narrower (fewer
 //! mask words) and shallower (fewer reservations), so per-quote probe
 //! cost drops roughly by the shard count — that is the whole scaling
 //! story, and it needs no extra threads. Every shard count runs the same

@@ -117,7 +117,7 @@ impl<P: Predictor + Sync> EngineCore<P> {
     ///
     /// 1. advance the clock, firing due starts and completions;
     /// 2. drain closed SLO windows into
-    ///    [`alert_telemetry`](ShardedCore::alert_telemetry) — the only
+    ///    `ShardedCore::alert_telemetry` — the only
     ///    point alerts are ever journaled, so replay closes the same set;
     /// 3. quote every `negotiate` in one batch against this snapshot;
     /// 4. apply accepts and cancels in arrival order, handing wall-clock

@@ -1,137 +1,321 @@
-//! Typed lifecycle events and their JSONL encoding.
+//! Typed lifecycle events and their JSONL encoding, declared in one table.
 //!
 //! One [`TelemetryEvent`] is emitted at each decision point of the
-//! simulator: job submission, quote negotiation, placement, start,
-//! checkpoint taken/skipped, node failure/recovery, requeue, completion,
-//! deadline miss, cancellation and promise resolution. Every variant
-//! carries its simulation timestamp so a journal line is self-contained.
+//! simulator and the service: job submission, quote negotiation,
+//! placement, start, checkpoint requested/taken/skipped, node
+//! failure/recovery, requeue, completion, deadline miss, cancellation,
+//! promise resolution and SLO alerts. Every variant carries its simulation
+//! timestamp `at` so a journal line is self-contained.
+//!
+//! The `journal_schema!` invocation below is the schema: one row per
+//! variant naming its wire tag and its fields, docs included. Everything
+//! that walks the kinds is generated from it — the enum,
+//! [`at`](TelemetryEvent::at), [`name`](TelemetryEvent::name), the dense
+//! per-kind index, [`kind_names`](TelemetryEvent::kind_names), the
+//! encoder and [`from_jsonl`](TelemetryEvent::from_jsonl) — and each
+//! field type is written and read by one private `Field` impl. A line is
+//! `{"event":TAG,"at":SECS,...}` with the fields in table order. Decoding
+//! is one [`pull`] over every key the table names, each field's slot in
+//! that list fixed at compile time; a line must carry every key of its
+//! kind (the first occurrence wins where one repeats).
 
-use crate::json::{ObjWriter, Token};
-use crate::pull_let;
+use crate::json::{pull, ObjWriter, Token};
+use crate::wire_enum;
 use pqos_sim_core::time::SimTime;
 
-/// Number of distinct [`TelemetryEvent`] variants (the size of any
-/// per-kind accounting table).
-pub const EVENT_KINDS: usize = 16;
-
-/// Why a checkpoint request did not result in a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SkipReason {
-    /// Eq. 1 said the expected loss (`pf · d · I`) is below the overhead
-    /// `C`, so checkpointing is not worth it.
-    LowRisk,
-    /// Performing the checkpoint would push the job past its negotiated
-    /// deadline while skipping still meets it.
-    DeadlinePressure,
-    /// The configured policy declined for a reason of its own (periodic
-    /// phase, disabled checkpointing, ...).
-    Policy,
-}
-
-impl SkipReason {
-    /// Stable wire name used in the journal.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SkipReason::LowRisk => "low_risk",
-            SkipReason::DeadlinePressure => "deadline_pressure",
-            SkipReason::Policy => "policy",
-        }
-    }
-
-    /// Parses a wire name back into a reason.
-    pub fn parse(s: &str) -> Option<SkipReason> {
-        match s {
-            "low_risk" => Some(SkipReason::LowRisk),
-            "deadline_pressure" => Some(SkipReason::DeadlinePressure),
-            "policy" => Some(SkipReason::Policy),
-            _ => None,
-        }
+wire_enum! {
+    /// Why a checkpoint request did not result in a checkpoint.
+    pub enum SkipReason {
+        /// Eq. 1 said the expected loss (`pf · d · I`) is below the overhead
+        /// `C`, so checkpointing is not worth it.
+        LowRisk = "low_risk",
+        /// Performing the checkpoint would push the job past its negotiated
+        /// deadline while skipping still meets it.
+        DeadlinePressure = "deadline_pressure",
+        /// The configured policy declined for a reason of its own (periodic
+        /// phase, disabled checkpointing, ...).
+        Policy = "policy",
     }
 }
 
-/// How an accepted quote's promise ultimately resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PromiseVerdict {
-    /// The job completed at or before its effective deadline.
-    Kept,
-    /// The job completed after its effective deadline.
-    Broken,
-    /// The submitter withdrew the job before a verdict was possible; the
-    /// promise is neither kept nor broken and is excluded from calibration.
-    Cancelled,
-}
-
-impl PromiseVerdict {
-    /// Stable wire name used in the journal.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PromiseVerdict::Kept => "kept",
-            PromiseVerdict::Broken => "broken",
-            PromiseVerdict::Cancelled => "cancelled",
-        }
-    }
-
-    /// Parses a wire name back into a verdict.
-    pub fn parse(s: &str) -> Option<PromiseVerdict> {
-        match s {
-            "kept" => Some(PromiseVerdict::Kept),
-            "broken" => Some(PromiseVerdict::Broken),
-            "cancelled" => Some(PromiseVerdict::Cancelled),
-            _ => None,
-        }
+wire_enum! {
+    /// How an accepted quote's promise ultimately resolved.
+    pub enum PromiseVerdict {
+        /// The job completed at or before its effective deadline.
+        Kept = "kept",
+        /// The job completed after its effective deadline.
+        Broken = "broken",
+        /// The submitter withdrew the job before a verdict was possible; the
+        /// promise is neither kept nor broken and is excluded from calibration.
+        Cancelled = "cancelled",
     }
 }
 
-/// Whether an SLO alert is firing or has recovered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlertState {
-    /// The rule's violation count crossed its firing threshold.
-    Fire,
-    /// A previously firing rule dropped back below its threshold.
-    Resolve,
+wire_enum! {
+    /// Whether an SLO alert is firing or has recovered.
+    pub enum AlertState {
+        /// The rule's violation count crossed its firing threshold.
+        Fire = "fire",
+        /// A previously firing rule dropped back below its threshold.
+        Resolve = "resolve",
+    }
 }
 
-impl AlertState {
-    /// Stable wire name used in the journal.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AlertState::Fire => "fire",
-            AlertState::Resolve => "resolve",
-        }
-    }
+/// How one field type is written into a journal line and read back out.
+trait Field: Sized {
+    fn put(&self, key: &str, w: &mut ObjWriter);
+    fn take(token: &Token<'_>) -> Option<Self>;
+}
 
-    /// Parses a wire name back into a state.
-    pub fn parse(s: &str) -> Option<AlertState> {
-        match s {
-            "fire" => Some(AlertState::Fire),
-            "resolve" => Some(AlertState::Resolve),
-            _ => None,
+impl Field for u64 {
+    fn put(&self, key: &str, w: &mut ObjWriter) {
+        w.u64(key, *self);
+    }
+    fn take(token: &Token<'_>) -> Option<Self> {
+        token.as_u64()
+    }
+}
+
+/// Written as a `u64`; a value past `u32::MAX` refuses the line.
+impl Field for u32 {
+    fn put(&self, key: &str, w: &mut ObjWriter) {
+        w.u64(key, u64::from(*self));
+    }
+    fn take(token: &Token<'_>) -> Option<Self> {
+        u32::try_from(token.as_u64()?).ok()
+    }
+}
+
+impl Field for f64 {
+    fn put(&self, key: &str, w: &mut ObjWriter) {
+        w.f64(key, *self);
+    }
+    fn take(token: &Token<'_>) -> Option<Self> {
+        token.as_f64()
+    }
+}
+
+impl Field for bool {
+    fn put(&self, key: &str, w: &mut ObjWriter) {
+        w.bool(key, *self);
+    }
+    fn take(token: &Token<'_>) -> Option<Self> {
+        token.as_bool()
+    }
+}
+
+/// `None` is `null`, which is not the same as a missing key.
+impl Field for Option<u64> {
+    fn put(&self, key: &str, w: &mut ObjWriter) {
+        w.opt_u64(key, *self);
+    }
+    fn take(token: &Token<'_>) -> Option<Self> {
+        match token {
+            Token::Null => Some(None),
+            value => value.as_u64().map(Some),
         }
     }
 }
 
-/// A structured record of one simulator decision or state change.
-///
-/// Job and node identifiers are raw integers (not the simulator's typed
-/// ids) so lower layers can emit events without depending on the layers
-/// that define those types.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TelemetryEvent {
+impl Field for Vec<u64> {
+    fn put(&self, key: &str, w: &mut ObjWriter) {
+        w.arr_u64(key, self);
+    }
+    fn take(token: &Token<'_>) -> Option<Self> {
+        let mut list = Some(Vec::new());
+        token.items(|n| match (&mut list, n.as_u64()) {
+            (Some(list), Some(n)) => list.push(n),
+            _ => list = None,
+        })?;
+        list
+    }
+}
+
+impl Field for String {
+    fn put(&self, key: &str, w: &mut ObjWriter) {
+        w.str(key, self);
+    }
+    fn take(token: &Token<'_>) -> Option<Self> {
+        token.as_str().map(str::to_string)
+    }
+}
+
+/// A wire enum is its name.
+macro_rules! wire_fields {
+    ($($wire:ty),+) => {$(
+        impl Field for $wire {
+            fn put(&self, key: &str, w: &mut ObjWriter) {
+                w.str(key, self.as_str());
+            }
+            fn take(token: &Token<'_>) -> Option<Self> {
+                Self::parse(token.as_str()?)
+            }
+        }
+    )+};
+}
+
+wire_fields!(SkipReason, PromiseVerdict, AlertState);
+
+/// Whether two keys are the same text (`==` on `str` is not `const`).
+const fn same(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() && a[i] == b[i] {
+        i += 1;
+    }
+    i == a.len()
+}
+
+/// Where `key` first occurs in `keys`. A key the list lacks runs off its
+/// end, which fails the build when this is evaluated as a constant.
+const fn position(keys: &[&str], key: &str) -> usize {
+    let mut i = 0;
+    while !same(keys[i], key) {
+        i += 1;
+    }
+    i
+}
+
+/// How many distinct keys `keys` holds.
+const fn distinct_count(keys: &[&str]) -> usize {
+    let (mut i, mut n) = (0, 0);
+    while i < keys.len() {
+        n += (position(keys, keys[i]) == i) as usize;
+        i += 1;
+    }
+    n
+}
+
+/// `keys` without its repeats, first occurrences in order.
+const fn distinct<const N: usize>(keys: &[&'static str]) -> [&'static str; N] {
+    let mut out = [""; N];
+    let (mut i, mut n) = (0, 0);
+    while i < keys.len() {
+        if position(keys, keys[i]) == i {
+            out[n] = keys[i];
+            n += 1;
+        }
+        i += 1;
+    }
+    out
+}
+
+/// Declares the journal. Each row is `Variant = "wire_tag" { fields }`;
+/// `at: SimTime` is added to every variant, and every match over the
+/// kinds is generated here, so none is written by hand anywhere else.
+macro_rules! journal_schema {
+    ($(
+        $(#[doc = $doc:literal])*
+        $variant:ident = $tag:literal {
+            $($(#[doc = $field_doc:literal])* $field:ident: $ty:ty,)+
+        }
+    )+) => {
+        /// A structured record of one simulator decision or state change.
+        ///
+        /// Job and node identifiers are raw integers (not the simulator's
+        /// typed ids) so lower layers can emit events without depending on
+        /// the layers that define those types.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum TelemetryEvent {$(
+            $(#[doc = $doc])*
+            $variant {
+                /// Simulation time of the event.
+                at: SimTime,
+                $($(#[doc = $field_doc])* $field: $ty,)+
+            },
+        )+}
+
+        /// A [`TelemetryEvent`]'s variant without its payload.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum EventKind {
+            $($variant,)+
+        }
+
+        /// Number of distinct [`TelemetryEvent`] variants (the size of any
+        /// per-kind accounting table).
+        pub(crate) const EVENT_KINDS: usize = [$($tag),+].len();
+
+        /// Every key a journal line can carry: `event`, `at`, then each
+        /// row's fields with repeats dropped. A line is pulled against this
+        /// list once; a field's slot in it is [`position`] at compile time.
+        const KEYS: [&str; distinct_count(ALL_KEYS)] = distinct(ALL_KEYS);
+        const ALL_KEYS: &[&str] = &["event", "at", $($(stringify!($field),)+)+];
+
+        impl EventKind {
+            /// Every kind, in table order.
+            const ALL: [EventKind; EVENT_KINDS] = [$(EventKind::$variant),+];
+
+            /// The kind's wire tag: the `event` field of its journal lines.
+            pub(crate) const fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$variant => $tag,)+
+                }
+            }
+        }
+
+        impl TelemetryEvent {
+            /// Simulation time the event occurred.
+            pub fn at(&self) -> SimTime {
+                match self {
+                    $(TelemetryEvent::$variant { at, .. } => *at,)+
+                }
+            }
+
+            /// The event's variant.
+            pub(crate) fn kind(&self) -> EventKind {
+                match self {
+                    $(TelemetryEvent::$variant { .. } => EventKind::$variant,)+
+                }
+            }
+
+            /// Appends the event's journal line (no trailing newline) to `out`.
+            pub(crate) fn append_jsonl(&self, out: &mut String) {
+                let mut w = ObjWriter::append_to(std::mem::take(out));
+                match self {
+                    $(TelemetryEvent::$variant { at, $($field),+ } => {
+                        w.str("event", $tag).u64("at", at.as_secs());
+                        $($field.put(stringify!($field), &mut w);)+
+                    })+
+                }
+                *out = w.finish();
+            }
+
+            /// Decodes one journal line. Returns `None` if the line is not
+            /// valid JSON or does not match the event schema. One pass over
+            /// the line, no allocation beyond what the event itself owns.
+            pub fn from_jsonl(line: &str) -> Option<TelemetryEvent> {
+                let found = pull(line.trim(), &KEYS)?;
+                let [event, at, ..] = &found;
+                let at = SimTime::from_secs(at.as_ref()?.as_u64()?);
+                Some(match event.as_ref()?.as_str()? {
+                    $($tag => TelemetryEvent::$variant {
+                        at,
+                        $($field: <$ty as Field>::take(
+                            found[const { position(&KEYS, stringify!($field)) }].as_ref()?,
+                        )?,)+
+                    },)+
+                    _ => return None,
+                })
+            }
+        }
+    };
+}
+
+journal_schema! {
     /// A job entered the system.
-    JobSubmitted {
-        /// Simulation time of the event.
-        at: SimTime,
+    JobSubmitted = "job_submitted" {
         /// Job identifier.
         job: u64,
         /// Requested partition size in nodes.
         size: u32,
         /// Requested runtime in seconds.
         runtime_secs: u64,
-    },
+    }
     /// Negotiation produced a quote the user accepted.
-    QuoteNegotiated {
-        /// Simulation time of the event.
-        at: SimTime,
+    QuoteNegotiated = "quote_negotiated" {
         /// Job identifier.
         job: u64,
         /// Promised start time (seconds since epoch).
@@ -144,18 +328,14 @@ pub enum TelemetryEvent {
         deadline_secs: u64,
         /// Probability of success quoted per Eq. 2.
         success_probability: f64,
-    },
+    }
     /// Negotiation failed; the job never ran.
-    JobRejected {
-        /// Simulation time of the event.
-        at: SimTime,
+    JobRejected = "job_rejected" {
         /// Job identifier.
         job: u64,
-    },
+    }
     /// The scheduler chose a partition for a job segment.
-    JobPlaced {
-        /// Simulation time of the event.
-        at: SimTime,
+    JobPlaced = "job_placed" {
         /// Job identifier.
         job: u64,
         /// Nodes of the chosen partition.
@@ -163,42 +343,34 @@ pub enum TelemetryEvent {
         /// Predicted failure probability of the partition over the
         /// placement window.
         failure_probability: f64,
-    },
+    }
     /// A job segment began executing.
-    JobStarted {
-        /// Simulation time of the event.
-        at: SimTime,
+    JobStarted = "job_started" {
         /// Job identifier.
         job: u64,
         /// How many failures this job has absorbed so far (0 on first
         /// start).
         restarts: u32,
-    },
+    }
     /// A checkpoint request fired after an interval `I` of useful work and
     /// is about to be granted or denied. Every [`CheckpointTaken`] and
     /// [`CheckpointSkipped`] is preceded by one of these.
     ///
     /// [`CheckpointTaken`]: TelemetryEvent::CheckpointTaken
     /// [`CheckpointSkipped`]: TelemetryEvent::CheckpointSkipped
-    CheckpointRequested {
-        /// Simulation time of the event.
-        at: SimTime,
+    CheckpointRequested = "checkpoint_requested" {
         /// Job identifier.
         job: u64,
-    },
+    }
     /// A checkpoint completed and advanced the job's durable progress.
-    CheckpointTaken {
-        /// Simulation time of the event.
-        at: SimTime,
+    CheckpointTaken = "checkpoint_taken" {
         /// Job identifier.
         job: u64,
         /// Checkpoint overhead paid, in seconds.
         overhead_secs: u64,
-    },
+    }
     /// A checkpoint request was declined.
-    CheckpointSkipped {
-        /// Simulation time of the event.
-        at: SimTime,
+    CheckpointSkipped = "checkpoint_skipped" {
         /// Job identifier.
         job: u64,
         /// Why the checkpoint was skipped.
@@ -207,11 +379,9 @@ pub enum TelemetryEvent {
         failure_probability: f64,
         /// Work at risk had a failure occurred, in seconds.
         at_risk_secs: u64,
-    },
+    }
     /// A node failed.
-    NodeFailed {
-        /// Simulation time of the event.
-        at: SimTime,
+    NodeFailed = "node_failed" {
         /// Node identifier.
         node: u64,
         /// Job running on the node, if any.
@@ -220,59 +390,49 @@ pub enum TelemetryEvent {
         lost_node_seconds: u64,
         /// Whether the failure predictor flagged this node in advance.
         predicted: bool,
-    },
+    }
     /// A failed node came back.
-    NodeRecovered {
-        /// Simulation time of the event.
-        at: SimTime,
+    NodeRecovered = "node_recovered" {
         /// Node identifier.
         node: u64,
-    },
+    }
     /// A failed job re-entered the queue to resume from its last durable
     /// checkpoint.
-    JobRequeued {
-        /// Simulation time of the event.
-        at: SimTime,
+    JobRequeued = "job_requeued" {
         /// Job identifier.
         job: u64,
         /// Work remaining after rollback, in seconds.
         remaining_secs: u64,
-    },
+    }
     /// A job finished.
-    JobCompleted {
-        /// Simulation time of the event.
-        at: SimTime,
+    JobCompleted = "job_completed" {
         /// Job identifier.
         job: u64,
         /// Whether it met its negotiated deadline.
         met_deadline: bool,
-    },
+    }
     /// A job finished after its negotiated deadline.
-    DeadlineMissed {
-        /// Simulation time of the event.
-        at: SimTime,
+    DeadlineMissed = "deadline_missed" {
         /// Job identifier.
         job: u64,
         /// How late the job was, in seconds.
         late_by_secs: u64,
-    },
+    }
     /// The submitter withdrew the job before it started running; any held
     /// reservation was released. Emitted by the online service (the trace
     /// simulator's workloads never cancel).
-    JobCancelled {
-        /// Simulation time of the event.
-        at: SimTime,
+    JobCancelled = "job_cancelled" {
         /// Job identifier.
         job: u64,
-    },
+    }
     /// The quoted probability for an accepted job met its outcome: the
-    /// promise made at `quote_negotiated` is now kept, broken, or voided
-    /// by cancellation. Emitted immediately after the job's terminal
+    /// promise made by its [`QuoteNegotiated`] is now kept, broken, or
+    /// voided by cancellation. Emitted immediately after the job's terminal
     /// event so calibration audits can join quote → outcome without
     /// re-deriving deadline semantics.
-    PromiseResolved {
-        /// Simulation time of the event.
-        at: SimTime,
+    ///
+    /// [`QuoteNegotiated`]: TelemetryEvent::QuoteNegotiated
+    PromiseResolved = "promise_resolved" {
         /// Job identifier.
         job: u64,
         /// Probability of success quoted when the promise was made.
@@ -282,14 +442,12 @@ pub enum TelemetryEvent {
         deadline_secs: u64,
         /// How the promise resolved.
         verdict: PromiseVerdict,
-    },
+    }
     /// An SLO rule changed state at a window boundary. `at` is the
-    /// engine's virtual time when the window was closed (journals are
-    /// time-ordered); `window_end_secs` is the boundary of the window
-    /// whose evaluation caused the transition.
-    SloAlert {
-        /// Simulation time the alert was emitted (tick time).
-        at: SimTime,
+    /// engine's virtual time when the window was closed (the tick time;
+    /// journals are time-ordered); `window_end_secs` is the boundary of the
+    /// window whose evaluation caused the transition.
+    SloAlert = "slo_alert" {
         /// Name of the rule, as given on the command line.
         rule: String,
         /// Fire or resolve.
@@ -300,349 +458,34 @@ pub enum TelemetryEvent {
         value: f64,
         /// The rule's threshold.
         threshold: f64,
-    },
+    }
 }
 
 impl TelemetryEvent {
-    /// Simulation time the event occurred.
-    pub fn at(&self) -> SimTime {
-        match self {
-            TelemetryEvent::JobSubmitted { at, .. }
-            | TelemetryEvent::QuoteNegotiated { at, .. }
-            | TelemetryEvent::JobRejected { at, .. }
-            | TelemetryEvent::JobPlaced { at, .. }
-            | TelemetryEvent::JobStarted { at, .. }
-            | TelemetryEvent::CheckpointRequested { at, .. }
-            | TelemetryEvent::CheckpointTaken { at, .. }
-            | TelemetryEvent::CheckpointSkipped { at, .. }
-            | TelemetryEvent::NodeFailed { at, .. }
-            | TelemetryEvent::NodeRecovered { at, .. }
-            | TelemetryEvent::JobRequeued { at, .. }
-            | TelemetryEvent::JobCompleted { at, .. }
-            | TelemetryEvent::DeadlineMissed { at, .. }
-            | TelemetryEvent::JobCancelled { at, .. }
-            | TelemetryEvent::PromiseResolved { at, .. }
-            | TelemetryEvent::SloAlert { at, .. } => *at,
-        }
-    }
-
     /// Stable wire name of the variant (the `event` field in the journal).
     pub fn name(&self) -> &'static str {
-        match self {
-            TelemetryEvent::JobSubmitted { .. } => "job_submitted",
-            TelemetryEvent::QuoteNegotiated { .. } => "quote_negotiated",
-            TelemetryEvent::JobRejected { .. } => "job_rejected",
-            TelemetryEvent::JobPlaced { .. } => "job_placed",
-            TelemetryEvent::JobStarted { .. } => "job_started",
-            TelemetryEvent::CheckpointRequested { .. } => "checkpoint_requested",
-            TelemetryEvent::CheckpointTaken { .. } => "checkpoint_taken",
-            TelemetryEvent::CheckpointSkipped { .. } => "checkpoint_skipped",
-            TelemetryEvent::NodeFailed { .. } => "node_failed",
-            TelemetryEvent::NodeRecovered { .. } => "node_recovered",
-            TelemetryEvent::JobRequeued { .. } => "job_requeued",
-            TelemetryEvent::JobCompleted { .. } => "job_completed",
-            TelemetryEvent::DeadlineMissed { .. } => "deadline_missed",
-            TelemetryEvent::JobCancelled { .. } => "job_cancelled",
-            TelemetryEvent::PromiseResolved { .. } => "promise_resolved",
-            TelemetryEvent::SloAlert { .. } => "slo_alert",
-        }
+        self.kind().name()
     }
 
     /// Dense index of the variant, `0 ..` [`EVENT_KINDS`], matching
     /// [`kind_names`](Self::kind_names) order. Used for per-kind event
     /// accounting without a name lookup on the emission path.
-    pub fn kind_index(&self) -> usize {
-        match self {
-            TelemetryEvent::JobSubmitted { .. } => 0,
-            TelemetryEvent::QuoteNegotiated { .. } => 1,
-            TelemetryEvent::JobRejected { .. } => 2,
-            TelemetryEvent::JobPlaced { .. } => 3,
-            TelemetryEvent::JobStarted { .. } => 4,
-            TelemetryEvent::CheckpointRequested { .. } => 5,
-            TelemetryEvent::CheckpointTaken { .. } => 6,
-            TelemetryEvent::CheckpointSkipped { .. } => 7,
-            TelemetryEvent::NodeFailed { .. } => 8,
-            TelemetryEvent::NodeRecovered { .. } => 9,
-            TelemetryEvent::JobRequeued { .. } => 10,
-            TelemetryEvent::JobCompleted { .. } => 11,
-            TelemetryEvent::DeadlineMissed { .. } => 12,
-            TelemetryEvent::JobCancelled { .. } => 13,
-            TelemetryEvent::PromiseResolved { .. } => 14,
-            TelemetryEvent::SloAlert { .. } => 15,
-        }
+    pub(crate) fn kind_index(&self) -> usize {
+        self.kind() as usize
     }
 
-    /// Wire names of every variant, in [`kind_index`](Self::kind_index)
-    /// order.
+    /// Wire names of every variant, in schema order.
     pub fn kind_names() -> [&'static str; EVENT_KINDS] {
-        [
-            "job_submitted",
-            "quote_negotiated",
-            "job_rejected",
-            "job_placed",
-            "job_started",
-            "checkpoint_requested",
-            "checkpoint_taken",
-            "checkpoint_skipped",
-            "node_failed",
-            "node_recovered",
-            "job_requeued",
-            "job_completed",
-            "deadline_missed",
-            "job_cancelled",
-            "promise_resolved",
-            "slo_alert",
-        ]
+        EventKind::ALL.map(EventKind::name)
     }
 
     /// Encodes the event as a single JSON object (one journal line, without
     /// the trailing newline). Allocates the line; a sink that keeps its
-    /// line buffer appends into it instead (see [`JsonlSink`]).
-    ///
-    /// [`JsonlSink`]: crate::journal::JsonlSink
+    /// line buffer appends into it instead (as the JSONL sink does).
     pub fn to_jsonl(&self) -> String {
         let mut line = String::new();
         self.append_jsonl(&mut line);
         line
-    }
-
-    /// Appends the event's journal line (no trailing newline) to `out`.
-    pub(crate) fn append_jsonl(&self, out: &mut String) {
-        let mut w = ObjWriter::append_to(std::mem::take(out));
-        w.str("event", self.name()).u64("at", self.at().as_secs());
-        match self {
-            TelemetryEvent::JobSubmitted {
-                job,
-                size,
-                runtime_secs,
-                ..
-            } => {
-                w.u64("job", *job)
-                    .u64("size", u64::from(*size))
-                    .u64("runtime_secs", *runtime_secs);
-            }
-            TelemetryEvent::QuoteNegotiated {
-                job,
-                start_secs,
-                promised_secs,
-                deadline_secs,
-                success_probability,
-                ..
-            } => {
-                w.u64("job", *job)
-                    .u64("start_secs", *start_secs)
-                    .u64("promised_secs", *promised_secs)
-                    .u64("deadline_secs", *deadline_secs)
-                    .f64("success_probability", *success_probability);
-            }
-            TelemetryEvent::JobRejected { job, .. } => {
-                w.u64("job", *job);
-            }
-            TelemetryEvent::JobPlaced {
-                job,
-                nodes,
-                failure_probability,
-                ..
-            } => {
-                w.u64("job", *job)
-                    .arr_u64("nodes", nodes)
-                    .f64("failure_probability", *failure_probability);
-            }
-            TelemetryEvent::JobStarted { job, restarts, .. } => {
-                w.u64("job", *job).u64("restarts", u64::from(*restarts));
-            }
-            TelemetryEvent::CheckpointRequested { job, .. } => {
-                w.u64("job", *job);
-            }
-            TelemetryEvent::CheckpointTaken {
-                job, overhead_secs, ..
-            } => {
-                w.u64("job", *job).u64("overhead_secs", *overhead_secs);
-            }
-            TelemetryEvent::CheckpointSkipped {
-                job,
-                reason,
-                failure_probability,
-                at_risk_secs,
-                ..
-            } => {
-                w.u64("job", *job)
-                    .str("reason", reason.as_str())
-                    .f64("failure_probability", *failure_probability)
-                    .u64("at_risk_secs", *at_risk_secs);
-            }
-            TelemetryEvent::NodeFailed {
-                node,
-                victim_job,
-                lost_node_seconds,
-                predicted,
-                ..
-            } => {
-                w.u64("node", *node)
-                    .opt_u64("victim_job", *victim_job)
-                    .u64("lost_node_seconds", *lost_node_seconds)
-                    .bool("predicted", *predicted);
-            }
-            TelemetryEvent::NodeRecovered { node, .. } => {
-                w.u64("node", *node);
-            }
-            TelemetryEvent::JobRequeued {
-                job,
-                remaining_secs,
-                ..
-            } => {
-                w.u64("job", *job).u64("remaining_secs", *remaining_secs);
-            }
-            TelemetryEvent::JobCompleted {
-                job, met_deadline, ..
-            } => {
-                w.u64("job", *job).bool("met_deadline", *met_deadline);
-            }
-            TelemetryEvent::DeadlineMissed {
-                job, late_by_secs, ..
-            } => {
-                w.u64("job", *job).u64("late_by_secs", *late_by_secs);
-            }
-            TelemetryEvent::JobCancelled { job, .. } => {
-                w.u64("job", *job);
-            }
-            TelemetryEvent::PromiseResolved {
-                job,
-                success_probability,
-                deadline_secs,
-                verdict,
-                ..
-            } => {
-                w.u64("job", *job)
-                    .f64("success_probability", *success_probability)
-                    .u64("deadline_secs", *deadline_secs)
-                    .str("verdict", verdict.as_str());
-            }
-            TelemetryEvent::SloAlert {
-                rule,
-                state,
-                window_end_secs,
-                value,
-                threshold,
-                ..
-            } => {
-                w.str("rule", rule)
-                    .str("state", state.as_str())
-                    .u64("window_end_secs", *window_end_secs)
-                    .f64("value", *value)
-                    .f64("threshold", *threshold);
-            }
-        }
-        *out = w.finish();
-    }
-
-    /// Decodes one journal line. Returns `None` if the line is not valid
-    /// JSON or does not match the event schema. One pass over the line,
-    /// no allocation beyond what the event itself owns.
-    pub fn from_jsonl(line: &str) -> Option<TelemetryEvent> {
-        // Every key any variant reads, the common ones first.
-        pull_let!([
-            event, at, job, nodes, failure_probability, success_probability, deadline_secs,
-            start_secs, promised_secs, verdict, met_deadline, restarts, size, runtime_secs,
-            overhead_secs, reason, at_risk_secs, node, victim_job, lost_node_seconds, predicted,
-            remaining_secs, late_by_secs, rule, state, window_end_secs, value, threshold,
-        ] = line.trim(); else { return None });
-        let u = |t: Option<Token<'_>>| t?.as_u64();
-        let f = |t: Option<Token<'_>>| t?.as_f64();
-        let at = SimTime::from_secs(u(at)?);
-        match event?.as_str()? {
-            "job_submitted" => Some(TelemetryEvent::JobSubmitted {
-                at,
-                job: u(job)?,
-                size: u32::try_from(u(size)?).ok()?,
-                runtime_secs: u(runtime_secs)?,
-            }),
-            "quote_negotiated" => Some(TelemetryEvent::QuoteNegotiated {
-                at,
-                job: u(job)?,
-                start_secs: u(start_secs)?,
-                promised_secs: u(promised_secs)?,
-                deadline_secs: u(deadline_secs)?,
-                success_probability: f(success_probability)?,
-            }),
-            "job_rejected" => Some(TelemetryEvent::JobRejected { at, job: u(job)? }),
-            "job_placed" => Some(TelemetryEvent::JobPlaced {
-                at,
-                job: u(job)?,
-                nodes: {
-                    let mut list = Some(Vec::new());
-                    nodes?.items(|n| match (&mut list, n.as_u64()) {
-                        (Some(list), Some(n)) => list.push(n),
-                        _ => list = None,
-                    })?;
-                    list?
-                },
-                failure_probability: f(failure_probability)?,
-            }),
-            "job_started" => Some(TelemetryEvent::JobStarted {
-                at,
-                job: u(job)?,
-                restarts: u32::try_from(u(restarts)?).ok()?,
-            }),
-            "checkpoint_requested" => {
-                Some(TelemetryEvent::CheckpointRequested { at, job: u(job)? })
-            }
-            "checkpoint_taken" => Some(TelemetryEvent::CheckpointTaken {
-                at,
-                job: u(job)?,
-                overhead_secs: u(overhead_secs)?,
-            }),
-            "checkpoint_skipped" => Some(TelemetryEvent::CheckpointSkipped {
-                at,
-                job: u(job)?,
-                reason: SkipReason::parse(reason?.as_str()?)?,
-                failure_probability: f(failure_probability)?,
-                at_risk_secs: u(at_risk_secs)?,
-            }),
-            "node_failed" => Some(TelemetryEvent::NodeFailed {
-                at,
-                node: u(node)?,
-                victim_job: match victim_job? {
-                    Token::Null => None,
-                    victim => Some(victim.as_u64()?),
-                },
-                lost_node_seconds: u(lost_node_seconds)?,
-                predicted: predicted?.as_bool()?,
-            }),
-            "node_recovered" => Some(TelemetryEvent::NodeRecovered { at, node: u(node)? }),
-            "job_requeued" => Some(TelemetryEvent::JobRequeued {
-                at,
-                job: u(job)?,
-                remaining_secs: u(remaining_secs)?,
-            }),
-            "job_completed" => Some(TelemetryEvent::JobCompleted {
-                at,
-                job: u(job)?,
-                met_deadline: met_deadline?.as_bool()?,
-            }),
-            "deadline_missed" => Some(TelemetryEvent::DeadlineMissed {
-                at,
-                job: u(job)?,
-                late_by_secs: u(late_by_secs)?,
-            }),
-            "job_cancelled" => Some(TelemetryEvent::JobCancelled { at, job: u(job)? }),
-            "promise_resolved" => Some(TelemetryEvent::PromiseResolved {
-                at,
-                job: u(job)?,
-                success_probability: f(success_probability)?,
-                deadline_secs: u(deadline_secs)?,
-                verdict: PromiseVerdict::parse(verdict?.as_str()?)?,
-            }),
-            "slo_alert" => Some(TelemetryEvent::SloAlert {
-                at,
-                rule: rule?.as_str()?.to_string(),
-                state: AlertState::parse(state?.as_str()?)?,
-                window_end_secs: u(window_end_secs)?,
-                value: f(value)?,
-                threshold: f(threshold)?,
-            }),
-            _ => None,
-        }
     }
 }
 
@@ -767,6 +610,8 @@ pub fn one_of_each() -> Vec<TelemetryEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
+    use std::collections::BTreeSet;
 
     #[test]
     fn every_variant_round_trips_through_jsonl() {
@@ -780,9 +625,12 @@ mod tests {
 
     #[test]
     fn one_of_each_covers_every_variant_name() {
-        let names: std::collections::BTreeSet<&str> =
-            one_of_each().iter().map(|e| e.name()).collect();
-        assert_eq!(names.len(), 16, "update one_of_each() for new variants");
+        let names: BTreeSet<&str> = one_of_each().iter().map(|e| e.name()).collect();
+        assert_eq!(
+            names.len(),
+            EVENT_KINDS,
+            "update one_of_each() for new variants"
+        );
     }
 
     #[test]
@@ -798,38 +646,38 @@ mod tests {
             seen[idx] = true;
         }
         assert!(seen.iter().all(|s| *s), "kind_index must be surjective");
+        let distinct: BTreeSet<&str> = names.into_iter().collect();
+        assert_eq!(distinct.len(), EVENT_KINDS, "wire tags are distinct");
+    }
+
+    /// What every wire enum's generated `ALL`, `as_str` and `parse` must
+    /// agree on: distinct names, each parsing back to its variant, and
+    /// nothing else parsing.
+    macro_rules! assert_wire_enum_round_trips {
+        ($wire:ty) => {
+            let names: BTreeSet<&str> = <$wire>::ALL.iter().map(|v| v.as_str()).collect();
+            assert_eq!(names.len(), <$wire>::ALL.len(), "names are distinct");
+            for v in <$wire>::ALL {
+                assert_eq!(<$wire>::parse(v.as_str()), Some(v));
+            }
+            assert_eq!(<$wire>::parse("bogus"), None);
+            assert_eq!(<$wire>::parse(""), None);
+        };
     }
 
     #[test]
     fn skip_reason_wire_names_round_trip() {
-        for r in [
-            SkipReason::LowRisk,
-            SkipReason::DeadlinePressure,
-            SkipReason::Policy,
-        ] {
-            assert_eq!(SkipReason::parse(r.as_str()), Some(r));
-        }
-        assert_eq!(SkipReason::parse("bogus"), None);
+        assert_wire_enum_round_trips!(SkipReason);
     }
 
     #[test]
     fn promise_verdict_wire_names_round_trip() {
-        for v in [
-            PromiseVerdict::Kept,
-            PromiseVerdict::Broken,
-            PromiseVerdict::Cancelled,
-        ] {
-            assert_eq!(PromiseVerdict::parse(v.as_str()), Some(v));
-        }
-        assert_eq!(PromiseVerdict::parse("bogus"), None);
+        assert_wire_enum_round_trips!(PromiseVerdict);
     }
 
     #[test]
     fn alert_state_wire_names_round_trip() {
-        for s in [AlertState::Fire, AlertState::Resolve] {
-            assert_eq!(AlertState::parse(s.as_str()), Some(s));
-        }
-        assert_eq!(AlertState::parse("bogus"), None);
+        assert_wire_enum_round_trips!(AlertState);
     }
 
     #[test]
@@ -842,12 +690,79 @@ mod tests {
         assert!(
             TelemetryEvent::from_jsonl(r#"{"event":"job_rejected","at":1,"job":"x"}"#).is_none()
         );
+        // A field of another kind does not stand in for a missing one.
+        assert!(
+            TelemetryEvent::from_jsonl(r#"{"event":"node_recovered","at":1,"job":5}"#).is_none()
+        );
+        // u32 fields are range-checked.
+        assert!(TelemetryEvent::from_jsonl(
+            r#"{"event":"job_started","at":1,"job":1,"restarts":4294967296}"#
+        )
+        .is_none());
+        assert!(TelemetryEvent::from_jsonl(
+            r#"{"event":"job_started","at":1,"job":1,"restarts":4294967295}"#
+        )
+        .is_some());
+    }
+
+    #[test]
+    fn keys_are_listed_once_with_event_and_at_first() {
+        assert_eq!(KEYS[..2], ["event", "at"]);
+        let distinct: BTreeSet<&str> = KEYS.into_iter().collect();
+        assert_eq!(distinct.len(), KEYS.len());
+        // Every key an encoded line carries is one the decoder pulls.
+        for event in one_of_each() {
+            let Some(Json::Obj(pairs)) = Json::parse(&event.to_jsonl()) else {
+                panic!("{event:?} encodes to an object");
+            };
+            for (key, _) in pairs {
+                assert!(KEYS.contains(&key.as_str()), "{key} is not pulled");
+            }
+        }
     }
 
     #[test]
     fn timestamps_are_preserved() {
         for event in one_of_each() {
             assert_eq!(event.at(), SimTime::from_secs(3600));
+        }
+    }
+
+    /// The crate docs' "Event schema" table is written by hand: it must
+    /// list every kind, in schema order, and name every key the kind's
+    /// journal line carries.
+    #[test]
+    fn the_schema_table_in_the_crate_docs_matches_the_kinds() {
+        let docs = include_str!("lib.rs");
+        let section = &docs[docs
+            .find("# Event schema")
+            .expect("an Event schema section")..];
+        let rows: Vec<(&str, &str)> = section
+            .lines()
+            .skip(1)
+            .take_while(|line| line.starts_with("//!"))
+            .filter_map(|line| line.strip_prefix("//! | `"))
+            .filter_map(|row| row.split_once('`'))
+            .filter(|(tag, _)| *tag != "event")
+            .collect();
+        let tags: Vec<&str> = rows.iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(
+            tags,
+            TelemetryEvent::kind_names(),
+            "one row per kind, in order"
+        );
+        for event in one_of_each() {
+            let (_, fields) = rows[event.kind_index()];
+            let Some(Json::Obj(pairs)) = Json::parse(&event.to_jsonl()) else {
+                panic!("{event:?} encodes to an object");
+            };
+            for (key, _) in &pairs[2..] {
+                assert!(
+                    fields.contains(&format!("`{key}`")),
+                    "the {} row does not name `{key}`",
+                    event.name()
+                );
+            }
         }
     }
 

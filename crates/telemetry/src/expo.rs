@@ -7,7 +7,8 @@
 //! [`labeled`](crate::metrics::labeled)) become families named
 //! `pqos_rpc_stage_ns` with label pairs, and every histogram summary
 //! expands into the standard `_bucket`/`_sum`/`_count` triplet using the
-//! fixed ladder from [`bucket_bounds`](crate::metrics::bucket_bounds).
+//! fixed `{1, 2.5, 5} × 10^k` ladder of
+//! [`HistogramSummary::buckets`](crate::HistogramSummary::buckets).
 //!
 //! # Examples
 //!
@@ -40,7 +41,7 @@ pub struct Sample {
 /// Maps a registry name onto the Prometheus name grammar
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): every invalid character becomes `_` and
 /// the result is prefixed with `pqos_`.
-pub fn sanitize_name(name: &str) -> String {
+pub(crate) fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 5);
     out.push_str("pqos_");
     for ch in name.chars() {

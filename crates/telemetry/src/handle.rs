@@ -202,7 +202,7 @@ impl Telemetry {
     }
 
     /// How many events of each kind this handle has emitted, as
-    /// `(wire_name, count)` pairs in [`TelemetryEvent::kind_index`] order.
+    /// `(wire_name, count)` pairs in [`TelemetryEvent::kind_names`] order.
     /// Empty when disabled.
     pub fn event_counts(&self) -> Vec<(&'static str, u64)> {
         let Some(inner) = &self.inner else {

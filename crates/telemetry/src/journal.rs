@@ -1,9 +1,11 @@
 //! Event sinks: where emitted [`TelemetryEvent`]s go.
 //!
-//! Two sinks ship with the crate: a bounded in-memory ring buffer (cheap,
-//! always safe to leave on, keeps the *last* `capacity` events for post-run
-//! inspection) and a JSONL writer for durable journals that can be grepped,
-//! diffed, or replayed offline.
+//! Two sinks ship with the crate, both installed through
+//! [`TelemetryBuilder`](crate::TelemetryBuilder): a bounded in-memory ring
+//! buffer (cheap, always safe to leave on, keeps the *last* `capacity`
+//! events for post-run inspection) and a JSONL writer for durable journals
+//! that can be grepped, diffed, or replayed offline. Any other
+//! [`EventSink`] plugs in beside them.
 
 use crate::event::TelemetryEvent;
 use std::collections::VecDeque;
@@ -38,25 +40,26 @@ pub trait EventSink: Send {
 ///
 /// When full, recording a new event evicts the oldest one; [`dropped`]
 /// counts evictions so consumers can tell the journal is a suffix.
+/// [`TelemetryBuilder::ring_buffer`](crate::TelemetryBuilder::ring_buffer)
+/// installs one.
 ///
 /// [`dropped`]: RingBufferSink::dropped
 ///
 /// # Examples
 ///
 /// ```
-/// use pqos_telemetry::journal::{EventSink, RingBufferSink};
-/// use pqos_telemetry::TelemetryEvent;
+/// use pqos_telemetry::{Telemetry, TelemetryEvent};
 /// use pqos_sim_core::time::SimTime;
 ///
-/// let mut ring = RingBufferSink::new(2);
+/// let telemetry = Telemetry::builder().ring_buffer(2).build();
 /// for job in 0..3 {
-///     ring.record(&TelemetryEvent::JobRejected { at: SimTime::ZERO, job });
+///     telemetry.emit(|| TelemetryEvent::JobRejected { at: SimTime::ZERO, job });
 /// }
-/// assert_eq!(ring.len(), 2);
-/// assert_eq!(ring.dropped(), 1);
+/// assert_eq!(telemetry.ring_events().len(), 2);
+/// assert_eq!(telemetry.sink_health().ring_dropped, 1);
 /// ```
 #[derive(Debug)]
-pub struct RingBufferSink {
+pub(crate) struct RingBufferSink {
     capacity: usize,
     events: VecDeque<TelemetryEvent>,
     dropped: u64,
@@ -68,7 +71,7 @@ impl RingBufferSink {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring buffer capacity must be positive");
         RingBufferSink {
             capacity,
@@ -77,33 +80,13 @@ impl RingBufferSink {
         }
     }
 
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// How many events have been evicted to make room.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TelemetryEvent> {
-        self.events.iter()
-    }
-
     /// Copies the retained events out, oldest first.
-    pub fn to_vec(&self) -> Vec<TelemetryEvent> {
+    pub(crate) fn to_vec(&self) -> Vec<TelemetryEvent> {
         self.events.iter().cloned().collect()
     }
 }
@@ -128,7 +111,7 @@ impl EventSink for RingBufferSink {
 /// recording allocates nothing once the buffer has grown to the longest
 /// event seen.
 #[derive(Debug)]
-pub struct JsonlSink<W: Write> {
+pub(crate) struct JsonlSink<W: Write> {
     writer: W,
     line: String,
     written: u64,
@@ -137,29 +120,13 @@ pub struct JsonlSink<W: Write> {
 
 impl<W: Write> JsonlSink<W> {
     /// Wraps a writer.
-    pub fn new(writer: W) -> Self {
+    pub(crate) fn new(writer: W) -> Self {
         JsonlSink {
             writer,
             line: String::new(),
             written: 0,
             errors: 0,
         }
-    }
-
-    /// Number of lines successfully written.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Number of write errors swallowed.
-    pub fn errors(&self) -> u64 {
-        self.errors
-    }
-
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.writer.flush();
-        self.writer
     }
 }
 
@@ -208,13 +175,12 @@ mod tests {
         for job in 0..10 {
             ring.record(&reject(job));
         }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.capacity(), 3);
         assert_eq!(ring.dropped(), 7);
         let jobs: Vec<u64> = ring
-            .events()
+            .to_vec()
+            .into_iter()
             .map(|e| match e {
-                TelemetryEvent::JobRejected { job, .. } => *job,
+                TelemetryEvent::JobRejected { job, .. } => job,
                 _ => unreachable!(),
             })
             .collect();
@@ -224,13 +190,12 @@ mod tests {
     #[test]
     fn ring_below_capacity_keeps_everything() {
         let mut ring = RingBufferSink::new(100);
-        assert!(ring.is_empty());
+        assert!(ring.to_vec().is_empty());
         for job in 0..5 {
             ring.record(&reject(job));
         }
-        assert_eq!(ring.len(), 5);
         assert_eq!(ring.dropped(), 0);
-        assert_eq!(ring.to_vec().len(), 5);
+        assert_eq!(ring.to_vec(), (0..5).map(reject).collect::<Vec<_>>());
     }
 
     #[test]
@@ -241,14 +206,15 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_parseable_lines_for_every_variant() {
-        let mut sink = JsonlSink::new(Vec::new());
+        let mut bytes = Vec::new();
+        let mut sink = JsonlSink::new(&mut bytes);
         let events = one_of_each();
         for event in &events {
             sink.record(event);
         }
         assert_eq!(sink.written(), events.len() as u64);
         assert_eq!(sink.errors(), 0);
-        let bytes = sink.into_inner();
+        drop(sink);
         let text = String::from_utf8(bytes).expect("journal is utf-8");
         let parsed: Vec<TelemetryEvent> = text
             .lines()
@@ -286,11 +252,13 @@ mod tests {
             failure_probability: 0.25,
         };
         let events = [wide.clone(), reject(2), wide, reject(3)];
-        let mut sink = JsonlSink::new(Vec::new());
+        let mut bytes = Vec::new();
+        let mut sink = JsonlSink::new(&mut bytes);
         for event in &events {
             sink.record(event);
         }
-        let text = String::from_utf8(sink.into_inner()).expect("utf-8");
+        drop(sink);
+        let text = String::from_utf8(bytes).expect("utf-8");
         let want: String = events.iter().map(|e| e.to_jsonl() + "\n").collect();
         assert_eq!(text, want);
     }

@@ -268,6 +268,65 @@ macro_rules! pull_let {
     };
 }
 
+/// A closed set of wire names, each written once: declares the enum
+/// (deriving `Debug`, `Clone`, `Copy`, `PartialEq` and `Eq`) with `as_str`,
+/// `parse` and `ALL`, every variant in declaration order. Nothing else
+/// spells the names, so a name cannot be encoded one way and parsed
+/// another.
+///
+/// # Examples
+///
+/// ```
+/// pqos_telemetry::wire_enum! {
+///     /// A traffic light.
+///     pub enum Light {
+///         /// Stop.
+///         Red = "red",
+///         /// Go.
+///         Green = "green",
+///     }
+/// }
+/// assert_eq!(Light::Red.as_str(), "red");
+/// assert_eq!(Light::parse("green"), Some(Light::Green));
+/// assert_eq!(Light::parse("amber"), None);
+/// assert_eq!(Light::ALL, [Light::Red, Light::Green]);
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $($(#[$variant_meta:meta])* $variant:ident = $wire:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        $vis enum $name {
+            $($(#[$variant_meta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: [$name; [$($wire),+].len()] = [$($name::$variant),+];
+
+            /// The variant's stable wire name.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $wire,)+
+                }
+            }
+
+            /// The variant a wire name spells; `None` for any other text.
+            pub fn parse(s: &str) -> Option<$name> {
+                match s {
+                    $($wire => Some($name::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
 /// A cursor over one document: the only code that knows what a string, a
 /// number or a container looks like.
 struct Lexer<'a> {
@@ -621,7 +680,7 @@ impl ObjWriter {
     }
 
     /// Writes an array of strings (each escaped).
-    pub fn arr_str<S: AsRef<str>>(&mut self, key: &str, vs: &[S]) -> &mut Self {
+    pub(crate) fn arr_str<S: AsRef<str>>(&mut self, key: &str, vs: &[S]) -> &mut Self {
         self.key(key);
         self.out.push('[');
         for (i, v) in vs.iter().enumerate() {

@@ -13,7 +13,13 @@
 //!
 //! A journal is JSONL: one JSON object per line, with an `event` tag and a
 //! sim-time stamp `at` (seconds since the simulated epoch). Identifiers are
-//! plain integers. The variants and their extra fields:
+//! plain integers. The schema itself is one declarative table in
+//! [`event`]: each row names a variant, its wire tag and its fields, and
+//! the enum, its encoder and decoder and the per-kind accounting
+//! ([`TelemetryEvent::kind_names`]) are generated from it. The closed
+//! value sets (`reason`, `verdict`, `state`) are [`wire_enum!`]s, each
+//! name written once. The variants and their extra fields, in schema
+//! order (a test holds this table to the schema):
 //!
 //! | `event`              | fields                                                              |
 //! |----------------------|---------------------------------------------------------------------|
@@ -78,12 +84,11 @@ pub mod reqtrace;
 pub mod slo;
 pub mod window;
 
-pub use event::{one_of_each, AlertState, PromiseVerdict, SkipReason, TelemetryEvent, EVENT_KINDS};
+pub use event::{one_of_each, AlertState, PromiseVerdict, SkipReason, TelemetryEvent};
 pub use handle::{SinkHealth, Telemetry, TelemetryBuilder};
-pub use journal::{EventSink, JsonlSink, RingBufferSink};
+pub use journal::EventSink;
 pub use metrics::{
     labeled, Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry, Snapshot, Timer,
-    WindowSummary,
 };
 pub use reqtrace::{RequestTrace, TraceEntry, TraceError, TraceMeta};
 pub use slo::{parse_rule, SloAccum, SloEngine, SloRule, SloSink};

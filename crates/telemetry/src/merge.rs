@@ -28,14 +28,17 @@
 //! is read once, when the line becomes its journal's head; picking the
 //! next line compares the cached keys of the heads and touches no text.
 
-/// Event kinds that release capacity or resolve a promise at their
-/// instant; these win ties so same-instant claims in other journals see
-/// the capacity as free.
+use crate::event::EventKind;
+
+/// Wire tags of the event kinds that release capacity or resolve a
+/// promise at their instant; these win ties so same-instant claims in
+/// other journals see the capacity as free. Named through the schema, so
+/// a renamed tag is renamed here too.
 const RELEASING: [&str; 4] = [
-    "job_completed",
-    "deadline_missed",
-    "promise_resolved",
-    "job_cancelled",
+    EventKind::JobCompleted.name(),
+    EventKind::DeadlineMissed.name(),
+    EventKind::PromiseResolved.name(),
+    EventKind::JobCancelled.name(),
 ];
 
 /// The digits after the line's first `"at":`, if they are a `u64`.

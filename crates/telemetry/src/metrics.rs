@@ -72,7 +72,7 @@ pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
 /// Splits a registry key produced by [`labeled`] back into its base name
 /// and `(key, value)` label pairs (empty for unlabeled keys). Escapes in
 /// label values are undone.
-pub fn split_labeled(key: &str) -> (&str, Vec<(String, String)>) {
+pub(crate) fn split_labeled(key: &str) -> (&str, Vec<(String, String)>) {
     let Some(brace) = key.find('{') else {
         return (key, Vec::new());
     };
@@ -116,7 +116,7 @@ pub struct Counter(Option<Arc<AtomicU64>>);
 
 impl Counter {
     /// A counter that ignores updates (what disabled telemetry hands out).
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Counter(None)
     }
 
@@ -131,11 +131,6 @@ impl Counter {
             cell.fetch_add(n, Ordering::Relaxed);
         }
     }
-
-    /// Current value (zero for a no-op counter).
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
 }
 
 /// A gauge holding the latest value of a signed quantity.
@@ -144,7 +139,7 @@ pub struct Gauge(Option<Arc<AtomicI64>>);
 
 impl Gauge {
     /// A gauge that ignores updates.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Gauge(None)
     }
 
@@ -160,11 +155,6 @@ impl Gauge {
         if let Some(cell) = &self.0 {
             cell.fetch_add(delta, Ordering::Relaxed);
         }
-    }
-
-    /// Current value (zero for a no-op gauge).
-    pub fn get(&self) -> i64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
 }
 
@@ -234,9 +224,9 @@ struct HistState {
     stats: OnlineStats,
     reservoir: Reservoir,
     /// A second reservoir covering only the observations since the last
-    /// [`Histogram::take_window`]/[`Histogram::reset_window`], so windowed
-    /// percentiles describe the window rather than the whole run. The
-    /// cumulative `reservoir` above is untouched by resets.
+    /// [`Histogram::take_window`], so windowed percentiles describe the
+    /// window rather than the whole run. The cumulative `reservoir` above
+    /// is untouched by resets.
     window: Reservoir,
     /// Observations since the last window reset.
     window_count: u64,
@@ -245,7 +235,7 @@ struct HistState {
 /// Percentiles of one histogram over its current window (the observations
 /// since the last [`Histogram::take_window`] call).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowSummary {
+pub(crate) struct WindowSummary {
     /// Observations in the window.
     pub count: u64,
     /// Median of the window's reservoir.
@@ -263,7 +253,7 @@ pub struct Histogram(Option<Arc<Mutex<HistState>>>);
 
 impl Histogram {
     /// A histogram that ignores observations.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Histogram(None)
     }
 
@@ -280,9 +270,9 @@ impl Histogram {
 
     /// Returns the percentiles of the observations since the previous call
     /// (or since creation) and starts a fresh window. `None` for a no-op
-    /// histogram or an empty window. The cumulative reservoir used by
-    /// [`quantile`](Self::quantile) and snapshots is unaffected.
-    pub fn take_window(&self) -> Option<WindowSummary> {
+    /// histogram or an empty window. The cumulative reservoir snapshots
+    /// read is unaffected.
+    pub(crate) fn take_window(&self) -> Option<WindowSummary> {
         let cell = self.0.as_ref()?;
         let mut state = cell.lock().expect("histogram lock");
         let count = state.window_count;
@@ -295,31 +285,6 @@ impl Histogram {
         state.window = Reservoir::default();
         state.window_count = 0;
         Some(summary)
-    }
-
-    /// Discards the current window without reading it.
-    pub fn reset_window(&self) {
-        if let Some(cell) = &self.0 {
-            let mut state = cell.lock().expect("histogram lock");
-            state.window = Reservoir::default();
-            state.window_count = 0;
-        }
-    }
-
-    /// A copy of the accumulated statistics (empty for a no-op histogram).
-    pub fn stats(&self) -> OnlineStats {
-        self.0
-            .as_ref()
-            .map(|c| c.lock().expect("histogram lock").stats)
-            .unwrap_or_default()
-    }
-
-    /// The `q`-quantile estimate from the reservoir, or `None` when the
-    /// histogram is empty or a no-op.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.0
-            .as_ref()
-            .and_then(|c| c.lock().expect("histogram lock").reservoir.quantile(q))
     }
 
     /// Starts a scoped wall-clock timer. The elapsed time is recorded in
@@ -345,11 +310,6 @@ pub struct Timer {
 impl Timer {
     /// Stops the timer now (equivalent to dropping it).
     pub fn stop(self) {}
-
-    /// Abandons the timer without recording anything.
-    pub fn cancel(mut self) {
-        self.start = None;
-    }
 }
 
 impl Drop for Timer {
@@ -444,7 +404,7 @@ impl MetricsRegistry {
 /// bucket (`+Inf`) is the total count. Timer histograms observe
 /// nanoseconds, so the ladder spans 1 ns to 5 s, which covers every
 /// latency the daemon can plausibly record.
-pub fn bucket_bounds() -> [f64; 30] {
+pub(crate) fn bucket_bounds() -> [f64; 30] {
     let mut bounds = [0.0; 30];
     let mut scale = 1.0;
     for k in 0..10 {
@@ -475,9 +435,10 @@ pub struct HistogramSummary {
     pub p90: f64,
     /// 99th-percentile estimate from the reservoir (0 when empty).
     pub p99: f64,
-    /// Cumulative `(upper_bound, count ≤ bound)` pairs over
-    /// [`bucket_bounds`], estimated from the reservoir sample and scaled to
-    /// the true count. Monotone nondecreasing; the implied `+Inf` bucket is
+    /// Cumulative `(upper_bound, count ≤ bound)` pairs over the fixed
+    /// ladder `{1, 2.5, 5} × 10^k`, `k = 0..=9`, estimated from the
+    /// reservoir sample and scaled to the true count. Monotone
+    /// nondecreasing; the implied `+Inf` bucket is
     /// [`count`](Self::count). Empty when the histogram is empty.
     pub buckets: Vec<(f64, u64)>,
 }
@@ -564,11 +525,6 @@ impl Snapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
-    }
-
-    /// Whether the snapshot holds no metrics at all.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Renders every metric as one aligned plain-text table. Histogram rows
@@ -713,6 +669,41 @@ impl Snapshot {
 mod tests {
     use super::*;
 
+    // Readers only the tests need: production reads metrics through
+    // `Snapshot`.
+    impl Counter {
+        fn get(&self) -> u64 {
+            self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
+        }
+    }
+
+    impl Gauge {
+        fn get(&self) -> i64 {
+            self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
+        }
+    }
+
+    impl Histogram {
+        fn stats(&self) -> OnlineStats {
+            self.0
+                .as_ref()
+                .map(|c| c.lock().expect("histogram lock").stats)
+                .unwrap_or_default()
+        }
+
+        fn quantile(&self, q: f64) -> Option<f64> {
+            self.0
+                .as_ref()
+                .and_then(|c| c.lock().expect("histogram lock").reservoir.quantile(q))
+        }
+    }
+
+    impl Snapshot {
+        fn is_empty(&self) -> bool {
+            self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        }
+    }
+
     #[test]
     fn take_window_reflects_the_window_not_the_run() {
         let registry = MetricsRegistry::new();
@@ -734,10 +725,6 @@ mod tests {
         assert_eq!(h.quantile(0.0), Some(1.0));
         assert_eq!(h.stats().count(), 6);
         // An empty window yields no summary.
-        assert!(h.take_window().is_none());
-        // reset_window discards without reading.
-        h.observe(99.0);
-        h.reset_window();
         assert!(h.take_window().is_none());
         assert!(Histogram::noop().take_window().is_none());
     }
@@ -894,17 +881,8 @@ mod tests {
         {
             let _t = h.start_timer();
         }
-        h.start_timer().cancel();
         assert_eq!(h.stats().count(), 0);
         assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
-    fn timer_cancel_discards_the_measurement() {
-        let registry = MetricsRegistry::new();
-        let h = registry.histogram("t");
-        h.start_timer().cancel();
-        assert_eq!(h.stats().count(), 0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::fmt;
 pub const TRACE_FORMAT_VERSION: u64 = 1;
 
 /// Value of the `trace` discriminator field on the meta line.
-pub const TRACE_KIND: &str = "pqos-request-trace";
+pub(crate) const TRACE_KIND: &str = "pqos-request-trace";
 
 /// The header line of a request trace: the recorder's configuration,
 /// sufficient to reconstruct the session a replay drives.
@@ -170,7 +170,7 @@ impl fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 /// The protocol verbs a trace entry may carry.
-pub const TRACE_VERBS: &[&str] = &[
+pub(crate) const TRACE_VERBS: &[&str] = &[
     "negotiate",
     "accept",
     "cancel",

@@ -24,6 +24,7 @@
 
 use crate::event::{AlertState, TelemetryEvent};
 use crate::journal::EventSink;
+use crate::wire_enum;
 use pqos_sim_core::time::SimTime;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -56,81 +57,44 @@ pub struct WindowCounts {
     pub cancellations: u64,
 }
 
-/// A health metric derived from one window's counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Metric {
-    /// Jobs submitted in the window.
-    Submits,
-    /// Quotes negotiated in the window.
-    Quotes,
-    /// Jobs rejected in the window.
-    Rejects,
-    /// `rejects / (quotes + rejects)`; no-data when no negotiation ended.
-    RejectRatio,
-    /// Jobs completed in the window.
-    Completions,
-    /// Deadlines missed in the window.
-    DeadlineMisses,
-    /// `deadline_misses / completions`; no-data when nothing completed.
-    DeadlineMissRatio,
-    /// Promises kept in the window.
-    PromiseKept,
-    /// Promises broken in the window.
-    PromiseBroken,
-    /// `kept / (kept + broken)`; no-data when no promise resolved.
-    PromiseReliability,
-    /// Node failures in the window.
-    Failures,
-    /// Jobs requeued in the window.
-    Requeues,
-    /// Jobs cancelled in the window.
-    Cancellations,
+wire_enum! {
+    /// A health metric derived from one window's counts; its wire name is
+    /// what a rule spec says.
+    pub enum Metric {
+        /// Jobs submitted in the window.
+        Submits = "submits",
+        /// Quotes negotiated in the window.
+        Quotes = "quotes",
+        /// Jobs rejected in the window.
+        Rejects = "rejects",
+        /// `rejects / (quotes + rejects)`; no-data when no negotiation ended.
+        RejectRatio = "reject_ratio",
+        /// Jobs completed in the window.
+        Completions = "completions",
+        /// Deadlines missed in the window.
+        DeadlineMisses = "deadline_misses",
+        /// `deadline_misses / completions`; no-data when nothing completed.
+        DeadlineMissRatio = "deadline_miss_ratio",
+        /// Promises kept in the window.
+        PromiseKept = "promise_kept",
+        /// Promises broken in the window.
+        PromiseBroken = "promise_broken",
+        /// `kept / (kept + broken)`; no-data when no promise resolved.
+        PromiseReliability = "promise_reliability",
+        /// Node failures in the window.
+        Failures = "failures",
+        /// Jobs requeued in the window.
+        Requeues = "requeues",
+        /// Jobs cancelled in the window.
+        Cancellations = "cancellations",
+    }
 }
 
 impl Metric {
-    /// Stable name used in rule specs.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Metric::Submits => "submits",
-            Metric::Quotes => "quotes",
-            Metric::Rejects => "rejects",
-            Metric::RejectRatio => "reject_ratio",
-            Metric::Completions => "completions",
-            Metric::DeadlineMisses => "deadline_misses",
-            Metric::DeadlineMissRatio => "deadline_miss_ratio",
-            Metric::PromiseKept => "promise_kept",
-            Metric::PromiseBroken => "promise_broken",
-            Metric::PromiseReliability => "promise_reliability",
-            Metric::Failures => "failures",
-            Metric::Requeues => "requeues",
-            Metric::Cancellations => "cancellations",
-        }
-    }
-
-    /// Parses a rule-spec metric name.
-    pub fn parse(s: &str) -> Option<Metric> {
-        Some(match s {
-            "submits" => Metric::Submits,
-            "quotes" => Metric::Quotes,
-            "rejects" => Metric::Rejects,
-            "reject_ratio" => Metric::RejectRatio,
-            "completions" => Metric::Completions,
-            "deadline_misses" => Metric::DeadlineMisses,
-            "deadline_miss_ratio" => Metric::DeadlineMissRatio,
-            "promise_kept" => Metric::PromiseKept,
-            "promise_broken" => Metric::PromiseBroken,
-            "promise_reliability" => Metric::PromiseReliability,
-            "failures" => Metric::Failures,
-            "requeues" => Metric::Requeues,
-            "cancellations" => Metric::Cancellations,
-            _ => return None,
-        })
-    }
-
     /// The metric's value over one window, or `None` when the window
     /// carries no data for it (ratio with a zero denominator). Count
     /// metrics are always defined for a materialized window.
-    pub fn value(self, c: &WindowCounts) -> Option<f64> {
+    pub(crate) fn value(self, c: &WindowCounts) -> Option<f64> {
         let ratio = |num: u64, den: u64| {
             if den == 0 {
                 None
@@ -170,18 +134,8 @@ pub enum Cmp {
 }
 
 impl Cmp {
-    /// Spec spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Cmp::Lt => "<",
-            Cmp::Le => "<=",
-            Cmp::Gt => ">",
-            Cmp::Ge => ">=",
-        }
-    }
-
     /// True when `value` satisfies the healthy direction.
-    pub fn holds(self, value: f64, threshold: f64) -> bool {
+    pub(crate) fn holds(self, value: f64, threshold: f64) -> bool {
         match self {
             Cmp::Lt => value < threshold,
             Cmp::Le => value <= threshold,
@@ -308,7 +262,7 @@ impl SloAccum {
     }
 
     /// Window width in virtual seconds.
-    pub fn width_secs(&self) -> u64 {
+    pub(crate) fn width_secs(&self) -> u64 {
         self.width
     }
 
@@ -351,7 +305,7 @@ impl SloAccum {
 
     /// Removes and returns every materialized window whose end boundary is
     /// at or before `limit_secs`, in ascending window order.
-    pub fn take_closed(&self, limit_secs: u64) -> Vec<(u64, WindowCounts)> {
+    pub(crate) fn take_closed(&self, limit_secs: u64) -> Vec<(u64, WindowCounts)> {
         let mut windows = self.windows.lock().expect("slo windows poisoned");
         // Window idx covers [idx*width, (idx+1)*width); it is closed when
         // (idx+1)*width <= limit, i.e. idx < limit/width.
@@ -537,6 +491,21 @@ mod tests {
         assert_eq!(r.cmp, Cmp::Gt);
         let r = parse_rule("m:deadline_misses<2@2/4").unwrap();
         assert_eq!(r.cmp, Cmp::Lt);
+    }
+
+    #[test]
+    fn metric_wire_names_round_trip() {
+        let names: std::collections::BTreeSet<&str> =
+            Metric::ALL.iter().map(|m| m.as_str()).collect();
+        assert_eq!(names.len(), Metric::ALL.len(), "names are distinct");
+        for m in Metric::ALL {
+            assert_eq!(Metric::parse(m.as_str()), Some(m));
+            // And every name survives the rule grammar around it.
+            let rule = parse_rule(&format!("r:{}<=1@1", m.as_str())).unwrap();
+            assert_eq!(rule.metric, m);
+        }
+        assert_eq!(Metric::parse("bogus"), None);
+        assert_eq!(Metric::parse(""), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! once per wall-clock window. Counters become per-window deltas
 //! (`kind: "rate"`), gauges become point-in-time values (`kind: "gauge"`),
 //! and histograms become windowed percentiles (`kind: "p50"|"p90"|"p99"`,
-//! via [`Histogram::take_window`], so a quiet window reports the window —
+//! via `Histogram::take_window`, so a quiet window reports the window —
 //! not the lifetime — distribution). The store keeps the last `W` windows
 //! per family and serves them as JSON to the `history` protocol verb, the
 //! `/history` HTTP route, and the `pqos-top` sparklines.
@@ -67,11 +67,6 @@ impl WindowStore {
         self.window_ms
     }
 
-    /// Windows sampled so far.
-    pub fn windows_sampled(&self) -> u64 {
-        self.inner.lock().expect("window store poisoned").seq
-    }
-
     /// Folds one sampling pass over the registry into the ring: counter
     /// deltas, gauge values, and windowed histogram percentiles. A no-op
     /// when telemetry is disabled.
@@ -128,15 +123,6 @@ impl WindowStore {
             family.points.pop_front();
             family.start_seq += 1;
         }
-    }
-
-    /// Number of families with at least one retained point.
-    pub fn families(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("window store poisoned")
-            .families
-            .len()
     }
 
     /// Serializes the full ring as one JSON object:
@@ -299,7 +285,8 @@ mod tests {
         let t = Telemetry::disabled();
         let store = WindowStore::new(4, 1000);
         store.sample(&t);
-        assert_eq!(store.windows_sampled(), 0);
-        assert_eq!(store.families(), 0);
+        let history = Json::parse(&store.to_json()).unwrap();
+        assert_eq!(history.get("windows").unwrap().as_u64(), Some(0));
+        assert_eq!(history.get("families").unwrap().as_arr(), Some(&[][..]));
     }
 }
