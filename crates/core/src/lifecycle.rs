@@ -20,8 +20,9 @@
 //! in any later phase is refused.
 //!
 //! It owns everything about a job that is not capacity: the phase and the
-//! held quote, the live counter, [`SessionStats`], the promise tally, the
-//! deadline slack rule and the journal — and it is the only code that
+//! held quote of every live (quoted, accepted or running) job, how each
+//! finished or cancelled job ended, [`SessionStats`], the promise tally,
+//! the deadline slack rule and the journal — and it is the only code that
 //! journals the ten job event kinds (`job_submitted`, `job_rejected`,
 //! `quote_negotiated`, `job_placed`, `job_started`, `job_requeued`,
 //! `job_completed`, `deadline_missed`, `job_cancelled`,
@@ -325,7 +326,9 @@ impl PromiseTally {
     }
 }
 
-/// Where a job is in its lifecycle.
+/// Where a job is in its lifecycle. A live job (in `Lifecycle::jobs`) is
+/// quoted, accepted or running; an ended one is only its id and one of
+/// the last two phases (in `Lifecycle::ended`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Quoted, not yet accepted.
@@ -399,11 +402,14 @@ pub struct Lifecycle<C> {
     quote_horizon: Option<SimDuration>,
     /// Offset added to node indices in journaled placements.
     node_base: u64,
+    /// The live jobs: quoted, accepted or running. A job leaves at
+    /// completion or cancellation, and its held quote with it, so the
+    /// table is the size of the work in flight.
     jobs: HashMap<JobId, Job<C>>,
-    /// How many of `jobs` are quoted, accepted or running, kept in step at
-    /// every phase transition so [`Self::live_jobs`] need not walk a table
-    /// that never forgets a job.
-    live: usize,
+    /// How each job that left `jobs` ended: [`Phase::Done`] or
+    /// [`Phase::Cancelled`]. It keeps the answers a late `accept`,
+    /// `cancel` or re-quote of the id gets, and [`Self::holds`].
+    ended: HashMap<JobId, Phase>,
     /// The served driver's pending instants: (time, order-class, job).
     timers: BTreeSet<(SimTime, u8, JobId)>,
     stats: SessionStats,
@@ -420,7 +426,7 @@ impl<C> Lifecycle<C> {
             quote_horizon: None,
             node_base: 0,
             jobs: HashMap::new(),
-            live: 0,
+            ended: HashMap::new(),
             timers: BTreeSet::new(),
             stats: SessionStats::default(),
             promises: PromiseTally::default(),
@@ -464,22 +470,14 @@ impl<C> Lifecycle<C> {
     /// expired quotes were dropped entirely (they show up in
     /// [`SessionStats::expired`]).
     pub fn live_jobs(&self) -> usize {
-        debug_assert_eq!(
-            self.live,
-            self.jobs
-                .values()
-                .filter(|j| matches!(j.phase, Phase::Quoted | Phase::Accepted | Phase::Running))
-                .count(),
-            "live counter drifted from the job table"
-        );
-        self.live
+        self.jobs.len()
     }
 
-    /// Whether the job table has an entry for `id`: a held quote, or a
-    /// job accepted, running, finished or cancelled. Rejected ids and
-    /// expired quotes leave none.
+    /// Whether the lifecycle knows `id`: a held quote, or a job accepted,
+    /// running, finished or cancelled. Rejected ids and expired quotes
+    /// leave no trace.
     pub fn holds(&self, id: JobId) -> bool {
-        self.jobs.contains_key(&id)
+        self.jobs.contains_key(&id) || self.ended.contains_key(&id)
     }
 
     /// Negotiates `requests` against `view` as of the current virtual
@@ -600,8 +598,10 @@ impl<C> Lifecycle<C> {
             return None;
         };
         let entry = self.jobs.entry(id);
-        if matches!(&entry, Entry::Occupied(e) if e.get().phase != Phase::Quoted) {
-            // The id already names a committed or finished job; refusing
+        if matches!(&entry, Entry::Occupied(e) if e.get().phase != Phase::Quoted)
+            || self.ended.contains_key(&id)
+        {
+            // The id already names a committed or ended job; refusing
             // (without a second journaled verdict) keeps the journal's
             // one-lifecycle-per-id invariant.
             self.stats.rejected += 1;
@@ -620,10 +620,6 @@ impl<C> Lifecycle<C> {
             commitment: None,
         };
         self.stats.quoted += 1;
-        // A re-quote replaces a held quote that was already counted.
-        if matches!(entry, Entry::Vacant(_)) {
-            self.live += 1;
-        }
         Some(&entry.insert_entry(job).into_mut().held)
     }
 
@@ -673,7 +669,6 @@ impl<C> Lifecycle<C> {
             .flatten();
         let Some(commitment) = commitment else {
             entry.remove();
-            self.live -= 1;
             self.stats.expired += 1;
             return Err(AcceptError::QuoteExpired);
         };
@@ -711,15 +706,19 @@ impl<C> Lifecycle<C> {
     /// cancelled); [`CancelError::AlreadyStarted`] once the job is
     /// running or done.
     pub fn cancel(&mut self, id: JobId, release: impl FnOnce(C)) -> Result<(), CancelError> {
-        let job = self.jobs.get_mut(&id).ok_or(CancelError::UnknownJob)?;
-        let was_accepted = match job.phase {
+        let Entry::Occupied(entry) = self.jobs.entry(id) else {
+            return Err(match self.ended.get(&id) {
+                Some(Phase::Done) => CancelError::AlreadyStarted,
+                _ => CancelError::UnknownJob,
+            });
+        };
+        let was_accepted = match entry.get().phase {
             Phase::Quoted => false,
             Phase::Accepted => true,
-            Phase::Running | Phase::Done => return Err(CancelError::AlreadyStarted),
-            Phase::Cancelled => return Err(CancelError::UnknownJob),
+            _ => return Err(CancelError::AlreadyStarted),
         };
-        job.phase = Phase::Cancelled;
-        self.live -= 1;
+        let mut job = entry.remove();
+        self.ended.insert(id, Phase::Cancelled);
         if let Some(commitment) = job.commitment.take() {
             release(commitment);
         }
@@ -806,19 +805,25 @@ impl<C> Lifecycle<C> {
 
     /// Running → Done at `at`, handing the commitment to `release`:
     /// journals the completion, the miss if `at` is past the effective
-    /// deadline, and the promise's verdict. `None` unless `id` is running.
+    /// deadline, and the promise's verdict. The job leaves the live table;
+    /// its held quote is returned. `None` unless `id` is running.
     pub(crate) fn complete(
         &mut self,
         id: JobId,
         at: SimTime,
         release: impl FnOnce(C),
-    ) -> Option<&HeldQuote> {
-        let job = in_phase(&mut self.jobs, id, Phase::Running)?;
-        job.phase = Phase::Done;
-        self.live -= 1;
+    ) -> Option<HeldQuote> {
+        let Entry::Occupied(entry) = self.jobs.entry(id) else {
+            return None;
+        };
+        if entry.get().phase != Phase::Running {
+            return None;
+        }
+        let job = entry.remove();
+        self.ended.insert(id, Phase::Done);
         let deadline = job.held.deadline;
         let met_deadline = at <= deadline;
-        release(job.commitment.take().expect("running: committed"));
+        release(job.commitment.expect("running: committed"));
         self.telemetry.emit(|| TelemetryEvent::JobCompleted {
             at,
             job: id.as_u64(),
@@ -839,7 +844,7 @@ impl<C> Lifecycle<C> {
         self.promises
             .resolve(&self.telemetry, at, id, &job.held, verdict);
         self.stats.completed += 1;
-        Some(&job.held)
+        Some(job.held)
     }
 }
 
@@ -902,6 +907,8 @@ mod tests {
         Requeued,
         /// Requeued, then started again.
         Restarted,
+        /// Restarted, then completed by the simulator's op at t=250.
+        Completed,
     }
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1001,13 +1008,16 @@ mod tests {
 
         fn reach(from: Given) -> Self {
             let mut w = World::new();
-            if matches!(from, Given::Requeued | Given::Restarted) {
+            if matches!(from, Given::Requeued | Given::Restarted | Given::Completed) {
                 w.apply(Op::Requote);
                 w.jobs.commit(ID, SimTime::ZERO, |_, _| Some(())).unwrap();
                 w.jobs.start(ID, SimTime::from_secs(120), 0).unwrap();
                 w.apply(Op::Requeue);
-                if from == Given::Restarted {
+                if from != Given::Requeued {
                     w.apply(Op::Start);
+                }
+                if from == Given::Completed {
+                    w.apply(Op::Complete);
                 }
                 return w;
             }
@@ -1019,7 +1029,9 @@ mod tests {
                 Given::Running => &[Op::Requote, Op::AcceptBooked, Op::AdvancePastStart],
                 Given::Done => &[Op::Requote, Op::AcceptBooked, Op::AdvancePastDeadline],
                 Given::Cancelled => &[Op::Requote, Op::AcceptBooked, Op::Cancel],
-                Given::Requeued | Given::Restarted => unreachable!("reached above"),
+                Given::Requeued | Given::Restarted | Given::Completed => {
+                    unreachable!("reached above")
+                }
             };
             for &op in path {
                 w.apply(op);
@@ -1031,8 +1043,11 @@ mod tests {
             w
         }
 
+        /// The id's phase, read from the live table, else the table of
+        /// ended jobs.
         fn phase(&self) -> Option<Phase> {
-            self.jobs.jobs.get(&ID).map(|j| j.phase)
+            let live = self.jobs.jobs.get(&ID).map(|j| j.phase);
+            live.or_else(|| self.jobs.ended.get(&ID).copied())
         }
 
         fn journal(&self) -> Vec<String> {
@@ -1078,7 +1093,13 @@ mod tests {
         let zero = SessionStats::default();
         let none = PromiseStats::default();
         let at = match from {
-            G::Absent | G::Quoted | G::Accepted | G::Cancelled | G::Requeued | G::Restarted => 0,
+            G::Absent
+            | G::Quoted
+            | G::Accepted
+            | G::Cancelled
+            | G::Requeued
+            | G::Restarted
+            | G::Completed => 0,
             G::QuotedExpired => PROMISE,
             G::Running => 150,
             G::Done => 250,
@@ -1091,7 +1112,7 @@ mod tests {
                 G::Quoted | G::QuotedExpired => Some(Phase::Quoted),
                 G::Accepted | G::Requeued => Some(Phase::Accepted),
                 G::Running | G::Restarted => Some(Phase::Running),
-                G::Done => Some(Phase::Done),
+                G::Done | G::Completed => Some(Phase::Done),
                 G::Cancelled => Some(Phase::Cancelled),
             },
             live: usize::from(matches!(
@@ -1119,10 +1140,16 @@ mod tests {
                 journal: vec![submitted(at)],
                 ..unchanged("")
             },
-            // A committed or finished id refuses it: the submission is
+            // A committed or ended id refuses it: the submission is
             // journaled, a second verdict is not.
             (
-                G::Accepted | G::Running | G::Done | G::Cancelled | G::Requeued | G::Restarted,
+                G::Accepted
+                | G::Running
+                | G::Done
+                | G::Cancelled
+                | G::Requeued
+                | G::Restarted
+                | G::Completed,
                 Op::Requote,
             ) => Cell {
                 stats: SessionStats { rejected: 1, ..zero },
@@ -1174,7 +1201,9 @@ mod tests {
                 ..unchanged("Ok(())")
             },
             (G::Absent | G::Cancelled, Op::Cancel) => unchanged("Err(UnknownJob)"),
-            (G::Running | G::Done | G::Restarted, Op::Cancel) => unchanged("Err(AlreadyStarted)"),
+            (G::Running | G::Done | G::Restarted | G::Completed, Op::Cancel) => {
+                unchanged("Err(AlreadyStarted)")
+            }
             (G::Accepted, Op::AdvancePastStart) => Cell {
                 next: Some(Phase::Running),
                 stats: SessionStats { started: 1, ..zero },
@@ -1252,6 +1281,13 @@ mod tests {
     /// release closures ran, and the exact journal lines. The served
     /// driver's ops (accept, cancel, advance) and the simulator's (start,
     /// complete and requeue at the caller's instant) share the table.
+    ///
+    /// A done or cancelled job is no longer in the live table — only its
+    /// id and how it ended are kept, which is what keeps the table the
+    /// size of the work in flight — yet it still answers as it did when
+    /// it stayed: `cancel` of a done id is `AlreadyStarted`, of a
+    /// cancelled one `UnknownJob`, `accept` is `UnknownQuote`, a re-quote
+    /// is refused with no second verdict, and `holds` stays true.
     #[test]
     fn transition_table() {
         let froms = [
@@ -1264,6 +1300,7 @@ mod tests {
             Given::Cancelled,
             Given::Requeued,
             Given::Restarted,
+            Given::Completed,
         ];
         let ops = [
             Op::Requote,
@@ -1292,6 +1329,16 @@ mod tests {
                 assert_eq!(returned, want.returned, "{cell}: returned");
                 assert_eq!(w.phase(), want.next, "{cell}: next phase");
                 assert_eq!(w.jobs.live_jobs(), want.live, "{cell}: live jobs");
+                let live = matches!(
+                    want.next,
+                    Some(Phase::Quoted | Phase::Accepted | Phase::Running)
+                );
+                assert_eq!(
+                    w.jobs.jobs.contains_key(&ID),
+                    live,
+                    "{cell}: in the live table"
+                );
+                assert_eq!(w.jobs.holds(ID), want.next.is_some(), "{cell}: holds");
                 assert_eq!(
                     w.jobs.stats(),
                     [before.0, want.stats].into_iter().sum(),

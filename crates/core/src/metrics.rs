@@ -37,6 +37,13 @@ pub struct JobOutcome {
     pub checkpoints_skipped: u32,
 }
 
+impl JobOutcome {
+    /// Useful work `ej·nj` in node-seconds, saturating at `u64::MAX`.
+    fn work(&self) -> u64 {
+        self.runtime.as_secs().saturating_mul(u64::from(self.nodes))
+    }
+}
+
 /// Work lost to one failure: `(tx − cjx) · njx` node-seconds (§3.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LostWorkEvent {
@@ -214,21 +221,21 @@ impl MetricsCollector {
     /// Panics if `cluster_size == 0`.
     pub fn report(&self, cluster_size: u32) -> SimReport {
         assert!(cluster_size > 0, "cluster size must be positive");
-        let total_work: u64 = self
+        let total_work = self
             .outcomes
             .iter()
-            .map(|o| o.runtime.as_secs() * u64::from(o.nodes))
-            .sum();
+            .map(JobOutcome::work)
+            .fold(0, u64::saturating_add);
         let qos_num: f64 = self
             .outcomes
             .iter()
             .filter(|o| o.met_deadline)
-            .map(|o| (o.runtime.as_secs() * u64::from(o.nodes)) as f64 * o.promised)
+            .map(|o| o.work() as f64 * o.promised)
             .sum();
         let promise_num: f64 = self
             .outcomes
             .iter()
-            .map(|o| (o.runtime.as_secs() * u64::from(o.nodes)) as f64 * o.promised)
+            .map(|o| o.work() as f64 * o.promised)
             .sum();
         let first_arrival = self.outcomes.iter().map(|o| o.arrival).min();
         let last_finish = self.outcomes.iter().map(|o| o.finish).max();
@@ -249,7 +256,11 @@ impl MetricsCollector {
                 0.0
             },
             utilization,
-            lost_work: self.lost.iter().map(|l| l.lost_node_seconds).sum(),
+            lost_work: self
+                .lost
+                .iter()
+                .map(|l| l.lost_node_seconds)
+                .fold(0, u64::saturating_add),
             total_work,
             makespan,
             jobs: n,
@@ -327,6 +338,33 @@ mod tests {
         assert_eq!(r.total_work, 400);
         // Mean promise is work-weighted: (100·1 + 300·0.8)/400 = 0.85.
         assert!((r.mean_promise - 0.85).abs() < 1e-12);
+    }
+
+    #[test]
+    fn report_work_saturates_instead_of_wrapping() {
+        // 2^62 s on 4 nodes is 2^64 node-seconds. Unchecked, the fold
+        // panicked in a debug build; a release build wrapped the job to 0
+        // and reported the other one's 200 node-s as all the work.
+        let mut m = MetricsCollector::new();
+        m.record_outcome(outcome(1, 4, 1 << 62, 1.0, true));
+        m.record_outcome(outcome(2, 2, 100, 0.5, true));
+        m.record_lost_work(LostWorkEvent {
+            time: SimTime::from_secs(5),
+            job: JobId::new(1),
+            nodes: 4,
+            lost_node_seconds: u64::MAX,
+        });
+        m.record_lost_work(LostWorkEvent {
+            time: SimTime::from_secs(9),
+            job: JobId::new(2),
+            nodes: 2,
+            lost_node_seconds: 1,
+        });
+        let r = m.report(128);
+        assert_eq!(r.total_work, u64::MAX);
+        assert_eq!(r.lost_work, u64::MAX);
+        assert!(r.qos > 0.999 && r.qos <= 1.0, "qos {}", r.qos);
+        assert!(r.utilization > 1e12, "utilization {}", r.utilization);
     }
 
     #[test]

@@ -17,9 +17,20 @@
 //!   deadline-aware override of §3.4.
 //!
 //! Every job transition — admit, commit, start, requeue, complete — is the
-//! [`Lifecycle`] function the online service runs. The simulator keeps the
-//! event queue that decides when each one happens, the cursor over the
-//! job log, each job's checkpoint clock and the cluster's node claims.
+//! [`Lifecycle`] function the online service runs. The simulator keeps
+//! what decides when each one happens, each job's checkpoint clock and the
+//! cluster's node claims.
+//!
+//! Events come from three sources, merged by `(time, priority)`: a cursor
+//! over the job log (arrivals, in the log's `(arrival, id)` order), a
+//! cursor over the failure trace (its `(time, node)` order, skipping nodes
+//! outside the cluster), and an event queue holding only what a handler
+//! scheduled — starts, checkpoint requests and completions, finishes,
+//! recoveries. Arrivals and failures are the only events of their
+//! priority classes, so two sources never tie and the merge pops exactly
+//! the order one queue holding every event would. An event costs what is
+//! in flight at its instant — the queue, the live jobs, the down nodes —
+//! not the length of the log or the trace.
 
 use crate::config::SimConfig;
 use crate::lifecycle::{planned_total, AdmissionRequest, Lifecycle};
@@ -210,7 +221,12 @@ pub struct QosSimulator {
     /// Every job's lifecycle, committed to a reservation in `book`.
     lifecycle: Lifecycle<ReservationId>,
     arrival_order: Vec<Job>,
+    /// The arrival cursor: `arrival_order[next_arrival]` arrives next.
+    next_arrival: usize,
     trace: Arc<FailureTrace>,
+    /// The failure cursor: the trace's next failure not yet replayed
+    /// (possibly on a node outside the cluster, skipped when read).
+    next_failure: usize,
     predictor: Arc<dyn Predictor + Send + Sync>,
     /// Historical per-node failure rate (failures per node-second),
     /// estimated from the trace; feeds the base-rate checkpoint prior.
@@ -218,9 +234,14 @@ pub struct QosSimulator {
     policy: Box<dyn CheckpointPolicy>,
     cluster: Cluster,
     book: ReservationBook,
+    /// The events handlers scheduled; arrivals and failures stay in
+    /// their cursors.
     events: EventQueue<Event>,
     node_owner: Vec<Option<JobId>>,
     down_until: Vec<SimTime>,
+    /// How many nodes are down: a failure of an up node adds one, its
+    /// recovery takes it away.
+    nodes_down: usize,
     metrics: MetricsCollector,
     rejected: Vec<JobId>,
     failure_hook: Option<Box<dyn FnMut(NodeId, SimTime) + Send>>,
@@ -276,9 +297,11 @@ impl QosSimulator {
         };
         QosSimulator {
             arrival_order: log.jobs().to_vec(),
+            next_arrival: 0,
             jobs: HashMap::new(),
             lifecycle: Lifecycle::new(Telemetry::disabled()),
             trace,
+            next_failure: 0,
             predictor,
             baseline_node_rate,
             policy,
@@ -287,6 +310,7 @@ impl QosSimulator {
             events: EventQueue::new(),
             node_owner: vec![None; n],
             down_until: vec![SimTime::ZERO; n],
+            nodes_down: 0,
             metrics: MetricsCollector::new(),
             rejected: Vec::new(),
             failure_hook: None,
@@ -331,30 +355,59 @@ impl QosSimulator {
 
     /// Runs the simulation to completion and returns the output.
     pub fn run(mut self) -> SimOutput {
-        // Pre-schedule the raw trace replay and all arrivals. Failure
-        // events are pushed first so that, at equal timestamps, a failure
-        // beats a start/checkpoint event — matching the paper's "the
-        // failure may occur before the completion of checkpoint i".
-        let failure_schedule: Vec<(SimTime, usize)> = self
-            .trace
-            .failures()
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.node.index() < self.config.cluster_size as usize)
-            .map(|(index, f)| (f.time, index))
-            .collect();
-        for (time, index) in failure_schedule {
-            self.push_event(time, Event::NodeFailure { index });
-        }
-        for index in 0..self.arrival_order.len() {
-            let arrival = self.arrival_order[index].arrival();
-            self.push_event(arrival, Event::Arrival { index });
-        }
-        while let Some((now, event)) = self.events.pop() {
+        while let Some((now, event)) = self.next_event() {
             let timer = self.profiler.timer(&event);
             self.dispatch(now, event);
             timer.stop();
         }
+        self.output()
+    }
+
+    /// Takes the next event due: the least by `(time, priority)` of the
+    /// event queue's head and the two cursors' heads (see the module
+    /// docs for why no two of them can tie).
+    fn next_event(&mut self) -> Option<(SimTime, Event)> {
+        let failures = self.trace.failures();
+        let cluster = self.config.cluster_size as usize;
+        while failures
+            .get(self.next_failure)
+            .is_some_and(|f| f.node.index() >= cluster)
+        {
+            self.next_failure += 1;
+        }
+        let failure = failures.get(self.next_failure).map(|f| {
+            let event = Event::NodeFailure {
+                index: self.next_failure,
+            };
+            (f.time, event)
+        });
+        let arrival = self.arrival_order.get(self.next_arrival).map(|job| {
+            let event = Event::Arrival {
+                index: self.next_arrival,
+            };
+            (job.arrival(), event)
+        });
+        let mut next = self.events.peek_key().map(|key| (key, None));
+        for (at, event) in failure.into_iter().chain(arrival) {
+            let key = (at, priority(&event));
+            if next.is_none_or(|(best, _)| key < best) {
+                next = Some((key, Some(event)));
+            }
+        }
+        match next? {
+            (_, None) => self.events.pop(),
+            ((at, _), Some(event)) => {
+                match event {
+                    Event::NodeFailure { .. } => self.next_failure += 1,
+                    _ => self.next_arrival += 1,
+                }
+                Some((at, event))
+            }
+        }
+    }
+
+    /// The run's output, once no event is left.
+    fn output(self) -> SimOutput {
         let report = self.metrics.report(self.config.cluster_size);
         self.telemetry.flush();
         SimOutput {
@@ -384,6 +437,11 @@ impl QosSimulator {
     fn down_nodes(&self) -> (Vec<NodeId>, SimTime) {
         let mut down = Vec::new();
         let mut horizon = SimTime::ZERO;
+        if self.nodes_down == 0 {
+            // Downtime is minutes against failures days apart: nearly
+            // every negotiation finds the whole cluster up.
+            return (down, horizon);
+        }
         for (i, &until) in self.down_until.iter().enumerate() {
             if !self.cluster.state(NodeId::new(i as u32)).is_up() {
                 down.push(NodeId::new(i as u32));
@@ -664,6 +722,7 @@ impl QosSimulator {
             hook(node, now);
         }
         let was_up = self.cluster.state(node).is_up();
+        self.nodes_down += usize::from(was_up);
         let until = now + self.config.node_downtime;
         self.cluster.mark_down(node, until);
         self.down_until[node.index()] = until;
@@ -674,8 +733,10 @@ impl QosSimulator {
         // claims nodes.
         let victim = self.node_owner[node.index()].map(|id| {
             let state = &self.jobs[&id];
-            let lost = now.saturating_since(state.rollback_anchor).as_secs()
-                * u64::from(state.job.nodes());
+            let lost = now
+                .saturating_since(state.rollback_anchor)
+                .as_secs()
+                .saturating_mul(u64::from(state.job.nodes()));
             (id, lost)
         });
 
@@ -780,6 +841,7 @@ impl QosSimulator {
         // recoveries at the same instant, so also skip nodes already up.
         if self.down_until[node.index()] <= now && !self.cluster.state(node).is_up() {
             self.cluster.mark_up(node);
+            self.nodes_down -= 1;
             self.telemetry.gauge("cluster.nodes_down").add(-1);
             self.telemetry.emit(|| TelemetryEvent::NodeRecovered {
                 at: now,
@@ -1332,23 +1394,23 @@ mod tests {
         assert!(b.telemetry.is_some());
     }
 
+    /// A journal sink the test keeps a handle on.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl std::io::Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn identically_seeded_runs_journal_identically() {
         use pqos_telemetry::Telemetry;
-        use std::io::Write;
-        use std::sync::Mutex;
-
-        #[derive(Clone, Default)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
 
         let run = || {
             let log = JobLog::new(
@@ -1386,5 +1448,168 @@ mod tests {
         // Finished early relative to the quoted deadline (which budgeted C).
         assert_eq!(o.finish.as_secs(), 7200);
         assert!(o.met_deadline);
+    }
+
+    /// The loop before the cursors, kept as the reference: every arrival
+    /// and every in-cluster failure pushed onto the one queue before the
+    /// first pop, failures first.
+    fn run_single_heap(mut sim: QosSimulator) -> SimOutput {
+        let cluster = sim.config.cluster_size as usize;
+        let failures: Vec<(SimTime, usize)> = sim
+            .trace
+            .failures()
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.node.index() < cluster)
+            .map(|(index, f)| (f.time, index))
+            .collect();
+        for (time, index) in failures {
+            sim.push_event(time, Event::NodeFailure { index });
+        }
+        for index in 0..sim.arrival_order.len() {
+            let arrival = sim.arrival_order[index].arrival();
+            sim.push_event(arrival, Event::Arrival { index });
+        }
+        while let Some((now, event)) = sim.events.pop() {
+            sim.dispatch(now, event);
+        }
+        sim.output()
+    }
+
+    /// A world built to collide, dealt by `seed`: 8 nodes; arrivals,
+    /// runtimes and failures on a 60 s grid, checkpoints every 600 s at
+    /// 60 s each and 120 s of downtime, so finishes, starts, checkpoint
+    /// requests and recoveries land on the same instants as arrivals and
+    /// failures; 20–50 jobs and 5–40 failures over 41 instants, so
+    /// several arrive at once; and failures on nodes 0–11, a third of
+    /// them outside the cluster.
+    fn colliding_world(seed: u64) -> (SimConfig, JobLog, Arc<FailureTrace>) {
+        use pqos_sim_core::rng::DetRng;
+        let mut rng = DetRng::seed_from(seed).fork("merge-order");
+        let tick = |rng: &mut DetRng, last: u64| rng.uniform_u64(0, last) * 60;
+        let jobs = (0..rng.uniform_u64(20, 50))
+            .map(|i| {
+                let arrive = tick(&mut rng, 40);
+                let nodes = rng.uniform_u64(1, 9) as u32;
+                job(i, arrive, nodes, rng.uniform_u64(5, 30) * 60)
+            })
+            .collect();
+        let failures = (0..rng.uniform_u64(5, 40))
+            .map(|_| {
+                let at = tick(&mut rng, 40);
+                (at, rng.uniform_u64(0, 11) as u32, rng.unit())
+            })
+            .collect();
+        let policy = [
+            CheckpointPolicyKind::Periodic,
+            CheckpointPolicyKind::RiskBased,
+        ][seed as usize % 2];
+        let config = SimConfig::paper_defaults()
+            .cluster_size_nodes(8)
+            .accuracy([0.0, 0.5, 1.0][seed as usize % 3])
+            .checkpoint_interval_secs(SimDuration::from_secs(600))
+            .checkpoint_overhead_secs(SimDuration::from_secs(60))
+            .checkpoint_policy(policy);
+        (config, JobLog::new(jobs).unwrap(), trace(failures))
+    }
+
+    /// Everything at t=600 on 8 nodes, checkpointing every 600 s: job 0's
+    /// first checkpoint request, job 1's finish, jobs 2 and 3 arriving
+    /// and job 2 starting, and failures on node 7 and on node 9, outside
+    /// the cluster.
+    fn pileup_world() -> (SimConfig, JobLog, Arc<FailureTrace>) {
+        let (config, _, _) = colliding_world(0);
+        let log = JobLog::new(vec![
+            job(0, 0, 1, 1200),
+            job(1, 0, 1, 600),
+            job(2, 600, 1, 60),
+            job(3, 600, 8, 60),
+        ])
+        .unwrap();
+        (config, log, trace(vec![(600, 7, 0.5), (600, 9, 0.5)]))
+    }
+
+    /// The cursor-fed loop pops exactly what one queue holding every
+    /// event would: the same journal bytes, report, outcomes and lost
+    /// work, over worlds where an arrival shares its instant with a
+    /// failure, a finish, a start and a checkpoint request, several jobs
+    /// arrive at once, and failures strike nodes outside the cluster.
+    #[test]
+    fn cursor_fed_loop_matches_the_single_heap_reference() {
+        use pqos_telemetry::Telemetry;
+        let worlds: Vec<_> = (0..200)
+            .map(colliding_world)
+            .chain([pileup_world()])
+            .collect();
+        let journaled = |(config, log, trace): &(SimConfig, JobLog, Arc<FailureTrace>),
+                         reference: bool| {
+            let sim = QosSimulator::new(config.clone(), log.clone(), Arc::clone(trace));
+            let sink = Shared::default();
+            let telemetry = Telemetry::builder().jsonl_writer(sink.clone()).build();
+            let sim = sim.with_telemetry(telemetry);
+            let out = if reference {
+                run_single_heap(sim)
+            } else {
+                sim.run()
+            };
+            let journal = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+            (out, journal)
+        };
+        // Instants where everything collided, instants with several
+        // arrivals, and failures outside the cluster, over all worlds.
+        let (mut pileups, mut crowds, mut outside) = (0, 0, 0);
+        for (k, world) in worlds.iter().enumerate() {
+            let (want, want_journal) = journaled(world, true);
+            let (got, journal) = journaled(world, false);
+            assert_eq!(journal, want_journal, "world {k}: journal");
+            assert_eq!(got.report, want.report, "world {k}: report");
+            assert_eq!(got.rejected, want.rejected, "world {k}: rejected");
+            assert_eq!(
+                got.collector.outcomes(),
+                want.collector.outcomes(),
+                "world {k}: outcomes"
+            );
+            assert_eq!(
+                got.collector.lost_events(),
+                want.collector.lost_events(),
+                "world {k}: lost work"
+            );
+
+            let (config, _, trace) = world;
+            let cluster = config.cluster_size as usize;
+            let mut kinds: HashMap<SimTime, Vec<&str>> = HashMap::new();
+            let mut failed = 0;
+            for line in journal.lines() {
+                let event = TelemetryEvent::from_jsonl(line).expect("a journal line");
+                if let TelemetryEvent::NodeFailed { node, .. } = event {
+                    assert!((node as usize) < cluster, "world {k}: {line}");
+                    failed += 1;
+                }
+                kinds.entry(event.at()).or_default().push(event.name());
+            }
+            let inside = trace.iter().filter(|f| f.node.index() < cluster).count();
+            assert_eq!(failed, inside, "world {k}: every in-cluster failure, once");
+            outside += trace.len() - inside;
+            for names in kinds.values() {
+                let count = |kind: &str| names.iter().filter(|&&n| n == kind).count();
+                crowds += usize::from(count("job_submitted") >= 2);
+                pileups += usize::from(
+                    [
+                        "job_submitted",
+                        "node_failed",
+                        "job_completed",
+                        "job_started",
+                        "checkpoint_requested",
+                    ]
+                    .iter()
+                    .all(|&kind| count(kind) > 0),
+                );
+            }
+        }
+        assert!(
+            pileups > 1 && crowds > 0 && outside > 0,
+            "the worlds collide: {pileups} pile-ups, {crowds} crowded arrivals, \
+             {outside} failures outside the cluster"
+        );
     }
 }

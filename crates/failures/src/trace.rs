@@ -163,17 +163,29 @@ impl FailureTrace {
         self.failures.iter()
     }
 
-    /// Failures of `node` within `window`, in time order.
-    pub fn failures_on_node_in(&self, node: NodeId, window: TimeWindow) -> Vec<&Failure> {
-        let Some(idxs) = self.per_node.get(node.index()) else {
-            return Vec::new();
-        };
+    /// Failures of `node` within `window`, in time order (a node's
+    /// same-instant failures in trace order), read straight off the
+    /// per-node index: one binary search, no allocation. A node past the
+    /// index has none.
+    pub fn node_failures_in(
+        &self,
+        node: NodeId,
+        window: TimeWindow,
+    ) -> impl Iterator<Item = &Failure> + '_ {
+        let idxs = self
+            .per_node
+            .get(node.index())
+            .map_or(&[][..], Vec::as_slice);
         let start = idxs.partition_point(|&i| self.failures[i].time < window.start());
         idxs[start..]
             .iter()
             .map(|&i| &self.failures[i])
-            .take_while(|f| f.time < window.end())
-            .collect()
+            .take_while(move |f| f.time < window.end())
+    }
+
+    /// Failures of `node` within `window`, in time order.
+    pub fn failures_on_node_in(&self, node: NodeId, window: TimeWindow) -> Vec<&Failure> {
+        self.node_failures_in(node, window).collect()
     }
 
     /// Failures of any node in `nodes` within `window`, merged in time
@@ -181,7 +193,7 @@ impl FailureTrace {
     pub fn failures_in_window(&self, nodes: &[NodeId], window: TimeWindow) -> Vec<&Failure> {
         let mut hits: Vec<&Failure> = nodes
             .iter()
-            .flat_map(|&n| self.failures_on_node_in(n, window))
+            .flat_map(|&n| self.node_failures_in(n, window))
             .collect();
         hits.sort_by_key(|a| (a.time, a.node));
         hits
@@ -280,6 +292,24 @@ mod tests {
         let trace = FailureTrace::new(vec![f(10, 0, 0.1)]).unwrap();
         let w = TimeWindow::new(SimTime::ZERO, SimTime::from_secs(100));
         assert!(trace.failures_on_node_in(NodeId::new(99), w).is_empty());
+        assert_eq!(trace.node_failures_in(NodeId::new(99), w).count(), 0);
+    }
+
+    #[test]
+    fn node_window_iterator_keeps_same_instant_failures_in_trace_order() {
+        let trace = FailureTrace::new(vec![
+            f(20, 0, 0.9),
+            f(20, 0, 0.1),
+            f(10, 1, 0.5),
+            f(30, 0, 0.3),
+        ])
+        .unwrap();
+        let w = TimeWindow::new(SimTime::from_secs(20), SimTime::from_secs(30));
+        let px: Vec<f64> = trace
+            .node_failures_in(NodeId::new(0), w)
+            .map(|x| x.detectability)
+            .collect();
+        assert_eq!(px, [0.9, 0.1], "start-inclusive, end-exclusive");
     }
 
     #[test]

@@ -113,7 +113,7 @@ pub fn evaluate_per_node_with_threshold<P: Predictor>(
         for n in 0..nodes {
             let node = NodeId::new(n);
             let fired = predictor.node_failure_probability(node, window) > fire_threshold;
-            let failed = !truth.failures_on_node_in(node, window).is_empty();
+            let failed = truth.node_failures_in(node, window).next().is_some();
             match (fired, failed) {
                 (true, true) => q.true_positives += 1,
                 (false, true) => q.false_negatives += 1,

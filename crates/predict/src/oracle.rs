@@ -13,7 +13,7 @@
 
 use crate::api::Predictor;
 use pqos_cluster::node::NodeId;
-use pqos_failures::trace::FailureTrace;
+use pqos_failures::trace::{Failure, FailureTrace};
 use pqos_sim_core::time::TimeWindow;
 use std::fmt;
 use std::sync::Arc;
@@ -89,20 +89,32 @@ impl TraceOracle {
 }
 
 impl Predictor for TraceOracle {
+    /// The paper's scan — the partition's failures in `(time, node)`
+    /// order, the first with `px ≤ a` answers — without merging them:
+    /// each node's first detectable failure in the window is its
+    /// candidate, and the least candidate by `(time, node)` is the one
+    /// the merged scan would reach first. A node's walk stops at the best
+    /// candidate so far.
     fn failure_probability(&self, nodes: &[NodeId], window: TimeWindow) -> f64 {
-        for failure in self.trace.failures_in_window(nodes, window) {
-            if failure.detectability <= self.accuracy {
-                return failure.detectability;
+        let mut first: Option<&Failure> = None;
+        for &node in nodes {
+            let hit = self
+                .trace
+                .node_failures_in(node, window)
+                .take_while(|f| first.is_none_or(|b| (f.time, f.node) < (b.time, b.node)))
+                .find(|f| f.detectability <= self.accuracy);
+            if hit.is_some() {
+                first = hit;
             }
         }
-        0.0
+        first.map_or(0.0, |f| f.detectability)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pqos_failures::trace::Failure;
+    use pqos_sim_core::rng::DetRng;
     use pqos_sim_core::time::SimTime;
 
     fn trace(failures: Vec<(u64, u32, f64)>) -> Arc<FailureTrace> {
@@ -227,5 +239,105 @@ mod tests {
             clone.failure_probability(&nodes, w(0, 1000))
         );
         assert!(oracle.trace().len() == 2);
+    }
+
+    /// The query as the oracle used to answer it: collect every node's
+    /// failures in the window, sort them by `(time, node)`, and return
+    /// the first with `px ≤ a`.
+    fn collect_sort_scan(
+        trace: &FailureTrace,
+        a: f64,
+        nodes: &[NodeId],
+        window: TimeWindow,
+    ) -> Option<Failure> {
+        let mut hits: Vec<&Failure> = nodes
+            .iter()
+            .flat_map(|&n| trace.failures_on_node_in(n, window))
+            .collect();
+        hits.sort_by_key(|f| (f.time, f.node));
+        hits.into_iter().find(|f| f.detectability <= a).copied()
+    }
+
+    /// The per-node query answers exactly what the collect-sort-scan one
+    /// did, over seeded traces dense in the cases that could split them:
+    /// duplicate `(time, node)` failures, `px` exactly `a`, failures at
+    /// the window's start and end, empty and repeated node lists, and
+    /// nodes past the trace's per-node index (it covers nodes 0–7; the
+    /// queries ask about 0–11).
+    #[test]
+    fn per_node_query_matches_collect_sort_scan() {
+        const ACCURACIES: [f64; 4] = [0.0, 0.3, 0.7, 1.0];
+        // Draws of: an empty node list, a node past the index, an answer
+        // with px = a, an answer at the window's start, a failure at its
+        // end, a duplicate (time, node) failure.
+        let mut seen = [0usize; 6];
+        for seed in 0..300 {
+            let mut rng = DetRng::seed_from(seed).fork("oracle-equivalence");
+            let mut failures: Vec<Failure> = Vec::new();
+            for _ in 0..rng.uniform_u64(0, 40) {
+                let failure = match failures.last() {
+                    // Same instant and node, its own px.
+                    Some(&prev) if rng.chance(0.2) => {
+                        seen[5] += 1;
+                        Failure {
+                            detectability: ACCURACIES[rng.uniform_u64(0, 3) as usize],
+                            ..prev
+                        }
+                    }
+                    _ => Failure {
+                        time: SimTime::from_secs(rng.uniform_u64(0, 50)),
+                        node: NodeId::new(rng.uniform_u64(0, 7) as u32),
+                        detectability: if rng.chance(0.5) {
+                            ACCURACIES[rng.uniform_u64(0, 3) as usize]
+                        } else {
+                            rng.unit()
+                        },
+                    },
+                };
+                failures.push(failure);
+            }
+            let times: Vec<u64> = failures.iter().map(|f| f.time.as_secs()).collect();
+            let trace = Arc::new(FailureTrace::new(failures).unwrap());
+            let oracles = ACCURACIES.map(|a| TraceOracle::new(Arc::clone(&trace), a).unwrap());
+            for _ in 0..40 {
+                // Window edges on failure instants half the time.
+                let edge = |rng: &mut DetRng| match times.len() {
+                    n if n > 0 && rng.chance(0.5) => {
+                        times[rng.uniform_u64(0, n as u64 - 1) as usize]
+                    }
+                    _ => rng.uniform_u64(0, 55),
+                };
+                let (x, y) = (edge(&mut rng), edge(&mut rng));
+                let window =
+                    TimeWindow::new(SimTime::from_secs(x.min(y)), SimTime::from_secs(x.max(y)));
+                let nodes: Vec<NodeId> = (0..rng.uniform_u64(0, 6))
+                    .map(|_| NodeId::new(rng.uniform_u64(0, 11) as u32))
+                    .collect();
+                seen[0] += usize::from(nodes.is_empty());
+                seen[1] += usize::from(nodes.iter().any(|n| n.index() > 7));
+                for (oracle, a) in oracles.iter().zip(ACCURACIES) {
+                    let want = collect_sort_scan(&trace, a, &nodes, window);
+                    let got = oracle.failure_probability(&nodes, window);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.map_or(0.0, |f| f.detectability).to_bits(),
+                        "seed {seed}, a={a}, nodes {nodes:?}, window {window:?}"
+                    );
+                    if let Some(f) = want {
+                        seen[2] += usize::from(f.detectability == a);
+                        seen[3] += usize::from(f.time == window.start());
+                    }
+                    // A failure at the window's end is outside it.
+                    seen[4] += usize::from(nodes.iter().any(|&n| {
+                        trace.next_failure_on_node(n, window.end()).map(|f| f.time)
+                            == Some(window.end())
+                    }));
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every edge case drawn: {seen:?}"
+        );
     }
 }

@@ -116,6 +116,13 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|s| s.at)
     }
 
+    /// The `(time, priority)` of the earliest pending event, without
+    /// removing it: what a caller merging this queue with other ordered
+    /// event sources compares their heads against.
+    pub fn peek_key(&self) -> Option<(SimTime, u8)> {
+        self.heap.peek().map(|s| (s.at, s.priority))
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -210,6 +217,20 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "finish");
         assert_eq!(q.pop().unwrap().1, "start");
         assert_eq!(q.pop().unwrap().1, "default");
+    }
+
+    #[test]
+    fn peek_key_reads_the_head_time_and_priority() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_key(), None);
+        let t = SimTime::from_secs(100);
+        q.push_with_priority(t, 6, "start");
+        q.push_with_priority(t, 2, "checkpoint");
+        q.push_with_priority(SimTime::from_secs(200), 0, "later");
+        assert_eq!(q.peek_key(), Some((t, 2)));
+        assert_eq!(q.len(), 3, "peeking removes nothing");
+        q.pop();
+        assert_eq!(q.peek_key(), Some((t, 6)));
     }
 
     #[test]

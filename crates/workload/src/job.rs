@@ -138,9 +138,10 @@ impl Job {
         self.runtime
     }
 
-    /// Useful work `ej · nj` in node-seconds (the paper's unit of work).
+    /// Useful work `ej · nj` in node-seconds (the paper's unit of work),
+    /// saturating at `u64::MAX`: a log may hold any runtime.
     pub fn work(&self) -> u64 {
-        self.runtime.as_secs() * u64::from(self.nodes)
+        self.runtime.as_secs().saturating_mul(u64::from(self.nodes))
     }
 }
 
@@ -172,6 +173,20 @@ mod tests {
         assert_eq!(j.nodes(), 4);
         assert_eq!(j.runtime(), SimDuration::from_secs(100));
         assert_eq!(j.work(), 400);
+    }
+
+    #[test]
+    fn work_saturates_instead_of_wrapping() {
+        // 2^62 s on 4 nodes is 2^64 node-seconds: one past u64::MAX, which
+        // an unchecked product wrapped to 0 (and panicked on in debug).
+        let j = Job::new(
+            JobId::new(1),
+            SimTime::ZERO,
+            4,
+            SimDuration::from_secs(1 << 62),
+        )
+        .unwrap();
+        assert_eq!(j.work(), u64::MAX);
     }
 
     #[test]

@@ -85,9 +85,10 @@ impl JobLog {
         self.jobs.iter()
     }
 
-    /// Total useful work `Σ ej·nj` in node-seconds.
+    /// Total useful work `Σ ej·nj` in node-seconds, saturating at
+    /// `u64::MAX`.
     pub fn total_work(&self) -> u64 {
-        self.jobs.iter().map(Job::work).sum()
+        self.jobs.iter().map(Job::work).fold(0, u64::saturating_add)
     }
 
     /// Time between first and last arrival, or zero for an empty log.
@@ -231,6 +232,21 @@ mod tests {
         // Work 1000 node-s over span 100 s on 10 nodes => load 1.0.
         let log = JobLog::new(vec![job(1, 0, 10, 50), job(2, 100, 10, 50)]).unwrap();
         assert!((log.offered_load(10) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn total_work_and_load_saturate_instead_of_wrapping() {
+        // Job 1's 2^62 s × 4 nodes is 2^64 node-seconds. Unchecked, a
+        // debug build panicked and a release build wrapped it to 0,
+        // reporting 200 node-s of work and a load of 0.156.
+        let log = crate::swf::parse_swf(
+            "1 0 5 4611686018427387904 4 -1 -1 -1 -1\n2 10 5 100 2 -1 -1 -1 -1\n",
+        )
+        .unwrap()
+        .log;
+        assert_eq!(log.stats().total_work, u64::MAX);
+        assert_eq!(log.total_work(), u64::MAX);
+        assert_eq!(log.offered_load(128), u64::MAX as f64 / (10.0 * 128.0));
     }
 
     #[test]
