@@ -8,9 +8,19 @@
 //! simulator (or a hand-edited journal) broke its word — which is exactly
 //! where debugging should start.
 //!
+//! Which line may follow which is not the doctor's to say: each job's
+//! lines are stepped through the job lifecycle's own journal grammar
+//! ([`JournalPhase::step`]), and every order finding — and the
+//! end-of-journal `unfinished_job` and `missed_deadline_not_journaled` —
+//! is a code that grammar earns. The doctor adds the checks a grammar
+//! cannot make: time order, node occupancy, deadline and late-by
+//! arithmetic, the promise's restatement of its quote and its verdict,
+//! and SLO alerts alternating fire → resolve.
+//!
 //! Findings are machine-readable ([`Finding::to_jsonl`]) so CI can gate on
 //! them and humans can grep them.
 
+use pqos_core::lifecycle::{Fact, JournalLine, JournalPhase, OrderCode};
 use pqos_telemetry::json::ObjWriter;
 use pqos_telemetry::{AlertState, PromiseVerdict, TelemetryEvent};
 use std::collections::{BTreeSet, HashMap};
@@ -27,7 +37,7 @@ pub enum Severity {
 
 impl Severity {
     /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Severity::Warning => "warning",
             Severity::Error => "error",
@@ -125,32 +135,26 @@ impl DoctorReport {
     }
 }
 
-/// Per-job bookkeeping while streaming.
+/// Per-job bookkeeping while streaming: where the job's lines have left
+/// it in the grammar, and the values the value checks compare against.
 #[derive(Debug, Default)]
 struct JobTrack {
-    negotiated: bool,
+    phase: JournalPhase,
     /// Effective deadline (secs) from the quote.
     deadline: Option<u64>,
     /// Quoted success probability from the quote.
     quoted_p: Option<f64>,
-    /// `met_deadline` from `job_completed` (None while unfinished or
-    /// cancelled).
+    /// `met_deadline` from the latest `job_completed`.
     met: Option<bool>,
-    /// A `promise_resolved` has landed for this job.
-    resolved: bool,
-    running: bool,
-    done: bool,
-    /// A checkpoint request is outstanding (unresolved).
-    pending_request: bool,
+    /// When the latest `job_completed` landed.
+    completed_at: u64,
     /// Current placement (most recent `job_placed`).
     nodes: Vec<u64>,
-    /// Set when `job_completed` said `met_deadline: false`: a
-    /// `deadline_missed` for this job is now owed.
-    owes_missed: Option<u64>,
 }
 
-/// The streaming invariant checker. Feed it lines (or events), then call
-/// [`Doctor::finish`].
+/// The streaming invariant checker: [`Doctor::check_str`] and
+/// [`Doctor::check_reader`] feed it a journal's lines and collect its
+/// report.
 #[derive(Debug, Default)]
 pub struct Doctor {
     report: DoctorReport,
@@ -163,14 +167,9 @@ pub struct Doctor {
 }
 
 impl Doctor {
-    /// A fresh doctor.
-    pub fn new() -> Self {
-        Doctor::default()
-    }
-
     /// Checks everything a reader yields and returns the report.
     pub fn check_reader(reader: impl BufRead) -> std::io::Result<DoctorReport> {
-        let mut doctor = Doctor::new();
+        let mut doctor = Doctor::default();
         for line in reader.lines() {
             doctor.feed_line(&line?);
         }
@@ -179,7 +178,7 @@ impl Doctor {
 
     /// Checks a full journal held in memory.
     pub fn check_str(journal: &str) -> DoctorReport {
-        let mut doctor = Doctor::new();
+        let mut doctor = Doctor::default();
         for line in journal.lines() {
             doctor.feed_line(line);
         }
@@ -187,7 +186,7 @@ impl Doctor {
     }
 
     /// Feeds one raw journal line.
-    pub fn feed_line(&mut self, line: &str) {
+    fn feed_line(&mut self, line: &str) {
         self.report.lines += 1;
         if line.trim().is_empty() {
             return;
@@ -196,356 +195,100 @@ impl Doctor {
             Some(event) => self.feed_event(&event),
             None => {
                 let shown: String = line.chars().take(80).collect();
-                self.finding(
-                    "unparseable_line",
-                    Severity::Error,
-                    None,
-                    None,
-                    None,
-                    format!("line does not parse as a journal event: {shown:?}"),
-                );
+                let detail = format!("line does not parse as a journal event: {shown:?}");
+                self.finding("unparseable_line", None, None, None, detail);
             }
         }
     }
 
-    /// Feeds one already-parsed event (counts as one line).
-    pub fn feed_event(&mut self, event: &TelemetryEvent) {
+    /// Feeds one parsed line: time order, the job's step through the
+    /// grammar, then the value checks.
+    fn feed_event(&mut self, event: &TelemetryEvent) {
         self.report.events += 1;
         let at = event.at().as_secs();
         if at < self.last_at {
-            self.finding(
-                "out_of_time_order",
-                Severity::Error,
-                Some(at),
-                None,
-                None,
-                format!(
-                    "{} at t={at} precedes the previous event at t={}",
-                    event.name(),
-                    self.last_at
-                ),
-            );
+            let (name, last) = (event.name(), self.last_at);
+            let detail = format!("{name} at t={at} precedes the previous event at t={last}");
+            self.finding("out_of_time_order", Some(at), None, None, detail);
         }
         self.last_at = self.last_at.max(at);
-        match event {
-            TelemetryEvent::JobSubmitted { job, .. } => {
-                let track = self.jobs.entry(*job).or_default();
-                if track.negotiated || track.done {
-                    let detail = format!("job {job} submitted twice");
-                    self.finding(
-                        "duplicate_submit",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        detail,
-                    );
-                }
+        if let Some((job, line)) = JournalLine::of(event) {
+            let track = self.jobs.entry(job).or_default();
+            let (next, earned) = track.phase.step(line);
+            track.phase = next;
+            let node = match event {
+                TelemetryEvent::NodeFailed { node, .. } => Some(*node),
+                _ => None,
+            };
+            for code in earned {
+                let detail = describe(code, line, job, node.unwrap_or_default(), 0);
+                self.finding(code.as_str(), Some(at), Some(job), node, detail);
             }
+        }
+        self.check_values(event, at);
+    }
+
+    /// What the grammar cannot see: node occupancy, deadline and late-by
+    /// arithmetic, the promise's restatement and verdict, SLO alerts.
+    fn check_values(&mut self, event: &TelemetryEvent, at: u64) {
+        match event {
             TelemetryEvent::QuoteNegotiated {
                 job,
                 deadline_secs,
                 success_probability,
                 ..
             } => {
-                if !self.jobs.contains_key(job) {
-                    self.finding(
-                        "negotiate_before_submit",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        format!("quote for job {job} with no prior job_submitted"),
-                    );
-                }
-                let track = self.jobs.entry(*job).or_default();
-                track.negotiated = true;
+                let track = self.track(*job);
                 track.deadline = Some(*deadline_secs);
                 track.quoted_p = Some(*success_probability);
             }
-            TelemetryEvent::JobRejected { job, .. } => {
-                self.jobs.entry(*job).or_default().done = true;
-            }
-            TelemetryEvent::JobPlaced { job, nodes, .. } => {
-                let known = self.jobs.get(job).is_some_and(|t| t.negotiated);
-                if !known {
-                    self.finding(
-                        "place_before_negotiate",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        format!("placement for job {job} with no prior quote_negotiated"),
-                    );
-                }
-                self.jobs.entry(*job).or_default().nodes = nodes.clone();
-            }
+            TelemetryEvent::JobPlaced { job, nodes, .. } => self.track(*job).nodes = nodes.clone(),
             TelemetryEvent::JobStarted { job, .. } => {
-                let track = self.jobs.entry(*job).or_default();
-                if !track.negotiated {
-                    let detail = format!("job {job} started with no prior quote_negotiated");
-                    self.finding(
-                        "start_before_negotiate",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        detail,
-                    );
-                }
-                let track = self.jobs.entry(*job).or_default();
-                if track.running {
-                    let detail = format!("job {job} started while already running");
-                    self.finding(
-                        "double_start",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        detail,
-                    );
-                }
-                let track = self.jobs.entry(*job).or_default();
-                track.running = true;
-                track.pending_request = false;
                 // Occupancy: this attempt claims its placed partition.
-                let nodes = track.nodes.clone();
-                for node in nodes {
-                    let occupier = self.owner.get(&node).copied();
-                    if let Some(other) = occupier {
-                        if other != *job {
-                            let detail = format!(
-                                "job {job} started on node {node} still occupied by job {other}"
-                            );
-                            self.finding(
-                                "overlapping_runs",
-                                Severity::Error,
-                                Some(at),
-                                Some(*job),
-                                Some(node),
-                                detail,
-                            );
-                        }
+                for node in self.track(*job).nodes.clone() {
+                    if let Some(other) = self.owner.insert(node, *job).filter(|o| o != job) {
+                        let detail = format!(
+                            "job {job} started on node {node} still occupied by job {other}"
+                        );
+                        self.finding("overlapping_runs", Some(at), Some(*job), Some(node), detail);
                     }
-                    self.owner.insert(node, *job);
                 }
-            }
-            TelemetryEvent::CheckpointRequested { job, .. } => {
-                let track = self.jobs.entry(*job).or_default();
-                if !track.running {
-                    let detail = format!("checkpoint requested for job {job} that is not running");
-                    self.finding(
-                        "ckpt_outside_run",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        detail,
-                    );
-                }
-                let track = self.jobs.entry(*job).or_default();
-                if track.pending_request {
-                    let detail =
-                        format!("job {job} requested a checkpoint with one already outstanding");
-                    self.finding(
-                        "double_request",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        detail,
-                    );
-                }
-                self.jobs.entry(*job).or_default().pending_request = true;
-            }
-            TelemetryEvent::CheckpointTaken { job, .. } => {
-                let track = self.jobs.entry(*job).or_default();
-                if !track.pending_request {
-                    let detail = format!(
-                        "checkpoint finished for job {job} with no outstanding checkpoint_requested"
-                    );
-                    self.finding(
-                        "ckpt_finish_without_request",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        detail,
-                    );
-                }
-                self.jobs.entry(*job).or_default().pending_request = false;
-            }
-            TelemetryEvent::CheckpointSkipped { job, .. } => {
-                let track = self.jobs.entry(*job).or_default();
-                if !track.pending_request {
-                    let detail = format!(
-                        "checkpoint skipped for job {job} with no outstanding checkpoint_requested"
-                    );
-                    self.finding(
-                        "ckpt_finish_without_request",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        detail,
-                    );
-                }
-                self.jobs.entry(*job).or_default().pending_request = false;
             }
             TelemetryEvent::NodeFailed {
-                node, victim_job, ..
-            } => {
-                if let Some(victim) = victim_job {
-                    let track = self.jobs.entry(*victim).or_default();
-                    if !track.running {
-                        let detail =
-                            format!("node {node} failure names victim job {victim}, not running");
-                        self.finding(
-                            "victim_not_running",
-                            Severity::Error,
-                            Some(at),
-                            Some(*victim),
-                            Some(*node),
-                            detail,
-                        );
-                    }
-                    let track = self.jobs.entry(*victim).or_default();
-                    track.running = false;
-                    // The pending checkpoint (if any) dies with the attempt.
-                    track.pending_request = false;
-                    self.owner.retain(|_, j| j != victim);
-                }
-            }
-            TelemetryEvent::NodeRecovered { .. } => {}
-            TelemetryEvent::JobRequeued { job, .. } => {
-                let track = self.jobs.entry(*job).or_default();
-                if track.running {
-                    let detail = format!("job {job} requeued while still running");
-                    self.finding(
-                        "requeue_while_running",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        detail,
-                    );
-                }
-            }
+                victim_job: Some(victim),
+                ..
+            } => self.owner.retain(|_, j| j != victim),
             TelemetryEvent::JobCompleted {
                 job, met_deadline, ..
             } => {
-                let track = self.jobs.entry(*job).or_default();
-                if !track.running {
-                    let detail = format!("job {job} completed without a running attempt");
-                    self.finding(
-                        "complete_without_start",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        detail,
+                if let Some(d) = self
+                    .track(*job)
+                    .deadline
+                    .filter(|&d| (at <= d) != *met_deadline)
+                {
+                    let detail = format!(
+                        "job {job} finished at t={at} against deadline {d} but journal says \
+                         met_deadline={met_deadline}"
                     );
+                    self.finding("deadline_mismatch", Some(at), Some(*job), None, detail);
                 }
-                let deadline = self.jobs.get(job).and_then(|t| t.deadline);
-                if let Some(d) = deadline {
-                    let should_meet = at <= d;
-                    if should_meet != *met_deadline {
-                        let detail = format!(
-                            "job {job} finished at t={at} against deadline {d} but journal says \
-                             met_deadline={met_deadline}"
-                        );
-                        self.finding(
-                            "deadline_mismatch",
-                            Severity::Error,
-                            Some(at),
-                            Some(*job),
-                            None,
-                            detail,
-                        );
-                    }
-                }
-                let track = self.jobs.entry(*job).or_default();
-                track.running = false;
-                track.done = true;
+                let track = self.track(*job);
                 track.met = Some(*met_deadline);
-                track.owes_missed = (!met_deadline).then_some(at);
+                track.completed_at = at;
                 self.owner.retain(|_, j| j != job);
             }
-            TelemetryEvent::JobCancelled { job, .. } => {
-                if !self.jobs.contains_key(job) {
-                    self.finding(
-                        "cancel_without_submit",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        format!("job {job} cancelled with no prior job_submitted"),
-                    );
-                }
-                let track = self.jobs.entry(*job).or_default();
-                if track.running {
-                    let detail = format!("job {job} cancelled while running");
-                    self.finding(
-                        "cancel_while_running",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        detail,
-                    );
-                }
-                let track = self.jobs.entry(*job).or_default();
-                if track.done {
-                    let detail = format!("job {job} cancelled after it already finished");
-                    self.finding(
-                        "cancel_after_done",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        detail,
-                    );
-                }
-                let track = self.jobs.entry(*job).or_default();
-                track.done = true;
-                track.running = false;
-                track.pending_request = false;
-                self.owner.retain(|_, j| j != job);
-            }
+            TelemetryEvent::JobCancelled { job, .. } => self.owner.retain(|_, j| j != job),
             TelemetryEvent::DeadlineMissed {
                 job, late_by_secs, ..
             } => {
-                let track = self.jobs.entry(*job).or_default();
-                let owed = track.owes_missed.take();
-                if owed.is_none() {
-                    let detail = format!(
-                        "deadline_missed for job {job} without a preceding late job_completed"
-                    );
-                    self.finding(
-                        "orphan_deadline_missed",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        detail,
-                    );
-                }
-                let deadline = self.jobs.get(job).and_then(|t| t.deadline);
-                if let Some(d) = deadline {
+                if let Some(d) = self.track(*job).deadline {
                     let expected = at.saturating_sub(d);
                     if expected != *late_by_secs {
                         let detail = format!(
                             "job {job} finished at t={at} with deadline {d}: late_by should be \
                              {expected}, journal says {late_by_secs}"
                         );
-                        self.finding(
-                            "late_by_mismatch",
-                            Severity::Error,
-                            Some(at),
-                            Some(*job),
-                            None,
-                            detail,
-                        );
+                        self.finding("late_by_mismatch", Some(at), Some(*job), None, detail);
                     }
                 }
             }
@@ -556,73 +299,28 @@ impl Doctor {
                 verdict,
                 ..
             } => {
-                let track = self.jobs.entry(*job).or_default();
-                if !track.negotiated {
-                    let detail =
-                        format!("promise resolved for job {job} with no prior quote_negotiated");
-                    self.finding(
-                        "orphan_promise_resolved",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        detail,
-                    );
-                }
-                let track = self.jobs.entry(*job).or_default();
-                if track.resolved {
-                    let detail = format!("job {job}'s promise resolved twice");
-                    self.finding(
-                        "duplicate_promise_resolution",
-                        Severity::Error,
-                        Some(at),
-                        Some(*job),
-                        None,
-                        detail,
-                    );
-                }
-                let track = self.jobs.entry(*job).or_default();
-                track.resolved = true;
                 // The resolution restates the quote; a disagreement means
                 // the link between promise and outcome is corrupt.
-                let (quoted_p, deadline, met, done) =
-                    (track.quoted_p, track.deadline, track.met, track.done);
-                if let Some(p) = quoted_p {
-                    if p != *success_probability {
-                        let detail = format!(
-                            "job {job} resolved with quoted p {success_probability} but the \
-                             quote said {p}"
-                        );
-                        self.finding(
-                            "promise_quote_mismatch",
-                            Severity::Error,
-                            Some(at),
-                            Some(*job),
-                            None,
-                            detail,
-                        );
-                    }
+                let track = self.track(*job);
+                let (quoted_p, deadline, met) = (track.quoted_p, track.deadline, track.met);
+                let ended = track.phase.has(Fact::Ended);
+                if let Some(p) = quoted_p.filter(|p| p != success_probability) {
+                    let detail = format!(
+                        "job {job} resolved with quoted p {success_probability} but the quote \
+                         said {p}"
+                    );
+                    self.finding("promise_quote_mismatch", Some(at), Some(*job), None, detail);
                 }
-                if let Some(d) = deadline {
-                    if d != *deadline_secs {
-                        let detail = format!(
-                            "job {job} resolved against deadline {deadline_secs} but the quote \
-                             said {d}"
-                        );
-                        self.finding(
-                            "promise_quote_mismatch",
-                            Severity::Error,
-                            Some(at),
-                            Some(*job),
-                            None,
-                            detail,
-                        );
-                    }
+                if let Some(d) = deadline.filter(|d| d != deadline_secs) {
+                    let detail = format!(
+                        "job {job} resolved against deadline {deadline_secs} but the quote said {d}"
+                    );
+                    self.finding("promise_quote_mismatch", Some(at), Some(*job), None, detail);
                 }
                 let consistent = match verdict {
                     PromiseVerdict::Kept => met == Some(true),
                     PromiseVerdict::Broken => met == Some(false),
-                    PromiseVerdict::Cancelled => done && met.is_none(),
+                    PromiseVerdict::Cancelled => ended && met.is_none(),
                 };
                 if !consistent {
                     let detail = format!(
@@ -631,7 +329,6 @@ impl Doctor {
                     );
                     self.finding(
                         "promise_verdict_mismatch",
-                        Severity::Error,
                         Some(at),
                         Some(*job),
                         None,
@@ -642,77 +339,52 @@ impl Doctor {
             // Alerts are system-wide annotations; full re-derivation lives
             // in `pqos-doctor slo`. Here the doctor only checks the state
             // machine: a rule alternates fire → resolve → fire.
-            TelemetryEvent::SloAlert { rule, state, .. } => match state {
-                AlertState::Fire => {
-                    if !self.firing_rules.insert(rule.clone()) {
-                        let detail = format!("slo rule {rule} fired while already firing");
-                        self.finding(
-                            "alert_double_fire",
-                            Severity::Error,
-                            Some(at),
-                            None,
-                            None,
-                            detail,
-                        );
+            TelemetryEvent::SloAlert { rule, state, .. } => {
+                let (code, how) = match state {
+                    AlertState::Fire if !self.firing_rules.insert(rule.clone()) => {
+                        ("alert_double_fire", "fired while already firing")
                     }
-                }
-                AlertState::Resolve => {
-                    if !self.firing_rules.remove(rule) {
-                        let detail = format!("slo rule {rule} resolved while not firing");
-                        self.finding(
-                            "alert_resolve_without_fire",
-                            Severity::Error,
-                            Some(at),
-                            None,
-                            None,
-                            detail,
-                        );
+                    AlertState::Resolve if !self.firing_rules.remove(rule) => {
+                        ("alert_resolve_without_fire", "resolved while not firing")
                     }
-                }
-            },
+                    _ => return,
+                };
+                let detail = format!("slo rule {rule} {how}");
+                self.finding(code, Some(at), None, None, detail);
+            }
+            _ => {}
         }
     }
 
-    /// Ends the stream: reports owed `deadline_missed` events and jobs the
-    /// journal left mid-flight.
-    pub fn finish(mut self) -> DoctorReport {
+    /// Ends the stream: every job's journal reads the grammar's `end` row
+    /// (an owed `deadline_missed`, or a job left mid-flight).
+    fn finish(mut self) -> DoctorReport {
         let mut jobs: Vec<(u64, JobTrack)> = self.jobs.drain().collect();
         jobs.sort_by_key(|(id, _)| *id);
         for (id, track) in jobs {
-            if let Some(finished_at) = track.owes_missed {
+            for code in track.phase.step(JournalLine::End).1 {
+                let late = code == OrderCode::MissedDeadlineNotJournaled;
                 self.report.findings.push(Finding {
-                    code: "missed_deadline_not_journaled",
-                    severity: Severity::Error,
+                    code: code.as_str(),
+                    severity: severity(code.as_str()),
                     line: 0,
-                    at: Some(finished_at),
+                    at: late.then_some(track.completed_at),
                     job: Some(id),
                     node: None,
-                    detail: format!(
-                        "job {id} completed late at t={finished_at} but no deadline_missed follows"
-                    ),
-                });
-            }
-            if !track.done {
-                self.report.findings.push(Finding {
-                    code: "unfinished_job",
-                    severity: Severity::Warning,
-                    line: 0,
-                    at: None,
-                    job: Some(id),
-                    node: None,
-                    detail: format!(
-                        "job {id} never completed or was rejected (truncated journal?)"
-                    ),
+                    detail: describe(code, JournalLine::End, id, 0, track.completed_at),
                 });
             }
         }
         self.report
     }
 
+    fn track(&mut self, job: u64) -> &mut JobTrack {
+        self.jobs.entry(job).or_default()
+    }
+
     fn finding(
         &mut self,
         code: &'static str,
-        severity: Severity,
         at: Option<u64>,
         job: Option<u64>,
         node: Option<u64>,
@@ -720,13 +392,70 @@ impl Doctor {
     ) {
         self.report.findings.push(Finding {
             code,
-            severity,
+            severity: severity(code),
             line: self.report.lines.max(self.report.events),
             at,
             job,
             node,
             detail,
         });
+    }
+}
+
+/// Every finding is an error but a journal that ends mid-flight, which may
+/// only have been cut short.
+fn severity(code: &str) -> Severity {
+    if code == OrderCode::UnfinishedJob.as_str() {
+        Severity::Warning
+    } else {
+        Severity::Error
+    }
+}
+
+/// The words for an order finding about `job`, earned by `line`; `node` is
+/// the failed node of a `node_failed` line, `completed_at` the late
+/// completion an `end` finding is owed for.
+fn describe(code: OrderCode, line: JournalLine, job: u64, node: u64, completed_at: u64) -> String {
+    use OrderCode as C;
+    match code {
+        C::DuplicateSubmit => format!("job {job} submitted twice"),
+        C::NegotiateBeforeSubmit => format!("quote for job {job} with no prior job_submitted"),
+        C::PlaceBeforeNegotiate => {
+            format!("placement for job {job} with no prior quote_negotiated")
+        }
+        C::StartBeforeNegotiate => format!("job {job} started with no prior quote_negotiated"),
+        C::DoubleStart => format!("job {job} started while already running"),
+        C::CkptOutsideRun => format!("checkpoint requested for job {job} that is not running"),
+        C::DoubleRequest => {
+            format!("job {job} requested a checkpoint with one already outstanding")
+        }
+        C::CkptFinishWithoutRequest => {
+            let how = if line == JournalLine::CheckpointSkipped {
+                "skipped"
+            } else {
+                "finished"
+            };
+            format!("checkpoint {how} for job {job} with no outstanding checkpoint_requested")
+        }
+        C::VictimNotRunning => format!("node {node} failure names victim job {job}, not running"),
+        C::RequeueWhileRunning => format!("job {job} requeued while still running"),
+        C::CompleteWithoutStart => format!("job {job} completed without a running attempt"),
+        C::CancelWithoutSubmit => format!("job {job} cancelled with no prior job_submitted"),
+        C::CancelWhileRunning => format!("job {job} cancelled while running"),
+        C::CancelAfterDone => format!("job {job} cancelled after it already finished"),
+        C::OrphanDeadlineMissed => {
+            format!("deadline_missed for job {job} without a preceding late job_completed")
+        }
+        C::OrphanPromiseResolved => {
+            format!("promise resolved for job {job} with no prior quote_negotiated")
+        }
+        C::DuplicatePromiseResolution => format!("job {job}'s promise resolved twice"),
+        C::MissedDeadlineNotJournaled => {
+            format!("job {job} completed late at t={completed_at} but no deadline_missed follows")
+        }
+        C::UnfinishedJob => {
+            format!("job {job} never completed or was rejected (truncated journal?)")
+        }
     }
 }
 

@@ -4,14 +4,17 @@
 //! The journal records *instants*; diagnosing a missed deadline needs
 //! *intervals* — how long the job queued, computed, checkpointed, and sat
 //! in post-failure downtime. This module rebuilds those intervals the same
-//! way a distributed tracer rebuilds spans from log events: each lifecycle
-//! event closes the phase the job was in and opens the next, so a job's
+//! way a distributed tracer rebuilds spans from log events: each job's
+//! lines are stepped through the job lifecycle's journal grammar
+//! ([`JournalPhase::step`]), and each line that moves the job to another
+//! phase closes the interval it was in and opens the next, so a job's
 //! phases tile its wall interval `[submit, finish]` contiguously and their
 //! durations sum to it *by construction* (verified by
 //! [`JobSpan::accounting_gap`]).
 
+use pqos_core::lifecycle::{Fact, JournalLine, JournalPhase};
 use pqos_sim_core::table::Table;
-use pqos_sim_core::time::SimTime;
+use pqos_sim_core::time::{SimDuration, SimTime};
 use pqos_telemetry::TelemetryEvent;
 use std::collections::BTreeMap;
 
@@ -34,7 +37,7 @@ pub enum PhaseKind {
 
 impl PhaseKind {
     /// Stable display name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             PhaseKind::Negotiating => "negotiating",
             PhaseKind::Queued => "queued",
@@ -42,6 +45,21 @@ impl PhaseKind {
             PhaseKind::Checkpointing => "checkpointing",
             PhaseKind::Downtime => "downtime",
         }
+    }
+
+    /// What a job whose journal is in `phase` is doing; `None` once it
+    /// ended. (Checkpointing is back-dated from `checkpoint_taken`.)
+    fn of(phase: JournalPhase) -> Option<PhaseKind> {
+        let kind = if phase.has(Fact::Running) {
+            PhaseKind::Running
+        } else if phase.has(Fact::Down) {
+            PhaseKind::Downtime
+        } else if phase.has(Fact::Quoted) {
+            PhaseKind::Queued
+        } else {
+            PhaseKind::Negotiating
+        };
+        (!phase.has(Fact::Ended)).then_some(kind)
     }
 }
 
@@ -58,7 +76,7 @@ pub struct PhaseSpan {
 
 impl PhaseSpan {
     /// Length of the phase in seconds.
-    pub fn secs(&self) -> u64 {
+    pub(crate) fn secs(&self) -> u64 {
         self.end.saturating_since(self.start).as_secs()
     }
 }
@@ -103,8 +121,9 @@ pub struct JobSpan {
     pub checkpoints: (u32, u32),
     /// Contiguous phases tiling `[submit, finish]`, in order.
     pub phases: Vec<PhaseSpan>,
-    /// What the job was doing when its last phase closed (used to label
-    /// the open tail of unfinished jobs).
+    /// Where the job's lines have left it in the journal grammar.
+    phase: JournalPhase,
+    /// What the job was doing when its last phase closed.
     open_kind: PhaseKind,
     /// Where the next phase would begin.
     cursor: SimTime,
@@ -123,6 +142,7 @@ impl JobSpan {
             restarts: 0,
             checkpoints: (0, 0),
             phases: Vec::new(),
+            phase: JournalPhase::default(),
             open_kind: PhaseKind::Negotiating,
             cursor: submit,
         }
@@ -147,7 +167,7 @@ impl JobSpan {
     }
 
     /// Sum of all phase durations, in seconds.
-    pub fn accounted_secs(&self) -> u64 {
+    pub(crate) fn accounted_secs(&self) -> u64 {
         self.phases.iter().map(|p| p.secs()).sum()
     }
 
@@ -173,18 +193,18 @@ impl JobSpan {
 #[derive(Debug, Clone, Default)]
 pub struct SpanForest {
     jobs: BTreeMap<u64, JobSpan>,
-    /// Events that referenced a job never submitted (shape errors the
-    /// doctor reports in detail; counted here so the forest is honest
-    /// about what it ignored).
+    /// Lines about a job never submitted (shape errors the doctor reports
+    /// in detail; counted here so the forest is honest about what it
+    /// ignored).
     pub orphan_events: u64,
 }
 
 impl SpanForest {
     /// Folds an event stream into per-job spans.
     ///
-    /// Malformed causality (e.g. a start for an unknown job) is skipped
-    /// and counted in [`orphan_events`](SpanForest::orphan_events) — run
-    /// the [`doctor`](crate::doctor) for line-level findings.
+    /// A line about a job no `job_submitted` introduced is skipped and
+    /// counted in [`orphan_events`](SpanForest::orphan_events) — run the
+    /// [`doctor`](crate::doctor) for line-level findings.
     pub fn from_events<'a>(events: impl IntoIterator<Item = &'a TelemetryEvent>) -> Self {
         let mut forest = SpanForest::default();
         for event in events {
@@ -194,117 +214,65 @@ impl SpanForest {
     }
 
     fn apply(&mut self, event: &TelemetryEvent) {
-        // Borrow the span for job-scoped events; count orphans.
-        macro_rules! span {
-            ($job:expr) => {
-                match self.jobs.get_mut($job) {
-                    Some(s) => s,
-                    None => {
-                        self.orphan_events += 1;
-                        return;
-                    }
-                }
-            };
+        let Some((job, line)) = JournalLine::of(event) else {
+            return;
+        };
+        let at = event.at();
+        if line == JournalLine::Submitted {
+            self.jobs
+                .entry(job)
+                .or_insert_with(|| JobSpan::new(job, at));
         }
+        let Some(s) = self.jobs.get_mut(&job) else {
+            self.orphan_events += 1;
+            return;
+        };
+        let was = PhaseKind::of(s.phase);
+        s.phase = s.phase.step(line).0;
+        // What the line records beyond the phase it moves the job to.
         match event {
-            TelemetryEvent::JobSubmitted { at, job, .. } => {
-                self.jobs
-                    .entry(*job)
-                    .or_insert_with(|| JobSpan::new(*job, *at));
-            }
             TelemetryEvent::QuoteNegotiated {
-                at,
-                job,
                 promised_secs,
                 deadline_secs,
                 success_probability,
                 ..
             } => {
-                let s = span!(job);
                 s.promised = Some(SimTime::from_secs(*promised_secs));
                 s.deadline = Some(SimTime::from_secs(*deadline_secs));
                 s.success_probability = Some(*success_probability);
-                // Negotiation resolved: the job is now queued for its slot.
-                s.close(*at, PhaseKind::Queued);
             }
-            TelemetryEvent::JobRejected { at, job } => {
-                let s = span!(job);
-                s.close(*at, PhaseKind::Negotiating);
-                s.finish = Some(*at);
-                s.outcome = Outcome::Rejected;
-            }
-            TelemetryEvent::JobPlaced { .. } => {}
-            TelemetryEvent::JobStarted {
-                at, job, restarts, ..
-            } => {
-                let s = span!(job);
-                s.restarts = (*restarts).max(s.restarts);
-                // Closes Queued on the first attempt, Downtime on
-                // restarts.
-                s.close(*at, PhaseKind::Running);
-            }
-            TelemetryEvent::CheckpointRequested { .. } => {}
-            TelemetryEvent::CheckpointTaken {
-                at,
-                job,
-                overhead_secs,
-            } => {
-                let s = span!(job);
+            TelemetryEvent::JobStarted { restarts, .. } => s.restarts = (*restarts).max(s.restarts),
+            TelemetryEvent::CheckpointTaken { overhead_secs, .. } => {
                 s.checkpoints.0 += 1;
                 // The journal records completion; the overhead interval
                 // started `overhead_secs` earlier.
-                let began =
-                    at.saturating_sub(pqos_sim_core::time::SimDuration::from_secs(*overhead_secs));
+                let began = at.saturating_sub(SimDuration::from_secs(*overhead_secs));
                 s.close(began.max(s.cursor), PhaseKind::Checkpointing);
-                s.close(*at, PhaseKind::Running);
+                s.close(at, PhaseKind::Running);
             }
-            TelemetryEvent::CheckpointSkipped { job, .. } => {
-                let s = span!(job);
-                s.checkpoints.1 += 1;
+            TelemetryEvent::CheckpointSkipped { .. } => s.checkpoints.1 += 1,
+            TelemetryEvent::JobRejected { .. } => {
+                (s.finish, s.outcome) = (Some(at), Outcome::Rejected)
             }
-            TelemetryEvent::NodeFailed {
-                at,
-                victim_job: Some(job),
-                ..
-            } => {
-                let s = span!(job);
-                // An in-flight checkpoint dies with the attempt; the time
-                // since the last closed phase counts as (lost) running.
-                s.close(*at, PhaseKind::Downtime);
+            TelemetryEvent::JobCompleted { met_deadline, .. } => {
+                let met_deadline = *met_deadline;
+                (s.finish, s.outcome) = (Some(at), Outcome::Completed { met_deadline });
             }
-            TelemetryEvent::NodeFailed { .. } | TelemetryEvent::NodeRecovered { .. } => {}
-            TelemetryEvent::JobRequeued { .. } => {}
-            TelemetryEvent::JobCompleted {
-                at,
-                job,
-                met_deadline,
-            } => {
-                let s = span!(job);
-                s.close(*at, PhaseKind::Running);
-                s.finish = Some(*at);
-                s.outcome = Outcome::Completed {
-                    met_deadline: *met_deadline,
-                };
+            TelemetryEvent::JobCancelled { .. } => {
+                (s.finish, s.outcome) = (Some(at), Outcome::Cancelled)
             }
-            TelemetryEvent::DeadlineMissed { .. } => {}
-            TelemetryEvent::JobCancelled { at, job } => {
-                let s = span!(job);
-                // Closes Negotiating for never-quoted jobs, Queued for jobs
-                // holding a reservation.
-                s.close(*at, PhaseKind::Queued);
-                s.finish = Some(*at);
-                s.outcome = Outcome::Cancelled;
-            }
-            // Promise resolution restates the terminal event for the
-            // calibration audit; it spans no wall time of its own.
-            TelemetryEvent::PromiseResolved { .. } => {}
-            // System-wide, not job-scoped; spans ignore it.
-            TelemetryEvent::SloAlert { .. } => {}
+            _ => {}
+        }
+        let now = PhaseKind::of(s.phase);
+        if now != was {
+            // An ending line closes the last phase and opens nothing.
+            s.close(at, now.unwrap_or(s.open_kind));
         }
     }
 
     /// The span for one job.
-    pub fn get(&self, job: u64) -> Option<&JobSpan> {
+    #[cfg(test)]
+    fn get(&self, job: u64) -> Option<&JobSpan> {
         self.jobs.get(&job)
     }
 
