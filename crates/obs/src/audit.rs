@@ -13,8 +13,8 @@
 //! The ledger *tiles*: every accepted quote lands in exactly one fixed
 //! bin, and `kept + broken + cancelled + pending == promised` holds per
 //! bucket and in total. A journal whose resolutions cannot be joined back
-//! to their quotes ([`CODE_LEDGER_GAP`]), whose terminated jobs never
-//! resolved their promise ([`CODE_UNRESOLVED`]), or whose observed
+//! to their quotes (`ledger_gap`), whose terminated jobs never
+//! resolved their promise (`unresolved_promise`), or whose observed
 //! success rate sits provably below what was quoted
 //! ([`CODE_OVERCONFIDENT`]) fails the audit — `pqos-doctor audit` exits 1
 //! on any of these, which is how CI keeps the daemon's promises honest,
@@ -37,22 +37,22 @@ pub const CODE_OVERCONFIDENT: &str = "overconfident_bucket";
 /// quoted (upper tail below the same corrected threshold). Harmless for
 /// the user (promises under-sell), but a sign the quoting model is
 /// leaving admission on the table.
-pub const CODE_UNDERCONFIDENT: &str = "underconfident_bucket";
+pub(crate) const CODE_UNDERCONFIDENT: &str = "underconfident_bucket";
 /// Stable finding code: a job reached its terminal event (completion or
 /// cancellation) but the journal never resolved its promise.
-pub const CODE_UNRESOLVED: &str = "unresolved_promise";
+pub(crate) const CODE_UNRESOLVED: &str = "unresolved_promise";
 /// Stable finding code: a `promise_resolved` record cannot be joined back
 /// to an accepted quote — no promise outstanding for the job, a duplicate
 /// resolution, or a resolution restating a different probability than the
 /// quote made.
-pub const CODE_LEDGER_GAP: &str = "ledger_gap";
+pub(crate) const CODE_LEDGER_GAP: &str = "ledger_gap";
 
 /// Two-sided Wilson score interval for `successes` out of `trials` at
 /// z = 1.96 (~95%). Returns `(0.0, 1.0)` for zero trials. The bounds are
 /// exact at the extremes: all successes yield an upper bound of exactly
 /// 1.0 and no successes a lower bound of exactly 0.0, so a perfectly kept
 /// bucket can never be flagged overconfident by floating-point jitter.
-pub fn wilson_interval(successes: u64, trials: u64) -> (f64, f64) {
+pub(crate) fn wilson_interval(successes: u64, trials: u64) -> (f64, f64) {
     if trials == 0 {
         return (0.0, 1.0);
     }
@@ -84,7 +84,7 @@ pub fn wilson_interval(successes: u64, trials: u64) -> (f64, f64) {
 /// flags only counts that are genuinely implausible under the quote.
 /// Terms are evaluated in log space, so extreme `n`/`p` underflow to a
 /// zero tail instead of poisoning the sum.
-pub fn binomial_cdf(k: u64, n: u64, p: f64) -> f64 {
+pub(crate) fn binomial_cdf(k: u64, n: u64, p: f64) -> f64 {
     if n == 0 || p <= 0.0 || k >= n {
         return 1.0;
     }
@@ -145,7 +145,7 @@ impl CalibrationBucket {
 
     /// Reliability residual: observed − mean quoted. Negative means
     /// overconfident.
-    pub fn residual(&self) -> Option<f64> {
+    pub(crate) fn residual(&self) -> Option<f64> {
         Some(self.observed()? - self.mean_quoted()?)
     }
 
@@ -155,8 +155,8 @@ impl CalibrationBucket {
         (n > 0).then(|| self.brier_sum / n as f64)
     }
 
-    /// Wilson interval of the observed success rate (see
-    /// [`wilson_interval`]); `(0.0, 1.0)` when nothing resolved.
+    /// Wilson score interval (95 %) of the observed success rate;
+    /// `(0.0, 1.0)` when nothing resolved.
     pub fn wilson(&self) -> (f64, f64) {
         wilson_interval(self.kept, self.resolved())
     }
@@ -350,7 +350,7 @@ struct OpenPromise {
 /// department); the audit joins `quote_negotiated` to `promise_resolved`
 /// per job, tallies verdicts into the bucket of the *quoted* probability
 /// (so the tiling invariant survives even a corrupt restatement, which is
-/// flagged as [`CODE_LEDGER_GAP`]), and closes with the per-bucket
+/// flagged as `ledger_gap`), and closes with the per-bucket
 /// Wilson-bound calibration checks.
 pub fn audit(journal: impl BufRead) -> std::io::Result<AuditOutcome> {
     let mut fold = AuditFold::default();
@@ -368,7 +368,7 @@ pub fn audit_str(journal: &str) -> AuditOutcome {
 /// The streaming fold behind [`audit`]. Feed lines or events, then call
 /// [`AuditFold::finish`].
 #[derive(Debug, Default)]
-pub struct AuditFold {
+pub(crate) struct AuditFold {
     outcome: AuditOutcome,
     /// job → outstanding promise (accepted quote awaiting resolution).
     open: HashMap<u64, OpenPromise>,
@@ -378,7 +378,7 @@ pub struct AuditFold {
 
 impl AuditFold {
     /// Feeds one raw journal line.
-    pub fn feed_line(&mut self, line: &str) {
+    pub(crate) fn feed_line(&mut self, line: &str) {
         self.outcome.report.lines += 1;
         if line.trim().is_empty() {
             return;
@@ -389,7 +389,7 @@ impl AuditFold {
     }
 
     /// Feeds one already-parsed event.
-    pub fn feed(&mut self, event: &TelemetryEvent) {
+    pub(crate) fn feed(&mut self, event: &TelemetryEvent) {
         self.outcome.report.events += 1;
         match event {
             TelemetryEvent::QuoteNegotiated {
@@ -457,7 +457,7 @@ impl AuditFold {
 
     /// Ends the stream: reports promises whose job terminated without a
     /// resolution, then runs the per-bucket calibration checks.
-    pub fn finish(mut self) -> AuditOutcome {
+    pub(crate) fn finish(mut self) -> AuditOutcome {
         let mut unresolved: Vec<(u64, u64)> = self
             .open
             .iter()

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 /// The finding code bisect uses for response-parity mismatches, which the
 /// doctor (a journal tool) does not know about.
-pub const RESPONSE_MISMATCH: &str = "response_mismatch";
+pub(crate) const RESPONSE_MISMATCH: &str = "response_mismatch";
 
 /// Replays `trace` and returns every finding code it produces with its
 /// count: the doctor's codes over the replayed journal, plus
@@ -33,13 +33,13 @@ pub const RESPONSE_MISMATCH: &str = "response_mismatch";
 ///
 /// A trace that cannot be replayed at all (wrong source, unknown
 /// predictor, inconsistent entries) is an error, not a finding.
-pub fn findings_for_trace(trace: &RequestTrace) -> Result<BTreeMap<String, u64>, String> {
+pub(crate) fn findings_for_trace(trace: &RequestTrace) -> Result<BTreeMap<String, u64>, String> {
     let report = replay(trace, &ReplayOptions::default()).map_err(|e| e.to_string())?;
     Ok(finding_codes(&report.journal, report.mismatches.len()))
 }
 
 /// Counts finding codes for an already-replayed trace: the doctor's codes
-/// over `journal`, plus [`RESPONSE_MISMATCH`] when any response diverged.
+/// over `journal`, plus `response_mismatch` when any response diverged.
 pub fn finding_codes(journal: &str, response_mismatches: usize) -> BTreeMap<String, u64> {
     let mut codes: BTreeMap<String, u64> = BTreeMap::new();
     for finding in Doctor::check_str(journal).findings {
@@ -55,7 +55,7 @@ pub fn finding_codes(journal: &str, response_mismatches: usize) -> BTreeMap<Stri
 /// `interesting` still holds and from which no chunk at final granularity
 /// can be removed. `interesting` always receives indices in increasing
 /// order, and is assumed to hold for the full set.
-pub fn ddmin(n: usize, interesting: &mut dyn FnMut(&[usize]) -> bool) -> Vec<usize> {
+pub(crate) fn ddmin(n: usize, interesting: &mut dyn FnMut(&[usize]) -> bool) -> Vec<usize> {
     let mut current: Vec<usize> = (0..n).collect();
     let mut granularity = 2usize;
     while current.len() >= 2 {
@@ -131,7 +131,7 @@ impl TraceBisect {
 ///
 /// # Errors
 ///
-/// The full trace must replay (see [`findings_for_trace`]) and must
+/// The full trace must replay through the real engine and must
 /// actually produce the targeted finding; a clean trace has nothing to
 /// bisect.
 pub fn bisect_trace(trace: &RequestTrace, target: Option<&str>) -> Result<TraceBisect, String> {

@@ -22,21 +22,21 @@ use std::io::BufRead;
 
 /// Stable finding code: a `journal.<kind>` gauge disagrees with the
 /// journal's own event count.
-pub const CODE_COUNT_MISMATCH: &str = "metrics_count_mismatch";
+pub(crate) const CODE_COUNT_MISMATCH: &str = "metrics_count_mismatch";
 /// Stable finding code: the journal has events of a kind the snapshot
 /// exported no gauge for.
-pub const CODE_GAUGE_MISSING: &str = "metrics_gauge_missing";
+pub(crate) const CODE_GAUGE_MISSING: &str = "metrics_gauge_missing";
 /// Stable finding code: the snapshot claims events of a kind the journal
 /// never recorded (journal truncation or the wrong file pair).
-pub const CODE_JOURNAL_MISSING: &str = "metrics_journal_missing_kind";
+pub(crate) const CODE_JOURNAL_MISSING: &str = "metrics_journal_missing_kind";
 /// Stable finding code: the snapshot itself admits sink loss
 /// (`telemetry.ring_dropped` / `telemetry.write_errors` gauges).
-pub const CODE_SINK_LOSS: &str = "metrics_sink_loss";
+pub(crate) const CODE_SINK_LOSS: &str = "metrics_sink_loss";
 /// Stable finding code: a `promise.*` gauge (exported on `/metrics` as
 /// `pqos_promise_*`) disagrees with the journal's own promise ledger —
 /// quotes accepted vs `promise.made`, resolution verdicts vs
 /// `promise.kept` / `promise.broken` / `promise.cancelled`.
-pub const CODE_PROMISE_MISMATCH: &str = "metrics_promise_mismatch";
+pub(crate) const CODE_PROMISE_MISMATCH: &str = "metrics_promise_mismatch";
 
 /// Cross-checks a journal against a metrics snapshot, line by line.
 ///
@@ -170,16 +170,16 @@ pub fn crosscheck(journal: impl BufRead, snapshot: &Snapshot) -> std::io::Result
     Ok(report)
 }
 
-/// [`crosscheck`] over an in-memory journal string.
-pub fn crosscheck_str(journal: &str, snapshot: &Snapshot) -> DoctorReport {
-    crosscheck(journal.as_bytes(), snapshot).expect("in-memory reads cannot fail")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pqos_sim_core::time::SimTime;
     use pqos_telemetry::TelemetryEvent as E;
+
+    /// [`crosscheck`] over an in-memory journal string.
+    fn crosscheck_str(journal: &str, snapshot: &Snapshot) -> DoctorReport {
+        crosscheck(journal.as_bytes(), snapshot).expect("in-memory reads cannot fail")
+    }
 
     fn journal_of(events: &[TelemetryEvent]) -> String {
         events.iter().map(|e| e.to_jsonl() + "\n").collect()

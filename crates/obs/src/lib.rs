@@ -87,11 +87,8 @@ pub mod slo;
 pub mod span;
 pub mod trace;
 
-pub use audit::{audit, audit_str, AuditOutcome, CalibrationBucket, CalibrationLedger};
-pub use bisect::{bisect_trace, ddmin, finding_codes, findings_for_trace, TraceBisect};
-pub use diff::{first_divergence, Divergence};
-pub use doctor::{Doctor, DoctorReport, Finding, Severity};
-pub use manifest::{ExpectedFindings, FindingsDelta};
-pub use slo::{check_journal, AlertKey, SloCheck};
-pub use span::{JobSpan, Outcome, PhaseKind, PhaseSpan, SpanForest};
-pub use trace::{chrome_trace, load_chrome_trace, ChromeTraceSummary};
+pub use audit::{audit, audit_str};
+pub use bisect::bisect_trace;
+pub use diff::first_divergence;
+pub use doctor::Doctor;
+pub use trace::{chrome_trace, load_chrome_trace};

@@ -7,7 +7,7 @@
 //! a pinned finding that disappeared (the bug stopped reproducing, or
 //! the detector regressed) or a new finding nobody pinned.
 
-use pqos_telemetry::json::{Json, ObjWriter};
+use pqos_telemetry::json::Json;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -35,20 +35,6 @@ impl ExpectedFindings {
             findings.insert(code, count);
         }
         Some(ExpectedFindings { findings })
-    }
-
-    /// Renders the manifest back as `expected.json`.
-    pub fn to_json(&self) -> String {
-        let items: Vec<String> = self
-            .findings
-            .iter()
-            .map(|(code, count)| {
-                let mut w = ObjWriter::new();
-                w.str("code", code).u64("count", *count);
-                w.finish()
-            })
-            .collect();
-        format!("{{\"findings\": [{}]}}\n", items.join(", "))
     }
 
     /// Compares pinned findings against what a replay actually produced.
@@ -109,7 +95,10 @@ mod tests {
         let mut expected = ExpectedFindings::clean();
         expected.findings.insert("response_mismatch".into(), 1);
         expected.findings.insert("start_before_quote".into(), 2);
-        let parsed = ExpectedFindings::from_json(&expected.to_json()).unwrap();
+        let parsed = ExpectedFindings::from_json(
+            r#"{"findings": [{"code": "response_mismatch", "count": 1}, {"code": "start_before_quote", "count": 2}]}"#,
+        )
+        .unwrap();
         assert_eq!(parsed, expected);
 
         let mut actual = BTreeMap::new();

@@ -37,7 +37,7 @@ pub struct AlertKey {
 
 impl AlertKey {
     /// Extracts the key from an event; `None` for non-alert events.
-    pub fn of(event: &TelemetryEvent) -> Option<AlertKey> {
+    pub(crate) fn of(event: &TelemetryEvent) -> Option<AlertKey> {
         match event {
             TelemetryEvent::SloAlert {
                 rule,
@@ -58,7 +58,7 @@ impl AlertKey {
     }
 
     /// One-line rendering for diffs and logs.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         format!(
             "{} {} window_end={} value={:?} threshold={:?}",
             self.rule, self.state, self.window_end_secs, self.value, self.threshold
