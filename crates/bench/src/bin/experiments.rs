@@ -370,9 +370,6 @@ fn main() {
     let mut journal: Option<String> = None;
     let mut accuracy = 0.7;
     let mut metrics = false;
-    let mut bench_sched = false;
-    let mut bench_config = pqos_bench::SchedBenchConfig::default();
-    let mut bench_out = String::from("BENCH_sched.json");
     let mut requested: BTreeSet<String> = BTreeSet::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -381,13 +378,15 @@ fn main() {
                 jobs = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs a number"));
+                    .filter(|&n: &usize| n > 0)
+                    .unwrap_or_else(|| die("--jobs needs a positive number"));
             }
             "--threads" => {
                 threads = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threads needs a number"));
+                    .filter(|&n: &usize| n > 0)
+                    .unwrap_or_else(|| die("--threads needs a positive number"));
             }
             "--journal" => {
                 journal = Some(args.next().unwrap_or_else(|| die("--journal needs a path")));
@@ -401,26 +400,6 @@ fn main() {
             }
             "--metrics" => {
                 metrics = true;
-            }
-            "--bench-sched" => {
-                bench_sched = true;
-            }
-            "--bench-backlog" => {
-                bench_config.backlog = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--bench-backlog needs a number"));
-            }
-            "--bench-probes" => {
-                bench_config.probes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--bench-probes needs a number"));
-            }
-            "--bench-out" => {
-                bench_out = args
-                    .next()
-                    .unwrap_or_else(|| die("--bench-out needs a path"));
             }
             "--list" => {
                 list_experiments();
@@ -447,19 +426,8 @@ fn main() {
             &standard_trace(),
         );
     }
-    if bench_sched {
-        eprintln!(
-            "[bench-sched] backlog {} jobs, {} probes, {} nodes",
-            bench_config.backlog, bench_config.probes, bench_config.cluster_size
-        );
-        let report = pqos_bench::run_sched_bench(&bench_config);
-        eprintln!("[bench-sched] {}", report.summary());
-        std::fs::write(&bench_out, report.to_json())
-            .unwrap_or_else(|e| die(&format!("cannot write {bench_out}: {e}")));
-        eprintln!("[bench-sched] report written to {bench_out}");
-    }
     if requested.is_empty() {
-        if journal.is_none() && !metrics && !bench_sched {
+        if journal.is_none() && !metrics {
             usage();
         }
         return;
@@ -557,7 +525,6 @@ fn main() {
 fn usage() {
     eprintln!(
         "usage: experiments [--jobs N] [--threads K] [--journal PATH] [--metrics] [--list]\n\
-                    [--bench-sched [--bench-backlog N] [--bench-probes N] [--bench-out PATH]]\n\
                     <ids...>\n\
          ids: all table1 table2 fig1..fig12 headline ablation-ckpt ablation-sched\n\
               ablation-slack ablation-interval ablation-topology ablation-diurnal\n\
@@ -566,10 +533,7 @@ fn usage() {
          --journal PATH  stream lifecycle events of one instrumented run as JSONL\n\
          --accuracy A    predictor accuracy for that run (default 0.7; 1.0 = perfect\n\
                          oracle, whose journal `pqos-doctor audit` certifies clean)\n\
-         --metrics       print the metrics snapshot of that run\n\
-         --bench-sched   time probe negotiations against a committed backlog on the\n\
-                         naive vs timeline reservation books; writes a JSON report\n\
-                         (defaults: 5000-job backlog, 25 probes, BENCH_sched.json)"
+         --metrics       print the metrics snapshot of that run"
     );
 }
 

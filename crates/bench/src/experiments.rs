@@ -18,7 +18,6 @@ use pqos_predict::online::{RateEstimator, SharedRateEstimator};
 use pqos_sched::place::PlacementStrategy;
 use pqos_sim_core::table::{fnum, Table};
 use pqos_sim_core::time::SimDuration;
-use pqos_workload::log::JobLog;
 use pqos_workload::synthetic::LogModel;
 use std::sync::Arc;
 
@@ -73,12 +72,12 @@ impl Metric {
 }
 
 /// The `a` and `U` grid values: 0.0 to 1.0 in steps of 0.1 (§4.4).
-pub fn grid_values() -> Vec<f64> {
+pub(crate) fn grid_values() -> Vec<f64> {
     (0..=10).map(|i| f64::from(i) / 10.0).collect()
 }
 
 /// The `U` lines drawn in Figures 1–6.
-pub const FIGURE_U_LINES: [f64; 3] = [0.1, 0.5, 0.9];
+pub(crate) const FIGURE_U_LINES: [f64; 3] = [0.1, 0.5, 0.9];
 
 /// Table 1: job-log characteristics of the two synthetic workloads next to
 /// the paper's reference values.
@@ -693,17 +692,6 @@ pub fn calibration(opts: &SweepOptions, trace: &Arc<FailureTrace>) -> Table {
     t
 }
 
-/// Convenience wrapper used by tests and quick runs: which log a grid
-/// result set belongs to.
-pub fn grid_model(grid: &[ScenarioResult]) -> Option<LogModel> {
-    grid.first().map(|r| r.scenario.model)
-}
-
-/// Builds a `JobLog` for tests that need the standard log at custom size.
-pub fn log_for(model: LogModel, jobs: usize) -> JobLog {
-    standard_log(model, jobs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,7 +732,10 @@ mod tests {
         };
         let t = accuracy_figure(&grid, Metric::Qos);
         assert_eq!(t.len(), 11, "one row per accuracy step");
-        assert_eq!(grid_model(&grid), Some(LogModel::NasaIpsc));
+        assert_eq!(
+            grid.first().map(|r| r.scenario.model),
+            Some(LogModel::NasaIpsc)
+        );
     }
 
     #[test]

@@ -11,7 +11,5 @@
 
 pub mod experiments;
 pub mod scenario;
-pub mod sched_bench;
 
-pub use scenario::{standard_log, standard_trace, Scenario, ScenarioResult};
-pub use sched_bench::{run_sched_bench, SchedBenchConfig, SchedBenchReport};
+pub use scenario::{standard_log, ScenarioResult};

@@ -17,10 +17,10 @@ use pqos_workload::synthetic::{LogModel, SyntheticLog};
 use std::sync::Arc;
 
 /// Seed shared by every experiment (logs, traces, detectabilities).
-pub const EXPERIMENT_SEED: u64 = 0xd5_2005;
+pub(crate) const EXPERIMENT_SEED: u64 = 0xd5_2005;
 
 /// The paper's trace length: one year of failures.
-pub const TRACE_DAYS: f64 = 400.0;
+pub(crate) const TRACE_DAYS: f64 = 400.0;
 
 /// Builds the standard 10,000-job log for a workload model (paper §4.3).
 pub fn standard_log(model: LogModel, jobs: usize) -> JobLog {
@@ -71,7 +71,7 @@ impl Scenario {
     }
 
     /// Builds the `SimConfig` for this scenario.
-    pub fn config(&self) -> SimConfig {
+    pub(crate) fn config(&self) -> SimConfig {
         SimConfig::paper_defaults()
             .accuracy(self.accuracy)
             .user(UserStrategy::risk_threshold(self.user_threshold).expect("threshold in [0,1]"))
@@ -80,7 +80,7 @@ impl Scenario {
     }
 
     /// Runs this scenario against the given log and trace.
-    pub fn run(&self, log: &JobLog, trace: &Arc<FailureTrace>) -> ScenarioResult {
+    pub(crate) fn run(&self, log: &JobLog, trace: &Arc<FailureTrace>) -> ScenarioResult {
         let report = QosSimulator::new(self.config(), log.clone(), Arc::clone(trace))
             .run()
             .report;

@@ -65,8 +65,8 @@ pub struct QuoteCacheStats {
     /// an unfinished prefix its caller outlived.
     pub misses: u64,
     /// Always 0: the cache walks the book's own timeline, so there is no
-    /// profile snapshot left to rebuild. Kept because `BENCH_sched.json`,
-    /// the `pqos_quote_cache_profile_rebuilds` gauge and the perf ledger's
+    /// profile snapshot left to rebuild. Kept because the
+    /// `pqos_quote_cache_profile_rebuilds` gauge and the perf ledger's
     /// `cache.rebuilds` read it.
     pub profile_rebuilds: u64,
     /// Memo entries dropped because a mutation touched their examined span
@@ -76,7 +76,7 @@ pub struct QuoteCacheStats {
 
 impl QuoteCacheStats {
     /// Total memo lookups.
-    pub fn lookups(&self) -> u64 {
+    pub(crate) fn lookups(&self) -> u64 {
         self.hits + self.misses
     }
 
@@ -167,7 +167,7 @@ impl CachedReservationBook {
     }
 
     /// Wraps an existing book, starting with a cold cache.
-    pub fn from_book(book: ReservationBook) -> Self {
+    pub(crate) fn from_book(book: ReservationBook) -> Self {
         CachedReservationBook {
             book,
             memo: Mutex::new(HashMap::new()),
@@ -200,11 +200,6 @@ impl CachedReservationBook {
     /// Iterates over live reservations in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (ReservationId, &Reservation)> {
         self.book.iter()
-    }
-
-    /// Looks up a live reservation by id.
-    pub fn get(&self, id: ReservationId) -> Option<&Reservation> {
-        self.book.get(id)
     }
 
     /// Cumulative cache counters.
@@ -262,19 +257,6 @@ impl CachedReservationBook {
             self.note_mutation(end.as_secs(), old.end().as_secs());
         }
         // end >= old.end(): no-op, nothing changed.
-    }
-
-    /// Nodes free for the entire `window`; see
-    /// [`ReservationBook::free_nodes_during`]. Uncached: the timeline
-    /// answers range queries in `O(log S + K·W)` already.
-    pub fn free_nodes_during(&self, window: TimeWindow, exclude: &[NodeId]) -> Vec<NodeId> {
-        self.book.free_nodes_during(window, exclude)
-    }
-
-    /// Candidate start times at or after `from`; see
-    /// [`ReservationBook::change_points`].
-    pub fn change_points(&self, from: SimTime) -> Vec<SimTime> {
-        self.book.change_points(from)
     }
 
     /// Nodes committed at instant `t`; see
@@ -604,7 +586,7 @@ mod tests {
         assert!(cached.to_string().contains("1 reservations"));
         assert_eq!(clone.iter().count(), 1);
         let (id, _) = clone.iter().next().unwrap();
-        assert_eq!(clone.get(id).unwrap().job, JobId::new(1));
+        assert_eq!(clone.inner().get(id).unwrap().job, JobId::new(1));
     }
 
     #[test]

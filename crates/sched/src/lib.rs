@@ -7,11 +7,12 @@
 //!
 //! * [`reservation`] — the [`reservation::ReservationBook`] availability
 //!   profile: commitments, conflict detection, hole enumeration
-//!   ([`reservation::ReservationBook::earliest_slots`]), kept as one flat
-//!   timeline of busy-node rows that mutations patch in place and a
-//!   skip-indexed sliding-union walk reads directly, with a
+//!   ([`reservation::ReservationBook::earliest_slots`]), kept as a
+//!   chunked timeline of busy-node rows that mutations patch in place and
+//!   a skip-indexed sliding-union walk reads directly, with a
 //!   scan-everything [`reservation::NaiveReservationBook`] kept as the
-//!   executable specification;
+//!   executable specification the property tests compare against (no
+//!   production path uses it);
 //! * [`cache`] — the quote cache ([`cache::CachedReservationBook`]):
 //!   memoized walks with span-based delta-invalidation, so a repeated
 //!   probe costs a hash lookup and an unrelated admission leaves it warm;
@@ -20,7 +21,8 @@
 //!   probability `pf`, with a prediction-blind first-fit baseline.
 //!
 //! The *policy loop* — negotiation, promises, re-queuing after failures —
-//! lives in `pqos-core`; this crate supplies the mechanisms.
+//! lives in `pqos-core`; this crate supplies the mechanisms. Every item is
+//! reached through its module; the crate root re-exports nothing.
 //!
 //! # Examples
 //!
@@ -47,13 +49,3 @@
 pub mod cache;
 pub mod place;
 pub mod reservation;
-
-pub use cache::{CachedReservationBook, QuoteCacheStats};
-pub use place::{
-    choose_partition, choose_partition_with_telemetry, PlacementChoice, PlacementProbe,
-    PlacementStrategy,
-};
-pub use reservation::{
-    AvailabilityView, NaiveReservationBook, Reservation, ReservationBook, ReservationError,
-    ReservationId, Slot,
-};

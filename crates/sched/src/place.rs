@@ -57,7 +57,7 @@ pub struct PlacementChoice {
 /// What the selection loop observed while ranking candidates; feeds the
 /// telemetry metrics without changing the decision itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlacementProbe {
+pub(crate) struct PlacementProbe {
     /// Candidate partitions whose `pf` was evaluated.
     pub candidates_examined: usize,
     /// The winner predicted clean (`pf == 0`), so the tie-break to the

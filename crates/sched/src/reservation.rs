@@ -66,8 +66,8 @@
 //! implementation. It is the executable specification: the property harness
 //! in `tests/properties.rs` replays randomized add/remove/truncate/query
 //! workloads against both books and asserts they answer identically, and
-//! the scheduler scaling benchmark (`--bench-sched`) uses it as the
-//! before-side baseline.
+//! requires `negotiate` over a negotiated backlog to give the same
+//! outcomes on it, on the timeline book and on the quote cache.
 
 use pqos_cluster::mask::NodeMask;
 use pqos_cluster::node::NodeId;
@@ -434,7 +434,7 @@ impl ReservationBook {
     }
 
     /// The cluster size this book plans for.
-    pub fn cluster_size(&self) -> u32 {
+    pub(crate) fn cluster_size(&self) -> u32 {
         self.cluster_size
     }
 
@@ -564,7 +564,7 @@ impl ReservationBook {
     /// produced (`r.start < t && t < r.end` once `window.start ==
     /// window.end`), pinned by a regression test and the randomized
     /// parity harness so the two books can never drift apart on it.
-    pub fn free_nodes_during(&self, window: TimeWindow, exclude: &[NodeId]) -> Vec<NodeId> {
+    pub(crate) fn free_nodes_during(&self, window: TimeWindow, exclude: &[NodeId]) -> Vec<NodeId> {
         let mut busy = self.mask_words(exclude.iter().copied());
         if window.is_empty() {
             // Degenerate point query: an empty window `[t, t)` reports the
@@ -596,7 +596,7 @@ impl ReservationBook {
 
     /// Sorted, deduplicated candidate start times at or after `from`:
     /// `from` itself plus every reservation start/end after it.
-    pub fn change_points(&self, from: SimTime) -> Vec<SimTime> {
+    pub(crate) fn change_points(&self, from: SimTime) -> Vec<SimTime> {
         let mut cur = self.cursor();
         let after = self.rows_where(&mut cur, |t| t <= from);
         let mut points = Vec::with_capacity(1 + self.row_count() - after);
@@ -1492,11 +1492,6 @@ impl NaiveReservationBook {
             reservations: BTreeMap::new(),
             next_id: 0,
         }
-    }
-
-    /// The cluster size this book plans for.
-    pub fn cluster_size(&self) -> u32 {
-        self.cluster_size
     }
 
     /// Number of live reservations.

@@ -3,29 +3,19 @@
 //! ```text
 //! pqos-loadgen --addr HOST:PORT [--threads N] [--requests N] [--depth N]
 //!              [--model nasa|sdsc] [--seed N] [--accept-prob F]
-//!              [--cancel-prob F] [--out BENCH_service.json] [--shutdown]
-//!              [--metrics HOST:PORT] [--baseline-rps F] [--record PATH]
-//! pqos-loadgen --shards 1,2,4 [--cluster N] [client options] [--out PATH]
+//!              [--cancel-prob F] [--shutdown] [--record PATH]
 //! ```
 //!
-//! `--shards` switches to sweep mode: instead of targeting a running
-//! daemon, the generator boots its own in-process daemon per listed
-//! shard count (over `--cluster` nodes, default 4096) and throws the
-//! identical workload at each, writing a `shard_scaling` table into the
-//! report alongside the baseline (first count) run's numbers.
-//!
-//! With `--metrics`, the run ends with a `/metrics` scrape and the report
-//! embeds the daemon's own stage-latency decomposition and overload
-//! counts next to the client-side percentiles. `--baseline-rps` (the
-//! throughput of a reference run with tracing off) makes the report also
-//! state the tracing overhead this run paid.
+//! The generator is a client: it prints one summary line (throughput,
+//! quote latency percentiles, outcome counts, and the daemon's final
+//! parity and promise counters). The daemon's own stage latencies are on
+//! its `/metrics` endpoint.
 //!
 //! Exit status is nonzero when the daemon reports any batched-vs-serial
 //! parity violation — the load generator doubles as the online parity
 //! assertion.
 
 use pqos_service::loadgen::{self, LoadgenConfig};
-use pqos_service::sweep::{shard_sweep, SweepConfig};
 use pqos_workload::synthetic::LogModel;
 use std::io::Write;
 use std::process::ExitCode;
@@ -40,19 +30,10 @@ const USAGE: &str = "usage: pqos-loadgen --addr HOST:PORT [options]
   --seed N          deterministic seed (default 13967365)
   --accept-prob F   probability a quote is accepted (default 0.7)
   --cancel-prob F   probability an accepted job is cancelled (default 0.1)
-  --out PATH        write the JSON report here (BENCH_service.json schema)
   --shutdown        send the shutdown verb when done
-  --metrics HOST:PORT  scrape the daemon's /metrics endpoint at the end of
-                    the run and embed server-side numbers in the report
-  --baseline-rps F  reference throughput (tracing off); embeds the tracing
-                    overhead in the report
   --record PATH     capture every request/response this client sees as a
                     JSONL trace (client-side view; for replayable captures
                     record on the daemon with pqos-qosd --record)
-  --shards LIST     sweep mode: boot an in-process daemon per comma-separated
-                    engine shard count (e.g. 1,2,4) and table the scaling
-                    instead of targeting --addr
-  --cluster N       cluster size the sweep's daemons run with (default 4096)
 ";
 
 fn die(msg: &str) -> ExitCode {
@@ -65,9 +46,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = LoadgenConfig::default();
     let mut addr: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut shard_counts: Option<Vec<u32>> = None;
-    let mut cluster_size: u32 = 4096;
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -127,31 +105,7 @@ fn main() -> ExitCode {
                 config.shutdown = true;
                 Ok(())
             }
-            "--out" => value("--out").map(|v| out = Some(v)),
-            "--shards" => value("--shards").and_then(|v| {
-                v.split(',')
-                    .map(|part| part.trim().parse::<u32>().ok().filter(|&n| n > 0))
-                    .collect::<Option<Vec<u32>>>()
-                    .filter(|counts| !counts.is_empty())
-                    .map(|counts| shard_counts = Some(counts))
-                    .ok_or_else(|| "--shards: need comma-separated positive counts".into())
-            }),
-            "--cluster" => value("--cluster").and_then(|v| {
-                v.parse()
-                    .ok()
-                    .filter(|&n: &u32| n > 0)
-                    .map(|n| cluster_size = n)
-                    .ok_or_else(|| "--cluster: not a count".into())
-            }),
             "--record" => value("--record").map(|v| config.record = Some(v)),
-            "--metrics" => value("--metrics").map(|v| config.metrics_addr = Some(v)),
-            "--baseline-rps" => value("--baseline-rps").and_then(|v| {
-                v.parse()
-                    .ok()
-                    .filter(|r: &f64| r.is_finite() && *r > 0.0)
-                    .map(|r| config.baseline_rps = Some(r))
-                    .ok_or_else(|| "--baseline-rps: need a positive rate".into())
-            }),
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -162,36 +116,17 @@ fn main() -> ExitCode {
             return die(&msg);
         }
     }
-    let run_result = if let Some(counts) = shard_counts {
-        if counts.iter().any(|&n| n > cluster_size) {
-            return die("--shards: a shard count exceeds --cluster");
-        }
-        let sweep = SweepConfig {
-            shard_counts: counts,
-            cluster_size,
-            ..SweepConfig::default()
-        };
-        shard_sweep(&config, &sweep)
-    } else {
-        let Some(addr) = addr else {
-            return die("--addr is required (or use --shards for sweep mode)");
-        };
-        config.addr = addr;
-        loadgen::run(&config)
+    let Some(addr) = addr else {
+        return die("--addr is required");
     };
-    let report = match run_result {
+    config.addr = addr;
+    let report = match loadgen::run(&config) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("pqos-loadgen: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("pqos-loadgen: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
     // Downstream closing the pipe (`pqos-loadgen ... | head`) is a normal
     // way to consume the summary, not an error.
     match writeln!(std::io::stdout().lock(), "{}", report.render()) {

@@ -9,7 +9,7 @@
 //!
 //! 1. marks each trace's `queue` stage; requests that waited past their
 //!    deadline answer `timeout` and go no further;
-//! 2. runs the rest through [`EngineCore::tick`] at the current virtual
+//! 2. runs the rest through `EngineCore::tick` at the current virtual
 //!    time (wall-clock elapsed × `time_scale`) — the same epoch code
 //!    replay runs: advance the clock, drain SLO windows, quote every
 //!    `negotiate` in one batch against one book snapshot, apply accepts
@@ -41,7 +41,7 @@
 //! Either way backpressure is an explicit answer, never unbounded
 //! buffering or a lock convoy. The threads beside a running engine (the
 //! `/metrics` endpoint, the history sampler) read it through an
-//! [`EngineMonitor`]: shared atomics, never a queue.
+//! `EngineMonitor`: shared atomics, never a queue.
 
 use crate::flight::{FlightRecorder, TraceCtx};
 use crate::protocol::{ErrorCode, Request, Response, StatusBody};
@@ -77,7 +77,7 @@ impl ReplySender {
     /// Sends the reply. A gone receiver hands the payload back so the
     /// caller can abandon the trace instead of leaking it.
     #[allow(clippy::result_large_err)] // consumed immediately by the caller
-    pub fn send(
+    pub(crate) fn send(
         &self,
         response: Response,
         trace: Option<TraceCtx>,
@@ -199,7 +199,7 @@ impl EngineShared {
 /// Read-only view of a running engine for the threads beside it: the
 /// shared atomics and the registry its gauges live in.
 #[derive(Clone)]
-pub struct EngineMonitor {
+pub(crate) struct EngineMonitor {
     shared: Arc<EngineShared>,
     telemetry: Telemetry,
 }
@@ -207,13 +207,13 @@ pub struct EngineMonitor {
 impl EngineMonitor {
     /// Whether the engine is draining: a `shutdown` was served, or its
     /// driver stopped.
-    pub fn is_draining(&self) -> bool {
+    pub(crate) fn is_draining(&self) -> bool {
         self.shared.draining.load(Ordering::Acquire)
     }
 
     /// Pushes the live engine state into gauges, so a `/metrics` scrape
     /// of an idle daemon (no tick running) still reports fresh values.
-    pub fn refresh_gauges(&self) {
+    pub(crate) fn refresh_gauges(&self) {
         let (shared, telemetry) = (&self.shared, &self.telemetry);
         let set = |name: &str, v: i64| telemetry.gauge(name).set(v);
         set("engine.queue_depth", shared.queue_depth() as i64);
@@ -264,12 +264,14 @@ impl EngineHandle {
     }
 
     /// Requests waiting in the engine queue right now.
-    pub fn queue_depth(&self) -> usize {
+    #[cfg(test)]
+    fn queue_depth(&self) -> usize {
         self.shared.queue_depth()
     }
 
     /// Requests refused with `overloaded` since startup.
-    pub fn overloaded_total(&self) -> u64 {
+    #[cfg(test)]
+    fn overloaded_total(&self) -> u64 {
         self.shared.overloaded.load(Ordering::Relaxed)
     }
 }

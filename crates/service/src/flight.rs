@@ -18,7 +18,7 @@
 //! through the engine renders in Perfetto with no extra tooling.
 //!
 //! A disabled recorder ([`FlightRecorder::disabled`]) makes
-//! [`FlightRecorder::begin`] return `None`, so the traced paths cost one
+//! `FlightRecorder::begin` return `None`, so the traced paths cost one
 //! branch and zero clock reads when tracing is off (`--no-flight`).
 
 use pqos_telemetry::json::ObjWriter;
@@ -88,7 +88,7 @@ impl FlightRecorder {
     /// A recorder retaining the last `capacity` completed traces.
     /// Histogram observations go through `telemetry` (no-op when that
     /// handle is disabled; the ring still records).
-    pub fn new(capacity: usize, telemetry: Telemetry) -> Self {
+    pub(crate) fn new(capacity: usize, telemetry: Telemetry) -> Self {
         FlightRecorder {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
@@ -111,14 +111,15 @@ impl FlightRecorder {
     }
 
     /// Whether traces are being recorded.
-    pub fn is_enabled(&self) -> bool {
+    #[cfg(test)]
+    fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
     /// Opens a trace for a request that arrived at `begin` on connection
     /// `conn`. Returns `None` when the recorder is disabled, so disabled
     /// tracing never reads the clock again.
-    pub fn begin(&self, verb: &'static str, conn: u64, begin: Instant) -> Option<TraceCtx> {
+    pub(crate) fn begin(&self, verb: &'static str, conn: u64, begin: Instant) -> Option<TraceCtx> {
         let inner = self.inner.as_ref()?;
         let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
         let record = TraceRecord {
@@ -144,7 +145,8 @@ impl FlightRecorder {
     }
 
     /// `(inflight, completed)` trace counts.
-    pub fn depth(&self) -> (usize, usize) {
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> (usize, usize) {
         match &self.inner {
             Some(inner) => {
                 let state = inner.state.lock().expect("flight lock");
@@ -203,7 +205,7 @@ impl FlightRecorder {
     /// Each connection is a track (`tid`); each stage is a `ph:"X"` span;
     /// in-flight requests appear as open-ended spans flagged
     /// `"inflight":true`. Returns an empty document when disabled.
-    pub fn dump_chrome(&self) -> String {
+    pub(crate) fn dump_chrome(&self) -> String {
         let Some(inner) = &self.inner else {
             return String::from("{\"traceEvents\":[]}\n");
         };
@@ -284,11 +286,11 @@ impl FlightRecorder {
     }
 }
 
-/// A single request's trace: created by [`FlightRecorder::begin`] when
+/// A single request's trace: created by `FlightRecorder::begin` when
 /// the request line arrives, marked at each stage end, finished by
-/// [`TraceCtx::finish`] after the reply hits the socket. Dropping an
+/// `TraceCtx::finish` after the reply hits the socket. Dropping an
 /// unfinished ctx leaves the request in the in-flight table (it will show
-/// in dumps as a lost request) — always finish or [`TraceCtx::abandon`].
+/// in dumps as a lost request) — always finish or `TraceCtx::abandon`.
 #[derive(Debug)]
 pub struct TraceCtx {
     recorder: FlightRecorder,
@@ -300,20 +302,20 @@ pub struct TraceCtx {
 
 impl TraceCtx {
     /// Marks the end of `stage` (a name from [`STAGES`]) at now.
-    pub fn mark(&mut self, stage: &'static str) {
+    pub(crate) fn mark(&mut self, stage: &'static str) {
         self.marks.push((stage, Instant::now()));
     }
 
     /// Completes the trace: records stage histograms and moves it from
     /// the in-flight table into the completed ring.
-    pub fn finish(mut self) {
+    pub(crate) fn finish(mut self) {
         let recorder = self.recorder.clone();
         recorder.finish(&mut self);
     }
 
     /// Drops the trace without recording anything (the connection died
     /// before the reply could be written).
-    pub fn abandon(self) {
+    pub(crate) fn abandon(self) {
         if let Some(inner) = &self.recorder.inner {
             inner
                 .state
@@ -322,11 +324,6 @@ impl TraceCtx {
                 .inflight
                 .remove(&self.seq);
         }
-    }
-
-    /// The protocol verb this trace belongs to.
-    pub fn verb(&self) -> &'static str {
-        self.verb
     }
 }
 

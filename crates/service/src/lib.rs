@@ -39,7 +39,7 @@
 //!
 //! The daemon also carries its own observability plane (this crate's
 //! `flight`, `metrics_http`, and `scrape` modules): every request line
-//! can open a [`TraceCtx`] whose stage latencies
+//! can open a [`TraceCtx`](flight::TraceCtx) whose stage latencies
 //! (parse → queue → batch → compute → write) land in per-verb histograms
 //! and in the [`FlightRecorder`]'s ring; a
 //! hand-rolled `/metrics` listener exposes the whole registry in
@@ -63,15 +63,8 @@ pub mod replay;
 pub mod scrape;
 pub mod server;
 pub mod shard;
-pub mod sweep;
 pub mod tick;
 
-pub use engine::{EngineConfig, EngineHandle, EngineMonitor};
-pub use flight::{FlightRecorder, TraceCtx};
-pub use loadgen::{LoadgenConfig, LoadgenReport};
-pub use protocol::{ErrorCode, Request, Response};
+pub use flight::FlightRecorder;
 pub use record::{SharedBuf, TraceRecorder};
-pub use replay::{replay, ReplayOptions, ReplayReport};
-pub use server::{serve, RecordConfig, ServerConfig};
-pub use shard::{partition_spans, MergedAvailabilityView, ShardSpan, ShardedCore};
-pub use tick::{build_core, EngineCore};
+pub use shard::{partition_spans, MergedAvailabilityView};

@@ -11,8 +11,11 @@
 //! backpressure, not failures); `rejected` and `quote_expired` are
 //! terminal outcomes and counted. Per-quote latency is measured from the
 //! last (re)send to the reply, collected exactly (no histogram buckets),
-//! and reported as p50/p90/p99 along with sustained throughput — the
-//! numbers that land in `BENCH_service.json`.
+//! and reported as p50/p90/p99 along with sustained throughput on one
+//! summary line. The generator is a client, not a benchmark: the daemon's
+//! own numbers are on its `/metrics` endpoint and in its `status` reply,
+//! and the repository's one performance harness is the ledger under
+//! `benchmark/`.
 //!
 //! A server that goes away mid-run (EOF, reset, broken pipe) is a clean
 //! disconnect: the worker keeps its partial counts and the run reports
@@ -20,9 +23,7 @@
 
 use crate::protocol::{ErrorCode, Request, Response};
 use crate::record::TraceRecorder;
-use crate::{flight, scrape};
 use pqos_sim_core::rng::DetRng;
-use pqos_telemetry::expo;
 use pqos_telemetry::reqtrace::{TraceMeta, TRACE_FORMAT_VERSION};
 use pqos_workload::synthetic::{LogModel, SyntheticLog};
 use std::collections::{HashMap, VecDeque};
@@ -61,13 +62,6 @@ pub struct LoadgenConfig {
     /// How long to keep retrying the initial connect (the daemon may
     /// still be binding when the generator starts).
     pub connect_timeout: Duration,
-    /// The daemon's `/metrics` address; when set, the run ends with a
-    /// scrape and the report embeds the server-side stage latencies and
-    /// overload counts next to the client-side numbers.
-    pub metrics_addr: Option<String>,
-    /// Throughput of a reference run (tracing off); when set, the report
-    /// embeds the tracing overhead this run paid relative to it.
-    pub baseline_rps: Option<f64>,
     /// Record every request/response pair this client sees to a trace
     /// file (`--record`). Client-side traces carry `source: "loadgen"` —
     /// they document what the client observed (no engine epochs), so
@@ -89,81 +83,12 @@ impl Default for LoadgenConfig {
             cancel_probability: 0.1,
             shutdown: false,
             connect_timeout: Duration::from_secs(10),
-            metrics_addr: None,
-            baseline_rps: None,
             record: None,
         }
     }
 }
 
-/// Server-side numbers scraped from `/metrics` at the end of a run: the
-/// decomposition of quote latency the client cannot see from outside.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerMetrics {
-    /// Requests the engine refused with `overloaded`.
-    pub overloaded: u64,
-    /// Requests completed across all verbs (`rpc.requests_total`).
-    pub requests_total: u64,
-    /// Per-stage `(p50_us, p99_us)` for the `negotiate` verb, in
-    /// [`flight::STAGES`] order; stages with no observations are omitted.
-    pub stages_us: Vec<(String, f64, f64)>,
-}
-
-impl ServerMetrics {
-    /// Extracts the report-relevant numbers from a parsed scrape.
-    pub fn from_samples(samples: &[expo::Sample]) -> ServerMetrics {
-        let overloaded = expo::find(samples, "pqos_engine_overloaded_total", &[])
-            .map(|v| v as u64)
-            .unwrap_or(0);
-        let requests_total = samples
-            .iter()
-            .filter(|s| s.name == "pqos_rpc_requests_total")
-            .map(|s| s.value as u64)
-            .sum();
-        let mut stages_us = Vec::new();
-        for stage in flight::STAGES {
-            let buckets: Vec<(f64, u64)> = samples
-                .iter()
-                .filter(|s| {
-                    s.name == "pqos_rpc_stage_ns_bucket"
-                        && s.labels.iter().any(|(k, v)| k == "stage" && v == stage)
-                        && s.labels
-                            .iter()
-                            .any(|(k, v)| k == "verb" && v == "negotiate")
-                })
-                .map(|s| {
-                    let le = s
-                        .labels
-                        .iter()
-                        .find(|(k, _)| k == "le")
-                        .map(|(_, v)| {
-                            if v == "+Inf" {
-                                f64::INFINITY
-                            } else {
-                                v.parse().unwrap_or(f64::INFINITY)
-                            }
-                        })
-                        .unwrap_or(f64::INFINITY);
-                    (le, s.value as u64)
-                })
-                .collect();
-            let (Some(p50), Some(p99)) = (
-                expo::quantile_from_buckets(&buckets, 0.50),
-                expo::quantile_from_buckets(&buckets, 0.99),
-            ) else {
-                continue;
-            };
-            stages_us.push((stage.to_string(), p50 / 1_000.0, p99 / 1_000.0));
-        }
-        ServerMetrics {
-            overloaded,
-            requests_total,
-            stages_us,
-        }
-    }
-}
-
-/// What one run measured. Serializes to the `BENCH_service.json` schema.
+/// What one run measured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadgenReport {
     /// Client threads used.
@@ -209,174 +134,11 @@ pub struct LoadgenReport {
     /// Worst per-bucket calibration residual in milli-units (observed −
     /// quoted, ×1000; negative = overconfident).
     pub worst_residual_milli: i64,
-    /// Server-side numbers from the end-of-run `/metrics` scrape, when
-    /// [`LoadgenConfig::metrics_addr`] was set and the scrape succeeded.
-    pub server: Option<ServerMetrics>,
-    /// Reference throughput (tracing off) this run is compared against.
-    pub baseline_rps: Option<f64>,
-    /// Shard-scaling sweep rows (`--shards` mode): one per engine shard
-    /// count tried, in sweep order. Empty for a plain single-daemon run.
-    pub shard_scaling: Vec<ShardScalingRow>,
-}
-
-/// One measured point of a shard-scaling sweep: the same workload thrown
-/// at a fresh in-process daemon running with `shards` engine shards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardScalingRow {
-    /// Engine shards the daemon ran with.
-    pub shards: u32,
-    /// Terminal negotiate outcomes per wall second.
-    pub throughput_rps: f64,
-    /// 99th percentile quote latency, microseconds.
-    pub p99_latency_us: u64,
-    /// Throughput relative to the sweep's first (baseline) point.
-    pub speedup: f64,
 }
 
 impl LoadgenReport {
-    /// Renders the report as the `BENCH_service.json` document.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"service\",\n",
-                "  \"threads\": {},\n",
-                "  \"requests\": {},\n",
-                "  \"quoted\": {},\n",
-                "  \"rejected\": {},\n",
-                "  \"accepted\": {},\n",
-                "  \"expired\": {},\n",
-                "  \"cancelled\": {},\n",
-                "  \"retried\": {},\n",
-                "  \"errors\": {},\n",
-                "  \"elapsed_secs\": {:.6},\n",
-                "  \"throughput_rps\": {:.1},\n",
-                "  \"quote_latency_us\": {{ \"p50\": {}, \"p90\": {}, \"p99\": {} }},\n",
-                "  \"parity_checked\": {},\n",
-                "  \"parity_violations\": {},\n",
-                "  \"parity_sample\": {},\n",
-                "  \"promises\": {{ \"made\": {}, \"kept\": {}, \"broken\": {}, \"worst_residual_milli\": {} }},\n",
-                "  \"server\": {},\n",
-                "  \"tracing_overhead\": {},\n",
-                "  \"shard_scaling\": {}\n",
-                "}}\n"
-            ),
-            self.threads,
-            self.requests,
-            self.quoted,
-            self.rejected,
-            self.accepted,
-            self.expired,
-            self.cancelled,
-            self.retried,
-            self.errors,
-            self.elapsed_secs,
-            self.throughput_rps,
-            self.p50_latency_us,
-            self.p90_latency_us,
-            self.p99_latency_us,
-            self.parity_checked,
-            self.parity_violations,
-            self.parity_sample,
-            self.promises_made,
-            self.promises_kept,
-            self.promises_broken,
-            self.worst_residual_milli,
-            self.server_json(),
-            self.overhead_json(),
-            self.shard_scaling_json(),
-        )
-    }
-
-    fn shard_scaling_json(&self) -> String {
-        if self.shard_scaling.is_empty() {
-            return String::from("null");
-        }
-        let rows: Vec<String> = self
-            .shard_scaling
-            .iter()
-            .map(|row| {
-                format!(
-                    "{{ \"shards\": {}, \"throughput_rps\": {:.1}, \"p99_latency_us\": {}, \"speedup\": {:.2} }}",
-                    row.shards, row.throughput_rps, row.p99_latency_us, row.speedup,
-                )
-            })
-            .collect();
-        format!("[ {} ]", rows.join(", "))
-    }
-
-    fn server_json(&self) -> String {
-        let Some(server) = &self.server else {
-            return String::from("null");
-        };
-        let stages: Vec<String> = server
-            .stages_us
-            .iter()
-            .map(|(stage, p50, p99)| {
-                format!("\"{stage}\": {{ \"p50\": {p50:.1}, \"p99\": {p99:.1} }}")
-            })
-            .collect();
-        format!(
-            "{{ \"overloaded\": {}, \"requests_total\": {}, \"stages_us\": {{ {} }} }}",
-            server.overloaded,
-            server.requests_total,
-            stages.join(", "),
-        )
-    }
-
-    fn overhead_json(&self) -> String {
-        let Some(baseline) = self.baseline_rps else {
-            return String::from("null");
-        };
-        let overhead_pct = if baseline > 0.0 {
-            (baseline - self.throughput_rps) / baseline * 100.0
-        } else {
-            0.0
-        };
-        format!(
-            "{{ \"baseline_rps\": {:.1}, \"traced_rps\": {:.1}, \"overhead_pct\": {:.2} }}",
-            baseline, self.throughput_rps, overhead_pct,
-        )
-    }
-
-    /// One-line human summary for the terminal (two lines when the
-    /// server-side scrape is present).
+    /// The one-line human summary for the terminal.
     pub fn render(&self) -> String {
-        let mut out = self.render_client();
-        if !self.shard_scaling.is_empty() {
-            let rows: Vec<String> = self
-                .shard_scaling
-                .iter()
-                .map(|row| {
-                    format!(
-                        "{} shard{}: {:.0} req/s p99 {}us ({:.2}x)",
-                        row.shards,
-                        if row.shards == 1 { "" } else { "s" },
-                        row.throughput_rps,
-                        row.p99_latency_us,
-                        row.speedup,
-                    )
-                })
-                .collect();
-            out.push_str(&format!("\nshard scaling: {}", rows.join(" | ")));
-        }
-        if let Some(server) = &self.server {
-            let stages: Vec<String> = server
-                .stages_us
-                .iter()
-                .map(|(stage, p50, p99)| format!("{stage} {p50:.0}/{p99:.0}us"))
-                .collect();
-            out.push_str(&format!(
-                "\nserver: {} requests, {} overloaded | stage p50/p99: {}",
-                server.requests_total,
-                server.overloaded,
-                stages.join(" "),
-            ));
-        }
-        out
-    }
-
-    fn render_client(&self) -> String {
         format!(
             "{} requests in {:.2}s = {:.0} req/s | quote latency p50 {}us p90 {}us p99 {}us | \
              quoted {} rejected {} accepted {} expired {} cancelled {} retried {} | \
@@ -497,13 +259,13 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
         )?,
         None => TraceRecorder::disabled(),
     };
-    let per_thread = config.requests.div_ceil(threads as u64);
     let started = Instant::now();
     let stats: Vec<WorkerStats> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|tid| {
                 let trace = trace.clone();
-                scope.spawn(move || worker(config, tid, per_thread, cluster_size, &trace))
+                let quota = worker_quota(config.requests, threads, tid);
+                scope.spawn(move || worker(config, tid, quota, cluster_size, &trace))
             })
             .collect();
         workers
@@ -546,13 +308,6 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     let (parity_checked, parity_violations) = final_body
         .as_ref()
         .map_or((0, 0), |b| (b.parity_checked, b.parity_violations));
-    // Scrape while the daemon is still up; a failed scrape degrades to a
-    // report without server-side numbers, not a failed run.
-    let server = config.metrics_addr.as_deref().and_then(|addr| {
-        scrape::scrape_metrics(addr, config.connect_timeout)
-            .ok()
-            .map(|samples| ServerMetrics::from_samples(&samples))
-    });
     if config.shutdown {
         control_roundtrip(
             &config.addr,
@@ -584,10 +339,15 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
         promises_kept: final_body.as_ref().map_or(0, |b| b.promises_kept),
         promises_broken: final_body.as_ref().map_or(0, |b| b.promises_broken),
         worst_residual_milli: final_body.as_ref().map_or(0, |b| b.worst_residual_milli),
-        server,
-        baseline_rps: config.baseline_rps,
-        shard_scaling: Vec::new(),
     })
+}
+
+/// Worker `tid`'s share of `requests` split over `threads` workers: the
+/// first `requests % threads` workers take one more, so the shares sum to
+/// `requests` exactly.
+fn worker_quota(requests: u64, threads: usize, tid: usize) -> u64 {
+    let threads = threads as u64;
+    requests / threads + u64::from((tid as u64) < requests % threads)
 }
 
 /// What we are waiting on for an in-flight request id.
@@ -745,4 +505,23 @@ fn worker(
         }
     }
     stats
+}
+
+#[cfg(test)]
+mod tests {
+    use super::worker_quota;
+
+    #[test]
+    fn worker_quotas_sum_to_the_requested_total() {
+        assert_eq!(
+            (0..4).map(|t| worker_quota(10, 4, t)).collect::<Vec<_>>(),
+            [3, 3, 2, 2]
+        );
+        for (requests, threads) in [(0, 3), (1, 3), (600, 3), (601, 3), (7, 1), (5, 8)] {
+            let total: u64 = (0..threads)
+                .map(|t| worker_quota(requests, threads, t))
+                .sum();
+            assert_eq!(total, requests, "{requests} over {threads}");
+        }
+    }
 }

@@ -36,7 +36,7 @@ const CLIENT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Serves `/metrics` until the engine starts draining. Returns the
 /// thread handle; join it after the engine exits.
-pub fn spawn(
+pub(crate) fn spawn(
     listener: TcpListener,
     telemetry: Telemetry,
     engine: EngineMonitor,

@@ -58,7 +58,7 @@ wire_enum! {
 
 impl ErrorCode {
     /// Whether the client may usefully retry the same request.
-    pub fn is_retryable(self) -> bool {
+    pub(crate) fn is_retryable(self) -> bool {
         matches!(self, ErrorCode::Overloaded | ErrorCode::Timeout)
     }
 }

@@ -51,7 +51,7 @@ impl TraceRecorder {
     }
 
     /// Opens `path` for writing and emits the meta header line.
-    pub fn to_path(path: impl AsRef<Path>, meta: &TraceMeta) -> io::Result<Self> {
+    pub(crate) fn to_path(path: impl AsRef<Path>, meta: &TraceMeta) -> io::Result<Self> {
         let file = std::fs::File::create(path)?;
         Self::to_writer(BufWriter::new(file), meta)
     }
@@ -73,13 +73,13 @@ impl TraceRecorder {
     }
 
     /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
     /// Appends one answered request. A no-op when disabled; write failures
     /// are counted, never propagated — recording must not disturb serving.
-    pub fn record(
+    pub(crate) fn record(
         &self,
         epoch: u64,
         tick_secs: u64,
@@ -117,7 +117,7 @@ impl TraceRecorder {
     }
 
     /// Flushes the underlying writer.
-    pub fn flush(&self) {
+    pub(crate) fn flush(&self) {
         if let Some(inner) = &self.inner {
             let mut state = inner.lock().expect("trace recorder lock");
             if state.out.flush().is_err() {
@@ -127,14 +127,16 @@ impl TraceRecorder {
     }
 
     /// Entries durably handed to the writer so far.
-    pub fn entries_recorded(&self) -> u64 {
+    #[cfg(test)]
+    fn entries_recorded(&self) -> u64 {
         self.inner
             .as_ref()
             .map_or(0, |i| i.lock().expect("trace recorder lock").entries)
     }
 
     /// Entries lost to writer I/O errors.
-    pub fn write_errors(&self) -> u64 {
+    #[cfg(test)]
+    fn write_errors(&self) -> u64 {
         self.inner
             .as_ref()
             .map_or(0, |i| i.lock().expect("trace recorder lock").write_errors)

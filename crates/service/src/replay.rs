@@ -3,7 +3,7 @@
 //! [`replay`] feeds a trace captured by the daemon's `--record` flag back
 //! through the *real* engine code — [`build_core`] constructs the core
 //! from the trace header exactly as `pqos-qosd` constructed it from its
-//! flags, and [`EngineCore::tick`](crate::tick::EngineCore::tick) runs
+//! flags, and `EngineCore::tick` runs
 //! each recorded epoch exactly as the engine thread ran it — with no
 //! sockets and no wall clock. Virtual time comes from the recorded
 //! per-epoch ticks, batching from the recorded epoch grouping, and job

@@ -1,8 +1,7 @@
 //! Minimal HTTP client for the daemon's `/metrics` endpoint.
 //!
-//! `pqos-top` and `pqos-loadgen` both need to pull the exposition text
-//! over a plain TCP socket without an HTTP library; this module is that
-//! one shared GET. It speaks just enough HTTP/1.0 for the
+//! `pqos-top` pulls the exposition text over a plain TCP socket without
+//! an HTTP library; this module is that GET. It speaks just enough HTTP/1.0 for the
 //! [`metrics_http`](crate::metrics_http) server (and any real exporter
 //! endpoint): send a request line + `Connection: close`, read to EOF,
 //! split on the blank line, check the status code.

@@ -4,7 +4,7 @@
 //! An [`EngineCore`] is everything deterministic about the engine — the
 //! (possibly sharded) admission core, the SLO accumulator and evaluator,
 //! the quote fan-out width and the job-id counter — with no socket and no
-//! clock. [`EngineCore::tick`] executes one batch epoch at a virtual time
+//! clock. `EngineCore::tick` executes one batch epoch at a virtual time
 //! the caller names; [`build_core`] maps a [`TraceMeta`] header to the
 //! core it describes. `pqos-qosd` builds the header from its flags and
 //! the core from the header, replay reads the header back from the trace,
@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 /// The predictor type [`build_core`] erases to: which one a daemon runs
 /// is a header field, not a type parameter.
-pub type BoxedPredictor = Box<dyn Predictor + Send + Sync>;
+pub(crate) type BoxedPredictor = Box<dyn Predictor + Send + Sync>;
 
 /// Seed of every synthetic failure trace a built core predicts from:
 /// shard `k` draws from `PREDICTOR_SEED ^ k` over its own span, the
@@ -45,7 +45,7 @@ pub type BoxedPredictor = Box<dyn Predictor + Send + Sync>;
 const PREDICTOR_SEED: u64 = 0xD5_2005;
 
 /// What a tick tells its caller about one item, at the moment it happens.
-pub enum TickEvent<'a, P> {
+pub(crate) enum TickEvent<'a, P> {
     /// The item is a `negotiate` and has joined the tick's quote batch;
     /// quoting has not run yet.
     Batched,
@@ -92,24 +92,24 @@ impl<P: Predictor + Sync> From<ShardedCore<P>> for EngineCore<P> {
 impl<P: Predictor + Sync> EngineCore<P> {
     /// Sets the fan-out width for batched quoting (quotes do not depend
     /// on it, only speed does).
-    pub fn batch_threads(mut self, threads: usize) -> Self {
+    pub(crate) fn batch_threads(mut self, threads: usize) -> Self {
         self.batch_threads = threads.max(1);
         self
     }
 
     /// Applies the parity re-check cadence to every shard.
-    pub fn parity_sample(mut self, every: u64) -> Self {
+    pub(crate) fn parity_sample(mut self, every: u64) -> Self {
         self.core = self.core.parity_sample(every);
         self
     }
 
     /// The admission core, for status, gauges and flushing.
-    pub fn core(&self) -> &ShardedCore<P> {
+    pub(crate) fn core(&self) -> &ShardedCore<P> {
         &self.core
     }
 
     /// The SLO evaluator, when the core was built with rules.
-    pub fn slo(&self) -> Option<&SloEngine> {
+    pub(crate) fn slo(&self) -> Option<&SloEngine> {
         self.slo.as_ref().map(|(_, engine)| engine)
     }
 
@@ -131,7 +131,7 @@ impl<P: Predictor + Sync> EngineCore<P> {
     /// each answer is produced, so pass-1 quotes reach their clients
     /// before pass-2 work runs. Returns the index of the served
     /// `shutdown`, if any.
-    pub fn tick(
+    pub(crate) fn tick(
         &mut self,
         now_secs: u64,
         items: &[(Request, Option<u64>)],

@@ -241,6 +241,27 @@ fn sweep_driver_is_thread_count_invariant() {
     }
 }
 
+/// Bad input from outside the program is a usage error (exit 2), never a
+/// panic (exit 101) or a silently all-zero table: zero worker threads,
+/// zero jobs, and a flag `experiments` does not have.
+#[test]
+fn experiments_refuses_bad_flags_with_a_usage_error() {
+    for args in [
+        &["--threads", "0", "fig1"][..],
+        &["--jobs", "0", "table1"],
+        &["--bench-sched"],
+    ] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .expect("run experiments");
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {output:?}");
+        assert!(output.stdout.is_empty(), "{args:?} printed a table");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn perfect_system_keeps_every_promise() {
     // a = 1, U = 1: users only accept certainty; the system must deliver

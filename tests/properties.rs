@@ -1656,6 +1656,103 @@ fn negotiation_postconditions() {
     }
 }
 
+/// Four books, one answer: a backlog built by negotiating and committing
+/// jobs one at a time on the timeline [`ReservationBook`], mirrored into
+/// the [`NaiveReservationBook`] specification and a
+/// [`CachedReservationBook`](pqos_sched::cache::CachedReservationBook),
+/// must give identical `negotiate` outcomes for every probe job on the
+/// naive book, the timeline book, the cache with a cold memo and the same
+/// cache again — and that warm pass must be served from the memo.
+#[test]
+fn negotiated_backlog_gives_one_outcome_on_every_book() {
+    use pqos_cluster::topology::Topology;
+    use pqos_core::negotiate::{negotiate, NegotiationOutcome, NegotiationRequest};
+    use pqos_predict::api::NullPredictor;
+    use pqos_sched::cache::CachedReservationBook;
+    use pqos_sched::place::PlacementStrategy;
+
+    const NODES: u32 = 16;
+    fn probe<B: AvailabilityView>(
+        book: &B,
+        (size, secs): (u32, u64),
+    ) -> Option<NegotiationOutcome> {
+        negotiate(
+            book,
+            Topology::Flat,
+            PlacementStrategy::MinFailureProbability,
+            &NullPredictor,
+            NegotiationRequest {
+                size,
+                duration: SimDuration::from_secs(secs),
+                now: SimTime::ZERO,
+                down: &[],
+                recovery_horizon: SimTime::ZERO,
+                pre_start_risk: SimDuration::from_secs(120),
+            },
+            &UserStrategy::AlwaysEarliest,
+            4,
+            4,
+        )
+    }
+    // Power-of-two sizes skewed small, clamped to the cluster.
+    let jobs = cases("negotiated-backlog", 40 + 3, |rng| {
+        let size = (1u32 << rng.uniform_u64(0, 5)).min(NODES);
+        (size, rng.uniform_u64(600, 36_000))
+    });
+    let (backlog, probes) = jobs.split_at(40);
+
+    let mut timeline = ReservationBook::new(NODES);
+    for (i, &job) in backlog.iter().enumerate() {
+        let outcome = probe(&timeline, job).expect("a backlog job fits the cluster");
+        let window = TimeWindow::new(outcome.accepted.start, outcome.accepted.deadline);
+        timeline
+            .add(JobId::new(i as u64), outcome.accepted.partition, window)
+            .expect("an accepted quote is addable");
+    }
+    let mut naive = NaiveReservationBook::new(NODES);
+    let mut cached = CachedReservationBook::new(NODES);
+    for (_, r) in timeline.iter() {
+        naive
+            .add(r.job, r.partition.clone(), r.interval)
+            .expect("mirrored reservation is addable");
+        cached
+            .add(r.job, r.partition.clone(), r.interval)
+            .expect("mirrored reservation is addable");
+    }
+    assert_eq!(timeline.len(), backlog.len(), "every backlog job landed");
+    assert_eq!(naive.len(), timeline.len());
+    assert!(!timeline.change_points(SimTime::ZERO).is_empty());
+
+    fn pass<B: AvailabilityView>(book: &B, jobs: &[(u32, u64)]) -> Vec<Option<NegotiationOutcome>> {
+        jobs.iter().map(|&job| probe(book, job)).collect()
+    }
+    let want = pass(&naive, probes);
+    assert_eq!(
+        pass(&timeline, probes),
+        want,
+        "timeline book vs the naive spec"
+    );
+    assert_eq!(
+        pass(&cached, probes),
+        want,
+        "cold quote cache vs the naive spec"
+    );
+    let cold = cached.stats();
+    assert_eq!(
+        pass(&cached, probes),
+        want,
+        "warm quote cache vs the naive spec"
+    );
+    let warm = cached.stats();
+    assert!(
+        warm.hits > cold.hits,
+        "the warm pass must hit the memo: {warm:?}"
+    );
+    // The cache walks the book's own timeline: there is no profile to
+    // rebuild.
+    assert_eq!(warm.profile_rebuilds, 0);
+}
+
 /// The calibration ledger tiles exactly over randomized journals: every
 /// accepted quote lands in exactly one fixed bin, bin counts match an
 /// independent recount through [`promise_bin`], the exact-p groups
