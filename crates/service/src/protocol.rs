@@ -735,6 +735,228 @@ mod tests {
         assert_eq!(ErrorCode::parse(""), None);
     }
 
+    /// JSON's string escapes, one `char` at a time: the reference the
+    /// writer's run-copying escaper is compared against.
+    fn reference_quoted(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+                c => out.push(c),
+            }
+        }
+        out + "\""
+    }
+
+    /// A response's line written with `format!`: integers by `to_string`,
+    /// floats by `{v:?}` (`null` if not finite), strings by
+    /// [`reference_quoted`].
+    fn reference_line(response: &Response) -> String {
+        let float = |v: f64| {
+            if v.is_finite() {
+                format!("{v:?}")
+            } else {
+                "null".to_string()
+            }
+        };
+        match response {
+            Response::Quote {
+                id,
+                job,
+                start_secs,
+                promised_secs,
+                deadline_secs,
+                success_probability,
+                satisfied_threshold,
+            } => format!(
+                "{{\"id\":{id},\"ok\":true,\"job\":{job},\"start_secs\":{start_secs},\"promised_secs\":{promised_secs},\"deadline_secs\":{deadline_secs},\"success_probability\":{},\"satisfied_threshold\":{satisfied_threshold}}}",
+                float(*success_probability)
+            ),
+            Response::Ok { id } => format!("{{\"id\":{id},\"ok\":true}}"),
+            Response::Status { id, body } => {
+                let counts = [
+                    ("now_secs", body.now_secs),
+                    ("cluster_size", u64::from(body.cluster_size)),
+                    ("occupied_nodes", u64::from(body.occupied_nodes)),
+                    ("reservations", body.reservations),
+                    ("quoted", body.quoted),
+                    ("rejected", body.rejected),
+                    ("accepted", body.accepted),
+                    ("expired", body.expired),
+                    ("cancelled", body.cancelled),
+                    ("started", body.started),
+                    ("completed", body.completed),
+                    ("parity_checked", body.parity_checked),
+                    ("parity_violations", body.parity_violations),
+                    ("queue_depth", body.queue_depth),
+                    ("uptime_secs", body.uptime_secs),
+                    ("live_jobs", body.live_jobs),
+                    ("overloaded", body.overloaded),
+                    ("journal_events_written", body.journal_events_written),
+                    ("journal_ring_dropped", body.journal_ring_dropped),
+                    ("journal_write_errors", body.journal_write_errors),
+                    ("parity_sample", body.parity_sample),
+                    ("promises_made", body.promises_made),
+                    ("promises_kept", body.promises_kept),
+                    ("promises_broken", body.promises_broken),
+                    ("promises_cancelled", body.promises_cancelled),
+                ];
+                let mut line = format!("{{\"id\":{id},\"ok\":true");
+                for (key, v) in counts {
+                    line += &format!(",\"{key}\":");
+                    line += &v.to_string();
+                }
+                line += ",\"worst_residual_milli\":";
+                line += &body.worst_residual_milli.to_string();
+                line += ",\"shards\":";
+                line += &body.shards.to_string();
+                let lanes: Vec<String> = body.shard_queue.iter().map(u64::to_string).collect();
+                line + ",\"shard_queue\":[" + &lanes.join(",") + "]}"
+            }
+            Response::Dump { id, trace } => {
+                format!("{{\"id\":{id},\"ok\":true,\"trace\":{}}}", reference_quoted(trace))
+            }
+            Response::History { id, history } => format!(
+                "{{\"id\":{id},\"ok\":true,\"history\":{}}}",
+                reference_quoted(history)
+            ),
+            Response::Error { id, code, detail } => format!(
+                "{{\"id\":{id},\"ok\":false,\"error\":\"{}\",\"detail\":{}}}",
+                code.as_str(),
+                reference_quoted(detail)
+            ),
+        }
+    }
+
+    /// Every response variant's encoding against [`reference_line`], over
+    /// seeded values: integers at the decimal writer's chunk edges and of
+    /// every magnitude, floats at the float writer's edges and of any bit
+    /// pattern, strings that need every escape.
+    #[test]
+    fn responses_encode_as_the_format_reference_does() {
+        use pqos_sim_core::rng::DetRng;
+        const INTS: [u64; 10] = [
+            0,
+            9,
+            10,
+            99,
+            100,
+            9_999,
+            10_000,
+            1 << 53,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        const FLOATS: [f64; 12] = [
+            0.0,
+            -0.0,
+            1.0,
+            0.93,
+            1e-5,
+            9_007_199_254_740_991.0,
+            9_007_199_254_740_992.0,
+            1e15,
+            1e16,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        const TEXTS: [&str; 5] = [
+            "",
+            "quote expired; negotiate again",
+            "tab\there \"quoted\" \\ \u{1}\r\n",
+            "{\"traceEvents\":[{\"name\":\"é\\n\"}]}\n",
+            "\u{1f}\u{7f}✓",
+        ];
+        let mut rng = DetRng::seed_from(0x7265_7370);
+        let int = |rng: &mut DetRng| {
+            if rng.chance(0.5) {
+                INTS[rng.uniform_u64(0, INTS.len() as u64 - 1) as usize]
+            } else {
+                rng.next_u64() >> rng.uniform_u64(0, 63)
+            }
+        };
+        let text = |rng: &mut DetRng| TEXTS[rng.uniform_u64(0, TEXTS.len() as u64 - 1) as usize];
+        let mut appended = String::new();
+        let mut want_all = String::new();
+        for round in 0..2_000 {
+            let id = int(&mut rng);
+            let response = match round % 6 {
+                0 => Response::Quote {
+                    id,
+                    job: int(&mut rng),
+                    start_secs: int(&mut rng),
+                    promised_secs: int(&mut rng),
+                    deadline_secs: int(&mut rng),
+                    success_probability: if rng.chance(0.5) {
+                        FLOATS[rng.uniform_u64(0, FLOATS.len() as u64 - 1) as usize]
+                    } else {
+                        f64::from_bits(rng.next_u64())
+                    },
+                    satisfied_threshold: rng.chance(0.5),
+                },
+                1 => Response::Ok { id },
+                2 => Response::Status {
+                    id,
+                    body: StatusBody {
+                        now_secs: int(&mut rng),
+                        cluster_size: int(&mut rng) as u32,
+                        occupied_nodes: int(&mut rng) as u32,
+                        reservations: int(&mut rng),
+                        quoted: int(&mut rng),
+                        rejected: int(&mut rng),
+                        accepted: int(&mut rng),
+                        expired: int(&mut rng),
+                        cancelled: int(&mut rng),
+                        started: int(&mut rng),
+                        completed: int(&mut rng),
+                        parity_checked: int(&mut rng),
+                        parity_violations: int(&mut rng),
+                        parity_sample: int(&mut rng),
+                        promises_made: int(&mut rng),
+                        promises_kept: int(&mut rng),
+                        promises_broken: int(&mut rng),
+                        promises_cancelled: int(&mut rng),
+                        worst_residual_milli: int(&mut rng) as i64,
+                        queue_depth: int(&mut rng),
+                        uptime_secs: int(&mut rng),
+                        live_jobs: int(&mut rng),
+                        overloaded: int(&mut rng),
+                        journal_events_written: int(&mut rng),
+                        journal_ring_dropped: int(&mut rng),
+                        journal_write_errors: int(&mut rng),
+                        shards: int(&mut rng),
+                        shard_queue: (0..rng.uniform_u64(0, 6)).map(|_| int(&mut rng)).collect(),
+                    },
+                },
+                3 => Response::Dump {
+                    id,
+                    trace: text(&mut rng).into(),
+                },
+                4 => Response::History {
+                    id,
+                    history: text(&mut rng).into(),
+                },
+                _ => Response::Error {
+                    id,
+                    code: ErrorCode::ALL
+                        [rng.uniform_u64(0, ErrorCode::ALL.len() as u64 - 1) as usize],
+                    detail: text(&mut rng).into(),
+                },
+            };
+            let want = reference_line(&response);
+            assert_eq!(response.encode(), want, "round {round}: {response:?}");
+            response.encode_into(&mut appended);
+            want_all += &want;
+        }
+        assert_eq!(appended, want_all, "appending leaves earlier lines alone");
+    }
+
     /// One of every request and response shape (two where a field can be
     /// empty or needs escaping).
     fn golden_shapes() -> (Vec<Request>, Vec<Response>) {

@@ -154,10 +154,14 @@ impl SharedBuf {
         SharedBuf::default()
     }
 
-    /// The bytes written so far, as UTF-8 text.
+    /// Takes the bytes written since the last take, as UTF-8 text, and
+    /// leaves the buffer empty: the bytes move out, nothing is copied, and
+    /// a second take returns only what was written after the first.
     pub fn take_string(&self) -> String {
-        String::from_utf8(self.0.lock().expect("shared buffer lock").clone())
-            .expect("recorded text is UTF-8")
+        String::from_utf8(std::mem::take(
+            &mut *self.0.lock().expect("shared buffer lock"),
+        ))
+        .expect("recorded text is UTF-8")
     }
 }
 
@@ -210,6 +214,7 @@ mod tests {
         );
         rec.flush();
         let trace = RequestTrace::parse(&buf.take_string()).expect("valid trace");
+        assert_eq!(buf.take_string(), "", "a take empties the buffer");
         assert_eq!(trace.meta, meta());
         assert_eq!(trace.entries.len(), 2);
         assert_eq!(trace.entries[0].verb, "negotiate");

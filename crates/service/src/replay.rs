@@ -289,7 +289,7 @@ pub fn replay_with(
 /// The journal a run's per-plane buffers add up to. One plane: its buffer
 /// IS the journal. Sharded: the planes merged exactly as qosd merges its
 /// per-plane files, so the result is byte-comparable against the daemon's
-/// merged journal.
+/// merged journal. The planes' bytes are taken, not copied.
 fn merged_journal(planes: &[SharedBuf]) -> String {
     let texts: Vec<String> = planes.iter().map(SharedBuf::take_string).collect();
     if texts.len() == 1 {

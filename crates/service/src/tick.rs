@@ -537,6 +537,8 @@ mod tests {
                 slo_window_secs: 60,
                 ..TraceMeta::qosd(16)
             });
+            // Alerts journaled per plane since the last call (a take
+            // empties the buffer).
             let alerts = |core: &EngineCore<BoxedPredictor>| -> Vec<usize> {
                 core.core().flush();
                 planes

@@ -27,6 +27,10 @@
 //! line's key — its `"at"` and whether its `"event"` is a releasing kind —
 //! is read once, when the line becomes its journal's head; picking the
 //! next line compares the cached keys of the heads and touches no text.
+//! Every line the encoder writes starts `{"event":"TAG","at":`, so the key
+//! is read off that prefix; only a line of another shape is searched for
+//! its first `"at":` and `"event":"`, which gives the same key wherever
+//! both apply.
 
 use crate::event::EventKind;
 
@@ -41,19 +45,39 @@ const RELEASING: [&str; 4] = [
     EventKind::JobCancelled.name(),
 ];
 
-/// The digits after the line's first `"at":`, if they are a `u64`.
-fn parse_at(line: &str) -> Option<u64> {
-    let rest = &line[line.find("\"at\":")? + 5..];
-    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
-    rest[..digits].parse().ok()
+/// A line's merge key: its instant, if it has one, and whether it releases.
+type Key = (Option<u64>, bool);
+
+/// The key of a line in the encoder's own shape, `{"event":"TAG","at":N…`,
+/// read off that prefix: the tag is the text up to its closing quote, the
+/// instant the digits after it. `None` for any other line. Where it
+/// answers, the answer is [`searched_key`]'s: the tag holds no quote, so
+/// the prefix's `"event":"` and `"at":` are each the line's first.
+fn canonical_key(line: &str) -> Option<Key> {
+    let rest = line.strip_prefix("{\"event\":\"")?;
+    let end = rest.find('"')?;
+    let at = rest[end..].strip_prefix("\",\"at\":")?;
+    Some((parse_digits(at), RELEASING.contains(&&rest[..end])))
 }
 
-fn is_releasing(line: &str) -> bool {
-    line.find("\"event\":\"").is_some_and(|idx| {
+/// The key of any line: its first `"at":` and its first `"event":"`,
+/// wherever they are.
+fn searched_key(line: &str) -> Key {
+    let at = line
+        .find("\"at\":")
+        .and_then(|idx| parse_digits(&line[idx + 5..]));
+    let releasing = line.find("\"event\":\"").is_some_and(|idx| {
         let rest = &line[idx + 9..];
         rest.find('"')
             .is_some_and(|end| RELEASING.contains(&&rest[..end]))
-    })
+    });
+    (at, releasing)
+}
+
+/// The digits `text` starts with, if they are a `u64`.
+fn parse_digits(text: &str) -> Option<u64> {
+    let digits = text.bytes().take_while(u8::is_ascii_digit).count();
+    text[..digits].parse().ok()
 }
 
 /// One journal being merged: the lines not yet taken, and the head line
@@ -74,8 +98,8 @@ impl<'a> Cursor<'a> {
             .by_ref()
             .find(|line| !line.trim().is_empty())
             .map(|line| {
-                let class = if is_releasing(line) { 0 } else { 1 };
-                (parse_at(line).unwrap_or(last_at), class, line)
+                let (at, releasing) = canonical_key(line).unwrap_or_else(|| searched_key(line));
+                (at.unwrap_or(last_at), u8::from(!releasing), line)
             });
     }
 }
@@ -134,7 +158,9 @@ pub fn merge_journals_to_string(journals: &[&str]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{AlertState, TelemetryEvent};
     use pqos_sim_core::rng::DetRng;
+    use pqos_sim_core::time::SimTime;
 
     /// The merge as it was before keys were cached — every comparison
     /// re-reads both heads' text, with its own copies of the two key
@@ -215,7 +241,7 @@ mod tests {
         let a = "{\"event\":\"job_submitted\",\"at\":0,\"job\":1}\n{\"event\":\"job_started\",\"at\":10,\"job\":1}\n";
         let b = "{\"event\":\"job_submitted\",\"at\":5,\"job\":2}\n";
         let merged = merge_journals(&[a, b]);
-        let ats: Vec<u64> = merged.iter().map(|l| parse_at(l).unwrap()).collect();
+        let ats: Vec<u64> = merged.iter().map(|l| searched_key(l).0.unwrap()).collect();
         assert_eq!(ats, [0, 5, 10]);
     }
 
@@ -291,7 +317,22 @@ mod tests {
                 for _ in 0..rng.uniform_u64(0, max_lines) {
                     let kind = KINDS[rng.uniform_u64(0, KINDS.len() as u64 - 1) as usize];
                     let job = rng.uniform_u64(0, 99);
-                    match rng.uniform_u64(0, 11) {
+                    // A rule whose text names the merge's keys, and an
+                    // alert carrying it: what the encoder writes, escapes
+                    // and all.
+                    let rule = format!("r\"at\":{job},\"event\":\"job_completed\"");
+                    let alert = |at| {
+                        TelemetryEvent::SloAlert {
+                            at: SimTime::from_secs(at),
+                            rule: rule.clone(),
+                            state: AlertState::Fire,
+                            window_end_secs: at,
+                            value: 0.5,
+                            threshold: 0.25,
+                        }
+                        .to_jsonl()
+                    };
+                    match rng.uniform_u64(0, 18) {
                         // No "at" at all, an "at" that is not a number, and
                         // one that overflows u64: all inherit.
                         0 => body.push_str(&format!("{{\"event\":\"{kind}\",\"job\":{job}}}\n")),
@@ -302,6 +343,36 @@ mod tests {
                         3 => body.push_str("not json at all\n"),
                         4 => body.push('\n'),
                         5 => body.push_str(" \t \n"),
+                        // Keys out of order: searched, not read off a prefix.
+                        6 => body.push_str(&format!(
+                            "{{\"at\":{at},\"event\":\"{kind}\",\"job\":{job}}}\n"
+                        )),
+                        7 => body.push_str(&format!(
+                            "{{\"job\":{job},\"event\":\"{kind}\",\"at\":{at}}}\n"
+                        )),
+                        // Ten bytes in, a quote then `,"at":`, as in an
+                        // encoded line, though the line is not one.
+                        12 => body.push_str(&format!(
+                            "{{\"rule\":\"r\",\"at\":{at},\"event\":\"{kind}\",\"job\":{job}}}\n"
+                        )),
+                        // The alert as encoded (prefix first), and with its
+                        // rule moved in front of the keys.
+                        8 => body.push_str(&(alert(at) + "\n")),
+                        9 => {
+                            let line = alert(at);
+                            let fields = &line[1..line.len() - 1];
+                            let (prefix, tail) = fields.split_at(fields.find(",\"rule\"").unwrap());
+                            body.push_str(&format!("{{{},{prefix}}}\n", &tail[1..]));
+                        }
+                        // The rule unescaped, so its text is the first
+                        // `"at":` and `"event":"` a search finds.
+                        10 => body.push_str(&format!(
+                            "{{\"rule\":\"{rule}\",\"event\":\"slo_alert\",\"at\":{at}}}\n"
+                        )),
+                        // A canonical prefix in front of that text.
+                        11 => body.push_str(&format!(
+                            "{{\"event\":\"{kind}\",\"at\":{at},\"rule\":\"{rule}\"}}\n"
+                        )),
                         _ => {
                             at += rng.uniform_u64(0, 2) / 2;
                             body.push_str(&format!(
@@ -322,6 +393,7 @@ mod tests {
     #[test]
     fn merge_matches_the_oracle_on_seeded_planes() {
         let mut rng = DetRng::seed_from(0x6d65_7267);
+        let (mut read, mut searched) = (0, 0);
         for case in 0..400 {
             let journals = rng.uniform_u64(1, 6);
             let mut plane = seeded_plane(&mut rng, journals, 40);
@@ -331,6 +403,16 @@ mod tests {
                 plane[at].clear();
             }
             let refs: Vec<&str> = plane.iter().map(String::as_str).collect();
+            // Both ways of reading a key are exercised, and agree.
+            for line in refs.iter().flat_map(|body| body.lines()) {
+                match canonical_key(line) {
+                    Some(key) => {
+                        assert_eq!(key, searched_key(line), "case {case}: {line}");
+                        read += 1;
+                    }
+                    None => searched += 1,
+                }
+            }
             let want = oracle::merge_journals(&refs);
             let got = merge_journals(&refs);
             assert_eq!(got, want, "case {case}: {plane:?}");
@@ -345,6 +427,10 @@ mod tests {
                 assert_eq!(got, kept, "case {case}: one journal merges to itself");
             }
         }
+        assert!(
+            read > 1_000 && searched > 1_000,
+            "{read} read, {searched} searched"
+        );
     }
 
     #[test]
