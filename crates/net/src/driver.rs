@@ -4,16 +4,11 @@
 //! the loop sleeps in `epoll_wait` and only touches sockets the kernel
 //! reports ready. Everywhere else (and if epoll creation fails at
 //! runtime) a portable fallback takes over: it has no readiness source,
-//! so it reports *every* registered token as ready on a short cadence
-//! and relies on the sockets being nonblocking — correct, just not as
-//! efficient. The [`Waker`] is a pipe write guarded by a pending flag in
-//! epoll mode and a mutex/condvar flag in fallback mode: either way any
-//! number of wakes between two sleeps of the loop cost one, and surface as
-//! at least one wake-up after the last of them. Both are `Clone + Send`
-//! and safe to fire from any thread, including after the loop has exited.
+//! so it sleeps out the timeout, reports *every* registered token as
+//! ready and relies on the sockets being nonblocking — correct, just not
+//! as efficient.
 
 use std::io;
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -28,44 +23,11 @@ pub struct Ready {
     pub error: bool,
 }
 
-/// Wakes a blocked `Poll::wait` from another thread.
-#[derive(Clone)]
-pub struct Waker(WakerInner);
-
-#[derive(Clone)]
-enum WakerInner {
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    Pipe(sys::EpollWaker),
-    Flag(Arc<Flag>),
-}
-
-impl Waker {
-    pub fn wake(&self) {
-        match &self.0 {
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            WakerInner::Pipe(pipe) => pipe.wake(),
-            WakerInner::Flag(flag) => flag.raise(),
-        }
-    }
-}
-
-pub struct Flag {
-    raised: Mutex<bool>,
-    bell: Condvar,
-}
-
-impl Flag {
-    fn raise(&self) {
-        *self.raised.lock().unwrap() = true;
-        self.bell.notify_all();
-    }
-}
-
 pub enum Poll {
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     Epoll(sys::Epoll),
-    /// Portable fallback: token bookkeeping plus a condvar to sleep on.
-    Sleep { tokens: Vec<u64>, flag: Arc<Flag> },
+    /// Portable fallback: token bookkeeping and a plain sleep.
+    Sleep { tokens: Vec<u64> },
 }
 
 impl Poll {
@@ -81,13 +43,7 @@ impl Poll {
 
     /// The portable fallback driver.
     pub fn sleep() -> Poll {
-        Poll::Sleep {
-            tokens: Vec::new(),
-            flag: Arc::new(Flag {
-                raised: Mutex::new(false),
-                bell: Condvar::new(),
-            }),
-        }
+        Poll::Sleep { tokens: Vec::new() }
     }
 
     /// Whether the driver has a real readiness source. When false the
@@ -101,19 +57,11 @@ impl Poll {
         }
     }
 
-    pub fn waker(&self) -> Waker {
-        match self {
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Poll::Epoll(epoll) => Waker(WakerInner::Pipe(epoll.waker())),
-            Poll::Sleep { flag, .. } => Waker(WakerInner::Flag(Arc::clone(flag))),
-        }
-    }
-
     pub fn add(&mut self, fd: i32, token: u64, readable: bool, writable: bool) -> io::Result<()> {
         match self {
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
             Poll::Epoll(epoll) => epoll.add(fd, token, readable, writable),
-            Poll::Sleep { tokens, .. } => {
+            Poll::Sleep { tokens } => {
                 tokens.push(token);
                 Ok(())
             }
@@ -141,16 +89,16 @@ impl Poll {
                 let _ = token;
                 epoll.delete(fd);
             }
-            Poll::Sleep { tokens, .. } => {
+            Poll::Sleep { tokens } => {
                 let _ = fd;
                 tokens.retain(|&t| t != token);
             }
         }
     }
 
-    /// Sleeps until readiness, a wake, or `timeout`. Returns whether the
-    /// waker fired; readiness records land in `out`.
-    pub fn wait(&mut self, timeout: Duration, out: &mut Vec<Ready>) -> io::Result<bool> {
+    /// Sleeps until readiness or `timeout`; readiness records land in
+    /// `out`.
+    pub fn wait(&mut self, timeout: Duration, out: &mut Vec<Ready>) -> io::Result<()> {
         out.clear();
         match self {
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -167,14 +115,8 @@ impl Poll {
                     })
                 })
             }
-            Poll::Sleep { tokens, flag } => {
-                let mut raised = flag.raised.lock().unwrap();
-                if !*raised {
-                    let (guard, _) = flag.bell.wait_timeout(raised, timeout).unwrap();
-                    raised = guard;
-                }
-                let woke = std::mem::replace(&mut *raised, false);
-                drop(raised);
+            Poll::Sleep { tokens } => {
+                std::thread::sleep(timeout);
                 for &token in tokens.iter() {
                     out.push(Ready {
                         token,
@@ -183,7 +125,7 @@ impl Poll {
                         error: false,
                     });
                 }
-                Ok(woke)
+                Ok(())
             }
         }
     }

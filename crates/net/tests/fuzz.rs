@@ -34,7 +34,6 @@ fn spawn_server() -> (SocketAddr, thread::JoinHandle<()>) {
         max_line: 4096,
         high_water: 8 * 1024,
         hard_cap: 64 * 1024,
-        tick: Duration::from_millis(50),
     };
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let ev = EventLoop::bind(listener, cfg).unwrap();
@@ -172,16 +171,16 @@ fn fuzz_abrupt_closers_never_wedge_the_loop() {
 
 #[test]
 fn fuzz_slow_reader_is_backpressured_then_dropped() {
-    // Replies here are NOT driven by client reads: any connection that
-    // says "subscribe" gets a 4 KiB line pushed on every tick, the way
-    // engine completions arrive regardless of what the peer is doing.
-    // A subscriber that never reads must be dropped at the hard cap
-    // rather than buffered without bound.
+    // Replies here are NOT driven by the subscriber's own lines: any
+    // connection that says "subscribe" gets 4 KiB lines pushed whenever a
+    // second connection says "push", the way answers arrive regardless of
+    // what the peer is doing. (A paused reader sends no lines, so it could
+    // not drive the pushes itself.) A subscriber that never reads must be
+    // dropped at the hard cap rather than buffered without bound.
     let cfg = NetConfig {
         max_line: 4096,
         high_water: 8 * 1024,
         hard_cap: 64 * 1024,
-        tick: Duration::from_millis(20),
     };
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let ev = EventLoop::bind(listener, cfg).unwrap();
@@ -199,6 +198,16 @@ fn fuzz_slow_reader_is_backpressured_then_dropped() {
                     ctx.shutdown();
                 } else if line == b"subscribe" {
                     subscribers.push(token);
+                } else if line == b"push" {
+                    // Push hard: kernel socket buffers must fill before
+                    // backpressure shows, and they are megabytes deep.
+                    for &token in &subscribers {
+                        for _ in 0..16 {
+                            if ctx.send(token, &payload).is_none() {
+                                break;
+                            }
+                        }
+                    }
                 } else {
                     let mut reply = line.to_vec();
                     reply.push(b'\n');
@@ -206,17 +215,6 @@ fn fuzz_slow_reader_is_backpressured_then_dropped() {
                 }
             }
             NetEvent::Closed(token) => subscribers.retain(|&t| t != token),
-            NetEvent::Tick => {
-                // Push hard: kernel socket buffers must fill before
-                // backpressure shows, and they are megabytes deep.
-                for token in subscribers.clone() {
-                    for _ in 0..16 {
-                        if ctx.send(token, &payload).is_none() {
-                            break;
-                        }
-                    }
-                }
-            }
             _ => {}
         })
         .unwrap();
@@ -224,14 +222,16 @@ fn fuzz_slow_reader_is_backpressured_then_dropped() {
 
     let mut slow = TcpStream::connect(addr).unwrap();
     slow.write_all(b"subscribe\n").unwrap();
+    let mut pusher = TcpStream::connect(addr).unwrap();
     // Never read; the server's eventual close arrives as a reset (it
     // closed with data we refused to consume), surfacing as a write
     // error on these occasional pings.
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut dropped = false;
     while Instant::now() < deadline {
+        pusher.write_all(b"push\n").unwrap();
         match slow.write_all(b"ping\n") {
-            Ok(()) => thread::sleep(Duration::from_millis(50)),
+            Ok(()) => thread::sleep(Duration::from_millis(20)),
             Err(_) => {
                 dropped = true;
                 break;

@@ -263,7 +263,6 @@ where
         }
         NetEvent::Flushed(token, flushed_total) => writer.flushed(token, flushed_total),
         NetEvent::Closed(token) => writer.closed(token),
-        NetEvent::Opened(_) | NetEvent::Wake | NetEvent::Tick => {}
     });
     if !engine.is_draining() {
         // The loop failed under a live engine: drain it all the same, so
