@@ -17,10 +17,11 @@
 //!
 //! ```
 //! use pqos_cluster::machine::Cluster;
+//! use pqos_cluster::node::NodeId;
 //! use pqos_cluster::topology::Topology;
 //!
 //! let cluster = Cluster::new(128);
-//! let free = cluster.free_nodes();
+//! let free: Vec<NodeId> = (0..128).map(NodeId::new).filter(|&n| cluster.is_free(n)).collect();
 //! // Candidates are walked lazily, as windows borrowed from the free list;
 //! // a scheduler that takes the first one builds nothing for the rest.
 //! let mut candidates = Topology::Flat.candidates(&free, 32);

@@ -3,7 +3,6 @@
 
 use crate::node::{NodeId, NodeState};
 use crate::partition::Partition;
-use crate::topology::Topology;
 use pqos_sim_core::time::SimTime;
 use std::fmt;
 
@@ -49,52 +48,30 @@ impl std::error::Error for ClusterError {}
 /// let mut c = Cluster::new(4);
 /// let p = Partition::contiguous(0, 2);
 /// c.claim(&p)?;
-/// assert_eq!(c.free_nodes().len(), 2);
+/// assert!(!c.is_free(NodeId::new(1)) && c.is_free(NodeId::new(2)));
 /// c.release(&p)?;
 /// c.mark_down(NodeId::new(3), SimTime::from_secs(120));
-/// assert_eq!(c.free_nodes().len(), 3);
+/// assert!(c.is_free(NodeId::new(1)) && !c.is_free(NodeId::new(3)));
 /// # Ok::<(), pqos_cluster::machine::ClusterError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cluster {
     states: Vec<NodeState>,
     claimed: Vec<bool>,
-    topology: Topology,
 }
 
 impl Cluster {
-    /// Creates a cluster of `n` up, unclaimed nodes with the default
-    /// (flat) topology.
+    /// Creates a cluster of `n` up, unclaimed nodes.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn new(n: u32) -> Self {
-        Cluster::with_topology(n, Topology::default())
-    }
-
-    /// Creates a cluster with an explicit topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn with_topology(n: u32, topology: Topology) -> Self {
         assert!(n > 0, "cluster must have at least one node");
         Cluster {
             states: vec![NodeState::Up; n as usize],
             claimed: vec![false; n as usize],
-            topology,
         }
-    }
-
-    /// Total number of nodes, up or down.
-    pub fn size(&self) -> u32 {
-        self.states.len() as u32
-    }
-
-    /// The cluster's communication topology.
-    pub fn topology(&self) -> Topology {
-        self.topology
     }
 
     /// State of one node.
@@ -111,19 +88,6 @@ impl Cluster {
         node.index() < self.states.len()
             && self.states[node.index()].is_up()
             && !self.claimed[node.index()]
-    }
-
-    /// Sorted list of nodes that are up and unclaimed.
-    pub fn free_nodes(&self) -> Vec<NodeId> {
-        (0..self.size())
-            .map(NodeId::new)
-            .filter(|&n| self.is_free(n))
-            .collect()
-    }
-
-    /// Number of nodes currently up (claimed or not).
-    pub fn up_count(&self) -> u32 {
-        self.states.iter().filter(|s| s.is_up()).count() as u32
     }
 
     /// Marks every node of `partition` as claimed.
@@ -187,11 +151,6 @@ impl Cluster {
     pub fn mark_up(&mut self, node: NodeId) {
         self.states[node.index()] = NodeState::Up;
     }
-
-    /// Whether every node in `partition` is up (ignores claims).
-    pub fn all_up(&self, partition: &Partition) -> bool {
-        partition.iter().all(|n| self.states[n.index()].is_up())
-    }
 }
 
 #[cfg(test)]
@@ -201,9 +160,8 @@ mod tests {
     #[test]
     fn new_cluster_is_all_free() {
         let c = Cluster::new(8);
-        assert_eq!(c.size(), 8);
-        assert_eq!(c.free_nodes().len(), 8);
-        assert_eq!(c.up_count(), 8);
+        assert!((0..8).all(|i| c.is_free(NodeId::new(i))));
+        assert!(!c.is_free(NodeId::new(8)));
     }
 
     #[test]
@@ -243,7 +201,8 @@ mod tests {
         let mut c = Cluster::new(4);
         c.mark_down(NodeId::new(0), SimTime::from_secs(10));
         assert!(!c.is_free(NodeId::new(0)));
-        assert_eq!(c.up_count(), 3);
+        assert!(!c.state(NodeId::new(0)).is_up());
+        assert!(c.is_free(NodeId::new(1)));
         c.mark_up(NodeId::new(0));
         assert!(c.is_free(NodeId::new(0)));
     }
@@ -271,16 +230,6 @@ mod tests {
             Err(ClusterError::UnknownNode(NodeId::new(9)))
         );
         assert!(!c.is_free(NodeId::new(9)));
-    }
-
-    #[test]
-    fn all_up_ignores_claims() {
-        let mut c = Cluster::new(3);
-        let p = Partition::contiguous(0, 3);
-        c.claim(&p).unwrap();
-        assert!(c.all_up(&p));
-        c.mark_down(NodeId::new(1), SimTime::from_secs(1));
-        assert!(!c.all_up(&p));
     }
 
     #[test]

@@ -87,16 +87,6 @@ impl Topology {
         }
     }
 
-    /// Total number of nodes this topology describes, if it fixes one
-    /// (`None` for [`Topology::Flat`] and [`Topology::Line`], which adapt
-    /// to any cluster size).
-    pub fn machine_size(self) -> Option<u32> {
-        match self {
-            Topology::Flat | Topology::Line => None,
-            Topology::Torus3d { x, y, z } => Some(u32::from(x) * u32::from(y) * u32::from(z)),
-        }
-    }
-
     /// Walks the candidate node sets of `size` nodes drawn from the sorted
     /// free list, respecting the topology constraint, without building
     /// them: a caller that stops at the first acceptable candidate pays
@@ -339,8 +329,6 @@ mod tests {
         // Out-of-machine node index.
         let outside = Partition::new(ids(&[200])).unwrap();
         assert!(!t.is_valid_partition(&outside));
-        assert_eq!(t.machine_size(), Some(128));
-        assert_eq!(Topology::Flat.machine_size(), None);
     }
 
     #[test]

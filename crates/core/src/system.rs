@@ -286,7 +286,7 @@ impl QosSimulator {
         predictor: Arc<dyn Predictor + Send + Sync>,
     ) -> Self {
         let policy = config.checkpoint_policy.build();
-        let cluster = Cluster::with_topology(config.cluster_size, config.topology);
+        let cluster = Cluster::new(config.cluster_size);
         let book = ReservationBook::new(config.cluster_size);
         let n = config.cluster_size as usize;
         let stats = trace.stats();

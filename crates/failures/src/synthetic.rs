@@ -97,7 +97,8 @@ impl AixLikeTrace {
     /// # Panics
     ///
     /// Panics if `rate` is not positive.
-    pub fn failures_per_day(mut self, rate: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn failures_per_day(mut self, rate: f64) -> Self {
         assert!(rate > 0.0, "failure rate must be positive");
         self.failures_per_day = rate;
         self
@@ -108,7 +109,8 @@ impl AixLikeTrace {
     /// # Panics
     ///
     /// Panics if `fraction` is outside `[0, 1]` or `factor < 1`.
-    pub fn lemons(mut self, fraction: f64, factor: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn lemons(mut self, fraction: f64, factor: f64) -> Self {
         assert!((0.0..=1.0).contains(&fraction), "fraction outside [0,1]");
         assert!(factor >= 1.0, "lemon factor must be ≥ 1");
         self.lemon_fraction = fraction;
@@ -122,7 +124,8 @@ impl AixLikeTrace {
     /// # Panics
     ///
     /// Panics if `k` is not positive.
-    pub fn weibull_shape(mut self, k: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn weibull_shape(mut self, k: f64) -> Self {
         assert!(k > 0.0, "shape must be positive");
         self.weibull_shape = k;
         self
@@ -263,9 +266,13 @@ fn gamma_fn(x: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct RawLogBuilder {
     trace: AixLikeTrace,
-    precursor_probability: f64,
-    noise_per_day: f64,
 }
+
+/// Probability that a failure is preceded by warning events: the accuracy
+/// ceiling Sahoo et al. report.
+const PRECURSOR_PROBABILITY: f64 = 0.7;
+/// Rate of uncorrelated noise events.
+const NOISE_PER_DAY: f64 = 40.0;
 
 /// Output of [`RawLogBuilder::build`].
 #[derive(Debug, Clone)]
@@ -288,8 +295,6 @@ impl RawLogBuilder {
     pub fn new() -> Self {
         RawLogBuilder {
             trace: AixLikeTrace::new(),
-            precursor_probability: 0.7,
-            noise_per_day: 40.0,
         }
     }
 
@@ -302,28 +307,6 @@ impl RawLogBuilder {
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.trace = self.trace.seed(seed);
-        self
-    }
-
-    /// Sets the probability that a failure is preceded by warning events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn precursor_probability(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability outside [0,1]");
-        self.precursor_probability = p;
-        self
-    }
-
-    /// Sets the rate of uncorrelated noise events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is negative.
-    pub fn noise_per_day(mut self, rate: f64) -> Self {
-        assert!(rate >= 0.0, "noise rate must be non-negative");
-        self.noise_per_day = rate;
         self
     }
 
@@ -363,7 +346,7 @@ impl RawLogBuilder {
                 });
             }
             // Precursor warnings in the preceding minutes.
-            if rng.chance(self.precursor_probability) {
+            if rng.chance(PRECURSOR_PROBABILITY) {
                 for _ in 0..rng.uniform_u64(2, 5) {
                     let back = rng.uniform_u64(60, 1800);
                     events.push(RawEvent {
@@ -381,7 +364,7 @@ impl RawLogBuilder {
         }
         // Uncorrelated noise.
         let horizon = self.trace.days * 86_400.0;
-        let n_noise = (self.noise_per_day * self.trace.days) as u64;
+        let n_noise = (NOISE_PER_DAY * self.trace.days) as u64;
         for _ in 0..n_noise {
             events.push(RawEvent {
                 time: SimTime::from_secs(rng.uniform(0.0, horizon) as u64),

@@ -93,10 +93,11 @@ impl fmt::Display for TraceStats {
 ///     Failure { time: SimTime::from_secs(100), node: NodeId::new(0), detectability: 0.4 },
 ///     Failure { time: SimTime::from_secs(50), node: NodeId::new(1), detectability: 0.9 },
 /// ])?;
+/// assert_eq!(trace.failures()[0].time, SimTime::from_secs(50)); // time-ordered
 /// let w = TimeWindow::new(SimTime::from_secs(0), SimTime::from_secs(200));
-/// let hits = trace.failures_in_window(&[NodeId::new(0), NodeId::new(1)], w);
-/// assert_eq!(hits.len(), 2);
-/// assert_eq!(hits[0].time, SimTime::from_secs(50)); // time-ordered
+/// let hits = trace.failures_on_node_in(NodeId::new(0), w);
+/// assert_eq!(hits.len(), 1);
+/// assert_eq!(hits[0].time, SimTime::from_secs(100));
 /// # Ok::<(), pqos_failures::trace::TraceError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -186,17 +187,6 @@ impl FailureTrace {
     /// Failures of `node` within `window`, in time order.
     pub fn failures_on_node_in(&self, node: NodeId, window: TimeWindow) -> Vec<&Failure> {
         self.node_failures_in(node, window).collect()
-    }
-
-    /// Failures of any node in `nodes` within `window`, merged in time
-    /// order (ties by node id).
-    pub fn failures_in_window(&self, nodes: &[NodeId], window: TimeWindow) -> Vec<&Failure> {
-        let mut hits: Vec<&Failure> = nodes
-            .iter()
-            .flat_map(|&n| self.node_failures_in(n, window))
-            .collect();
-        hits.sort_by_key(|a| (a.time, a.node));
-        hits
     }
 
     /// The next failure of `node` at or after `from`, if any.
@@ -310,15 +300,6 @@ mod tests {
             .map(|x| x.detectability)
             .collect();
         assert_eq!(px, [0.9, 0.1], "start-inclusive, end-exclusive");
-    }
-
-    #[test]
-    fn multi_node_query_merges_in_time_order() {
-        let trace = FailureTrace::new(vec![f(50, 2, 0.5), f(10, 1, 0.1), f(30, 3, 0.3)]).unwrap();
-        let w = TimeWindow::new(SimTime::ZERO, SimTime::from_secs(100));
-        let hits = trace.failures_in_window(&[NodeId::new(2), NodeId::new(1), NodeId::new(3)], w);
-        let times: Vec<u64> = hits.iter().map(|x| x.time.as_secs()).collect();
-        assert_eq!(times, vec![10, 30, 50]);
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|s| (s.at, s.event))
     }
 
-    /// The time of the earliest pending event, without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
     /// The `(time, priority)` of the earliest pending event, without
     /// removing it: what a caller merging this queue with other ordered
     /// event sources compares their heads against.
@@ -131,11 +126,6 @@ impl<E> EventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -188,12 +178,12 @@ mod tests {
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(3), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(3)));
+        assert_eq!(q.peek_key(), Some((SimTime::from_secs(3), 128)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-        q.clear();
+        assert_eq!(q.pop(), Some((SimTime::from_secs(3), ())));
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key(), None);
     }
 
     #[test]
@@ -202,7 +192,7 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
+        assert_eq!(q.peek_key(), Some((SimTime::from_secs(1), 128)));
     }
 
     #[test]

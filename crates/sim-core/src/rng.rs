@@ -58,11 +58,6 @@ impl DetRng {
         DetRng::seed_from(splitmix(self.seed ^ fnv1a(label.as_bytes())))
     }
 
-    /// The seed this generator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Next raw 64-bit output (xoshiro256++).
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
@@ -75,19 +70,6 @@ impl DetRng {
         s[2] ^= t;
         s[3] = s[3].rotate_left(45);
         result
-    }
-
-    /// Next raw 32-bit output (upper half of [`DetRng::next_u64`]).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
     }
 
     /// Uniform sample in `[0, 1)`.
@@ -143,25 +125,6 @@ impl DetRng {
         );
         // Inverse CDF; 1 - unit() avoids ln(0).
         -mean * (1.0 - self.unit()).ln()
-    }
-
-    /// Standard normal sample (Box–Muller).
-    pub fn standard_normal(&mut self) -> f64 {
-        // Marsaglia polar method: no trig, numerically robust.
-        loop {
-            let u = 2.0 * self.unit() - 1.0;
-            let v = 2.0 * self.unit() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
-            }
-        }
-    }
-
-    /// Log-normal sample with the given parameters of the *underlying*
-    /// normal (`mu`, `sigma`).
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        (mu + sigma * self.standard_normal()).exp()
     }
 
     /// Weibull sample with scale `lambda` and shape `k`.
@@ -284,18 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut r = DetRng::seed_from(5);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0), "13 zero bytes is implausible");
-        let mut again = DetRng::seed_from(5);
-        let mut buf2 = [0u8; 13];
-        again.fill_bytes(&mut buf2);
-        assert_eq!(buf, buf2);
-    }
-
-    #[test]
     fn exponential_mean_is_close() {
         let mut r = DetRng::seed_from(11);
         let n = 200_000;
@@ -303,17 +254,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.exponential(mean)).sum();
         let est = sum / n as f64;
         assert!((est - mean).abs() / mean < 0.02, "estimated {est}");
-    }
-
-    #[test]
-    fn standard_normal_moments() {
-        let mut r = DetRng::seed_from(13);
-        let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.standard_normal()).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.03, "var {var}");
     }
 
     #[test]

@@ -68,15 +68,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample variance (divides by `n − 1`), or 0 if fewer than two samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.population_variance().sqrt()
@@ -90,11 +81,6 @@ impl OnlineStats {
     /// Largest observation, or `None` if empty.
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean * self.count as f64
     }
 
     /// Merges another accumulator into this one (parallel Welford).
@@ -258,8 +244,8 @@ impl FromIterator<f64> for Summary {
 /// h.push(3.5);
 /// h.push(-1.0); // underflow
 /// h.push(99.0); // overflow
-/// assert_eq!(h.bucket_count(0), 1);
-/// assert_eq!(h.bucket_count(1), 2);
+/// let counts: Vec<u64> = h.iter().map(|(_, count)| count).collect();
+/// assert_eq!(counts, [1, 2, 0, 0, 0]);
 /// assert_eq!(h.underflow(), 1);
 /// assert_eq!(h.overflow(), 1);
 /// ```
@@ -301,15 +287,6 @@ impl Histogram {
             let idx = idx.min(self.buckets.len() - 1);
             self.buckets[idx] += 1;
         }
-    }
-
-    /// Count in bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets[i]
     }
 
     /// Observations below the range.
@@ -405,13 +382,12 @@ mod tests {
         h.push(0.0);
         h.push(9.999);
         h.push(10.0); // exactly hi -> overflow
-        assert_eq!(h.bucket_count(0), 1);
-        assert_eq!(h.bucket_count(9), 1);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.total(), 3);
         let bins: Vec<_> = h.iter().collect();
         assert_eq!(bins.len(), 10);
         assert_eq!(bins[0], (0.0, 1));
+        assert_eq!(bins[9].1, 1);
     }
 
     #[test]

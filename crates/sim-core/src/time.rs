@@ -95,24 +95,6 @@ impl SimTime {
     pub fn saturating_sub(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_sub(d.0))
     }
-
-    /// The later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl SimDuration {
@@ -156,32 +138,9 @@ impl SimDuration {
         SimDuration(self.0.saturating_add(other.0))
     }
 
-    /// Saturating subtraction: `self - other`, or zero.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
-
     /// Multiplies by an integer factor, saturating on overflow.
     pub fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self <= other {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -393,10 +352,6 @@ mod tests {
         assert_eq!(d * 3, SimDuration::from_secs(300));
         assert_eq!(d / 4, SimDuration::from_secs(25));
         assert_eq!(d.saturating_mul(u64::MAX), SimDuration::MAX);
-        assert_eq!(
-            SimDuration::from_secs(5).saturating_sub(SimDuration::from_secs(9)),
-            SimDuration::ZERO
-        );
     }
 
     #[test]
