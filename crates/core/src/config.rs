@@ -10,8 +10,9 @@ use pqos_sched::place::PlacementStrategy;
 use pqos_sim_core::time::SimDuration;
 use std::fmt;
 
-/// Which checkpoint gating policy the system runs (all are wrapped with the
-/// paper's deadline-aware override by the simulator).
+/// Which checkpoint gating policy the system runs. Whichever it is, the
+/// simulator applies the paper's deadline override first: a request whose
+/// checkpoint would cost the job its deadline is skipped unasked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckpointPolicyKind {
     /// Never checkpoint.
@@ -92,9 +93,6 @@ pub struct SimConfig {
     pub checkpoint_interval: SimDuration,
     /// Node restart time after a failure (Table 2: 120 s).
     pub node_downtime: SimDuration,
-    /// Recovery overhead `R` paid by a restarted job before useful work
-    /// resumes (the paper uses `R = 0`, §4.4).
-    pub restart_overhead: SimDuration,
     /// Prediction accuracy `a ∈ [0, 1]`.
     pub accuracy: f64,
     /// The simulated user population's risk strategy (parameter `U`).
@@ -103,8 +101,6 @@ pub struct SimConfig {
     pub placement: PlacementStrategy,
     /// Checkpoint gating policy.
     pub checkpoint_policy: CheckpointPolicyKind,
-    /// Whether the deadline-aware skip override (§3.4) is active.
-    pub deadline_aware_skips: bool,
     /// Fraction of the checkpointed execution time added to the *quoted*
     /// deadline as slack (default 0: the deadline is exactly the planned
     /// completion, so any failure-induced delay is a broken promise).
@@ -129,12 +125,10 @@ impl SimConfig {
             checkpoint_overhead: SimDuration::from_secs(720),
             checkpoint_interval: SimDuration::from_secs(3600),
             node_downtime: SimDuration::from_secs(120),
-            restart_overhead: SimDuration::ZERO,
             accuracy: 0.0,
             user: UserStrategy::AlwaysEarliest,
             placement: PlacementStrategy::MinFailureProbability,
             checkpoint_policy: CheckpointPolicyKind::RiskBasedWithDefault,
-            deadline_aware_skips: true,
             deadline_slack: 0.0,
             max_negotiation_slots: 24,
             max_probe_steps: 40,
@@ -192,24 +186,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the checkpoint overhead `C`.
-    pub fn checkpoint_overhead_secs(mut self, overhead: SimDuration) -> Self {
-        self.checkpoint_overhead = overhead;
-        self
-    }
-
-    /// Disables the deadline-aware checkpoint override.
-    pub fn without_deadline_aware_skips(mut self) -> Self {
-        self.deadline_aware_skips = false;
-        self
-    }
-
-    /// Sets the recovery overhead `R` paid at each restart.
-    pub fn restart_overhead_secs(mut self, r: SimDuration) -> Self {
-        self.restart_overhead = r;
-        self
-    }
-
     /// Sets the quoted-deadline slack fraction.
     ///
     /// # Panics
@@ -254,15 +230,11 @@ mod tests {
             .accuracy(0.5)
             .cluster_size_nodes(64)
             .checkpoint_interval_secs(SimDuration::from_secs(100))
-            .checkpoint_overhead_secs(SimDuration::from_secs(10))
-            .checkpoint_policy(CheckpointPolicyKind::Periodic)
-            .without_deadline_aware_skips();
+            .checkpoint_policy(CheckpointPolicyKind::Periodic);
         assert_eq!(c.accuracy, 0.5);
         assert_eq!(c.cluster_size, 64);
         assert_eq!(c.checkpoint_interval.as_secs(), 100);
-        assert_eq!(c.checkpoint_overhead.as_secs(), 10);
         assert_eq!(c.checkpoint_policy, CheckpointPolicyKind::Periodic);
-        assert!(!c.deadline_aware_skips);
     }
 
     #[test]

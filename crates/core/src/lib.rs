@@ -51,13 +51,3 @@ pub mod negotiate;
 pub mod session;
 pub mod system;
 pub mod user;
-
-pub use config::{CheckpointPolicyKind, SimConfig};
-pub use metrics::{CalibrationBucket, JobOutcome, LostWorkEvent, MetricsCollector, SimReport};
-pub use negotiate::{negotiate_batch, NegotiationOutcome, Quote};
-pub use session::{
-    AcceptError, AdmissionRequest, CancelError, HeldQuote, NegotiationSession, QuoteDecision,
-    SessionStats, SessionStatus,
-};
-pub use system::{QosSimulator, SimOutput};
-pub use user::UserStrategy;

@@ -477,12 +477,12 @@ impl<C> Lifecycle<C> {
     }
 
     /// Journals placements with node indices offset by `base`.
-    pub fn set_node_base(&mut self, base: u64) {
+    pub(crate) fn set_node_base(&mut self, base: u64) {
         self.node_base = base;
     }
 
     /// Current virtual time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
@@ -558,7 +558,7 @@ impl<C> Lifecycle<C> {
 
     /// The quote-horizon filter: `None` where the quoted start falls
     /// beyond the horizon.
-    pub fn within_horizon(
+    pub(crate) fn within_horizon(
         &self,
         outcome: Option<NegotiationOutcome>,
     ) -> Option<NegotiationOutcome> {

@@ -106,31 +106,6 @@ impl fmt::Display for SimReport {
     }
 }
 
-/// One bucket of the promise-calibration (reliability) analysis.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CalibrationBucket {
-    /// Inclusive lower bound of the promised-probability bucket.
-    pub lo: f64,
-    /// Exclusive upper bound (inclusive for the final bucket).
-    pub hi: f64,
-    /// Completed jobs whose promise fell in the bucket.
-    pub jobs: usize,
-    /// Mean promised probability of success in the bucket.
-    pub mean_promise: f64,
-    /// Fraction of those jobs that actually met their deadline.
-    pub realized: f64,
-}
-
-impl fmt::Display for CalibrationBucket {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{:.2}, {:.2}): {} jobs, promised {:.3}, realized {:.3}",
-            self.lo, self.hi, self.jobs, self.mean_promise, self.realized
-        )
-    }
-}
-
 /// Accumulates outcomes during a run and reduces them to a [`SimReport`].
 #[derive(Debug, Clone, Default)]
 pub struct MetricsCollector {
@@ -140,17 +115,17 @@ pub struct MetricsCollector {
 
 impl MetricsCollector {
     /// Creates an empty collector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MetricsCollector::default()
     }
 
     /// Records a completed job.
-    pub fn record_outcome(&mut self, outcome: JobOutcome) {
+    pub(crate) fn record_outcome(&mut self, outcome: JobOutcome) {
         self.outcomes.push(outcome);
     }
 
     /// Records work lost to a failure.
-    pub fn record_lost_work(&mut self, event: LostWorkEvent) {
+    pub(crate) fn record_lost_work(&mut self, event: LostWorkEvent) {
         self.lost.push(event);
     }
 
@@ -164,62 +139,12 @@ impl MetricsCollector {
         &self.lost
     }
 
-    /// Promise-calibration analysis: buckets completed jobs by promised
-    /// probability of success and reports the realized on-time fraction
-    /// per bucket.
-    ///
-    /// Under the paper's idealized trace oracle this exposes a structural
-    /// miscalibration worth knowing about: the trace replays
-    /// *deterministically*, so a job quoted `p < 1` (a detectable failure
-    /// inside its window) is hit with certainty, not with probability
-    /// `1 − p` — sub-certain promises realize far below their face value.
-    /// Promises of exactly 1, by contrast, are broken only by false
-    /// negatives (rate `1 − a`) and failure-induced scheduling cascades.
-    /// The `calibration` experiment quantifies both effects.
-    ///
-    /// Empty buckets are omitted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0`.
-    pub fn calibration(&self, buckets: usize) -> Vec<CalibrationBucket> {
-        assert!(buckets > 0, "need at least one bucket");
-        let width = 1.0 / buckets as f64;
-        let mut out = Vec::new();
-        for b in 0..buckets {
-            let lo = b as f64 * width;
-            let hi = if b + 1 == buckets {
-                1.0 + 1e-12
-            } else {
-                (b + 1) as f64 * width
-            };
-            let members: Vec<&JobOutcome> = self
-                .outcomes
-                .iter()
-                .filter(|o| o.promised >= lo && o.promised < hi)
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let met = members.iter().filter(|o| o.met_deadline).count();
-            out.push(CalibrationBucket {
-                lo,
-                hi: hi.min(1.0),
-                jobs: members.len(),
-                mean_promise: members.iter().map(|o| o.promised).sum::<f64>()
-                    / members.len() as f64,
-                realized: met as f64 / members.len() as f64,
-            });
-        }
-        out
-    }
-
     /// Reduces to a report for a cluster of `cluster_size` nodes.
     ///
     /// # Panics
     ///
     /// Panics if `cluster_size == 0`.
-    pub fn report(&self, cluster_size: u32) -> SimReport {
+    pub(crate) fn report(&self, cluster_size: u32) -> SimReport {
         assert!(cluster_size > 0, "cluster size must be positive");
         let total_work = self
             .outcomes
@@ -452,41 +377,5 @@ mod tests {
     #[should_panic(expected = "cluster size")]
     fn zero_cluster_panics() {
         let _ = MetricsCollector::new().report(0);
-    }
-
-    #[test]
-    fn calibration_buckets_by_promise() {
-        let mut m = MetricsCollector::new();
-        // Promise 0.95: 3 of 4 met. Promise 0.25: 0 of 1 met.
-        for i in 0..4 {
-            m.record_outcome(outcome(i, 1, 10, 0.95, i != 0));
-        }
-        m.record_outcome(outcome(9, 1, 10, 0.25, false));
-        let c = m.calibration(10);
-        assert_eq!(c.len(), 2);
-        let low = &c[0];
-        assert_eq!((low.lo, low.jobs), (0.2, 1));
-        assert_eq!(low.realized, 0.0);
-        let high = &c[1];
-        assert_eq!(high.jobs, 4);
-        assert!((high.mean_promise - 0.95).abs() < 1e-12);
-        assert!((high.realized - 0.75).abs() < 1e-12);
-        assert!(!high.to_string().is_empty());
-    }
-
-    #[test]
-    fn calibration_final_bucket_includes_one() {
-        let mut m = MetricsCollector::new();
-        m.record_outcome(outcome(1, 1, 10, 1.0, true));
-        let c = m.calibration(10);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c[0].jobs, 1);
-        assert_eq!(c[0].realized, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket")]
-    fn calibration_rejects_zero_buckets() {
-        let _ = MetricsCollector::new().calibration(0);
     }
 }

@@ -162,7 +162,7 @@ pub fn negotiate<B: AvailabilityView, P: Predictor>(
 /// metrics registry (`sched.*` — see
 /// [`choose_partition_with_telemetry`]). The outcome is identical.
 #[allow(clippy::too_many_arguments)]
-pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
+pub(crate) fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
     book: &B,
     topology: Topology,
     placement: PlacementStrategy,

@@ -8,8 +8,10 @@
 //! because its simulated users always take the quote; a server cannot,
 //! because between the quote and the commitment other clients mutate the
 //! reservation book. [`NegotiationSession`] owns that mutable state
-//! behind an API whose writes are serialized by construction (the service
-//! wraps it in a single-writer engine thread). It is three things:
+//! behind an API whose writes are serialized by construction (the
+//! daemon's one net-loop thread is its only writer, ticking it after each
+//! pass of reads; in-process callers go through an engine thread). It is
+//! three things:
 //!
 //! - a **reservation book** behind the quote memo, and the **predictor**
 //!   quotes are scored against — what negotiation reads;
@@ -32,7 +34,7 @@
 //! edge in place.
 
 use crate::config::SimConfig;
-use crate::lifecycle::Lifecycle;
+use crate::lifecycle::{Lifecycle, SessionStats};
 use crate::negotiate::NegotiationOutcome;
 use pqos_cluster::partition::Partition;
 use pqos_predict::api::Predictor;
@@ -44,7 +46,7 @@ use pqos_workload::job::JobId;
 
 pub use crate::lifecycle::{
     promise_bin, AcceptError, AdmissionRequest, CancelError, HeldQuote, PromiseStats,
-    QuoteDecision, SessionStats, PROMISE_BINS,
+    QuoteDecision, PROMISE_BINS,
 };
 
 /// A snapshot of the session for the service's `status` verb.
@@ -220,11 +222,6 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
     /// The configuration this session was built with.
     pub fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    /// The predictor quotes are scored against.
-    pub fn predictor(&self) -> &P {
-        &self.predictor
     }
 
     /// Read-only view of the reservation book. A cross-shard coordinator

@@ -52,8 +52,8 @@ impl UserStrategy {
     /// use pqos_core::user::UserStrategy;
     ///
     /// let cautious = UserStrategy::risk_threshold(0.9)?;
-    /// assert!(cautious.accepts(0.95));
-    /// assert!(!cautious.accepts(0.80));
+    /// assert_eq!(cautious, UserStrategy::RiskThreshold(0.9));
+    /// assert!(UserStrategy::risk_threshold(1.5).is_err());
     /// # Ok::<(), pqos_core::user::ThresholdError>(())
     /// ```
     pub fn risk_threshold(u: f64) -> Result<Self, ThresholdError> {
@@ -65,7 +65,7 @@ impl UserStrategy {
 
     /// The threshold `U` this strategy enforces (0 for
     /// [`UserStrategy::AlwaysEarliest`]).
-    pub fn threshold(&self) -> f64 {
+    pub(crate) fn threshold(&self) -> f64 {
         match self {
             UserStrategy::AlwaysEarliest => 0.0,
             UserStrategy::RiskThreshold(u) => *u,
@@ -74,7 +74,7 @@ impl UserStrategy {
 
     /// Whether the user accepts a quote promising success probability
     /// `promised_success`.
-    pub fn accepts(&self, promised_success: f64) -> bool {
+    pub(crate) fn accepts(&self, promised_success: f64) -> bool {
         promised_success >= self.threshold()
     }
 }

@@ -59,11 +59,6 @@ impl<P: Predictor> InstrumentedPredictor<P> {
             pf_hist: telemetry.histogram("predict.pf"),
         }
     }
-
-    /// The wrapped predictor.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
 }
 
 impl<P: Predictor> Predictor for InstrumentedPredictor<P> {
@@ -142,6 +137,5 @@ mod tests {
             wrapped.failure_probability(&[NodeId::new(0)], window(0, 10)),
             0.0
         );
-        assert_eq!(wrapped.into_inner(), NullPredictor);
     }
 }

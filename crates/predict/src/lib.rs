@@ -39,7 +39,3 @@ pub mod eval;
 pub mod instrument;
 pub mod online;
 pub mod oracle;
-
-pub use api::{NullPredictor, Predictor};
-pub use instrument::InstrumentedPredictor;
-pub use oracle::TraceOracle;

@@ -25,9 +25,9 @@ use std::sync::{Arc, RwLock};
 ///
 /// Each observed failure bumps the node's rate; rates decay with a
 /// configurable half-life. The predicted probability of failure over a
-/// window of length `L` is `1 − exp(−rate·L)`, capped at
-/// [`RateEstimator::confidence_cap`] so that, like the paper's oracle, an
-/// imprecise predictor never claims high confidence.
+/// window of length `L` is `1 − exp(−rate·L)`, capped at the
+/// `confidence_cap` given to [`RateEstimator::new`] so that, like the
+/// paper's oracle, an imprecise predictor never claims high confidence.
 ///
 /// # Examples
 ///
@@ -77,11 +77,6 @@ impl RateEstimator {
         }
     }
 
-    /// The confidence cap.
-    pub fn confidence_cap(&self) -> f64 {
-        self.confidence_cap
-    }
-
     /// Records a failure of `node` at `at`. Observations must be fed in
     /// non-decreasing time order per node; out-of-order observations are
     /// treated as happening at the node's latest known time.
@@ -99,29 +94,17 @@ impl RateEstimator {
         (-std::f64::consts::LN_2 * elapsed.as_secs() as f64 / self.half_life.as_secs() as f64).exp()
     }
 
-    /// Decayed failure rate of `node` (failures/second) as of `now` — a
-    /// diagnostic view: the count keeps decaying between `last observation`
-    /// and `now`.
-    pub fn node_rate(&self, node: NodeId, now: SimTime) -> f64 {
-        let Some(&(count, last)) = self.counts.get(node.index()) else {
-            return self.prior_rate_per_sec;
-        };
-        let decayed = count * self.decay_factor(now.saturating_since(last));
-        // A decayed count over an effective window of ~2 half-lives.
-        let effective_window = 2.0 * self.half_life.as_secs() as f64;
-        self.prior_rate_per_sec + decayed / effective_window
-    }
-
     /// Estimated hazard of `node` as of its last observation, with no
     /// further query-time decay. This is what [`Predictor`] queries use:
     /// a constant-hazard model quotes the *same* probability for a window
     /// regardless of how far in the future it starts, so deadline
     /// negotiation cannot mistake model staleness ("risk decays the longer
     /// I procrastinate") for genuine risk avoidance.
-    pub fn node_hazard(&self, node: NodeId) -> f64 {
+    pub(crate) fn node_hazard(&self, node: NodeId) -> f64 {
         let Some(&(count, _)) = self.counts.get(node.index()) else {
             return self.prior_rate_per_sec;
         };
+        // A decayed count over an effective window of ~2 half-lives.
         let effective_window = 2.0 * self.half_life.as_secs() as f64;
         self.prior_rate_per_sec + count / effective_window
     }
@@ -226,7 +209,7 @@ impl PatternPredictor {
     }
 
     /// Number of live precursors for `node` as of `now`.
-    pub fn precursor_count(&self, node: NodeId, now: SimTime) -> usize {
+    pub(crate) fn precursor_count(&self, node: NodeId, now: SimTime) -> usize {
         let Some(q) = self.recent.get(node.index()) else {
             return 0;
         };
@@ -274,17 +257,21 @@ mod tests {
         for day in 0..10 {
             est.observe_failure(lemon, SimTime::from_secs(day * 86_400));
         }
-        let now = SimTime::from_secs(10 * 86_400);
-        assert!(est.node_rate(lemon, now) > 50.0 * est.node_rate(good, now));
+        assert!(est.node_hazard(lemon) > 50.0 * est.node_hazard(good));
     }
 
     #[test]
     fn rate_decays_over_time() {
+        // A second failure an hour after the first finds the first one
+        // almost undecayed; a month later it finds it forgotten.
         let mut est = RateEstimator::new(SimDuration::from_days(1), 1.0);
         est.observe_failure(NodeId::new(0), SimTime::ZERO);
-        let soon = est.node_rate(NodeId::new(0), SimTime::from_secs(3600));
-        let later = est.node_rate(NodeId::new(0), SimTime::from_secs(30 * 86_400));
-        assert!(soon > 10.0 * later);
+        est.observe_failure(NodeId::new(0), SimTime::from_secs(3600));
+        est.observe_failure(NodeId::new(1), SimTime::ZERO);
+        est.observe_failure(NodeId::new(1), SimTime::from_secs(30 * 86_400));
+        let soon = est.node_hazard(NodeId::new(0));
+        let later = est.node_hazard(NodeId::new(1));
+        assert!(soon > 1.9 * later, "{soon} vs {later}");
     }
 
     #[test]
@@ -297,7 +284,6 @@ mod tests {
         let p = est.failure_probability(&[NodeId::new(0)], w);
         assert!(p <= 0.6 + 1e-12, "p = {p}");
         assert!(p > 0.59, "should saturate at the cap");
-        assert_eq!(est.confidence_cap(), 0.6);
     }
 
     #[test]
@@ -327,7 +313,7 @@ mod tests {
         let mut est = RateEstimator::new(SimDuration::from_days(1), 1.0);
         est.observe_failure(NodeId::new(0), SimTime::from_secs(1000));
         est.observe_failure(NodeId::new(0), SimTime::from_secs(500));
-        assert!(est.node_rate(NodeId::new(0), SimTime::from_secs(1000)) > 0.0);
+        assert!(est.node_hazard(NodeId::new(0)) > 0.0);
     }
 
     #[test]

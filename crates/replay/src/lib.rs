@@ -21,7 +21,8 @@
 //! A corpus case is a directory containing `trace.jsonl` (required),
 //! `journal.jsonl` (optional: the pinned replay journal, compared
 //! byte-for-byte), and `expected.json` (optional: pinned finding codes;
-//! absent means the replay must be clean).
+//! absent means the replay must be clean). An optional file that exists
+//! but cannot be read fails its case: only a missing file is absent.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +37,7 @@ use std::path::Path;
 
 /// The outcome of replaying one corpus case.
 #[derive(Debug, Clone)]
-pub struct CorpusCase {
+pub(crate) struct CorpusCase {
     /// Directory name under the corpus root.
     pub name: String,
     /// What went wrong; `None` when the case passed.
@@ -49,7 +50,7 @@ pub struct CorpusCase {
 #[derive(Debug, Clone, Default)]
 pub struct CorpusReport {
     /// One entry per case directory, in name order.
-    pub cases: Vec<CorpusCase>,
+    cases: Vec<CorpusCase>,
 }
 
 impl CorpusReport {
@@ -59,7 +60,7 @@ impl CorpusReport {
     }
 
     /// Cases that failed.
-    pub fn failures(&self) -> usize {
+    pub(crate) fn failures(&self) -> usize {
         self.cases.iter().filter(|c| c.failure.is_some()).count()
     }
 }
@@ -127,10 +128,10 @@ fn check_case(dir: &Path) -> Result<usize, String> {
     let report = replay(&trace, &ReplayOptions::default()).map_err(|e| e.to_string())?;
 
     let expected_path = dir.join("expected.json");
-    let expected = match std::fs::read_to_string(&expected_path) {
-        Ok(text) => ExpectedFindings::from_json(&text)
+    let expected = match read_optional(&expected_path)? {
+        Some(text) => ExpectedFindings::from_json(&text)
             .ok_or_else(|| format!("{} is not a findings manifest", expected_path.display()))?,
-        Err(_) => ExpectedFindings::clean(),
+        None => ExpectedFindings::clean(),
     };
     let actual = finding_codes(&report.journal, report.mismatches.len());
     let delta = expected.compare(&actual);
@@ -139,7 +140,7 @@ fn check_case(dir: &Path) -> Result<usize, String> {
     }
 
     let journal_path = dir.join("journal.jsonl");
-    if let Ok(pinned) = std::fs::read_to_string(&journal_path) {
+    if let Some(pinned) = read_optional(&journal_path)? {
         if pinned != report.journal {
             let where_ = first_divergence(&pinned, &report.journal)
                 .map(|d| d.explain())
@@ -148,4 +149,83 @@ fn check_case(dir: &Path) -> Result<usize, String> {
         }
     }
     Ok(trace.entries.len())
+}
+
+/// Reads one of a case's optional files: `None` when it does not exist.
+/// Any other error (permissions, bytes that are not UTF-8) fails the case
+/// rather than skipping the check the file pins.
+fn read_optional(path: &Path) -> Result<Option<String>, String> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(format!("cannot read {}: {e}", path.display())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::fs;
+    use std::path::PathBuf;
+
+    /// A one-case corpus holding a copy of the checked-in
+    /// `runtime-overflow` case (trace, pinned journal and manifest).
+    fn corpus(tag: &str) -> (PathBuf, PathBuf) {
+        let root = std::env::temp_dir().join(format!("pqos-replay-{}-{tag}", std::process::id()));
+        let case = root.join("runtime-overflow");
+        let _ = fs::remove_dir_all(&root);
+        fs::create_dir_all(&case).unwrap();
+        let source =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../traces/failing/runtime-overflow");
+        for file in ["trace.jsonl", "journal.jsonl", "expected.json"] {
+            fs::copy(source.join(file), case.join(file)).unwrap();
+        }
+        (root, case)
+    }
+
+    fn append(path: &Path, bytes: &[u8]) {
+        let mut all = fs::read(path).unwrap();
+        all.extend_from_slice(bytes);
+        fs::write(path, all).unwrap();
+    }
+
+    #[test]
+    fn an_unreadable_pinned_file_fails_its_case() {
+        let (root, _) = corpus("intact");
+        let report = check_corpus_dir(&root).unwrap();
+        assert!(report.is_clean(), "{report}");
+        fs::remove_dir_all(&root).unwrap();
+
+        for file in ["journal.jsonl", "expected.json"] {
+            // One byte that is not UTF-8: the file exists but cannot be
+            // read as text, which used to pass as "not pinned".
+            let (root, case) = corpus("corrupt");
+            append(&case.join(file), &[0xff]);
+            let report = check_corpus_dir(&root).unwrap();
+            assert_eq!(report.failures(), 1, "{file}: {report}");
+            let why = report.cases[0].failure.as_deref().unwrap();
+            assert!(
+                why.starts_with("cannot read") && why.contains(file),
+                "{why}"
+            );
+            fs::remove_dir_all(&root).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_missing_optional_file_is_absent() {
+        let (root, case) = corpus("missing");
+        fs::remove_file(case.join("journal.jsonl")).unwrap();
+        let report = check_corpus_dir(&root).unwrap();
+        assert!(report.is_clean(), "{report}");
+        fs::remove_file(case.join("expected.json")).unwrap();
+        let report = check_corpus_dir(&root).unwrap();
+        assert_eq!(report.failures(), 1, "runtime-overflow pins findings");
+        assert!(report.cases[0]
+            .failure
+            .as_deref()
+            .unwrap()
+            .contains("findings drifted"));
+        fs::remove_dir_all(&root).unwrap();
+    }
 }

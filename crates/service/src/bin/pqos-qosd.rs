@@ -4,9 +4,8 @@
 //! pqos-qosd [--addr HOST:PORT] [--metrics-addr HOST:PORT]
 //!           [--cluster-size N] [--shards N] [--journal PATH]
 //!           [--time-scale F] [--queue-depth N] [--batch-threads N]
-//!           [--timeout-ms N] [--no-verify-parity] [--parity-sample N]
-//!           [--synthetic-failures]
-//!           [--flight-capacity N] [--no-flight] [--flight-dump PATH]
+//!           [--timeout-ms N] [--quote-horizon-secs N] [--parity-sample N]
+//!           [--synthetic-failures] [--no-flight] [--flight-dump PATH]
 //!           [--metrics-dump PATH] [--record PATH]
 //!           [--slo RULE]... [--slo-window-secs N] [--history-window-ms N]
 //! ```
@@ -74,17 +73,17 @@ const USAGE: &str = "usage: pqos-qosd [options]
                         when one pass needs several slow ticks
   --quote-horizon-secs N  reject quotes starting more than N virtual seconds
                         out; bounds the reservation backlog (default: none)
-  --no-verify-parity    skip the live batched-vs-serial quote re-check
-  --parity-sample N     re-check only every Nth quote batch (default 16;
+  --parity-sample N     re-check batched quotes against serial negotiation
+                        on every Nth quote batch (default 16;
                         1 = every batch, as tests and CI use; replay
                         checks recorded responses instead)
   --synthetic-failures  predict from a synthetic AIX-like failure trace
                         instead of the null predictor
   --metrics-addr HOST:PORT  serve Prometheus /metrics here (port 0 = free
                         port; scrape the `metrics on HOST:PORT` line)
-  --flight-capacity N   completed request traces the flight recorder keeps
-                        (default 256)
   --no-flight           disable request tracing and the flight recorder
+                        (on by default, keeping the last 256 completed
+                        request traces)
   --flight-dump PATH    write the flight recorder's Chrome trace here on
                         graceful shutdown
   --metrics-dump PATH   write the final metrics snapshot (JSON) here on
@@ -122,7 +121,6 @@ fn main() -> ExitCode {
         parity_sample: 16,
         ..EngineConfig::default()
     };
-    let mut verify_parity = true;
     let mut synthetic_failures = false;
     let mut quote_horizon: Option<u64> = None;
     let mut metrics_addr: Option<String> = None;
@@ -184,11 +182,6 @@ fn main() -> ExitCode {
                     .map_err(|_| "--quote-horizon-secs: not a duration".into())
             }),
             "--metrics-addr" => value("--metrics-addr").map(|v| metrics_addr = Some(v)),
-            "--flight-capacity" => value("--flight-capacity").and_then(|v| {
-                v.parse()
-                    .map(|n| flight_capacity = n)
-                    .map_err(|_| "--flight-capacity: not a count".into())
-            }),
             "--no-flight" => {
                 flight_capacity = 0;
                 Ok(())
@@ -213,10 +206,6 @@ fn main() -> ExitCode {
                     .map(|n| history_window_ms = n)
                     .map_err(|_| "--history-window-ms: not a duration".into())
             }),
-            "--no-verify-parity" => {
-                verify_parity = false;
-                Ok(())
-            }
             "--parity-sample" => value("--parity-sample").and_then(|v| {
                 v.parse()
                     .ok()
@@ -269,7 +258,9 @@ fn main() -> ExitCode {
     let mut parts: Vec<String> = Vec::new();
     let built = build_core(
         &meta,
-        verify_parity,
+        // The live parity re-check is always on (every `--parity-sample`th
+        // batch); only replay, which compares recorded answers, turns it off.
+        true,
         Telemetry::builder().build(),
         |suffix, mut builder| {
             if let Some(path) = &journal {

@@ -27,7 +27,7 @@
 //!
 //! - **The daemon's net loop** (`server.rs`). Requests read in one loop
 //!   pass are handed over at the pass's `NetEvent::Batch`, in ticks of at
-//!   most `max_batch`, and answered before the pass writes: no thread hop
+//!   most `MAX_BATCH` (256), and answered before the pass writes: no thread hop
 //!   between a request and its answer. `queue_depth` caps what one pass
 //!   hands over; the excess answers `overloaded`.
 //! - **The engine thread** ([`spawn`], [`spawn_core`]) for in-process
@@ -86,6 +86,9 @@ impl ReplySender {
     }
 }
 
+/// Most requests coalesced into one tick, by either driver.
+pub(crate) const MAX_BATCH: usize = 256;
+
 /// Tuning for the engine, whichever driver runs it.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -102,8 +105,6 @@ pub struct EngineConfig {
     /// Wait budget per request, from its line being read (or its submit)
     /// to its tick; exceeded requests answer `timeout`.
     pub request_timeout: Duration,
-    /// Most requests coalesced into one tick.
-    pub max_batch: usize,
     /// Sessions that re-check batched quotes against serial negotiation
     /// (`NegotiationSession::verify_parity`) do so only on every Nth
     /// batch (deterministic 1-in-N sampling; 1 = every batch). Tests and
@@ -124,7 +125,6 @@ impl Default for EngineConfig {
             batch_threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             time_scale: 1.0,
             request_timeout: Duration::from_secs(5),
-            max_batch: 256,
             parity_sample: 1,
             history: None,
         }
@@ -324,8 +324,7 @@ where
 /// into one tick, repeat until a `shutdown` is served or every handle is
 /// gone.
 fn run<P: Predictor + Sync>(mut engine: Engine<P>, rx: Receiver<EngineRequest>) {
-    let max_batch = engine.config.max_batch.max(1);
-    let mut batch = Vec::with_capacity(max_batch);
+    let mut batch = Vec::with_capacity(MAX_BATCH);
     let mut answer = |reply: &ReplySender, response, trace: Option<TraceCtx>| {
         if let Err((_, Some(t))) = reply.send(response, trace) {
             // Receiver gone: nobody will write the reply or finish the
@@ -336,7 +335,7 @@ fn run<P: Predictor + Sync>(mut engine: Engine<P>, rx: Receiver<EngineRequest>) 
     };
     while let Ok(first) = rx.recv() {
         batch.push(first);
-        batch.extend(rx.try_iter().take(max_batch - 1));
+        batch.extend(rx.try_iter().take(MAX_BATCH - 1));
         if engine.tick(&mut batch, &mut answer) {
             for stale in rx.try_iter() {
                 engine.refuse(stale, &mut answer);

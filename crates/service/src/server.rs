@@ -6,7 +6,7 @@
 //! loop's thread is the engine's single writer. A request line is
 //! parsed, traced and queued on `NetEvent::Line`; at the pass's
 //! `NetEvent::Batch` the queued requests run through the `Engine` in
-//! ticks of at most `max_batch`, and every reply is encoded straight onto
+//! ticks of at most `MAX_BATCH`, and every reply is encoded straight onto
 //! its connection — so a request is answered in the same loop pass that
 //! read it, in that pass's one `write` per connection. Each request's
 //! trace finishes once its bytes are flushed (the watermark returned by
@@ -33,7 +33,7 @@
 //! [`serve`] writes the configured exit artifacts (flight-recorder
 //! Chrome trace, final metrics snapshot).
 
-use crate::engine::{Engine, EngineConfig, EngineRequest};
+use crate::engine::{Engine, EngineConfig, EngineRequest, MAX_BATCH};
 use crate::flight::{FlightRecorder, TraceCtx};
 use crate::metrics_http;
 use crate::protocol::{ErrorCode, ParseError, Request, Response};
@@ -190,7 +190,6 @@ where
     }
     let event_loop = EventLoop::bind(listener, NetConfig::default())?;
     let engine_config = std::mem::take(&mut config.engine);
-    let max_batch = engine_config.max_batch.max(1);
     let mut engine = Engine::new(core, engine_config, recorder.clone(), trace_rec);
     let monitor = engine.monitor();
     let metrics_join = config.metrics.take().map(|metrics_listener| {
@@ -226,7 +225,7 @@ where
 
     // The pass's requests, queued on `Line` and ticked at `Batch`.
     let mut queue: Vec<EngineRequest<Token>> = Vec::new();
-    let mut batch = Vec::with_capacity(max_batch);
+    let mut batch = Vec::with_capacity(MAX_BATCH);
     let mut writer = Writer::default();
     let loop_result = event_loop.run(|event, ctx| match event {
         NetEvent::Line(token, line) => {
@@ -247,7 +246,7 @@ where
             let mut waiting = queue.drain(..);
             let mut shutdown = false;
             while !shutdown {
-                batch.extend(waiting.by_ref().take(max_batch));
+                batch.extend(waiting.by_ref().take(MAX_BATCH));
                 if batch.is_empty() {
                     break;
                 }

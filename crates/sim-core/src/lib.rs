@@ -10,7 +10,7 @@
 //! * [`rng`] — a seeded, forkable PRNG plus the distributions needed by the
 //!   synthetic workload and failure-trace generators (exponential,
 //!   log-normal, Weibull, bounded Pareto, ...);
-//! * [`stats`] — streaming statistics (Welford), exact quantiles, histograms;
+//! * [`stats`] — streaming mean and variance (Welford);
 //! * [`table`] — plain-text/CSV table rendering for the experiment harness.
 //!
 //! # Examples
@@ -44,7 +44,3 @@ pub mod rng;
 pub mod stats;
 pub mod table;
 pub mod time;
-
-pub use queue::EventQueue;
-pub use rng::DetRng;
-pub use time::{SimDuration, SimTime, TimeWindow};

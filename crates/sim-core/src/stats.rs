@@ -134,186 +134,6 @@ impl fmt::Display for OnlineStats {
     }
 }
 
-/// Retained-sample summary supporting exact quantiles.
-///
-/// Keeps all samples; suitable for the 10⁴–10⁵ observations produced per
-/// simulation run.
-///
-/// # Examples
-///
-/// ```
-/// use pqos_sim_core::stats::Summary;
-///
-/// let mut s: Summary = (1..=100).map(f64::from).collect();
-/// assert_eq!(s.quantile(0.5), Some(50.5));
-/// assert_eq!(s.quantile(0.0), Some(1.0));
-/// assert_eq!(s.quantile(1.0), Some(100.0));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Summary {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.samples.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no observations have been added.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Linear-interpolated quantile `q ∈ [0, 1]`, or `None` if empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]` or NaN.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-        if self.samples.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            self.sorted = true;
-        }
-        let n = self.samples.len();
-        let pos = q * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        Some(self.samples[lo] * (1.0 - frac) + self.samples[hi] * frac)
-    }
-
-    /// Median (the 0.5 quantile).
-    pub fn median(&mut self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// Arithmetic mean, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
-    }
-}
-
-impl Extend<f64> for Summary {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        self.samples.extend(iter);
-        self.sorted = false;
-    }
-}
-
-impl FromIterator<f64> for Summary {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        Summary {
-            samples: iter.into_iter().collect(),
-            sorted: false,
-        }
-    }
-}
-
-/// Fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-///
-/// # Examples
-///
-/// ```
-/// use pqos_sim_core::stats::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 10.0, 5);
-/// h.push(1.0);
-/// h.push(3.0);
-/// h.push(3.5);
-/// h.push(-1.0); // underflow
-/// h.push(99.0); // overflow
-/// let counts: Vec<u64> = h.iter().map(|(_, count)| count).collect();
-/// assert_eq!(counts, [1, 2, 0, 0, 0]);
-/// assert_eq!(h.underflow(), 1);
-/// assert_eq!(h.overflow(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `n` equal-width buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hi <= lo` or `n == 0`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(hi > lo && n > 0, "invalid histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records an observation.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Iterator over `(bucket_lower_bound, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let w = (self.hi - self.lo) / self.buckets.len() as f64;
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + w * i as f64, c))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,43 +171,6 @@ mod tests {
         let mut e = OnlineStats::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn summary_quantiles_interpolate() {
-        let mut s: Summary = [10.0, 20.0].into_iter().collect();
-        assert_eq!(s.quantile(0.5), Some(15.0));
-        assert_eq!(s.median(), Some(15.0));
-        assert_eq!(s.mean(), Some(15.0));
-    }
-
-    #[test]
-    fn summary_empty() {
-        let mut s = Summary::new();
-        assert!(s.is_empty());
-        assert_eq!(s.quantile(0.5), None);
-        assert_eq!(s.mean(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn summary_rejects_bad_quantile() {
-        let mut s: Summary = [1.0].into_iter().collect();
-        let _ = s.quantile(1.5);
-    }
-
-    #[test]
-    fn histogram_buckets_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.push(0.0);
-        h.push(9.999);
-        h.push(10.0); // exactly hi -> overflow
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 3);
-        let bins: Vec<_> = h.iter().collect();
-        assert_eq!(bins.len(), 10);
-        assert_eq!(bins[0], (0.0, 1));
-        assert_eq!(bins[9].1, 1);
     }
 
     #[test]

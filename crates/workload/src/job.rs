@@ -80,7 +80,7 @@ impl std::error::Error for JobError {}
 ///     8,
 ///     SimDuration::from_secs(3600),
 /// )?;
-/// assert_eq!(job.work(), 8 * 3600);
+/// assert_eq!((job.nodes(), job.runtime().as_secs()), (8, 3600));
 /// # Ok::<(), pqos_workload::job::JobError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,7 +140,7 @@ impl Job {
 
     /// Useful work `ej · nj` in node-seconds (the paper's unit of work),
     /// saturating at `u64::MAX`: a log may hold any runtime.
-    pub fn work(&self) -> u64 {
+    pub(crate) fn work(&self) -> u64 {
         self.runtime.as_secs().saturating_mul(u64::from(self.nodes))
     }
 }

@@ -28,7 +28,3 @@ pub mod job;
 pub mod log;
 pub mod swf;
 pub mod synthetic;
-
-pub use job::{Job, JobId};
-pub use log::{JobLog, LogStats};
-pub use synthetic::{ArrivalModel, LogModel, SyntheticLog};

@@ -3,7 +3,6 @@
 
 use crate::job::{Job, JobId};
 use pqos_sim_core::stats::OnlineStats;
-use pqos_sim_core::time::{SimDuration, SimTime};
 use std::fmt;
 
 /// An arrival-ordered collection of jobs with unique ids.
@@ -22,7 +21,7 @@ use std::fmt;
 /// let log = JobLog::new(jobs)?;
 /// assert_eq!(log.len(), 2);
 /// assert_eq!(log.jobs()[0].id(), JobId::new(0)); // sorted by arrival
-/// assert_eq!(log.total_work(), 2 * 10 + 4 * 20);
+/// assert_eq!(log.stats().total_work, 2 * 10 + 4 * 20);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,21 +86,17 @@ impl JobLog {
 
     /// Total useful work `Σ ej·nj` in node-seconds, saturating at
     /// `u64::MAX`.
-    pub fn total_work(&self) -> u64 {
+    pub(crate) fn total_work(&self) -> u64 {
         self.jobs.iter().map(Job::work).fold(0, u64::saturating_add)
     }
 
     /// Time between first and last arrival, or zero for an empty log.
-    pub fn arrival_span(&self) -> SimDuration {
+    #[cfg(test)]
+    fn arrival_span(&self) -> pqos_sim_core::time::SimDuration {
         match (self.jobs.first(), self.jobs.last()) {
             (Some(first), Some(last)) => last.arrival() - first.arrival(),
-            _ => SimDuration::ZERO,
+            _ => pqos_sim_core::time::SimDuration::ZERO,
         }
-    }
-
-    /// First arrival time, or `None` for an empty log.
-    pub fn first_arrival(&self) -> Option<SimTime> {
-        self.jobs.first().map(Job::arrival)
     }
 
     /// Aggregate characteristics (the paper's Table 1 rows).
@@ -122,10 +117,12 @@ impl JobLog {
         }
     }
 
-    /// Offered load against a cluster of `n` nodes: `Σ ej·nj / (span · n)`.
+    /// Offered load against a cluster of `n` nodes: `Σ ej·nj / (span · n)`
+    /// (what the synthetic generator's tests hold to its target).
     ///
     /// Returns 0 for logs whose arrivals all coincide.
-    pub fn offered_load(&self, n: u32) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn offered_load(&self, n: u32) -> f64 {
         let span = self.arrival_span().as_secs();
         if span == 0 {
             return 0.0;
@@ -177,7 +174,7 @@ impl fmt::Display for LogStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pqos_sim_core::time::SimDuration;
+    use pqos_sim_core::time::{SimDuration, SimTime};
 
     fn job(id: u64, arrive: u64, nodes: u32, runtime: u64) -> Job {
         Job::new(
@@ -209,7 +206,6 @@ mod tests {
         assert!(log.is_empty());
         assert_eq!(log.total_work(), 0);
         assert_eq!(log.arrival_span(), SimDuration::ZERO);
-        assert_eq!(log.first_arrival(), None);
         assert_eq!(log.offered_load(128), 0.0);
         assert_eq!(log.stats().count, 0);
     }

@@ -29,7 +29,7 @@ use std::fmt;
 
 /// Minimum job runtime, honouring the paper's minimum-runtime assumption
 /// (§3.3) and avoiding the border cases of vanishingly small jobs.
-pub const MIN_RUNTIME_SECS: u64 = 30;
+pub(crate) const MIN_RUNTIME_SECS: u64 = 30;
 
 /// Which archive log to imitate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,7 +53,7 @@ impl LogModel {
     /// Default offered load targeted by [`SyntheticLog`], chosen so that
     /// measured utilization lands in the paper's reported band
     /// (NASA ≈ 0.55–0.59, SDSC ≈ 0.64–0.72).
-    pub fn default_offered_load(self) -> f64 {
+    pub(crate) fn default_offered_load(self) -> f64 {
         match self {
             LogModel::NasaIpsc => 0.66,
             LogModel::SdscSp2 => 0.74,
@@ -69,7 +69,7 @@ impl LogModel {
     /// metric whenever it fails. The cap bounds any one job to well under
     /// 1% of a 10,000-job log's total work while leaving the Table 1
     /// marginals essentially unchanged (it binds only on the joint tail).
-    pub fn max_job_work(self) -> u64 {
+    pub(crate) fn max_job_work(self) -> u64 {
         match self {
             LogModel::NasaIpsc => 1_000_000,
             LogModel::SdscSp2 => 6_000_000,
