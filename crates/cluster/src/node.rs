@@ -1,6 +1,5 @@
-//! Node identity and availability state.
+//! Node identity.
 
-use pqos_sim_core::time::SimTime;
 use std::fmt;
 
 /// Identifier of a node in the cluster, densely numbered from zero.
@@ -46,38 +45,6 @@ impl From<u32> for NodeId {
     }
 }
 
-/// Availability of a single node.
-///
-/// The paper's failure model (§4.4) keeps a failed node down for a fixed
-/// restart time (120 s for a BlueGene/L node), after which it recovers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum NodeState {
-    /// The node is operational.
-    #[default]
-    Up,
-    /// The node is down and will recover at the given instant.
-    Down {
-        /// Instant at which the node becomes available again.
-        until: SimTime,
-    },
-}
-
-impl NodeState {
-    /// Whether the node is operational.
-    pub fn is_up(self) -> bool {
-        matches!(self, NodeState::Up)
-    }
-}
-
-impl fmt::Display for NodeState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NodeState::Up => write!(f, "up"),
-            NodeState::Down { until } => write!(f, "down(until {until})"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,25 +60,5 @@ mod tests {
     #[test]
     fn node_ids_order_by_index() {
         assert!(NodeId::new(1) < NodeId::new(2));
-    }
-
-    #[test]
-    fn state_predicates() {
-        assert!(NodeState::Up.is_up());
-        assert!(!NodeState::Down {
-            until: SimTime::from_secs(10)
-        }
-        .is_up());
-        assert_eq!(NodeState::default(), NodeState::Up);
-    }
-
-    #[test]
-    fn state_display() {
-        assert_eq!(NodeState::Up.to_string(), "up");
-        assert!(NodeState::Down {
-            until: SimTime::from_secs(9)
-        }
-        .to_string()
-        .contains("9"));
     }
 }

@@ -18,8 +18,9 @@
 //!
 //! Every job transition — admit, commit, start, requeue, complete — is the
 //! [`Lifecycle`] function the online service runs. The simulator keeps
-//! what decides when each one happens, each job's checkpoint clock and the
-//! cluster's node claims.
+//! what decides when each one happens, each job's checkpoint clock and one
+//! per-node table: the running job claiming each node and each down node's
+//! recovery instant.
 //!
 //! Events come from three sources, merged by `(time, priority)`: a cursor
 //! over the job log (arrivals, in the log's `(arrival, id)` order), a
@@ -41,8 +42,8 @@ use pqos_ckpt::policy::{
     decide_with_deadline, CheckpointContext, CheckpointDecision, CheckpointPolicy,
     DeadlinePressure, InstrumentedPolicy,
 };
-use pqos_cluster::machine::Cluster;
 use pqos_cluster::node::NodeId;
+use pqos_cluster::partition::Partition;
 use pqos_failures::trace::FailureTrace;
 use pqos_predict::api::Predictor;
 use pqos_predict::instrument::InstrumentedPredictor;
@@ -60,6 +61,19 @@ use std::sync::Arc;
 /// Retry delay when a job's committed nodes are transiently unavailable at
 /// its start instant (e.g. still claimed by a late predecessor).
 const START_RETRY: SimDuration = SimDuration::from_secs(10);
+
+/// Hands `partition`'s nodes back from `owner`. A node held by anyone
+/// else means the claim table and the book disagree: that is a bug, not a
+/// world to simulate on, so the check stays in release builds.
+fn release(node_owner: &mut [Option<JobId>], owner: JobId, partition: &Partition) {
+    for n in partition.iter() {
+        assert_eq!(
+            node_owner[n.index()].take(),
+            Some(owner),
+            "{owner} gives back {n}"
+        );
+    }
+}
 
 /// Same-time event ordering. Occupancy windows are end-exclusive — a job
 /// scheduled over `[s, f)` is *gone* at instant `f` — so a finish at `t`
@@ -233,13 +247,14 @@ pub struct QosSimulator {
     /// estimated from the trace; feeds the base-rate checkpoint prior.
     baseline_node_rate: f64,
     policy: Box<dyn CheckpointPolicy>,
-    cluster: Cluster,
     book: ReservationBook,
     /// The events handlers scheduled; arrivals and failures stay in
     /// their cursors.
     events: EventQueue<Event>,
+    /// The running job claiming each node, if any.
     node_owner: Vec<Option<JobId>>,
-    down_until: Vec<SimTime>,
+    /// Each down node's recovery instant; `None` while the node is up.
+    down_until: Vec<Option<SimTime>>,
     /// How many nodes are down: a failure of an up node adds one, its
     /// recovery takes it away.
     nodes_down: usize,
@@ -287,14 +302,20 @@ impl QosSimulator {
         predictor: Arc<dyn Predictor + Send + Sync>,
     ) -> Self {
         let policy = config.checkpoint_policy.build();
-        let cluster = Cluster::new(config.cluster_size);
         let book = ReservationBook::new(config.cluster_size);
         let n = config.cluster_size as usize;
-        let stats = trace.stats();
-        let baseline_node_rate = if stats.span.is_zero() {
+        // Only failures on the cluster's own nodes are replayed, so only
+        // they count toward its per-node rate; the span is the trace's.
+        let span = trace.stats().span;
+        let inside = trace
+            .failures()
+            .iter()
+            .filter(|f| f.node.index() < n)
+            .count();
+        let baseline_node_rate = if span.is_zero() {
             0.0
         } else {
-            stats.count as f64 / (stats.span.as_secs() as f64 * f64::from(config.cluster_size))
+            inside as f64 / (span.as_secs() as f64 * f64::from(config.cluster_size))
         };
         QosSimulator {
             arrival_order: log.jobs().to_vec(),
@@ -306,11 +327,10 @@ impl QosSimulator {
             predictor,
             baseline_node_rate,
             policy,
-            cluster,
             book,
             events: EventQueue::new(),
             node_owner: vec![None; n],
-            down_until: vec![SimTime::ZERO; n],
+            down_until: vec![None; n],
             nodes_down: 0,
             metrics: MetricsCollector::new(),
             rejected: Vec::new(),
@@ -443,8 +463,8 @@ impl QosSimulator {
             // every negotiation finds the whole cluster up.
             return (down, horizon);
         }
-        for (i, &until) in self.down_until.iter().enumerate() {
-            if !self.cluster.state(NodeId::new(i as u32)).is_up() {
+        for (i, until) in self.down_until.iter().enumerate() {
+            if let Some(until) = *until {
                 down.push(NodeId::new(i as u32));
                 horizon = horizon.max(until);
             }
@@ -529,15 +549,16 @@ impl QosSimulator {
         };
         let (_, &reservation) = self.lifecycle.placement(id).expect("job is committed");
         let partition = &self.book.get(reservation).expect("booked").partition;
-        if self.cluster.claim(partition).is_err() {
+        let free = |n: NodeId| {
+            self.node_owner[n.index()].is_none() && self.down_until[n.index()].is_none()
+        };
+        if !partition.iter().all(free) {
             // A member node is down or still claimed by a late predecessor.
             // Retry once the known recoveries have passed, else shortly.
-            let mut retry = now + START_RETRY;
-            for n in partition.iter() {
-                if !self.cluster.state(n).is_up() {
-                    retry = retry.max(self.down_until[n.index()]);
-                }
-            }
+            let retry = partition
+                .iter()
+                .filter_map(|n| self.down_until[n.index()])
+                .fold(now + START_RETRY, SimTime::max);
             self.push_event(retry, Event::Start { job: id, epoch });
             return;
         }
@@ -671,17 +692,12 @@ impl QosSimulator {
             Entry::Occupied(e) if e.get().epoch == epoch => e.remove(),
             _ => return,
         };
-        let (book, cluster, owners) = (&mut self.book, &mut self.cluster, &mut self.node_owner);
+        let (book, owners) = (&mut self.book, &mut self.node_owner);
         let held = self
             .lifecycle
             .complete(id, now, |reservation| {
                 let partition = book.remove(reservation).expect("booked").partition;
-                cluster
-                    .release(&partition)
-                    .expect("finishing job held its claim");
-                for n in partition.iter() {
-                    owners[n.index()] = None;
-                }
+                release(owners, id, &partition);
             })
             .expect("a finishing job is running");
         let met_deadline = now <= held.deadline;
@@ -712,11 +728,9 @@ impl QosSimulator {
         if let Some(hook) = self.failure_hook.as_mut() {
             hook(node, now);
         }
-        let was_up = self.cluster.state(node).is_up();
-        self.nodes_down += usize::from(was_up);
         let until = now + self.config.node_downtime;
-        self.cluster.mark_down(node, until);
-        self.down_until[node.index()] = until;
+        let was_up = self.down_until[node.index()].replace(until).is_none();
+        self.nodes_down += usize::from(was_up);
         self.push_event(until, Event::NodeRecovery { node });
 
         // ω_lost contribution: wall-clock since the last checkpoint started
@@ -784,16 +798,11 @@ impl QosSimulator {
         let remaining = state.job.runtime() - state.durable;
         self.telemetry.counter("jobs.requeued").inc();
         let (down, horizon) = self.down_nodes();
-        let (book, cluster, owners) = (&mut self.book, &mut self.cluster, &mut self.node_owner);
+        let (book, owners) = (&mut self.book, &mut self.node_owner);
         let (config, predictor, telemetry) = (&self.config, &self.predictor, &self.telemetry);
         let placed = self.lifecycle.requeue(id, now, remaining, |reservation| {
             let partition = book.remove(reservation).expect("booked").partition;
-            cluster
-                .release(&partition)
-                .expect("failed job held its claim");
-            for n in partition.iter() {
-                owners[n.index()] = None;
-            }
+            release(owners, id, &partition);
             let quote = negotiate_with_telemetry(
                 &*book,
                 config.topology,
@@ -830,8 +839,9 @@ impl QosSimulator {
         // A newer failure may have extended the downtime; only the final
         // recovery brings the node up. Coincident failures schedule duplicate
         // recoveries at the same instant, so also skip nodes already up.
-        if self.down_until[node.index()] <= now && !self.cluster.state(node).is_up() {
-            self.cluster.mark_up(node);
+        let slot = &mut self.down_until[node.index()];
+        if slot.is_some_and(|until| until <= now) {
+            *slot = None;
             self.nodes_down -= 1;
             self.telemetry.gauge("cluster.nodes_down").add(-1);
             self.telemetry.emit(|| TelemetryEvent::NodeRecovered {
@@ -1077,6 +1087,55 @@ mod tests {
             o.last_start
         );
         assert_eq!(out.report.deadline_misses, 0);
+    }
+
+    #[test]
+    fn a_failure_during_downtime_extends_it() {
+        use pqos_telemetry::Telemetry;
+        // The only node fails at t=50 (down until 170) and again at t=100,
+        // which moves its recovery to 220. The job arrives at t=60 and is
+        // quoted a start at the 170 horizon; the recovery scheduled for 170
+        // is stale, so the start waits for the one at 220.
+        let log = JobLog::new(vec![job(0, 60, 1, 100)]).unwrap();
+        let sink = Shared::default();
+        let out = QosSimulator::new(
+            SimConfig::paper_defaults()
+                .cluster_size_nodes(1)
+                .accuracy(0.0),
+            log,
+            trace(vec![(50, 0, 0.9), (100, 0, 0.9)]),
+        )
+        .with_telemetry(Telemetry::builder().jsonl_writer(sink.clone()).build())
+        .run();
+        assert_eq!(
+            out.collector.outcomes()[0].last_start,
+            SimTime::from_secs(220)
+        );
+        let journal = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let recoveries: Vec<&str> = journal
+            .lines()
+            .filter(|l| l.contains(r#""event":"node_recovered""#))
+            .collect();
+        assert_eq!(recoveries.len(), 1, "{journal}");
+        assert!(recoveries[0].contains(r#""at":220"#), "{}", recoveries[0]);
+        let snap = out.telemetry.expect("telemetered run has a snapshot");
+        assert_eq!(snap.gauge("cluster.nodes_down"), Some(0));
+    }
+
+    #[test]
+    fn the_base_rate_prior_counts_only_failures_inside_the_cluster() {
+        // Every failure strikes node 7 of a 1-node cluster: none is
+        // replayed, so none may raise the prior's per-node rate, and the
+        // blind (a=0) prior skips both of the 3-h job's checkpoints.
+        let failures: Vec<(u64, u32, f64)> = (1..240).map(|k| (k * 3000, 7, 0.9)).collect();
+        let config = SimConfig::paper_defaults()
+            .cluster_size_nodes(1)
+            .accuracy(0.0)
+            .checkpoint_policy(CheckpointPolicyKind::RiskBasedWithPrior);
+        let log = JobLog::new(vec![job(0, 0, 1, 3 * 3600)]).unwrap();
+        let out = QosSimulator::new(config, log, trace(failures)).run();
+        let o = &out.collector.outcomes()[0];
+        assert_eq!((o.checkpoints_performed, o.checkpoints_skipped), (0, 2));
     }
 
     #[test]

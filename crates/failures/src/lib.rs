@@ -29,7 +29,3 @@ pub mod filter;
 pub mod io;
 pub mod synthetic;
 pub mod trace;
-
-pub use event::{FailureRecord, RawEvent, Severity, Subsystem};
-pub use synthetic::AixLikeTrace;
-pub use trace::{Failure, FailureTrace};

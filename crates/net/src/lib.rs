@@ -179,18 +179,15 @@ struct LoopState {
     touched: Vec<Token>,
     /// Tokens whose `Flushed` notification is owed this pass.
     dirty: Vec<Token>,
-    /// Tokens closed by the callback or a failed write, owed a `Closed`
-    /// event.
+    /// Tokens closed by an overflowing send or a failed write, owed a
+    /// `Closed` event.
     closed_pending: Vec<Token>,
 }
 
 impl LoopState {
-    fn kill(&mut self, token: Token) -> bool {
+    fn kill(&mut self, token: Token) {
         if let Some(conn) = self.conns.remove(&token) {
             self.poll.delete(conn.fd, token);
-            true
-        } else {
-            false
         }
     }
 
@@ -224,8 +221,8 @@ impl LoopState {
     }
 }
 
-/// Handle the callback uses to act on the loop: queue replies, close
-/// connections, begin the shutdown drain.
+/// Handle the callback uses to act on the loop: queue replies and begin
+/// the shutdown drain.
 pub struct Ctx<'a> {
     state: &'a mut LoopState,
 }
@@ -263,13 +260,6 @@ impl Ctx<'_> {
             self.state.touched.push(token);
         }
         Some(conn.queued_total)
-    }
-
-    /// Drops the connection now. A `Closed` event follows.
-    pub fn close(&mut self, token: Token) {
-        if self.state.kill(token) {
-            self.state.closed_pending.push(token);
-        }
     }
 
     /// Stops accepting and exits the loop once every queued reply is

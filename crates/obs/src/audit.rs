@@ -122,7 +122,7 @@ pub struct CalibrationBucket {
 
 impl CalibrationBucket {
     /// Promises with a calibration verdict (kept + broken).
-    pub fn resolved(&self) -> u64 {
+    pub(crate) fn resolved(&self) -> u64 {
         self.kept + self.broken
     }
 
@@ -211,22 +211,22 @@ impl CalibrationLedger {
     }
 
     /// Total promises kept.
-    pub fn kept(&self) -> u64 {
+    pub(crate) fn kept(&self) -> u64 {
         self.bins.iter().map(|b| b.kept).sum()
     }
 
     /// Total promises broken.
-    pub fn broken(&self) -> u64 {
+    pub(crate) fn broken(&self) -> u64 {
         self.bins.iter().map(|b| b.broken).sum()
     }
 
     /// Total promises voided by cancellation.
-    pub fn cancelled(&self) -> u64 {
+    pub(crate) fn cancelled(&self) -> u64 {
         self.bins.iter().map(|b| b.cancelled).sum()
     }
 
     /// Total promises awaiting a terminal event.
-    pub fn pending(&self) -> u64 {
+    pub(crate) fn pending(&self) -> u64 {
         self.bins.iter().map(|b| b.pending()).sum()
     }
 

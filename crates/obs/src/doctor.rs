@@ -28,7 +28,7 @@ use std::io::BufRead;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
+pub(crate) enum Severity {
     /// Suspicious but explainable (e.g. a truncated journal).
     Warning,
     /// The journal is inconsistent with the simulator's invariants.
@@ -51,7 +51,7 @@ pub struct Finding {
     /// Stable machine-readable code (e.g. `out_of_time_order`).
     pub code: &'static str,
     /// Error or warning.
-    pub severity: Severity,
+    pub(crate) severity: Severity,
     /// 1-based journal line the finding anchors to (0 = end of journal).
     pub line: u64,
     /// Sim time of the offending event, when applicable.

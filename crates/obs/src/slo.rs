@@ -13,11 +13,9 @@
 //! reproduction of the full journal (stamps included) is `pqos-replay`'s
 //! job.
 
-pub use pqos_telemetry::slo::{
-    parse_rule, Cmp, Metric, SloAccum, SloEngine, SloRule, SloSink, WindowCounts,
-    DEFAULT_WINDOW_SECS,
-};
+pub use pqos_telemetry::slo::{parse_rule, Cmp, Metric, WindowCounts, DEFAULT_WINDOW_SECS};
 
+use pqos_telemetry::slo::{SloAccum, SloEngine, SloRule};
 use pqos_telemetry::TelemetryEvent;
 
 /// The comparable content of one alert: everything except the tick stamp.

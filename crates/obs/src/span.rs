@@ -65,7 +65,7 @@ impl PhaseKind {
 
 /// One contiguous phase of a job's life: `[start, end]` doing `kind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseSpan {
+pub(crate) struct PhaseSpan {
     /// What the job was doing.
     pub kind: PhaseKind,
     /// When the phase began.
@@ -120,7 +120,7 @@ pub struct JobSpan {
     /// Checkpoints performed / skipped.
     pub checkpoints: (u32, u32),
     /// Contiguous phases tiling `[submit, finish]`, in order.
-    pub phases: Vec<PhaseSpan>,
+    pub(crate) phases: Vec<PhaseSpan>,
     /// Where the job's lines have left it in the journal grammar.
     phase: JournalPhase,
     /// What the job was doing when its last phase closed.

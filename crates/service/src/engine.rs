@@ -685,14 +685,7 @@ fn wall_clock_response<P: Predictor + Sync>(
         },
         Request::History { .. } => Response::History {
             id,
-            history: match history {
-                Some(store) => store.to_json(),
-                None => concat!(
-                    r#"{"history":true,"window_ms":0,"#,
-                    r#""windows":0,"families":[]}"#
-                )
-                .to_string(),
-            },
+            history: history_body(history),
         },
         // `status`, the only other verb the tick hands back.
         _ => Response::Status {
@@ -706,6 +699,16 @@ fn wall_clock_response<P: Predictor + Sync>(
                 core.routed_last().to_vec(),
             ),
         },
+    }
+}
+
+/// The sampled history as JSON — the `history` verb's body and the
+/// metrics listener's `/history` page. With the history plane disabled it
+/// is an empty document of the same shape.
+pub(crate) fn history_body(store: Option<&WindowStore>) -> String {
+    match store {
+        Some(store) => store.to_json(),
+        None => r#"{"history":true,"window_ms":0,"windows":0,"families":[]}"#.to_string(),
     }
 }
 

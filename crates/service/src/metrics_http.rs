@@ -20,7 +20,7 @@
 //! would otherwise update per tick (queue depth, overload total,
 //! process uptime), so an idle daemon still reports live values.
 
-use crate::engine::EngineMonitor;
+use crate::engine::{history_body, EngineMonitor};
 use pqos_telemetry::{expo, Telemetry, WindowStore};
 use std::io::{Read, Write};
 use std::net::TcpListener;
@@ -119,17 +119,7 @@ fn handle_client(
                 .unwrap_or_default();
             ("200 OK", "text/plain; version=0.0.4; charset=utf-8", body)
         }
-        "/history" => {
-            let body = match history {
-                Some(store) => store.to_json(),
-                None => concat!(
-                    r#"{"history":true,"window_ms":0,"#,
-                    r#""windows":0,"families":[]}"#
-                )
-                .to_string(),
-            };
-            ("200 OK", "application/json", body)
-        }
+        "/history" => ("200 OK", "application/json", history_body(history)),
         "/healthz" => {
             if engine.is_draining() {
                 ("503 Service Unavailable", "text/plain", "draining\n".into())

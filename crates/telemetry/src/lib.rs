@@ -86,10 +86,9 @@ pub mod window;
 
 pub use event::{one_of_each, AlertState, PromiseVerdict, SkipReason, TelemetryEvent};
 pub use handle::{SinkHealth, Telemetry, TelemetryBuilder};
-pub use journal::EventSink;
 pub use metrics::{
     labeled, Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry, Snapshot, Timer,
 };
-pub use reqtrace::{RequestTrace, TraceEntry, TraceError, TraceMeta};
-pub use slo::{parse_rule, SloAccum, SloEngine, SloRule, SloSink};
+pub use reqtrace::RequestTrace;
+pub use slo::{SloAccum, SloEngine, SloSink};
 pub use window::{WindowStore, DEFAULT_WINDOW_CAPACITY};

@@ -22,14 +22,16 @@
 #   demotable CRATE ITEM FILE:LINE   no caller outside its crate
 #   dead      CRATE ITEM FILE:LINE   no caller outside its crate's tests
 # A finding named in scripts/census-keep.txt (lines "CRATE ITEM  reason")
-# prints as `kept` instead; keep-list entries for the given crates that
-# match no finding are named on stderr. Doctests are not compiled, so an
-# item only a doctest calls shows up and belongs in the keep-list with
-# that reason. Tests, examples, bins and benchmark/ count as callers.
+# prints as `kept` instead; a keep-list entry for one of the given crates
+# that matches no finding is stale, named on stderr and fails the census.
+# Doctests are not compiled, so an item only a doctest calls shows up and
+# belongs in the keep-list with that reason. Tests, examples, bins and
+# benchmark/ count as callers.
 #
-# Exits 0 when every finding is kept, 1 when one is not, 2 on a usage or
-# build error. Temporary files go under ${TMPDIR:-/tmp} and are removed on
-# exit. Needs bash, python3 and cargo; no network (cargo runs --offline).
+# Exits 0 when every finding is kept and no keep-list entry is stale, 1
+# otherwise, 2 on a usage or build error. Temporary files go under
+# ${TMPDIR:-/tmp} and are removed on exit. Needs bash, python3 and cargo;
+# no network (cargo runs --offline).
 set -euo pipefail
 
 usage() {
@@ -360,6 +362,7 @@ for kind, crate, item, where in sorted(found):
 for (crate, item), used in sorted(keep.items()):
     if crate in crates and not used:
         sys.stderr.write(f"census: keep-list entry matches nothing: {crate} {item}\n")
+        status = 1
 sys.exit(status)
 PY
 (cd "$tree" && cargo check --offline --lib "${packages[@]}" --message-format=json 2>/dev/null) |
