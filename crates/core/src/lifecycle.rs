@@ -91,9 +91,9 @@ use pqos_predict::api::Predictor;
 use pqos_sched::reservation::AvailabilityView;
 use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
 use pqos_telemetry::{PromiseVerdict, Telemetry, TelemetryEvent};
-use pqos_workload::job::JobId;
+use pqos_workload::job::{JobId, JobMap};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Why an `accept` did not commit the quote.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -392,7 +392,7 @@ struct Job<C> {
 }
 
 /// `id`'s entry in `jobs`, if it is in `phase`.
-fn in_phase<C>(jobs: &mut HashMap<JobId, Job<C>>, id: JobId, phase: Phase) -> Option<&mut Job<C>> {
+fn in_phase<C>(jobs: &mut JobMap<Job<C>>, id: JobId, phase: Phase) -> Option<&mut Job<C>> {
     jobs.get_mut(&id).filter(|job| job.phase == phase)
 }
 
@@ -442,11 +442,11 @@ pub struct Lifecycle<C> {
     /// The live jobs: quoted, accepted or running. A job leaves at
     /// completion or cancellation, and its held quote with it, so the
     /// table is the size of the work in flight.
-    jobs: HashMap<JobId, Job<C>>,
+    jobs: JobMap<Job<C>>,
     /// How each job that left `jobs` ended: [`Phase::Done`] or
     /// [`Phase::Cancelled`]. It keeps the answers a late `accept`,
     /// `cancel` or re-quote of the id gets, and [`Self::holds`].
-    ended: HashMap<JobId, Phase>,
+    ended: JobMap<Phase>,
     /// The served driver's pending instants: (time, order-class, job).
     timers: BTreeSet<(SimTime, u8, JobId)>,
     stats: SessionStats,
@@ -462,8 +462,8 @@ impl<C> Lifecycle<C> {
             now: SimTime::ZERO,
             quote_horizon: None,
             node_base: 0,
-            jobs: HashMap::new(),
-            ended: HashMap::new(),
+            jobs: JobMap::default(),
+            ended: JobMap::default(),
             timers: BTreeSet::new(),
             stats: SessionStats::default(),
             promises: PromiseTally::default(),

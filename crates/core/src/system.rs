@@ -52,10 +52,9 @@ use pqos_sched::reservation::{ReservationBook, ReservationId};
 use pqos_sim_core::queue::EventQueue;
 use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
 use pqos_telemetry::{Histogram, SkipReason, Snapshot, Telemetry, TelemetryEvent, Timer};
-use pqos_workload::job::{Job, JobId};
+use pqos_workload::job::{Job, JobId, JobMap};
 use pqos_workload::log::JobLog;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Retry delay when a job's committed nodes are transiently unavailable at
@@ -232,7 +231,7 @@ impl JobState {
 pub struct QosSimulator {
     config: SimConfig,
     /// Checkpoint clocks of the committed jobs not yet finished.
-    jobs: HashMap<JobId, JobState>,
+    jobs: JobMap<JobState>,
     /// Every job's lifecycle, committed to a reservation in `book`.
     lifecycle: Lifecycle<ReservationId>,
     arrival_order: Vec<Job>,
@@ -320,7 +319,7 @@ impl QosSimulator {
         QosSimulator {
             arrival_order: log.jobs().to_vec(),
             next_arrival: 0,
-            jobs: HashMap::new(),
+            jobs: JobMap::default(),
             lifecycle: Lifecycle::new(Telemetry::disabled()),
             trace,
             next_failure: 0,
@@ -858,6 +857,7 @@ mod tests {
     use crate::config::CheckpointPolicyKind;
     use pqos_failures::trace::Failure;
     use pqos_sim_core::time::SimDuration;
+    use std::collections::HashMap;
 
     fn job(id: u64, arrive: u64, nodes: u32, runtime: u64) -> Job {
         Job::new(

@@ -60,8 +60,9 @@ impl std::error::Error for AccuracyError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceOracle {
-    trace: Arc<FailureTrace>,
-    accuracy: f64,
+    /// The trace's failures with `px ≤ a`, in the trace's `(time, node)`
+    /// order: the only failures a query can ever answer with.
+    detectable: Arc<[Failure]>,
 }
 
 impl TraceOracle {
@@ -74,30 +75,31 @@ impl TraceOracle {
         if !(0.0..=1.0).contains(&accuracy) {
             return Err(AccuracyError(accuracy));
         }
-        Ok(TraceOracle { trace, accuracy })
+        let detectable = trace
+            .iter()
+            .filter(|f| f.detectability <= accuracy)
+            .copied()
+            .collect();
+        Ok(TraceOracle { detectable })
     }
 }
 
 impl Predictor for TraceOracle {
     /// The paper's scan — the partition's failures in `(time, node)`
-    /// order, the first with `px ≤ a` answers — without merging them:
-    /// each node's first detectable failure in the window is its
-    /// candidate, and the least candidate by `(time, node)` is the one
-    /// the merged scan would reach first. A node's walk stops at the best
-    /// candidate so far.
+    /// order, the first with `px ≤ a` answers — read off the detectable
+    /// failures: one binary search for the window's start, then the first
+    /// failure before its end whose node is in `nodes`. Trace order is
+    /// `(time, node)` order, and a node's same-instant failures keep
+    /// their trace order, so that is the failure the merged scan reaches
+    /// first. Beyond the search, a query scans `nodes` once for each
+    /// detectable failure in the window, on any node, up to the answer.
     fn failure_probability(&self, nodes: &[NodeId], window: TimeWindow) -> f64 {
-        let mut first: Option<&Failure> = None;
-        for &node in nodes {
-            let hit = self
-                .trace
-                .node_failures_in(node, window)
-                .take_while(|f| first.is_none_or(|b| (f.time, f.node) < (b.time, b.node)))
-                .find(|f| f.detectability <= self.accuracy);
-            if hit.is_some() {
-                first = hit;
-            }
-        }
-        first.map_or(0.0, |f| f.detectability)
+        let from = self.detectable.partition_point(|f| f.time < window.start());
+        self.detectable[from..]
+            .iter()
+            .take_while(|f| f.time < window.end())
+            .find(|f| nodes.contains(&f.node))
+            .map_or(0.0, |f| f.detectability)
     }
 }
 
@@ -246,19 +248,23 @@ mod tests {
         hits.into_iter().find(|f| f.detectability <= a).copied()
     }
 
-    /// The per-node query answers exactly what the collect-sort-scan one
-    /// did, over seeded traces dense in the cases that could split them:
+    /// The walk over the detectable failures answers exactly what the
+    /// collect-sort-scan query did, over seeded traces dense in the cases
+    /// that could split them: answers behind fewer and behind at least as
+    /// many detectable failures on other nodes as the partition has nodes,
     /// duplicate `(time, node)` failures, `px` exactly `a`, failures at
-    /// the window's start and end, empty and repeated node lists, and
-    /// nodes past the trace's per-node index (it covers nodes 0–7; the
-    /// queries ask about 0–11).
+    /// the window's start and end, empty, unsorted and repeated node lists
+    /// of up to 12 nodes, and nodes past the trace's per-node index (it
+    /// covers nodes 0–7; the queries ask about 0–11).
     #[test]
     fn per_node_query_matches_collect_sort_scan() {
         const ACCURACIES: [f64; 4] = [0.0, 0.3, 0.7, 1.0];
         // Draws of: an empty node list, a node past the index, an answer
         // with px = a, an answer at the window's start, a failure at its
-        // end, a duplicate (time, node) failure.
-        let mut seen = [0usize; 6];
+        // end, a duplicate (time, node) failure, an answer behind fewer
+        // than nodes.len() detectable failures on other nodes, one behind
+        // at least that many.
+        let mut seen = [0usize; 8];
         for seed in 0..300 {
             let mut rng = DetRng::seed_from(seed).fork("oracle-equivalence");
             let mut failures: Vec<Failure> = Vec::new();
@@ -298,7 +304,7 @@ mod tests {
                 let (x, y) = (edge(&mut rng), edge(&mut rng));
                 let window =
                     TimeWindow::new(SimTime::from_secs(x.min(y)), SimTime::from_secs(x.max(y)));
-                let nodes: Vec<NodeId> = (0..rng.uniform_u64(0, 6))
+                let nodes: Vec<NodeId> = (0..rng.uniform_u64(0, 12))
                     .map(|_| NodeId::new(rng.uniform_u64(0, 11) as u32))
                     .collect();
                 seen[0] += usize::from(nodes.is_empty());
@@ -314,6 +320,12 @@ mod tests {
                     if let Some(f) = want {
                         seen[2] += usize::from(f.detectability == a);
                         seen[3] += usize::from(f.time == window.start());
+                        let before = trace
+                            .iter()
+                            .filter(|g| window.contains(g.time) && g.detectability <= a)
+                            .take_while(|g| !nodes.contains(&g.node))
+                            .count();
+                        seen[6 + usize::from(before >= nodes.len())] += 1;
                     }
                     // A failure at the window's end is outside it.
                     seen[4] += usize::from(nodes.iter().any(|&n| {

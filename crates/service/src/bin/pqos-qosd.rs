@@ -146,6 +146,9 @@ fn main() -> ExitCode {
                     .map(|n| cluster_size = n)
                     .map_err(|_| "--cluster-size: not a node count".into())
             }),
+            // A shard's job tables hold ids strided by the shard count
+            // (see `JobIdHasher`): up to 64 shards they stay faster than
+            // SipHash; at ~1,024 shards they are several times slower.
             "--shards" => value("--shards").and_then(|v| {
                 v.parse()
                     .ok()

@@ -320,6 +320,21 @@ impl Drop for Timer {
     }
 }
 
+/// The cell registered under `name` in `map`, made by `make` on first use.
+/// A name already registered costs a lookup; only a new one is copied
+/// into a `String`.
+fn cell<T>(
+    map: &Mutex<BTreeMap<String, Arc<T>>>,
+    name: &str,
+    make: impl FnOnce() -> Arc<T>,
+) -> Arc<T> {
+    let mut map = map.lock().expect("registry lock");
+    if let Some(cell) = map.get(name) {
+        return Arc::clone(cell);
+    }
+    Arc::clone(map.entry(name.to_owned()).or_insert_with(make))
+}
+
 /// The set of all named metrics for one telemetry instance.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
@@ -337,32 +352,26 @@ impl MetricsRegistry {
     /// Returns the counter registered under `name`, creating it on first
     /// use. Repeated calls with the same name share one cell.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().expect("registry lock");
-        let cell = map.entry(name.to_string()).or_default();
-        Counter(Some(Arc::clone(cell)))
+        Counter(Some(cell(&self.counters, name, Arc::default)))
     }
 
     /// Returns the gauge registered under `name`, creating it on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.lock().expect("registry lock");
-        let cell = map.entry(name.to_string()).or_default();
-        Gauge(Some(Arc::clone(cell)))
+        Gauge(Some(cell(&self.gauges, name, Arc::default)))
     }
 
     /// Returns the histogram registered under `name`, creating it on first
     /// use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.histograms.lock().expect("registry lock");
         // OnlineStats::default() seeds min/max at 0.0; new() uses ±inf.
-        let cell = map.entry(name.to_string()).or_insert_with(|| {
+        Histogram(Some(cell(&self.histograms, name, || {
             Arc::new(Mutex::new(HistState {
                 stats: OnlineStats::new(),
                 reservoir: Reservoir::default(),
                 window: Reservoir::default(),
                 window_count: 0,
             }))
-        });
-        Histogram(Some(Arc::clone(cell)))
+        })))
     }
 
     /// A point-in-time copy of every registered metric.

@@ -6,7 +6,9 @@
 //! execution time `Ej`, start `sj`, finish `fj`) at run time.
 
 use pqos_sim_core::time::{SimDuration, SimTime};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a job, unique within a [`crate::log::JobLog`].
 ///
@@ -43,6 +45,55 @@ impl fmt::Display for JobId {
 impl From<u64> for JobId {
     fn from(v: u64) -> Self {
         JobId(v)
+    }
+}
+
+/// A hash map keyed by [`JobId`], hashed by [`JobIdHasher`] instead of
+/// the standard library's SipHash.
+///
+/// Nothing in the workspace iterates a `JobMap`, so its (hasher-dependent)
+/// order never reaches a journal, a report or a reply.
+pub type JobMap<V> = HashMap<JobId, V, BuildHasherDefault<JobIdHasher>>;
+
+/// The hasher behind [`JobMap`]: a job id times an odd 64-bit constant
+/// (the Fx multiply; several writes fold in as Fx does).
+///
+/// Multiplying by an odd constant permutes the residues mod every `2^k`,
+/// so consecutive ids from any base land in distinct buckets of a table
+/// of up to `2^k` buckets, and the high bits the table also reads are
+/// mixed by the carries. The ids the workspace inserts come from counters:
+/// job-log numbers, the daemon's job counter, and the counter values a
+/// recorded trace replays.
+///
+/// SipHash is keyed so that chosen keys cannot force collisions; this
+/// hasher is not, and it need not be: a client never chooses an inserted
+/// key, because `negotiate` carries no job id (the daemon assigns it),
+/// and a client-named id in `accept` or `cancel` is only looked up. Its
+/// known weakness: ids strided by `2^k` share their low `k` bits, so they
+/// share home buckets in a table of `2^k` or fewer. A sharded daemon
+/// anchors a job at `id % shards`, so a shard's table holds ids strided by
+/// the shard count; the table's probe groups absorb strides of a few
+/// shards, but ids spaced by ~1,024 or more make it several times slower
+/// than SipHash.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct JobIdHasher(u64);
+
+/// The Fx constant: odd, with its bits spread over the whole word.
+const FX: u64 = 0x517c_c1b7_2722_0a95;
+
+impl Hasher for JobIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(FX);
     }
 }
 
@@ -211,6 +262,37 @@ mod tests {
     fn job_id_conversions() {
         assert_eq!(JobId::from(3u64).as_u64(), 3);
         assert_eq!(JobId::new(3).to_string(), "j3");
+    }
+
+    /// 1,024 consecutive ids from each base hash to 1,024 distinct values
+    /// mod 1,024: a table of up to 1,024 buckets holds them one to a
+    /// bucket. The multiply followed by a fold (`x ^ x >> 32`), murmur3's
+    /// `fmix64` or SipHash put only about 650 of them in distinct buckets.
+    /// The hashes' top 7 bits (the tag the table compares before a key)
+    /// take all 128 values too, which a bare fold of the id does not.
+    /// Ids strided by a shard count up to 64 (a shard's ids) lose exactly
+    /// the stride's low bits — 1,024 / stride home buckets, stride ids to
+    /// each — and keep all 128 tags.
+    #[test]
+    fn consecutive_ids_fill_distinct_buckets() {
+        use std::collections::BTreeSet;
+        use std::hash::BuildHasher;
+        let hasher = BuildHasherDefault::<JobIdHasher>::default();
+        for stride in [1, 4, 64] {
+            for base in [0, 1 << 32, u64::MAX - 1023 * stride] {
+                let hashes: Vec<u64> = (0..1024)
+                    .map(|i| hasher.hash_one(JobId::new(base + i * stride)))
+                    .collect();
+                let buckets: BTreeSet<u64> = hashes.iter().map(|h| h % 1024).collect();
+                assert_eq!(
+                    buckets.len() as u64,
+                    1024 / stride,
+                    "stride {stride} from {base}"
+                );
+                let tags: BTreeSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+                assert_eq!(tags.len(), 128, "stride {stride} from {base}");
+            }
+        }
     }
 
     #[test]
