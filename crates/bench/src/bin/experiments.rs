@@ -317,7 +317,7 @@ fn telemetry_run(
     metrics: bool,
     trace: &Arc<FailureTrace>,
 ) {
-    let mut builder = Telemetry::builder().ring_buffer(4096);
+    let mut builder = Telemetry::builder();
     if let Some(path) = journal {
         builder = builder
             .jsonl_path(path)
@@ -347,12 +347,6 @@ fn telemetry_run(
             "[telemetry] WARNING: {} events lost to journal write errors — \
              the journal is incomplete",
             health.write_errors
-        );
-    }
-    if health.ring_dropped > 0 {
-        eprintln!(
-            "[telemetry] note: ring buffer evicted {} events (holds the last 4096)",
-            health.ring_dropped
         );
     }
     if metrics {

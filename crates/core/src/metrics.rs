@@ -2,60 +2,10 @@
 //! work lost to failures — plus the secondary counters the experiment
 //! harness reports.
 
+use crate::lifecycle::HeldQuote;
 use pqos_sim_core::time::{SimDuration, SimTime};
-use pqos_workload::job::JobId;
+use pqos_workload::job::Job;
 use std::fmt;
-
-/// Everything recorded about one completed job.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobOutcome {
-    /// Job identifier.
-    pub id: JobId,
-    /// Size in nodes `nj`.
-    pub nodes: u32,
-    /// Checkpoint-free runtime `ej`.
-    pub runtime: SimDuration,
-    /// Arrival time `vj`.
-    pub arrival: SimTime,
-    /// Promised probability of success `pj` at submission.
-    pub promised: f64,
-    /// Negotiated deadline.
-    pub deadline: SimTime,
-    /// Last (re)start time `sj`.
-    pub last_start: SimTime,
-    /// Completion time `fj`.
-    pub finish: SimTime,
-    /// Whether the job finished by its deadline (`qj`).
-    pub met_deadline: bool,
-    /// Number of failures that hit this job.
-    pub failures: u32,
-    /// Whether the negotiation satisfied the user's threshold.
-    pub satisfied_threshold: bool,
-    /// Checkpoints performed for this job.
-    pub checkpoints_performed: u32,
-    /// Checkpoint requests skipped for this job.
-    pub checkpoints_skipped: u32,
-}
-
-impl JobOutcome {
-    /// Useful work `ej·nj` in node-seconds, saturating at `u64::MAX`.
-    fn work(&self) -> u64 {
-        self.runtime.as_secs().saturating_mul(u64::from(self.nodes))
-    }
-}
-
-/// Work lost to one failure: `(tx − cjx) · njx` node-seconds (§3.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LostWorkEvent {
-    /// When the failure struck.
-    pub time: SimTime,
-    /// The job that lost work.
-    pub job: JobId,
-    /// The job's size in nodes.
-    pub nodes: u32,
-    /// Node-seconds rolled back.
-    pub lost_node_seconds: u64,
-}
 
 /// Aggregated results of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,37 +56,97 @@ impl fmt::Display for SimReport {
     }
 }
 
-/// Accumulates outcomes during a run and reduces them to a [`SimReport`].
-#[derive(Debug, Clone, Default)]
-pub struct MetricsCollector {
-    outcomes: Vec<JobOutcome>,
-    lost: Vec<LostWorkEvent>,
+/// Running sums over a run's finished jobs and the work its failures
+/// rolled back, reduced to a [`SimReport`] when the run ends. The
+/// simulator adds each job as it finishes and each loss as it happens, so
+/// every float sums in event order.
+#[derive(Debug, Clone)]
+pub(crate) struct RunTotals {
+    jobs: usize,
+    /// `Σ ej·nj`, saturating.
+    total_work: u64,
+    /// `Σ ej·nj·pj` over the jobs that met their deadline (Eq. 2).
+    kept_promise: f64,
+    /// `Σ ej·nj·pj` over every job.
+    promise: f64,
+    /// `min vj` (`SimTime::MAX` before the first job).
+    first_arrival: SimTime,
+    /// `max fj`.
+    last_finish: SimTime,
+    deadline_misses: usize,
+    job_failures: usize,
+    checkpoints_performed: u64,
+    checkpoints_skipped: u64,
+    /// `Σ (sj − vj)`, in seconds.
+    wait_secs: f64,
+    threshold_satisfied: usize,
+    /// `ω_lost`, saturating.
+    lost_work: u64,
 }
 
-impl MetricsCollector {
-    /// Creates an empty collector.
-    pub(crate) fn new() -> Self {
-        MetricsCollector::default()
+impl Default for RunTotals {
+    fn default() -> Self {
+        // The float sums start at −0.0, where `Iterator::sum` starts, so
+        // a run in which no job meets its deadline scores a QoS of −0.0.
+        RunTotals {
+            jobs: 0,
+            total_work: 0,
+            kept_promise: -0.0,
+            promise: -0.0,
+            first_arrival: SimTime::MAX,
+            last_finish: SimTime::ZERO,
+            deadline_misses: 0,
+            job_failures: 0,
+            checkpoints_performed: 0,
+            checkpoints_skipped: 0,
+            wait_secs: -0.0,
+            threshold_satisfied: 0,
+            lost_work: 0,
+        }
+    }
+}
+
+impl RunTotals {
+    /// Adds a job that finished at `finish` under the promise `held`,
+    /// its last attempt started at `last_start`, after `failures`
+    /// failures and with `checkpoints` (performed, skipped). Returns
+    /// whether it met its deadline (`qj`).
+    pub(crate) fn finish(
+        &mut self,
+        job: &Job,
+        held: &HeldQuote,
+        last_start: SimTime,
+        finish: SimTime,
+        failures: u32,
+        checkpoints: (u32, u32),
+    ) -> bool {
+        let met = finish <= held.deadline;
+        let work = job
+            .runtime()
+            .as_secs()
+            .saturating_mul(u64::from(job.nodes()));
+        let weighted = work as f64 * held.quote.promised_success();
+        self.jobs += 1;
+        self.total_work = self.total_work.saturating_add(work);
+        if met {
+            self.kept_promise += weighted;
+        } else {
+            self.deadline_misses += 1;
+        }
+        self.promise += weighted;
+        self.first_arrival = self.first_arrival.min(job.arrival());
+        self.last_finish = self.last_finish.max(finish);
+        self.job_failures += failures as usize;
+        self.checkpoints_performed += u64::from(checkpoints.0);
+        self.checkpoints_skipped += u64::from(checkpoints.1);
+        self.wait_secs += last_start.saturating_since(job.arrival()).as_secs() as f64;
+        self.threshold_satisfied += usize::from(held.satisfied_threshold);
+        met
     }
 
-    /// Records a completed job.
-    pub(crate) fn record_outcome(&mut self, outcome: JobOutcome) {
-        self.outcomes.push(outcome);
-    }
-
-    /// Records work lost to a failure.
-    pub(crate) fn record_lost_work(&mut self, event: LostWorkEvent) {
-        self.lost.push(event);
-    }
-
-    /// Completed-job outcomes recorded so far.
-    pub fn outcomes(&self) -> &[JobOutcome] {
-        &self.outcomes
-    }
-
-    /// Lost-work events recorded so far.
-    pub fn lost_events(&self) -> &[LostWorkEvent] {
-        &self.lost
+    /// Adds `node_seconds` of work a failure rolled back.
+    pub(crate) fn lose(&mut self, node_seconds: u64) {
+        self.lost_work = self.lost_work.saturating_add(node_seconds);
     }
 
     /// Reduces to a report for a cluster of `cluster_size` nodes.
@@ -146,84 +156,38 @@ impl MetricsCollector {
     /// Panics if `cluster_size == 0`.
     pub(crate) fn report(&self, cluster_size: u32) -> SimReport {
         assert!(cluster_size > 0, "cluster size must be positive");
-        let total_work = self
-            .outcomes
-            .iter()
-            .map(JobOutcome::work)
-            .fold(0, u64::saturating_add);
-        let qos_num: f64 = self
-            .outcomes
-            .iter()
-            .filter(|o| o.met_deadline)
-            .map(|o| o.work() as f64 * o.promised)
-            .sum();
-        let promise_num: f64 = self
-            .outcomes
-            .iter()
-            .map(|o| o.work() as f64 * o.promised)
-            .sum();
-        let first_arrival = self.outcomes.iter().map(|o| o.arrival).min();
-        let last_finish = self.outcomes.iter().map(|o| o.finish).max();
-        let makespan = match (first_arrival, last_finish) {
-            (Some(a), Some(f)) => f.saturating_since(a),
-            _ => SimDuration::ZERO,
-        };
+        let total_work = self.total_work;
+        // `T = max fj − min vj`; zero before the first job, when
+        // `first_arrival` is still `SimTime::MAX`.
+        let makespan = self.last_finish.saturating_since(self.first_arrival);
         let utilization = if makespan.is_zero() {
             0.0
         } else {
             total_work as f64 / (makespan.as_secs() as f64 * f64::from(cluster_size))
         };
-        let n = self.outcomes.len();
-        SimReport {
-            qos: if total_work > 0 {
-                qos_num / total_work as f64
+        let n = self.jobs;
+        let per_work = |sum: f64| {
+            if total_work > 0 {
+                sum / total_work as f64
             } else {
                 0.0
-            },
+            }
+        };
+        let per_job = |sum: f64| if n > 0 { sum / n as f64 } else { 0.0 };
+        SimReport {
+            qos: per_work(self.kept_promise),
             utilization,
-            lost_work: self
-                .lost
-                .iter()
-                .map(|l| l.lost_node_seconds)
-                .fold(0, u64::saturating_add),
+            lost_work: self.lost_work,
             total_work,
             makespan,
             jobs: n,
-            deadline_misses: self.outcomes.iter().filter(|o| !o.met_deadline).count(),
-            job_failures: self.outcomes.iter().map(|o| o.failures as usize).sum(),
-            checkpoints_performed: self
-                .outcomes
-                .iter()
-                .map(|o| u64::from(o.checkpoints_performed))
-                .sum(),
-            checkpoints_skipped: self
-                .outcomes
-                .iter()
-                .map(|o| u64::from(o.checkpoints_skipped))
-                .sum(),
-            mean_promise: if total_work > 0 {
-                promise_num / total_work as f64
-            } else {
-                0.0
-            },
-            mean_wait_secs: if n > 0 {
-                self.outcomes
-                    .iter()
-                    .map(|o| o.last_start.saturating_since(o.arrival).as_secs() as f64)
-                    .sum::<f64>()
-                    / n as f64
-            } else {
-                0.0
-            },
-            threshold_satisfied_fraction: if n > 0 {
-                self.outcomes
-                    .iter()
-                    .filter(|o| o.satisfied_threshold)
-                    .count() as f64
-                    / n as f64
-            } else {
-                0.0
-            },
+            deadline_misses: self.deadline_misses,
+            job_failures: self.job_failures,
+            checkpoints_performed: self.checkpoints_performed,
+            checkpoints_skipped: self.checkpoints_skipped,
+            mean_promise: per_work(self.promise),
+            mean_wait_secs: per_job(self.wait_secs),
+            threshold_satisfied_fraction: per_job(self.threshold_satisfied as f64),
         }
     }
 }
@@ -231,32 +195,72 @@ impl MetricsCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::negotiate::Quote;
+    use pqos_cluster::partition::Partition;
+    use pqos_workload::job::JobId;
 
-    fn outcome(id: u64, nodes: u32, runtime: u64, promised: f64, met: bool) -> JobOutcome {
-        JobOutcome {
-            id: JobId::new(id),
+    /// One finished job's terms, as the simulator hands them over.
+    struct Outcome {
+        nodes: u32,
+        runtime: u64,
+        promised: f64,
+        arrival: u64,
+        last_start: u64,
+        finish: u64,
+        met: bool,
+        satisfied: bool,
+    }
+
+    fn outcome(nodes: u32, runtime: u64, promised: f64, met: bool) -> Outcome {
+        Outcome {
             nodes,
-            runtime: SimDuration::from_secs(runtime),
-            arrival: SimTime::from_secs(0),
+            runtime,
             promised,
-            deadline: SimTime::from_secs(1000),
-            last_start: SimTime::from_secs(10),
-            finish: SimTime::from_secs(100),
-            met_deadline: met,
-            failures: 0,
-            satisfied_threshold: true,
-            checkpoints_performed: 0,
-            checkpoints_skipped: 0,
+            arrival: 0,
+            last_start: 10,
+            finish: 100,
+            met,
+            satisfied: true,
         }
+    }
+
+    fn add(totals: &mut RunTotals, o: Outcome) {
+        let job = Job::new(
+            JobId::new(0),
+            SimTime::from_secs(o.arrival),
+            o.nodes,
+            SimDuration::from_secs(o.runtime),
+        )
+        .unwrap();
+        let deadline = SimTime::from_secs(if o.met { o.finish } else { o.finish - 1 });
+        let held = HeldQuote {
+            quote: Quote {
+                start: SimTime::from_secs(o.last_start),
+                deadline,
+                partition: Partition::contiguous(0, o.nodes),
+                failure_probability: 1.0 - o.promised,
+            },
+            deadline,
+            satisfied_threshold: o.satisfied,
+        };
+        let met = totals.finish(
+            &job,
+            &held,
+            SimTime::from_secs(o.last_start),
+            SimTime::from_secs(o.finish),
+            0,
+            (0, 0),
+        );
+        assert_eq!(met, o.met);
     }
 
     #[test]
     fn qos_is_eq2() {
-        let mut m = MetricsCollector::new();
+        let mut m = RunTotals::default();
         // Job A: 100 node-s, promised 1.0, met. Job B: 300 node-s, promised
         // 0.8, missed. QoS = (100·1·1.0) / 400 = 0.25.
-        m.record_outcome(outcome(1, 1, 100, 1.0, true));
-        m.record_outcome(outcome(2, 3, 100, 0.8, false));
+        add(&mut m, outcome(1, 100, 1.0, true));
+        add(&mut m, outcome(3, 100, 0.8, false));
         let r = m.report(4);
         assert!((r.qos - 0.25).abs() < 1e-12);
         assert_eq!(r.deadline_misses, 1);
@@ -270,21 +274,11 @@ mod tests {
         // 2^62 s on 4 nodes is 2^64 node-seconds. Unchecked, the fold
         // panicked in a debug build; a release build wrapped the job to 0
         // and reported the other one's 200 node-s as all the work.
-        let mut m = MetricsCollector::new();
-        m.record_outcome(outcome(1, 4, 1 << 62, 1.0, true));
-        m.record_outcome(outcome(2, 2, 100, 0.5, true));
-        m.record_lost_work(LostWorkEvent {
-            time: SimTime::from_secs(5),
-            job: JobId::new(1),
-            nodes: 4,
-            lost_node_seconds: u64::MAX,
-        });
-        m.record_lost_work(LostWorkEvent {
-            time: SimTime::from_secs(9),
-            job: JobId::new(2),
-            nodes: 2,
-            lost_node_seconds: 1,
-        });
+        let mut m = RunTotals::default();
+        add(&mut m, outcome(4, 1 << 62, 1.0, true));
+        add(&mut m, outcome(2, 100, 0.5, true));
+        m.lose(u64::MAX);
+        m.lose(1);
         let r = m.report(128);
         assert_eq!(r.total_work, u64::MAX);
         assert_eq!(r.lost_work, u64::MAX);
@@ -294,19 +288,23 @@ mod tests {
 
     #[test]
     fn missed_jobs_contribute_nothing_to_qos() {
-        let mut m = MetricsCollector::new();
-        m.record_outcome(outcome(1, 2, 50, 0.9, false));
+        let mut m = RunTotals::default();
+        add(&mut m, outcome(2, 50, 0.9, false));
         let r = m.report(4);
         assert_eq!(r.qos, 0.0);
     }
 
     #[test]
     fn utilization_uses_makespan_and_cluster_size() {
-        let mut m = MetricsCollector::new();
-        let mut o = outcome(1, 2, 100, 1.0, true);
-        o.arrival = SimTime::from_secs(0);
-        o.finish = SimTime::from_secs(100);
-        m.record_outcome(o);
+        let mut m = RunTotals::default();
+        add(
+            &mut m,
+            Outcome {
+                arrival: 0,
+                finish: 100,
+                ..outcome(2, 100, 1.0, true)
+            },
+        );
         // 200 node-s over 100 s on 4 nodes → 0.5.
         let r = m.report(4);
         assert!((r.utilization - 0.5).abs() < 1e-12);
@@ -315,28 +313,18 @@ mod tests {
 
     #[test]
     fn lost_work_sums_events() {
-        let mut m = MetricsCollector::new();
-        m.record_outcome(outcome(1, 1, 10, 1.0, true));
-        m.record_lost_work(LostWorkEvent {
-            time: SimTime::from_secs(5),
-            job: JobId::new(1),
-            nodes: 4,
-            lost_node_seconds: 400,
-        });
-        m.record_lost_work(LostWorkEvent {
-            time: SimTime::from_secs(9),
-            job: JobId::new(1),
-            nodes: 4,
-            lost_node_seconds: 100,
-        });
-        assert_eq!(m.report(4).lost_work, 500);
-        assert_eq!(m.lost_events().len(), 2);
-        assert_eq!(m.outcomes().len(), 1);
+        let mut m = RunTotals::default();
+        add(&mut m, outcome(1, 10, 1.0, true));
+        m.lose(400);
+        m.lose(100);
+        let r = m.report(4);
+        assert_eq!(r.lost_work, 500);
+        assert_eq!(r.jobs, 1);
     }
 
     #[test]
     fn empty_collector_is_all_zero() {
-        let r = MetricsCollector::new().report(128);
+        let r = RunTotals::default().report(128);
         assert_eq!(r.qos, 0.0);
         assert_eq!(r.utilization, 0.0);
         assert_eq!(r.lost_work, 0);
@@ -347,16 +335,24 @@ mod tests {
 
     #[test]
     fn wait_and_threshold_fractions() {
-        let mut m = MetricsCollector::new();
-        let mut a = outcome(1, 1, 10, 1.0, true);
-        a.arrival = SimTime::from_secs(0);
-        a.last_start = SimTime::from_secs(30);
-        let mut b = outcome(2, 1, 10, 1.0, true);
-        b.arrival = SimTime::from_secs(0);
-        b.last_start = SimTime::from_secs(10);
-        b.satisfied_threshold = false;
-        m.record_outcome(a);
-        m.record_outcome(b);
+        let mut m = RunTotals::default();
+        add(
+            &mut m,
+            Outcome {
+                arrival: 0,
+                last_start: 30,
+                ..outcome(1, 10, 1.0, true)
+            },
+        );
+        add(
+            &mut m,
+            Outcome {
+                arrival: 0,
+                last_start: 10,
+                satisfied: false,
+                ..outcome(1, 10, 1.0, true)
+            },
+        );
         let r = m.report(4);
         assert!((r.mean_wait_secs - 20.0).abs() < 1e-12);
         assert!((r.threshold_satisfied_fraction - 0.5).abs() < 1e-12);
@@ -364,9 +360,9 @@ mod tests {
 
     #[test]
     fn perfect_run_has_qos_one() {
-        let mut m = MetricsCollector::new();
-        for i in 0..10 {
-            m.record_outcome(outcome(i, 2, 100, 1.0, true));
+        let mut m = RunTotals::default();
+        for _ in 0..10 {
+            add(&mut m, outcome(2, 100, 1.0, true));
         }
         let r = m.report(4);
         assert!((r.qos - 1.0).abs() < 1e-12);
@@ -376,6 +372,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "cluster size")]
     fn zero_cluster_panics() {
-        let _ = MetricsCollector::new().report(0);
+        let _ = RunTotals::default().report(0);
     }
 }

@@ -69,35 +69,6 @@ pub struct SessionStatus {
     pub parity_sample: u64,
 }
 
-/// One replayable session operation — the unit a recorded incident trace
-/// decomposes into. See [`NegotiationSession::apply`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum SessionOp {
-    /// Advance virtual time, firing due starts/completions.
-    AdvanceTo(SimTime),
-    /// Quote a batch of admission requests with caller-assigned job ids,
-    /// in batch order.
-    QuoteBatch(Vec<(JobId, AdmissionRequest)>),
-    /// Commit a held quote.
-    Accept(JobId),
-    /// Withdraw a quoted or accepted (not yet started) job.
-    Cancel(JobId),
-}
-
-/// What one [`SessionOp`] produced, mirroring the return type of the
-/// session method it delegates to.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SessionOpOutcome {
-    /// New virtual time after the advance.
-    Advanced(SimTime),
-    /// One decision per batched request, in batch order.
-    Quotes(Vec<QuoteDecision>),
-    /// The accept's result.
-    Accepted(Result<HeldQuote, AcceptError>),
-    /// The cancel's result.
-    Cancelled(Result<(), CancelError>),
-}
-
 /// Live negotiation/admission state: reservation book, predictor, virtual
 /// clock, journal. See the [module docs](self) for the protocol.
 ///
@@ -417,27 +388,6 @@ impl<P: Predictor + Sync> NegotiationSession<P> {
         self.telemetry().flush();
     }
 
-    /// Applies one replayable operation. This is the session's *driver*
-    /// interface: a recorded incident is a sequence of `SessionOp`s, and
-    /// feeding the same sequence to a session built with the same
-    /// configuration reproduces the same state and a byte-identical
-    /// journal. Each variant delegates to the corresponding public
-    /// method, so driving through `apply` is exactly driving the session
-    /// directly.
-    pub fn apply(&mut self, op: &SessionOp, threads: usize) -> SessionOpOutcome {
-        match op {
-            SessionOp::AdvanceTo(to) => {
-                self.advance_to(*to);
-                SessionOpOutcome::Advanced(self.now())
-            }
-            SessionOp::QuoteBatch(requests) => {
-                SessionOpOutcome::Quotes(self.quote_batch(requests, threads))
-            }
-            SessionOp::Accept(id) => SessionOpOutcome::Accepted(self.accept(*id)),
-            SessionOp::Cancel(id) => SessionOpOutcome::Cancelled(self.cancel(*id)),
-        }
-    }
-
     /// The one negotiation call: `requests` against this session's book
     /// as of now, unfiltered by the quote horizon.
     fn negotiate(
@@ -534,53 +484,6 @@ mod tests {
         assert_eq!(stats.started, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(s.status().reservations, 0);
-    }
-
-    #[test]
-    fn op_driver_matches_direct_calls_and_journals_identically() {
-        let journal = |drive: &dyn Fn(&mut NegotiationSession<NullPredictor>)| {
-            let telemetry = Telemetry::builder().ring_buffer(1024).build();
-            let mut s = NegotiationSession::new(
-                SimConfig::paper_defaults().cluster_size_nodes(8),
-                NullPredictor,
-                telemetry.clone(),
-            );
-            drive(&mut s);
-            telemetry
-                .ring_events()
-                .iter()
-                .map(|e| e.to_jsonl())
-                .collect::<Vec<_>>()
-        };
-        let direct = journal(&|s| {
-            let decisions = s.quote_batch(
-                &[(JobId::new(1), req(4, 3600)), (JobId::new(2), req(9, 100))],
-                1,
-            );
-            assert!(matches!(decisions[0], QuoteDecision::Quoted(_)));
-            assert_eq!(decisions[1], QuoteDecision::Rejected);
-            s.accept(JobId::new(1)).unwrap();
-            s.advance_to(SimTime::from_secs(20_000));
-            assert_eq!(s.cancel(JobId::new(1)), Err(CancelError::AlreadyStarted));
-        });
-        let driven = journal(&|s| {
-            let ops = [
-                SessionOp::QuoteBatch(vec![
-                    (JobId::new(1), req(4, 3600)),
-                    (JobId::new(2), req(9, 100)),
-                ]),
-                SessionOp::Accept(JobId::new(1)),
-                SessionOp::AdvanceTo(SimTime::from_secs(20_000)),
-                SessionOp::Cancel(JobId::new(1)),
-            ];
-            let outcomes: Vec<SessionOpOutcome> = ops.iter().map(|op| s.apply(op, 1)).collect();
-            assert!(matches!(outcomes[1], SessionOpOutcome::Accepted(Ok(_))));
-            assert_eq!(
-                outcomes[3],
-                SessionOpOutcome::Cancelled(Err(CancelError::AlreadyStarted))
-            );
-        });
-        assert_eq!(direct, driven, "op driver must be journal-identical");
     }
 
     #[test]

@@ -35,7 +35,7 @@
 
 use crate::config::SimConfig;
 use crate::lifecycle::{planned_total, AdmissionRequest, Lifecycle};
-use crate::metrics::{JobOutcome, LostWorkEvent, MetricsCollector, SimReport};
+use crate::metrics::{RunTotals, SimReport};
 use crate::negotiate::{negotiate_with_telemetry, NegotiationRequest};
 use crate::user::UserStrategy;
 use pqos_ckpt::policy::{
@@ -98,8 +98,6 @@ fn priority(event: &Event) -> u8 {
 pub struct SimOutput {
     /// Aggregated metrics.
     pub report: SimReport,
-    /// Per-job outcomes and lost-work events.
-    pub collector: MetricsCollector,
     /// Jobs that could never fit on the cluster (size > N) and were
     /// rejected at submission.
     pub rejected: Vec<JobId>,
@@ -257,7 +255,8 @@ pub struct QosSimulator {
     /// How many nodes are down: a failure of an up node adds one, its
     /// recovery takes it away.
     nodes_down: usize,
-    metrics: MetricsCollector,
+    /// The report's running sums over finished jobs and lost work.
+    totals: RunTotals,
     rejected: Vec<JobId>,
     failure_hook: Option<Box<dyn FnMut(NodeId, SimTime) + Send>>,
     telemetry: Telemetry,
@@ -331,7 +330,7 @@ impl QosSimulator {
             node_owner: vec![None; n],
             down_until: vec![None; n],
             nodes_down: 0,
-            metrics: MetricsCollector::new(),
+            totals: RunTotals::default(),
             rejected: Vec::new(),
             failure_hook: None,
             telemetry: Telemetry::disabled(),
@@ -428,11 +427,10 @@ impl QosSimulator {
 
     /// The run's output, once no event is left.
     fn output(self) -> SimOutput {
-        let report = self.metrics.report(self.config.cluster_size);
+        let report = self.totals.report(self.config.cluster_size);
         self.telemetry.flush();
         SimOutput {
             report,
-            collector: self.metrics,
             rejected: self.rejected,
             telemetry: self.telemetry.snapshot(),
         }
@@ -699,22 +697,14 @@ impl QosSimulator {
                 release(owners, id, &partition);
             })
             .expect("a finishing job is running");
-        let met_deadline = now <= held.deadline;
-        self.metrics.record_outcome(JobOutcome {
-            id,
-            nodes: state.job.nodes(),
-            runtime: state.job.runtime(),
-            arrival: state.job.arrival(),
-            promised: held.quote.promised_success(),
-            deadline: held.deadline,
-            last_start: state.attempt_start,
-            finish: now,
-            met_deadline,
-            failures: state.epoch,
-            satisfied_threshold: held.satisfied_threshold,
-            checkpoints_performed: state.ckpt_performed,
-            checkpoints_skipped: state.ckpt_skipped,
-        });
+        let met_deadline = self.totals.finish(
+            &state.job,
+            &held,
+            state.attempt_start,
+            now,
+            state.epoch,
+            (state.ckpt_performed, state.ckpt_skipped),
+        );
         self.telemetry.counter("jobs.completed").inc();
         self.telemetry.gauge("jobs.running").add(-1);
         if !met_deadline {
@@ -777,12 +767,7 @@ impl QosSimulator {
             .jobs
             .get_mut(&victim)
             .expect("owner map tracks live jobs");
-        self.metrics.record_lost_work(LostWorkEvent {
-            time: now,
-            job: victim,
-            nodes: state.job.nodes(),
-            lost_node_seconds: lost,
-        });
+        self.totals.lose(lost);
         state.epoch += 1;
         state.done = state.durable;
         self.requeue(now, victim);
@@ -889,6 +874,43 @@ mod tests {
         SimConfig::paper_defaults().cluster_size_nodes(4)
     }
 
+    /// Runs `sim` with a journal ring; returns the output and the journal.
+    fn run_journaled(sim: QosSimulator) -> (SimOutput, Vec<TelemetryEvent>) {
+        let telemetry = pqos_telemetry::Telemetry::builder()
+            .ring_buffer(4096)
+            .build();
+        let out = sim.with_telemetry(telemetry.clone()).run();
+        let events = telemetry.ring_events();
+        assert!(events.len() < 4096, "the ring kept the whole journal");
+        (out, events)
+    }
+
+    /// The instants of the journal's `kind` lines, in journal order: a
+    /// job's finish is its `job_completed`, its last start `sj` its last
+    /// `job_started`.
+    fn instants(events: &[TelemetryEvent], kind: &str) -> Vec<SimTime> {
+        events
+            .iter()
+            .filter(|e| e.name() == kind)
+            .map(TelemetryEvent::at)
+            .collect()
+    }
+
+    /// The one `promise_resolved` line's promise and deadline.
+    fn resolved(events: &[TelemetryEvent]) -> (f64, SimTime) {
+        let mut lines = events.iter().filter_map(|e| match e {
+            TelemetryEvent::PromiseResolved {
+                success_probability,
+                deadline_secs,
+                ..
+            } => Some((*success_probability, SimTime::from_secs(*deadline_secs))),
+            _ => None,
+        });
+        let line = lines.next().expect("a resolved promise");
+        assert!(lines.next().is_none(), "one job, one promise");
+        line
+    }
+
     #[test]
     fn failure_free_run_completes_everything_on_time() {
         let log = JobLog::new(vec![job(0, 0, 2, 100), job(1, 10, 2, 100)]).unwrap();
@@ -904,16 +926,11 @@ mod tests {
     fn serial_jobs_when_machine_too_small() {
         // Two 3-node jobs on a 4-node machine must run serially.
         let log = JobLog::new(vec![job(0, 0, 3, 100), job(1, 0, 3, 100)]).unwrap();
-        let out = QosSimulator::new(small_config(), log, trace(vec![])).run();
+        let (out, journal) = run_journaled(QosSimulator::new(small_config(), log, trace(vec![])));
         assert_eq!(out.report.jobs, 2);
-        let finishes: Vec<u64> = out
-            .collector
-            .outcomes()
-            .iter()
-            .map(|o| o.finish.as_secs())
-            .collect();
-        assert!(finishes.contains(&100));
-        assert!(finishes.contains(&200));
+        let finishes = instants(&journal, "job_completed");
+        assert!(finishes.contains(&SimTime::from_secs(100)));
+        assert!(finishes.contains(&SimTime::from_secs(200)));
         assert_eq!(
             out.report.deadline_misses, 0,
             "promised deadlines account for queueing"
@@ -934,16 +951,19 @@ mod tests {
         // a=0. No checkpoints possible (runtime < I). The job restarts from
         // scratch after the failure and finishes late.
         let log = JobLog::new(vec![job(0, 0, 2, 100)]).unwrap();
-        let out =
-            QosSimulator::new(small_config().accuracy(0.0), log, trace(vec![(50, 0, 0.9)])).run();
+        let (out, journal) = run_journaled(QosSimulator::new(
+            small_config().accuracy(0.0),
+            log,
+            trace(vec![(50, 0, 0.9)]),
+        ));
         assert_eq!(out.report.jobs, 1);
         assert_eq!(out.report.job_failures, 1);
         // Lost work: 50 s × 2 nodes.
         assert_eq!(out.report.lost_work, 100);
         assert_eq!(out.report.deadline_misses, 1);
         assert_eq!(out.report.qos, 0.0);
-        let o = &out.collector.outcomes()[0];
-        assert!(o.finish.as_secs() >= 150, "finish {}", o.finish);
+        let finish = instants(&journal, "job_completed")[0];
+        assert!(finish.as_secs() >= 150, "finish {finish}");
     }
 
     #[test]
@@ -968,27 +988,31 @@ mod tests {
         let failures = vec![(50, 0, 0.4), (50, 1, 0.4), (50, 2, 0.4), (50, 3, 0.4)];
         let log = JobLog::new(vec![job(0, 0, 4, 100)]).unwrap();
 
-        let cautious = QosSimulator::new(
+        let (cautious, cautious_journal) = run_journaled(QosSimulator::new(
             small_config()
                 .accuracy(1.0)
                 .user(UserStrategy::risk_threshold(0.9).unwrap()),
             log.clone(),
             trace(failures.clone()),
-        )
-        .run();
+        ));
         assert_eq!(cautious.report.job_failures, 0);
         assert_eq!(cautious.report.deadline_misses, 0);
         assert!((cautious.report.qos - 1.0).abs() < 1e-12);
         // The job waited: its start is after the failure burst.
-        assert!(cautious.collector.outcomes()[0].last_start > SimTime::from_secs(50));
+        let last_start = *instants(&cautious_journal, "job_started").last().unwrap();
+        assert!(last_start > SimTime::from_secs(50));
 
-        let bold = QosSimulator::new(small_config().accuracy(1.0), log, trace(failures)).run();
+        let (bold, bold_journal) = run_journaled(QosSimulator::new(
+            small_config().accuracy(1.0),
+            log,
+            trace(failures),
+        ));
         assert_eq!(bold.report.job_failures, 1);
         // Promise was honest: 0.6 — and the deadline was missed, so QoS
         // collects nothing.
         assert_eq!(bold.report.deadline_misses, 1);
         assert_eq!(bold.report.qos, 0.0);
-        assert!((bold.collector.outcomes()[0].promised - 0.6).abs() < 1e-12);
+        assert!((resolved(&bold_journal).0 - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -1061,7 +1085,7 @@ mod tests {
         let a = QosSimulator::new(small_config().accuracy(0.5), log.clone(), Arc::clone(&t)).run();
         let b = QosSimulator::new(small_config().accuracy(0.5), log, t).run();
         assert_eq!(a.report, b.report);
-        assert_eq!(a.collector.outcomes(), b.collector.outcomes());
+        assert_eq!(a.rejected, b.rejected);
     }
 
     #[test]
@@ -1071,21 +1095,16 @@ mod tests {
         // so negotiation excludes it and pushes the start out to the
         // recovery horizon at t=170.
         let log = JobLog::new(vec![job(0, 60, 1, 100)]).unwrap();
-        let out = QosSimulator::new(
+        let (out, journal) = run_journaled(QosSimulator::new(
             SimConfig::paper_defaults()
                 .cluster_size_nodes(1)
                 .accuracy(0.0),
             log,
             trace(vec![(50, 0, 0.9)]),
-        )
-        .run();
+        ));
         assert_eq!(out.report.jobs, 1);
-        let o = &out.collector.outcomes()[0];
-        assert!(
-            o.last_start >= SimTime::from_secs(170),
-            "start {}",
-            o.last_start
-        );
+        let last_start = *instants(&journal, "job_started").last().unwrap();
+        assert!(last_start >= SimTime::from_secs(170), "start {last_start}");
         assert_eq!(out.report.deadline_misses, 0);
     }
 
@@ -1107,11 +1126,12 @@ mod tests {
         )
         .with_telemetry(Telemetry::builder().jsonl_writer(sink.clone()).build())
         .run();
-        assert_eq!(
-            out.collector.outcomes()[0].last_start,
-            SimTime::from_secs(220)
-        );
         let journal = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let starts: Vec<&str> = journal
+            .lines()
+            .filter(|l| l.contains(r#""event":"job_started""#))
+            .collect();
+        assert!(starts.last().unwrap().contains(r#""at":220,"#), "{journal}");
         let recoveries: Vec<&str> = journal
             .lines()
             .filter(|l| l.contains(r#""event":"node_recovered""#))
@@ -1134,8 +1154,10 @@ mod tests {
             .checkpoint_policy(CheckpointPolicyKind::RiskBasedWithPrior);
         let log = JobLog::new(vec![job(0, 0, 1, 3 * 3600)]).unwrap();
         let out = QosSimulator::new(config, log, trace(failures)).run();
-        let o = &out.collector.outcomes()[0];
-        assert_eq!((o.checkpoints_performed, o.checkpoints_skipped), (0, 2));
+        // One job: the run's checkpoint counts are its own.
+        assert_eq!(out.report.jobs, 1);
+        let r = &out.report;
+        assert_eq!((r.checkpoints_performed, r.checkpoints_skipped), (0, 2));
     }
 
     #[test]
@@ -1146,10 +1168,12 @@ mod tests {
             .cluster_size_nodes(1)
             .checkpoint_policy(CheckpointPolicyKind::Periodic);
         let log = JobLog::new(vec![job(0, 0, 1, 7200)]).unwrap();
-        let out = QosSimulator::new(config, log, trace(vec![])).run();
-        let o = &out.collector.outcomes()[0];
-        assert_eq!(o.finish.as_secs(), 7200 + 720);
-        assert_eq!(o.checkpoints_performed, 1);
+        let (out, journal) = run_journaled(QosSimulator::new(config, log, trace(vec![])));
+        assert_eq!(
+            instants(&journal, "job_completed"),
+            [SimTime::from_secs(7200 + 720)]
+        );
+        assert_eq!(out.report.checkpoints_performed, 1);
         assert_eq!(out.report.total_work, 7200);
         assert_eq!(out.report.deadline_misses, 0, "deadline included overhead");
     }
@@ -1195,11 +1219,10 @@ mod tests {
         // wrapped it into the past and scored the run a broken promise).
         let log = JobLog::new(vec![job(0, 0, 1, 100)]).unwrap();
         let config = small_config().deadline_slack_fraction(1e20);
-        let out = QosSimulator::new(config, log, trace(vec![])).run();
+        let (out, journal) = run_journaled(QosSimulator::new(config, log, trace(vec![])));
         assert_eq!(out.report.jobs, 1);
-        let o = &out.collector.outcomes()[0];
-        assert_eq!(o.deadline, SimTime::MAX);
-        assert!(o.met_deadline);
+        assert_eq!(resolved(&journal).1, SimTime::MAX);
+        assert_eq!(out.report.deadline_misses, 0);
     }
 
     #[test]
@@ -1213,9 +1236,9 @@ mod tests {
             .checkpoint_policy(CheckpointPolicyKind::RiskBasedWithPrior);
         let log = JobLog::new(vec![job(0, 0, 1, 12 * 3600)]).unwrap();
         let out = QosSimulator::new(config, log.clone(), trace(failures.clone())).run();
-        let o = &out.collector.outcomes()[0];
+        assert_eq!(out.report.jobs, 1);
         assert!(
-            o.checkpoints_performed > 0,
+            out.report.checkpoints_performed > 0,
             "prior should trigger some checkpoints"
         );
         // But strictly fewer than periodic would perform.
@@ -1428,11 +1451,18 @@ mod tests {
             "{}",
             skips[0]
         );
-        let o = &out.collector.outcomes()[0];
-        assert_eq!(o.deadline, SimTime::from_secs(12_240));
-        assert_eq!(o.finish, SimTime::from_secs(11_720));
-        assert!(o.met_deadline);
-        assert_eq!((o.checkpoints_performed, o.checkpoints_skipped), (1, 1));
+        assert!(
+            journal.contains(r#"{"event":"job_completed","at":11720,"job":0,"met_deadline":true}"#),
+            "{journal}"
+        );
+        let resolved = journal
+            .lines()
+            .find(|l| l.contains(r#""event":"promise_resolved""#))
+            .expect("the promise resolves");
+        assert!(resolved.contains(r#""deadline_secs":12240,"#), "{resolved}");
+        let r = &out.report;
+        assert_eq!(r.jobs, 1);
+        assert_eq!((r.checkpoints_performed, r.checkpoints_skipped), (1, 1));
     }
 
     #[test]
@@ -1451,7 +1481,7 @@ mod tests {
         let a = plain.run();
         let b = telemetered.run();
         assert_eq!(a.report, b.report);
-        assert_eq!(a.collector.outcomes(), b.collector.outcomes());
+        assert_eq!(a.rejected, b.rejected);
         assert!(a.telemetry.is_none());
         assert!(b.telemetry.is_some());
     }
@@ -1503,13 +1533,16 @@ mod tests {
             .accuracy(0.0)
             .checkpoint_policy(CheckpointPolicyKind::RiskBased);
         let log = JobLog::new(vec![job(0, 0, 1, 7200)]).unwrap();
-        let out = QosSimulator::new(config, log, trace(vec![])).run();
-        let o = &out.collector.outcomes()[0];
-        assert_eq!(o.checkpoints_performed, 0);
-        assert_eq!(o.checkpoints_skipped, 1);
+        let (out, journal) = run_journaled(QosSimulator::new(config, log, trace(vec![])));
+        assert_eq!(out.report.jobs, 1);
+        assert_eq!(out.report.checkpoints_performed, 0);
+        assert_eq!(out.report.checkpoints_skipped, 1);
         // Finished early relative to the quoted deadline (which budgeted C).
-        assert_eq!(o.finish.as_secs(), 7200);
-        assert!(o.met_deadline);
+        assert_eq!(
+            instants(&journal, "job_completed"),
+            [SimTime::from_secs(7200)]
+        );
+        assert_eq!(out.report.deadline_misses, 0);
     }
 
     /// The loop before the cursors, kept as the reference: every arrival
@@ -1594,8 +1627,9 @@ mod tests {
     }
 
     /// The cursor-fed loop pops exactly what one queue holding every
-    /// event would: the same journal bytes, report, outcomes and lost
-    /// work, over worlds where an arrival shares its instant with a
+    /// event would: the same journal bytes (every job's starts, finish,
+    /// promise and checkpoints, every failure's victim and lost work) and
+    /// report, over worlds where an arrival shares its instant with a
     /// failure, a finish, a start and a checkpoint request, several jobs
     /// arrive at once, and failures strike nodes outside the cluster.
     #[test]
@@ -1628,16 +1662,6 @@ mod tests {
             assert_eq!(journal, want_journal, "world {k}: journal");
             assert_eq!(got.report, want.report, "world {k}: report");
             assert_eq!(got.rejected, want.rejected, "world {k}: rejected");
-            assert_eq!(
-                got.collector.outcomes(),
-                want.collector.outcomes(),
-                "world {k}: outcomes"
-            );
-            assert_eq!(
-                got.collector.lost_events(),
-                want.collector.lost_events(),
-                "world {k}: lost work"
-            );
 
             let (config, _, trace) = world;
             let cluster = config.cluster_size as usize;

@@ -95,7 +95,7 @@ impl fmt::Display for TraceStats {
 /// ])?;
 /// assert_eq!(trace.failures()[0].time, SimTime::from_secs(50)); // time-ordered
 /// let w = TimeWindow::new(SimTime::from_secs(0), SimTime::from_secs(200));
-/// let hits = trace.failures_on_node_in(NodeId::new(0), w);
+/// let hits: Vec<_> = trace.node_failures_in(NodeId::new(0), w).collect();
 /// assert_eq!(hits.len(), 1);
 /// assert_eq!(hits[0].time, SimTime::from_secs(100));
 /// # Ok::<(), pqos_failures::trace::TraceError>(())
@@ -184,18 +184,6 @@ impl FailureTrace {
             .take_while(move |f| f.time < window.end())
     }
 
-    /// Failures of `node` within `window`, in time order.
-    pub fn failures_on_node_in(&self, node: NodeId, window: TimeWindow) -> Vec<&Failure> {
-        self.node_failures_in(node, window).collect()
-    }
-
-    /// The next failure of `node` at or after `from`, if any.
-    pub fn next_failure_on_node(&self, node: NodeId, from: SimTime) -> Option<&Failure> {
-        let idxs = self.per_node.get(node.index())?;
-        let start = idxs.partition_point(|&i| self.failures[i].time < from);
-        idxs.get(start).map(|&i| &self.failures[i])
-    }
-
     /// Aggregate characteristics.
     pub fn stats(&self) -> TraceStats {
         let span = match (self.failures.first(), self.failures.last()) {
@@ -269,19 +257,18 @@ mod tests {
         ])
         .unwrap();
         let w = TimeWindow::new(SimTime::from_secs(15), SimTime::from_secs(40));
-        let hits = trace.failures_on_node_in(NodeId::new(0), w);
+        let hits: Vec<_> = trace.node_failures_in(NodeId::new(0), w).collect();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].time.as_secs(), 30);
         // End-exclusive: failure at 40 not included.
         let w2 = TimeWindow::new(SimTime::from_secs(15), SimTime::from_secs(41));
-        assert_eq!(trace.failures_on_node_in(NodeId::new(0), w2).len(), 2);
+        assert_eq!(trace.node_failures_in(NodeId::new(0), w2).count(), 2);
     }
 
     #[test]
     fn unknown_node_is_empty() {
         let trace = FailureTrace::new(vec![f(10, 0, 0.1)]).unwrap();
         let w = TimeWindow::new(SimTime::ZERO, SimTime::from_secs(100));
-        assert!(trace.failures_on_node_in(NodeId::new(99), w).is_empty());
         assert_eq!(trace.node_failures_in(NodeId::new(99), w).count(), 0);
     }
 
@@ -300,30 +287,6 @@ mod tests {
             .map(|x| x.detectability)
             .collect();
         assert_eq!(px, [0.9, 0.1], "start-inclusive, end-exclusive");
-    }
-
-    #[test]
-    fn next_failure_on_node_finds_at_or_after() {
-        let trace = FailureTrace::new(vec![f(10, 0, 0.1), f(30, 0, 0.2)]).unwrap();
-        assert_eq!(
-            trace
-                .next_failure_on_node(NodeId::new(0), SimTime::from_secs(10))
-                .unwrap()
-                .time
-                .as_secs(),
-            10
-        );
-        assert_eq!(
-            trace
-                .next_failure_on_node(NodeId::new(0), SimTime::from_secs(11))
-                .unwrap()
-                .time
-                .as_secs(),
-            30
-        );
-        assert!(trace
-            .next_failure_on_node(NodeId::new(0), SimTime::from_secs(31))
-            .is_none());
     }
 
     #[test]

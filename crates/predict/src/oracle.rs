@@ -107,7 +107,7 @@ impl Predictor for TraceOracle {
 mod tests {
     use super::*;
     use pqos_sim_core::rng::DetRng;
-    use pqos_sim_core::time::SimTime;
+    use pqos_sim_core::time::{SimDuration, SimTime};
 
     fn trace(failures: Vec<(u64, u32, f64)>) -> Arc<FailureTrace> {
         Arc::new(
@@ -242,7 +242,7 @@ mod tests {
     ) -> Option<Failure> {
         let mut hits: Vec<&Failure> = nodes
             .iter()
-            .flat_map(|&n| trace.failures_on_node_in(n, window))
+            .flat_map(|&n| trace.node_failures_in(n, window))
             .collect();
         hits.sort_by_key(|f| (f.time, f.node));
         hits.into_iter().find(|f| f.detectability <= a).copied()
@@ -328,10 +328,12 @@ mod tests {
                         seen[6 + usize::from(before >= nodes.len())] += 1;
                     }
                     // A failure at the window's end is outside it.
-                    seen[4] += usize::from(nodes.iter().any(|&n| {
-                        trace.next_failure_on_node(n, window.end()).map(|f| f.time)
-                            == Some(window.end())
-                    }));
+                    let at_end = TimeWindow::starting_at(window.end(), SimDuration::from_secs(1));
+                    seen[4] += usize::from(
+                        nodes
+                            .iter()
+                            .any(|&n| trace.node_failures_in(n, at_end).next().is_some()),
+                    );
                 }
             }
         }

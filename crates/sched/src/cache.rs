@@ -9,7 +9,7 @@
 //! (`[from, coverage_end)`), and whether it ended on its own (`max_slots`
 //! reached or off the book) or at its caller's word. A stored prefix is a
 //! prefix of the shape's full answer for as long as no mutation touches
-//! that range, so `add`/`remove`/`truncate` delta-invalidate only the
+//! that range, so `add`/`remove` delta-invalidate only the
 //! entries whose examined range intersects the mutated interval — a quote
 //! for next week survives an accept that books nodes this afternoon
 //! untouched, and the shorter the dialog that seeded an entry, the less
@@ -240,23 +240,6 @@ impl CachedReservationBook {
         let r = self.book.remove(id)?;
         self.note_mutation(r.interval.start().as_secs(), r.interval.end().as_secs());
         Some(r)
-    }
-
-    /// Truncates a reservation's end to `end`; see
-    /// [`ReservationBook::truncate`]. Only the vacated tail invalidates
-    /// cached walks.
-    pub fn truncate(&mut self, id: ReservationId, end: SimTime) {
-        let old = match self.book.get(id) {
-            Some(r) => r.interval,
-            None => return,
-        };
-        self.book.truncate(id, end);
-        if end <= old.start() {
-            self.note_mutation(old.start().as_secs(), old.end().as_secs());
-        } else if end < old.end() {
-            self.note_mutation(end.as_secs(), old.end().as_secs());
-        }
-        // end >= old.end(): no-op, nothing changed.
     }
 
     /// Nodes committed at instant `t`; see
@@ -504,29 +487,6 @@ mod tests {
         cached.remove(id2).unwrap();
         let near3 = probe_all(&cached, 4, 50, 0, &[], 1);
         assert_eq!(near3, near);
-    }
-
-    #[test]
-    fn truncate_invalidates_only_the_vacated_tail() {
-        let mut cached = CachedReservationBook::new(4);
-        let id = cached
-            .add(JobId::new(1), Partition::contiguous(0, 4), w(0, 1000))
-            .unwrap();
-        let early = probe_all(&cached, 2, 10, 0, &[], 1);
-        assert_eq!(early[0].start, SimTime::from_secs(1000));
-        // Truncating [0,1000) down to [0,600) touches only [600,1000).
-        cached.truncate(id, SimTime::from_secs(600));
-        let early2 = probe_all(&cached, 2, 10, 0, &[], 1);
-        assert_eq!(early2[0].start, SimTime::from_secs(600));
-        // No-op truncate (extension attempt) invalidates nothing.
-        let stats = cached.stats();
-        cached.truncate(id, SimTime::from_secs(5000));
-        assert_eq!(cached.stats(), stats);
-        // Truncating to before the start removes the whole reservation.
-        cached.truncate(id, SimTime::ZERO);
-        assert!(cached.is_empty());
-        let early3 = probe_all(&cached, 2, 10, 0, &[], 1);
-        assert_eq!(early3[0].start, SimTime::ZERO);
     }
 
     #[test]

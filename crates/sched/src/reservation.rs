@@ -50,7 +50,7 @@
 //! its own binary search.
 //! With `S` rows, `K` of them overlapped by the interval:
 //!
-//! * `add`/`remove`/`truncate` — `O(log S + K·W)` plus, when an endpoint
+//! * `add`/`remove` — `O(log S + K·W)` plus, when an endpoint
 //!   is new (or dies), shifting the rows behind it in its chunk and the
 //!   chunk offsets after it: `O(256·W + S/256)`, wherever in the book the
 //!   edit lands;
@@ -64,7 +64,7 @@
 //!
 //! [`NaiveReservationBook`] preserves the original scan-everything
 //! implementation. It is the executable specification: the property harness
-//! in `tests/properties.rs` replays randomized add/remove/truncate/query
+//! in `tests/properties.rs` replays randomized add/remove/query
 //! workloads against both books and asserts they answer identically, and
 //! requires `negotiate` over a negotiated backlog to give the same
 //! outcomes on it, on the timeline book and on the quote cache.
@@ -519,34 +519,6 @@ impl ReservationBook {
         let mask = self.mask_words(r.partition.iter());
         self.vacate(r.interval, &mask);
         Some(r)
-    }
-
-    /// Truncates a reservation's end to `end` (used when a job finishes
-    /// early thanks to skipped checkpoints). Removes it entirely if `end`
-    /// precedes its start. Never extends.
-    pub fn truncate(&mut self, id: ReservationId, end: SimTime) {
-        let Some(r) = self.reservations.get_mut(&id) else {
-            return;
-        };
-        let old = r.interval;
-        if end <= old.start() {
-            self.remove(id);
-            return;
-        }
-        if end >= old.end() {
-            return;
-        }
-        r.interval = TimeWindow::new(old.start(), end);
-        let mut mask = vec![0; self.wps];
-        set_nodes(&mut mask, self.cluster_size, r.partition.iter());
-        // The reservation now ends at `end`: split the row there and release
-        // `[end, old end)` as a reservation of its own would be. The split
-        // row takes two endpoints — the new end, which stays, and the start
-        // of the released tail, which `vacate` takes back.
-        let cut = self.ensure_boundary(end);
-        let (chunk, o) = self.locate_mut(cut);
-        chunk.bounds[o] += 2;
-        self.vacate(TimeWindow::new(end, old.end()), &mask);
     }
 
     /// Nodes free (uncommitted and not in `exclude`) for the *entire*
@@ -1547,22 +1519,6 @@ impl NaiveReservationBook {
     pub fn remove(&mut self, id: ReservationId) -> Option<Reservation> {
         self.reservations.remove(&id)
     }
-
-    /// Truncates a reservation's end to `end`; removes it entirely if `end`
-    /// precedes its start. Never extends.
-    pub fn truncate(&mut self, id: ReservationId, end: SimTime) {
-        let remove = match self.reservations.get_mut(&id) {
-            Some(r) if end <= r.interval.start() => true,
-            Some(r) => {
-                r.interval = TimeWindow::new(r.interval.start(), end.min(r.interval.end()));
-                false
-            }
-            None => false,
-        };
-        if remove {
-            self.reservations.remove(&id);
-        }
-    }
 }
 
 impl AvailabilityView for NaiveReservationBook {
@@ -1767,33 +1723,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_shrinks_or_removes() {
-        let mut book = ReservationBook::new(4);
-        let id = book
-            .add(JobId::new(1), Partition::contiguous(0, 2), w(10, 100))
-            .unwrap();
-        book.truncate(id, SimTime::from_secs(50));
-        assert_eq!(book.free_nodes_during(w(50, 60), &[]).len(), 4);
-        assert_eq!(book.free_nodes_during(w(40, 50), &[]).len(), 2);
-        // Truncating to before the start removes it.
-        book.truncate(id, SimTime::from_secs(5));
-        assert!(book.is_empty());
-        assert_eq!(book.row_count(), 0);
-        // Truncating a missing id is a no-op.
-        book.truncate(id, SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn truncate_never_extends() {
-        let mut book = ReservationBook::new(4);
-        let id = book
-            .add(JobId::new(1), Partition::contiguous(0, 2), w(10, 100))
-            .unwrap();
-        book.truncate(id, SimTime::from_secs(500));
-        assert_eq!(book.free_nodes_during(w(100, 200), &[]).len(), 4);
-    }
-
-    #[test]
     fn change_points_sorted_unique() {
         let mut book = ReservationBook::new(4);
         book.add(JobId::new(1), Partition::contiguous(0, 1), w(10, 20))
@@ -1863,7 +1792,9 @@ mod tests {
         let c = book
             .add(JobId::new(3), Partition::contiguous(4, 2), w(50, 100))
             .unwrap();
-        book.truncate(c, SimTime::from_secs(80));
+        book.remove(c);
+        book.add(JobId::new(3), Partition::contiguous(4, 2), w(50, 80))
+            .unwrap();
         book.remove(a);
         let Flat {
             times: keys, busy, ..
@@ -1956,7 +1887,10 @@ mod tests {
         assert!(!naive.is_empty());
         let slots = naive.earliest_slots(2, SimDuration::from_secs(150), SimTime::ZERO, &[], 1);
         assert_eq!(slots[0].start, SimTime::from_secs(200));
-        naive.truncate(id, SimTime::from_secs(150));
+        assert!(naive.remove(id).is_some());
+        let id = naive
+            .add(JobId::new(1), Partition::contiguous(0, 4), w(100, 150))
+            .unwrap();
         assert_eq!(naive.free_nodes_during(w(150, 160), &[]).len(), 4);
         assert_eq!(
             naive.change_points(SimTime::ZERO),
@@ -2073,23 +2007,14 @@ mod tests {
         for step in 0..30u64 {
             // Edits at the front, in the middle and at the tail in turn.
             let anchor = [0, horizon / 2, horizon - horizon / 40][(step % 3) as usize];
-            let near = |book: &ReservationBook| {
-                let (id, r) = book
-                    .iter()
-                    .filter(|(_, r)| r.interval.start().as_secs() >= anchor)
-                    .min_by_key(|(_, r)| r.interval.start())
-                    .expect("every region holds reservations");
-                (id, r.interval)
-            };
             match rng.uniform_u64(0, 3) {
-                0 => {
-                    let (id, _) = near(&book);
+                0 | 1 => {
+                    let (id, _) = book
+                        .iter()
+                        .filter(|(_, r)| r.interval.start().as_secs() >= anchor)
+                        .min_by_key(|(_, r)| r.interval.start())
+                        .expect("every region holds reservations");
                     book.remove(id).unwrap();
-                }
-                1 => {
-                    let (id, interval) = near(&book);
-                    let mid = (interval.start().as_secs() + interval.end().as_secs()) / 2;
-                    book.truncate(id, SimTime::from_secs(mid));
                 }
                 _ => {
                     let size = rng.uniform_u64(1, 40) as u32;

@@ -67,4 +67,3 @@ pub mod tick;
 
 pub use flight::FlightRecorder;
 pub use record::{SharedBuf, TraceRecorder};
-pub use shard::{partition_spans, MergedAvailabilityView};

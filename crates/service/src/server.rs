@@ -30,7 +30,7 @@
 //! everything behind it, the rest of its pass and every later line
 //! answer `shutting_down`, the journal and request trace flush, and the
 //! loop stops accepting, flushes every queued reply and returns; then
-//! [`serve`] writes the configured exit artifacts (flight-recorder
+//! [`serve_core`] writes the configured exit artifacts (flight-recorder
 //! Chrome trace, final metrics snapshot).
 
 use crate::engine::{Engine, EngineConfig, EngineRequest, MAX_BATCH};
@@ -38,9 +38,7 @@ use crate::flight::{FlightRecorder, TraceCtx};
 use crate::metrics_http;
 use crate::protocol::{ErrorCode, ParseError, Request, Response};
 use crate::record::TraceRecorder;
-use crate::shard::ShardedCore;
 use crate::tick::EngineCore;
-use pqos_core::session::NegotiationSession;
 use pqos_net::{Ctx, EventLoop, NetConfig, NetEvent, Token};
 use pqos_predict::api::Predictor;
 use pqos_telemetry::reqtrace::TraceMeta;
@@ -51,7 +49,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Everything [`serve`] needs beyond the protocol listener: engine
+/// Everything [`serve_core`] needs beyond the protocol listener: engine
 /// tuning plus the observability plane.
 #[derive(Debug)]
 pub struct ServerConfig {
@@ -79,7 +77,7 @@ pub struct ServerConfig {
 
 /// Where and how to record a request trace: the destination path plus the
 /// [`TraceMeta`] header describing the session (the daemon binary knows
-/// the predictor and horizon; `serve` does not).
+/// the predictor and horizon; `serve_core` does not).
 #[derive(Debug, Clone)]
 pub struct RecordConfig {
     /// Trace destination (JSONL).
@@ -123,7 +121,11 @@ impl From<EngineConfig> for ServerConfig {
     }
 }
 
-/// Serves `session` on `listener` until a client sends `shutdown`.
+/// Serves an admission core on `listener` until a client sends
+/// `shutdown`: a bare (possibly sharded)
+/// [`ShardedCore`](crate::shard::ShardedCore), or the [`EngineCore`]
+/// `pqos-qosd` gets from [`build_core`](crate::tick::build_core); the
+/// front end is identical either way.
 ///
 /// Blocks the calling thread for the daemon's lifetime. On return the
 /// engine has drained, the telemetry journal is flushed, the event loop
@@ -135,21 +137,6 @@ impl From<EngineConfig> for ServerConfig {
 /// Only listener-level failures (registering it with the readiness
 /// driver) surface as `Err`; per-connection I/O errors are handled as
 /// clean disconnects.
-pub fn serve<P>(
-    listener: TcpListener,
-    session: NegotiationSession<P>,
-    config: ServerConfig,
-) -> std::io::Result<()>
-where
-    P: Predictor + Send + Sync + 'static,
-{
-    serve_core(listener, ShardedCore::single(session), config)
-}
-
-/// [`serve`] over an admission core — a bare (possibly sharded)
-/// [`ShardedCore`], or the [`EngineCore`] `pqos-qosd` gets from
-/// [`build_core`](crate::tick::build_core); the front end is identical
-/// either way.
 pub fn serve_core<P>(
     listener: TcpListener,
     core: impl Into<EngineCore<P>>,

@@ -62,7 +62,7 @@ use pqos_core::lifecycle::Lifecycle;
 use pqos_core::negotiate::NegotiationOutcome;
 use pqos_core::session::{
     AcceptError, AdmissionRequest, CancelError, HeldQuote, NegotiationSession, PromiseStats,
-    QuoteDecision, SessionOp, SessionOpOutcome, SessionStatus,
+    QuoteDecision, SessionStatus,
 };
 use pqos_predict::api::Predictor;
 use pqos_sched::cache::QuoteCacheStats;
@@ -724,23 +724,6 @@ impl<P: Predictor + Sync> ShardedCore<P> {
             wide.lifecycle.telemetry().flush();
         }
         self.main.flush();
-    }
-
-    /// Applies one replayable [`SessionOp`], exactly as
-    /// [`NegotiationSession::apply`] does for a single session; replaying
-    /// a recording drives the same core shape through this.
-    pub fn apply(&mut self, op: &SessionOp, threads: usize) -> SessionOpOutcome {
-        match op {
-            SessionOp::AdvanceTo(to) => {
-                self.advance_to(*to);
-                SessionOpOutcome::Advanced(self.now())
-            }
-            SessionOp::QuoteBatch(requests) => {
-                SessionOpOutcome::Quotes(self.quote_batch(requests, threads))
-            }
-            SessionOp::Accept(id) => SessionOpOutcome::Accepted(self.accept(*id)),
-            SessionOp::Cancel(id) => SessionOpOutcome::Cancelled(self.cancel(*id)),
-        }
     }
 }
 

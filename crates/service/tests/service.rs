@@ -11,7 +11,8 @@ use pqos_service::flight;
 use pqos_service::loadgen::{self, LoadgenConfig};
 use pqos_service::protocol::{Request, Response};
 use pqos_service::scrape;
-use pqos_service::server::{serve, ServerConfig};
+use pqos_service::server::{serve_core, ServerConfig};
+use pqos_service::shard::ShardedCore;
 use pqos_sim_core::rng::DetRng;
 use pqos_telemetry::{expo, Telemetry};
 use pqos_workload::synthetic::LogModel;
@@ -71,7 +72,7 @@ fn start_daemon_full(
         ..ServerConfig::default()
     };
     let server = std::thread::spawn(move || {
-        serve(listener, session, config).expect("serve");
+        serve_core(listener, ShardedCore::single(session), config).expect("serve");
     });
     (addr, metrics_addr, journal, server)
 }

@@ -19,7 +19,9 @@
 //!    indistinguishable from one raw session over the whole cluster.
 
 use pqos_core::config::SimConfig;
-use pqos_core::session::{AdmissionRequest, NegotiationSession, SessionOp, SessionOpOutcome};
+use pqos_core::session::{
+    AcceptError, AdmissionRequest, CancelError, HeldQuote, NegotiationSession, QuoteDecision,
+};
 use pqos_obs::doctor::Doctor;
 use pqos_predict::api::NullPredictor;
 use pqos_service::record::SharedBuf;
@@ -29,11 +31,50 @@ use pqos_sim_core::time::{SimDuration, SimTime};
 use pqos_telemetry::Telemetry;
 use pqos_workload::job::JobId;
 
+/// One step of an op stream: the four calls a raw session and a sharded
+/// core both answer.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Advance virtual time, firing due starts/completions.
+    AdvanceTo(SimTime),
+    /// Quote a batch of admission requests, in batch order.
+    QuoteBatch(Vec<(JobId, AdmissionRequest)>),
+    /// Commit a held quote.
+    Accept(JobId),
+    /// Withdraw a quoted or accepted (not yet started) job.
+    Cancel(JobId),
+}
+
+/// What one [`Op`] produced: the return value of the call it made.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Advanced(SimTime),
+    Quotes(Vec<QuoteDecision>),
+    Accepted(Result<HeldQuote, AcceptError>),
+    Cancelled(Result<(), CancelError>),
+}
+
+/// Applies one [`Op`] to a `NegotiationSession` or a `ShardedCore`, which
+/// share the four methods but no trait.
+macro_rules! apply {
+    ($core:expr, $op:expr, $threads:expr) => {
+        match $op {
+            Op::AdvanceTo(to) => {
+                $core.advance_to(*to);
+                Outcome::Advanced($core.status().now)
+            }
+            Op::QuoteBatch(requests) => Outcome::Quotes($core.quote_batch(requests, $threads)),
+            Op::Accept(id) => Outcome::Accepted($core.accept(*id)),
+            Op::Cancel(id) => Outcome::Cancelled($core.cancel(*id)),
+        }
+    };
+}
+
 /// Builds a deterministic op stream: interleaved quote batches, accepts
 /// and cancels of previously quoted jobs, and time advances. The stream
 /// depends only on the seed, never on session responses, so two
 /// consumers can be fed the exact same sequence.
-fn op_stream(seed: u64, max_size: u32, ops: usize) -> Vec<SessionOp> {
+fn op_stream(seed: u64, max_size: u32, ops: usize) -> Vec<Op> {
     let mut rng = DetRng::seed_from(seed);
     let mut stream = Vec::with_capacity(ops);
     let mut next_job: u64 = 1;
@@ -56,26 +97,26 @@ fn op_stream(seed: u64, max_size: u32, ops: usize) -> Vec<SessionOp> {
                         )
                     })
                     .collect();
-                stream.push(SessionOp::QuoteBatch(batch));
+                stream.push(Op::QuoteBatch(batch));
             }
             4..=6 if !quoted.is_empty() => {
                 let pick = rng.uniform_u64(0, quoted.len() as u64 - 1) as usize;
-                stream.push(SessionOp::Accept(JobId::new(quoted[pick])));
+                stream.push(Op::Accept(JobId::new(quoted[pick])));
             }
             7..=8 if !quoted.is_empty() => {
                 let pick = rng.uniform_u64(0, quoted.len() as u64 - 1) as usize;
-                stream.push(SessionOp::Cancel(JobId::new(quoted.swap_remove(pick))));
+                stream.push(Op::Cancel(JobId::new(quoted.swap_remove(pick))));
             }
             _ => {
                 clock += rng.uniform_u64(1, 1800);
-                stream.push(SessionOp::AdvanceTo(SimTime::from_secs(clock)));
+                stream.push(Op::AdvanceTo(SimTime::from_secs(clock)));
             }
         }
     }
     // Always end with a final advance so starts/completions fire and the
     // journal carries release events, not just admissions.
     clock += 86_400;
-    stream.push(SessionOp::AdvanceTo(SimTime::from_secs(clock)));
+    stream.push(Op::AdvanceTo(SimTime::from_secs(clock)));
     stream
 }
 
@@ -129,7 +170,7 @@ fn single_shard_core_is_byte_identical_to_a_raw_session() {
         let oversized = stream
             .iter()
             .filter_map(|op| match op {
-                SessionOp::QuoteBatch(batch) => Some(batch),
+                Op::QuoteBatch(batch) => Some(batch),
                 _ => None,
             })
             .flatten()
@@ -146,13 +187,9 @@ fn single_shard_core_is_byte_identical_to_a_raw_session() {
         let mut core = ShardedCore::single(wrapped_session);
 
         for op in &stream {
-            let raw = raw_session.apply(op, 2);
-            let wrapped = core.apply(op, 2);
-            assert_eq!(
-                format!("{raw:?}"),
-                format!("{wrapped:?}"),
-                "seed {seed}: outcome diverged on {op:?}"
-            );
+            let raw = apply!(raw_session, op, 2);
+            let wrapped = apply!(core, op, 2);
+            assert_eq!(raw, wrapped, "seed {seed}: outcome diverged on {op:?}");
         }
         assert_eq!(raw_session.live_jobs(), core.live_jobs(), "seed {seed}");
         raw_session.flush();
@@ -170,13 +207,13 @@ fn single_shard_core_is_byte_identical_to_a_raw_session() {
 /// request re-quoting an id the stream quoted earlier and has not
 /// cancelled — held, accepted, running or finished by then, which is
 /// every arm of the duplicate-id rule.
-fn wide_only_stream(seed: u64, cluster: u32, widest: u32, ops: usize) -> Vec<SessionOp> {
+fn wide_only_stream(seed: u64, cluster: u32, widest: u32, ops: usize) -> Vec<Op> {
     let mut stream = op_stream(seed, cluster + 2 - widest, ops);
     let mut held: Vec<JobId> = Vec::new();
     let mut requests = 0usize;
     for op in &mut stream {
         match op {
-            SessionOp::QuoteBatch(batch) => {
+            Op::QuoteBatch(batch) => {
                 for (id, req) in batch.iter_mut() {
                     req.size += widest;
                     requests += 1;
@@ -186,8 +223,8 @@ fn wide_only_stream(seed: u64, cluster: u32, widest: u32, ops: usize) -> Vec<Ses
                 }
                 held.extend(batch.iter().map(|&(id, _)| id));
             }
-            SessionOp::Cancel(id) => held.retain(|h| h != id),
-            SessionOp::Accept(_) | SessionOp::AdvanceTo(_) => {}
+            Op::Cancel(id) => held.retain(|h| h != id),
+            Op::Accept(_) | Op::AdvanceTo(_) => {}
         }
     }
     stream
@@ -214,13 +251,9 @@ fn wide_only_core_is_byte_identical_to_a_raw_session() {
                     core = core.quote_horizon(h);
                 }
                 for op in &stream {
-                    let expected = raw.apply(op, 2);
-                    let got = core.apply(op, 2);
-                    assert_eq!(
-                        format!("{expected:?}"),
-                        format!("{got:?}"),
-                        "{world}: outcome diverged on {op:?}"
-                    );
+                    let expected = apply!(raw, op, 2);
+                    let got = apply!(core, op, 2);
+                    assert_eq!(expected, got, "{world}: outcome diverged on {op:?}");
                 }
                 assert_eq!(raw.live_jobs(), core.live_jobs(), "{world}");
                 let (expected, got) = (raw.status(), core.status());
@@ -260,14 +293,10 @@ fn sharded_journal_merge_is_byte_stable_per_seed() {
         let (mut b, b_bufs) = sharded_core(32, 4);
         let mut decisions = 0usize;
         for op in &stream {
-            let ra = a.apply(op, 2);
-            let rb = b.apply(op, 2);
-            assert_eq!(
-                format!("{ra:?}"),
-                format!("{rb:?}"),
-                "seed {seed}: outcome diverged on {op:?}"
-            );
-            if let SessionOpOutcome::Quotes(qs) = &ra {
+            let ra = apply!(a, op, 2);
+            let rb = apply!(b, op, 2);
+            assert_eq!(ra, rb, "seed {seed}: outcome diverged on {op:?}");
+            if let Outcome::Quotes(qs) = &ra {
                 decisions += qs.len();
             }
         }
@@ -298,21 +327,22 @@ fn narrow_routing_is_sticky_and_covers_every_shard_eventually() {
     let (mut core, _bufs) = sharded_core(16, 4);
     let mut quotes = 0u64;
     for k in 0..40u64 {
-        let outcome = core.apply(
-            &SessionOp::QuoteBatch(vec![(
+        let outcome = apply!(
+            core,
+            &Op::QuoteBatch(vec![(
                 JobId::new(k + 1),
                 AdmissionRequest {
                     size: 1,
                     runtime: SimDuration::from_secs(600),
                 },
             )]),
-            1,
+            1
         );
-        let SessionOpOutcome::Quotes(qs) = outcome else {
+        let Outcome::Quotes(qs) = outcome else {
             panic!("quote batch must yield quotes");
         };
         quotes += qs.len() as u64;
-        core.apply(&SessionOp::Accept(JobId::new(k + 1)), 1);
+        apply!(core, &Op::Accept(JobId::new(k + 1)), 1);
     }
     let routed = core.routed_total();
     assert_eq!(routed.len(), 5, "4 shard lanes + wide coordinator lane");

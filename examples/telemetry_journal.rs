@@ -28,10 +28,7 @@ fn main() -> std::io::Result<()> {
         .accuracy(0.5)
         .user(UserStrategy::risk_threshold(0.5).expect("valid"));
 
-    let telemetry = Telemetry::builder()
-        .ring_buffer(256)
-        .jsonl_path(&path)?
-        .build();
+    let telemetry = Telemetry::builder().jsonl_path(&path)?.build();
     let output = QosSimulator::new(config, log, trace)
         .with_telemetry(telemetry)
         .run();

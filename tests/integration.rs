@@ -78,25 +78,63 @@ fn accounting_invariants_hold() {
             r.utilization
         );
         assert!(r.mean_promise <= 1.0);
-        assert_eq!(
-            r.lost_work,
-            out.collector
-                .lost_events()
-                .iter()
-                .map(|l| l.lost_node_seconds)
-                .sum::<u64>()
-        );
-        assert_eq!(
-            r.deadline_misses,
-            out.collector
-                .outcomes()
-                .iter()
-                .filter(|o| !o.met_deadline)
-                .count()
-        );
         // QoS can never exceed the work-weighted mean promise.
         assert!(r.qos <= r.mean_promise + 1e-12);
     }
+}
+
+/// The report's sums are the journal's: run with a JSONL journal, the
+/// report's lost work is the sum of every `node_failed` line's
+/// `lost_node_seconds`, its deadline misses the late `job_completed`
+/// lines, and its job, job-failure and checkpoint counts the lines that
+/// record each one.
+#[test]
+fn the_report_sums_what_the_journal_records() {
+    use pqos_service::record::SharedBuf;
+    use pqos_telemetry::{Telemetry, TelemetryEvent};
+
+    let mut skips = 0;
+    for (model, a) in [(LogModel::NasaIpsc, 0.0), (LogModel::SdscSp2, 0.5)] {
+        let journal = SharedBuf::new();
+        let telemetry = Telemetry::builder().jsonl_writer(journal.clone()).build();
+        let out = QosSimulator::new(SimConfig::paper_defaults().accuracy(a), log(model), trace())
+            .with_telemetry(telemetry)
+            .run();
+        let (mut lost, mut late, mut completed, mut victims) = (0u64, 0, 0, 0);
+        let (mut requested, mut skipped) = (0u64, 0u64);
+        for line in journal.take_string().lines() {
+            match TelemetryEvent::from_jsonl(line).expect("a journal line") {
+                TelemetryEvent::NodeFailed {
+                    victim_job,
+                    lost_node_seconds,
+                    ..
+                } => {
+                    lost += lost_node_seconds;
+                    victims += usize::from(victim_job.is_some());
+                }
+                TelemetryEvent::JobCompleted { met_deadline, .. } => {
+                    completed += 1;
+                    late += usize::from(!met_deadline);
+                }
+                TelemetryEvent::CheckpointRequested { .. } => requested += 1,
+                TelemetryEvent::CheckpointSkipped { .. } => skipped += 1,
+                _ => {}
+            }
+        }
+        let r = &out.report;
+        let world = format!("{model:?} a={a}");
+        assert!(lost > 0 && late > 0, "{world}: {r}");
+        skips += skipped;
+        assert_eq!(r.lost_work, lost, "{world}");
+        assert_eq!(r.deadline_misses, late, "{world}");
+        assert_eq!(r.jobs, completed, "{world}");
+        assert_eq!(r.job_failures, victims, "{world}");
+        assert_eq!(r.checkpoints_skipped, skipped, "{world}");
+        // A request the policy grants is performed at once; a failure
+        // during the checkpoint still counts it.
+        assert_eq!(r.checkpoints_performed, requested - skipped, "{world}");
+    }
+    assert!(skips > 0, "some world skips a checkpoint");
 }
 
 #[test]

@@ -350,10 +350,6 @@ enum BookOp {
     Remove {
         pick: u64,
     },
-    Truncate {
-        pick: u64,
-        end: u64,
-    },
     Query {
         window: (u64, u64),
         exclude: Vec<u32>,
@@ -366,7 +362,7 @@ enum BookOp {
 
 impl BookOp {
     /// Draws one op; `query_weight` in ten draws are queries, the rest
-    /// split between adds (most), removes and truncates.
+    /// split between adds (most) and removes.
     fn draw(rng: &mut DetRng, world: BookWorld, query_weight: u64) -> BookOp {
         let BookWorld { nodes, grid, .. } = world;
         let snap = |t: u64| t / grid * grid;
@@ -402,14 +398,8 @@ impl BookOp {
                 dur: rng.uniform_u64(1, 300),
                 max_slots: rng.uniform_u64(1, 6) as usize,
             },
-            0 => BookOp::Remove {
+            0 | 1 => BookOp::Remove {
                 pick: rng.next_u64(),
-            },
-            1 => BookOp::Truncate {
-                pick: rng.next_u64(),
-                // Sometimes before the start (removal), sometimes past the
-                // end (no-op), on the grid sometimes an existing boundary.
-                end: snap(rng.uniform_u64(0, 950)),
             },
             _ => BookOp::Add {
                 nodes: if rng.uniform_u64(0, 2) == 0 {
@@ -483,13 +473,6 @@ fn apply_to_both(
             };
             assert_eq!(fast.remove(id), naive.remove(id), "{at}: removals diverge");
         }
-        BookOp::Truncate { pick, end } => {
-            let Some(id) = pick_id(issued, *pick) else {
-                return;
-            };
-            fast.truncate(id, SimTime::from_secs(*end));
-            naive.truncate(id, SimTime::from_secs(*end));
-        }
         BookOp::Query {
             window,
             exclude,
@@ -524,7 +507,7 @@ fn apply_to_both(
 }
 
 /// The timeline book and the naive scan-everything reference answer every
-/// query identically across randomized add/remove/truncate histories
+/// query identically across randomized add/remove histories
 /// ([`apply_to_both`] after every step).
 #[test]
 fn timeline_reservation_book_matches_naive_reference() {
@@ -625,16 +608,10 @@ fn timeline_reservation_book_matches_naive_reference_across_chunks() {
             steps.extend((0..40).map(|_| add(rng, 0, 300)));
             steps.extend(queries(rng));
         }
-        // Scattered removes and truncates.
+        // Scattered removes.
         for _ in 0..40 {
-            steps.push(Step::Op(match rng.uniform_u64(0, 1) {
-                0 => BookOp::Remove {
-                    pick: rng.next_u64(),
-                },
-                _ => BookOp::Truncate {
-                    pick: rng.next_u64(),
-                    end: rng.uniform_u64(0, HORIZON),
-                },
+            steps.push(Step::Op(BookOp::Remove {
+                pick: rng.next_u64(),
             }));
         }
         // Drain a quarter of the horizon at a time, then everything.
@@ -720,11 +697,6 @@ fn quote_cache_fuzz_matches_fresh_uncached_books() {
                     BookOp::Remove { pick } => {
                         if let Some(id) = pick_id(&issued, *pick) {
                             let _ = cached.remove(id);
-                        }
-                    }
-                    BookOp::Truncate { pick, end } => {
-                        if let Some(id) = pick_id(&issued, *pick) {
-                            cached.truncate(id, SimTime::from_secs(*end));
                         }
                     }
                     BookOp::Query {
@@ -824,7 +796,7 @@ fn visit_prefix(
 #[test]
 fn lazy_visit_is_a_prefix_of_eager_on_every_view() {
     use pqos_sched::cache::CachedReservationBook;
-    use pqos_service::{partition_spans, MergedAvailabilityView};
+    use pqos_service::shard::{partition_spans, MergedAvailabilityView};
 
     for world in BOOK_WORLDS {
         let label = format!("lazy-prefix-{}-{}", world.nodes, world.grid);
@@ -890,19 +862,6 @@ fn lazy_visit_is_a_prefix_of_eager_on_every_view() {
                         fast.remove(id);
                         cached.remove(id);
                         naive.remove(id);
-                    }
-                    BookOp::Truncate { pick, end } => {
-                        let Some(id) = pick_id(&issued, *pick) else {
-                            continue;
-                        };
-                        let at = issued.iter().position(|&known| known == id).unwrap();
-                        let end = SimTime::from_secs(*end);
-                        for &(k, slice) in &slices[at] {
-                            shards[k].truncate(slice, end);
-                        }
-                        fast.truncate(id, end);
-                        cached.truncate(id, end);
-                        naive.truncate(id, end);
                     }
                     BookOp::Query {
                         exclude,
@@ -1091,6 +1050,9 @@ fn execution_plan_arithmetic() {
 /// completes, metrics stay in range, and replay is deterministic.
 #[test]
 fn simulator_invariants() {
+    use pqos_telemetry::{Telemetry, TelemetryEvent};
+    use std::collections::HashMap;
+
     for (case, (jobs, failures, accuracy, threshold)) in cases("simulator", 24, |rng| {
         let n = rng.uniform_u64(1, 25) as usize;
         let jobs: Vec<(u64, u32, u64)> = (0..n)
@@ -1128,7 +1090,10 @@ fn simulator_invariants() {
             .cluster_size_nodes(8)
             .accuracy(accuracy)
             .user(UserStrategy::risk_threshold(threshold).expect("valid"));
-        let out = QosSimulator::new(config.clone(), log.clone(), Arc::clone(&trace)).run();
+        let telemetry = Telemetry::builder().ring_buffer(1 << 16).build();
+        let out = QosSimulator::new(config.clone(), log.clone(), Arc::clone(&trace))
+            .with_telemetry(telemetry.clone())
+            .run();
         assert_eq!(
             out.report.jobs + out.rejected.len(),
             jobs.len(),
@@ -1148,12 +1113,33 @@ fn simulator_invariants() {
             out.report.qos <= out.report.mean_promise + 1e-9,
             "case {case}"
         );
-        for o in out.collector.outcomes() {
-            assert!(o.finish >= o.arrival, "case {case}");
-            assert!(o.last_start >= o.arrival, "case {case}");
-            assert!((0.0..=1.0).contains(&o.promised), "case {case}");
+        // No job starts or finishes before it arrives, and every promise
+        // is a probability.
+        let mut arrived = HashMap::new();
+        let events = telemetry.ring_events();
+        assert!(
+            events.len() < 1 << 16,
+            "case {case}: the ring kept the journal"
+        );
+        for event in events {
+            match event {
+                TelemetryEvent::JobSubmitted { at, job, .. } => {
+                    arrived.insert(job, at);
+                }
+                TelemetryEvent::JobStarted { at, job, .. }
+                | TelemetryEvent::JobCompleted { at, job, .. } => {
+                    assert!(at >= arrived[&job], "case {case}: job {job} at {at}");
+                }
+                TelemetryEvent::PromiseResolved {
+                    success_probability,
+                    ..
+                } => {
+                    assert!((0.0..=1.0).contains(&success_probability), "case {case}");
+                }
+                _ => {}
+            }
         }
-        // Deterministic replay.
+        // Deterministic replay, with or without a journal.
         let again = QosSimulator::new(config, log, trace).run();
         assert_eq!(out.report, again.report, "case {case}: replay diverged");
     }
