@@ -101,6 +101,12 @@ pub trait CheckpointPolicy {
     /// Decides one checkpoint request.
     fn decide(&self, ctx: &CheckpointContext) -> CheckpointDecision;
 
+    /// Observes a request the deadline override skips without asking
+    /// [`decide`](Self::decide). [`decide_with_deadline`] calls it before
+    /// answering [`CheckpointDecision::Skip`] itself, so a wrapper that
+    /// observes requests ([`InstrumentedPolicy`]) sees every one.
+    fn on_deadline_skip(&self, _ctx: &CheckpointContext) {}
+
     /// Short name for reports.
     fn name(&self) -> &'static str;
 }
@@ -131,7 +137,10 @@ pub fn decide_with_deadline<P: CheckpointPolicy + ?Sized>(
     ctx: &CheckpointContext,
 ) -> CheckpointDecision {
     match ctx.deadline_pressure {
-        DeadlinePressure::SkipToMeet => CheckpointDecision::Skip,
+        DeadlinePressure::SkipToMeet => {
+            policy.on_deadline_skip(ctx);
+            CheckpointDecision::Skip
+        }
         DeadlinePressure::None => policy.decide(ctx),
     }
 }
@@ -280,13 +289,17 @@ impl<P: CheckpointPolicy + ?Sized> CheckpointPolicy for Box<P> {
     fn decide(&self, ctx: &CheckpointContext) -> CheckpointDecision {
         (**self).decide(ctx)
     }
+    fn on_deadline_skip(&self, ctx: &CheckpointContext) {
+        (**self).on_deadline_skip(ctx)
+    }
     fn name(&self) -> &'static str {
         (**self).name()
     }
 }
 
-/// Wraps any policy and records its Eq. 1 decisions into a telemetry
-/// metrics registry (`ckpt.*`) without altering them.
+/// Wraps any policy and records every decision it answers — Eq. 1's and
+/// the deadline override's skips alike — into a telemetry metrics registry
+/// (`ckpt.*`) without altering them.
 ///
 /// The simulator installs this wrapper only when telemetry is enabled, so
 /// the uninstrumented path pays nothing.
@@ -339,9 +352,9 @@ impl<P: CheckpointPolicy> InstrumentedPolicy<P> {
     }
 }
 
-impl<P: CheckpointPolicy> CheckpointPolicy for InstrumentedPolicy<P> {
-    fn decide(&self, ctx: &CheckpointContext) -> CheckpointDecision {
-        let decision = self.inner.decide(ctx);
+impl<P: CheckpointPolicy> InstrumentedPolicy<P> {
+    /// Counts one request and the decision it got.
+    fn record(&self, ctx: &CheckpointContext, decision: CheckpointDecision) -> CheckpointDecision {
         self.requests.inc();
         match decision {
             CheckpointDecision::Perform => self.performed.inc(),
@@ -350,6 +363,16 @@ impl<P: CheckpointPolicy> CheckpointPolicy for InstrumentedPolicy<P> {
         self.request_pf.observe(ctx.failure_probability);
         self.at_risk_secs.observe(ctx.at_risk().as_secs() as f64);
         decision
+    }
+}
+
+impl<P: CheckpointPolicy> CheckpointPolicy for InstrumentedPolicy<P> {
+    fn decide(&self, ctx: &CheckpointContext) -> CheckpointDecision {
+        self.record(ctx, self.inner.decide(ctx))
+    }
+    fn on_deadline_skip(&self, ctx: &CheckpointContext) {
+        self.inner.on_deadline_skip(ctx);
+        self.record(ctx, CheckpointDecision::Skip);
     }
     fn name(&self) -> &'static str {
         self.inner.name()
@@ -504,6 +527,25 @@ mod tests {
         assert_eq!(snap.counter("ckpt.performed"), Some(1));
         assert_eq!(snap.counter("ckpt.skipped"), Some(2));
         assert_eq!(snap.histogram("ckpt.request_pf").unwrap().count, 3);
+    }
+
+    #[test]
+    fn instrumented_policy_counts_deadline_skips() {
+        let telemetry = pqos_telemetry::Telemetry::builder().build();
+        let policy: Box<dyn CheckpointPolicy> =
+            Box::new(InstrumentedPolicy::new(Periodic, telemetry.clone()));
+        let mut pressed = ctx(1.0, 0);
+        pressed.deadline_pressure = DeadlinePressure::SkipToMeet;
+        for c in [ctx(1.0, 0), pressed, pressed] {
+            assert_eq!(
+                decide_with_deadline(&policy, &c),
+                decide_with_deadline(&Periodic, &c)
+            );
+        }
+        let snap = telemetry.snapshot().unwrap();
+        assert_eq!(snap.counter("ckpt.requests"), Some(3));
+        assert_eq!(snap.counter("ckpt.performed"), Some(1));
+        assert_eq!(snap.counter("ckpt.skipped"), Some(2));
     }
 
     #[test]

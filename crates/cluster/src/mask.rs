@@ -145,7 +145,10 @@ impl NodeMask {
 
     /// Nodes *not* in the set, sorted ascending.
     pub fn complement_nodes(&self) -> Vec<NodeId> {
-        NodeMask::complement_nodes_words(self.width, &self.words)
+        (0..self.width)
+            .map(NodeId::new)
+            .filter(|&n| !self.contains(n))
+            .collect()
     }
 
     /// The packed words, low indices first.
@@ -189,53 +192,27 @@ impl NodeMask {
         }
     }
 
+    /// Word-parallel union at a bit offset: `dst |= src << offset`, bit
+    /// `i` of `src` landing on bit `offset + i` of `dst` — one shard's row
+    /// composed into a wider machine's at the shard's base, which need not
+    /// be a multiple of 64.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a set bit of `src` would land beyond `dst`.
+    pub fn or_words_at(dst: &mut [u64], src: &[u64], offset: u32) {
+        let (first, shift) = ((offset / 64) as usize, offset % 64);
+        for (k, &word) in src.iter().enumerate().filter(|(_, &w)| w != 0) {
+            dst[first + k] |= word << shift;
+            if shift != 0 && word >> (64 - shift) != 0 {
+                dst[first + k + 1] |= word >> (64 - shift);
+            }
+        }
+    }
+
     /// Population count of a raw packed slice.
     pub fn count_ones_words(words: &[u64]) -> u32 {
         words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// Nodes *not* set in a raw packed slice covering `width` nodes, sorted
-    /// ascending — [`complement_nodes`](NodeMask::complement_nodes) without
-    /// owning the words. Bits at or beyond `width` are ignored, set or not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len()` is not exactly `width.div_ceil(64)`.
-    pub fn complement_nodes_words(width: u32, words: &[u64]) -> Vec<NodeId> {
-        let ones = NodeMask::count_ones_words(words);
-        let mut out = Vec::with_capacity(width.saturating_sub(ones) as usize);
-        NodeMask::extend_complement_nodes_words(width, words, &mut out);
-        out
-    }
-
-    /// [`complement_nodes_words`](NodeMask::complement_nodes_words)
-    /// appended to `out`, so a caller decoding row after row reuses one
-    /// buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len()` is not exactly `width.div_ceil(64)`.
-    pub fn extend_complement_nodes_words(width: u32, words: &[u64], out: &mut Vec<NodeId>) {
-        assert_eq!(
-            words.len(),
-            width.div_ceil(64) as usize,
-            "word count must match width"
-        );
-        for (wi, &word) in words.iter().enumerate() {
-            let base = wi as u32 * 64;
-            let tail = (width - base).min(64);
-            let valid = if tail == 64 {
-                u64::MAX
-            } else {
-                (1 << tail) - 1
-            };
-            out.extend(
-                BitIter {
-                    word: !word & valid,
-                }
-                .map(|bit| NodeId::new(base + bit)),
-            );
-        }
     }
 
     /// Zeroes any bits at or beyond the width in the last word.
@@ -383,34 +360,33 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_complement_matches_owned_complement() {
-        for width in [1u32, 3, 63, 64, 65, 100, 128, 130] {
-            let m = NodeMask::from_nodes((0..width).step_by(3).map(NodeId::new), width);
-            assert_eq!(
-                NodeMask::complement_nodes_words(width, m.words()),
-                m.complement_nodes(),
-                "width {width}"
+    fn or_words_at_shifts_every_bit_by_the_offset() {
+        for (src_width, offset) in [
+            (1u32, 0u32),
+            (64, 0),
+            (70, 3),
+            (43, 44),
+            (341, 683),
+            (64, 64),
+        ] {
+            let total = offset + src_width;
+            let ids: Vec<NodeId> = (0..src_width)
+                .filter(|i| i % 3 != 1)
+                .map(NodeId::new)
+                .collect();
+            let src = NodeMask::from_nodes(ids.iter().copied(), src_width);
+            let mut dst = NodeMask::from_nodes([NodeId::new(0)], total)
+                .words()
+                .to_vec();
+            NodeMask::or_words_at(&mut dst, src.words(), offset);
+            let want = NodeMask::from_nodes(
+                ids.iter()
+                    .map(|n| NodeId::new(n.as_u32() + offset))
+                    .chain([NodeId::new(0)]),
+                total,
             );
-            // Set padding bits are not nodes: they neither hide a free node
-            // nor invent one beyond the width.
-            let mut dirty = m.words().to_vec();
-            if width % 64 != 0 {
-                *dirty.last_mut().unwrap() |= u64::MAX << (width % 64);
-            }
-            assert_eq!(
-                NodeMask::complement_nodes_words(width, &dirty),
-                m.complement_nodes(),
-                "width {width}, dirty padding"
-            );
+            assert_eq!(dst, want.words(), "{src_width} nodes at {offset}");
         }
-        assert!(NodeMask::complement_nodes_words(100, &[u64::MAX, u64::MAX]).is_empty());
-        assert_eq!(NodeMask::complement_nodes_words(70, &[0, 0]).len(), 70);
-    }
-
-    #[test]
-    #[should_panic(expected = "word count must match width")]
-    fn complement_words_rejects_wrong_length() {
-        let _ = NodeMask::complement_nodes_words(100, &[0]);
     }
 
     #[test]

@@ -104,6 +104,13 @@ impl Topology {
     ///
     /// Yields nothing when fewer than `size` nodes are free or `size == 0`.
     ///
+    /// The scheduler's placement walk (`pqos_sched::place`) calls this for
+    /// [`Topology::Torus3d`] only: it slides the `Flat` / `Line` windows
+    /// itself over a free set decoded as far as it reads, and for those
+    /// two this method is the reference that walk is tested against
+    /// (`lazy_walk_matches_the_eager_reference`). A change to the window
+    /// rule here must be made there too.
+    ///
     /// # Examples
     ///
     /// ```

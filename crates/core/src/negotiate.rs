@@ -23,7 +23,7 @@ use pqos_cluster::partition::Partition;
 use pqos_cluster::topology::Topology;
 use pqos_predict::api::Predictor;
 use pqos_sched::place::{choose_partition_with_telemetry, PlacementStrategy};
-use pqos_sched::reservation::AvailabilityView;
+use pqos_sched::reservation::{AvailabilityView, FreeNodes};
 use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
 use pqos_telemetry::Telemetry;
 use std::fmt;
@@ -192,7 +192,7 @@ pub(crate) fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
     // One turn of the dialog: place the job on `free` at `start`, quote it
     // and hear the user out. `Some` ends the negotiation; a start the
     // topology cannot place the job on is not quoted at all.
-    let offer = |rejected: &mut Vec<Quote>, start: SimTime, free: &[NodeId]| {
+    let offer = |rejected: &mut Vec<Quote>, start: SimTime, free: &mut FreeNodes<'_>| {
         let window = TimeWindow::starting_at(start, request.duration);
         if window.length() < request.duration {
             // Cut short by the end of time (only a duration near `u64::MAX`
@@ -251,7 +251,7 @@ pub(crate) fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
             _ => continue,
         };
         let mut taken = None;
-        let mut visit = |start: SimTime, free: &[NodeId]| {
+        let mut visit = |start: SimTime, free: &mut FreeNodes<'_>| {
             if until.is_some_and(|until| start >= until) {
                 return ControlFlow::Break(());
             }
@@ -270,6 +270,21 @@ pub(crate) fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
         }
     }
 
+    // A probe's free set, as the walk's are: the window's busy words,
+    // decoded only as far as placement reads them.
+    let (mut busy, mut decoded) = (Vec::new(), Vec::new());
+    let width = book.cluster_size();
+    let mut probe = |rejected: &mut Vec<Quote>, start: SimTime, exclude: &[NodeId]| {
+        let window = TimeWindow::starting_at(start, request.duration);
+        busy.resize(width.div_ceil(64) as usize, 0);
+        book.busy_mask_during(window, exclude, &mut busy);
+        offer(
+            rejected,
+            start,
+            &mut FreeNodes::masked(width, &busy, &mut decoded),
+        )
+    };
+
     // Probe past the book: step the start forward by the job duration from
     // the latest slot offered (or from `now` if the book had none).
     let step = request.duration.max(SimDuration::from_secs(1));
@@ -280,12 +295,7 @@ pub(crate) fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
         // later windows makes quotes needlessly pessimistic and can leave
         // every probe unplaceable on a small cluster.
         let exclude: &[NodeId] = if start < horizon { request.down } else { &[] };
-        let window = TimeWindow::starting_at(start, request.duration);
-        let taken = offer(
-            &mut rejected,
-            start,
-            &book.free_nodes_during(window, exclude),
-        );
+        let taken = probe(&mut rejected, start, exclude);
         if taken.is_some() {
             return taken;
         }
@@ -301,8 +311,7 @@ pub(crate) fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
             .unwrap_or(request.now)
             .max(horizon)
             .max(request.now);
-        let window = TimeWindow::starting_at(start, request.duration);
-        let taken = offer(&mut rejected, start, &book.free_nodes_during(window, &[]));
+        let taken = probe(&mut rejected, start, &[]);
         if taken.is_some() {
             return taken;
         }
@@ -945,7 +954,7 @@ mod tests {
             let window = TimeWindow::starting_at(slot.start, request.duration);
             let Some(choice) = choose_partition_with_telemetry(
                 topology,
-                &slot.free,
+                &mut FreeNodes::listed(&slot.free),
                 request.size,
                 risk_window(slot.start),
                 predictor,
@@ -978,7 +987,7 @@ mod tests {
             let free = book.free_nodes_during(window, exclude);
             let Some(choice) = choose_partition_with_telemetry(
                 topology,
-                &free,
+                &mut FreeNodes::listed(&free),
                 request.size,
                 risk_window(start),
                 predictor,
@@ -1009,7 +1018,7 @@ mod tests {
             let free = book.free_nodes_during(window, &[]);
             let choice = choose_partition_with_telemetry(
                 topology,
-                &free,
+                &mut FreeNodes::listed(&free),
                 request.size,
                 risk_window(start),
                 predictor,

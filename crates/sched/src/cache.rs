@@ -5,7 +5,8 @@
 //! reservation it adds. [`CachedReservationBook`] wraps [`ReservationBook`]
 //! and memoizes, per `(size, duration, from, exclude, max_slots)` probe
 //! shape, *the prefix its walk produced*: the slots handed over before the
-//! walk ended, the time range it examined to find them
+//! walk ended — each as its start and the `W` mask words the walk held for
+//! it, never a decoded node list — the time range it examined to find them
 //! (`[from, coverage_end)`), and whether it ended on its own (`max_slots`
 //! reached or off the book) or at its caller's word. A stored prefix is a
 //! prefix of the shape's full answer for as long as no mutation touches
@@ -15,10 +16,11 @@
 //! untouched, and the shorter the dialog that seeded an entry, the less
 //! can invalidate it.
 //!
-//! A hit replays the prefix to the visitor. A visitor still asking when an
-//! *unfinished* prefix runs out is a miss after all: a fresh walk — silent
-//! over the slots already replayed — serves the rest, and its longer prefix
-//! replaces the entry.
+//! A hit replays the prefix to the visitor, each slot's words decoding
+//! only the free nodes the visitor reads, as the walk's would. A visitor
+//! still asking when an *unfinished* prefix runs out is a miss after all: a
+//! fresh walk — silent over the slots already replayed — serves the rest,
+//! and its longer prefix replaces the entry.
 //!
 //! That is all the cache owns. The timeline it answers from is the book's
 //! own — flat rows patched in place by every mutation, walked with the
@@ -35,8 +37,8 @@
 //! included.
 
 use crate::reservation::{
-    AvailabilityView, Reservation, ReservationBook, ReservationError, ReservationId, Slot,
-    SlotVisitor,
+    with_decode_buffer, AvailabilityView, FreeNodes, Reservation, ReservationBook,
+    ReservationError, ReservationId, Slot, SlotVisitor,
 };
 use pqos_cluster::node::NodeId;
 use pqos_cluster::partition::Partition;
@@ -114,9 +116,12 @@ struct Prefix {
     /// this is the whole answer. Otherwise its caller stopped it, and a
     /// caller that wants more walks afresh.
     finished: bool,
-    /// Each slot's start and where its free list ends in `nodes`.
-    spans: Vec<(SimTime, usize)>,
-    nodes: Vec<NodeId>,
+    /// Each slot's start.
+    starts: Vec<SimTime>,
+    /// Each slot's busy mask as the walk handed it over, `W` words a slot:
+    /// a replay decodes only the free nodes its visitor reads, as the walk
+    /// would have.
+    busy: Vec<u64>,
 }
 
 /// A [`ReservationBook`] wrapped with the quote memo.
@@ -309,6 +314,9 @@ impl AvailabilityView for CachedReservationBook {
     fn free_nodes_during(&self, window: TimeWindow, exclude: &[NodeId]) -> Vec<NodeId> {
         self.book.free_nodes_during(window, exclude)
     }
+    fn busy_mask_during(&self, window: TimeWindow, exclude: &[NodeId], busy: &mut [u64]) {
+        self.book.busy_mask_during(window, exclude, busy);
+    }
     fn change_points(&self, from: SimTime) -> Vec<SimTime> {
         self.book.change_points(from)
     }
@@ -342,17 +350,18 @@ impl AvailabilityView for CachedReservationBook {
         let stored = self.lock_memo().get(&key).map(Arc::clone);
         let mut replayed = 0;
         if let Some(prefix) = stored {
-            let mut lo = 0;
-            let stopped = prefix.spans.iter().any(|&(start, hi)| {
-                let free = &prefix.nodes[lo..hi];
-                lo = hi;
-                visit(start, free).is_break()
+            let width = self.book.cluster_size();
+            let stopped = with_decode_buffer(|decoded| {
+                let masks = prefix.busy.chunks_exact(width.div_ceil(64) as usize);
+                prefix.starts.iter().zip(masks).any(|(&start, busy)| {
+                    visit(start, &mut FreeNodes::masked(width, busy, decoded)).is_break()
+                })
             });
             if stopped || prefix.finished {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return;
             }
-            replayed = prefix.spans.len();
+            replayed = prefix.starts.len();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         // The walk runs with the memo unlocked, so the probes of a batch
@@ -366,9 +375,12 @@ impl AvailabilityView for CachedReservationBook {
             exclude,
             max_slots,
             &mut |start, free| {
-                prefix.nodes.extend_from_slice(free);
-                prefix.spans.push((start, prefix.nodes.len()));
-                if prefix.spans.len() > replayed {
+                let busy = free
+                    .busy_words()
+                    .expect("the book's walk hands over mask words");
+                prefix.busy.extend_from_slice(busy);
+                prefix.starts.push(start);
+                if prefix.starts.len() > replayed {
                     visit(start, free)
                 } else {
                     ControlFlow::Continue(())

@@ -7,12 +7,17 @@
 //! "safest-nodes" candidate (flat topology only), ranked by per-node
 //! predicted failure probability.
 //!
-//! The windows are walked lazily and borrowed from the free list; the
-//! walk stops at the first one that predicts clean, the greedy candidate
-//! is built only when none did, and one [`Partition`] is materialised, for
-//! the winner. Cost is therefore proportional to the candidates actually
-//! scored, not to the candidates that exist.
+//! The windows are walked lazily and borrowed from the free set, which is
+//! itself decoded lazily ([`FreeNodes`]): each slide decodes one more free
+//! node. The walk stops at the first window that predicts clean, the
+//! greedy candidate (which reads every free node) is built only when none
+//! did, and one [`Partition`] is materialised, for the winner. Cost is
+//! therefore proportional to the candidates actually scored and the free
+//! nodes they span — `O(k)` for a job of `k` nodes whose first window is
+//! clean — not to the candidates or free nodes that exist. `Torus3d` boxes
+//! are enumerated over the whole free set.
 
+use crate::reservation::FreeNodes;
 use pqos_cluster::node::NodeId;
 use pqos_cluster::partition::Partition;
 use pqos_cluster::topology::Topology;
@@ -102,17 +107,20 @@ pub fn choose_partition<P: Predictor>(
     predictor: &P,
     strategy: PlacementStrategy,
 ) -> Option<PlacementChoice> {
+    let free = &mut FreeNodes::listed(free);
     choose_partition_inner(topology, free, size, window, predictor, strategy).0
 }
 
-/// [`choose_partition`] with the selection loop's observations recorded
-/// into `telemetry`'s metrics registry (`sched.*`).
+/// [`choose_partition`] over a slot's lazily decoded free set, with the
+/// selection loop's observations recorded into `telemetry`'s metrics
+/// registry (`sched.*`).
 ///
-/// The decision is identical to [`choose_partition`]; a disabled
-/// [`Telemetry`] handle makes the extra work a handful of dead branches.
+/// The decision is identical to [`choose_partition`] over the same nodes;
+/// a disabled [`Telemetry`] handle makes the extra work a handful of dead
+/// branches.
 pub fn choose_partition_with_telemetry<P: Predictor>(
     topology: Topology,
-    free: &[NodeId],
+    free: &mut FreeNodes<'_>,
     size: u32,
     window: TimeWindow,
     predictor: &P,
@@ -140,9 +148,17 @@ pub fn choose_partition_with_telemetry<P: Predictor>(
     choice
 }
 
+/// The candidate that scored best so far.
+enum Pick {
+    /// The sliding window over free nodes `i..i + size`.
+    Window(usize),
+    /// A box, or the greedy set.
+    Owned(Vec<NodeId>),
+}
+
 fn choose_partition_inner<P: Predictor>(
     topology: Topology,
-    free: &[NodeId],
+    free: &mut FreeNodes<'_>,
     size: u32,
     window: TimeWindow,
     predictor: &P,
@@ -152,30 +168,61 @@ fn choose_partition_inner<P: Predictor>(
     let size = size as usize;
     let fault_aware = strategy == PlacementStrategy::MinFailureProbability;
     // First fit scores the first candidate only; the fault-aware walk
-    // scores candidates until one predicts clean. Either way the windows
-    // are borrowed from `free`: no `Partition` is built for the losers.
+    // scores candidates until one predicts clean. Either way no
+    // `Partition` is built for the losers.
     let walk_limit = if fault_aware { usize::MAX } else { 1 };
-    let mut best = None;
-    for nodes in topology.candidates(free, size).take(walk_limit) {
-        let pf = predictor.failure_probability(&nodes, window);
-        probe.candidates_examined += 1;
-        if best.as_ref().is_none_or(|&(_, least)| pf < least) {
-            best = Some((nodes, pf));
-            if pf == 0.0 {
-                // Cannot do better than a clean partition; earlier
-                // candidates (lower node ids) win ties.
-                break;
+    let mut best: Option<(Pick, f64)> = None;
+    // A candidate wins only strictly: earlier ones (lower node ids) keep
+    // ties, so a clean one ends the walk.
+    let beats = |best: &Option<(Pick, f64)>, pf: f64| best.as_ref().is_none_or(|b| pf < b.1);
+    if size > 0 && free.len() >= size {
+        match topology {
+            Topology::Flat | Topology::Line => {
+                // Window `i` is free nodes `i..i + size`, borrowed from the
+                // decoded prefix: each slide decodes one node more.
+                let (mut i, mut scored) = (0, 0);
+                while scored < walk_limit {
+                    let Some(nodes) = free.prefix(i + size).get(i..i + size) else {
+                        break;
+                    };
+                    let contiguous =
+                        || (nodes[size - 1].as_u32() - nodes[0].as_u32()) as usize == size - 1;
+                    if matches!(topology, Topology::Flat) || contiguous() {
+                        scored += 1;
+                        let pf = predictor.failure_probability(nodes, window);
+                        probe.candidates_examined += 1;
+                        if beats(&best, pf) {
+                            best = Some((Pick::Window(i), pf));
+                            if pf == 0.0 {
+                                break;
+                            }
+                        }
+                    }
+                    i += 1;
+                }
+            }
+            Topology::Torus3d { .. } => {
+                for nodes in topology.candidates(free.all(), size).take(walk_limit) {
+                    let pf = predictor.failure_probability(&nodes, window);
+                    probe.candidates_examined += 1;
+                    if beats(&best, pf) {
+                        best = Some((Pick::Owned(nodes.into_owned()), pf));
+                        if pf == 0.0 {
+                            break;
+                        }
+                    }
+                }
             }
         }
     }
-    let Some((nodes, mut pf)) = best else {
+    let Some((pick, mut pf)) = best else {
         return (None, probe);
     };
     // The greedy candidate is scored last and only when no window was
     // clean; strict `<` keeps the windows winning ties against it.
     let mut greedy_winner = None;
     if fault_aware && pf != 0.0 && matches!(topology, Topology::Flat) {
-        let greedy = greedy_safest(free, size, window, predictor);
+        let greedy = greedy_safest(free.all(), size, window, predictor);
         let greedy_pf = predictor.failure_probability(greedy.as_slice(), window);
         probe.candidates_examined += 1;
         if greedy_pf < pf {
@@ -184,7 +231,12 @@ fn choose_partition_inner<P: Predictor>(
         }
     }
     probe.clean_tie_break = fault_aware && pf == 0.0;
-    let partition = greedy_winner.unwrap_or_else(|| Partition::from_sorted(nodes.into_owned()));
+    let partition = greedy_winner.unwrap_or_else(|| {
+        Partition::from_sorted(match pick {
+            Pick::Window(i) => free.prefix(i + size)[i..].to_vec(),
+            Pick::Owned(nodes) => nodes,
+        })
+    });
     (
         Some(PlacementChoice {
             partition,
@@ -416,7 +468,7 @@ mod tests {
         );
         let wrapped = choose_partition_with_telemetry(
             Topology::Flat,
-            &ids(&[0, 1, 2, 3]),
+            &mut FreeNodes::listed(&ids(&[0, 1, 2, 3])),
             2,
             w(0, 100),
             &o,
@@ -435,7 +487,7 @@ mod tests {
         let telemetry = Telemetry::builder().build();
         let choice = choose_partition_with_telemetry(
             Topology::Flat,
-            &ids(&[0]),
+            &mut FreeNodes::listed(&ids(&[0])),
             2,
             w(0, 100),
             &NullPredictor,
@@ -522,18 +574,21 @@ mod tests {
         (best, probe, greedy_vs_windows)
     }
 
-    /// A 64-node world: a fragmented free list and a failure trace whose
-    /// density ranges from empty to several failures per node, so that on
-    /// many draws no window at all is clean.
+    /// A world of 64 to 130 nodes (mostly not a multiple of 64; the torus
+    /// covers the first 64): a fragmented free list and a failure trace
+    /// whose density ranges from empty to several failures per node, so
+    /// that on many draws no window at all is clean.
     struct World {
+        width: u32,
         free: Vec<NodeId>,
         oracle: TraceOracle,
         window: TimeWindow,
     }
 
     fn draw_world(rng: &mut DetRng) -> World {
+        let width = [64, 70, 100, 130][rng.uniform_u64(0, 3) as usize];
         let density = rng.unit();
-        let mut free: Vec<NodeId> = (0..64)
+        let mut free: Vec<NodeId> = (0..width)
             .filter(|_| rng.chance(density))
             .map(NodeId::new)
             .collect();
@@ -545,7 +600,7 @@ mod tests {
             (0..failures)
                 .map(|_| Failure {
                     time: SimTime::from_secs(rng.uniform_u64(0, 199)),
-                    node: NodeId::new(rng.uniform_u64(0, 63) as u32),
+                    node: NodeId::new(rng.uniform_u64(0, u64::from(width) - 1) as u32),
                     detectability: rng.unit(),
                 })
                 .collect(),
@@ -554,14 +609,17 @@ mod tests {
         let accuracy = if rng.chance(0.5) { 1.0 } else { rng.unit() };
         let start = rng.uniform_u64(0, 150);
         World {
+            width,
             free,
             oracle: TraceOracle::new(Arc::new(trace), accuracy).unwrap(),
             window: w(start, start + rng.uniform_u64(1, 50)),
         }
     }
 
-    /// Asserts that lazy and eager agree on one placement and returns the
-    /// eager side's answer.
+    /// Asserts that lazy and eager agree on one placement — over the free
+    /// list as it is and over the same set lazily decoded from mask words,
+    /// which still decodes to the list afterwards — and returns the eager
+    /// side's answer.
     fn assert_lazy_matches_eager<P: Predictor>(
         world: &World,
         topology: Topology,
@@ -573,12 +631,34 @@ mod tests {
         let (free, window) = (&world.free[..], world.window);
         let (choice, probe, greedy_vs_windows) =
             eager_reference(topology, free, size, window, predictor, strategy);
+        let at = || {
+            format!(
+                "case {case}: {topology} {strategy} size {size} of {} under {}",
+                world.width,
+                std::any::type_name::<P>()
+            )
+        };
+        let listed = &mut FreeNodes::listed(free);
         assert_eq!(
-            choose_partition_inner(topology, free, size, window, predictor, strategy),
+            choose_partition_inner(topology, listed, size, window, predictor, strategy),
             (choice.clone(), probe),
-            "case {case}: {topology} {strategy} size {size} under {}",
-            std::any::type_name::<P>()
+            "{} over the list",
+            at()
         );
+        let mut busy = vec![u64::MAX; world.width.div_ceil(64) as usize];
+        for n in free {
+            busy[n.index() / 64] &= !(1 << (n.index() % 64));
+        }
+        let mut decoded = Vec::new();
+        let lazy = &mut FreeNodes::masked(world.width, &busy, &mut decoded);
+        assert_eq!(lazy.len(), free.len(), "{}", at());
+        assert_eq!(
+            choose_partition_inner(topology, lazy, size, window, predictor, strategy),
+            (choice.clone(), probe),
+            "{} over the mask",
+            at()
+        );
+        assert_eq!(lazy.all(), free, "{}: the set decodes to the list", at());
         (choice, greedy_vs_windows)
     }
 
@@ -663,9 +743,11 @@ mod tests {
     fn a_clean_first_window_costs_one_query() {
         let free: Vec<NodeId> = (0..4096).map(NodeId::new).collect();
         let predictor = CountingPredictor::default();
+        let (busy, mut decoded) = ([0; 64], Vec::new());
+        let lazy = &mut FreeNodes::masked(4096, &busy, &mut decoded);
         let (choice, probe) = choose_partition_inner(
             Topology::Flat,
-            &free,
+            lazy,
             2048,
             w(0, 100),
             &predictor,
@@ -676,5 +758,6 @@ mod tests {
         assert!(probe.clean_tie_break);
         assert_eq!(predictor.partition_queries.get(), 1);
         assert_eq!(predictor.node_queries.get(), 0);
+        assert_eq!(lazy.decoded(), 2048, "only the window's nodes are decoded");
     }
 }

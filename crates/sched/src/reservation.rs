@@ -60,6 +60,8 @@
 //!   slot to its caller as it is found and stops when told to, at the
 //!   `max_slots`-th slot or off the end of the book:
 //!   `O(rows walked to the last slot handed over · W)`, allocating nothing.
+//!   Each slot goes over as the union's mask words ([`FreeNodes`]), whose
+//!   node ids are decoded only as far as the visitor reads them.
 //!   `earliest_slots` is that walk run to its end and collected.
 //!
 //! [`NaiveReservationBook`] preserves the original scan-everything
@@ -139,6 +141,180 @@ pub struct Slot {
     pub free: Vec<NodeId>,
 }
 
+/// A slot's free nodes, sorted ascending, decoded only as far as they are
+/// read.
+///
+/// A walk holds each slot's free set as mask words — the busy union over
+/// the window with the exclusions folded in — and hands those over, not a
+/// node list: [`prefix`](FreeNodes::prefix) decodes node ids from the
+/// words into a buffer the walk lends, as far as asked and no further, so
+/// a placement that reads the first `k` of `F` free nodes pays for `k`
+/// ids (and the words up to the `k`-th), not for `F`. The count is known
+/// up front. A list that is already decoded is borrowed as it is
+/// ([`FreeNodes::listed`]).
+///
+/// # Examples
+///
+/// ```
+/// use pqos_cluster::node::NodeId;
+/// use pqos_sched::reservation::FreeNodes;
+///
+/// // Nodes 0 and 2 of a 70-node cluster are busy.
+/// let busy = [0b101, 0];
+/// let mut buf = Vec::new();
+/// let mut free = FreeNodes::masked(70, &busy, &mut buf);
+/// assert_eq!(free.len(), 68);
+/// assert_eq!(free.prefix(2), [NodeId::new(1), NodeId::new(3)]);
+/// assert_eq!(free.all().last(), Some(&NodeId::new(69)));
+/// ```
+#[derive(Debug)]
+pub struct FreeNodes<'a> {
+    len: usize,
+    source: Source<'a>,
+}
+
+#[derive(Debug)]
+enum Source<'a> {
+    Listed(&'a [NodeId]),
+    Masked {
+        busy: &'a [u64],
+        width: u32,
+        /// The word `bits` came from.
+        word: usize,
+        /// The free bits of word `word` not decoded yet.
+        bits: u64,
+        decoded: &'a mut Vec<NodeId>,
+    },
+}
+
+impl<'a> FreeNodes<'a> {
+    /// Borrows `nodes`, which must be sorted ascending.
+    pub fn listed(nodes: &'a [NodeId]) -> Self {
+        FreeNodes {
+            len: nodes.len(),
+            source: Source::Listed(nodes),
+        }
+    }
+
+    /// The nodes `0..width` whose bit in `busy` is clear, decoded into
+    /// `decoded` (cleared first) as they are read. Bits at or beyond
+    /// `width` are ignored, set or not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `busy.len()` is not exactly `width.div_ceil(64)`.
+    pub fn masked(width: u32, busy: &'a [u64], decoded: &'a mut Vec<NodeId>) -> Self {
+        assert_eq!(
+            busy.len(),
+            width.div_ceil(64) as usize,
+            "word count must match width"
+        );
+        decoded.clear();
+        let len = (0..busy.len())
+            .map(|w| free_bits(busy, width, w).count_ones() as usize)
+            .sum();
+        FreeNodes {
+            len,
+            source: Source::Masked {
+                busy,
+                width,
+                word: 0,
+                bits: free_bits(busy, width, 0),
+                decoded,
+            },
+        }
+    }
+
+    /// Number of free nodes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no node is free.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The first `n` free nodes, or all of them if fewer are free.
+    pub fn prefix(&mut self, n: usize) -> &[NodeId] {
+        let n = n.min(self.len);
+        match &mut self.source {
+            Source::Listed(nodes) => &nodes[..n],
+            Source::Masked {
+                busy,
+                width,
+                word,
+                bits,
+                decoded,
+            } => {
+                let decoded: &mut Vec<NodeId> = decoded;
+                if decoded.len() < n {
+                    // The cursor in locals, so the loop keeps it in
+                    // registers across the pushes.
+                    let (mut w, mut b) = (*word, *bits);
+                    decoded.reserve(n - decoded.len());
+                    while decoded.len() < n {
+                        // `n` free nodes exist, so a word with free bits
+                        // left comes before the words run out.
+                        while b == 0 {
+                            w += 1;
+                            b = free_bits(busy, *width, w);
+                        }
+                        // The word's lowest run of free nodes, as far as
+                        // asked, in one extend.
+                        let first = b.trailing_zeros();
+                        let run = (b >> first).trailing_ones().min((n - decoded.len()) as u32);
+                        let id = w as u32 * 64 + first;
+                        decoded.extend((id..id + run).map(NodeId::new));
+                        b &= !(u64::MAX >> (64 - run) << first);
+                    }
+                    (*word, *bits) = (w, b);
+                }
+                &decoded[..n]
+            }
+        }
+    }
+
+    /// Every free node.
+    pub fn all(&mut self) -> &[NodeId] {
+        self.prefix(self.len)
+    }
+
+    /// Every free node, owned.
+    pub fn to_vec(&mut self) -> Vec<NodeId> {
+        self.all().to_vec()
+    }
+
+    /// The mask words a [`masked`](FreeNodes::masked) set reads.
+    pub(crate) fn busy_words(&self) -> Option<&'a [u64]> {
+        match self.source {
+            Source::Listed(_) => None,
+            Source::Masked { busy, .. } => Some(busy),
+        }
+    }
+
+    /// How many node ids have been decoded so far.
+    #[cfg(test)]
+    pub(crate) fn decoded(&self) -> usize {
+        match &self.source {
+            Source::Listed(_) => 0,
+            Source::Masked { decoded, .. } => decoded.len(),
+        }
+    }
+}
+
+/// The clear bits of `busy[w]` that stand for nodes below `width`; 0 past
+/// the last word.
+#[inline]
+fn free_bits(busy: &[u64], width: u32, w: usize) -> u64 {
+    let Some(&word) = busy.get(w) else { return 0 };
+    let valid = match (width as usize).saturating_sub(w * 64) {
+        64.. => u64::MAX,
+        tail => (1 << tail) - 1,
+    };
+    !word & valid
+}
+
 /// Read-only availability queries shared by the timeline book and the
 /// naive reference implementation.
 ///
@@ -152,6 +328,26 @@ pub trait AvailabilityView {
     /// `window`, sorted.
     fn free_nodes_during(&self, window: TimeWindow, exclude: &[NodeId]) -> Vec<NodeId>;
 
+    /// The complement of [`free_nodes_during`](Self::free_nodes_during) as
+    /// mask words: sets `busy` (`⌈cluster_size/64⌉` words, overwritten) to
+    /// the nodes committed at some instant of `window` or in `exclude`, bit
+    /// `i` for node `i`, with every bit at or beyond `cluster_size` clear.
+    ///
+    /// The default decodes the free list into the mask; the timeline book
+    /// and the views over it compose the words directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `busy` is shorter than `⌈cluster_size/64⌉` words.
+    fn busy_mask_during(&self, window: TimeWindow, exclude: &[NodeId], busy: &mut [u64]) {
+        let width = self.cluster_size() as usize;
+        busy.fill(0);
+        set_run(busy, 0..width);
+        for n in self.free_nodes_during(window, exclude) {
+            busy[n.index() / 64] &= !(1 << (n.index() % 64));
+        }
+    }
+
     /// Sorted, deduplicated candidate start times at or after `from`:
     /// `from` itself plus every reservation start/end after it.
     fn change_points(&self, from: SimTime) -> Vec<SimTime>;
@@ -159,13 +355,14 @@ pub trait AvailabilityView {
     /// Enumerates feasible placement opportunities for a job of `size`
     /// nodes and `duration`, starting at or after `from`, treating
     /// `exclude` as unusable: hands `visit` each slot's start time and the
-    /// nodes free for the whole of `[start, start + duration)`, sorted, in
+    /// nodes free for the whole of `[start, start + duration)` in
     /// increasing start-time order, as the walk finds it. The walk ends
     /// when `visit` answers [`ControlFlow::Break`], after `max_slots`
     /// slots, or when the book runs out — nothing past the last slot
-    /// handed over is computed. The free list is borrowed from the walk
-    /// and dies with the call; `visit` runs under no lock or borrow of the
-    /// view, so it may query the view itself.
+    /// handed over is computed. The free set is the walk's own mask words,
+    /// borrowed, and decodes node ids only as far as `visit` reads them
+    /// ([`FreeNodes`]); it dies with the call. `visit` runs under no lock
+    /// or borrow of the view, so it may query the view itself.
     fn visit_slots(
         &self,
         size: u32,
@@ -209,8 +406,9 @@ pub trait AvailabilityView {
 }
 
 /// What [`AvailabilityView::visit_slots`] calls with each slot: its start
-/// and free nodes; the answer says whether the walk goes on.
-pub type SlotVisitor<'a> = dyn FnMut(SimTime, &[NodeId]) -> ControlFlow<()> + 'a;
+/// and its free nodes, borrowed from the walk and decoded as far as the
+/// visitor reads them; the answer says whether the walk goes on.
+pub type SlotVisitor<'a> = dyn FnMut(SimTime, &mut FreeNodes<'_>) -> ControlFlow<()> + 'a;
 
 /// Rows a chunk of the timeline is split down to: a chunk holds at most
 /// `2 · BLOCK` rows, and one that falls under `BLOCK / 2` merges into a
@@ -475,13 +673,13 @@ impl ReservationBook {
         if interval.is_empty() {
             return Err(ReservationError::EmptyInterval);
         }
-        if let Some(n) = partition
-            .iter()
-            .find(|n| n.index() >= self.cluster_size as usize)
-        {
+        // Sorted: the out-of-range nodes are a suffix.
+        let nodes = partition.as_slice();
+        let known = nodes.partition_point(|n| n.index() < self.cluster_size as usize);
+        if let Some(&n) = nodes.get(known) {
             return Err(ReservationError::UnknownNode(n));
         }
-        let mask = self.mask_words(partition.iter());
+        let mask = self.mask_words(&partition);
         let collides = |row: &[u64]| row.iter().zip(&mask).any(|(a, b)| a & b != 0);
         if self
             .busy_during(interval)
@@ -502,21 +700,19 @@ impl ReservationBook {
         self.occupy(interval, &mask);
         let id = ReservationId(self.next_id);
         self.next_id += 1;
-        self.reservations.insert(
-            id,
-            Reservation {
-                job,
-                partition,
-                interval,
-            },
-        );
+        let reservation = Reservation {
+            job,
+            partition,
+            interval,
+        };
+        self.reservations.insert(id, reservation);
         Ok(id)
     }
 
     /// Releases a reservation, returning it if it existed.
     pub fn remove(&mut self, id: ReservationId) -> Option<Reservation> {
         let r = self.reservations.remove(&id)?;
-        let mask = self.mask_words(r.partition.iter());
+        let mask = self.mask_words(&r.partition);
         self.vacate(r.interval, &mask);
         Some(r)
     }
@@ -537,7 +733,25 @@ impl ReservationBook {
     /// window.end`), pinned by a regression test and the randomized
     /// parity harness so the two books can never drift apart on it.
     pub(crate) fn free_nodes_during(&self, window: TimeWindow, exclude: &[NodeId]) -> Vec<NodeId> {
-        let mut busy = self.mask_words(exclude.iter().copied());
+        let mut busy = vec![0; self.wps];
+        self.busy_mask_during(window, exclude, &mut busy);
+        let mut free = Vec::new();
+        FreeNodes::masked(self.cluster_size, &busy, &mut free).all();
+        free
+    }
+
+    /// [`AvailabilityView::busy_mask_during`], composed from the rows the
+    /// window spans; [`free_nodes_during`](Self::free_nodes_during)'s
+    /// zero-length rule holds for it too.
+    pub(crate) fn busy_mask_during(
+        &self,
+        window: TimeWindow,
+        exclude: &[NodeId],
+        busy: &mut [u64],
+    ) {
+        let busy = &mut busy[..self.wps];
+        busy.fill(0);
+        set_nodes(busy, self.cluster_size, exclude.iter().copied());
         if window.is_empty() {
             // Degenerate point query: an empty window `[t, t)` reports the
             // nodes of reservations *strictly* spanning the instant `t`
@@ -559,11 +773,10 @@ impl ReservationBook {
         } else {
             for run in self.busy_during(window) {
                 for row in run.chunks_exact(self.wps) {
-                    NodeMask::or_words(&mut busy, row);
+                    NodeMask::or_words(busy, row);
                 }
             }
         }
-        NodeMask::complement_nodes_words(self.cluster_size, &busy)
     }
 
     /// Sorted, deduplicated candidate start times at or after `from`:
@@ -643,9 +856,11 @@ impl ReservationBook {
     /// maintained with a two-stack sliding-window aggregation (union is
     /// associative but not invertible, so plain running state would not
     /// support eviction), word-parallel over the row arena with per-thread
-    /// scratch that also holds the decoded free list `visit` borrows, so a
-    /// walk allocates nothing. The skip index discards candidates that
-    /// cannot fit before any union is paid for.
+    /// scratch, so a walk allocates nothing. A slot that fits is handed to
+    /// `visit` as the union's words ([`FreeNodes::masked`]), decoding into
+    /// the scratch's id buffer only the free nodes `visit` reads. The skip
+    /// index discards candidates that cannot fit before any union is paid
+    /// for.
     ///
     /// Returns the end of the time range examined and whether the walk
     /// ended on its own (`max_slots` reached or off the book) rather than
@@ -808,11 +1023,10 @@ impl ReservationBook {
                     NodeMask::or_words(busy, &front[top..]);
                 }
                 NodeMask::or_words(busy, excluded);
-                if width - NodeMask::count_ones_words(busy) >= size {
-                    free.clear();
-                    NodeMask::extend_complement_nodes_words(width, busy, free);
+                let mut slot = FreeNodes::masked(width, busy, free);
+                if slot.len() >= size as usize {
                     found += 1;
-                    let stop = visit(t, free).is_break();
+                    let stop = visit(t, &mut slot).is_break();
                     if stop || found >= max_slots {
                         break 'walk (end, found >= max_slots);
                     }
@@ -1006,11 +1220,11 @@ impl ReservationBook {
         }
     }
 
-    /// `nodes` packed into one row's worth of words; ids beyond the
+    /// `partition` packed into one row's worth of words; ids beyond the
     /// cluster are ignored.
-    fn mask_words(&self, nodes: impl Iterator<Item = NodeId>) -> Vec<u64> {
+    fn mask_words(&self, partition: &Partition) -> Vec<u64> {
         let mut words = vec![0; self.wps];
-        set_nodes(&mut words, self.cluster_size, nodes);
+        set_nodes(&mut words, self.cluster_size, partition.iter());
         words
     }
 
@@ -1242,7 +1456,7 @@ impl ReservationBook {
         let mut endpoints = BTreeMap::new();
         let (mut busy, mut starts) = (vec![0u64; n * wps], vec![0u64; n * wps]);
         for r in self.reservations.values() {
-            let mask = self.mask_words(r.partition.iter());
+            let mask = self.mask_words(&r.partition);
             let [a, b] = [r.interval.start(), r.interval.end()].map(|t| {
                 *endpoints.entry(t).or_insert(0u32) += 1;
                 flat.times.binary_search(&t).expect("endpoint has a row")
@@ -1292,10 +1506,30 @@ struct Flat {
     free: Vec<u32>,
 }
 
-/// Sets bit `i` of `words` for every node `i < width` of `nodes`.
+/// Sets bit `i` of `words` for every node `i < width` of `nodes`: each
+/// run of consecutive ids (a partition's usual shape) a word at a time.
 fn set_nodes(words: &mut [u64], width: u32, nodes: impl Iterator<Item = NodeId>) {
-    for i in nodes.map(|n| n.index()).filter(|&i| i < width as usize) {
-        words[i / 64] |= 1 << (i % 64);
+    let width = width as usize;
+    let clip = |run: Range<usize>| run.start.min(width)..run.end.min(width);
+    let mut run = 0..0;
+    for i in nodes.map(|n| n.index()) {
+        if i == run.end {
+            run.end += 1;
+        } else {
+            set_run(words, clip(run));
+            run = i..i + 1;
+        }
+    }
+    set_run(words, clip(run));
+}
+
+/// Sets bits `run` of `words`, a word at a time.
+fn set_run(words: &mut [u64], run: Range<usize>) {
+    let mut lo = run.start;
+    while lo < run.end {
+        let (bit, n) = (lo % 64, (run.end - lo).min(64 - lo % 64));
+        words[lo / 64] |= (u64::MAX >> (64 - n)) << bit;
+        lo += n;
     }
 }
 
@@ -1316,6 +1550,17 @@ struct WalkScratch {
 
 thread_local! {
     static SCRATCH: RefCell<WalkScratch> = RefCell::new(WalkScratch::default());
+    static DECODED: RefCell<Vec<NodeId>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` with this thread's id buffer for decoding [`FreeNodes`] off
+/// the walk (a memo replay's), taken out of its cell for the call, so `f`
+/// may nest another.
+pub(crate) fn with_decode_buffer<R>(f: impl FnOnce(&mut Vec<NodeId>) -> R) -> R {
+    let mut decoded = DECODED.take();
+    let out = f(&mut decoded);
+    DECODED.set(decoded);
+    out
 }
 
 /// The row reads a slot walk makes, by row index across the timeline:
@@ -1419,6 +1664,9 @@ impl AvailabilityView for ReservationBook {
     }
     fn free_nodes_during(&self, window: TimeWindow, exclude: &[NodeId]) -> Vec<NodeId> {
         ReservationBook::free_nodes_during(self, window, exclude)
+    }
+    fn busy_mask_during(&self, window: TimeWindow, exclude: &[NodeId], busy: &mut [u64]) {
+        ReservationBook::busy_mask_during(self, window, exclude, busy);
     }
     fn change_points(&self, from: SimTime) -> Vec<SimTime> {
         ReservationBook::change_points(self, from)
@@ -1571,7 +1819,7 @@ impl AvailabilityView for NaiveReservationBook {
     ) {
         // The specification stays the eager scan; the lazy form reads it.
         for slot in self.earliest_slots(size, duration, from, exclude, max_slots) {
-            if visit(slot.start, &slot.free).is_break() {
+            if visit(slot.start, &mut FreeNodes::listed(&slot.free)).is_break() {
                 break;
             }
         }
@@ -1610,6 +1858,84 @@ fn windows_overlap(a: TimeWindow, b: TimeWindow) -> bool {
 mod tests {
     use super::*;
     use pqos_sim_core::rng::DetRng;
+
+    /// The bit-by-bit loop `set_nodes` replaced, kept as its oracle.
+    fn set_nodes_bitwise(words: &mut [u64], width: u32, nodes: impl Iterator<Item = NodeId>) {
+        for i in nodes.map(|n| n.index()).filter(|&i| i < width as usize) {
+            words[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    #[test]
+    fn set_nodes_matches_the_bitwise_loop() {
+        let mut rng = DetRng::seed_from(0xD5_2005).fork("set-nodes-runs");
+        for case in 0..4096 {
+            let width = rng.uniform_u64(1, 300) as u32;
+            let mut ids: Vec<u32> = Vec::new();
+            // Runs of every length at every offset, out-of-range ids and
+            // runs crossing the width included; sorted or not, with
+            // repeats.
+            for _ in 0..rng.uniform_u64(0, 6) {
+                let first = rng.uniform_u64(0, u64::from(width) + 8) as u32;
+                let len = rng.uniform_u64(1, 140) as u32;
+                ids.extend(first..first + len);
+            }
+            if rng.chance(0.5) {
+                ids.sort_unstable();
+                ids.dedup();
+            }
+            let words = width.div_ceil(64) as usize;
+            let (mut want, mut got) = (vec![0; words], vec![0; words]);
+            let nodes: Vec<NodeId> = ids.iter().copied().map(NodeId::new).collect();
+            set_nodes_bitwise(&mut want, width, nodes.iter().copied());
+            set_nodes(&mut got, width, nodes.iter().copied());
+            assert_eq!(got, want, "case {case}: width {width}, ids {ids:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "word count must match width")]
+    fn a_masked_free_set_rejects_a_wrong_word_count() {
+        let _ = FreeNodes::masked(100, &[0], &mut Vec::new());
+    }
+
+    #[test]
+    fn a_masked_free_set_decodes_as_far_as_it_is_read() {
+        let mut rng = DetRng::seed_from(0xD5_2005).fork("free-nodes-lazy");
+        for case in 0..2048 {
+            let width = rng.uniform_u64(1, 300) as u32;
+            let density = rng.unit();
+            let mut busy = vec![0u64; width.div_ceil(64) as usize];
+            for i in 0..width as usize {
+                if rng.chance(density) {
+                    busy[i / 64] |= 1 << (i % 64);
+                }
+            }
+            let want: Vec<NodeId> = (0..width)
+                .filter(|&i| busy[i as usize / 64] & (1 << (i % 64)) == 0)
+                .map(NodeId::new)
+                .collect();
+            // Set padding bits are not nodes.
+            if !width.is_multiple_of(64) && rng.chance(0.5) {
+                *busy.last_mut().unwrap() |= u64::MAX << (width % 64);
+            }
+            let mut decoded = vec![NodeId::new(9999)];
+            let mut free = FreeNodes::masked(width, &busy, &mut decoded);
+            assert_eq!(free.len(), want.len(), "case {case}");
+            let mut read = 0;
+            while read < want.len() + 2 {
+                read += rng.uniform_u64(0, 40) as usize;
+                let k = read.min(want.len());
+                assert_eq!(free.prefix(read), &want[..k], "case {case}: prefix {read}");
+                assert_eq!(free.decoded(), k, "case {case}: decoded past the read");
+            }
+            assert_eq!(free.to_vec(), want);
+            assert_eq!(
+                FreeNodes::listed(&want).prefix(3),
+                &want[..want.len().min(3)]
+            );
+        }
+    }
 
     fn w(a: u64, b: u64) -> TimeWindow {
         TimeWindow::new(SimTime::from_secs(a), SimTime::from_secs(b))

@@ -43,7 +43,7 @@
 //! `/metrics` endpoint, the history sampler) read it through an
 //! `EngineMonitor`: shared atomics, never a queue.
 
-use crate::flight::{FlightRecorder, TraceCtx};
+use crate::flight::{FlightRecorder, Stage, TraceCtx};
 use crate::protocol::{ErrorCode, Request, Response, StatusBody};
 use crate::record::TraceRecorder;
 use crate::shard::ShardedCore;
@@ -471,7 +471,7 @@ impl<P: Predictor + Sync> Engine<P> {
         // and never enter the tick.
         batch.retain_mut(|item| {
             if let Some(t) = item.trace.as_mut() {
-                t.mark("queue");
+                t.mark(Stage::Queue);
             }
             if started.saturating_duration_since(item.enqueued) <= self.config.request_timeout {
                 return true;
@@ -508,7 +508,7 @@ impl<P: Predictor + Sync> Engine<P> {
                 TickEvent::Batched => {
                     batched += 1;
                     if let Some(t) = item.trace.as_mut() {
-                        t.mark("batch");
+                        t.mark(Stage::Batch);
                     }
                     return;
                 }
@@ -527,7 +527,7 @@ impl<P: Predictor + Sync> Engine<P> {
                 shared.draining.store(true, Ordering::Release);
             }
             if let Some(t) = item.trace.as_mut() {
-                t.mark("compute");
+                t.mark(Stage::Compute);
             }
             trace_rec.record(
                 epoch_no,
@@ -1181,7 +1181,7 @@ mod tests {
         let mut trace = recorder
             .begin("negotiate", 7, Instant::now())
             .expect("recorder is enabled");
-        trace.mark("parse");
+        trace.mark(Stage::Parse);
         handle
             .submit(
                 Request::Negotiate {
@@ -1197,7 +1197,7 @@ mod tests {
         let (response, trace) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(response, Response::Quote { .. }));
         let mut trace = trace.expect("trace rides along with the reply");
-        trace.mark("write");
+        trace.mark(Stage::Write);
         trace.finish();
         assert_eq!(recorder.depth(), (0, 1));
 

@@ -9,8 +9,9 @@
 //! the whole trace is retained by the [`FlightRecorder`]: a fixed-size
 //! ring of the last N completed requests plus everything currently in
 //! flight. Each verb's histograms and counter are resolved once, on its
-//! first finished request, and kept in the recorder: finishing a trace
-//! on the daemon's loop thread builds no metric name.
+//! first finished request, and kept in the recorder by verb and stage
+//! index: finishing a trace on the daemon's loop thread builds no metric
+//! name and hashes no key, and a trace's marks live inline in it.
 //!
 //! The recorder dumps on demand (the `dump` protocol verb, or
 //! `--flight-dump` at graceful shutdown) in Chrome `trace_event` format —
@@ -35,6 +36,53 @@ use std::time::{Duration, Instant};
 /// when the response exists, `write` when it reached the socket.
 pub const STAGES: [&str; 5] = ["parse", "queue", "batch", "compute", "write"];
 
+/// A processing stage, indexing [`STAGES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    Parse,
+    Queue,
+    Batch,
+    Compute,
+    Write,
+}
+
+impl Stage {
+    /// The stage's name in [`STAGES`].
+    fn name(self) -> &'static str {
+        STAGES[self as usize]
+    }
+}
+
+/// A trace's stage marks in the order made, inline: a request passes
+/// each stage at most once.
+#[derive(Debug, Clone, Copy)]
+struct Marks<T> {
+    at: [(Stage, T); STAGES.len()],
+    len: usize,
+}
+
+impl<T: Copy> Marks<T> {
+    /// No marks; `fill` only pads the array.
+    fn new(fill: T) -> Self {
+        Marks {
+            at: [(Stage::Parse, fill); STAGES.len()],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, stage: Stage, at: T) {
+        debug_assert!(self.len < STAGES.len(), "a stage marked twice");
+        if let Some(slot) = self.at.get_mut(self.len) {
+            *slot = (stage, at);
+            self.len += 1;
+        }
+    }
+
+    fn as_slice(&self) -> &[(Stage, T)] {
+        &self.at[..self.len]
+    }
+}
+
 /// One completed (or in-flight) request trace.
 #[derive(Debug, Clone)]
 struct TraceRecord {
@@ -47,18 +95,26 @@ struct TraceRecord {
     /// Offset of the request's arrival from the recorder epoch.
     begin_offset: Duration,
     /// `(stage, end offset from begin)` marks in order.
-    marks: Vec<(&'static str, Duration)>,
+    marks: Marks<Duration>,
+}
+
+/// One verb's metric handles: `rpc.request_ns` and `rpc.requests_total`,
+/// and `rpc.stage_ns` by stage index.
+struct VerbMeters {
+    verb: &'static str,
+    request_ns: Histogram,
+    requests: Counter,
+    stage_ns: [Option<Histogram>; STAGES.len()],
 }
 
 struct State {
     inflight: HashMap<u64, TraceRecord>,
     completed: VecDeque<TraceRecord>,
-    /// `rpc.stage_ns` by `(stage, verb)` and `rpc.request_ns` plus
-    /// `rpc.requests_total` by verb, each resolved the first time a trace
-    /// finishes with it — so the registry holds exactly the families it
-    /// would if every name were resolved per request.
-    stage_ns: HashMap<(&'static str, &'static str), Histogram>,
-    requests: HashMap<&'static str, (Histogram, Counter)>,
+    /// Each verb's handles, resolved the first time a trace finishes with
+    /// it (a stage's, the first time one finishes having marked it) — so
+    /// the registry holds exactly the families it would if every name were
+    /// resolved per request. A handful of verbs: found by a scan.
+    verbs: Vec<VerbMeters>,
 }
 
 struct Inner {
@@ -97,8 +153,7 @@ impl FlightRecorder {
                 state: Mutex::new(State {
                     inflight: HashMap::new(),
                     completed: VecDeque::new(),
-                    stage_ns: HashMap::new(),
-                    requests: HashMap::new(),
+                    verbs: Vec::new(),
                 }),
                 telemetry,
             })),
@@ -127,7 +182,7 @@ impl FlightRecorder {
             verb,
             conn,
             begin_offset: begin.saturating_duration_since(inner.epoch),
-            marks: Vec::with_capacity(STAGES.len()),
+            marks: Marks::new(Duration::ZERO),
         };
         inner
             .state
@@ -140,7 +195,7 @@ impl FlightRecorder {
             seq,
             verb,
             begin,
-            marks: Vec::with_capacity(STAGES.len()),
+            marks: Marks::new(begin),
         })
     }
 
@@ -160,40 +215,43 @@ impl FlightRecorder {
         let Some(inner) = &self.inner else { return };
         let (telemetry, verb) = (&inner.telemetry, ctx.verb);
         let mut state = inner.state.lock().expect("flight lock");
+        let state = &mut *state;
+        let meters = match state.verbs.iter().position(|m| m.verb == verb) {
+            Some(k) => &mut state.verbs[k],
+            None => {
+                let labels = [("verb", verb)];
+                state.verbs.push(VerbMeters {
+                    verb,
+                    request_ns: telemetry.histogram(&labeled("rpc.request_ns", &labels)),
+                    requests: telemetry.counter(&labeled("rpc.requests_total", &labels)),
+                    stage_ns: Default::default(),
+                });
+                state.verbs.last_mut().expect("just pushed")
+            }
+        };
         let mut total = Duration::ZERO;
         let mut prev = ctx.begin;
-        for &(stage, at) in &ctx.marks {
+        for &(stage, at) in ctx.marks.as_slice() {
             let dur = at.saturating_duration_since(prev);
             prev = at;
             total += dur;
-            state
-                .stage_ns
-                .entry((stage, verb))
-                .or_insert_with(|| {
-                    telemetry.histogram(&labeled(
-                        "rpc.stage_ns",
-                        &[("stage", stage), ("verb", verb)],
-                    ))
+            meters.stage_ns[stage as usize]
+                .get_or_insert_with(|| {
+                    let labels = [("stage", stage.name()), ("verb", verb)];
+                    telemetry.histogram(&labeled("rpc.stage_ns", &labels))
                 })
                 .observe(dur.as_nanos() as f64);
         }
-        let (request_ns, requests) = state.requests.entry(verb).or_insert_with(|| {
-            let labels = [("verb", verb)];
-            (
-                telemetry.histogram(&labeled("rpc.request_ns", &labels)),
-                telemetry.counter(&labeled("rpc.requests_total", &labels)),
-            )
-        });
-        request_ns.observe(total.as_nanos() as f64);
-        requests.inc();
+        meters.request_ns.observe(total.as_nanos() as f64);
+        meters.requests.inc();
         let Some(mut record) = state.inflight.remove(&ctx.seq) else {
             return;
         };
-        record.marks = ctx
-            .marks
-            .iter()
-            .map(|(stage, at)| (*stage, at.saturating_duration_since(ctx.begin)))
-            .collect();
+        let mut marks = Marks::new(Duration::ZERO);
+        for &(stage, at) in ctx.marks.as_slice() {
+            marks.push(stage, at.saturating_duration_since(ctx.begin));
+        }
+        record.marks = marks;
         if state.completed.len() >= inner.capacity {
             state.completed.pop_front();
         }
@@ -239,6 +297,7 @@ impl FlightRecorder {
             let begin = micros(record.begin_offset);
             let total_end = record
                 .marks
+                .as_slice()
                 .last()
                 .map(|(_, at)| *at)
                 .unwrap_or_else(|| now_offset.saturating_sub(record.begin_offset));
@@ -254,7 +313,8 @@ impl FlightRecorder {
             w.raw("args", &args.finish());
             events.push(w.finish());
             let mut prev = Duration::ZERO;
-            for (stage, at) in &record.marks {
+            for &(stage, at) in record.marks.as_slice() {
+                let stage = stage.name();
                 let mut w = ObjWriter::new();
                 w.str("name", &format!("{}:{stage}", record.verb))
                     .str("ph", "X")
@@ -266,7 +326,7 @@ impl FlightRecorder {
                 args.u64("seq", record.seq).str("stage", stage);
                 w.raw("args", &args.finish());
                 events.push(w.finish());
-                prev = *at;
+                prev = at;
             }
         };
         for record in &state.completed {
@@ -297,13 +357,13 @@ pub struct TraceCtx {
     seq: u64,
     verb: &'static str,
     begin: Instant,
-    marks: Vec<(&'static str, Instant)>,
+    marks: Marks<Instant>,
 }
 
 impl TraceCtx {
-    /// Marks the end of `stage` (a name from [`STAGES`]) at now.
-    pub(crate) fn mark(&mut self, stage: &'static str) {
-        self.marks.push((stage, Instant::now()));
+    /// Marks the end of `stage` at now.
+    pub(crate) fn mark(&mut self, stage: Stage) {
+        self.marks.push(stage, Instant::now());
     }
 
     /// Completes the trace: records stage histograms and moves it from
@@ -348,7 +408,13 @@ mod tests {
         let recorder = FlightRecorder::new(8, Telemetry::disabled());
         let mut ctx = recorder.begin("negotiate", 3, Instant::now()).unwrap();
         assert_eq!(recorder.depth(), (1, 0));
-        for stage in ["parse", "queue", "batch", "compute", "write"] {
+        for stage in [
+            Stage::Parse,
+            Stage::Queue,
+            Stage::Batch,
+            Stage::Compute,
+            Stage::Write,
+        ] {
             ctx.mark(stage);
         }
         ctx.finish();
@@ -360,8 +426,8 @@ mod tests {
         let recorder = FlightRecorder::new(2, Telemetry::disabled());
         for _ in 0..5 {
             let mut ctx = recorder.begin("status", 1, Instant::now()).unwrap();
-            ctx.mark("parse");
-            ctx.mark("write");
+            ctx.mark(Stage::Parse);
+            ctx.mark(Stage::Write);
             ctx.finish();
         }
         assert_eq!(recorder.depth(), (0, 2));
@@ -372,10 +438,10 @@ mod tests {
         let telemetry = Telemetry::builder().ring_buffer(1).build();
         let recorder = FlightRecorder::new(8, telemetry.clone());
         let mut ctx = recorder.begin("negotiate", 1, Instant::now()).unwrap();
-        ctx.mark("parse");
-        ctx.mark("queue");
-        ctx.mark("compute");
-        ctx.mark("write");
+        ctx.mark(Stage::Parse);
+        ctx.mark(Stage::Queue);
+        ctx.mark(Stage::Compute);
+        ctx.mark(Stage::Write);
         ctx.finish();
         let snap = telemetry.snapshot().unwrap();
         for stage in ["parse", "queue", "compute", "write"] {
@@ -392,10 +458,10 @@ mod tests {
     fn dump_is_a_valid_chrome_trace_with_inflight_flags() {
         let recorder = FlightRecorder::new(8, Telemetry::disabled());
         let mut done = recorder.begin("negotiate", 1, Instant::now()).unwrap();
-        done.mark("parse");
-        done.mark("queue");
-        done.mark("compute");
-        done.mark("write");
+        done.mark(Stage::Parse);
+        done.mark(Stage::Queue);
+        done.mark(Stage::Compute);
+        done.mark(Stage::Write);
         done.finish();
         let _open = recorder.begin("accept", 2, Instant::now()).unwrap();
         let doc = recorder.dump_chrome();
@@ -415,6 +481,127 @@ mod tests {
             e.get("name").and_then(Json::as_str) == Some("negotiate:queue")
                 && e.get("args").and_then(|a| a.get("stage")).is_some()
         }));
+    }
+
+    /// The request flows the daemon traces, by verb: the stages each marks.
+    const FLOWS: [(&str, &[Stage]); 4] = [
+        (
+            "negotiate",
+            &[
+                Stage::Parse,
+                Stage::Queue,
+                Stage::Batch,
+                Stage::Compute,
+                Stage::Write,
+            ],
+        ),
+        (
+            "accept",
+            &[Stage::Parse, Stage::Queue, Stage::Compute, Stage::Write],
+        ),
+        ("status", &[Stage::Parse, Stage::Queue, Stage::Compute]),
+        ("cancel", &[Stage::Parse, Stage::Write]),
+    ];
+
+    #[test]
+    fn the_registry_holds_one_family_per_verb_and_stage_seen() {
+        let telemetry = Telemetry::builder().build();
+        let recorder = FlightRecorder::new(4, telemetry.clone());
+        // What resolving every name per request registers: one stage
+        // histogram per (stage, verb) marked, one request histogram and
+        // counter per verb, each counting its requests.
+        let mut want = std::collections::BTreeMap::new();
+        for n in 0..40 {
+            let (verb, stages) = FLOWS[n * 7 % FLOWS.len()];
+            let mut ctx = recorder.begin(verb, n as u64 % 3, Instant::now()).unwrap();
+            for &stage in stages {
+                ctx.mark(stage);
+                let labels = [("stage", stage.name()), ("verb", verb)];
+                *want.entry(labeled("rpc.stage_ns", &labels)).or_insert(0) += 1;
+            }
+            if n == 39 {
+                ctx.abandon();
+                continue;
+            }
+            ctx.finish();
+            for family in ["rpc.request_ns", "rpc.requests_total"] {
+                *want.entry(labeled(family, &[("verb", verb)])).or_insert(0) += 1;
+            }
+        }
+        // The abandoned request observed nothing.
+        for &stage in FLOWS[39 * 7 % FLOWS.len()].1 {
+            let labels = [
+                ("stage", stage.name()),
+                ("verb", FLOWS[39 * 7 % FLOWS.len()].0),
+            ];
+            *want.get_mut(&labeled("rpc.stage_ns", &labels)).unwrap() -= 1;
+        }
+        let snap = telemetry.snapshot().unwrap();
+        let mut got = std::collections::BTreeMap::new();
+        for (name, h) in &snap.histograms {
+            got.insert(name.clone(), h.count);
+        }
+        for (name, count) in &snap.counters {
+            got.insert(name.clone(), *count);
+        }
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn dump_keeps_its_shape() {
+        let recorder = FlightRecorder::new(3, Telemetry::disabled());
+        for (n, (verb, stages)) in FLOWS.iter().enumerate() {
+            let mut ctx = recorder.begin(verb, n as u64 % 2, Instant::now()).unwrap();
+            for &stage in *stages {
+                ctx.mark(stage);
+            }
+            ctx.finish();
+        }
+        let _open = recorder.begin("negotiate", 5, Instant::now()).unwrap();
+        let doc = recorder.dump_chrome();
+        assert!(doc.starts_with("{\"traceEvents\":[\n") && doc.ends_with("\n]}\n"));
+        let v = Json::parse(doc.trim()).expect("dump parses as JSON");
+        // Everything but the clock: name, phase, track and argument keys.
+        let shape: Vec<String> = v
+            .get("traceEvents")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|e| {
+                let s = |k| e.get(k).and_then(Json::as_str).unwrap_or("-").to_string();
+                let tid = e.get("tid").and_then(Json::as_u64).map_or(-1, |t| t as i64);
+                let args = e.get("args").unwrap();
+                let arg = |k| match args.get(k) {
+                    Some(Json::Str(x)) => x.clone(),
+                    Some(Json::Bool(b)) => b.to_string(),
+                    Some(n) => n.as_u64().expect("a count").to_string(),
+                    None => "-".to_string(),
+                };
+                let (seq, stage, open) = (arg("seq"), arg("stage"), arg("inflight"));
+                format!("{} {} {tid} {seq}/{stage}/{open}", s("name"), s("ph"))
+            })
+            .collect();
+        let want = [
+            "process_name M -1 -/-/-",
+            "thread_name M 1 -/-/-",
+            "accept X 1 1/-/false",
+            "accept:parse X 1 1/parse/-",
+            "accept:queue X 1 1/queue/-",
+            "accept:compute X 1 1/compute/-",
+            "accept:write X 1 1/write/-",
+            "thread_name M 0 -/-/-",
+            "status X 0 2/-/false",
+            "status:parse X 0 2/parse/-",
+            "status:queue X 0 2/queue/-",
+            "status:compute X 0 2/compute/-",
+            "cancel X 1 3/-/false",
+            "cancel:parse X 1 3/parse/-",
+            "cancel:write X 1 3/write/-",
+            "thread_name M 5 -/-/-",
+            "negotiate X 5 4/-/true",
+        ];
+        assert_eq!(shape, want);
     }
 
     #[test]

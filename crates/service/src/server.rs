@@ -34,7 +34,7 @@
 //! Chrome trace, final metrics snapshot).
 
 use crate::engine::{Engine, EngineConfig, EngineRequest, MAX_BATCH};
-use crate::flight::{FlightRecorder, TraceCtx};
+use crate::flight::{FlightRecorder, Stage, TraceCtx};
 use crate::metrics_http;
 use crate::protocol::{ErrorCode, ParseError, Request, Response};
 use crate::record::TraceRecorder;
@@ -299,7 +299,7 @@ fn take_line<P: Predictor + Sync>(
         Ok(request) => {
             let mut trace = recorder.begin(request.verb(), token, arrived);
             if let Some(t) = trace.as_mut() {
-                t.mark("parse");
+                t.mark(Stage::Parse);
             }
             let item = EngineRequest {
                 request,
@@ -366,7 +366,7 @@ impl Writer {
         if let Some(pending) = self.unflushed.get_mut(&token) {
             let delivered = pending.partition_point(|(w, _)| *w <= flushed_total);
             for (_, mut trace) in pending.drain(..delivered) {
-                trace.mark("write");
+                trace.mark(Stage::Write);
                 trace.finish();
             }
         }

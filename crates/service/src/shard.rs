@@ -55,6 +55,7 @@
 //! them into the one journal `pqos-doctor check`, the promise audit and
 //! replay parity consume.
 
+use pqos_cluster::mask::NodeMask;
 use pqos_cluster::node::NodeId;
 use pqos_cluster::partition::Partition;
 use pqos_core::config::SimConfig;
@@ -66,7 +67,7 @@ use pqos_core::session::{
 };
 use pqos_predict::api::Predictor;
 use pqos_sched::cache::QuoteCacheStats;
-use pqos_sched::reservation::{AvailabilityView, ReservationId, SlotVisitor};
+use pqos_sched::reservation::{AvailabilityView, FreeNodes, ReservationId, SlotVisitor};
 use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
 use pqos_telemetry::{SinkHealth, Telemetry};
 use pqos_workload::job::JobId;
@@ -114,7 +115,9 @@ pub fn partition_spans(cluster_size: u32, shards: u32) -> Vec<ShardSpan> {
 /// job coordinator negotiates against this exactly as a session
 /// negotiates against its own book, so wide quotes are real quotes:
 /// earliest-slot enumeration, placement scoring and failure-probability
-/// pricing all run unchanged.
+/// pricing all run unchanged. A slot's free set is composed as mask words
+/// — each shard's busy words ORed in at its base — and decoded only as far
+/// as placement reads it.
 pub struct MergedAvailabilityView<'a> {
     books: Vec<&'a (dyn AvailabilityView + Sync)>,
     bases: Vec<u32>,
@@ -143,25 +146,15 @@ impl AvailabilityView for MergedAvailabilityView<'_> {
     }
 
     fn free_nodes_during(&self, window: TimeWindow, exclude: &[NodeId]) -> Vec<NodeId> {
-        // Shards are contiguous and ascending, and each book returns its
-        // free nodes sorted, so concatenation is already globally sorted.
+        let mut busy = vec![0; self.total.div_ceil(64) as usize];
+        self.busy_mask_during(window, exclude, &mut busy);
         let mut free = Vec::new();
-        for ((book, &base), &width) in self.books.iter().zip(&self.bases).zip(&self.widths) {
-            let local: Vec<NodeId> = exclude
-                .iter()
-                .filter(|n| {
-                    let i = n.as_u32();
-                    i >= base && i < base + width
-                })
-                .map(|n| NodeId::new(n.as_u32() - base))
-                .collect();
-            free.extend(
-                book.free_nodes_during(window, &local)
-                    .into_iter()
-                    .map(|n| NodeId::new(n.as_u32() + base)),
-            );
-        }
+        FreeNodes::masked(self.total, &busy, &mut free).all();
         free
+    }
+
+    fn busy_mask_during(&self, window: TimeWindow, exclude: &[NodeId], busy: &mut [u64]) {
+        self.compose(window, &self.local_excludes(exclude), &mut Vec::new(), busy);
     }
 
     fn change_points(&self, from: SimTime) -> Vec<SimTime> {
@@ -187,16 +180,60 @@ impl AvailabilityView for MergedAvailabilityView<'_> {
         if size > self.total || max_slots == 0 {
             return;
         }
+        let excludes = self.local_excludes(exclude);
+        let (mut local, mut decoded) = (Vec::new(), Vec::new());
+        let mut busy = vec![0; self.total.div_ceil(64) as usize];
         let mut left = max_slots;
         for start in self.change_points(from) {
             // Asked of every shard only once the walk has got this far.
-            let free = self.free_nodes_during(TimeWindow::starting_at(start, duration), exclude);
-            if free.len() as u32 >= size {
+            let window = TimeWindow::starting_at(start, duration);
+            self.compose(window, &excludes, &mut local, &mut busy);
+            let mut free = FreeNodes::masked(self.total, &busy, &mut decoded);
+            if free.len() >= size as usize {
                 left -= 1;
-                if visit(start, &free).is_break() || left == 0 {
+                if visit(start, &mut free).is_break() || left == 0 {
                     break;
                 }
             }
+        }
+    }
+}
+
+impl MergedAvailabilityView<'_> {
+    /// `exclude` cut per shard, in shard-local ids.
+    fn local_excludes(&self, exclude: &[NodeId]) -> Vec<Vec<NodeId>> {
+        let shard = |(&base, &width): (&u32, &u32)| {
+            exclude
+                .iter()
+                .map(|n| n.as_u32())
+                .filter(|i| (base..base + width).contains(i))
+                .map(|i| NodeId::new(i - base))
+                .collect()
+        };
+        self.bases.iter().zip(&self.widths).map(shard).collect()
+    }
+
+    /// Sets `busy` to the machine's busy mask over `window`: every shard's,
+    /// with its cut of the exclusions, ORed in at its base; `local` is
+    /// scratch for one shard's words.
+    fn compose(
+        &self,
+        window: TimeWindow,
+        excludes: &[Vec<NodeId>],
+        local: &mut Vec<u64>,
+        busy: &mut [u64],
+    ) {
+        busy.fill(0);
+        for (((book, &base), &width), exclude) in self
+            .books
+            .iter()
+            .zip(&self.bases)
+            .zip(&self.widths)
+            .zip(excludes)
+        {
+            local.resize(width.div_ceil(64) as usize, 0);
+            book.busy_mask_during(window, exclude, local);
+            NodeMask::or_words_at(busy, local, base);
         }
     }
 }

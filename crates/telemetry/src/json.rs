@@ -747,17 +747,68 @@ pub(crate) fn push_u64(out: &mut String, mut v: u64) {
     }
 }
 
-/// Appends `[v,v,...]`.
+/// Appends `[v,v,...]`, reserving the room once. A run of consecutive
+/// values below 10⁸ that keep their number of digits — a partition's node
+/// run — is written from one word of ASCII digits, first digit highest,
+/// that counts up with the run (a carry is a byte past `'9'` folded into
+/// the next); each value goes eight bytes at a time into a stack buffer,
+/// and the buffer into `out` in one piece. Only a run's first value is
+/// converted.
 pub(crate) fn push_u64_list(out: &mut String, vs: &[u64]) {
+    let widest = vs.last().map_or(0, |&v| decimal_len(v));
+    out.reserve(2 + vs.len() * (widest + 1));
     out.push('[');
-    if let Some((first, rest)) = vs.split_first() {
-        push_u64(out, *first);
-        for &v in rest {
+    let mut buf = [0u8; 512];
+    let mut i = 0;
+    while let Some(&v) = vs.get(i) {
+        if i > 0 {
             out.push(',');
-            push_u64(out, v);
         }
+        push_u64(out, v);
+        i += 1;
+        let n = decimal_len(v);
+        if n > 8 {
+            continue;
+        }
+        // The run keeps `n` digits up to `last`.
+        let last = 10u64.pow(n as u32) - 1;
+        let (mut word, mut prev, mut at) = (ascii_word(v, n), v, 0);
+        while prev < last && vs.get(i) == Some(&(prev + 1)) {
+            if at + 9 > buf.len() {
+                out.push_str(std::str::from_utf8(&buf[..at]).expect("ASCII digits"));
+                at = 0;
+            }
+            word += 1;
+            let mut k = 0;
+            while (word >> (8 * k)) & 0xff == u64::from(b'9' + 1) {
+                // `'9' + 1` becomes `'0'` and carries one into byte k + 1.
+                word += 246 << (8 * k);
+                k += 1;
+            }
+            buf[at] = b',';
+            buf[at + 1..at + 9].copy_from_slice(&(word << (8 * (8 - n))).to_be_bytes());
+            at += 1 + n;
+            (prev, i) = (prev + 1, i + 1);
+        }
+        out.push_str(std::str::from_utf8(&buf[..at]).expect("ASCII digits"));
     }
     out.push(']');
+}
+
+/// The `n` decimal digits of `v < 10ⁿ` as ASCII in the low `n` bytes of a
+/// word, first digit highest.
+fn ascii_word(mut v: u64, n: usize) -> u64 {
+    let mut word = 0;
+    for k in 0..n {
+        word |= (u64::from(b'0') + v % 10) << (8 * k);
+        v /= 10;
+    }
+    word
+}
+
+/// Number of decimal digits of `v`.
+fn decimal_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |log| log as usize + 1)
 }
 
 /// Appends `v` as `{v:?}` writes it — the shortest text that parses back
@@ -1336,6 +1387,58 @@ mod tests {
         assert!(pull(&deep(MAX_DEPTH), &["a"]).is_none());
         assert!(pull(&"[".repeat(100_000), &["a"]).is_none());
         assert!(pull(&format!("{{\"a\":{}", "[".repeat(100_000)), &["a"]).is_none());
+    }
+
+    #[test]
+    fn node_list_writer_matches_push_u64() {
+        // The per-value loop the run-aware writer replaced.
+        let reference = |vs: &[u64]| {
+            let mut out = String::from("[");
+            for (i, &v) in vs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_u64(&mut out, v);
+            }
+            out.push(']');
+            out
+        };
+        let mut rng = DetRng::seed_from(0x5eed).fork("node-list-writer");
+        let mut lists: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![0],
+            (0..25).collect(),
+            (95..112).collect(),
+            (9_990..10_011).collect(),
+            // Past the stack buffer in one run; the widest packed digits.
+            (1..3_000).collect(),
+            (99_999_990..100_000_010).collect(),
+            vec![u64::MAX - 2, u64::MAX - 1, u64::MAX],
+            vec![u64::MAX, 0, 1],
+            vec![7, 7, 8, 6, 7],
+        ];
+        for _ in 0..3_000 {
+            // Runs at every magnitude crossing decades and powers of ten,
+            // broken up by jumps, repeats and descents.
+            let mut v = rng.next_u64() >> rng.uniform_u64(0, 63);
+            let mut list = Vec::new();
+            for _ in 0..rng.uniform_u64(0, 6) {
+                for _ in 0..rng.uniform_u64(1, 40) {
+                    list.push(v);
+                    v = v.wrapping_add(1);
+                }
+                v = match rng.uniform_u64(0, 3) {
+                    0 => v.wrapping_sub(rng.uniform_u64(0, 3)),
+                    _ => v.wrapping_add(rng.uniform_u64(0, 1_000)),
+                };
+            }
+            lists.push(list);
+        }
+        for vs in lists {
+            let mut out = String::from("x");
+            push_u64_list(&mut out, &vs);
+            assert_eq!(out, format!("x{}", reference(&vs)), "{vs:?}");
+        }
     }
 
     #[test]

@@ -87,13 +87,14 @@ fn accounting_invariants_hold() {
 /// report's lost work is the sum of every `node_failed` line's
 /// `lost_node_seconds`, its deadline misses the late `job_completed`
 /// lines, and its job, job-failure and checkpoint counts the lines that
-/// record each one.
+/// record each one — and so are the metrics snapshot's `ckpt.requests`
+/// and `ckpt.skipped`, deadline-pressure skips included.
 #[test]
 fn the_report_sums_what_the_journal_records() {
     use pqos_service::record::SharedBuf;
-    use pqos_telemetry::{Telemetry, TelemetryEvent};
+    use pqos_telemetry::{SkipReason, Telemetry, TelemetryEvent};
 
-    let mut skips = 0;
+    let (mut skips, mut pressed) = (0, 0);
     for (model, a) in [(LogModel::NasaIpsc, 0.0), (LogModel::SdscSp2, 0.5)] {
         let journal = SharedBuf::new();
         let telemetry = Telemetry::builder().jsonl_writer(journal.clone()).build();
@@ -117,7 +118,10 @@ fn the_report_sums_what_the_journal_records() {
                     late += usize::from(!met_deadline);
                 }
                 TelemetryEvent::CheckpointRequested { .. } => requested += 1,
-                TelemetryEvent::CheckpointSkipped { .. } => skipped += 1,
+                TelemetryEvent::CheckpointSkipped { reason, .. } => {
+                    skipped += 1;
+                    pressed += u64::from(reason == SkipReason::DeadlinePressure);
+                }
                 _ => {}
             }
         }
@@ -133,8 +137,16 @@ fn the_report_sums_what_the_journal_records() {
         // A request the policy grants is performed at once; a failure
         // during the checkpoint still counts it.
         assert_eq!(r.checkpoints_performed, requested - skipped, "{world}");
+        let snapshot = out.telemetry.as_ref().expect("a telemetered run");
+        assert_eq!(
+            snapshot.counter("ckpt.requests"),
+            Some(requested),
+            "{world}"
+        );
+        assert_eq!(snapshot.counter("ckpt.skipped"), Some(skipped), "{world}");
     }
     assert!(skips > 0, "some world skips a checkpoint");
+    assert!(pressed > 0, "some world skips one under deadline pressure");
 }
 
 #[test]

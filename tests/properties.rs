@@ -19,7 +19,7 @@ use pqos_failures::trace::{Failure, FailureTrace};
 use pqos_predict::api::Predictor;
 use pqos_predict::oracle::TraceOracle;
 use pqos_sched::reservation::{
-    AvailabilityView, NaiveReservationBook, ReservationBook, ReservationId, Slot,
+    AvailabilityView, FreeNodes, NaiveReservationBook, ReservationBook, ReservationId, Slot,
 };
 use pqos_sim_core::queue::EventQueue;
 use pqos_sim_core::rng::DetRng;
@@ -786,13 +786,72 @@ fn visit_prefix(
     got
 }
 
+/// Places the job on a slot's lazily decoded free set the way negotiation
+/// does — before anything else reads it — under every topology, both
+/// strategies, blind and under `oracle`, and asserts each placement equals
+/// the one over the eager list `eager`.
+fn assert_placements_match(
+    free: &mut FreeNodes<'_>,
+    eager: &[NodeId],
+    size: u32,
+    window: TimeWindow,
+    oracle: &TraceOracle,
+    at: &str,
+) {
+    use pqos_cluster::topology::Topology;
+    use pqos_predict::api::NullPredictor;
+    use pqos_sched::place::{choose_partition, choose_partition_with_telemetry, PlacementStrategy};
+    use pqos_telemetry::Telemetry;
+
+    fn check<P: Predictor>(
+        free: &mut FreeNodes<'_>,
+        eager: &[NodeId],
+        size: u32,
+        window: TimeWindow,
+        predictor: &P,
+        at: &str,
+    ) {
+        for topology in [
+            Topology::Flat,
+            Topology::Line,
+            Topology::Torus3d { x: 2, y: 3, z: 4 },
+        ] {
+            for strategy in [
+                PlacementStrategy::FirstFit,
+                PlacementStrategy::MinFailureProbability,
+            ] {
+                assert_eq!(
+                    choose_partition_with_telemetry(
+                        topology,
+                        free,
+                        size,
+                        window,
+                        predictor,
+                        strategy,
+                        &Telemetry::disabled(),
+                    ),
+                    choose_partition(topology, eager, size, window, predictor, strategy),
+                    "{at}: {topology} {strategy} size {size} under {}",
+                    std::any::type_name::<P>()
+                );
+            }
+        }
+    }
+    check(free, eager, size, window, &NullPredictor, at);
+    check(free, eager, size, window, oracle, at);
+}
+
 /// Lazy is a prefix of eager, on every view: a `visit_slots` walk stopped
 /// after `k` slots hands over exactly the first `min(k, len)` slots of the
 /// naive specification's `earliest_slots` — for the timeline book, the
 /// cached book (memo prefixes left behind by earlier, shorter visits
 /// included: the histories interleave mutations, and every key is asked
 /// with growing and shrinking `k`), the naive book itself, and a 3-shard
-/// merged view over the same reservations cut along shard boundaries.
+/// merged view over the same reservations cut along shard boundaries
+/// (`partition_spans` of 24, 130 and 1,024 nodes: bases that are not
+/// multiples of 64, widths with a remainder). Each slot's lazy free set
+/// is placed on first — every topology, blind and under a `TraceOracle` —
+/// and then still decodes to the eager list.
 #[test]
 fn lazy_visit_is_a_prefix_of_eager_on_every_view() {
     use pqos_sched::cache::CachedReservationBook;
@@ -801,15 +860,21 @@ fn lazy_visit_is_a_prefix_of_eager_on_every_view() {
     for world in BOOK_WORLDS {
         let label = format!("lazy-prefix-{}-{}", world.nodes, world.grid);
         let spans = partition_spans(world.nodes, 3);
-        for (case, ops) in cases(&label, world.cases.min(16), |rng| {
+        for (case, (ops, failures)) in cases(&label, world.cases.min(16), |rng| {
             let n = rng.uniform_u64(8, 40) as usize;
-            (0..n)
+            let ops = (0..n)
                 .map(|_| BookOp::draw(rng, world, 4))
-                .collect::<Vec<_>>()
+                .collect::<Vec<_>>();
+            (
+                ops,
+                random_failures(rng, u64::from(world.nodes) / 2, 1_500, world.nodes),
+            )
         })
         .into_iter()
         .enumerate()
         {
+            let trace = FailureTrace::new(failures).expect("valid trace");
+            let oracle = TraceOracle::new(Arc::new(trace), 0.8).expect("valid accuracy");
             let mut fast = ReservationBook::new(world.nodes);
             let mut cached = CachedReservationBook::new(world.nodes);
             let mut naive = NaiveReservationBook::new(world.nodes);
@@ -884,10 +949,16 @@ fn lazy_visit_is_a_prefix_of_eager_on_every_view() {
                         let want = naive.earliest_slots(*size, dur, from, &excl, *max_slots);
                         // Shrinking after growing: the cached book answers
                         // the later, shorter visits out of a longer prefix.
-                        for k in [1, 2, max_slots - 1, *max_slots, max_slots + 1, 1] {
+                        for (pass, k) in [1, 2, max_slots - 1, *max_slots, max_slots + 1, 1]
+                            .into_iter()
+                            .enumerate()
+                        {
                             if k == 0 {
                                 continue;
                             }
+                            // Placed on in the first pass (the cached book
+                            // walks) and the last (it replays its memo).
+                            let place = pass == 0 || pass == 5;
                             let views: [(&str, &dyn AvailabilityView); 4] = [
                                 ("timeline", &fast),
                                 ("cached", &cached),
@@ -895,11 +966,34 @@ fn lazy_visit_is_a_prefix_of_eager_on_every_view() {
                                 ("merged", &merged),
                             ];
                             for (name, view) in views {
-                                assert_eq!(
-                                    visit_prefix(view, *size, dur, from, &excl, *max_slots, k),
-                                    want[..k.min(want.len())],
-                                    "{at}: {name} visit stopped after {k} of {max_slots}"
+                                let at = format!("{at}: {name} visit stopped after {k}");
+                                let mut got = Vec::new();
+                                view.visit_slots(
+                                    *size,
+                                    dur,
+                                    from,
+                                    &excl,
+                                    *max_slots,
+                                    &mut |start, free| {
+                                        if place {
+                                            let eager = &want[got.len().min(want.len() - 1)].free;
+                                            let window = TimeWindow::starting_at(start, dur);
+                                            let at = format!("{at}, slot {}", got.len());
+                                            assert_placements_match(
+                                                free, eager, *size, window, &oracle, &at,
+                                            );
+                                        }
+                                        got.push(Slot {
+                                            start,
+                                            free: free.to_vec(),
+                                        });
+                                        match got.len() >= k {
+                                            true => ControlFlow::Break(()),
+                                            false => ControlFlow::Continue(()),
+                                        }
+                                    },
                                 );
+                                assert_eq!(got, want[..k.min(want.len())], "{at} of {max_slots}");
                             }
                             visits += 1;
                         }
