@@ -96,16 +96,13 @@ impl fmt::Display for CheckpointDecision {
 /// A checkpoint gating policy.
 ///
 /// Implementations must be pure functions of the context so simulation
-/// replays are deterministic.
+/// replays are deterministic. The simulator asks through
+/// [`decide_with_deadline`] and journals every request and skip itself
+/// (`checkpoint_requested`, `checkpoint_skipped`), so a policy has nothing
+/// to record.
 pub trait CheckpointPolicy {
     /// Decides one checkpoint request.
     fn decide(&self, ctx: &CheckpointContext) -> CheckpointDecision;
-
-    /// Observes a request the deadline override skips without asking
-    /// [`decide`](Self::decide). [`decide_with_deadline`] calls it before
-    /// answering [`CheckpointDecision::Skip`] itself, so a wrapper that
-    /// observes requests ([`InstrumentedPolicy`]) sees every one.
-    fn on_deadline_skip(&self, _ctx: &CheckpointContext) {}
 
     /// Short name for reports.
     fn name(&self) -> &'static str;
@@ -137,10 +134,7 @@ pub fn decide_with_deadline<P: CheckpointPolicy + ?Sized>(
     ctx: &CheckpointContext,
 ) -> CheckpointDecision {
     match ctx.deadline_pressure {
-        DeadlinePressure::SkipToMeet => {
-            policy.on_deadline_skip(ctx);
-            CheckpointDecision::Skip
-        }
+        DeadlinePressure::SkipToMeet => CheckpointDecision::Skip,
         DeadlinePressure::None => policy.decide(ctx),
     }
 }
@@ -285,100 +279,6 @@ impl CheckpointPolicy for RiskBasedWithPrior {
     }
 }
 
-impl<P: CheckpointPolicy + ?Sized> CheckpointPolicy for Box<P> {
-    fn decide(&self, ctx: &CheckpointContext) -> CheckpointDecision {
-        (**self).decide(ctx)
-    }
-    fn on_deadline_skip(&self, ctx: &CheckpointContext) {
-        (**self).on_deadline_skip(ctx)
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
-/// Wraps any policy and records every decision it answers — Eq. 1's and
-/// the deadline override's skips alike — into a telemetry metrics registry
-/// (`ckpt.*`) without altering them.
-///
-/// The simulator installs this wrapper only when telemetry is enabled, so
-/// the uninstrumented path pays nothing.
-///
-/// # Examples
-///
-/// ```
-/// use pqos_ckpt::policy::*;
-/// use pqos_sim_core::time::{SimDuration, SimTime};
-/// use pqos_telemetry::Telemetry;
-///
-/// let telemetry = Telemetry::builder().build();
-/// let policy = InstrumentedPolicy::new(Periodic, telemetry.clone());
-/// let ctx = CheckpointContext {
-///     now: SimTime::ZERO,
-///     interval: SimDuration::from_secs(3600),
-///     overhead: SimDuration::from_secs(720),
-///     skipped_since_last: 0,
-///     failure_probability: 0.0,
-///     baseline_failure_probability: 0.0,
-///     deadline_pressure: DeadlinePressure::None,
-/// };
-/// assert_eq!(policy.decide(&ctx), CheckpointDecision::Perform);
-/// let snap = telemetry.snapshot().unwrap();
-/// assert_eq!(snap.counter("ckpt.requests"), Some(1));
-/// assert_eq!(snap.counter("ckpt.performed"), Some(1));
-/// ```
-pub struct InstrumentedPolicy<P> {
-    inner: P,
-    // Handles resolved once at wrap time; `decide` runs on every checkpoint
-    // request of every job.
-    requests: pqos_telemetry::Counter,
-    performed: pqos_telemetry::Counter,
-    skipped: pqos_telemetry::Counter,
-    request_pf: pqos_telemetry::Histogram,
-    at_risk_secs: pqos_telemetry::Histogram,
-}
-
-impl<P: CheckpointPolicy> InstrumentedPolicy<P> {
-    /// Wraps `inner`, recording into `telemetry`.
-    pub fn new(inner: P, telemetry: pqos_telemetry::Telemetry) -> Self {
-        InstrumentedPolicy {
-            inner,
-            requests: telemetry.counter("ckpt.requests"),
-            performed: telemetry.counter("ckpt.performed"),
-            skipped: telemetry.counter("ckpt.skipped"),
-            request_pf: telemetry.histogram("ckpt.request_pf"),
-            at_risk_secs: telemetry.histogram("ckpt.work_at_risk_secs"),
-        }
-    }
-}
-
-impl<P: CheckpointPolicy> InstrumentedPolicy<P> {
-    /// Counts one request and the decision it got.
-    fn record(&self, ctx: &CheckpointContext, decision: CheckpointDecision) -> CheckpointDecision {
-        self.requests.inc();
-        match decision {
-            CheckpointDecision::Perform => self.performed.inc(),
-            CheckpointDecision::Skip => self.skipped.inc(),
-        }
-        self.request_pf.observe(ctx.failure_probability);
-        self.at_risk_secs.observe(ctx.at_risk().as_secs() as f64);
-        decision
-    }
-}
-
-impl<P: CheckpointPolicy> CheckpointPolicy for InstrumentedPolicy<P> {
-    fn decide(&self, ctx: &CheckpointContext) -> CheckpointDecision {
-        self.record(ctx, self.inner.decide(ctx))
-    }
-    fn on_deadline_skip(&self, ctx: &CheckpointContext) {
-        self.inner.on_deadline_skip(ctx);
-        self.record(ctx, CheckpointDecision::Skip);
-    }
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,46 +411,5 @@ mod tests {
     fn decision_display() {
         assert_eq!(CheckpointDecision::Perform.to_string(), "perform");
         assert_eq!(CheckpointDecision::Skip.to_string(), "skip");
-    }
-
-    #[test]
-    fn instrumented_policy_counts_without_changing_decisions() {
-        let telemetry = pqos_telemetry::Telemetry::builder().build();
-        let policy = InstrumentedPolicy::new(RiskBased, telemetry.clone());
-        for (pf, skipped) in [(1.0, 0), (0.0, 0), (0.0, 5)] {
-            let c = ctx(pf, skipped);
-            assert_eq!(policy.decide(&c), RiskBased.decide(&c));
-        }
-        assert_eq!(policy.name(), RiskBased.name());
-        let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.counter("ckpt.requests"), Some(3));
-        assert_eq!(snap.counter("ckpt.performed"), Some(1));
-        assert_eq!(snap.counter("ckpt.skipped"), Some(2));
-        assert_eq!(snap.histogram("ckpt.request_pf").unwrap().count, 3);
-    }
-
-    #[test]
-    fn instrumented_policy_counts_deadline_skips() {
-        let telemetry = pqos_telemetry::Telemetry::builder().build();
-        let policy: Box<dyn CheckpointPolicy> =
-            Box::new(InstrumentedPolicy::new(Periodic, telemetry.clone()));
-        let mut pressed = ctx(1.0, 0);
-        pressed.deadline_pressure = DeadlinePressure::SkipToMeet;
-        for c in [ctx(1.0, 0), pressed, pressed] {
-            assert_eq!(
-                decide_with_deadline(&policy, &c),
-                decide_with_deadline(&Periodic, &c)
-            );
-        }
-        let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.counter("ckpt.requests"), Some(3));
-        assert_eq!(snap.counter("ckpt.performed"), Some(1));
-        assert_eq!(snap.counter("ckpt.skipped"), Some(2));
-    }
-
-    #[test]
-    fn instrumented_policy_with_disabled_handle_is_silent() {
-        let policy = InstrumentedPolicy::new(Periodic, pqos_telemetry::Telemetry::disabled());
-        assert_eq!(policy.decide(&ctx(0.0, 0)), CheckpointDecision::Perform);
     }
 }

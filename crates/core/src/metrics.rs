@@ -109,8 +109,7 @@ impl Default for RunTotals {
 impl RunTotals {
     /// Adds a job that finished at `finish` under the promise `held`,
     /// its last attempt started at `last_start`, after `failures`
-    /// failures and with `checkpoints` (performed, skipped). Returns
-    /// whether it met its deadline (`qj`).
+    /// failures and with `checkpoints` (performed, skipped).
     pub(crate) fn finish(
         &mut self,
         job: &Job,
@@ -119,7 +118,7 @@ impl RunTotals {
         finish: SimTime,
         failures: u32,
         checkpoints: (u32, u32),
-    ) -> bool {
+    ) {
         let met = finish <= held.deadline;
         let work = job
             .runtime()
@@ -141,7 +140,6 @@ impl RunTotals {
         self.checkpoints_skipped += u64::from(checkpoints.1);
         self.wait_secs += last_start.saturating_since(job.arrival()).as_secs() as f64;
         self.threshold_satisfied += usize::from(held.satisfied_threshold);
-        met
     }
 
     /// Adds `node_seconds` of work a failure rolled back.
@@ -243,7 +241,8 @@ mod tests {
             deadline,
             satisfied_threshold: o.satisfied,
         };
-        let met = totals.finish(
+        let misses = totals.deadline_misses;
+        totals.finish(
             &job,
             &held,
             SimTime::from_secs(o.last_start),
@@ -251,7 +250,7 @@ mod tests {
             0,
             (0, 0),
         );
-        assert_eq!(met, o.met);
+        assert_eq!(totals.deadline_misses - misses, usize::from(!o.met));
     }
 
     #[test]

@@ -39,8 +39,7 @@ use crate::metrics::{RunTotals, SimReport};
 use crate::negotiate::{negotiate_with_telemetry, NegotiationRequest};
 use crate::user::UserStrategy;
 use pqos_ckpt::policy::{
-    decide_with_deadline, CheckpointContext, CheckpointDecision, CheckpointPolicy,
-    DeadlinePressure, InstrumentedPolicy,
+    decide_with_deadline, CheckpointContext, CheckpointDecision, CheckpointPolicy, DeadlinePressure,
 };
 use pqos_cluster::node::NodeId;
 use pqos_cluster::partition::Partition;
@@ -240,6 +239,10 @@ pub struct QosSimulator {
     /// (possibly on a node outside the cluster, skipped when read).
     next_failure: usize,
     predictor: Arc<dyn Predictor + Send + Sync>,
+    /// The predictor as built, for the telemetry's own hit/miss probe:
+    /// `predictor` counts queries when telemetered, and a probe informs no
+    /// decision.
+    uncounted: Arc<dyn Predictor + Send + Sync>,
     /// Historical per-node failure rate (failures per node-second),
     /// estimated from the trace; feeds the base-rate checkpoint prior.
     baseline_node_rate: f64,
@@ -261,6 +264,11 @@ pub struct QosSimulator {
     failure_hook: Option<Box<dyn FnMut(NodeId, SimTime) + Send>>,
     telemetry: Telemetry,
     profiler: DispatchProfiler,
+    /// `ckpt.request_pf` and `ckpt.work_at_risk_secs`: every request's
+    /// `pf` and `d·I`, performed or skipped (the journal carries them for
+    /// skips only).
+    request_pf: Histogram,
+    work_at_risk: Histogram,
 }
 
 impl std::fmt::Debug for QosSimulator {
@@ -322,6 +330,7 @@ impl QosSimulator {
             lifecycle: Lifecycle::new(Telemetry::disabled()),
             trace,
             next_failure: 0,
+            uncounted: Arc::clone(&predictor),
             predictor,
             baseline_node_rate,
             policy,
@@ -335,6 +344,8 @@ impl QosSimulator {
             failure_hook: None,
             telemetry: Telemetry::disabled(),
             profiler: DispatchProfiler::new(&Telemetry::disabled()),
+            request_pf: Histogram::default(),
+            work_at_risk: Histogram::default(),
             config,
         }
     }
@@ -353,20 +364,22 @@ impl QosSimulator {
     /// sinks and decision metrics to its registry, surfaced as
     /// [`SimOutput::telemetry`] after the run.
     ///
-    /// With an enabled handle the predictor and checkpoint policy are
-    /// wrapped in transparent counting adapters
-    /// ([`InstrumentedPredictor`], [`InstrumentedPolicy`]); a disabled
-    /// handle leaves the simulator exactly as built, so the default path
-    /// pays nothing.
+    /// What happened to jobs and checkpoints is recorded once, in the
+    /// journal; the snapshot's `journal.<kind>` gauges count it, and the
+    /// registry holds only what no journal line carries. With an enabled
+    /// handle the predictor is wrapped in a transparent counting adapter
+    /// ([`InstrumentedPredictor`]); a disabled handle leaves the simulator
+    /// exactly as built, so the default path pays nothing.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         if telemetry.is_enabled() {
             self.predictor = Arc::new(InstrumentedPredictor::new(
                 Arc::clone(&self.predictor),
                 telemetry.clone(),
             ));
-            self.policy = Box::new(InstrumentedPolicy::new(self.policy, telemetry.clone()));
         }
         self.profiler = DispatchProfiler::new(&telemetry);
+        self.request_pf = telemetry.histogram("ckpt.request_pf");
+        self.work_at_risk = telemetry.histogram("ckpt.work_at_risk_secs");
         self.lifecycle = Lifecycle::new(telemetry.clone());
         self.telemetry = telemetry;
         self
@@ -472,7 +485,6 @@ impl QosSimulator {
     fn on_arrival(&mut self, now: SimTime, index: usize) {
         let job = self.arrival_order[index];
         let id = job.id();
-        self.telemetry.counter("jobs.submitted").inc();
         let admission = AdmissionRequest {
             size: job.nodes(),
             runtime: job.runtime(),
@@ -509,7 +521,6 @@ impl QosSimulator {
             .lifecycle
             .decide(now, &self.config, id, admission, outcome);
         if decision.is_none() {
-            self.telemetry.counter("jobs.rejected").inc();
             self.rejected.push(id);
             return;
         }
@@ -566,8 +577,6 @@ impl QosSimulator {
         state.attempt_start = now;
         state.rollback_anchor = now;
         state.skipped_since_last = 0;
-        self.telemetry.counter("jobs.started").inc();
-        self.telemetry.gauge("jobs.running").add(1);
         // A restarted attempt resumes useful work at once: the paper's
         // recovery overhead is R = 0 (§4.4).
         let (at, next) = state.next_segment(now, self.config.checkpoint_interval);
@@ -628,6 +637,8 @@ impl QosSimulator {
             deadline_pressure: pressure,
         };
         let decision = decide_with_deadline(&*self.policy, &ctx);
+        self.request_pf.observe(pf);
+        self.work_at_risk.observe(ctx.at_risk().as_secs() as f64);
 
         state.done = done;
         let (at, next) = match decision {
@@ -697,7 +708,7 @@ impl QosSimulator {
                 release(owners, id, &partition);
             })
             .expect("a finishing job is running");
-        let met_deadline = self.totals.finish(
+        self.totals.finish(
             &state.job,
             &held,
             state.attempt_start,
@@ -705,11 +716,6 @@ impl QosSimulator {
             state.epoch,
             (state.ckpt_performed, state.ckpt_skipped),
         );
-        self.telemetry.counter("jobs.completed").inc();
-        self.telemetry.gauge("jobs.running").add(-1);
-        if !met_deadline {
-            self.telemetry.counter("jobs.deadline_missed").inc();
-        }
     }
 
     fn on_failure(&mut self, now: SimTime, index: usize) {
@@ -735,14 +741,11 @@ impl QosSimulator {
         });
 
         if self.telemetry.is_enabled() {
-            if was_up {
-                self.telemetry.gauge("cluster.nodes_down").add(1);
-            }
             // Hit/miss accounting: did the predictor flag this node for the
             // instant the failure struck? (Pure query — safe to make on the
             // telemetered path only.)
             let strike = TimeWindow::starting_at(now, SimDuration::from_secs(1));
-            let predicted = self.predictor.node_failure_probability(node, strike) > 0.0;
+            let predicted = self.uncounted.node_failure_probability(node, strike) > 0.0;
             self.telemetry
                 .counter(if predicted {
                     "failures.predicted"
@@ -762,7 +765,6 @@ impl QosSimulator {
         let Some((victim, lost)) = victim else {
             return;
         };
-        self.telemetry.gauge("jobs.running").add(-1);
         let state = self
             .jobs
             .get_mut(&victim)
@@ -780,7 +782,6 @@ impl QosSimulator {
         let state = &self.jobs[&id];
         let (size, epoch) = (state.job.nodes(), state.epoch);
         let remaining = state.job.runtime() - state.durable;
-        self.telemetry.counter("jobs.requeued").inc();
         let (down, horizon) = self.down_nodes();
         let (book, owners) = (&mut self.book, &mut self.node_owner);
         let (config, predictor, telemetry) = (&self.config, &self.predictor, &self.telemetry);
@@ -827,7 +828,6 @@ impl QosSimulator {
         if slot.is_some_and(|until| until <= now) {
             *slot = None;
             self.nodes_down -= 1;
-            self.telemetry.gauge("cluster.nodes_down").add(-1);
             self.telemetry.emit(|| TelemetryEvent::NodeRecovered {
                 at: now,
                 node: node.index() as u64,
@@ -1139,7 +1139,8 @@ mod tests {
         assert_eq!(recoveries.len(), 1, "{journal}");
         assert!(recoveries[0].contains(r#""at":220"#), "{}", recoveries[0]);
         let snap = out.telemetry.expect("telemetered run has a snapshot");
-        assert_eq!(snap.gauge("cluster.nodes_down"), Some(0));
+        assert_eq!(snap.gauge("journal.node_failed"), Some(2));
+        assert_eq!(snap.gauge("journal.node_recovered"), Some(1));
     }
 
     #[test]
@@ -1356,14 +1357,19 @@ mod tests {
         }
 
         let snap = out.telemetry.expect("telemetered run has a snapshot");
-        assert_eq!(snap.counter("jobs.submitted"), Some(2));
-        assert_eq!(snap.counter("jobs.rejected"), Some(1));
-        assert_eq!(snap.counter("jobs.completed"), Some(1));
-        assert_eq!(snap.counter("jobs.requeued"), Some(1));
-        assert_eq!(snap.counter("jobs.deadline_missed"), Some(1));
+        assert_eq!(snap.gauge("journal.job_submitted"), Some(2));
+        assert_eq!(snap.gauge("journal.job_rejected"), Some(1));
+        assert_eq!(snap.gauge("journal.job_completed"), Some(1));
+        assert_eq!(snap.gauge("journal.job_requeued"), Some(1));
+        assert_eq!(snap.gauge("journal.deadline_missed"), Some(1));
         assert_eq!(snap.counter("failures.missed"), Some(1), "a=0 sees nothing");
-        assert_eq!(snap.gauge("jobs.running"), Some(0), "all segments ended");
-        assert_eq!(snap.gauge("cluster.nodes_down"), Some(0), "node recovered");
+        assert_eq!(
+            snap.gauge("journal.job_started"),
+            Some(1 + 1),
+            "every start ended in a completion or a requeue"
+        );
+        let nodes = |kind: &str| snap.gauge(&format!("journal.node_{kind}"));
+        assert_eq!(nodes("recovered"), nodes("failed"), "the node recovered");
         assert!(snap.counter("sched.placements").unwrap_or(0) >= 2);
         assert!(snap.counter("predict.queries").unwrap_or(0) > 0);
     }
@@ -1484,6 +1490,45 @@ mod tests {
         assert_eq!(a.rejected, b.rejected);
         assert!(a.telemetry.is_none());
         assert!(b.telemetry.is_some());
+    }
+
+    #[test]
+    fn predict_queries_count_only_the_queries_that_informed_a_decision() {
+        use pqos_telemetry::Telemetry;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        /// The trace oracle, counting what it is asked.
+        struct Counting(TraceOracle, AtomicU64);
+        impl Predictor for Counting {
+            fn failure_probability(&self, nodes: &[NodeId], window: TimeWindow) -> f64 {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.failure_probability(nodes, window)
+            }
+        }
+        let log = JobLog::new(
+            (0..20)
+                .map(|i| job(i, i * 50, (i % 3 + 1) as u32, 500))
+                .collect(),
+        )
+        .unwrap();
+        let t = trace(vec![(300, 0, 0.2), (800, 2, 0.6), (2000, 1, 0.9)]);
+        let oracle = TraceOracle::new(Arc::clone(&t), 0.5).unwrap();
+        let counting = Arc::new(Counting(oracle, AtomicU64::new(0)));
+        QosSimulator::with_predictor(
+            small_config(),
+            log.clone(),
+            Arc::clone(&t),
+            counting.clone(),
+        )
+        .run();
+        let out = QosSimulator::new(small_config().accuracy(0.5), log, t)
+            .with_telemetry(Telemetry::builder().build())
+            .run();
+        let snap = out.telemetry.expect("telemetered run has a snapshot");
+        // The hit/miss probe at each failure informs no decision.
+        assert_eq!(snap.gauge("journal.node_failed"), Some(3));
+        let asked = counting.1.load(Ordering::Relaxed);
+        assert!(asked > 0);
+        assert_eq!(snap.counter("predict.queries"), Some(asked));
     }
 
     /// A journal sink the test keeps a handle on.

@@ -17,11 +17,11 @@
 //! use pqos_telemetry::expo;
 //!
 //! let registry = MetricsRegistry::new();
-//! registry.counter("jobs.quoted").add(3);
+//! registry.counter("session.quotes").add(3);
 //! let text = expo::render(&registry.snapshot());
-//! assert!(text.contains("pqos_jobs_quoted 3"));
+//! assert!(text.contains("pqos_session_quotes 3"));
 //! let samples = expo::parse(&text).unwrap();
-//! assert_eq!(expo::find(&samples, "pqos_jobs_quoted", &[]), Some(3.0));
+//! assert_eq!(expo::find(&samples, "pqos_session_quotes", &[]), Some(3.0));
 //! ```
 
 use crate::metrics::{split_labeled, Snapshot};
@@ -323,16 +323,16 @@ mod tests {
     #[test]
     fn counters_and_gauges_render_and_parse_back() {
         let registry = MetricsRegistry::new();
-        registry.counter("jobs.quoted").add(7);
+        registry.counter("session.quotes").add(7);
         registry
             .counter(&labeled("rpc.requests_total", &[("verb", "negotiate")]))
             .add(3);
         registry.gauge("engine.queue_depth").set(-2);
         let text = render(&registry.snapshot());
-        assert!(text.contains("# TYPE pqos_jobs_quoted counter"));
+        assert!(text.contains("# TYPE pqos_session_quotes counter"));
         assert!(text.contains("# TYPE pqos_engine_queue_depth gauge"));
         let samples = parse(&text).expect("valid exposition");
-        assert_eq!(find(&samples, "pqos_jobs_quoted", &[]), Some(7.0));
+        assert_eq!(find(&samples, "pqos_session_quotes", &[]), Some(7.0));
         assert_eq!(
             find(
                 &samples,

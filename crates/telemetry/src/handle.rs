@@ -63,9 +63,10 @@ pub struct SinkHealth {
 /// // Enabled with an in-memory ring journal.
 /// let on = Telemetry::builder().ring_buffer(64).build();
 /// on.emit(|| TelemetryEvent::JobRejected { at: SimTime::ZERO, job: 1 });
-/// on.counter("jobs.rejected").inc();
 /// assert_eq!(on.ring_events().len(), 1);
-/// assert_eq!(on.snapshot().unwrap().counter("jobs.rejected"), Some(1));
+/// // `flush` publishes each event kind's tally as a `journal.<kind>` gauge.
+/// on.flush();
+/// assert_eq!(on.snapshot().unwrap().gauge("journal.job_rejected"), Some(1));
 /// ```
 #[derive(Clone, Default)]
 pub struct Telemetry {

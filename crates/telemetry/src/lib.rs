@@ -52,22 +52,28 @@
 //!
 //! let telemetry = Telemetry::builder().ring_buffer(1024).build();
 //!
-//! // Instrumented code emits events lazily and bumps metrics:
+//! // Instrumented code emits events lazily; the handle tallies them by kind.
 //! telemetry.emit(|| TelemetryEvent::JobStarted {
 //!     at: SimTime::from_secs(60),
 //!     job: 1,
 //!     restarts: 0,
 //! });
-//! telemetry.counter("jobs.started").inc();
+//! // Metrics hold what no event carries, such as a decision's input:
+//! telemetry.histogram("ckpt.request_pf").observe(0.25);
 //!
-//! // Afterwards, inspect the journal and render the metrics table:
+//! // Afterwards, inspect the journal and render the metrics table, where
+//! // each kind's tally is a `journal.<kind>` gauge:
 //! assert_eq!(telemetry.ring_events().len(), 1);
-//! println!("{}", telemetry.snapshot().unwrap().render());
+//! telemetry.flush();
+//! let snapshot = telemetry.snapshot().unwrap();
+//! assert_eq!(snapshot.gauge("journal.job_started"), Some(1));
+//! println!("{}", snapshot.render());
 //! ```
 //!
 //! Metric names used by the simulator follow a `subsystem.verb` scheme,
-//! e.g. `ckpt.performed`, `ckpt.skipped`, `predict.queries`,
-//! `failures.predicted`, `place.ties_broken`.
+//! e.g. `ckpt.request_pf`, `predict.queries`, `failures.predicted`,
+//! `sched.clean_tie_breaks`. A fact the journal records is not counted a
+//! second time: its count is the `journal.<kind>` gauge.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

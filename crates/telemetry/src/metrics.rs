@@ -149,13 +149,6 @@ impl Gauge {
             cell.store(v, Ordering::Relaxed);
         }
     }
-
-    /// Adds a (possibly negative) delta.
-    pub fn add(&self, delta: i64) {
-        if let Some(cell) = &self.0 {
-            cell.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Maximum number of samples a histogram's quantile reservoir retains.
@@ -741,20 +734,20 @@ mod tests {
     #[test]
     fn counters_share_state_by_name() {
         let registry = MetricsRegistry::new();
-        let a = registry.counter("jobs.completed");
-        let b = registry.counter("jobs.completed");
+        let a = registry.counter("sched.placements");
+        let b = registry.counter("sched.placements");
         a.inc();
         b.add(4);
         assert_eq!(a.get(), 5);
-        assert_eq!(registry.snapshot().counter("jobs.completed"), Some(5));
+        assert_eq!(registry.snapshot().counter("sched.placements"), Some(5));
     }
 
     #[test]
-    fn gauges_set_and_add() {
+    fn gauges_hold_the_last_value_set() {
         let registry = MetricsRegistry::new();
         let g = registry.gauge("nodes.free");
         g.set(128);
-        g.add(-3);
+        g.set(125);
         assert_eq!(g.get(), 125);
         assert_eq!(registry.snapshot().gauge("nodes.free"), Some(125));
     }
@@ -952,7 +945,7 @@ mod tests {
     #[test]
     fn snapshot_json_round_trips() {
         let registry = MetricsRegistry::new();
-        registry.counter("jobs.quoted").add(42);
+        registry.counter("session.quotes").add(42);
         registry.gauge("engine.queue_depth").set(-3);
         let h = registry.histogram(&labeled("rpc.stage_ns", &[("stage", "queue")]));
         for x in [10.0, 20.0, 30.0] {

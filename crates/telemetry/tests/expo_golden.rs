@@ -17,7 +17,7 @@ use pqos_telemetry::{expo, labeled, MetricsRegistry};
 /// and names that need sanitizing.
 fn seeded() -> MetricsRegistry {
     let registry = MetricsRegistry::new();
-    registry.counter("jobs.quoted").add(42);
+    registry.counter("session.quotes").add(42);
     registry
         .counter(&labeled("rpc.requests_total", &[("verb", "negotiate")]))
         .add(7);
@@ -62,7 +62,7 @@ fn the_golden_itself_parses_and_round_trips() {
     .expect("golden file committed");
     let samples = expo::parse(&golden).expect("golden is valid exposition");
     assert_eq!(
-        expo::find(&samples, "pqos_jobs_quoted", &[]),
+        expo::find(&samples, "pqos_session_quotes", &[]),
         Some(42.0),
         "the golden carries the seeded values"
     );

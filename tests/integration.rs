@@ -87,8 +87,9 @@ fn accounting_invariants_hold() {
 /// report's lost work is the sum of every `node_failed` line's
 /// `lost_node_seconds`, its deadline misses the late `job_completed`
 /// lines, and its job, job-failure and checkpoint counts the lines that
-/// record each one — and so are the metrics snapshot's `ckpt.requests`
-/// and `ckpt.skipped`, deadline-pressure skips included.
+/// record each one — and so are the metrics snapshot's
+/// `journal.checkpoint_*` gauges, deadline-pressure skips included. The
+/// snapshot cross-checks against the journal with no finding.
 #[test]
 fn the_report_sums_what_the_journal_records() {
     use pqos_service::record::SharedBuf;
@@ -103,7 +104,8 @@ fn the_report_sums_what_the_journal_records() {
             .run();
         let (mut lost, mut late, mut completed, mut victims) = (0u64, 0, 0, 0);
         let (mut requested, mut skipped) = (0u64, 0u64);
-        for line in journal.take_string().lines() {
+        let journal = journal.take_string();
+        for line in journal.lines() {
             match TelemetryEvent::from_jsonl(line).expect("a journal line") {
                 TelemetryEvent::NodeFailed {
                     victim_job,
@@ -138,12 +140,17 @@ fn the_report_sums_what_the_journal_records() {
         // during the checkpoint still counts it.
         assert_eq!(r.checkpoints_performed, requested - skipped, "{world}");
         let snapshot = out.telemetry.as_ref().expect("a telemetered run");
-        assert_eq!(
-            snapshot.counter("ckpt.requests"),
-            Some(requested),
-            "{world}"
-        );
-        assert_eq!(snapshot.counter("ckpt.skipped"), Some(skipped), "{world}");
+        // A kind the run never journaled has no gauge.
+        let gauge = |kind: &str| {
+            let gauge = snapshot.gauge(&format!("journal.checkpoint_{kind}"));
+            gauge.map_or(0, |n| n as u64)
+        };
+        assert_eq!(gauge("requested"), requested, "{world}");
+        assert_eq!(gauge("skipped"), skipped, "{world}");
+        let findings = pqos_obs::crosscheck::crosscheck(journal.as_bytes(), snapshot)
+            .expect("an in-memory journal")
+            .findings;
+        assert!(findings.is_empty(), "{world}: {findings:?}");
     }
     assert!(skips > 0, "some world skips a checkpoint");
     assert!(pressed > 0, "some world skips one under deadline pressure");
