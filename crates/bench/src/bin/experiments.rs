@@ -217,8 +217,11 @@ fn replay_parity() -> Table {
 
     let trace_buf = SharedBuf::new();
     let journal_buf = SharedBuf::new();
+    // Virtual time stands still, as in `pqos-loadgen`'s in-process engine:
+    // each request is its own epoch, all at instant 0, so what the run
+    // journals does not depend on how fast the host answers.
     let meta = TraceMeta {
-        time_scale: 5_000.0,
+        time_scale: 0.0,
         batch_threads: 2,
         ..TraceMeta::qosd(64)
     };
@@ -232,7 +235,7 @@ fn replay_parity() -> Table {
         telemetry,
     );
     let config = EngineConfig {
-        time_scale: 5_000.0,
+        time_scale: 0.0,
         batch_threads: 2,
         ..EngineConfig::default()
     };
@@ -263,10 +266,6 @@ fn replay_parity() -> Table {
                 ask(Request::Accept { id: id(), job });
                 jobs.push(job);
             }
-        }
-        // Let the virtual clock move so the trace spans many epochs.
-        if k % 6 == 5 {
-            std::thread::sleep(std::time::Duration::from_millis(2));
         }
     }
     for &job in jobs.iter().take(4) {

@@ -659,6 +659,29 @@ mod tests {
         for r in responses {
             assert_eq!(Response::parse(&r.encode()), Some(r));
         }
+        // Replay judges a recorded answer by its bytes alone when they
+        // are the replayed answer's: so every quote with a finite
+        // probability, and every error, must parse back as well.
+        for success_probability in [0.0, 1.0, 0.1 + 0.2, 1e-20, 5e-324, 1.0 - f64::EPSILON] {
+            let quote = Response::Quote {
+                id: u64::MAX,
+                job: u64::MAX,
+                start_secs: 0,
+                promised_secs: u64::MAX,
+                deadline_secs: u64::MAX,
+                success_probability,
+                satisfied_threshold: false,
+            };
+            assert_eq!(Response::parse(&quote.encode()), Some(quote));
+        }
+        for code in ErrorCode::ALL {
+            let error = Response::Error {
+                id: 0,
+                code,
+                detail: "a \"quoted\" \\ detail\n\u{1}é".into(),
+            };
+            assert_eq!(Response::parse(&error.encode()), Some(error));
+        }
     }
 
     #[test]

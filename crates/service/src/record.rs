@@ -158,10 +158,17 @@ impl SharedBuf {
     /// leaves the buffer empty: the bytes move out, nothing is copied, and
     /// a second take returns only what was written after the first.
     pub fn take_string(&self) -> String {
-        String::from_utf8(std::mem::take(
-            &mut *self.0.lock().expect("shared buffer lock"),
-        ))
-        .expect("recorded text is UTF-8")
+        self.swap_string(String::new())
+    }
+
+    /// [`take_string`](Self::take_string), leaving `spare`'s buffer,
+    /// emptied, in the taken bytes' place: what is written next lands in
+    /// capacity already allocated.
+    pub fn swap_string(&self, spare: String) -> String {
+        let mut bytes = spare.into_bytes();
+        bytes.clear();
+        std::mem::swap(&mut bytes, &mut *self.0.lock().expect("shared buffer lock"));
+        String::from_utf8(bytes).expect("recorded text is UTF-8")
     }
 }
 

@@ -23,10 +23,25 @@
 //! skipping the entry. Journal equality is checked by the caller against
 //! the recorded journal ([`ReplayReport::journal`] holds the replayed
 //! one).
+//!
+//! # Validation
+//!
+//! An entry whose request does not parse, disagrees with its verb or is an
+//! executed `negotiate` without its job id, or whose recorded response
+//! does not parse, stops the replay with [`ReplayError::BadEntry`]. The
+//! entry blamed is the first malformed one in trace order, as if each
+//! entry were parsed in turn. A recorded response is parsed before the
+//! tick only where its bytes cannot decide: it may be a queue-timeout (its
+//! text holds `"timeout"` or an escape), or it answers a wall-clock verb.
+//! Every other one is compared after the tick with the replayed answer's
+//! encoding. Equal bytes prove it parses, since encoding a response and
+//! parsing it back is the identity; only a line that differs is parsed,
+//! which tells a parity mismatch from a malformed line.
 
 use crate::protocol::{ErrorCode, Request, Response};
 use crate::record::SharedBuf;
 use crate::tick::{build_core, TickEvent};
+use pqos_telemetry::merge::JournalMerger;
 use pqos_telemetry::reqtrace::{RequestTrace, TraceEntry};
 use pqos_telemetry::Telemetry;
 use std::fmt;
@@ -107,7 +122,11 @@ pub struct ReplayReport {
     /// Whether the trace ended with a shutdown acknowledgement.
     pub shutdown_seen: bool,
     /// The replayed journal (JSONL), for byte comparison against the
-    /// recorded one.
+    /// recorded one. A sharded core's planes are merged as qosd merges its
+    /// per-plane files ([`merge_journals_to_string`]); replay releases the
+    /// merged lines tick by tick as it runs, which writes the same bytes.
+    ///
+    /// [`merge_journals_to_string`]: pqos_telemetry::merge::merge_journals_to_string
     pub journal: String,
     /// Replayed response line per deterministic entry, in replay order
     /// (`(seq, line)`); lets callers reconstruct responses for authored
@@ -188,6 +207,7 @@ pub fn replay_with(
     if opts.threads > 0 {
         core = core.batch_threads(opts.threads);
     }
+    let mut journal = Journal::new(journal_bufs);
 
     let mut report = ReplayReport {
         entries_total: trace.entries.len(),
@@ -204,6 +224,9 @@ pub fn replay_with(
     };
 
     let mut idx = 0;
+    // `unparsed[at]`: entry `at`'s recorded response is not yet known to
+    // parse. Kept across epochs for its capacity.
+    let mut unparsed = Vec::new();
     while idx < trace.entries.len() && !report.shutdown_seen {
         let epoch = trace.entries[idx].epoch;
         if opts.until.is_some_and(|until| epoch > until) {
@@ -216,17 +239,18 @@ pub fn replay_with(
         let entries = &trace.entries[idx..end];
         let tick_secs = entries[0].tick_secs;
 
-        // Parse payloads. Recorded queue-timeouts never reached the
-        // session, so they never enter the tick; `ran[k]` is the entry
-        // behind tick item `k`.
+        // Parse requests, and the recorded responses the bytes cannot
+        // judge: a possible queue-timeout, which never reached the session
+        // and so never enters the tick, and a wall-clock verb's, which the
+        // tick does not answer. Every other response is checked after the
+        // tick, by its bytes. `ran[k]` is the entry behind tick item `k`.
         let mut items = Vec::with_capacity(entries.len());
         let mut ran = Vec::with_capacity(entries.len());
         let mut timed_out = Vec::new();
+        unparsed.clear();
+        unparsed.resize(entries.len(), false);
         for (at, entry) in entries.iter().enumerate() {
-            let bad = |detail: String| ReplayError::BadEntry {
-                seq: entry.seq,
-                detail,
-            };
+            let bad = |detail: String| blame(entries, &unparsed[..at], at, detail);
             let request = Request::parse(&entry.request)
                 .map_err(|e| bad(format!("request does not parse: {}", e.detail)))?;
             if request.verb() != entry.verb {
@@ -236,20 +260,32 @@ pub fn replay_with(
                     request.verb()
                 )));
             }
-            let recorded = Response::parse(&entry.response)
-                .ok_or_else(|| bad("response does not parse".to_string()))?;
-            if let Response::Error {
-                code: ErrorCode::Timeout,
-                ..
-            } = recorded
-            {
-                timed_out.push(at);
-                continue;
+            let wall_clock = matches!(
+                request,
+                Request::Status { .. } | Request::Dump { .. } | Request::History { .. }
+            );
+            let parsed = wall_clock || may_be_timeout(&entry.response);
+            if parsed {
+                let recorded = Response::parse(&entry.response)
+                    .ok_or_else(|| bad("response does not parse".to_string()))?;
+                if let Response::Error {
+                    code: ErrorCode::Timeout,
+                    ..
+                } = recorded
+                {
+                    timed_out.push(at);
+                    continue;
+                }
             }
+            unparsed[at] = !parsed;
             // Rejected negotiates consumed an id too, so every executed
-            // one carries the id the engine assigned it.
+            // one carries the id the engine assigned it. Its own response
+            // is judged first, as it was parsed first.
             if matches!(request, Request::Negotiate { .. }) && entry.job.is_none() {
-                return Err(bad(
+                return Err(blame(
+                    entries,
+                    &unparsed[..=at],
+                    at,
                     "executed negotiate is missing its engine-assigned job id".into(),
                 ));
             }
@@ -259,11 +295,19 @@ pub fn replay_with(
 
         let shutdown = core.tick(tick_secs, &items, |k, event| match event {
             TickEvent::Reply { response, .. } => {
-                check_parity(opts, &entries[ran[k]], &response, &mut report);
+                let at = ran[k];
+                unparsed[at] = !check_reply(opts, &entries[at], &response, &mut report);
             }
             TickEvent::WallClock(_) => report.skipped_nondeterministic += 1,
             TickEvent::Batched | TickEvent::Refused(_) => {}
         });
+        // What the tick left unjudged: replies whose bytes differ from a
+        // recording that does not parse either, and the entries a
+        // mid-epoch shutdown cut off.
+        if let Some(at) = first_unparsable(entries, &unparsed) {
+            return Err(unparsable(&entries[at]));
+        }
+        journal.release(tick_secs);
         // A mid-epoch shutdown cuts the epoch (and the replay) short.
         let stop = shutdown.map_or(entries.len(), |k| ran[k] + 1);
         report.shutdown_seen = shutdown.is_some();
@@ -281,39 +325,112 @@ pub fn replay_with(
     }
 
     core.core().flush();
-    report.journal = merged_journal(&journal_bufs);
+    report.journal = journal.finish();
     report.elapsed = started.elapsed();
     Ok(report)
 }
 
-/// The journal a run's per-plane buffers add up to. One plane: its buffer
-/// IS the journal. Sharded: the planes merged exactly as qosd merges its
+/// Whether a recorded response line could be a queue-timeout refusal,
+/// which only a parse can tell: its text holds `"timeout"` — the code's
+/// only spelling without an escape — or an escape.
+fn may_be_timeout(line: &str) -> bool {
+    line.contains("\"timeout\"") || line.contains('\\')
+}
+
+/// The first entry whose recorded response is still unjudged and does not
+/// parse.
+fn first_unparsable(entries: &[TraceEntry], unparsed: &[bool]) -> Option<usize> {
+    (0..unparsed.len()).find(|&at| unparsed[at] && Response::parse(&entries[at].response).is_none())
+}
+
+/// The error for an entry whose recorded response does not parse.
+fn unparsable(entry: &TraceEntry) -> ReplayError {
+    ReplayError::BadEntry {
+        seq: entry.seq,
+        detail: "response does not parse".into(),
+    }
+}
+
+/// The error for a fault `detail` found in entry `at` before the tick:
+/// an unjudged response in `unparsed` (the entries up to the fault) that
+/// does not parse comes first, as it would had every response been
+/// parsed in trace order.
+fn blame(entries: &[TraceEntry], unparsed: &[bool], at: usize, detail: String) -> ReplayError {
+    match first_unparsable(entries, unparsed) {
+        Some(earlier) => unparsable(&entries[earlier]),
+        None => ReplayError::BadEntry {
+            seq: entries[at].seq,
+            detail,
+        },
+    }
+}
+
+/// The replayed journal as it is written. One plane is the journal,
+/// taken whole at the end. Several are merged as qosd merges its
 /// per-plane files, so the result is byte-comparable against the daemon's
-/// merged journal. The planes' bytes are taken, not copied.
-fn merged_journal(planes: &[SharedBuf]) -> String {
-    let texts: Vec<String> = planes.iter().map(SharedBuf::take_string).collect();
-    if texts.len() == 1 {
-        texts.into_iter().next().unwrap_or_default()
-    } else {
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        pqos_telemetry::merge::merge_journals_to_string(&refs)
+/// merged journal, but tick by tick: after the tick at `t` no plane writes
+/// a line below `t`, so every line below `t` is released at once, and the
+/// planes' buffers hold little more than one tick's lines.
+struct Journal {
+    planes: Vec<SharedBuf>,
+    merger: Option<JournalMerger<'static>>,
+}
+
+impl Journal {
+    fn new(planes: Vec<SharedBuf>) -> Self {
+        let merger = (planes.len() > 1).then(|| JournalMerger::new(planes.len()));
+        Journal { planes, merger }
+    }
+
+    /// Moves each plane's new lines to the merge, whose buffers swap in
+    /// for theirs, and releases every line below `tick_secs`.
+    fn release(&mut self, tick_secs: u64) {
+        if let Some(merger) = &mut self.merger {
+            for (plane, buf) in self.planes.iter().enumerate() {
+                let spare = merger.recycled();
+                merger.feed(plane, buf.swap_string(spare));
+            }
+            merger.release(tick_secs);
+        }
+    }
+
+    /// The whole journal, the last tick's lines included.
+    fn finish(mut self) -> String {
+        self.release(0);
+        match self.merger {
+            Some(merger) => merger.finish(),
+            None => self
+                .planes
+                .first()
+                .map(SharedBuf::take_string)
+                .unwrap_or_default(),
+        }
     }
 }
 
 /// Records the replayed response and, when parity checking is on,
-/// byte-compares it against the recorded line.
-fn check_parity(
+/// byte-compares it against the recorded line. Returns whether the
+/// recorded line parses: it does when it is the replayed line again,
+/// since every encoded response with finite fields parses back to itself
+/// (`protocol::tests::responses_round_trip`), and only a line that
+/// differs is parsed.
+fn check_reply(
     opts: &ReplayOptions,
     entry: &TraceEntry,
     replayed: &Response,
     report: &mut ReplayReport,
-) {
+) -> bool {
     // Almost always the recorded line again: size for it.
     let mut line = String::with_capacity(entry.response.len());
     replayed.encode_into(&mut line);
+    let same = line == entry.response;
+    // A non-finite probability encodes as `null`, which does not parse.
+    let finite = !matches!(replayed, Response::Quote { success_probability, .. }
+        if !success_probability.is_finite());
+    let parses = (same && finite) || Response::parse(&entry.response).is_some();
     if opts.check_parity {
         report.parity_checked += 1;
-        if line != entry.response {
+        if !same {
             report.mismatches.push(ParityMismatch {
                 seq: entry.seq,
                 epoch: entry.epoch,
@@ -324,6 +441,7 @@ fn check_parity(
         }
     }
     report.responses.push((entry.seq, line));
+    parses
 }
 
 #[cfg(test)]
@@ -403,7 +521,12 @@ mod tests {
             );
             self.join.join().unwrap();
             let trace = RequestTrace::parse(&self.trace.take_string()).expect("trace parses");
-            (trace, merged_journal(&self.planes))
+            let planes: Vec<String> = self.planes.iter().map(SharedBuf::take_string).collect();
+            let refs: Vec<&str> = planes.iter().map(String::as_str).collect();
+            (
+                trace,
+                pqos_telemetry::merge::merge_journals_to_string(&refs),
+            )
         }
     }
 

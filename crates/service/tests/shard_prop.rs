@@ -17,6 +17,9 @@
 //!    session (`pqos_core::lifecycle`), differing only in what "book it"
 //!    means — so a core fed nothing but jobs wider than any shard must be
 //!    indistinguishable from one raw session over the whole cluster.
+//! 4. Replay merges the planes' journals tick by tick, releasing each
+//!    line once no plane can write an earlier one; what it releases must
+//!    be the merge of the planes' whole journals, at every shard count.
 
 use pqos_core::config::SimConfig;
 use pqos_core::session::{
@@ -24,12 +27,19 @@ use pqos_core::session::{
 };
 use pqos_obs::doctor::Doctor;
 use pqos_predict::api::NullPredictor;
-use pqos_service::record::SharedBuf;
+use pqos_service::engine::{spawn_core, EngineConfig, ReplySender};
+use pqos_service::protocol::{Request, Response};
+use pqos_service::record::{SharedBuf, TraceRecorder};
+use pqos_service::replay::{replay, ReplayOptions};
 use pqos_service::shard::{partition_spans, ShardedCore};
+use pqos_service::tick::build_core;
+use pqos_service::FlightRecorder;
 use pqos_sim_core::rng::DetRng;
 use pqos_sim_core::time::{SimDuration, SimTime};
+use pqos_telemetry::reqtrace::{RequestTrace, TraceMeta};
 use pqos_telemetry::Telemetry;
 use pqos_workload::job::JobId;
+use std::time::Duration;
 
 /// One step of an op stream: the four calls a raw session and a sharded
 /// core both answer.
@@ -352,5 +362,114 @@ fn narrow_routing_is_sticky_and_covers_every_shard_eventually() {
     assert!(
         shards_hit >= 2,
         "40 accepted single-node jobs must spread over shards, got {routed:?}"
+    );
+}
+
+/// A live engine run over 16 nodes in `shards` shards, recorded as
+/// `pqos-qosd --record --journal` records one: the request trace, and each
+/// plane's journal in merge order. Bursts of pipelined requests with
+/// short runtimes, slept apart: at a nonzero `time_scale` the bursts land
+/// at later instants and the jobs they admit start and finish between
+/// them; at `0.0` every epoch shares instant 0.
+fn recorded_run(shards: u64, time_scale: f64) -> (RequestTrace, Vec<String>) {
+    let meta = TraceMeta {
+        time_scale,
+        batch_threads: 2,
+        shards,
+        ..TraceMeta::qosd(16)
+    };
+    let mut planes = Vec::new();
+    let core = build_core(&meta, true, Telemetry::disabled(), |_, builder| {
+        let buf = SharedBuf::new();
+        planes.push(buf.clone());
+        Ok(builder.flush_every(0).jsonl_writer(buf).build())
+    })
+    .expect("meta describes a buildable core");
+    let config = EngineConfig {
+        time_scale,
+        batch_threads: 2,
+        ..EngineConfig::default()
+    };
+    let trace = SharedBuf::new();
+    let recorder = TraceRecorder::to_writer(trace.clone(), &meta).expect("in-memory recorder");
+    let (handle, join) = spawn_core(core, config, FlightRecorder::disabled(), recorder);
+    let (reply, rx) = ReplySender::channel();
+    let send = |request| {
+        handle
+            .submit(request, &reply, None, 1)
+            .expect("queue accepts")
+    };
+    let recv = || rx.recv_timeout(Duration::from_secs(5)).expect("reply").0;
+    let mut id = 0u64;
+    for burst in 0..6u64 {
+        // Sizes 1..=6: a shard owns 16 / shards nodes, so some go wide.
+        for k in 0..4u64 {
+            id += 1;
+            send(Request::Negotiate {
+                id,
+                size: 1 + ((burst + k) % 6) as u32,
+                runtime_secs: 2 + 3 * k,
+            });
+        }
+        let quoted: Vec<u64> = (0..4)
+            .filter_map(|_| match recv() {
+                Response::Quote { job, .. } => Some(job),
+                _ => None,
+            })
+            .collect();
+        for &job in &quoted {
+            id += 1;
+            send(Request::Accept { id, job });
+        }
+        for _ in &quoted {
+            recv();
+        }
+        if let Some(&job) = quoted.first() {
+            id += 1;
+            send(Request::Cancel { id, job });
+            recv();
+        }
+        std::thread::sleep(Duration::from_millis(3));
+    }
+    send(Request::Shutdown { id: id + 1 });
+    assert_eq!(recv(), Response::Ok { id: id + 1 });
+    join.join().expect("engine thread");
+    let trace = RequestTrace::parse(&trace.take_string()).expect("trace parses");
+    (trace, planes.iter().map(SharedBuf::take_string).collect())
+}
+
+#[test]
+fn replay_releases_what_merging_the_whole_planes_writes() {
+    let (mut shared, mut distinct) = (0, 0);
+    for shards in 1..=4 {
+        for time_scale in [0.0, 2_000.0] {
+            let (trace, planes) = recorded_run(shards, time_scale);
+            let report = replay(&trace, &ReplayOptions::default()).expect("replayable");
+            assert!(
+                report.shutdown_seen && report.is_parity_clean(),
+                "{shards} shard(s) at {time_scale}: {:#?}",
+                report.mismatches
+            );
+            let refs: Vec<&str> = planes.iter().map(String::as_str).collect();
+            assert_eq!(
+                report.journal,
+                pqos_telemetry::merge::merge_journals_to_string(&refs),
+                "{shards} shard(s) at {time_scale}: the tick-by-tick release differs"
+            );
+            // Consecutive epochs at one instant, and at later ones.
+            for pair in trace.entries.windows(2) {
+                if pair[0].epoch != pair[1].epoch {
+                    if pair[0].tick_secs == pair[1].tick_secs {
+                        shared += 1;
+                    } else {
+                        distinct += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        shared > 0 && distinct > 0,
+        "{shared} shared, {distinct} distinct"
     );
 }

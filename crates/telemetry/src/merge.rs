@@ -31,8 +31,17 @@
 //! is read off that prefix; only a line of another shape is searched for
 //! its first `"at":` and `"event":"`, which gives the same key wherever
 //! both apply.
+//!
+//! There is one merge, [`JournalMerger`], and two ways to feed it.
+//! [`merge_journals`] and [`merge_journals_to_string`] (qosd's drain-time
+//! merge of its per-plane files) feed it every journal whole and release
+//! everything at once. Replay feeds it each plane's new lines after every
+//! tick and releases the lines below that tick's instant, which no plane
+//! can undercut any more: the output is the same, byte for byte.
 
 use crate::event::EventKind;
+use std::borrow::Cow;
+use std::collections::VecDeque;
 
 /// Wire tags of the event kinds that release capacity or resolve a
 /// promise at their instant; these win ties so same-instant claims in
@@ -80,53 +89,215 @@ fn parse_digits(text: &str) -> Option<u64> {
     text[..digits].parse().ok()
 }
 
-/// One journal being merged: the lines not yet taken, and the head line
-/// with its key.
-struct Cursor<'a> {
-    lines: std::str::Lines<'a>,
-    /// `(at, class, line)`: class 0 releases, 1 does not.
-    head: Option<(u64, u8, &'a str)>,
+/// A chunk of one journal fed to the merger: whole lines, read from `pos`.
+struct Chunk<'a> {
+    text: Cow<'a, str>,
+    /// Byte offset of the first line not yet read.
+    pos: usize,
+    /// The released watermark when the chunk was fed: none of its lines
+    /// may sort below it.
+    floor: u64,
 }
 
-impl<'a> Cursor<'a> {
-    /// Moves to the next non-blank line and reads its key. A line with no
-    /// parseable `"at"` inherits `last_at`, the instant of the line before
-    /// it in this journal.
-    fn advance(&mut self, last_at: u64) {
-        self.head = self
-            .lines
-            .by_ref()
-            .find(|line| !line.trim().is_empty())
-            .map(|line| {
-                let (at, releasing) = canonical_key(line).unwrap_or_else(|| searched_key(line));
-                (at.unwrap_or(last_at), u8::from(!releasing), line)
-            });
+/// One journal being merged: its unread chunks, and the head line — the
+/// next line the merge can take from it — with its key.
+#[derive(Default)]
+struct Plane<'a> {
+    chunks: VecDeque<Chunk<'a>>,
+    /// `(at, class, start, end)`: the head's key (class 0 releases, 1 does
+    /// not) and its byte range in the front chunk.
+    head: Option<(u64, u8, usize, usize)>,
+    /// The instant of the last line read, which a line without a
+    /// parseable `"at"` inherits.
+    last_at: u64,
+}
+
+impl Plane<'_> {
+    /// Moves to the next non-blank line and reads its key, handing each
+    /// chunk read to the end to `spent`.
+    ///
+    /// # Panics
+    ///
+    /// If the line sorts below the watermark released before its chunk
+    /// was fed: a clock bug in whoever fed it, which no order of the
+    /// lines released so far can repair.
+    fn advance(&mut self, plane: usize, mut spent: impl FnMut(Cow<'_, str>)) {
+        self.head = None;
+        while let Some(chunk) = self.chunks.front_mut() {
+            let start = chunk.pos;
+            let rest = &chunk.text[start..];
+            if rest.is_empty() {
+                if let Some(chunk) = self.chunks.pop_front() {
+                    spent(chunk.text);
+                }
+                continue;
+            }
+            // Split as `str::lines` splits: at `\n`, and a `\r` before it
+            // goes too.
+            let line = match rest.find('\n') {
+                Some(len) => {
+                    chunk.pos += len + 1;
+                    let line = &rest[..len];
+                    line.strip_suffix('\r').unwrap_or(line)
+                }
+                None => {
+                    chunk.pos += rest.len();
+                    rest
+                }
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            let (at, releasing) = canonical_key(line).unwrap_or_else(|| searched_key(line));
+            let at = at.unwrap_or(self.last_at);
+            assert!(
+                at >= chunk.floor,
+                "journal plane {plane}: a line at {at} arrived after every line below {} \
+                 was released: {line}",
+                chunk.floor
+            );
+            self.last_at = at;
+            self.head = Some((at, u8::from(!releasing), start, start + line.len()));
+            return;
+        }
     }
 }
 
-/// The merge itself: hands every line to `emit`, in merged order.
-fn merge_into<'a>(journals: &[&'a str], mut emit: impl FnMut(&'a str)) {
-    let mut cursors: Vec<Cursor<'a>> = journals
-        .iter()
-        .map(|body| {
-            let mut cursor = Cursor {
-                lines: body.lines(),
-                head: None,
+/// The k-way merge, fed incrementally: each journal ("plane") arrives in
+/// chunks of whole lines, and [`release`](Self::release)`(w)` appends to
+/// the output every line, in merged order, whose instant is below `w`.
+///
+/// The output is the one-shot merge of the planes' whole text — what
+/// [`merge_journals_to_string`] returns for it — provided every line fed
+/// after `release(w)` has an instant of at least `w`. Then a line below
+/// `w` beats every line still to come, so the merge's choices among the
+/// lines it has are the choices it would make with all of them. A line
+/// that breaks the rule panics when the merge reaches it, naming its
+/// plane; nothing is ever reordered to make room for it.
+///
+/// A chunk must end at a line's end: a line split across two feeds reads
+/// as two lines.
+pub struct JournalMerger<'a> {
+    planes: Vec<Plane<'a>>,
+    /// Every line below this instant has been released.
+    released: u64,
+    out: String,
+    /// Emptied buffers of fed chunks, handed back by [`Self::recycled`].
+    spare: Vec<String>,
+}
+
+impl<'a> JournalMerger<'a> {
+    /// A merger of `planes` journals, none of them fed yet.
+    pub fn new(planes: usize) -> Self {
+        JournalMerger {
+            planes: (0..planes).map(|_| Plane::default()).collect(),
+            released: 0,
+            out: String::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// Appends `text` to journal `plane`. Borrowed text is read in place
+    /// and owned text is kept until its last line is merged; either way no
+    /// byte of it is copied before it is released.
+    pub fn feed(&mut self, plane: usize, text: impl Into<Cow<'a, str>>) {
+        let text = text.into();
+        if text.is_empty() {
+            keep(&mut self.spare, text);
+            return;
+        }
+        let floor = self.released;
+        let target = &mut self.planes[plane];
+        target.chunks.push_back(Chunk {
+            text,
+            pos: 0,
+            floor,
+        });
+        if target.head.is_none() {
+            let spare = &mut self.spare;
+            target.advance(plane, |text| keep(spare, text));
+        }
+    }
+
+    /// Appends to the output, in merged order, every line fed so far whose
+    /// instant is below `watermark`, and raises the watermark to it (it
+    /// never falls).
+    pub fn release(&mut self, watermark: u64) {
+        self.released = self.released.max(watermark);
+        self.write_below(Some(self.released));
+    }
+
+    /// Releases every line fed and returns the whole merged journal, one
+    /// newline-terminated line after another.
+    pub fn finish(mut self) -> String {
+        self.write_below(None);
+        self.out
+    }
+
+    /// An empty buffer for the next chunk: one whose lines have all been
+    /// merged, capacity kept, if there is one.
+    pub fn recycled(&mut self) -> String {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Appends each line below `limit` (every line when `None`) to the
+    /// output, in merged order, newline-terminated.
+    fn write_below(&mut self, limit: Option<u64>) {
+        let mut out = std::mem::take(&mut self.out);
+        self.merge_below(limit, |line| {
+            out.push_str(line);
+            out.push('\n');
+        });
+        self.out = out;
+    }
+
+    /// The merge itself: hands `emit` each line below `limit` (every line
+    /// when `None`), in merged order. Among heads: min `at`, then
+    /// releasing first, then plane index. The other planes' heads stay put
+    /// while one plane's lines are taken, so the plane that wins keeps
+    /// winning, without another look at the rest, until its head no longer
+    /// sorts before the runner-up's.
+    fn merge_below(&mut self, limit: Option<u64>, mut emit: impl FnMut(&str)) {
+        loop {
+            // The least and second-least `(at, class, plane)` among heads.
+            let (mut best, mut runner_up) = (None, None);
+            for (idx, plane) in self.planes.iter().enumerate() {
+                if let Some((at, class, ..)) = plane.head {
+                    let key = (at, class, idx);
+                    if best.is_none_or(|best| key < best) {
+                        runner_up = best;
+                        best = Some(key);
+                    } else if runner_up.is_none_or(|runner_up| key < runner_up) {
+                        runner_up = Some(key);
+                    }
+                }
+            }
+            let Some((at, _, idx)) = best else {
+                return;
             };
-            cursor.advance(0);
-            cursor
-        })
-        .collect();
-    // Among heads: min at, then releasing-first, then journal index (the
-    // first of equal keys is kept, and cursors are in index order).
-    while let Some((idx, (at, _, line))) = cursors
-        .iter()
-        .enumerate()
-        .filter_map(|(idx, cursor)| Some((idx, cursor.head?)))
-        .min_by_key(|&(_, (at, class, _))| (at, class))
-    {
-        emit(line);
-        cursors[idx].advance(at);
+            if limit.is_some_and(|limit| at >= limit) {
+                return;
+            }
+            let plane = &mut self.planes[idx];
+            while let Some((at, class, start, end)) = plane.head {
+                if limit.is_some_and(|limit| at >= limit)
+                    || runner_up.is_some_and(|runner_up| (at, class, idx) > runner_up)
+                {
+                    break;
+                }
+                emit(&plane.chunks[0].text[start..end]);
+                let spare = &mut self.spare;
+                plane.advance(idx, |text| keep(spare, text));
+            }
+        }
+    }
+}
+
+/// Keeps an owned buffer whose lines are all merged, emptied, for reuse.
+fn keep(spare: &mut Vec<String>, text: Cow<'_, str>) {
+    if let Cow::Owned(mut text) = text {
+        text.clear();
+        spare.push(text);
     }
 }
 
@@ -135,24 +306,31 @@ fn merge_into<'a>(journals: &[&'a str], mut emit: impl FnMut(&'a str)) {
 /// Lines missing a parseable `"at"` inherit their predecessor's instant
 /// (preserving that journal's relative order).
 pub fn merge_journals(journals: &[&str]) -> Vec<String> {
+    let mut merger = feed_all(journals);
     let mut merged = Vec::new();
-    merge_into(journals, |line| merged.push(line.to_string()));
+    merger.merge_below(None, |line| merged.push(line.to_string()));
     merged
 }
 
 /// [`merge_journals`] returning one newline-terminated body (empty
 /// input merges to an empty string), written straight into one buffer
-/// sized for the inputs.
+/// sized for the inputs. The same [`JournalMerger`] that merges
+/// incrementally, fed every journal whole and released once.
 pub fn merge_journals_to_string(journals: &[&str]) -> String {
+    let mut merger = feed_all(journals);
     // Every input byte at most once, plus a newline for each journal
     // whose last line lacks one.
-    let bound = journals.iter().map(|body| body.len() + 1).sum();
-    let mut body = String::with_capacity(bound);
-    merge_into(journals, |line| {
-        body.push_str(line);
-        body.push('\n');
-    });
-    body
+    merger.out = String::with_capacity(journals.iter().map(|body| body.len() + 1).sum());
+    merger.finish()
+}
+
+/// A merger fed each of `journals`, whole and borrowed.
+fn feed_all<'a>(journals: &[&'a str]) -> JournalMerger<'a> {
+    let mut merger = JournalMerger::new(journals.len());
+    for (plane, body) in journals.iter().enumerate() {
+        merger.feed(plane, *body);
+    }
+    merger
 }
 
 #[cfg(test)]
@@ -188,6 +366,14 @@ mod tests {
         }
 
         pub fn merge_journals(journals: &[&str]) -> Vec<String> {
+            merge_keyed(journals)
+                .into_iter()
+                .map(|(_, line)| line)
+                .collect()
+        }
+
+        /// The merged lines, each with the instant it was merged at.
+        pub fn merge_keyed(journals: &[&str]) -> Vec<(u64, String)> {
             struct Cursor<'a> {
                 lines: Vec<&'a str>,
                 next: usize,
@@ -221,7 +407,7 @@ mod tests {
                     return merged;
                 };
                 let cursor = &mut cursors[idx];
-                merged.push(cursor.lines[cursor.next].to_string());
+                merged.push((at, cursor.lines[cursor.next].to_string()));
                 cursor.next += 1;
                 cursor.last_at = at;
             }
@@ -431,6 +617,110 @@ mod tests {
             read > 1_000 && searched > 1_000,
             "{read} read, {searched} searched"
         );
+    }
+
+    /// The incremental merge against the one-shot oracle: seeded planes
+    /// dealt out in chunks of whole lines, borrowed or in recycled owned
+    /// buffers, with a release after each round at a watermark no line
+    /// still to come sorts below. Every release's output so far is a
+    /// prefix of the oracle's, and the finished output is all of it.
+    #[test]
+    fn releasing_as_lines_arrive_matches_the_one_shot_merge() {
+        let mut rng = DetRng::seed_from(0x7469_636b);
+        let mut releases = 0;
+        for case in 0..300 {
+            let journals = rng.uniform_u64(1, 5);
+            let plane = seeded_plane(&mut rng, journals, 40);
+            let refs: Vec<&str> = plane.iter().map(String::as_str).collect();
+            let oracle = oracle::merge_keyed(&refs);
+            let want = oracle
+                .iter()
+                .map(|(_, line)| line.clone() + "\n")
+                .collect::<String>();
+            // Each journal's pieces (lines with their `\n`), and the least
+            // instant a non-blank line from each piece on sorts at.
+            let pieces: Vec<Vec<&str>> = refs
+                .iter()
+                .map(|b| b.split_inclusive('\n').collect())
+                .collect();
+            let floors: Vec<Vec<u64>> = pieces
+                .iter()
+                .map(|pieces| {
+                    let mut last_at = 0;
+                    let mut floors: Vec<u64> = pieces
+                        .iter()
+                        .map(|piece| {
+                            let line = piece.trim_end_matches('\n');
+                            if line.trim().is_empty() {
+                                return u64::MAX;
+                            }
+                            let (at, _) = canonical_key(line).unwrap_or_else(|| searched_key(line));
+                            last_at = at.unwrap_or(last_at);
+                            last_at
+                        })
+                        .collect();
+                    for k in (1..floors.len()).rev() {
+                        floors[k - 1] = floors[k - 1].min(floors[k]);
+                    }
+                    floors
+                })
+                .collect();
+            let mut merger = JournalMerger::new(refs.len());
+            // Per journal: pieces fed, and the bytes they span.
+            let (mut next, mut offset) = (vec![0; refs.len()], vec![0; refs.len()]);
+            let mut watermark = 0;
+            while next.iter().zip(&pieces).any(|(&n, p)| n < p.len()) {
+                for (idx, pieces) in pieces.iter().enumerate() {
+                    let take = (rng.uniform_u64(0, 6) as usize).min(pieces.len() - next[idx]);
+                    let len: usize = pieces[next[idx]..next[idx] + take]
+                        .iter()
+                        .map(|p| p.len())
+                        .sum();
+                    let chunk = &refs[idx][offset[idx]..offset[idx] + len];
+                    next[idx] += take;
+                    offset[idx] += len;
+                    if rng.chance(0.5) {
+                        let mut buf = merger.recycled();
+                        assert!(buf.is_empty(), "case {case}: a recycled buffer is empty");
+                        buf.push_str(chunk);
+                        merger.feed(idx, buf);
+                    } else {
+                        merger.feed(idx, chunk);
+                    }
+                }
+                // The highest watermark the lines still to come allow, or
+                // one below it; where none is left, anything.
+                let allowed = (0..refs.len())
+                    .filter_map(|idx| floors[idx].get(next[idx]).copied())
+                    .min()
+                    .unwrap_or(u64::MAX - 1);
+                watermark = watermark.max(allowed.saturating_sub(rng.uniform_u64(0, 1)));
+                merger.release(watermark);
+                releases += 1;
+                // The oracle's lines up to the first at or above the
+                // watermark: every line below it, and no other.
+                let released = oracle.iter().take_while(|(at, _)| *at < watermark).count();
+                let want_out: String = oracle[..released]
+                    .iter()
+                    .map(|(_, line)| line.clone() + "\n")
+                    .collect();
+                assert_eq!(merger.out, want_out, "case {case}: release at {watermark}");
+            }
+            assert_eq!(merger.finish(), want, "case {case}: {plane:?}");
+        }
+        assert!(releases > 1_000, "{releases} releases");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "journal plane 1: a line at 3 arrived after every line below 10 was released"
+    )]
+    fn a_line_below_the_released_watermark_panics() {
+        let mut merger = JournalMerger::new(2);
+        merger.feed(0, "{\"event\":\"job_started\",\"at\":5,\"job\":1}\n");
+        merger.release(10);
+        merger.feed(1, "{\"event\":\"job_started\",\"at\":3,\"job\":2}\n");
+        merger.finish();
     }
 
     #[test]

@@ -705,4 +705,167 @@ fn replay_still_validates_recorded_payloads() {
             other => panic!("wanted BadEntry({want}), got {other:?}"),
         }
     }
+
+    // Multi-entry epochs: when more than one entry is malformed, or a
+    // malformed one hides behind a shutdown, a wall-clock verb, a disabled
+    // parity check or an escaped timeout, replay blames the first malformed
+    // entry in trace order, whether its fault is in the request or in the
+    // recorded response. Every entry of a case shares epoch 1; a negotiate
+    // carries its seq as its engine-assigned job id.
+    let entry = |seq: u64, verb: &str, request: &str, response: &str| TraceEntry {
+        seq,
+        epoch: 1,
+        tick_secs: 0,
+        conn: 1,
+        verb: verb.into(),
+        job: (verb == "negotiate").then_some(seq),
+        request: request.into(),
+        response: response.into(),
+    };
+    let negotiate =
+        |id: u64| format!(r#"{{"id":{id},"verb":"negotiate","size":2,"runtime_secs":60}}"#);
+    let ok = |id: u64| format!(r#"{{"id":{id},"ok":true}}"#);
+    let torn = r#"{"id":1,"ok":"#;
+    let unparsed_request = "request does not parse: not valid JSON";
+    let unparsed_response = "response does not parse";
+    let cases: Vec<(&str, Vec<TraceEntry>, bool, u64, &str)> = vec![
+        (
+            "a bad response, then a bad request",
+            vec![
+                entry(1, "negotiate", &negotiate(1), torn),
+                entry(2, "negotiate", "{\"id\":2,\"verb\":", &ok(2)),
+            ],
+            true,
+            1,
+            unparsed_response,
+        ),
+        (
+            "a bad request, then a bad response",
+            vec![
+                entry(1, "negotiate", "{\"id\":1,\"verb\":", &ok(1)),
+                entry(2, "negotiate", &negotiate(2), torn),
+            ],
+            true,
+            1,
+            unparsed_request,
+        ),
+        (
+            "a bad response, then a negotiate without its job id",
+            vec![
+                entry(1, "accept", r#"{"id":1,"verb":"accept","job":7}"#, torn),
+                TraceEntry {
+                    job: None,
+                    ..entry(2, "negotiate", &negotiate(2), &ok(2))
+                },
+            ],
+            true,
+            1,
+            unparsed_response,
+        ),
+        (
+            "a negotiate without its job id and with a bad response",
+            vec![
+                entry(1, "accept", r#"{"id":1,"verb":"accept","job":7}"#, &ok(1)),
+                TraceEntry {
+                    job: None,
+                    ..entry(2, "negotiate", &negotiate(2), torn)
+                },
+            ],
+            true,
+            2,
+            unparsed_response,
+        ),
+        (
+            "a bad response behind a mid-epoch shutdown",
+            vec![
+                entry(1, "negotiate", &negotiate(1), &ok(1)),
+                entry(2, "shutdown", r#"{"id":2,"verb":"shutdown"}"#, &ok(2)),
+                entry(3, "negotiate", &negotiate(3), torn),
+                entry(4, "cancel", r#"{"id":4,"verb":"cancel","job":1}"#, &ok(4)),
+            ],
+            true,
+            3,
+            unparsed_response,
+        ),
+        (
+            "a bad response on a status entry",
+            vec![
+                entry(1, "negotiate", &negotiate(1), &ok(1)),
+                entry(
+                    2,
+                    "status",
+                    r#"{"id":2,"verb":"status"}"#,
+                    r#"{"id":2,"ok":true,"now_secs":}"#,
+                ),
+                entry(3, "negotiate", "{\"id\":3,\"verb\":", &ok(3)),
+            ],
+            true,
+            2,
+            unparsed_response,
+        ),
+        (
+            "a garbled ok:true response under check_parity: false",
+            vec![
+                entry(1, "negotiate", &negotiate(1), &ok(1)),
+                entry(2, "negotiate", &negotiate(2), r#"{"id":2,"ok":true,}"#),
+                entry(3, "negotiate", &negotiate(3), &ok(3)),
+            ],
+            false,
+            2,
+            unparsed_response,
+        ),
+        (
+            "a recorded timeout whose detail holds an escape",
+            vec![
+                // Honored as a timeout, so the missing job id is no fault.
+                TraceEntry {
+                    job: None,
+                    ..entry(
+                        1,
+                        "negotiate",
+                        &negotiate(1),
+                        r#"{"id":1,"ok":false,"error":"timeout","detail":"queued \"too\" long"}"#,
+                    )
+                },
+                entry(2, "negotiate", &negotiate(2), torn),
+            ],
+            true,
+            2,
+            unparsed_response,
+        ),
+        (
+            "a recorded timeout whose code is escaped",
+            vec![
+                TraceEntry {
+                    job: None,
+                    ..entry(
+                        1,
+                        "negotiate",
+                        &negotiate(1),
+                        r#"{"id":1,"ok":false,"error":"time\u006fut","detail":""}"#,
+                    )
+                },
+                entry(2, "negotiate", "{\"id\":2,\"verb\":", &ok(2)),
+            ],
+            true,
+            2,
+            unparsed_request,
+        ),
+    ];
+    for (name, entries, check_parity, want_seq, want) in cases {
+        let trace = RequestTrace {
+            meta: TraceMeta::qosd(8),
+            entries,
+        };
+        let opts = ReplayOptions {
+            check_parity,
+            ..ReplayOptions::default()
+        };
+        match replay(&trace, &opts) {
+            Err(ReplayError::BadEntry { seq, detail }) => {
+                assert_eq!((seq, detail.as_str()), (want_seq, want), "{name}")
+            }
+            other => panic!("{name}: wanted BadEntry({want_seq}, {want}), got {other:?}"),
+        }
+    }
 }
