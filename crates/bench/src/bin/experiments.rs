@@ -517,16 +517,18 @@ fn main() {
 
 fn usage() {
     eprintln!(
-        "usage: experiments [--jobs N] [--threads K] [--journal PATH] [--metrics] [--list]\n\
-                    <ids...>\n\
-         ids: all table1 table2 fig1..fig12 headline ablation-ckpt ablation-sched\n\
-              ablation-slack ablation-interval ablation-topology ablation-diurnal\n\
-              online-predictor calibration replay-parity\n\
-         --list          print the experiment index (id, caption, CSV path) as JSON\n\
-         --journal PATH  stream lifecycle events of one instrumented run as JSONL\n\
-         --accuracy A    predictor accuracy for that run (default 0.7; 1.0 = perfect\n\
-                         oracle, whose journal `pqos-doctor audit` certifies clean)\n\
-         --metrics       print the metrics snapshot of that run"
+        "usage: experiments [--jobs N] [--threads K] [--journal PATH] [--accuracy A]
+                   [--metrics] [--list] <ids...>
+  ids: all table1 table2 fig1..fig12 headline ablation-ckpt ablation-sched
+       ablation-slack ablation-interval ablation-topology ablation-diurnal
+       online-predictor calibration replay-parity
+  --list          print the experiment index (id, caption, CSV path) as JSON
+  --journal PATH  stream lifecycle events of one instrumented run as JSONL
+  --accuracy A    predictor accuracy for that run (default 0.7; 1.0 = perfect
+                  oracle). `pqos-doctor audit` passes the 1.0 journal at
+                  --jobs 300 but fails it at the default scale, as it does
+                  every accuracy's: some promises are overconfident
+  --metrics       print the metrics snapshot of that run"
     );
 }
 

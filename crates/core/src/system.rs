@@ -1143,6 +1143,122 @@ mod tests {
         assert_eq!(snap.gauge("journal.node_recovered"), Some(1));
     }
 
+    /// A late predecessor breaks a certain promise: the `start-slip-chain`
+    /// cause of ROADMAP's finding "the simulator's promises fail the
+    /// promise audit at full scale", which the attribution item must name
+    /// and the "p means p" item must price.
+    ///
+    /// Node 1 fails idle at t=150, unseen at a=0, and is down until 270.
+    /// Job 2 (both nodes, quoted [200, 300) at p=1) waits for it and
+    /// finishes 70 s late: `start-slip-down`. Job 3 (both nodes, quoted
+    /// [300, 400) at p=1) has no failure anywhere near its window and no
+    /// failure, requeue or checkpoint of its own, yet starts 70 s late
+    /// behind job 2, because a job keeps its reservation and retries its
+    /// start until its nodes are free (§3.3). The test pins that
+    /// keep-and-retry semantics, not the quote: a quote model that prices
+    /// the slip changes only the quote assertions.
+    #[test]
+    fn a_late_predecessor_breaks_a_certain_promise() {
+        use pqos_telemetry::PromiseVerdict;
+        let config = SimConfig::paper_defaults()
+            .cluster_size_nodes(2)
+            .accuracy(0.0);
+        let downtime = config.node_downtime;
+        let log = JobLog::new(vec![
+            job(0, 0, 1, 200),
+            job(1, 0, 1, 100),
+            job(2, 1, 2, 100),
+            job(3, 2, 2, 100),
+        ])
+        .unwrap();
+        let failures = trace(vec![(150, 1, 0.9)]);
+        let (_, journal) = run_journaled(QosSimulator::new(config, log, Arc::clone(&failures)));
+        let quote = |job: u64| {
+            journal
+                .iter()
+                .find_map(|e| match e {
+                    TelemetryEvent::QuoteNegotiated {
+                        job: j,
+                        start_secs,
+                        promised_secs,
+                        success_probability,
+                        ..
+                    } if *j == job => Some((*start_secs, *promised_secs, *success_probability)),
+                    _ => None,
+                })
+                .expect("a quote")
+        };
+        let starts = |job: u64| -> Vec<u64> {
+            journal
+                .iter()
+                .filter_map(|e| match e {
+                    TelemetryEvent::JobStarted { at, job: j, .. } if *j == job => {
+                        Some(at.as_secs())
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        let late_by = |job: u64| {
+            journal.iter().find_map(|e| match e {
+                TelemetryEvent::DeadlineMissed {
+                    job: j,
+                    late_by_secs,
+                    ..
+                } if *j == job => Some(*late_by_secs),
+                _ => None,
+            })
+        };
+        let verdict = |job: u64| {
+            journal.iter().find_map(|e| match e {
+                TelemetryEvent::PromiseResolved {
+                    job: j, verdict, ..
+                } if *j == job => Some(*verdict),
+                _ => None,
+            })
+        };
+
+        // Job 2: its own member is down at its quoted start.
+        assert_eq!(quote(2), (200, 300, 1.0));
+        let down: Vec<(u64, u64)> = journal
+            .iter()
+            .filter_map(|e| match e {
+                TelemetryEvent::NodeFailed { at, node, .. }
+                | TelemetryEvent::NodeRecovered { at, node } => Some((at.as_secs(), *node)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(down, vec![(150, 1), (270, 1)], "node 1 is down 150..270");
+        assert_eq!(starts(2), vec![270]);
+        assert_eq!(late_by(2), Some(70));
+
+        // Job 3: nothing of its own, and no failure in its window.
+        let (start, end, p) = quote(3);
+        assert_eq!((start, end, p), (300, 400, 1.0));
+        let exposed = (start - downtime.as_secs(), end);
+        assert_eq!(exposed, (180, 400));
+        assert!(
+            failures
+                .failures()
+                .iter()
+                .all(|f| !(exposed.0..exposed.1).contains(&f.time.as_secs())),
+            "no failure in [180, 400)"
+        );
+        assert!(!journal.iter().any(|e| matches!(
+            e,
+            TelemetryEvent::NodeFailed {
+                victim_job: Some(3),
+                ..
+            } | TelemetryEvent::JobRequeued { job: 3, .. }
+                | TelemetryEvent::CheckpointRequested { job: 3, .. }
+                | TelemetryEvent::CheckpointTaken { job: 3, .. }
+                | TelemetryEvent::CheckpointSkipped { job: 3, .. }
+        )));
+        assert_eq!(starts(3), vec![370], "behind job 2");
+        assert_eq!(verdict(3), Some(PromiseVerdict::Broken));
+        assert_eq!(late_by(3), Some(70));
+    }
+
     #[test]
     fn the_base_rate_prior_counts_only_failures_inside_the_cluster() {
         // Every failure strikes node 7 of a 1-node cluster: none is

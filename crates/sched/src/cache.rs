@@ -202,7 +202,8 @@ impl CachedReservationBook {
         self.book.is_empty()
     }
 
-    /// Iterates over live reservations in insertion order.
+    /// Iterates over live reservations in insertion order, sorted out of
+    /// the book's hashed index; see [`ReservationBook::iter`].
     pub fn iter(&self) -> impl Iterator<Item = (ReservationId, &Reservation)> {
         self.book.iter()
     }

@@ -75,10 +75,11 @@ use pqos_cluster::mask::NodeMask;
 use pqos_cluster::node::NodeId;
 use pqos_cluster::partition::Partition;
 use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
-use pqos_workload::job::JobId;
+use pqos_workload::job::{JobId, JobIdHasher};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::ops::{ControlFlow, Range};
 
 /// Identifier of a reservation within a [`ReservationBook`].
@@ -592,7 +593,9 @@ pub struct ReservationBook {
     cluster_size: u32,
     /// Words per row (`⌈cluster_size/64⌉`).
     wps: usize,
-    reservations: BTreeMap<ReservationId, Reservation>,
+    /// The live reservations by id. Ids come from `next_id`, so they are
+    /// consecutive: `JobIdHasher`'s best case, and no client chooses one.
+    reservations: HashMap<ReservationId, Reservation, BuildHasherDefault<JobIdHasher>>,
     next_id: u64,
     /// Invariant: the chunks' rows, in order, are the timeline, and row
     /// `i` counts across them. `times` is strictly ascending and holds
@@ -624,7 +627,7 @@ impl ReservationBook {
         ReservationBook {
             cluster_size,
             wps: cluster_size.div_ceil(64) as usize,
-            reservations: BTreeMap::new(),
+            reservations: HashMap::default(),
             next_id: 0,
             chunks: vec![Chunk::default()],
             first: vec![0, 0],
@@ -647,8 +650,14 @@ impl ReservationBook {
     }
 
     /// Iterates over live reservations in insertion order.
+    ///
+    /// The index is a hash map, so this collects the live reservations and
+    /// sorts them by id (ids only grow, so id order is insertion order):
+    /// `O(R log R)`, for tests and diagnostics, not for a hot path.
     pub fn iter(&self) -> impl Iterator<Item = (ReservationId, &Reservation)> {
-        self.reservations.iter().map(|(id, r)| (*id, r))
+        let mut live: Vec<_> = self.reservations.iter().map(|(id, r)| (*id, r)).collect();
+        live.sort_unstable_by_key(|(id, _)| *id);
+        live.into_iter()
     }
 
     /// Looks up a live reservation by id.
@@ -663,7 +672,9 @@ impl ReservationBook {
     /// Returns [`ReservationError::Conflict`] if any node of `partition` is
     /// already committed during an overlapping interval,
     /// [`ReservationError::UnknownNode`] for out-of-range nodes, and
-    /// [`ReservationError::EmptyInterval`] for empty intervals.
+    /// [`ReservationError::EmptyInterval`] for empty intervals. A conflict
+    /// names the *lowest* colliding id, as [`NaiveReservationBook`]'s
+    /// ordered scan does, whatever order the index holds them in.
     pub fn add(
         &mut self,
         job: JobId,
@@ -685,15 +696,16 @@ impl ReservationBook {
             .busy_during(interval)
             .any(|run| run.chunks_exact(self.wps).any(collides))
         {
-            // Error path only: recover the colliding id with a scan, giving
-            // the same lowest-id answer the naive book reports.
+            // Error path only: recover the colliding id with a scan of the
+            // whole index, keeping the lowest as the naive book's does.
             let existing = self
                 .reservations
                 .iter()
-                .find(|(_, r)| {
+                .filter(|(_, r)| {
                     windows_overlap(r.interval, interval) && r.partition.overlaps(&partition)
                 })
                 .map(|(id, _)| *id)
+                .min()
                 .expect("timeline conflict implies a colliding reservation");
             return Err(ReservationError::Conflict { existing });
         }

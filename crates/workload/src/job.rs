@@ -62,19 +62,21 @@ pub type JobMap<V> = HashMap<JobId, V, BuildHasherDefault<JobIdHasher>>;
 /// so consecutive ids from any base land in distinct buckets of a table
 /// of up to `2^k` buckets, and the high bits the table also reads are
 /// mixed by the carries. The ids the workspace inserts come from counters:
-/// job-log numbers, the daemon's job counter, and the counter values a
-/// recorded trace replays.
+/// job-log numbers, the daemon's job counter, the counter values a
+/// recorded trace replays, and each reservation book's reservation ids
+/// (`pqos_sched`'s index of live reservations, keyed by a per-book counter
+/// and listed only after sorting by id).
 ///
 /// SipHash is keyed so that chosen keys cannot force collisions; this
 /// hasher is not, and it need not be: a client never chooses an inserted
 /// key, because `negotiate` carries no job id (the daemon assigns it),
-/// and a client-named id in `accept` or `cancel` is only looked up. Its
-/// known weakness: ids strided by `2^k` share their low `k` bits, so they
-/// share home buckets in a table of `2^k` or fewer. A sharded daemon
-/// anchors a job at `id % shards`, so a shard's table holds ids strided by
-/// the shard count; the table's probe groups absorb strides of a few
-/// shards, but ids spaced by ~1,024 or more make it several times slower
-/// than SipHash.
+/// a reservation id is the book's own counter, and a client-named id in
+/// `accept` or `cancel` is only looked up. Its known weakness: ids
+/// strided by `2^k` share their low `k` bits, so they share home buckets
+/// in a table of `2^k` or fewer. A sharded daemon anchors a job at
+/// `id % shards`, so a shard's table holds ids strided by the shard count;
+/// the table's probe groups absorb strides of a few shards, but ids spaced
+/// by ~1,024 or more make it several times slower than SipHash.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct JobIdHasher(u64);
 

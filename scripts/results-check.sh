@@ -6,7 +6,8 @@
 # Runs `experiments all` (default: target/release/experiments, which must
 # be built) in a temporary directory and compares what it writes — every
 # results/*.csv and its stdout, results/experiments_all.txt — with the
-# committed files, byte for byte. The one column masked is
+# committed files, byte for byte, and prints the run's wall time and its
+# CPU time (user + sys, all threads). The one column masked is
 # replay-parity's `replay_entries_per_sec`, a wall-clock rate. A file
 # missing on either side is a difference too. Exits 1 on any difference
 # and prints a unified diff of each differing file; to accept new numbers,
@@ -25,11 +26,12 @@ bin=$(cd "$(dirname "$bin")" && pwd)/$(basename "$bin")
 work=$(mktemp -d "${TMPDIR:-/tmp}/results-check.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 mkdir -p "$work/run/results"
-start=$(date +%s%N)
-(cd "$work/run" && "$bin" all >"$work/stdout" 2>/dev/null)
-elapsed_ms=$((($(date +%s%N) - start) / 1000000))
+TIMEFORMAT='%3R %3U %3S'
+{ time (cd "$work/run" && "$bin" all >"$work/stdout" 2>/dev/null); } 2>"$work/time"
+read -r wall user sys <"$work/time"
 mv "$work/stdout" "$work/run/results/experiments_all.txt"
-echo "results-check: experiments all ran in ${elapsed_ms} ms"
+cpu=$(awk -v u="$user" -v s="$sys" 'BEGIN { printf "%.3f", u + s }')
+echo "results-check: experiments all ran in ${wall} s wall, ${cpu} s CPU (user ${user} + sys ${sys})"
 
 python3 - "$root/results" "$work/run/results" <<'EOF'
 import difflib, os, sys

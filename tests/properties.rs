@@ -6,6 +6,7 @@
 //! a broad slice of the input space. Failure messages include the case
 //! index; re-running with the same seed replays the exact case.
 
+use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -19,7 +20,8 @@ use pqos_failures::trace::{Failure, FailureTrace};
 use pqos_predict::api::Predictor;
 use pqos_predict::oracle::TraceOracle;
 use pqos_sched::reservation::{
-    AvailabilityView, FreeNodes, NaiveReservationBook, ReservationBook, ReservationId, Slot,
+    AvailabilityView, FreeNodes, NaiveReservationBook, Reservation, ReservationBook, ReservationId,
+    Slot,
 };
 use pqos_sim_core::queue::EventQueue;
 use pqos_sim_core::rng::DetRng;
@@ -441,15 +443,60 @@ fn check_book(book: &ReservationBook) {
     let _ = book;
 }
 
+/// The ids a history has issued, and an ordered model of the live ones.
+///
+/// The naive book has no `iter` or `get`, so the fast book's index is
+/// checked against this model instead: every successful add inserts into
+/// `live`, every successful remove takes out of it, and `ids` keeps every
+/// id ever handed out, removed ones included.
+#[derive(Default)]
+struct Issued {
+    ids: Vec<ReservationId>,
+    live: BTreeMap<ReservationId, Reservation>,
+}
+
+impl Issued {
+    /// Asserts that `fast` lists exactly the model's live reservations in
+    /// id (insertion) order, and that `get` agrees with the model on every
+    /// issued id, removed ones included.
+    fn check_index(&self, fast: &ReservationBook, at: &str) {
+        assert!(
+            fast.iter().eq(self.live.iter().map(|(id, r)| (*id, r))),
+            "{at}: iter() is not the live reservations in id order"
+        );
+        for id in &self.ids {
+            assert_eq!(fast.get(*id), self.live.get(id), "{at}: get({id}) diverges");
+        }
+    }
+
+    /// Removes `id` from both books and the model, asserting they agree.
+    fn remove(
+        &mut self,
+        fast: &mut ReservationBook,
+        naive: &mut NaiveReservationBook,
+        id: ReservationId,
+        at: &str,
+    ) {
+        let removed = fast.remove(id);
+        assert_eq!(removed, naive.remove(id), "{at}: removals diverge");
+        assert_eq!(
+            removed,
+            self.live.remove(&id),
+            "{at}: removal disagrees with the model"
+        );
+    }
+}
+
 /// Applies history step `i` to both books and asserts they agree on it:
 /// the same add outcome (including which conflict is reported), the same
 /// removed reservation, and bit-identical `free_nodes_during`,
 /// `change_points` and `earliest_slots` answers — with the timeline's
-/// invariants re-checked after.
+/// invariants and the fast book's index (against `issued`'s model)
+/// re-checked after.
 fn apply_to_both(
     fast: &mut ReservationBook,
     naive: &mut NaiveReservationBook,
-    issued: &mut Vec<ReservationId>,
+    issued: &mut Issued,
     i: usize,
     op: &BookOp,
     at: &str,
@@ -460,18 +507,24 @@ fn apply_to_both(
                 Partition::new(nodes.iter().copied().map(NodeId::new)).expect("non-empty");
             let window =
                 TimeWindow::new(SimTime::from_secs(*start), SimTime::from_secs(start + dur));
-            let a = fast.add(JobId::new(i as u64), partition.clone(), window);
-            let b = naive.add(JobId::new(i as u64), partition, window);
+            let job = JobId::new(i as u64);
+            let a = fast.add(job, partition.clone(), window);
+            let b = naive.add(job, partition.clone(), window);
             assert_eq!(a, b, "{at}: add outcomes diverge");
             if let Ok(id) = a {
-                issued.push(id);
+                issued.ids.push(id);
+                let r = Reservation {
+                    job,
+                    partition,
+                    interval: window,
+                };
+                assert!(issued.live.insert(id, r).is_none(), "{at}: {id} reissued");
             }
         }
         BookOp::Remove { pick } => {
-            let Some(id) = pick_id(issued, *pick) else {
-                return;
-            };
-            assert_eq!(fast.remove(id), naive.remove(id), "{at}: removals diverge");
+            if let Some(id) = pick_id(&issued.ids, *pick) {
+                issued.remove(fast, naive, id, at);
+            }
         }
         BookOp::Query {
             window,
@@ -503,6 +556,7 @@ fn apply_to_both(
         }
     }
     check_book(fast);
+    issued.check_index(fast, at);
     assert_eq!(fast.len(), naive.len(), "{at}: live counts diverge");
 }
 
@@ -524,7 +578,7 @@ fn timeline_reservation_book_matches_naive_reference() {
         {
             let mut fast = ReservationBook::new(world.nodes);
             let mut naive = NaiveReservationBook::new(world.nodes);
-            let mut issued = Vec::new();
+            let mut issued = Issued::default();
             for (i, op) in ops.iter().enumerate() {
                 let at = format!("{world:?} case {case} op {i}");
                 apply_to_both(&mut fast, &mut naive, &mut issued, i, op, &at);
@@ -629,7 +683,7 @@ fn timeline_reservation_book_matches_naive_reference_across_chunks() {
     {
         let mut fast = ReservationBook::new(NODES);
         let mut naive = NaiveReservationBook::new(NODES);
-        let mut issued = Vec::new();
+        let mut issued = Issued::default();
         let mut deepest = 0;
         for (i, step) in steps.iter().enumerate() {
             let at = format!("chunked case {case} step {i}");
@@ -642,9 +696,10 @@ fn timeline_reservation_book_matches_naive_reference_across_chunks() {
                         .map(|(id, _)| id)
                         .collect();
                     for id in doomed {
-                        assert_eq!(fast.remove(id), naive.remove(id), "{at}: drain diverges");
+                        issued.remove(&mut fast, &mut naive, id, &at);
                         check_book(&fast);
                     }
+                    issued.check_index(&fast, &at);
                 }
             }
             deepest = deepest.max(fast.change_points(SimTime::ZERO).len() - 1);
