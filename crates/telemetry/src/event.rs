@@ -754,10 +754,12 @@ mod tests {
     /// an integer or any bit pattern at all.
     fn seeded_f64(rng: &mut DetRng) -> f64 {
         const EXACT: f64 = 9_007_199_254_740_992.0;
-        const EDGES: [f64; 22] = [
+        const EDGES: [f64; 24] = [
             0.0,
             -0.0,
             1.0,
+            f64::from_bits(1.0f64.to_bits() + 1),
+            f64::from_bits(1.0f64.to_bits() - 1),
             -1.0,
             0.5,
             0.93,

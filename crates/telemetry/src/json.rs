@@ -812,12 +812,19 @@ fn decimal_len(v: u64) -> usize {
 }
 
 /// Appends `v` as `{v:?}` writes it — the shortest text that parses back
-/// to the same value — or `null` if it is not finite.
+/// to the same value — or `null` if it is not finite. `+0.0` and `1.0`,
+/// which every null-predictor quote carries, are written without `fmt`;
+/// they are matched by their bits, so `-0.0` still goes through it.
 pub(crate) fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
+    const ZERO: u64 = 0.0f64.to_bits();
+    const ONE: u64 = 1.0f64.to_bits();
+    match v.to_bits() {
+        ZERO => out.push_str("0.0"),
+        ONE => out.push_str("1.0"),
+        _ if v.is_finite() => {
+            let _ = write!(out, "{v:?}");
+        }
+        _ => out.push_str("null"),
     }
 }
 
