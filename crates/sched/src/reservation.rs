@@ -421,6 +421,11 @@ pub type SlotVisitor<'a> = dyn FnMut(SimTime, &mut FreeNodes<'_>) -> ControlFlow
 /// the simulator's books (a few hundred rows) stay one chunk.
 const BLOCK: usize = 128;
 
+/// Words of a partition's mask that `add` and `remove` build on the stack:
+/// a row of a cluster of up to 4,096 nodes. A wider cluster's masks spill
+/// to the heap.
+const STACK_WORDS: usize = 64;
+
 /// The skip index's summary of one chunk's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BlockSummary {
@@ -694,8 +699,9 @@ impl ReservationBook {
         if let Some(&n) = nodes.get(known) {
             return Err(ReservationError::UnknownNode(n));
         }
-        let mask = self.mask_words(&partition);
-        let collides = |row: &[u64]| row.iter().zip(&mask).any(|(a, b)| a & b != 0);
+        let (mut stack, mut spill) = ([0; STACK_WORDS], Vec::new());
+        let mask = self.mask_in(&partition, &mut stack, &mut spill);
+        let collides = |row: &[u64]| row.iter().zip(mask).any(|(a, b)| a & b != 0);
         if self
             .busy_during(interval)
             .any(|run| run.chunks_exact(self.wps).any(collides))
@@ -713,7 +719,7 @@ impl ReservationBook {
                 .expect("timeline conflict implies a colliding reservation");
             return Err(ReservationError::Conflict { existing });
         }
-        self.occupy(interval, &mask);
+        self.occupy(interval, mask);
         let id = ReservationId(self.next_id);
         self.next_id += 1;
         let reservation = Reservation {
@@ -728,8 +734,9 @@ impl ReservationBook {
     /// Releases a reservation, returning it if it existed.
     pub fn remove(&mut self, id: ReservationId) -> Option<Reservation> {
         let r = self.reservations.remove(&id)?;
-        let mask = self.mask_words(&r.partition);
-        self.vacate(r.interval, &mask);
+        let (mut stack, mut spill) = ([0; STACK_WORDS], Vec::new());
+        let mask = self.mask_in(&r.partition, &mut stack, &mut spill);
+        self.vacate(r.interval, mask);
         Some(r)
     }
 
@@ -927,6 +934,40 @@ impl ReservationBook {
     #[allow(clippy::too_many_arguments)]
     fn walk_rows<'a>(
         &'a self,
+        rows: impl WalkRows<'a>,
+        size: u32,
+        duration: SimDuration,
+        from: SimTime,
+        exclude: &[NodeId],
+        max_slots: usize,
+        visit: &mut SlotVisitor<'_>,
+    ) -> (SimTime, bool) {
+        // Borrowed in place for the whole walk. `visit` is the caller's
+        // code and may probe a book on this thread: that nested walk finds
+        // the cell borrowed and brings buffers of its own.
+        SCRATCH.with(|cell| {
+            let (mut borrowed, mut fresh);
+            let scratch = match cell.try_borrow_mut() {
+                Ok(scratch) => {
+                    borrowed = scratch;
+                    &mut *borrowed
+                }
+                Err(_) => {
+                    fresh = WalkScratch::default();
+                    &mut fresh
+                }
+            };
+            self.walk_with(
+                scratch, rows, size, duration, from, exclude, max_slots, visit,
+            )
+        })
+    }
+
+    /// [`walk_rows`](Self::walk_rows) in `scratch`'s buffers.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_with<'a>(
+        &'a self,
+        scratch: &mut WalkScratch,
         mut rows: impl WalkRows<'a>,
         size: u32,
         duration: SimDuration,
@@ -936,123 +977,116 @@ impl ReservationBook {
         visit: &mut SlotVisitor<'_>,
     ) -> (SimTime, bool) {
         let (width, wps, n) = (self.cluster_size, self.wps, self.row_count());
-        // Out of its cell for the whole walk: `visit` is the caller's code
-        // and may well probe a book on this thread.
-        let mut scratch = SCRATCH.take();
-        let ended = 'walk: {
-            let WalkScratch {
-                front,
-                back_agg,
-                agg,
-                busy,
-                exclude: excluded,
-                free,
-            } = &mut scratch;
-            front.clear();
-            for buf in [&mut *back_agg, &mut *agg, &mut *busy, &mut *excluded] {
-                buf.clear();
-                buf.resize(wps, 0);
-            }
-            set_nodes(excluded, width, exclude.iter().copied());
-            let mut found = 0usize;
+        let WalkScratch {
+            front,
+            back_agg,
+            agg,
+            busy,
+            exclude: excluded,
+            free,
+        } = scratch;
+        front.clear();
+        for buf in [&mut *back_agg, &mut *agg, &mut *busy, &mut *excluded] {
+            buf.clear();
+            buf.resize(wps, 0);
+        }
+        set_nodes(excluded, width, exclude.iter().copied());
+        let mut found = 0usize;
 
-            // Virtual row / candidate v: 0 is `from` itself riding the row
-            // in effect there (none before the first row: all free); v ≥ 1
-            // are the rows after `from`, row `first_after + v − 1`.
-            let first_after = rows.rows_where(0, |t| t <= from);
-            let m = 1 + n - first_after;
-            let real = |v: usize| (first_after + v).checked_sub(1);
+        // Virtual row / candidate v: 0 is `from` itself riding the row
+        // in effect there (none before the first row: all free); v ≥ 1
+        // are the rows after `from`, row `first_after + v − 1`.
+        let first_after = rows.rows_where(0, |t| t <= from);
+        let m = 1 + n - first_after;
+        let real = |v: usize| (first_after + v).checked_sub(1);
 
-            // The window is the virtual rows `lo..hi`: `front` stacks the
-            // suffix unions of `lo..back_lo`, `back_agg` is the union of
-            // `back_lo..hi`.
-            let (mut lo, mut hi, mut back_lo) = (0usize, 0usize, 0usize);
-            // Rows between the current window's second row and `clean_to`
-            // are known to have at least `size` free nodes.
-            let mut clean_to = 0usize;
-            let mut v = 0usize;
-            while v < m {
-                // A window starting in a row with fewer than `size` free
-                // nodes can never fit the job (exclusions only shrink it
-                // further), so hop to the next row that could.
-                let row = real(v);
-                if row.map_or(width, |r| rows.free(r)) < size {
-                    match rows.next_feasible(size, first_after + v) {
-                        Some(r) => {
-                            v = r + 1 - first_after;
-                            continue;
-                        }
-                        None => break,
+        // The window is the virtual rows `lo..hi`: `front` stacks the
+        // suffix unions of `lo..back_lo`, `back_agg` is the union of
+        // `back_lo..hi`.
+        let (mut lo, mut hi, mut back_lo) = (0usize, 0usize, 0usize);
+        // Rows between the current window's second row and `clean_to`
+        // are known to have at least `size` free nodes.
+        let mut clean_to = 0usize;
+        let mut v = 0usize;
+        while v < m {
+            // A window starting in a row with fewer than `size` free
+            // nodes can never fit the job (exclusions only shrink it
+            // further), so hop to the next row that could.
+            let row = real(v);
+            if row.map_or(width, |r| rows.free(r)) < size {
+                match rows.next_feasible(size, first_after + v) {
+                    Some(r) => {
+                        v = r + 1 - first_after;
+                        continue;
                     }
+                    None => break,
                 }
-                let t = match row {
-                    Some(r) if v > 0 => rows.time(r),
-                    _ => from,
-                };
-                let end = t.saturating_add(duration);
-                // The window's free set is contained in every spanned
-                // row's, so a spanned row that cannot fit `size` sinks
-                // every candidate up to it: jump past the *last* such row
-                // instead of sliding the union through.
-                let ws = first_after + v;
-                let r_end = rows.rows_where(ws, |t| t < end);
-                let blocker = rows.last_blocker(size, ws.max(clean_to), r_end);
-                clean_to = r_end;
-                if let Some(last) = blocker {
-                    v = last + 2 - first_after;
-                    continue;
-                }
-                if v >= hi {
-                    // Jumped clean past the current window: restart it at v.
-                    front.clear();
+            }
+            let t = match row {
+                Some(r) if v > 0 => rows.time(r),
+                _ => from,
+            };
+            let end = t.saturating_add(duration);
+            // The window's free set is contained in every spanned
+            // row's, so a spanned row that cannot fit `size` sinks
+            // every candidate up to it: jump past the *last* such row
+            // instead of sliding the union through.
+            let ws = first_after + v;
+            let r_end = rows.rows_where(ws, |t| t < end);
+            let blocker = rows.last_blocker(size, ws.max(clean_to), r_end);
+            clean_to = r_end;
+            if let Some(last) = blocker {
+                v = last + 2 - first_after;
+                continue;
+            }
+            if v >= hi {
+                // Jumped clean past the current window: restart it at v.
+                front.clear();
+                back_agg.fill(0);
+                (lo, hi, back_lo) = (v, v, v);
+            }
+            while lo < v {
+                if front.is_empty() {
+                    // Flip: drain the back range newest-first so each
+                    // front entry carries the union of itself and
+                    // everything younger.
+                    agg.fill(0);
+                    for j in (back_lo..hi).rev() {
+                        if let Some(r) = real(j) {
+                            NodeMask::or_words(agg, rows.busy(r));
+                        }
+                        front.extend_from_slice(agg);
+                    }
+                    back_lo = hi;
                     back_agg.fill(0);
-                    (lo, hi, back_lo) = (v, v, v);
                 }
-                while lo < v {
-                    if front.is_empty() {
-                        // Flip: drain the back range newest-first so each
-                        // front entry carries the union of itself and
-                        // everything younger.
-                        agg.fill(0);
-                        for j in (back_lo..hi).rev() {
-                            if let Some(r) = real(j) {
-                                NodeMask::or_words(agg, rows.busy(r));
-                            }
-                            front.extend_from_slice(agg);
-                        }
-                        back_lo = hi;
-                        back_agg.fill(0);
-                    }
-                    front.truncate(front.len() - wps);
-                    lo += 1;
-                }
-                // Admit every row starting before `end`: real rows below
-                // `r_end`, after the head.
-                while hi < r_end + 1 - first_after {
-                    if let Some(r) = real(hi) {
-                        NodeMask::or_words(back_agg, rows.busy(r));
-                    }
-                    hi += 1;
-                }
-                busy.copy_from_slice(back_agg);
-                if let Some(top) = front.len().checked_sub(wps) {
-                    NodeMask::or_words(busy, &front[top..]);
-                }
-                NodeMask::or_words(busy, excluded);
-                let mut slot = FreeNodes::masked(width, busy, free);
-                if slot.len() >= size as usize {
-                    found += 1;
-                    let stop = visit(t, &mut slot).is_break();
-                    if stop || found >= max_slots {
-                        break 'walk (end, found >= max_slots);
-                    }
-                }
-                v += 1;
+                front.truncate(front.len() - wps);
+                lo += 1;
             }
-            (SimTime::MAX, true)
-        };
-        SCRATCH.set(scratch);
-        ended
+            // Admit every row starting before `end`: real rows below
+            // `r_end`, after the head.
+            while hi < r_end + 1 - first_after {
+                if let Some(r) = real(hi) {
+                    NodeMask::or_words(back_agg, rows.busy(r));
+                }
+                hi += 1;
+            }
+            busy.copy_from_slice(back_agg);
+            if let Some(top) = front.len().checked_sub(wps) {
+                NodeMask::or_words(busy, &front[top..]);
+            }
+            NodeMask::or_words(busy, excluded);
+            let mut slot = FreeNodes::masked(width, busy, free);
+            if slot.len() >= size as usize {
+                found += 1;
+                let stop = visit(t, &mut slot).is_break();
+                if stop || found >= max_slots {
+                    return (end, found >= max_slots);
+                }
+            }
+            v += 1;
+        }
+        (SimTime::MAX, true)
     }
 
     /// First row at or after `r0` with at least `size` free nodes, hopping
@@ -1242,11 +1276,24 @@ impl ReservationBook {
         }
     }
 
-    /// `partition` packed into one row's worth of words; ids beyond the
-    /// cluster are ignored.
-    fn mask_words(&self, partition: &Partition) -> Vec<u64> {
-        let mut words = vec![0; self.wps];
-        set_nodes(&mut words, self.cluster_size, partition.iter());
+    /// `partition` packed into one row's worth of words, built in `stack`
+    /// (zeroed) when a row fits there and in `spill` otherwise, so a book
+    /// of up to `64 · STACK_WORDS` nodes allocates nothing for it; ids
+    /// beyond the cluster are ignored.
+    fn mask_in<'b>(
+        &self,
+        partition: &Partition,
+        stack: &'b mut [u64; STACK_WORDS],
+        spill: &'b mut Vec<u64>,
+    ) -> &'b [u64] {
+        let words = match stack.get_mut(..self.wps) {
+            Some(words) => words,
+            None => {
+                spill.resize(self.wps, 0);
+                spill
+            }
+        };
+        set_nodes(words, self.cluster_size, partition.iter());
         words
     }
 
@@ -1478,15 +1525,16 @@ impl ReservationBook {
         let mut endpoints = BTreeMap::new();
         let (mut busy, mut starts) = (vec![0u64; n * wps], vec![0u64; n * wps]);
         for r in self.reservations.values() {
-            let mask = self.mask_words(&r.partition);
+            let (mut stack, mut spill) = ([0; STACK_WORDS], Vec::new());
+            let mask = self.mask_in(&r.partition, &mut stack, &mut spill);
             let [a, b] = [r.interval.start(), r.interval.end()].map(|t| {
                 *endpoints.entry(t).or_insert(0u32) += 1;
                 flat.times.binary_search(&t).expect("endpoint has a row")
             });
             for row in busy[a * wps..b * wps].chunks_exact_mut(wps) {
-                NodeMask::or_words(row, &mask);
+                NodeMask::or_words(row, mask);
             }
-            NodeMask::or_words(&mut starts[a * wps..(a + 1) * wps], &mask);
+            NodeMask::or_words(&mut starts[a * wps..(a + 1) * wps], mask);
         }
         assert!(endpoints.keys().eq(&flat.times), "rows = live endpoints");
         assert!(
@@ -1582,7 +1630,9 @@ fn set_run(words: &mut [u64], run: Range<usize>) {
 /// suffix-union stack, back aggregate, flip accumulator) and the
 /// busy/exclude compose buffers. One probe allocates nothing once these
 /// are warm, and the thread-local carries them across all the probes a
-/// `quote_batch` fans onto a thread.
+/// `quote_batch` fans onto a thread. A walk borrows them in place, and
+/// only a walk nested in another's visitor on the same thread finds the
+/// cell busy and walks in fresh buffers of its own.
 #[derive(Default)]
 struct WalkScratch {
     front: Vec<u64>,
@@ -2653,5 +2703,134 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every slot `book`'s walk hands over, decoded, with what the walk
+    /// returns.
+    fn walk_collect(
+        book: &ReservationBook,
+        size: u32,
+        secs: u64,
+        from: u64,
+        max_slots: usize,
+        mut each: impl FnMut(),
+    ) -> (Vec<Slot>, (SimTime, bool)) {
+        let mut slots = Vec::new();
+        let duration = SimDuration::from_secs(secs);
+        let from = SimTime::from_secs(from);
+        let exclude = [NodeId::new(5)];
+        let ended = book.walk(
+            size,
+            duration,
+            from,
+            &exclude,
+            max_slots,
+            &mut |start, free| {
+                each();
+                slots.push(Slot {
+                    start,
+                    free: free.to_vec(),
+                });
+                ControlFlow::Continue(())
+            },
+        );
+        (slots, ended)
+    }
+
+    #[test]
+    fn a_walk_nested_in_a_visitor_matches_each_walk_alone() {
+        let mut rng = DetRng::seed_from(0xB00C).fork("nested-walk");
+        // The outer book is chunked, the inner one a single chunk, so both
+        // kinds of row reads run nested.
+        let (outer, horizon) = laned_book(600, &mut rng);
+        let (inner, _) = laned_book(40, &mut rng);
+        assert!(outer.chunks.len() > 1 && inner.chunks.len() == 1);
+        for (size, secs, from) in [(4, 600, 0), (30, 3_600, horizon / 3), (90, 50, 500)] {
+            let outer_alone = walk_collect(&outer, size, secs, from, 20, || {});
+            let inner_alone = walk_collect(&inner, size, secs, from, 20, || {});
+            let mut inner_nested = Vec::new();
+            let outer_nested = walk_collect(&outer, size, secs, from, 20, || {
+                // The outer walk holds this thread's scratch: the inner
+                // walk must take the fallback's fresh buffers.
+                assert!(SCRATCH.with(|cell| cell.try_borrow_mut().is_err()));
+                inner_nested.push(walk_collect(&inner, size, secs, from, 20, || {}));
+            });
+            assert_eq!(outer_nested, outer_alone, "outer walk, {size} nodes");
+            assert!(!inner_nested.is_empty(), "the visitor ran");
+            for nested in inner_nested {
+                assert_eq!(nested, inner_alone, "inner walk, {size} nodes");
+            }
+        }
+        // Both walks done, the scratch is back in its cell.
+        assert!(SCRATCH.with(|cell| cell.try_borrow_mut().is_ok()));
+    }
+
+    #[test]
+    fn a_cluster_wider_than_the_stack_mask_spills_and_agrees_with_the_naive_book() {
+        // 4,160 nodes: 65 words a row, one more than `add` and `remove`
+        // build on the stack.
+        const WIDTH: u32 = 4_160;
+        assert!(WIDTH.div_ceil(64) as usize > STACK_WORDS);
+        let mut rng = DetRng::seed_from(0xB00C).fork("wide-spill");
+        let mut fast = ReservationBook::new(WIDTH);
+        let mut naive = NaiveReservationBook::new(WIDTH);
+        let (mut live, mut conflicts) = (Vec::new(), 0);
+        for job in 0..400u64 {
+            if !live.is_empty() && rng.chance(0.2) {
+                let id = live.swap_remove(rng.uniform_u64(0, live.len() as u64 - 1) as usize);
+                assert_eq!(fast.remove(id), naive.remove(id), "job {job}: remove");
+            } else {
+                // Runs anywhere, the last word's included, and scattered
+                // sets across the whole width.
+                let partition = match rng.uniform_u64(0, 2) {
+                    0 => {
+                        let len = rng.uniform_u64(1, 100) as u32;
+                        Partition::contiguous(WIDTH - len, len)
+                    }
+                    1 => {
+                        let len = rng.uniform_u64(1, 400) as u32;
+                        let first = rng.uniform_u64(0, u64::from(WIDTH - len)) as u32;
+                        Partition::contiguous(first, len)
+                    }
+                    _ => Partition::new(
+                        (0..rng.uniform_u64(1, 40))
+                            .map(|_| NodeId::new(rng.uniform_u64(0, u64::from(WIDTH) - 1) as u32)),
+                    )
+                    .unwrap(),
+                };
+                let start = rng.uniform_u64(0, 20_000);
+                let window = w(start, start + rng.uniform_u64(1, 2_000));
+                let added = fast.add(JobId::new(job), partition.clone(), window);
+                assert_eq!(
+                    added,
+                    naive.add(JobId::new(job), partition, window),
+                    "job {job}"
+                );
+                conflicts += usize::from(added.is_err());
+                live.extend(added);
+            }
+            fast.check_invariants();
+            let at = rng.uniform_u64(0, 20_000);
+            let window = w(at, at + rng.uniform_u64(0, 3_000));
+            assert_eq!(
+                fast.free_nodes_during(window, &[]),
+                naive.free_nodes_during(window, &[]),
+                "job {job}: free nodes during {window:?}"
+            );
+            if job % 20 == 0 {
+                let (size, duration) = (
+                    rng.uniform_u64(1, 4_000) as u32,
+                    SimDuration::from_secs(500),
+                );
+                let from = SimTime::from_secs(rng.uniform_u64(0, 20_000));
+                assert_eq!(
+                    fast.earliest_slots(size, duration, from, &[], 4),
+                    naive.earliest_slots(size, duration, from, &[], 4),
+                    "job {job}: {size} nodes"
+                );
+            }
+        }
+        assert!(fast.len() > 30, "{} live at the end", fast.len());
+        assert!(conflicts > 20, "{conflicts} conflicts");
     }
 }

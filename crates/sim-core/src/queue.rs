@@ -1,39 +1,54 @@
 //! Deterministic future-event queue.
 //!
-//! A thin wrapper over a binary heap that orders events by virtual time and
-//! breaks ties by insertion order, so two runs of the same simulation always
-//! process events in the same order regardless of heap internals.
+//! A thin wrapper over a binary heap that orders events by virtual time,
+//! then by a same-instant priority, and breaks the remaining ties by
+//! insertion order, so two runs of the same simulation always process
+//! events in the same order regardless of heap internals.
+//!
+//! The three fields are packed into one `u128` key,
+//! `(at << 64) | (priority << 56) | seq`, whose integer order is the
+//! lexicographic order of `(at, priority, seq)`: a sift compares one
+//! integer instead of three fields, and [`EventQueue::pop`] and
+//! [`EventQueue::peek_key`] decode the time and priority back out of it.
+//! `seq` has the low 56 bits, so a queue takes at most 2^56 pushes over
+//! its life; the push past that bound panics rather than wrap into the
+//! priority bits.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A scheduled entry: an event of type `E` due at a [`SimTime`].
+/// Bits of the key below the priority: the room for `seq`.
+const SEQ_BITS: u32 = 56;
+
+/// A scheduled entry: an event of type `E` under its packed
+/// `(at, priority, seq)` key.
 #[derive(Debug, Clone)]
 struct Scheduled<E> {
-    at: SimTime,
-    priority: u8,
-    seq: u64,
+    key: u128,
     event: E,
+}
+
+impl<E> Scheduled<E> {
+    /// The time and priority packed into the key.
+    fn at_priority(&self) -> (SimTime, u8) {
+        let at = SimTime::from_secs((self.key >> 64) as u64);
+        (at, (self.key >> SEQ_BITS) as u8)
+    }
 }
 
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.priority == other.priority && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Scheduled<E> {}
 
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest
-        // (time, priority, seq) pops first. Priority orders same-time
-        // events; sequence numbers make ties FIFO.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.priority.cmp(&self.priority))
-            .then_with(|| other.seq.cmp(&self.seq))
+        // BinaryHeap is a max-heap; invert so the smallest key — the
+        // earliest (time, priority, seq) — pops first.
+        other.key.cmp(&self.key)
     }
 }
 impl<E> PartialOrd for Scheduled<E> {
@@ -84,6 +99,11 @@ impl<E> EventQueue<E> {
     ///
     /// Events scheduled for the same instant and priority pop in the order
     /// they were pushed.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the queue has taken 2^56 pushes over its life (see the
+    /// module docs).
     pub fn push(&mut self, at: SimTime, event: E) {
         self.push_with_priority(at, 128, event);
     }
@@ -95,27 +115,30 @@ impl<E> EventQueue<E> {
     /// (e.g. "failures strike before a same-instant checkpoint completes",
     /// "a finishing job releases its nodes before a same-instant start
     /// claims them").
+    ///
+    /// # Panics
+    ///
+    /// Panics once the queue has taken 2^56 pushes over its life (see the
+    /// module docs).
     pub fn push_with_priority(&mut self, at: SimTime, priority: u8, event: E) {
         let seq = self.next_seq;
+        assert!(seq < 1 << SEQ_BITS, "event queue sequence exhausted");
         self.next_seq += 1;
-        self.heap.push(Scheduled {
-            at,
-            priority,
-            seq,
-            event,
-        });
+        let key =
+            (u128::from(at.as_secs()) << 64) | (u128::from(priority) << SEQ_BITS) | u128::from(seq);
+        self.heap.push(Scheduled { key, event });
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| (s.at, s.event))
+        self.heap.pop().map(|s| (s.at_priority().0, s.event))
     }
 
     /// The `(time, priority)` of the earliest pending event, without
     /// removing it: what a caller merging this queue with other ordered
     /// event sources compares their heads against.
     pub fn peek_key(&self) -> Option<(SimTime, u8)> {
-        self.heap.peek().map(|s| (s.at, s.priority))
+        self.heap.peek().map(Scheduled::at_priority)
     }
 
     /// Number of pending events.
@@ -148,6 +171,7 @@ impl<E> FromIterator<(SimTime, E)> for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::DetRng;
 
     #[test]
     fn pops_in_time_order() {
@@ -240,5 +264,62 @@ mod tests {
         q.push(SimTime::from_secs(2), "z");
         assert_eq!(q.pop().unwrap().1, "y");
         assert_eq!(q.pop().unwrap().1, "z");
+    }
+
+    /// The packed key pops exactly what a reference sorted by
+    /// `(at, priority, seq)` field by field pops, over seeded interleavings
+    /// of pushes and pops whose times collide — the two ends of the clock
+    /// included — across all 256 priorities, half of the pushes drawn from
+    /// four of them so that `seq` decides many ties.
+    #[test]
+    fn packed_key_pops_in_field_order() {
+        let mut priorities = [false; 256];
+        for seed in 0..32 {
+            let mut rng = DetRng::seed_from(seed);
+            let mut q = EventQueue::new();
+            // The reference: every pending (at, priority, seq) entry.
+            let mut pending: Vec<(SimTime, u8, u64)> = Vec::new();
+            let mut seq = 0u64;
+            for _ in 0..2_000 {
+                if pending.is_empty() || rng.chance(0.55) {
+                    let at = match rng.uniform_u64(0, 9) {
+                        0 => SimTime::ZERO,
+                        1 => SimTime::MAX,
+                        2 => SimTime::from_secs(u64::MAX - 1),
+                        k => SimTime::from_secs(k * 1_000),
+                    };
+                    let priority = match rng.chance(0.5) {
+                        true => rng.uniform_u64(0, 255) as u8,
+                        false => rng.uniform_u64(126, 129) as u8,
+                    };
+                    priorities[priority as usize] = true;
+                    q.push_with_priority(at, priority, seq);
+                    pending.push((at, priority, seq));
+                    seq += 1;
+                } else {
+                    let head = *pending.iter().min().expect("non-empty");
+                    pending.retain(|e| *e != head);
+                    assert_eq!(q.peek_key(), Some((head.0, head.1)), "seed {seed}");
+                    assert_eq!(q.pop(), Some((head.0, head.2)), "seed {seed}");
+                }
+                assert_eq!(q.len(), pending.len());
+            }
+            pending.sort_unstable();
+            for (at, _, seq) in pending {
+                assert_eq!(q.pop(), Some((at, seq)), "seed {seed}");
+            }
+            assert_eq!(q.pop(), None);
+        }
+        assert!(priorities.iter().all(|&p| p), "every priority drawn");
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence exhausted")]
+    fn a_push_past_the_seq_bound_panics() {
+        let mut q = EventQueue::new();
+        q.next_seq = (1 << SEQ_BITS) - 1;
+        q.push_with_priority(SimTime::MAX, u8::MAX, "last");
+        assert_eq!(q.peek_key(), Some((SimTime::MAX, u8::MAX)));
+        q.push(SimTime::ZERO, "one too many");
     }
 }
